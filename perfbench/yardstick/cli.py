@@ -1,0 +1,478 @@
+"""Command-line front end.
+
+Subcommands cover the full experiment loop: generate a labeled dataset,
+train the policy, evaluate or compare policies on fresh episode streams,
+run the two standard sweeps, and inspect coverage geometry. Every output
+file is deterministic for a fixed (config, seed); wall-clock timings are
+printed to stdout only and never written to result files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from .caching import apply_caching_action
+from .config import (ConfigError, SimConfig, dump_config, load_config,
+                     scenario_hash, validate_config)
+from .dil import (action_report, baseline_actions, docs_actions, oracle_actions,
+                  train_policy)
+from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
+                        PriceVector)
+from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
+                       relative_angular_velocity)
+from .neural import (CheckpointError, FeatureScaler, cross_entropy, encode_state,
+                     forward, infer, load_model, save_model)
+from .oracle import (ActionSpaceLimitError, Demonstration, build_dataset,
+                     read_dataset, solve_optimal, write_dataset)
+from .policies import BASELINE_PAIRS, baseline_name, baseline_policy
+from .scenario import (episode_state, episode_stream, make_library, orbit_params,
+                       prices_from)
+
+GEN_SEED = 42  # default for dataset generation, training, sweeps
+EVAL_SEED = 2042  # default for held-out evaluation streams
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
+    lines = [",".join(columns)]
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"row width {len(row)} != header width {len(columns)}")
+        lines.append(",".join(_fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _outdir(path: str) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _fresh_states(cfg: SimConfig, seed: int, n: int) -> list[EpisodeState]:
+    return [state for _, state in episode_stream(cfg.scenario, seed, n)]
+
+
+def _label_states(cfg: SimConfig, states: list[EpisodeState],
+                  scaler: FeatureScaler) -> list[Demonstration]:
+    prices = prices_from(cfg.scenario)
+    demos = []
+    for i, state in enumerate(states):
+        action, value = solve_optimal(state, prices)
+        demos.append(Demonstration(episode_id=i,
+                                   features=encode_state(state, scaler),
+                                   labels=action.bits(), opt_reward=value))
+    return demos
+
+
+# ---------------------------------------------------------------------------
+# gen-dataset
+
+
+def run_gen_dataset(cfg: SimConfig, seed: int, episodes: int, out: Path) -> Path:
+    t0 = time.perf_counter()
+    demos = build_dataset(cfg.scenario, episodes, seed)
+    path = out / "dataset.txt"
+    write_dataset(path, demos, cfg.scenario)
+    (out / "config_used.txt").write_text(dump_config(cfg))
+    elapsed = time.perf_counter() - t0
+    n_bits = 2 * cfg.scenario.num_subtasks
+    ones = sum(sum(d.labels) for d in demos)
+    print(f"wrote {path} ({episodes} episodes, config {scenario_hash(cfg.scenario)})")
+    print(f"label density: {ones / (episodes * n_bits):.4f} ones")
+    print(f"elapsed: {elapsed:.1f}s")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# train
+
+
+def _check_dataset_header(header: dict[str, str], cfg: SimConfig) -> None:
+    if header.get("config") != scenario_hash(cfg.scenario):
+        raise ConfigError(
+            "dataset was generated under a different scenario config "
+            f"(dataset {header.get('config')}, current {scenario_hash(cfg.scenario)})")
+
+
+def run_train(cfg: SimConfig, seed: int, dataset: Path, out: Path) -> Path:
+    t0 = time.perf_counter()
+    header, demos = read_dataset(dataset)
+    _check_dataset_header(header, cfg)
+    result = train_policy(demos, cfg.train, seed)
+    scaler = FeatureScaler.from_scenario(cfg.scenario)
+    model_path = out / "model.txt"
+    save_model(model_path, result.model, scaler)
+    _write_csv(out / "train_curve.csv", ("epoch", "train_loss", "val_loss"),
+               [(e, tl, vl) for e, tl, vl in result.curve])
+
+    # threshold-only test metrics; full decode happens in eval/compare
+    x_te = np.stack([demos[i].features for i in result.test_idx])
+    y_te = np.array([demos[i].labels for i in result.test_idx], dtype=np.float64)
+    probs = forward(result.model, x_te)
+    bit_acc = float(np.mean((probs > 0.5) == (y_te > 0.5)))
+    elapsed = time.perf_counter() - t0
+    print(f"wrote {model_path}")
+    print(f"epochs run: {result.curve[-1][0]}, best epoch: {result.best_epoch}, "
+          f"best val loss: {min(vl for _, _, vl in result.curve)!r}")
+    print(f"test bit accuracy (threshold only): {bit_acc:.4f}")
+    print(f"test loss: {cross_entropy(probs, y_te)!r}")
+    print(f"elapsed: {elapsed:.1f}s")
+    return model_path
+
+
+# ---------------------------------------------------------------------------
+# eval
+
+
+def _policy_fn(policy: str, model, scaler, prices: PriceVector):
+    if policy == "docs":
+        return lambda state: infer(model, scaler, state)
+    if policy == "oracle":
+        return lambda state: solve_optimal(state, prices)[0]
+    of_kind, ch_kind = policy.split("-")
+    return lambda state: baseline_policy(of_kind, ch_kind, state, prices)
+
+
+def _persistent_rollout(cfg: SimConfig, seed: int, n: int, act_fn,
+                        eviction: str) -> tuple[list[EpisodeState], list[ActionMatrix]]:
+    """Carry the cache across episodes; episode 0 keeps its drawn placement."""
+    scen = cfg.scenario
+    library = make_library(scen, seed)
+    states: list[EpisodeState] = []
+    actions: list[ActionMatrix] = []
+    cache = None
+    for i in range(n):
+        state = episode_state(scen, seed, i, library)
+        if cache is not None:
+            state = replace(state, cache=cache)
+        action = act_fn(state)
+        states.append(state)
+        actions.append(action)
+        cache = apply_caching_action(state.cache, state.task, action.cache, eviction)
+    return states, actions
+
+
+_POLICY_CHOICES = ("docs", "oracle") + tuple(
+    baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
+
+
+def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
+             episodes: int, cache_mode: str, out: Path) -> dict[str, float]:
+    prices = prices_from(cfg.scenario)
+    model = scaler = None
+    if policy == "docs":
+        if model_path is None:
+            raise ValueError("--model is required for the docs policy")
+        model, scaler = load_model(model_path)
+    if scaler is None:
+        scaler = FeatureScaler.from_scenario(cfg.scenario)
+    act_fn = _policy_fn(policy, model, scaler, prices)
+
+    if cache_mode == "persistent":
+        eviction = policy.split("-")[1] if "-" in policy \
+            else cfg.train.persistent_eviction
+        states, actions = _persistent_rollout(cfg, seed, episodes, act_fn, eviction)
+    else:
+        states = _fresh_states(cfg, seed, episodes)
+        actions = [act_fn(s) for s in states]
+    demos = _label_states(cfg, states, scaler)
+    report = action_report(actions, demos, states, prices)
+
+    rows = [(policy, cache_mode, episodes) + tuple(report[k] for k in (
+        "exact_match", "per_bit_acc", "mean_reward", "mean_completion_time_s",
+        "reward_ratio_vs_opt"))]
+    _write_csv(out / "metrics.csv",
+               ("scheme", "cache_mode", "episodes", "exact_match", "per_bit_acc",
+                "mean_reward", "mean_completion_time_s", "reward_ratio_vs_opt"),
+               rows)
+    print(f"wrote {out / 'metrics.csv'}")
+    for key in ("exact_match", "per_bit_acc", "mean_reward",
+                "mean_completion_time_s", "reward_ratio_vs_opt"):
+        print(f"{policy} {key}: {report[key]!r}")
+    return report
+
+
+# ---------------------------------------------------------------------------
+# compare
+
+
+def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
+                out: Path) -> dict[str, dict[str, float]]:
+    """Oracle, trained policy, and all six baselines on one episode stream."""
+    t0 = time.perf_counter()
+    model, scaler = load_model(model_path)
+    prices = prices_from(cfg.scenario)
+    states = _fresh_states(cfg, seed, episodes)
+    demos = _label_states(cfg, states, scaler)
+
+    infer_t0 = time.perf_counter()
+    docs_acts = [infer(model, scaler, s) for s in states]
+    infer_elapsed = time.perf_counter() - infer_t0
+
+    reports = {"oracle": action_report(oracle_actions(demos), demos, states, prices),
+               "docs": action_report(docs_acts, demos, states, prices)}
+    for of_kind, ch_kind in BASELINE_PAIRS:
+        name = baseline_name(of_kind, ch_kind)
+        acts = baseline_actions(of_kind, ch_kind, states, prices)
+        reports[name] = action_report(acts, demos, states, prices)
+
+    docs = reports["docs"]
+    rows = []
+    for name, rep in reports.items():
+        if name in ("oracle", "docs"):
+            red_r = red_t = ""
+        else:
+            red_r = 100.0 * (rep["mean_reward"] - docs["mean_reward"]) / rep["mean_reward"]
+            red_t = 100.0 * (rep["mean_completion_time_s"] - docs["mean_completion_time_s"]) \
+                / rep["mean_completion_time_s"]
+        rows.append((name, rep["exact_match"], rep["per_bit_acc"], rep["mean_reward"],
+                     rep["mean_completion_time_s"], rep["reward_ratio_vs_opt"],
+                     red_r, red_t))
+    _write_csv(out / "comparison.csv",
+               ("scheme", "exact_match", "per_bit_acc", "mean_reward",
+                "mean_completion_time_s", "reward_ratio_vs_opt",
+                "docs_reward_reduction_pct", "docs_time_reduction_pct"), rows)
+
+    print(f"wrote {out / 'comparison.csv'}")
+    print(f"docs exact match: {docs['exact_match']:.4f}, "
+          f"reward ratio vs optimal: {docs['reward_ratio_vs_opt']:.4f}")
+    print(f"docs inference: {infer_elapsed / episodes * 1e3:.3f} ms/episode "
+          f"(n={episodes})")
+    print(f"elapsed: {time.perf_counter() - t0:.1f}s")
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+HIDDEN_LAYER_GRID = (1, 2, 3, 4, 5)
+RAIN_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+
+def _sweep_point(cfg: SimConfig, demos: list[Demonstration], seed: int,
+                 hidden_layers: int, scen_override=None) -> dict[str, float]:
+    scen = scen_override or cfg.scenario
+    tcfg = replace(cfg.train, hidden_layers=hidden_layers,
+                   max_epochs=cfg.train.sweep_epochs,
+                   patience=cfg.train.sweep_patience)
+    result = train_policy(demos, tcfg, seed)
+    library = make_library(scen, seed)
+    test_demos = [demos[i] for i in result.test_idx]
+    test_states = [episode_state(scen, seed, d.episode_id, library)
+                   for d in test_demos]
+    prices = prices_from(scen)
+    actions = docs_actions(result.model, test_demos, test_states)
+    return action_report(actions, test_demos, test_states, prices)
+
+
+def run_sweep(cfg: SimConfig, kind: str, seed: int, out: Path) -> Path:
+    t0 = time.perf_counter()
+    rows = []
+    if kind == "hidden-layers":
+        demos = build_dataset(cfg.scenario, cfg.train.sweep_episodes, seed)
+        for k in HIDDEN_LAYER_GRID:
+            rep = _sweep_point(cfg, demos, seed, k)
+            rows.append((k, rep["exact_match"], rep["per_bit_acc"],
+                         rep["mean_reward"], rep["reward_ratio_vs_opt"]))
+            print(f"hidden_layers={k}: exact_match={rep['exact_match']:.4f}")
+        path = out / "sweep_hidden_layers.csv"
+        _write_csv(path, ("hidden_layers", "exact_match", "per_bit_acc",
+                          "mean_reward", "reward_ratio_vs_opt"), rows)
+    elif kind == "rain":
+        for lam in RAIN_GRID:
+            scen = replace(cfg.scenario, rain_attenuation=lam)
+            demos = build_dataset(scen, cfg.train.sweep_episodes, seed)
+            rep = _sweep_point(cfg, demos, seed, cfg.train.hidden_layers,
+                               scen_override=scen)
+            rows.append((lam, rep["exact_match"], rep["per_bit_acc"],
+                         rep["mean_reward"], rep["reward_ratio_vs_opt"]))
+            print(f"attenuation={lam}: exact_match={rep['exact_match']:.4f}")
+        path = out / "sweep_rain.csv"
+        _write_csv(path, ("attenuation", "exact_match", "per_bit_acc",
+                          "mean_reward", "reward_ratio_vs_opt"), rows)
+    else:
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    print(f"wrote {path}")
+    print(f"elapsed: {time.perf_counter() - t0:.1f}s")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# coverage
+
+
+def run_coverage(cfg: SimConfig, theta_m_deg: float | None, grid: int | None,
+                 out: Path) -> None:
+    params = orbit_params(cfg.scenario)
+    theta0 = earth_central_angle(params)
+    eta = relative_angular_velocity(params)
+    print(f"max earth-central half-angle: {theta0!r} rad "
+          f"({float(np.degrees(theta0))!r} deg)")
+    print(f"relative angular velocity: {eta!r} rad/s")
+    print(f"coverage window from overhead: {coverage_time(0.0, params)!r} s")
+    if theta_m_deg is not None:
+        theta_m = float(np.radians(theta_m_deg))
+        print(f"coverage at {theta_m_deg} deg offset: "
+              f"{coverage_time(theta_m, params)!r} s")
+    if grid is not None:
+        if grid < 1:
+            raise ValueError("--grid must be at least 1")
+        rows = []
+        for i in range(grid + 1):
+            theta_m = theta0 * i / grid
+            rows.append((float(np.degrees(theta_m)), float(theta_m),
+                         coverage_time(theta_m, params)))
+        path = out / "coverage.csv"
+        _write_csv(path, ("theta_m_deg", "theta_m_rad", "coverage_s"), rows)
+        print(f"wrote {path}")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
+    p.add_argument("--config", default=None, help="key = value config file")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"stream seed (default {GEN_SEED} for generation and "
+                        f"training commands, {EVAL_SEED} for evaluation)")
+    p.add_argument("--out", default=default_out, help="output directory")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="satedge",
+        description="Satellite edge offloading and caching simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen-dataset", help="label an episode stream with "
+                                           "enumerated optimal actions")
+    _add_common(p, "runs/dataset")
+    p.add_argument("--episodes", type=int, default=None,
+                   help="override train.dataset_episodes")
+    p.set_defaults(func=_cmd_gen_dataset, default_seed=GEN_SEED)
+
+    p = sub.add_parser("train", help="fit the policy network to a dataset")
+    _add_common(p, "runs/train")
+    p.add_argument("--dataset", required=True, help="dataset.txt to fit")
+    p.set_defaults(func=_cmd_train, default_seed=GEN_SEED)
+
+    p = sub.add_parser("eval", help="score one policy on a fresh stream")
+    _add_common(p, "runs/eval")
+    p.add_argument("--policy", required=True, choices=_POLICY_CHOICES)
+    p.add_argument("--model", default=None, help="model.txt (docs policy only)")
+    p.add_argument("--episodes", type=int, default=None,
+                   help="override train.compare_episodes")
+    p.add_argument("--cache-mode", choices=("fresh", "persistent"),
+                   default="fresh",
+                   help="fresh redraws the cache per episode; persistent "
+                        "carries it across episodes")
+    p.set_defaults(func=_cmd_eval, default_seed=EVAL_SEED)
+
+    p = sub.add_parser("compare", help="score oracle, trained policy, and all "
+                                       "baselines on one stream")
+    _add_common(p, "runs/compare")
+    p.add_argument("--model", required=True, help="trained model.txt")
+    p.add_argument("--episodes", type=int, default=None,
+                   help="override train.compare_episodes")
+    p.set_defaults(func=_cmd_compare, default_seed=EVAL_SEED)
+
+    p = sub.add_parser("sweep", help="re-train across a parameter grid")
+    _add_common(p, "runs/sweep")
+    p.add_argument("--kind", required=True, choices=("hidden-layers", "rain"))
+    p.set_defaults(func=_cmd_sweep, default_seed=GEN_SEED)
+
+    p = sub.add_parser("coverage", help="report pass geometry for the "
+                                        "configured orbit")
+    _add_common(p, "runs/coverage")
+    p.add_argument("--theta-m-deg", type=float, default=None,
+                   help="also report the window at this initial offset")
+    p.add_argument("--grid", type=int, default=None,
+                   help="write coverage.csv sampled at N+1 offsets")
+    p.set_defaults(func=_cmd_coverage, default_seed=GEN_SEED)
+    return parser
+
+
+def _setup(args) -> tuple[SimConfig, int, Path]:
+    cfg = load_config(args.config)
+    validate_config(cfg)
+    seed = args.seed if args.seed is not None else args.default_seed
+    return cfg, seed, _outdir(args.out)
+
+
+def _cmd_gen_dataset(args) -> int:
+    cfg, seed, out = _setup(args)
+    episodes = args.episodes or cfg.train.dataset_episodes
+    run_gen_dataset(cfg, seed, episodes, out)
+    return 0
+
+
+def _cmd_train(args) -> int:
+    cfg, seed, out = _setup(args)
+    run_train(cfg, seed, Path(args.dataset), out)
+    return 0
+
+
+def _cmd_eval(args) -> int:
+    cfg, seed, out = _setup(args)
+    episodes = args.episodes or cfg.train.compare_episodes
+    model = Path(args.model) if args.model else None
+    run_eval(cfg, seed, args.policy, model, episodes, args.cache_mode, out)
+    return 0
+
+
+def _cmd_compare(args) -> int:
+    cfg, seed, out = _setup(args)
+    episodes = args.episodes or cfg.train.compare_episodes
+    run_compare(cfg, seed, Path(args.model), episodes, out)
+    return 0
+
+
+def _cmd_sweep(args) -> int:
+    cfg, seed, out = _setup(args)
+    run_sweep(cfg, args.kind, seed, out)
+    return 0
+
+
+def _cmd_coverage(args) -> int:
+    cfg, _, out = _setup(args)
+    run_coverage(cfg, args.theta_m_deg, args.grid, out)
+    return 0
+
+
+_ERROR_CATEGORIES = (
+    (ConfigError, "config"),
+    (CheckpointError, "model"),
+    (InfeasibleActionError, "infeasible"),
+    (CoverageDomainError, "domain"),
+    (ActionSpaceLimitError, "limit"),
+    (OSError, "io"),
+    (ValueError, "invalid"),
+)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(e for e, _ in _ERROR_CATEGORIES) as exc:
+        for etype, category in _ERROR_CATEGORIES:
+            if isinstance(exc, etype):
+                print(f"error:{category}: {exc}", file=sys.stderr)
+                return 1
+        raise  # unreachable
+
+
+if __name__ == "__main__":
+    sys.exit(main())

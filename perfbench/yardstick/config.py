@@ -1,0 +1,203 @@
+"""Dataclass configs and the flat key=value config file format.
+
+A config file is plain text, one ``key = value`` pair per line, ``#``
+starts a comment. Keys are the dataclass field names below; every key
+has a default, so an empty (or absent) file is a valid config.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, fields
+from pathlib import Path
+
+
+class ConfigError(ValueError):
+    """Bad config file or inconsistent config values."""
+
+
+@dataclass
+class ScenarioConfig:
+    """Episode distribution, physical constants, and pricing."""
+
+    # task chain
+    num_subtasks: int = 6
+    size_min_bytes: float = 100e3  # data sizes uniform in [min, max] bytes (KB = 1e3 B)
+    size_max_bytes: float = 500e3
+    rho_min: float = 0.0  # compute density in cycles per input byte
+    rho_max: float = 12000.0
+    mix_upload: float = 0.05
+    mix_download: float = 0.05
+    mix_compute: float = 0.90
+
+    # content library and on-board cache
+    num_ranks: int = 30
+    zipf_delta: float = 1.0
+    capacity_fraction: float = 0.3  # cache size as a share of total library bytes
+    placement_fill_max: float = 0.5  # initial placements fill U[0, this] of capacity
+
+    # links (fronthaul = vehicle <-> satellite, backhaul = satellite <-> ground)
+    bandwidth_fh_hz: float = 2e6
+    bandwidth_bh_hz: float = 3e6
+    snr_fh_db: float = 30.0
+    snr_bh_db: float = 30.0
+    snr_jitter_db: float = 3.0  # per-episode uniform jitter, +/- dB on each hop
+    rain_attenuation: float = 0.8
+    prop_vs_s: float = 0.03
+    prop_sg_s: float = 0.27
+
+    # edge server
+    cpu_rate_hz: float = 1e10  # cycles per second
+
+    # coverage window
+    coverage_mode: str = "fixed"  # "fixed" or "orbit"
+    coverage_s: float = 300.0
+    earth_radius_km: float = 6371.0
+    altitude_km: float = 780.0
+    min_elevation_deg: float = 10.0
+    inclination_deg: float = 86.4
+    earth_rotation_rad_s: float = 7.2921e-5
+
+    # reward prices
+    price_comp: float = 1e-10  # per cycle executed locally
+    price_comm: float = 1e-6  # per byte offloaded
+    price_cache: float = 1e-6  # per byte pinned in the cache
+    price_cpl: float = 0.2  # per second of completion time
+
+
+@dataclass
+class TrainConfig:
+    """Imitation-learning dataset, optimizer, and evaluation knobs."""
+
+    dataset_episodes: int = 50000
+    train_frac: float = 0.8
+    val_frac: float = 0.1  # test split is the remainder
+    hidden_layers: int = 3
+    hidden_width: int = 128
+    learning_rate: float = 0.001
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    batch_size: int = 64
+    max_epochs: int = 100
+    patience: int = 10
+    # smaller budgets reused by every sweep grid point
+    sweep_episodes: int = 8000
+    sweep_epochs: int = 30
+    sweep_patience: int = 5
+    compare_episodes: int = 2000
+    persistent_eviction: str = "mrc"  # cache policy applied on persistent eval runs
+
+
+@dataclass
+class SimConfig:
+    scenario: ScenarioConfig
+    train: TrainConfig
+
+
+_COERCE = {"int": int, "float": float, "str": str}
+
+# short link-budget spellings accepted in config files alongside field names
+_KEY_ALIASES = {
+    "B_vs_hz": "bandwidth_fh_hz",
+    "B_sg_hz": "bandwidth_bh_hz",
+    "lambda": "rain_attenuation",
+    "d_vs_s": "prop_vs_s",
+    "d_sg_s": "prop_sg_s",
+}
+
+
+def _field_map(cfg) -> dict[str, type]:
+    return {f.name: _COERCE[f.type] for f in fields(cfg)}
+
+
+def default_config() -> SimConfig:
+    return SimConfig(ScenarioConfig(), TrainConfig())
+
+
+def load_config(path: str | Path | None) -> SimConfig:
+    """Parse a key=value file over the defaults. None returns pure defaults."""
+    cfg = default_config()
+    if path is None:
+        validate_config(cfg)
+        return cfg
+    text = Path(path).read_text()
+    smap, tmap = _field_map(cfg.scenario), _field_map(cfg.train)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = _KEY_ALIASES.get(key, key)
+        try:
+            if key in smap:
+                setattr(cfg.scenario, key, smap[key](value))
+            elif key in tmap:
+                setattr(cfg.train, key, tmap[key](value))
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        except ValueError as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+    validate_config(cfg)
+    return cfg
+
+
+def validate_config(cfg: SimConfig) -> None:
+    s, t = cfg.scenario, cfg.train
+    mix = s.mix_upload + s.mix_download + s.mix_compute
+    if abs(mix - 1.0) > 1e-9 or min(s.mix_upload, s.mix_download, s.mix_compute) < 0:
+        raise ConfigError(f"category mix must be nonnegative and sum to 1, got {mix}")
+    if s.num_subtasks < 1:
+        raise ConfigError("num_subtasks must be at least 1")
+    if not 0 < s.size_min_bytes <= s.size_max_bytes:
+        raise ConfigError("need 0 < size_min_bytes <= size_max_bytes")
+    if not 0 <= s.rho_min <= s.rho_max or s.rho_max <= 0:
+        raise ConfigError("need 0 <= rho_min <= rho_max with rho_max > 0")
+    if s.num_ranks < 1:
+        raise ConfigError("num_ranks must be at least 1")
+    if s.zipf_delta < 0:
+        raise ConfigError("zipf_delta must be nonnegative")
+    if not 0 < s.capacity_fraction <= 1:
+        raise ConfigError("capacity_fraction must be in (0, 1]")
+    if not 0 <= s.placement_fill_max <= 1:
+        raise ConfigError("placement_fill_max must be in [0, 1]")
+    if not 0 < s.rain_attenuation <= 1:
+        raise ConfigError("rain_attenuation must be in (0, 1]")
+    if s.coverage_mode not in ("fixed", "orbit"):
+        raise ConfigError(f"coverage_mode must be fixed or orbit, got {s.coverage_mode!r}")
+    if s.coverage_mode == "fixed" and s.coverage_s <= 0:
+        raise ConfigError("coverage_s must be positive")
+    if s.snr_jitter_db < 0:
+        raise ConfigError("snr_jitter_db must be nonnegative")
+    if min(s.price_comp, s.price_comm, s.price_cache, s.price_cpl) < 0:
+        raise ConfigError("prices must be nonnegative")
+    if not 0 < t.train_frac < 1 or not 0 < t.val_frac < 1 or t.train_frac + t.val_frac >= 1:
+        raise ConfigError("train_frac and val_frac must leave a nonempty test split")
+    for name in ("dataset_episodes", "hidden_layers", "hidden_width", "batch_size",
+                 "max_epochs", "patience", "sweep_episodes", "sweep_epochs",
+                 "sweep_patience", "compare_episodes"):
+        if getattr(t, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
+    if t.learning_rate <= 0:
+        raise ConfigError("learning_rate must be positive")
+    if t.persistent_eviction not in ("mrc", "mpc"):
+        raise ConfigError("persistent_eviction must be mrc or mpc")
+
+
+def dump_config(cfg: SimConfig) -> str:
+    """Canonical text form: sorted key=value lines, one per field."""
+    lines = []
+    for section in (cfg.scenario, cfg.train):
+        for f in fields(section):
+            lines.append(f"{f.name}={getattr(section, f.name)!r}")
+    return "\n".join(sorted(lines)) + "\n"
+
+
+def scenario_hash(scenario: ScenarioConfig) -> str:
+    """Short stable digest of the episode distribution (dataset identity)."""
+    lines = sorted(f"{f.name}={getattr(scenario, f.name)!r}" for f in fields(scenario))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]

@@ -1,0 +1,171 @@
+"""Imitation training against enumerated optima, plus policy scoring.
+
+The policy is trained to reproduce the oracle's action bits from the
+encoded episode state. Splits, shuffles, and initialization all hang off
+one seed, so a fixed (dataset, config, seed) triple reproduces the loss
+curve exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .config import TrainConfig
+from .evaluator import (ActionMatrix, EpisodeState, PriceVector, completion_time,
+                        reward)
+from .neural import (AdamHyper, MLPModel, adam_step, cross_entropy, decode_actions,
+                     forward, gradients, init_model)
+from .oracle import Demonstration
+from .policies import baseline_policy
+
+
+@dataclass
+class TrainResult:
+    model: MLPModel  # parameters restored to the best validation epoch
+    curve: list[tuple[int, float, float]]  # (epoch, train_loss, val_loss)
+    best_epoch: int
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    test_idx: np.ndarray
+
+
+def split_indices(n: int, train_frac: float, val_frac: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    perm = rng.permutation(n)
+    n_train = int(round(train_frac * n))
+    n_val = int(round(val_frac * n))
+    if n_train < 1 or n_val < 1 or n_train + n_val >= n:
+        raise ValueError(f"splits leave no usable test set for n={n}")
+    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+
+
+def _snapshot(model: MLPModel) -> dict:
+    return {
+        "weights": [w.copy() for w in model.weights],
+        "biases": [b.copy() for b in model.biases],
+        "m_w": [a.copy() for a in model.m_w],
+        "v_w": [a.copy() for a in model.v_w],
+        "m_b": [a.copy() for a in model.m_b],
+        "v_b": [a.copy() for a in model.v_b],
+        "step_count": model.step_count,
+    }
+
+
+def _restore(model: MLPModel, snap: dict) -> MLPModel:
+    return MLPModel(dims=model.dims, weights=snap["weights"], biases=snap["biases"],
+                    m_w=snap["m_w"], v_w=snap["v_w"], m_b=snap["m_b"],
+                    v_b=snap["v_b"], step_count=snap["step_count"],
+                    hyper=model.hyper, seed=model.seed,
+                    layout_version=model.layout_version)
+
+
+def train_policy(demos: list[Demonstration], cfg: TrainConfig,
+                 seed: int) -> TrainResult:
+    """Mini-batch Adam with early stopping on validation loss.
+
+    The curve starts at epoch 0 (losses before any update) and the
+    returned model is the best-validation snapshot, so its validation
+    loss never exceeds the epoch-0 value.
+    """
+    if not demos:
+        raise ValueError("empty demonstration set")
+    x = np.stack([d.features for d in demos])
+    y = np.array([d.labels for d in demos], dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx, test_idx = split_indices(
+        len(demos), cfg.train_frac, cfg.val_frac, rng)
+    dims = ((x.shape[1],) + (cfg.hidden_width,) * cfg.hidden_layers + (y.shape[1],))
+    hyper = AdamHyper(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    model = init_model(dims, seed, hyper)
+
+    x_tr, y_tr = x[train_idx], y[train_idx]
+    x_va, y_va = x[val_idx], y[val_idx]
+
+    def train_loss() -> float:
+        return cross_entropy(forward(model, x_tr), y_tr)
+
+    def val_loss() -> float:
+        return cross_entropy(forward(model, x_va), y_va)
+
+    best_val = val_loss()
+    best_snap = _snapshot(model)
+    best_epoch = 0
+    curve = [(0, train_loss(), best_val)]
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(len(train_idx))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            grad_w, grad_b = gradients(model, x_tr[batch], y_tr[batch])
+            adam_step(model, grad_w, grad_b)
+        vl = val_loss()
+        tl = train_loss()
+        if not (np.isfinite(vl) and np.isfinite(tl)):
+            raise ValueError(
+                f"non-finite loss at epoch {epoch} (train {tl}, val {vl}); "
+                "check feature scaling and learning rate")
+        curve.append((epoch, tl, vl))
+        if vl < best_val:
+            best_val = vl
+            best_snap = _snapshot(model)
+            best_epoch = epoch
+        elif epoch - best_epoch >= cfg.patience:
+            break
+    return TrainResult(model=_restore(model, best_snap), curve=curve,
+                       best_epoch=best_epoch, train_idx=train_idx,
+                       val_idx=val_idx, test_idx=test_idx)
+
+
+# ---------------------------------------------------------------------------
+# scoring
+
+
+def docs_actions(model: MLPModel, demos: list[Demonstration],
+                 states: list[EpisodeState]) -> list[ActionMatrix]:
+    """Decode the trained policy for each episode (batched forward pass)."""
+    probs = forward(model, np.stack([d.features for d in demos]))
+    return [decode_actions(probs[i], s) for i, s in enumerate(states)]
+
+
+def baseline_actions(offload_kind: str, cache_kind: str,
+                     states: list[EpisodeState],
+                     prices: PriceVector) -> list[ActionMatrix]:
+    return [baseline_policy(offload_kind, cache_kind, s, prices) for s in states]
+
+
+def oracle_actions(demos: list[Demonstration]) -> list[ActionMatrix]:
+    return [ActionMatrix.from_bits(d.labels) for d in demos]
+
+
+def action_report(actions: list[ActionMatrix], demos: list[Demonstration],
+                  states: list[EpisodeState], prices: PriceVector) -> dict[str, float]:
+    """Accuracy and cost metrics for one policy against the oracle labels.
+
+    exact_match is the fraction of episodes whose full bit pattern equals
+    the oracle's; reward_ratio_vs_opt is the ratio of mean rewards.
+    """
+    if not (len(actions) == len(demos) == len(states)):
+        raise ValueError("actions, demos, and states must align")
+    exact = 0
+    bit_ok = 0
+    bit_total = 0
+    sum_reward = 0.0
+    sum_time = 0.0
+    sum_opt = 0.0
+    for act, demo, state in zip(actions, demos, states):
+        bits = act.bits()
+        exact += int(bits == demo.labels)
+        bit_ok += sum(a == b for a, b in zip(bits, demo.labels))
+        bit_total += len(bits)
+        sum_reward += reward(state, act, prices)
+        sum_time += completion_time(state, act)
+        sum_opt += demo.opt_reward
+    n = len(actions)
+    return {
+        "exact_match": exact / n,
+        "per_bit_acc": bit_ok / bit_total,
+        "mean_reward": sum_reward / n,
+        "mean_completion_time_s": sum_time / n,
+        "reward_ratio_vs_opt": sum_reward / sum_opt,
+    }

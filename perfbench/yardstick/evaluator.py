@@ -1,0 +1,170 @@
+"""Action feasibility, completion time, and priced reward for one episode.
+
+An action assigns each sub-task an (offload, cache) bit pair. Feasible
+pairs depend on the category and on whether the output's return leg
+still fits inside the remaining coverage window. Times follow the
+per-category pipelines below; the reward is a cost (lower is better)
+that prices compute cycles, offloaded bytes, pinned cache bytes, and
+completion seconds.
+
+Modeling note: the satellite-to-vehicle return leg is charged at the
+fronthaul rate (symmetric fronthaul). Cache hits are judged against the
+episode's starting placement, and a hit consumes no compute or offload
+budget: only its return legs and any re-pin charge count.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .caching import CacheState, is_hit
+from .channel import LinkState, transmit_time
+from .workload import Category, SubTask, TaskGraph, classify
+
+PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+class InfeasibleActionError(ValueError):
+    """An action pair fell outside a sub-task's feasible set."""
+
+
+@dataclass(frozen=True)
+class PriceVector:
+    comp: float  # per cycle executed locally
+    comm: float  # per byte offloaded
+    cache: float  # per byte pinned
+    cpl: float  # per second of completion time
+
+
+@dataclass(frozen=True)
+class ActionMatrix:
+    offload: tuple[int, ...]
+    cache: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.offload) != len(self.cache):
+            raise ValueError("offload and cache bit-vectors must match in length")
+        if any(b not in (0, 1) for b in self.offload + self.cache):
+            raise ValueError("action bits must be 0 or 1")
+
+    def pair(self, v: int) -> tuple[int, int]:
+        return (self.offload[v], self.cache[v])
+
+    def bits(self) -> tuple[int, ...]:
+        """Blocked label layout: all offload bits, then all cache bits."""
+        return self.offload + self.cache
+
+    @classmethod
+    def from_bits(cls, bits: tuple[int, ...]) -> "ActionMatrix":
+        if len(bits) % 2:
+            raise ValueError("bit count must be even")
+        n = len(bits) // 2
+        return cls(offload=tuple(bits[:n]), cache=tuple(bits[n:]))
+
+
+@dataclass(frozen=True)
+class EpisodeState:
+    task: TaskGraph
+    t_c: float  # remaining coverage budget at episode start, seconds
+    link: LinkState
+    cpu_rate: float  # edge server, cycles/s
+    cache: CacheState
+
+
+def return_leg(st: SubTask, state: EpisodeState) -> float:
+    """Satellite-to-vehicle delivery time for the sub-task's output."""
+    return transmit_time(st.d_out, state.link.rate_fh) + state.link.prop_vs
+
+
+def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int], ...]:
+    """Feasible (offload, cache) pairs, ascending.
+
+    Upload must offload; Download must not. When the output's return leg
+    no longer fits in the coverage window, the result has to be cached
+    for a later pass, which pins the cache bit to 1.
+    """
+    cat = classify(st)
+    if cat is Category.UPLOAD:
+        return ((1, 0), (1, 1))
+    within = return_leg(st, state) < state.t_c
+    if cat is Category.DOWNLOAD:
+        return ((0, 0), (0, 1)) if within else ((0, 1),)
+    return PAIRS if within else ((0, 1), (1, 1))
+
+
+def hit_flags(state: EpisodeState) -> tuple[bool, ...]:
+    """Per-sub-task cache hits against the episode's starting placement."""
+    return tuple(
+        st.out_rank > 0 and is_hit(state.cache, st.out_rank) for st in state.task)
+
+
+def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> float:
+    """Seconds until this sub-task's result is back at the vehicle."""
+    link = state.link
+    cat = classify(st)
+    if cat is Category.UPLOAD:
+        return (transmit_time(st.d_in, link.rate_fh) + link.prop_vs
+                + transmit_time(st.d_in, link.rate_bh) + link.prop_sg)
+    back = return_leg(st, state)
+    if cat is Category.DOWNLOAD:
+        if hit:
+            return back
+        return transmit_time(st.d_out, link.rate_bh) + link.prop_sg + back
+    # compute: input always rides the fronthaul up, result always rides it down
+    ingest = transmit_time(st.d_in, link.rate_fh) + link.prop_vs
+    if hit:
+        return ingest + back
+    if a_of:
+        work = transmit_time(st.d_in, link.rate_bh) + link.prop_sg
+    else:
+        work = st.zeta / state.cpu_rate
+    return ingest + work + back
+
+
+def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, state: EpisodeState,
+                 prices: PriceVector) -> float:
+    """This sub-task's contribution to the episode reward."""
+    t = subtask_time(st, a_of, hit, state)
+    live = 0.0 if hit else 1.0  # a hit consumes no compute or offload budget
+    return (prices.comp * (1 - a_of) * st.zeta * live
+            + prices.comm * a_of * st.d_in * live
+            + prices.cache * a_ch * st.d_out
+            + prices.cpl * t)
+
+
+def validate_action(state: EpisodeState, action: ActionMatrix) -> None:
+    """Raise InfeasibleActionError unless every pair sits in its feasible set."""
+    if len(action.offload) != len(state.task):
+        raise InfeasibleActionError(
+            f"action covers {len(action.offload)} sub-tasks, task has {len(state.task)}")
+    for v, st in enumerate(state.task):
+        pair = action.pair(v)
+        feas = feasible_actions(st, state)
+        if pair not in feas:
+            raise InfeasibleActionError(
+                f"sub-task {v} ({st.category.value}): pair {pair} not in {feas}")
+
+
+def completion_time(state: EpisodeState, action: ActionMatrix) -> float:
+    """Total seconds across the chain, hits judged on the starting placement."""
+    validate_action(state, action)
+    hits = hit_flags(state)
+    total = 0.0
+    for v, st in enumerate(state.task):
+        total += subtask_time(st, action.offload[v], hits[v], state)
+    return total
+
+
+def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
+    """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds.
+
+    With prices (0, 0, 0, 1) this equals completion_time bit-for-bit,
+    since both accumulate the same per-sub-task terms in chain order.
+    """
+    validate_action(state, action)
+    hits = hit_flags(state)
+    total = 0.0
+    for v, st in enumerate(state.task):
+        total += subtask_cost(st, action.offload[v], action.cache[v], hits[v],
+                              state, prices)
+    return total

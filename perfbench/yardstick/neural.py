@@ -1,0 +1,431 @@
+"""Plain-numpy MLP policy head: feature encoding, training math, decoding.
+
+Forward pass, backprop, and Adam are written out explicitly so the
+training path carries no framework dependency and stays reproducible
+down to the bit. The output layer is 2*|V| sigmoids in the blocked
+label layout: all offload bits first, then all cache bits.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .caching import request_probability
+from .channel import link_rate, snr_from_db
+from .config import ScenarioConfig
+from .evaluator import ActionMatrix, EpisodeState, feasible_actions, hit_flags
+from .geometry import earth_central_angle, relative_angular_velocity
+from .workload import Category, classify
+
+log = logging.getLogger(__name__)
+
+LAYOUT_VERSION = 1
+GLOBAL_FEATURES = 6  # t_c, r_fh, r_bh, d_vs, d_sg, f_m
+SUBTASK_FEATURES = 8  # zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity
+
+CLIP_EPS = 1e-12  # probability clip inside the loss
+
+
+class CheckpointError(ValueError):
+    """Unreadable or incompatible model checkpoint."""
+
+
+def feature_dim(num_subtasks: int) -> int:
+    return GLOBAL_FEATURES + SUBTASK_FEATURES * num_subtasks
+
+
+@dataclass
+class FeatureScaler:
+    """Min-max feature normalization with declared ranges.
+
+    Values outside a range are clamped and counted; a nonzero clamp_count
+    after a run usually means the scaler came from a different scenario
+    config than the episodes did.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    layout_version: int = LAYOUT_VERSION
+    clamp_count: int = 0
+
+    def __post_init__(self):
+        self.lo = np.asarray(self.lo, dtype=np.float64)
+        self.hi = np.asarray(self.hi, dtype=np.float64)
+        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
+            raise ValueError("lo and hi must be 1-d arrays of equal length")
+        if not np.all(self.hi > self.lo):
+            raise ValueError("every feature range needs hi > lo")
+
+    def transform(self, raw: np.ndarray) -> np.ndarray:
+        raw = np.asarray(raw, dtype=np.float64)
+        if raw.shape != self.lo.shape:
+            raise ValueError(f"expected {self.lo.shape[0]} features, got {raw.shape}")
+        outside = int(np.count_nonzero((raw < self.lo) | (raw > self.hi)))
+        if outside:
+            self.clamp_count += outside
+            log.warning("clamped %d feature(s) outside declared ranges "
+                        "(total %d)", outside, self.clamp_count)
+        return (np.clip(raw, self.lo, self.hi) - self.lo) / (self.hi - self.lo)
+
+    @classmethod
+    def from_scenario(cls, cfg: ScenarioConfig) -> "FeatureScaler":
+        """Ranges wide enough for anything the scenario generator emits."""
+        if cfg.coverage_mode == "fixed":
+            t_c_hi = 2.0 * cfg.coverage_s
+        else:
+            from .scenario import orbit_params  # local import, avoids a cycle
+            params = orbit_params(cfg)
+            t_c_hi = earth_central_angle(params) / relative_angular_velocity(params)
+        snr_hi_fh = snr_from_db(cfg.snr_fh_db + cfg.snr_jitter_db)
+        snr_hi_bh = snr_from_db(cfg.snr_bh_db + cfg.snr_jitter_db)
+        # attenuation 1.0 keeps the range valid across rain sweeps
+        rate_fh_hi = link_rate(1.0, cfg.bandwidth_fh_hz, snr_hi_fh)
+        rate_bh_hi = link_rate(1.0, cfg.bandwidth_bh_hz, snr_hi_bh)
+        lo = [0.0] * GLOBAL_FEATURES
+        hi = [t_c_hi, rate_fh_hi, rate_bh_hi,
+              max(2.0 * cfg.prop_vs_s, 1e-6), max(2.0 * cfg.prop_sg_s, 1e-6),
+              2.0 * cfg.cpu_rate_hz]
+        pop_hi = request_probability(1, cfg.zipf_delta, cfg.num_ranks)
+        sub_lo = [0.0] * SUBTASK_FEATURES
+        sub_hi = [cfg.rho_max * cfg.size_max_bytes, cfg.size_max_bytes,
+                  cfg.size_max_bytes, cfg.rho_max, 1.0, 1.0, 1.0, pop_hi]
+        for _ in range(cfg.num_subtasks):
+            lo += sub_lo
+            hi += sub_hi
+        return cls(lo=np.array(lo), hi=np.array(hi))
+
+
+def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
+    """Fixed-layout feature vector, min-max scaled to [0, 1].
+
+    Layout v1: [t_c, r_fh, r_bh, d_vs, d_sg, f_m] then per sub-task
+    [zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity].
+    Upload encodes as (0, 0) on the category bits; popularity is the
+    Zipf request probability of the output rank, 0 when there is none.
+    """
+    link = state.link
+    raw = [state.t_c, link.rate_fh, link.rate_bh, link.prop_vs, link.prop_sg,
+           state.cpu_rate]
+    delta, num_ranks = state.cache.delta, state.cache.num_ranks
+    for st, hit in zip(state.task, hit_flags(state)):
+        cat = classify(st)
+        pop = request_probability(st.out_rank, delta, num_ranks) if st.out_rank else 0.0
+        raw += [st.zeta, st.d_in, st.d_out, st.rho,
+                1.0 if cat is Category.COMPUTE else 0.0,
+                1.0 if cat is Category.DOWNLOAD else 0.0,
+                1.0 if hit else 0.0,
+                pop]
+    return scaler.transform(np.asarray(raw, dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class AdamHyper:
+    learning_rate: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+
+@dataclass
+class MLPModel:
+    dims: tuple[int, ...]
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    m_w: list[np.ndarray]
+    v_w: list[np.ndarray]
+    m_b: list[np.ndarray]
+    v_b: list[np.ndarray]
+    step_count: int
+    hyper: AdamHyper
+    seed: int
+    layout_version: int = LAYOUT_VERSION
+
+
+def init_model(dims: tuple[int, ...], seed: int,
+               hyper: AdamHyper | None = None) -> MLPModel:
+    """Glorot-uniform weights, zero biases, zero moments."""
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError(f"need at least input and output dims, got {dims}")
+    hyper = hyper or AdamHyper()
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return MLPModel(
+        dims=tuple(dims), weights=weights, biases=biases,
+        m_w=[np.zeros_like(w) for w in weights],
+        v_w=[np.zeros_like(w) for w in weights],
+        m_b=[np.zeros_like(b) for b in biases],
+        v_b=[np.zeros_like(b) for b in biases],
+        step_count=0, hyper=hyper, seed=seed)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _forward_acts(model: MLPModel, x: np.ndarray) -> list[np.ndarray]:
+    # activations per layer; ReLU hidden, sigmoid output
+    acts = [x]
+    a = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+        acts.append(a)
+    acts.append(_sigmoid(a @ model.weights[-1] + model.biases[-1]))
+    return acts
+
+
+def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    """Output probabilities; accepts one vector or a batch (rows)."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    acts = _forward_acts(model, np.atleast_2d(x))
+    return acts[-1][0] if single else acts[-1]
+
+
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy over every output component.
+
+    Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs.
+    """
+    p = np.clip(np.asarray(probs, dtype=np.float64), CLIP_EPS, 1.0 - CLIP_EPS)
+    y = np.asarray(labels, dtype=np.float64)
+    if p.shape != y.shape:
+        raise ValueError(f"probs {p.shape} and labels {y.shape} must match")
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+
+def gradients(model: MLPModel, x: np.ndarray, labels: np.ndarray,
+              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Exact gradient of cross_entropy(forward(x), labels) w.r.t. every parameter."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(labels, dtype=np.float64))
+    acts = _forward_acts(model, x)
+    # sigmoid + BCE collapse: dL/dz = (p - y) / N for the mean over all N components
+    delta = (acts[-1] - y) / y.size
+    grad_w = [np.empty(0)] * len(model.weights)
+    grad_b = [np.empty(0)] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grad_w[layer] = acts[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+    return grad_w, grad_b
+
+
+def adam_step(model: MLPModel, grad_w: list[np.ndarray],
+              grad_b: list[np.ndarray]) -> MLPModel:
+    """One bias-corrected Adam update, in place; step_count bumps first."""
+    h = model.hyper
+    model.step_count += 1
+    c1 = 1.0 - h.beta1 ** model.step_count
+    c2 = 1.0 - h.beta2 ** model.step_count
+    for w, g, m, v in zip(model.weights, grad_w, model.m_w, model.v_w):
+        m *= h.beta1
+        m += (1.0 - h.beta1) * g
+        v *= h.beta2
+        v += (1.0 - h.beta2) * (g * g)
+        w -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.eps)
+    for b, g, m, v in zip(model.biases, grad_b, model.m_b, model.v_b):
+        m *= h.beta1
+        m += (1.0 - h.beta1) * g
+        v *= h.beta2
+        v += (1.0 - h.beta2) * (g * g)
+        b -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.eps)
+    return model
+
+
+def gradient_check(model: MLPModel, x: np.ndarray, labels: np.ndarray,
+                   eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    grad_w, grad_b = gradients(model, x, labels)
+    worst = 0.0
+
+    def loss() -> float:
+        return cross_entropy(forward(model, x), labels)
+
+    for params, grads in ((model.weights, grad_w), (model.biases, grad_b)):
+        for arr, g in zip(params, grads):
+            flat, gflat = arr.reshape(-1), g.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                up = loss()
+                flat[i] = keep - eps
+                down = loss()
+                flat[i] = keep
+                numeric = (up - down) / (2.0 * eps)
+                denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
+                worst = max(worst, abs(gflat[i] - numeric) / denom)
+    return worst
+
+
+def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
+    """Threshold each bit at 0.5 and project infeasible pairs.
+
+    A pair outside the feasible set is replaced by the feasible pair with
+    the highest product of per-bit probabilities; exact ties fall to the
+    smaller (offload, cache) pair. The result always validates.
+    """
+    n = len(state.task)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != (2 * n,):
+        raise ValueError(f"expected {2 * n} probabilities, got {probs.shape}")
+    of_bits, ch_bits = [], []
+    for v, st in enumerate(state.task):
+        p_of, p_ch = float(probs[v]), float(probs[n + v])
+        pair = (1 if p_of > 0.5 else 0, 1 if p_ch > 0.5 else 0)
+        feas = feasible_actions(st, state)
+        if pair not in feas:
+            best, best_like = None, -1.0
+            for cand in feas:  # ascending order keeps ties lexicographic
+                like = ((p_of if cand[0] else 1.0 - p_of)
+                        * (p_ch if cand[1] else 1.0 - p_ch))
+                if like > best_like:
+                    best, best_like = cand, like
+            pair = best
+        of_bits.append(pair[0])
+        ch_bits.append(pair[1])
+    return ActionMatrix(offload=tuple(of_bits), cache=tuple(ch_bits))
+
+
+# ---------------------------------------------------------------------------
+# checkpoint format: versioned text, repr-exact floats, fixed block order
+
+
+def _fmt_row(row: np.ndarray) -> str:
+    return ",".join(repr(float(v)) for v in row)
+
+
+def _write_block(lines: list[str], tag: str, arr: np.ndarray) -> None:
+    if arr.ndim == 1:
+        lines.append(f"#block {tag} {arr.shape[0]}")
+        lines.append(_fmt_row(arr))
+    else:
+        lines.append(f"#block {tag} {arr.shape[0]}x{arr.shape[1]}")
+        for row in arr:
+            lines.append(_fmt_row(row))
+
+
+def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None:
+    """Write model plus scaler as text. Reload then re-save is byte-identical."""
+    h = model.hyper
+    lines = [
+        "#satedge-model v1",
+        f"layout_version={model.layout_version}",
+        f"seed={model.seed}",
+        "dims=" + ",".join(str(d) for d in model.dims),
+        f"learning_rate={h.learning_rate!r}",
+        f"beta1={h.beta1!r}",
+        f"beta2={h.beta2!r}",
+        f"eps={h.eps!r}",
+        f"step_count={model.step_count}",
+        "scaler_lo=" + _fmt_row(scaler.lo),
+        "scaler_hi=" + _fmt_row(scaler.hi),
+    ]
+    for layer in range(len(model.weights)):
+        _write_block(lines, f"W{layer}", model.weights[layer])
+        _write_block(lines, f"b{layer}", model.biases[layer])
+        _write_block(lines, f"mW{layer}", model.m_w[layer])
+        _write_block(lines, f"vW{layer}", model.v_w[layer])
+        _write_block(lines, f"mb{layer}", model.m_b[layer])
+        _write_block(lines, f"vb{layer}", model.v_b[layer])
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _parse_row(line: str) -> np.ndarray:
+    return np.array([float(v) for v in line.split(",")], dtype=np.float64)
+
+
+def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != "#satedge-model v1":
+        raise CheckpointError(f"{path}: not a v1 model checkpoint")
+    header: dict[str, str] = {}
+    i = 1
+    while i < len(lines) and not lines[i].startswith("#block"):
+        key, _, value = lines[i].partition("=")
+        header[key] = value
+        i += 1
+    try:
+        layout = int(header["layout_version"])
+        seed = int(header["seed"])
+        dims = tuple(int(d) for d in header["dims"].split(","))
+        hyper = AdamHyper(float(header["learning_rate"]), float(header["beta1"]),
+                          float(header["beta2"]), float(header["eps"]))
+        step_count = int(header["step_count"])
+        scaler = FeatureScaler(lo=_parse_row(header["scaler_lo"]),
+                               hi=_parse_row(header["scaler_hi"]),
+                               layout_version=layout)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad header: {exc}") from exc
+    if layout != LAYOUT_VERSION:
+        raise CheckpointError(
+            f"{path}: feature layout v{layout}, this build expects v{LAYOUT_VERSION}")
+
+    blocks: dict[str, np.ndarray] = {}
+    while i < len(lines):
+        parts = lines[i].split()
+        if len(parts) != 3 or parts[0] != "#block":
+            raise CheckpointError(f"{path}: malformed block header {lines[i]!r}")
+        tag, shape = parts[1], parts[2]
+        i += 1
+        if "x" in shape:
+            rows, cols = (int(s) for s in shape.split("x"))
+            if i + rows > len(lines):
+                raise CheckpointError(f"{path}: truncated in block {tag}")
+            arr = np.stack([_parse_row(lines[i + r]) for r in range(rows)])
+            i += rows
+            if arr.shape != (rows, cols):
+                raise CheckpointError(f"{path}: block {tag} shape mismatch")
+        else:
+            if i >= len(lines):
+                raise CheckpointError(f"{path}: truncated in block {tag}")
+            arr = _parse_row(lines[i])
+            i += 1
+            if arr.shape != (int(shape),):
+                raise CheckpointError(f"{path}: block {tag} shape mismatch")
+        blocks[tag] = arr
+
+    try:
+        n_layers = len(dims) - 1
+        model = MLPModel(
+            dims=dims,
+            weights=[blocks[f"W{l}"] for l in range(n_layers)],
+            biases=[blocks[f"b{l}"] for l in range(n_layers)],
+            m_w=[blocks[f"mW{l}"] for l in range(n_layers)],
+            v_w=[blocks[f"vW{l}"] for l in range(n_layers)],
+            m_b=[blocks[f"mb{l}"] for l in range(n_layers)],
+            v_b=[blocks[f"vb{l}"] for l in range(n_layers)],
+            step_count=step_count, hyper=hyper, seed=seed, layout_version=layout)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing block {exc}") from exc
+    for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        if model.weights[layer].shape != (fan_in, fan_out):
+            raise CheckpointError(f"{path}: W{layer} inconsistent with dims")
+    return model, scaler
+
+
+def infer(model: MLPModel, scaler: FeatureScaler, state: EpisodeState) -> ActionMatrix:
+    """Encode, forward, decode; checks layouts and dimensions line up."""
+    if model.layout_version != LAYOUT_VERSION or scaler.layout_version != LAYOUT_VERSION:
+        raise CheckpointError("model/scaler layout version mismatch with this build")
+    expected = feature_dim(len(state.task))
+    if model.dims[0] != expected:
+        raise CheckpointError(
+            f"model wants {model.dims[0]} features, episode encodes to {expected}")
+    if model.dims[-1] != 2 * len(state.task):
+        raise CheckpointError("model output width does not match 2 * |V|")
+    return decode_actions(forward(model, encode_state(state, scaler)), state)
