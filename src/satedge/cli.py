@@ -26,10 +26,10 @@ from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
                         PriceVector)
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
-from .neural import (CheckpointError, FeatureScaler, cross_entropy, encode_state,
-                     forward, infer, load_model, save_model)
-from .oracle import (ActionSpaceLimitError, Demonstration, build_dataset,
-                     read_dataset, solve_optimal, write_dataset)
+from .neural import (CheckpointError, FeatureScaler, cross_entropy, forward,
+                     infer, load_model, save_model)
+from .oracle import (Demonstration, build_dataset, label_states, read_dataset,
+                     solve_optimal, write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name, baseline_policy
 from .scenario import (episode_state, episode_stream, make_library, orbit_params,
                        prices_from)
@@ -61,18 +61,6 @@ def _outdir(path: str) -> Path:
 
 def _fresh_states(cfg: SimConfig, seed: int, n: int) -> list[EpisodeState]:
     return [state for _, state in episode_stream(cfg.scenario, seed, n)]
-
-
-def _label_states(cfg: SimConfig, states: list[EpisodeState],
-                  scaler: FeatureScaler) -> list[Demonstration]:
-    prices = prices_from(cfg.scenario)
-    demos = []
-    for i, state in enumerate(states):
-        action, value = solve_optimal(state, prices)
-        demos.append(Demonstration(episode_id=i,
-                                   features=encode_state(state, scaler),
-                                   labels=action.bits(), opt_reward=value))
-    return demos
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +174,7 @@ def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
     else:
         states = _fresh_states(cfg, seed, episodes)
         actions = [act_fn(s) for s in states]
-    demos = _label_states(cfg, states, scaler)
+    demos = label_states(states, prices, scaler)
     report = action_report(actions, demos, states, prices)
 
     rows = [(policy, cache_mode, episodes) + tuple(report[k] for k in (
@@ -214,7 +202,7 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     model, scaler = load_model(model_path)
     prices = prices_from(cfg.scenario)
     states = _fresh_states(cfg, seed, episodes)
-    demos = _label_states(cfg, states, scaler)
+    demos = label_states(states, prices, scaler)
 
     infer_t0 = time.perf_counter()
     docs_acts = [infer(model, scaler, s) for s in states]
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-dataset", help="label an episode stream with "
-                                           "enumerated optimal actions")
+                                           "exact optimal actions")
     _add_common(p, "runs/dataset")
     p.add_argument("--episodes", type=int, default=None,
                    help="override train.dataset_episodes")
@@ -456,7 +444,6 @@ _ERROR_CATEGORIES = (
     (CheckpointError, "model"),
     (InfeasibleActionError, "infeasible"),
     (CoverageDomainError, "domain"),
-    (ActionSpaceLimitError, "limit"),
     (OSError, "io"),
     (ValueError, "invalid"),
 )

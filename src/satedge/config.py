@@ -8,6 +8,7 @@ has a default, so an empty (or absent) file is a valid config.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -147,7 +148,13 @@ def load_config(path: str | Path | None) -> SimConfig:
 
 
 def validate_config(cfg: SimConfig) -> None:
+    """Raise ConfigError for a non-finite float field or an out-of-domain value."""
     s, t = cfg.scenario, cfg.train
+    for section in (s, t):
+        for f in fields(section):
+            value = getattr(section, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
     mix = s.mix_upload + s.mix_download + s.mix_compute
     if abs(mix - 1.0) > 1e-9 or min(s.mix_upload, s.mix_download, s.mix_compute) < 0:
         raise ConfigError(f"category mix must be nonnegative and sum to 1, got {mix}")
@@ -169,8 +176,12 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("rain_attenuation must be in (0, 1]")
     if s.coverage_mode not in ("fixed", "orbit"):
         raise ConfigError(f"coverage_mode must be fixed or orbit, got {s.coverage_mode!r}")
-    if s.coverage_mode == "fixed" and s.coverage_s <= 0:
-        raise ConfigError("coverage_s must be positive")
+    for name in ("cpu_rate_hz", "bandwidth_fh_hz", "bandwidth_bh_hz", "coverage_s"):
+        if getattr(s, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    for name in ("prop_vs_s", "prop_sg_s"):
+        if getattr(s, name) < 0:
+            raise ConfigError(f"{name} must be nonnegative")
     if s.snr_jitter_db < 0:
         raise ConfigError("snr_jitter_db must be nonnegative")
     if min(s.price_comp, s.price_comm, s.price_cache, s.price_cpl) < 0:

@@ -247,31 +247,6 @@ def adam_step(model: MLPModel, grad_w: list[np.ndarray],
     return model
 
 
-def gradient_check(model: MLPModel, x: np.ndarray, labels: np.ndarray,
-                   eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    grad_w, grad_b = gradients(model, x, labels)
-    worst = 0.0
-
-    def loss() -> float:
-        return cross_entropy(forward(model, x), labels)
-
-    for params, grads in ((model.weights, grad_w), (model.biases, grad_b)):
-        for arr, g in zip(params, grads):
-            flat, gflat = arr.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + eps
-                up = loss()
-                flat[i] = keep - eps
-                down = loss()
-                flat[i] = keep
-                numeric = (up - down) / (2.0 * eps)
-                denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
-                worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst
-
-
 def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
     """Threshold each bit at 0.5 and project infeasible pairs.
 

@@ -1,12 +1,13 @@
-"""Exhaustive per-episode optimum and demonstration dataset construction.
+"""Exact per-episode optimum and demonstration dataset construction.
 
-The optimum enumerates the Cartesian product of per-sub-task feasible
-sets. Because the reward decomposes into per-sub-task contributions, the
-enumeration is realized as an iterated outer sum over small cost tables;
-the additions happen in the same left-to-right order a sequential loop
-would use, so totals agree bit-for-bit with evaluator.reward, and the
-first argmin in row-major order is exactly the lexicographic tie-break
-(prefer local, prefer not caching).
+The reward is a sum of per-sub-task terms that nothing couples (cache
+bits face no capacity limit), so the optimum over the pre-classified
+joint action space is found from one cost table per sub-task without
+forming the joint product. The result is the one an exhaustive
+enumeration returns: the total is the chain-order left fold of the
+picked costs, so it agrees bit-for-bit with evaluator.reward, and ties,
+including ties that float rounding creates in the total, fall to the
+lexicographically smallest pick (prefer local, prefer not caching).
 """
 
 from __future__ import annotations
@@ -14,21 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
-from .evaluator import (ActionMatrix, EpisodeState, PAIRS, PriceVector,
-                        feasible_actions, hit_flags, reward, subtask_cost)
+from .evaluator import (ActionMatrix, EpisodeState, PriceVector,
+                        feasible_actions, hit_flags, subtask_cost)
 from .neural import LAYOUT_VERSION, FeatureScaler, encode_state, feature_dim
 from .scenario import episode_stream, prices_from
-
-DEFAULT_ENUM_LIMIT = 1_000_000
-
-
-class ActionSpaceLimitError(RuntimeError):
-    """Joint action space too large to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -39,70 +34,74 @@ class Demonstration:
     opt_reward: float
 
 
-def solve_optimal(state: EpisodeState, prices: PriceVector,
-                  limit: int = DEFAULT_ENUM_LIMIT) -> tuple[ActionMatrix, float]:
+def lexicographic_argmin(tables: Sequence[Sequence[float]],
+                         ) -> tuple[tuple[int, ...], float]:
+    """First minimum, in row-major order, of the left-fold sum over tables.
+
+    Equals ``np.argmin`` of the iterated ``np.add.outer`` of the tables
+    (unravelled) and the total at that index, in O(sum(len) * len(tables))
+    additions. Round-to-nearest addition is monotone in each operand, so
+    the fold of the per-table minima is the minimum total, and a prefix
+    can still reach it exactly when the prefix completed with the
+    remaining minima does. That completion equals the optimum as soon as
+    one of its partial sums equals the optimum's partial sum at the same
+    position, since the remaining additions then coincide. Tables must be
+    non-empty and hold no NaN.
+    """
+    mins = [min(t) for t in tables]
+    target = list(itertools.accumulate(mins))  # partial sums of the optimum
+
+    def reaches_optimum(v: int, acc: float) -> bool:
+        if acc == target[v]:
+            return True
+        for k in range(v + 1, len(tables)):
+            acc += mins[k]
+            if acc == target[k]:
+                return True
+        return False
+
+    picks: list[int] = []
+    total = 0.0
+    for v, table in enumerate(tables):
+        # the fold starts at the first cost itself, as np.add.outer does
+        i = next(i for i, cost in enumerate(table)
+                 if reaches_optimum(v, total + cost if v else cost))
+        picks.append(i)
+        total = total + table[i] if v else table[i]
+    return tuple(picks), float(total)
+
+
+def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatrix, float]:
     """Minimum-reward action over the pre-classified joint action space."""
     feas = [feasible_actions(st, state) for st in state.task]
-    total = 1
-    for f in feas:
-        total *= len(f)
-        if total > limit:
-            raise ActionSpaceLimitError(
-                f"joint action space exceeds limit {limit}")
     hits = hit_flags(state)
-    tables = [
-        np.array([subtask_cost(st, of, ch, hit, state, prices) for of, ch in f])
-        for st, f, hit in zip(state.task, feas, hits)
-    ]
-    acc = tables[0]
-    for t in tables[1:]:
-        acc = np.add.outer(acc, t)
-    flat = acc.reshape(-1)
-    best = int(np.argmin(flat))
-    picks = np.unravel_index(best, acc.shape)
-    pairs = [feas[v][int(i)] for v, i in enumerate(picks)]
+    tables = [[subtask_cost(st, of, ch, hit, state, prices) for of, ch in f]
+              for st, f, hit in zip(state.task, feas, hits)]
+    picks, value = lexicographic_argmin(tables)
+    pairs = [f[i] for f, i in zip(feas, picks)]
     action = ActionMatrix(offload=tuple(p[0] for p in pairs),
                           cache=tuple(p[1] for p in pairs))
-    return action, float(flat[best])
+    return action, value
 
 
-def solve_full_grid(state: EpisodeState, prices: PriceVector,
-                    ) -> tuple[ActionMatrix, float]:
-    """Reference optimum from the raw 4^|V| grid, infeasible combos discarded.
-
-    Deliberately naive (re-scores every combination through reward) so it
-    shares nothing with solve_optimal beyond the evaluator. Only sane for
-    small |V|.
-    """
-    feas = [set(feasible_actions(st, state)) for st in state.task]
-    best: tuple[ActionMatrix, float] | None = None
-    for combo in itertools.product(PAIRS, repeat=len(state.task)):
-        if any(pair not in feas[v] for v, pair in enumerate(combo)):
-            continue
-        action = ActionMatrix(offload=tuple(p[0] for p in combo),
-                              cache=tuple(p[1] for p in combo))
-        value = reward(state, action, prices)
-        if best is None or value < best[1]:
-            best = (action, value)
-    if best is None:
-        raise ActionSpaceLimitError("no feasible action exists for this episode")
-    return best
+def label_states(states: Iterable[EpisodeState], prices: PriceVector,
+                 scaler: FeatureScaler) -> list[Demonstration]:
+    """Solve and encode pre-drawn states; episode ids count from 0."""
+    demos = []
+    for i, state in enumerate(states):
+        action, value = solve_optimal(state, prices)
+        demos.append(Demonstration(episode_id=i,
+                                   features=encode_state(state, scaler),
+                                   labels=action.bits(), opt_reward=value))
+    return demos
 
 
 def build_dataset(cfg: ScenarioConfig, n: int, seed: int,
                   scaler: FeatureScaler | None = None) -> list[Demonstration]:
     """Generate and label n episodes from the seeded stream."""
     scaler = scaler or FeatureScaler.from_scenario(cfg)
-    prices = prices_from(cfg)
-    demos = []
-    for i, state in episode_stream(cfg, seed, n):
-        action, value = solve_optimal(state, prices)
-        demos.append(Demonstration(
-            episode_id=i,
-            features=encode_state(state, scaler),
-            labels=action.bits(),
-            opt_reward=value))
-    return demos
+    states = (state for _, state in episode_stream(cfg, seed, n))
+    return label_states(states, prices_from(cfg), scaler)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from satedge.caching import CacheState
 from satedge.channel import LinkState
 from satedge.config import default_config
-from satedge.evaluator import EpisodeState
+from satedge.evaluator import (PAIRS, ActionMatrix, EpisodeState, PriceVector,
+                               feasible_actions, reward)
+from satedge.neural import MLPModel, cross_entropy, forward, gradients
 from satedge.scenario import prices_from
 from satedge.workload import SubTask, Category
 
@@ -52,3 +57,55 @@ def download(d_out=160e3, rank=1):
 def compute(d_in=100e3, d_out=100e3, rho=1e4, rank=2):
     return SubTask(category=Category.COMPUTE, d_in=d_in, d_out=d_out, rho=rho,
                    out_rank=rank)
+
+
+# ---------------------------------------------------------------------------
+# deliberately naive references that library code is checked against
+
+
+def solve_full_grid(state: EpisodeState, prices: PriceVector,
+                    ) -> tuple[ActionMatrix, float]:
+    """Reference optimum from the raw 4^|V| grid, infeasible combos discarded.
+
+    Deliberately naive (re-scores every combination through reward) so it
+    shares nothing with solve_optimal beyond the evaluator. Only sane for
+    small |V|.
+    """
+    feas = [set(feasible_actions(st, state)) for st in state.task]
+    best: tuple[ActionMatrix, float] | None = None
+    for combo in itertools.product(PAIRS, repeat=len(state.task)):
+        if any(pair not in feas[v] for v, pair in enumerate(combo)):
+            continue
+        action = ActionMatrix(offload=tuple(p[0] for p in combo),
+                              cache=tuple(p[1] for p in combo))
+        value = reward(state, action, prices)
+        if best is None or value < best[1]:
+            best = (action, value)
+    if best is None:
+        raise ValueError("no feasible action exists for this episode")
+    return best
+
+
+def gradient_check(model: MLPModel, x: np.ndarray, labels: np.ndarray,
+                   eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    grad_w, grad_b = gradients(model, x, labels)
+    worst = 0.0
+
+    def loss() -> float:
+        return cross_entropy(forward(model, x), labels)
+
+    for params, grads in ((model.weights, grad_w), (model.biases, grad_b)):
+        for arr, g in zip(params, grads):
+            flat, gflat = arr.reshape(-1), g.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                up = loss()
+                flat[i] = keep - eps
+                down = loss()
+                flat[i] = keep
+                numeric = (up - down) / (2.0 * eps)
+                denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
+                worst = max(worst, abs(gflat[i] - numeric) / denom)
+    return worst

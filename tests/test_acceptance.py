@@ -30,7 +30,6 @@ from satedge.neural import (
     FeatureScaler,
     adam_step,
     cross_entropy,
-    gradient_check,
     infer,
     init_model,
     load_model,
@@ -39,14 +38,14 @@ from satedge.neural import (
 from satedge.oracle import (
     build_dataset,
     read_dataset,
-    solve_full_grid,
     solve_optimal,
     write_dataset,
 )
 from satedge.policies import BASELINE_PAIRS, baseline_policy
 from satedge.scenario import episode_state, episode_stream, make_library, orbit_params, prices_from
 
-from conftest import compute, download, make_cache, make_state, upload
+from conftest import (compute, download, gradient_check, make_cache, make_state,
+                      solve_full_grid, upload)
 
 
 def _verdict(capsys, number, name, ok, detail=""):

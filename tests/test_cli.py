@@ -5,6 +5,7 @@ file so the whole module stays fast.
 """
 
 import csv
+import hashlib
 
 import pytest
 
@@ -205,6 +206,36 @@ def test_config_aliases_match_field_names(tmp_path):
     assert main(["gen-dataset", "--config", str(alias), "--out", str(a)]) == 0
     assert main(["gen-dataset", "--config", str(spelled), "--out", str(b)]) == 0
     assert (a / "dataset.txt").read_bytes() == (b / "dataset.txt").read_bytes()
+
+
+# SHA-256 of dataset.txt from `gen-dataset --seed 42` at (num_subtasks,
+# episodes). A solver or stream change that moves any byte fails here and
+# needs a dataset header version bump.
+PINNED_DATASET_SHA256 = {
+    (6, 200): "4301b167be5fdfe3afbf3c25d45692cfd3ef4acdc5f5f18a6fe6ba7233be8730",
+    (9, 50): "597a2a45c0d37c560d7956ea25ffd7248c9ae33237ba47e07cc576c86e6c78a3",
+}
+
+
+@pytest.mark.parametrize("num_subtasks,episodes", sorted(PINNED_DATASET_SHA256))
+def test_gen_dataset_bytes_are_pinned(tmp_path, num_subtasks, episodes):
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"num_subtasks = {num_subtasks}\n")
+    out = tmp_path / "data"
+    assert main(["gen-dataset", "--config", str(config), "--seed", "42",
+                 "--episodes", str(episodes), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "dataset.txt").read_bytes()).hexdigest()
+    assert digest == PINNED_DATASET_SHA256[(num_subtasks, episodes)]
+
+
+def test_gen_dataset_accepts_long_chains(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("num_subtasks = 12\n")
+    out = tmp_path / "data"
+    assert main(["gen-dataset", "--config", str(config), "--episodes", "20",
+                 "--out", str(out)]) == 0
+    lines = (out / "dataset.txt").read_text().splitlines()
+    assert "subtasks=12" in lines[0] and len(lines) == 21
 
 
 # ---------------------------------------------------------------------------

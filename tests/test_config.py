@@ -1,0 +1,37 @@
+"""Config validation: every value reaching physics or prices is checked."""
+
+import pytest
+
+from satedge.config import ConfigError, default_config, load_config, validate_config
+
+
+@pytest.mark.parametrize("line", [
+    "price_cpl = nan",
+    "prop_sg_s = -5",
+    "cpu_rate_hz = 0",
+    "bandwidth_fh_hz = 0",
+    "bandwidth_bh_hz = -1e6",
+    "prop_vs_s = -0.01",
+    "snr_fh_db = inf",
+    "learning_rate = nan",
+])
+def test_out_of_domain_value_is_a_config_error(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        load_config(path)
+
+
+def test_coverage_s_must_be_positive_in_orbit_mode_too():
+    cfg = default_config()
+    cfg.scenario.coverage_mode = "orbit"
+    cfg.scenario.coverage_s = 0.0
+    with pytest.raises(ConfigError, match="coverage_s"):
+        validate_config(cfg)
+
+
+def test_zero_propagation_delay_is_allowed(tmp_path):
+    path = tmp_path / "ok.txt"
+    path.write_text("prop_vs_s = 0\nprop_sg_s = 0.0\n")
+    cfg = load_config(path)
+    assert cfg.scenario.prop_vs_s == cfg.scenario.prop_sg_s == 0.0

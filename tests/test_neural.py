@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_LINK, compute, download, make_cache, make_state, upload
+from conftest import (GOLDEN_LINK, compute, download, gradient_check, make_cache,
+                      make_state, upload)
 from satedge.caching import request_probability
 from satedge.evaluator import validate_action
 from satedge.neural import (
@@ -20,7 +21,6 @@ from satedge.neural import (
     encode_state,
     feature_dim,
     forward,
-    gradient_check,
     gradients,
     infer,
     init_model,

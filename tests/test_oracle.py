@@ -1,23 +1,47 @@
-import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, PriceVector, feasible_actions,
-                               reward, validate_action)
-from satedge.oracle import (ActionSpaceLimitError, build_dataset, read_dataset,
-                            solve_full_grid, solve_optimal, write_dataset)
+                               hit_flags, reward, subtask_cost, validate_action)
+from satedge.oracle import (build_dataset, lexicographic_argmin, read_dataset,
+                            solve_optimal, write_dataset)
 from satedge.policies import BASELINE_PAIRS, baseline_policy
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import compute, make_state, upload
+from conftest import compute, make_state, solve_full_grid, upload
 
 
-def small_cfg(num_subtasks):
+def outer_argmin(tables):
+    """Reference for lexicographic_argmin: the full joint sum, first argmin."""
+    acc = np.asarray(tables[0], dtype=np.float64)
+    for t in tables[1:]:
+        acc = np.add.outer(acc, np.asarray(t, dtype=np.float64))
+    flat = acc.reshape(-1)
+    best = int(np.argmin(flat))
+    picks = tuple(int(i) for i in np.unravel_index(best, acc.shape))
+    return picks, float(flat[best])
+
+
+def solve_by_enumeration(state, prices):
+    """Reference for solve_optimal: enumerate the pre-classified joint space."""
+    feas = [feasible_actions(sub, state) for sub in state.task]
+    tables = [[subtask_cost(sub, of, ch, hit, state, prices) for of, ch in f]
+              for sub, f, hit in zip(state.task, feas, hit_flags(state))]
+    picks, value = outer_argmin(tables)
+    pairs = [f[i] for f, i in zip(feas, picks)]
+    return ActionMatrix(offload=tuple(p[0] for p in pairs),
+                        cache=tuple(p[1] for p in pairs)), value
+
+
+def small_cfg(num_subtasks, **overrides):
     cfg = default_config()
-    return replace(cfg, scenario=replace(cfg.scenario, num_subtasks=num_subtasks))
+    return replace(cfg, scenario=replace(cfg.scenario, num_subtasks=num_subtasks,
+                                         **overrides))
 
 
 def test_upload_tiebreak_prefers_not_caching(prices):
@@ -35,10 +59,49 @@ def test_search_space_of_six_compute_subtasks():
     assert int(np.prod(sizes)) == 4 ** 6 == 4096
 
 
-def test_enumeration_limit_enforced(prices):
-    state = make_state([compute(rank=r + 1) for r in range(6)], t_c=300.0)
-    with pytest.raises(ActionSpaceLimitError):
-        solve_optimal(state, prices, limit=100)
+@pytest.mark.parametrize("coverage_mode", ["fixed", "orbit"])
+def test_matches_enumeration_reference_bit_for_bit(coverage_mode):
+    for v in range(1, 9):
+        scen = small_cfg(v, coverage_mode=coverage_mode).scenario
+        prices = prices_from(scen)
+        for _, state in episode_stream(scen, 100 + v, 40 if v < 8 else 15):
+            action, value = solve_optimal(state, prices)
+            ref_action, ref_value = solve_by_enumeration(state, prices)
+            assert action == ref_action
+            assert repr(value) == repr(ref_value)
+
+
+# costs that tie exactly, or that vanish into a large total under rounding
+TIE_COSTS = (0.0, -0.0, 0.5, 1.0, 1.5, 0.1, 0.2, 0.3, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e16)
+cost_tables = st.lists(
+    st.lists(st.one_of(st.sampled_from(TIE_COSTS),
+                       st.floats(min_value=-1e6, max_value=1e6)),
+             min_size=1, max_size=4),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cost_tables)
+def test_lexicographic_argmin_matches_outer_sum(tables):
+    picks, value = lexicographic_argmin(tables)
+    ref_picks, ref_value = outer_argmin(tables)
+    assert picks == ref_picks
+    assert repr(value) == repr(ref_value)
+
+
+def test_lexicographic_argmin_keeps_rounding_collapsed_tie():
+    # 0.5 + 2**53 rounds to 2**53, so index 0 ties the per-table minimum and wins
+    tables = [[0.5, 0.0], [2.0 ** 53]]
+    assert outer_argmin(tables) == ((0, 0), 2.0 ** 53)
+    assert lexicographic_argmin(tables) == ((0, 0), 2.0 ** 53)
+
+
+def test_long_chains_solve_and_replay_to_their_reward():
+    scen = small_cfg(12).scenario
+    prices = prices_from(scen)
+    for _, state in episode_stream(scen, 12, 30):
+        action, value = solve_optimal(state, prices)
+        assert repr(reward(state, action, prices)) == repr(value)
 
 
 def test_matches_full_grid_on_small_tasks(prices):
