@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .caching import apply_caching_action
-from .config import (ConfigError, SimConfig, dump_config, load_config,
-                     scenario_hash, validate_config)
+from .config import ConfigError, SimConfig, dump_config, load_config, scenario_hash
 from .dil import (action_report, baseline_actions, docs_actions, oracle_actions,
                   train_policy)
 from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
@@ -394,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup(args) -> tuple[SimConfig, int, Path]:
     cfg = load_config(args.config)
-    validate_config(cfg)
     seed = args.seed if args.seed is not None else args.default_seed
     return cfg, seed, _outdir(args.out)
 

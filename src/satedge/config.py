@@ -157,7 +157,8 @@ def validate_config(cfg: SimConfig) -> None:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
     mix = s.mix_upload + s.mix_download + s.mix_compute
     if abs(mix - 1.0) > 1e-9 or min(s.mix_upload, s.mix_download, s.mix_compute) < 0:
-        raise ConfigError(f"category mix must be nonnegative and sum to 1, got {mix}")
+        raise ConfigError("category mix mix_upload, mix_download, mix_compute must be "
+                          f"nonnegative and sum to 1, got sum {mix}")
     if s.num_subtasks < 1:
         raise ConfigError("num_subtasks must be at least 1")
     if not 0 < s.size_min_bytes <= s.size_max_bytes:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .caching import CacheState, is_hit
 from .channel import LinkState, transmit_time
-from .workload import Category, SubTask, TaskGraph, classify
+from .workload import Category, SubTask, TaskGraph
 
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -83,7 +83,7 @@ def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int],
     no longer fits in the coverage window, the result has to be cached
     for a later pass, which pins the cache bit to 1.
     """
-    cat = classify(st)
+    cat = st.category
     if cat is Category.UPLOAD:
         return ((1, 0), (1, 1))
     within = return_leg(st, state) < state.t_c
@@ -101,7 +101,7 @@ def hit_flags(state: EpisodeState) -> tuple[bool, ...]:
 def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> float:
     """Seconds until this sub-task's result is back at the vehicle."""
     link = state.link
-    cat = classify(st)
+    cat = st.category
     if cat is Category.UPLOAD:
         return (transmit_time(st.d_in, link.rate_fh) + link.prop_vs
                 + transmit_time(st.d_in, link.rate_bh) + link.prop_sg)

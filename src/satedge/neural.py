@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig
 from .evaluator import ActionMatrix, EpisodeState, feasible_actions, hit_flags
 from .geometry import earth_central_angle, relative_angular_velocity
-from .workload import Category, classify
+from .workload import Category
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +113,7 @@ def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
            state.cpu_rate]
     delta, num_ranks = state.cache.delta, state.cache.num_ranks
     for st, hit in zip(state.task, hit_flags(state)):
-        cat = classify(st)
+        cat = st.category
         pop = request_probability(st.out_rank, delta, num_ranks) if st.out_rank else 0.0
         raw += [st.zeta, st.d_in, st.d_out, st.rho,
                 1.0 if cat is Category.COMPUTE else 0.0,
@@ -321,10 +321,14 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
 
 
 def _parse_row(line: str) -> np.ndarray:
-    return np.array([float(v) for v in line.split(",")], dtype=np.float64)
+    row = np.array([float(v) for v in line.split(",")], dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite value")
+    return row
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
+    """Read a checkpoint; anything malformed or inconsistent raises CheckpointError."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "#satedge-model v1":
         raise CheckpointError(f"{path}: not a v1 model checkpoint")
@@ -349,47 +353,42 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
     if layout != LAYOUT_VERSION:
         raise CheckpointError(
             f"{path}: feature layout v{layout}, this build expects v{LAYOUT_VERSION}")
+    if len(dims) < 2 or min(dims) < 1 or scaler.lo.shape != dims[:1]:
+        raise CheckpointError(f"{path}: dims {dims} need two or more widths >= 1, "
+                              f"the first matching the scaler's {scaler.lo.shape[0]}")
 
     blocks: dict[str, np.ndarray] = {}
     while i < len(lines):
         parts = lines[i].split()
         if len(parts) != 3 or parts[0] != "#block":
             raise CheckpointError(f"{path}: malformed block header {lines[i]!r}")
-        tag, shape = parts[1], parts[2]
+        tag = parts[1]
         i += 1
-        if "x" in shape:
-            rows, cols = (int(s) for s in shape.split("x"))
-            if i + rows > len(lines):
-                raise CheckpointError(f"{path}: truncated in block {tag}")
-            arr = np.stack([_parse_row(lines[i + r]) for r in range(rows)])
-            i += rows
-            if arr.shape != (rows, cols):
-                raise CheckpointError(f"{path}: block {tag} shape mismatch")
-        else:
-            if i >= len(lines):
-                raise CheckpointError(f"{path}: truncated in block {tag}")
-            arr = _parse_row(lines[i])
-            i += 1
-            if arr.shape != (int(shape),):
-                raise CheckpointError(f"{path}: block {tag} shape mismatch")
-        blocks[tag] = arr
+        try:
+            shape = tuple(int(s) for s in parts[2].split("x"))
+            rows = shape[0] if len(shape) == 2 else 1
+            arr = np.stack([_parse_row(line) for line in lines[i:i + rows]])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: block {tag}: {exc}") from exc
+        i += rows
+        if len(shape) > 2 or arr.shape != (rows, shape[-1]):
+            raise CheckpointError(f"{path}: block {tag} shape mismatch or truncated")
+        blocks[tag] = arr.reshape(shape)
 
-    try:
-        n_layers = len(dims) - 1
-        model = MLPModel(
-            dims=dims,
-            weights=[blocks[f"W{l}"] for l in range(n_layers)],
-            biases=[blocks[f"b{l}"] for l in range(n_layers)],
-            m_w=[blocks[f"mW{l}"] for l in range(n_layers)],
-            v_w=[blocks[f"vW{l}"] for l in range(n_layers)],
-            m_b=[blocks[f"mb{l}"] for l in range(n_layers)],
-            v_b=[blocks[f"vb{l}"] for l in range(n_layers)],
-            step_count=step_count, hyper=hyper, seed=seed, layout_version=layout)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing block {exc}") from exc
-    for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if model.weights[layer].shape != (fan_in, fan_out):
-            raise CheckpointError(f"{path}: W{layer} inconsistent with dims")
+    n_layers = len(dims) - 1
+    layers = {}
+    for prefix in ("W", "b", "mW", "vW", "mb", "vb"):
+        layers[prefix] = [blocks.get(f"{prefix}{layer}") for layer in range(n_layers)]
+        for layer, arr in enumerate(layers[prefix]):
+            # weights and their moments are fan_in x fan_out, the rest fan_out
+            want = dims[layer:layer + 2] if prefix.endswith("W") else (dims[layer + 1],)
+            if arr is None or arr.shape != want:
+                raise CheckpointError(
+                    f"{path}: block {prefix}{layer} missing or inconsistent with dims")
+    model = MLPModel(dims=dims, weights=layers["W"], biases=layers["b"],
+                     m_w=layers["mW"], v_w=layers["vW"], m_b=layers["mb"],
+                     v_b=layers["vb"], step_count=step_count, hyper=hyper,
+                     seed=seed, layout_version=layout)
     return model, scaler
 
 

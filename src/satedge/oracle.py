@@ -13,6 +13,7 @@ lexicographically smallest pick (prefer local, prefer not caching).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -127,14 +128,22 @@ def write_dataset(path: str | Path, demos: Iterable[Demonstration],
 
 
 def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]:
+    """Parse a dataset file; any malformed header or record raises ValueError."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#satedge-dataset v1 "):
         raise ValueError(f"{path}: not a v1 dataset file")
     header = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
-    n_features = int(header["features"])
-    n_bits = 2 * int(header["subtasks"])
-    if int(header["layout"]) != LAYOUT_VERSION:
-        raise ValueError(f"{path}: feature layout v{header['layout']} unsupported")
+    try:
+        layout, n_subtasks, n_features = (
+            int(header[key]) for key in ("layout", "subtasks", "features"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: dataset header lacks {exc.args[0]}=") from None
+    if layout != LAYOUT_VERSION:
+        raise ValueError(f"{path}: feature layout v{layout} unsupported")
+    if n_subtasks < 1 or n_features != feature_dim(n_subtasks):
+        raise ValueError(f"{path}: header subtasks={n_subtasks} and "
+                         f"features={n_features} disagree with layout v{layout}")
+    n_bits = 2 * n_subtasks
     demos = []
     for line in lines[1:]:
         parts = line.split(",")
@@ -143,9 +152,11 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
         bits = parts[-2]
         if len(bits) != n_bits or set(bits) - {"0", "1"}:
             raise ValueError(f"{path}: bad label field {bits!r}")
+        features = np.array([float(v) for v in parts[1:-2]], dtype=np.float64)
+        opt_reward = float(parts[-1])
+        if not (np.isfinite(features).all() and math.isfinite(opt_reward)):
+            raise ValueError(f"{path}: non-finite value in record {parts[0]!r}")
         demos.append(Demonstration(
-            episode_id=int(parts[0]),
-            features=np.array([float(v) for v in parts[1:-2]], dtype=np.float64),
-            labels=tuple(int(b) for b in bits),
-            opt_reward=float(parts[-1])))
+            episode_id=int(parts[0]), features=features,
+            labels=tuple(int(b) for b in bits), opt_reward=opt_reward))
     return header, demos

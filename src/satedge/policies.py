@@ -10,7 +10,7 @@ survives, except where coverage expiry forces the bit to 1.
 
 from __future__ import annotations
 
-from .caching import evict_mpc, evict_mrc, is_hit
+from .caching import apply_caching_action, is_hit
 from .evaluator import (ActionMatrix, EpisodeState, PriceVector,
                         feasible_actions, hit_flags, subtask_cost)
 
@@ -61,28 +61,13 @@ def baseline_cache(kind: str, state: EpisodeState,
     still resident afterwards. Sub-tasks whose feasible set forces caching
     (coverage expiry) get 1 regardless of retention.
     """
-    if kind == "mrc":
-        evict = evict_mrc
-    elif kind == "mpc":
-        evict = evict_mpc
-    else:
-        raise ValueError(f"unknown caching baseline {kind!r}")
     if len(a_of) != len(state.task):
         raise ValueError("offload bit-vector length must match the task")
-    cache = state.cache
-    for st in state.task:
-        if st.d_out > 0.0:
-            cache = evict(cache, st.out_rank, st.d_out)
-    bits = []
-    for st in state.task:
-        forced = all(ch == 1 for _, ch in feasible_actions(st, state))
-        if forced:
-            bits.append(1)
-        elif st.d_out > 0.0 and is_hit(cache, st.out_rank):
-            bits.append(1)
-        else:
-            bits.append(0)
-    return tuple(bits)
+    cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
+    return tuple(
+        int(all(ch == 1 for _, ch in feasible_actions(st, state))
+            or (st.d_out > 0.0 and is_hit(cache, st.out_rank)))
+        for st in state.task)
 
 
 def project_feasible(pairs: tuple[tuple[int, int], ...],

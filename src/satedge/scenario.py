@@ -19,7 +19,7 @@ from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig
 from .evaluator import EpisodeState, PriceVector
 from .geometry import OrbitParams, coverage_time, earth_central_angle
-from .workload import WorkloadConfig, generate_task
+from .workload import generate_task
 
 # stream tags; changing these re-keys every dataset
 _TASK, _LINK, _PLACE, _ORBIT, _LIBRARY = 0, 1, 2, 3, 9
@@ -54,19 +54,6 @@ def make_library(cfg: ScenarioConfig, seed: int) -> tuple[float, ...]:
     rng = _rng(seed, 0, _LIBRARY)
     sizes = rng.uniform(cfg.size_min_bytes, cfg.size_max_bytes, size=cfg.num_ranks)
     return tuple(float(s) for s in sizes)
-
-
-def workload_config(cfg: ScenarioConfig, library: tuple[float, ...]) -> WorkloadConfig:
-    return WorkloadConfig(
-        num_subtasks=cfg.num_subtasks,
-        size_min_bytes=cfg.size_min_bytes,
-        size_max_bytes=cfg.size_max_bytes,
-        rho_min=cfg.rho_min,
-        rho_max=cfg.rho_max,
-        mix=(cfg.mix_upload, cfg.mix_download, cfg.mix_compute),
-        num_ranks=cfg.num_ranks,
-        rank_sizes=library,
-    )
 
 
 def library_capacity(cfg: ScenarioConfig, library: tuple[float, ...]) -> float:
@@ -126,7 +113,7 @@ def draw_coverage(cfg: ScenarioConfig, rng: np.random.Generator) -> float:
 def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
                   library: tuple[float, ...]) -> EpisodeState:
     """Regenerate episode `episode` of the stream keyed by `seed`."""
-    task = generate_task(_task_seed(seed, episode), workload_config(cfg, library))
+    task = generate_task(_task_seed(seed, episode), cfg, library)
     link = draw_link(cfg, _rng(seed, episode, _LINK))
     t_c = draw_coverage(cfg, _rng(seed, episode, _ORBIT))
     cache = random_placement(cfg, library, _rng(seed, episode, _PLACE))

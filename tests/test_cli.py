@@ -228,6 +228,40 @@ def test_gen_dataset_bytes_are_pinned(tmp_path, num_subtasks, episodes):
     assert digest == PINNED_DATASET_SHA256[(num_subtasks, episodes)]
 
 
+def test_orbit_gen_dataset_bytes_are_pinned(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("coverage_mode = orbit\n")
+    out = tmp_path / "data"
+    assert main(["gen-dataset", "--config", str(config), "--seed", "42",
+                 "--episodes", "200", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "dataset.txt").read_bytes()).hexdigest()
+    assert digest == "74ff965457b80661026665b7f9215c5aabc2f7cc4d755001d59bc5a8ae15aba6"
+
+
+# SHA-256 of metrics.csv from `eval --episodes 25` under TINY_CONFIG at
+# (policy, cache mode). Baselines replay outputs through cache eviction,
+# and persistent mode carries the evicted cache into the next episode, so
+# a change to either eviction policy moves bytes here.
+PINNED_METRICS_SHA256 = {
+    ("go-mpc", "fresh"):
+        "c1d4dadb49b252a400a31bb4580c186c44e289178ac5ba3b30acdcc5d9facf52",
+    ("to-mrc", "persistent"):
+        "cbc4d0a2578e5679fbe77d9503f5f2bf1136a5554dc825632b9b1ce4340eee07",
+    ("le-mpc", "persistent"):
+        "4e1f9c201b6f43e663423e76b20742627fbcf786036a63465795e73b4b58b325",
+}
+
+
+@pytest.mark.parametrize("policy,cache_mode", sorted(PINNED_METRICS_SHA256))
+def test_eval_metrics_bytes_are_pinned(tmp_path, tiny_cfg, policy, cache_mode):
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", tiny_cfg, "--policy", policy,
+                 "--episodes", "25", "--cache-mode", cache_mode,
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_METRICS_SHA256[(policy, cache_mode)]
+
+
 def test_gen_dataset_accepts_long_chains(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("num_subtasks = 12\n")

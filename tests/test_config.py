@@ -14,6 +14,11 @@ from satedge.config import ConfigError, default_config, load_config, validate_co
     "prop_vs_s = -0.01",
     "snr_fh_db = inf",
     "learning_rate = nan",
+    "num_subtasks = 0",
+    "size_min_bytes = 6e5",
+    "rho_max = 0",
+    "num_ranks = 0",
+    "mix_compute = 0.5",
 ])
 def test_out_of_domain_value_is_a_config_error(tmp_path, line):
     path = tmp_path / "bad.txt"

@@ -1,0 +1,159 @@
+"""File readers reject malformed input with a typed error.
+
+read_dataset raises ValueError and load_model raises CheckpointError for
+every malformed file, never a stray KeyError or IndexError, and whatever
+they do accept is finite and usable: every feature row has the declared
+width, and a loaded model runs a forward pass.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from satedge.cli import main
+from satedge.config import default_config
+from satedge.neural import (CheckpointError, FeatureScaler, adam_step, forward,
+                            gradients, init_model, load_model, save_model)
+from satedge.oracle import build_dataset, read_dataset, write_dataset
+
+
+@pytest.fixture(scope="module")
+def dataset_lines(tmp_path_factory):
+    cfg = default_config()
+    path = tmp_path_factory.mktemp("valid") / "dataset.txt"
+    write_dataset(path, build_dataset(cfg.scenario, 3, 1), cfg.scenario)
+    return path.read_text().splitlines()
+
+
+@pytest.fixture(scope="module")
+def model_lines(tmp_path_factory):
+    model = init_model((6, 5, 4), seed=3)
+    rng = np.random.default_rng(4)
+    adam_step(model, *gradients(model, rng.uniform(size=(8, 6)),
+                                rng.integers(0, 2, size=(8, 4)).astype(float)))
+    path = tmp_path_factory.mktemp("valid") / "model.txt"
+    save_model(path, model, FeatureScaler(lo=np.zeros(6), hi=np.ones(6)))
+    return path.read_text().splitlines()
+
+
+_JUNK = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e999", "0", "-1", "2", "abc", "=", ",",
+                     "x", "1x", "1x1x2", "0x3", "#block", "#block W0 2x5",
+                     "features=", "subtasks=0", "layout=1", "dims=5"]),
+    st.text(alphabet="0123456789.,=x#-e nai", max_size=12),
+)
+
+
+@st.composite
+def _mutated(draw, lines):
+    """A copy of lines with one to three edits: a token, a line, or a cut."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=max(len(lines) - 1, 0)))
+        op = draw(st.sampled_from(["token", "token", "line", "drop", "dup", "cut"]))
+        if not lines:
+            lines = [draw(_JUNK)]
+        elif op == "token":
+            sep = draw(st.sampled_from([",", " ", "=", "x"]))
+            pieces = lines[i].split(sep)
+            j = draw(st.integers(min_value=0, max_value=len(pieces) - 1))
+            pieces[j] = draw(_JUNK)
+            lines[i] = sep.join(pieces)
+        elif op == "line":
+            lines[i] = draw(_JUNK)
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            lines = lines[:i]
+    return lines
+
+
+def _write(tmp_path, name, lines):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(data=st.data())
+def test_read_dataset_fuzz_raises_only_value_error(tmp_path, dataset_lines, data):
+    path = _write(tmp_path, "d.txt", data.draw(_mutated(dataset_lines)))
+    try:
+        header, demos = read_dataset(path)
+    except ValueError:
+        return
+    n_features = int(header["features"])
+    for demo in demos:
+        assert demo.features.shape == (n_features,)
+        assert np.isfinite(demo.features).all() and np.isfinite(demo.opt_reward)
+        assert len(demo.labels) == 2 * int(header["subtasks"])
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_model_fuzz_raises_only_checkpoint_error(tmp_path, model_lines, data):
+    path = _write(tmp_path, "m.txt", data.draw(_mutated(model_lines)))
+    try:
+        model, scaler = load_model(path)
+    except CheckpointError:
+        return
+    out = forward(model, scaler.transform(scaler.lo))
+    assert out.shape == (model.dims[-1],) and np.isfinite(out).all()
+
+
+def test_dataset_header_without_features_names_the_key(tmp_path):
+    path = _write(tmp_path, "d.txt",
+                  ["#satedge-dataset v1 config=abc layout=1 subtasks=1"])
+    with pytest.raises(ValueError, match="features="):
+        read_dataset(path)
+
+
+def test_train_on_header_without_features_reports_invalid(tmp_path, capsys):
+    path = _write(tmp_path, "d.txt",
+                  ["#satedge-dataset v1 config=abc layout=1 subtasks=1"])
+    rc = main(["train", "--dataset", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:invalid:") and "features=" in err
+
+
+@pytest.mark.parametrize("field", [1, -1])  # a feature, then opt_reward
+def test_dataset_rejects_nan(tmp_path, dataset_lines, field):
+    parts = dataset_lines[1].split(",")
+    parts[field] = "nan"
+    path = _write(tmp_path, "d.txt", [dataset_lines[0], ",".join(parts)])
+    with pytest.raises(ValueError, match="non-finite"):
+        read_dataset(path)
+
+
+def test_model_with_one_dim_and_no_blocks_is_rejected(tmp_path, model_lines):
+    header = model_lines[:model_lines.index("#block W0 6x5")]
+    lines = [line.replace("dims=6,5,4", "dims=6") for line in header]
+    with pytest.raises(CheckpointError, match="dims"):
+        load_model(_write(tmp_path, "m.txt", lines))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("#block W0 6x5", "#block W0 1x1x2"),
+    ("#block b0 5", "#block b0 0"),
+])
+def test_model_bad_block_shape_is_checkpoint_error(tmp_path, model_lines, old, new):
+    lines = [new if line == old else line for line in model_lines]
+    assert lines != model_lines
+    with pytest.raises(CheckpointError, match="shape"):
+        load_model(_write(tmp_path, "m.txt", lines))
+
+
+def test_model_unparsable_block_row_is_checkpoint_error(tmp_path, model_lines):
+    i = model_lines.index("#block W0 6x5") + 1
+    lines = list(model_lines)
+    lines[i] = lines[i].replace(",", ";", 1)
+    with pytest.raises(CheckpointError, match="W0"):
+        load_model(_write(tmp_path, "m.txt", lines))

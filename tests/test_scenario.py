@@ -6,7 +6,7 @@ from satedge.config import default_config
 from satedge.geometry import earth_central_angle, relative_angular_velocity
 from satedge.scenario import (episode_state, episode_stream, library_capacity,
                               make_library, orbit_params, prices_from)
-from satedge.workload import Category, classify
+from satedge.workload import Category
 
 
 def collect(cfg, seed, n):
@@ -49,7 +49,13 @@ def test_outputs_sized_by_library(cfg):
         for sub in state.task:
             if sub.d_out > 0:
                 assert sub.d_out == library[sub.out_rank - 1]
-            assert classify(sub) is sub.category
+            # (zeta, d_in, d_out) positive / zero pattern of each category
+            assert (sub.zeta > 0, sub.d_in > 0, sub.d_out > 0) == {
+                Category.UPLOAD: (False, True, False),
+                Category.DOWNLOAD: (False, False, True),
+                Category.COMPUTE: (True, True, True),
+            }[sub.category]
+            assert min(sub.zeta, sub.d_in, sub.d_out) >= 0
 
 
 def test_link_jitter_stays_in_band(cfg):

@@ -1,26 +1,27 @@
-import pytest
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
-from satedge.workload import (Category, SubTask, WorkloadConfig, classify,
-                              generate_task, task_from_lines, task_to_lines)
+from satedge.config import ScenarioConfig
+from satedge.workload import Category, generate_task
+
+# bytes per popularity rank 1..30, distinct so a wrong lookup shows
+LIBRARY = tuple(float(100e3 + 10e3 * r) for r in range(30))
 
 
-def default_wcfg(**overrides):
-    base = dict(num_subtasks=6, size_min_bytes=100e3, size_max_bytes=500e3,
-                rho_min=0.0, rho_max=12000.0, mix=(0.05, 0.05, 0.90),
-                num_ranks=30)
-    base.update(overrides)
-    return WorkloadConfig(**base)
+def scenario(**overrides):
+    return replace(ScenarioConfig(), **overrides)
 
 
 def test_same_seed_same_task():
-    cfg = default_wcfg()
-    assert generate_task(7, cfg) == generate_task(7, cfg)
-    assert generate_task(7, cfg) != generate_task(8, cfg)
+    cfg = scenario()
+    assert generate_task(7, cfg, LIBRARY) == generate_task(7, cfg, LIBRARY)
+    assert generate_task(7, cfg, LIBRARY) != generate_task(8, cfg, LIBRARY)
 
 
 def test_all_upload_mix():
-    task = generate_task(3, default_wcfg(mix=(1.0, 0.0, 0.0)))
+    cfg = scenario(mix_upload=1.0, mix_download=0.0, mix_compute=0.0)
+    task = generate_task(3, cfg, LIBRARY)
     assert all(st_.category is Category.UPLOAD for st_ in task)
     assert all(st_.d_out == 0.0 and st_.zeta == 0.0 for st_ in task)
 
@@ -28,9 +29,8 @@ def test_all_upload_mix():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_generated_tasks_satisfy_category_signs(seed):
-    cfg = default_wcfg(mix=(1 / 3, 1 / 3, 1 / 3))
-    for sub in generate_task(seed, cfg):
-        assert classify(sub) is sub.category
+    cfg = scenario(mix_upload=1 / 3, mix_download=1 / 3, mix_compute=1 / 3)
+    for sub in generate_task(seed, cfg, LIBRARY):
         assert sub.zeta == sub.rho * sub.d_in
         if sub.category is Category.UPLOAD:
             assert sub.zeta == 0 and sub.d_in > 0 and sub.d_out == 0
@@ -39,6 +39,7 @@ def test_generated_tasks_satisfy_category_signs(seed):
             assert sub.zeta == 0 and sub.d_in == 0 and sub.d_out > 0
             assert 1 <= sub.out_rank <= cfg.num_ranks
         else:
+            assert sub.category is Category.COMPUTE
             assert sub.zeta > 0 and sub.d_in > 0 and sub.d_out > 0
             assert 1 <= sub.out_rank <= cfg.num_ranks
         assert 100e3 <= sub.d_in <= 500e3 or sub.d_in == 0.0
@@ -46,46 +47,6 @@ def test_generated_tasks_satisfy_category_signs(seed):
 
 
 def test_rank_sizes_pin_output_bytes():
-    sizes = tuple(float(100e3 + 10e3 * r) for r in range(30))
-    cfg = default_wcfg(mix=(0.0, 0.5, 0.5), rank_sizes=sizes)
-    for sub in generate_task(11, cfg):
-        assert sub.d_out == sizes[sub.out_rank - 1]
-
-
-def test_classify_table_sign_patterns():
-    up = SubTask(Category.UPLOAD, d_in=300e3, d_out=0.0, rho=0.0, out_rank=0)
-    down = SubTask(Category.DOWNLOAD, d_in=0.0, d_out=200e3, rho=0.0, out_rank=4)
-    comp = SubTask(Category.COMPUTE, d_in=200e3, d_out=150e3, rho=5e3, out_rank=9)
-    assert classify(up) is Category.UPLOAD
-    assert classify(down) is Category.DOWNLOAD
-    assert classify(comp) is Category.COMPUTE
-
-
-def test_classify_rejects_degenerate():
-    broken = SubTask(Category.UPLOAD, d_in=0.0, d_out=0.0, rho=0.0, out_rank=0)
-    with pytest.raises(ValueError):
-        classify(broken)
-
-
-def test_generate_rejects_bad_config():
-    with pytest.raises(ValueError):
-        generate_task(1, default_wcfg(num_subtasks=0))
-    with pytest.raises(ValueError):
-        generate_task(1, default_wcfg(size_min_bytes=500e3, size_max_bytes=100e3))
-
-
-def test_task_lines_round_trip():
-    task = generate_task(5, default_wcfg(mix=(0.2, 0.2, 0.6)))
-    lines = task_to_lines(task)
-    assert task_from_lines(lines) == task
-    assert task_to_lines(task_from_lines(lines)) == lines
-
-
-def test_task_from_lines_rejects_gaps():
-    task = generate_task(5, default_wcfg(mix=(0.0, 0.0, 1.0)))
-    lines = task_to_lines(task)
-    with pytest.raises(ValueError):
-        task_from_lines(lines[1:] + lines[:1])
-    with pytest.raises(ValueError):
-        # compute line relabeled as upload no longer matches its sign pattern
-        task_from_lines(lines[:-1] + [lines[-1].replace(",compute,", ",upload,")])
+    cfg = scenario(mix_upload=0.0, mix_download=0.5, mix_compute=0.5)
+    for sub in generate_task(11, cfg, LIBRARY):
+        assert sub.d_out == LIBRARY[sub.out_rank - 1]
