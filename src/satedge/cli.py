@@ -397,9 +397,17 @@ def _setup(args) -> tuple[SimConfig, int, Path]:
     return cfg, seed, _outdir(args.out)
 
 
+def _episodes(args, default: int) -> int:
+    """--episodes if given, else the config default; either must be at least 1."""
+    episodes = default if args.episodes is None else args.episodes
+    if episodes < 1:
+        raise ValueError(f"--episodes must be at least 1, got {episodes}")
+    return episodes
+
+
 def _cmd_gen_dataset(args) -> int:
     cfg, seed, out = _setup(args)
-    episodes = args.episodes or cfg.train.dataset_episodes
+    episodes = _episodes(args, cfg.train.dataset_episodes)
     run_gen_dataset(cfg, seed, episodes, out)
     return 0
 
@@ -412,7 +420,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg, seed, out = _setup(args)
-    episodes = args.episodes or cfg.train.compare_episodes
+    episodes = _episodes(args, cfg.train.compare_episodes)
     model = Path(args.model) if args.model else None
     run_eval(cfg, seed, args.policy, model, episodes, args.cache_mode, out)
     return 0
@@ -420,7 +428,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg, seed, out = _setup(args)
-    episodes = args.episodes or cfg.train.compare_episodes
+    episodes = _episodes(args, cfg.train.compare_episodes)
     run_compare(cfg, seed, Path(args.model), episodes, out)
     return 0
 

@@ -122,7 +122,10 @@ def load_config(path: str | Path | None) -> SimConfig:
     if path is None:
         validate_config(cfg)
         return cfg
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     smap, tmap = _field_map(cfg.scenario), _field_map(cfg.train)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -194,8 +197,12 @@ def validate_config(cfg: SimConfig) -> None:
                  "sweep_patience", "compare_episodes"):
         if getattr(t, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
-    if t.learning_rate <= 0:
-        raise ConfigError("learning_rate must be positive")
+    for name in ("learning_rate", "adam_eps"):
+        if getattr(t, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    for name in ("adam_beta1", "adam_beta2"):
+        if not 0 <= getattr(t, name) < 1:
+            raise ConfigError(f"{name} must be in [0, 1)")
     if t.persistent_eviction not in ("mrc", "mpc"):
         raise ConfigError("persistent_eviction must be mrc or mpc")
 

@@ -8,14 +8,14 @@ curve exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import TrainConfig
 from .evaluator import (ActionMatrix, EpisodeState, PriceVector, completion_time,
                         reward)
-from .neural import (AdamHyper, MLPModel, adam_step, cross_entropy, decode_actions,
+from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_actions,
                      forward, gradients, init_model)
 from .oracle import Demonstration
 from .policies import baseline_policy
@@ -23,7 +23,7 @@ from .policies import baseline_policy
 
 @dataclass
 class TrainResult:
-    model: MLPModel  # parameters restored to the best validation epoch
+    model: MLPModel  # parameters of the best validation epoch
     curve: list[tuple[int, float, float]]  # (epoch, train_loss, val_loss)
     best_epoch: int
     train_idx: np.ndarray
@@ -39,26 +39,6 @@ def split_indices(n: int, train_frac: float, val_frac: float,
     if n_train < 1 or n_val < 1 or n_train + n_val >= n:
         raise ValueError(f"splits leave no usable test set for n={n}")
     return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
-
-
-def _snapshot(model: MLPModel) -> dict:
-    return {
-        "weights": [w.copy() for w in model.weights],
-        "biases": [b.copy() for b in model.biases],
-        "m_w": [a.copy() for a in model.m_w],
-        "v_w": [a.copy() for a in model.v_w],
-        "m_b": [a.copy() for a in model.m_b],
-        "v_b": [a.copy() for a in model.v_b],
-        "step_count": model.step_count,
-    }
-
-
-def _restore(model: MLPModel, snap: dict) -> MLPModel:
-    return MLPModel(dims=model.dims, weights=snap["weights"], biases=snap["biases"],
-                    m_w=snap["m_w"], v_w=snap["v_w"], m_b=snap["m_b"],
-                    v_b=snap["v_b"], step_count=snap["step_count"],
-                    hyper=model.hyper, seed=model.seed,
-                    layout_version=model.layout_version)
 
 
 def train_policy(demos: list[Demonstration], cfg: TrainConfig,
@@ -77,8 +57,8 @@ def train_policy(demos: list[Demonstration], cfg: TrainConfig,
     train_idx, val_idx, test_idx = split_indices(
         len(demos), cfg.train_frac, cfg.val_frac, rng)
     dims = ((x.shape[1],) + (cfg.hidden_width,) * cfg.hidden_layers + (y.shape[1],))
-    hyper = AdamHyper(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    model = init_model(dims, seed, hyper)
+    model = init_model(dims, seed)
+    opt = adam_state(model, cfg)  # dropped when training ends
 
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_va, y_va = x[val_idx], y[val_idx]
@@ -89,8 +69,12 @@ def train_policy(demos: list[Demonstration], cfg: TrainConfig,
     def val_loss() -> float:
         return cross_entropy(forward(model, x_va), y_va)
 
+    def snapshot() -> MLPModel:
+        return replace(model, weights=[w.copy() for w in model.weights],
+                       biases=[b.copy() for b in model.biases])
+
     best_val = val_loss()
-    best_snap = _snapshot(model)
+    best = snapshot()
     best_epoch = 0
     curve = [(0, train_loss(), best_val)]
     for epoch in range(1, cfg.max_epochs + 1):
@@ -98,7 +82,7 @@ def train_policy(demos: list[Demonstration], cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             grad_w, grad_b = gradients(model, x_tr[batch], y_tr[batch])
-            adam_step(model, grad_w, grad_b)
+            adam_step(model, opt, grad_w, grad_b)
         vl = val_loss()
         tl = train_loss()
         if not (np.isfinite(vl) and np.isfinite(tl)):
@@ -108,13 +92,12 @@ def train_policy(demos: list[Demonstration], cfg: TrainConfig,
         curve.append((epoch, tl, vl))
         if vl < best_val:
             best_val = vl
-            best_snap = _snapshot(model)
+            best = snapshot()
             best_epoch = epoch
         elif epoch - best_epoch >= cfg.patience:
             break
-    return TrainResult(model=_restore(model, best_snap), curve=curve,
-                       best_epoch=best_epoch, train_idx=train_idx,
-                       val_idx=val_idx, test_idx=test_idx)
+    return TrainResult(model=best, curve=curve, best_epoch=best_epoch,
+                       train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ Forward pass, backprop, and Adam are written out explicitly so the
 training path carries no framework dependency and stays reproducible
 down to the bit. The output layer is 2*|V| sigmoids in the blocked
 label layout: all offload bits first, then all cache bits.
+
+An MLPModel is the trained policy and nothing else. Adam's moments,
+step count and hyperparameters live in an AdamState that exists only
+while training runs, so a checkpoint holds the network and its feature
+scaler, never optimizer state.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .caching import request_probability
 from .channel import link_rate, snr_from_db
-from .config import ScenarioConfig
+from .config import ScenarioConfig, TrainConfig
 from .evaluator import ActionMatrix, EpisodeState, feasible_actions, hit_flags
 from .geometry import earth_central_angle, relative_angular_velocity
 from .workload import Category
@@ -123,48 +128,50 @@ def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
     return scaler.transform(np.asarray(raw, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 @dataclass
 class MLPModel:
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    step_count: int
-    hyper: AdamHyper
     seed: int
     layout_version: int = LAYOUT_VERSION
 
 
-def init_model(dims: tuple[int, ...], seed: int,
-               hyper: AdamHyper | None = None) -> MLPModel:
-    """Glorot-uniform weights, zero biases, zero moments."""
+def init_model(dims: tuple[int, ...], seed: int) -> MLPModel:
+    """Glorot-uniform weights, zero biases."""
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"need at least input and output dims, got {dims}")
-    hyper = hyper or AdamHyper()
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MLPModel(
-        dims=tuple(dims), weights=weights, biases=biases,
-        m_w=[np.zeros_like(w) for w in weights],
-        v_w=[np.zeros_like(w) for w in weights],
-        m_b=[np.zeros_like(b) for b in biases],
-        v_b=[np.zeros_like(b) for b in biases],
-        step_count=0, hyper=hyper, seed=seed)
+    return MLPModel(dims=tuple(dims), weights=weights, biases=biases, seed=seed)
+
+
+@dataclass
+class AdamState:
+    """Adam optimizer state for one training run; never saved with the model.
+
+    m and v hold one moment array per parameter: all weights, then all biases.
+    """
+
+    learning_rate: float
+    beta1: float
+    beta2: float
+    eps: float
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    step_count: int = 0
+
+
+def adam_state(model: MLPModel, cfg: TrainConfig) -> AdamState:
+    """Zero moments shaped like the model, hyperparameters from cfg."""
+    params = model.weights + model.biases
+    return AdamState(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
+                     m=[np.zeros_like(p) for p in params],
+                     v=[np.zeros_like(p) for p in params])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -225,25 +232,18 @@ def gradients(model: MLPModel, x: np.ndarray, labels: np.ndarray,
     return grad_w, grad_b
 
 
-def adam_step(model: MLPModel, grad_w: list[np.ndarray],
+def adam_step(model: MLPModel, opt: AdamState, grad_w: list[np.ndarray],
               grad_b: list[np.ndarray]) -> MLPModel:
-    """One bias-corrected Adam update, in place; step_count bumps first."""
-    h = model.hyper
-    model.step_count += 1
-    c1 = 1.0 - h.beta1 ** model.step_count
-    c2 = 1.0 - h.beta2 ** model.step_count
-    for w, g, m, v in zip(model.weights, grad_w, model.m_w, model.v_w):
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        v *= h.beta2
-        v += (1.0 - h.beta2) * (g * g)
-        w -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.eps)
-    for b, g, m, v in zip(model.biases, grad_b, model.m_b, model.v_b):
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        v *= h.beta2
-        v += (1.0 - h.beta2) * (g * g)
-        b -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.eps)
+    """One bias-corrected Adam update of model and opt, in place; step_count bumps first."""
+    opt.step_count += 1
+    c1 = 1.0 - opt.beta1 ** opt.step_count
+    c2 = 1.0 - opt.beta2 ** opt.step_count
+    for p, g, m, v in zip(model.weights + model.biases, grad_w + grad_b, opt.m, opt.v):
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        p -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + opt.eps)
     return model
 
 
@@ -279,6 +279,9 @@ def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
 # ---------------------------------------------------------------------------
 # checkpoint format: versioned text, repr-exact floats, fixed block order
 
+MODEL_MAGIC = "#satedge-model v2"
+_HEADER_KEYS = ("layout_version", "seed", "dims", "scaler_lo", "scaler_hi")
+
 
 def _fmt_row(row: np.ndarray) -> str:
     return ",".join(repr(float(v)) for v in row)
@@ -295,28 +298,21 @@ def _write_block(lines: list[str], tag: str, arr: np.ndarray) -> None:
 
 
 def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None:
-    """Write model plus scaler as text. Reload then re-save is byte-identical."""
-    h = model.hyper
+    """Write a v2 checkpoint: shape, seed, layout, scaler ranges, weights, biases.
+
+    No optimizer state is written. Reload then re-save is byte-identical.
+    """
     lines = [
-        "#satedge-model v1",
+        MODEL_MAGIC,
         f"layout_version={model.layout_version}",
         f"seed={model.seed}",
         "dims=" + ",".join(str(d) for d in model.dims),
-        f"learning_rate={h.learning_rate!r}",
-        f"beta1={h.beta1!r}",
-        f"beta2={h.beta2!r}",
-        f"eps={h.eps!r}",
-        f"step_count={model.step_count}",
         "scaler_lo=" + _fmt_row(scaler.lo),
         "scaler_hi=" + _fmt_row(scaler.hi),
     ]
     for layer in range(len(model.weights)):
         _write_block(lines, f"W{layer}", model.weights[layer])
         _write_block(lines, f"b{layer}", model.biases[layer])
-        _write_block(lines, f"mW{layer}", model.m_w[layer])
-        _write_block(lines, f"vW{layer}", model.v_w[layer])
-        _write_block(lines, f"mb{layer}", model.m_b[layer])
-        _write_block(lines, f"vb{layer}", model.v_b[layer])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -328,23 +324,23 @@ def _parse_row(line: str) -> np.ndarray:
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
-    """Read a checkpoint; anything malformed or inconsistent raises CheckpointError."""
+    """Read a v2 checkpoint; anything malformed or inconsistent raises CheckpointError."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "#satedge-model v1":
-        raise CheckpointError(f"{path}: not a v1 model checkpoint")
+    if not lines or lines[0] != MODEL_MAGIC:
+        raise CheckpointError(f"{path}: not a v2 model checkpoint; v1 files are "
+                              "no longer read, re-run `satedge train`")
     header: dict[str, str] = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("#block"):
         key, _, value = lines[i].partition("=")
+        if key not in _HEADER_KEYS:
+            raise CheckpointError(f"{path}: unknown header key {key!r}")
         header[key] = value
         i += 1
     try:
         layout = int(header["layout_version"])
         seed = int(header["seed"])
         dims = tuple(int(d) for d in header["dims"].split(","))
-        hyper = AdamHyper(float(header["learning_rate"]), float(header["beta1"]),
-                          float(header["beta2"]), float(header["eps"]))
-        step_count = int(header["step_count"])
         scaler = FeatureScaler(lo=_parse_row(header["scaler_lo"]),
                                hi=_parse_row(header["scaler_hi"]),
                                layout_version=layout)
@@ -375,19 +371,16 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
             raise CheckpointError(f"{path}: block {tag} shape mismatch or truncated")
         blocks[tag] = arr.reshape(shape)
 
-    n_layers = len(dims) - 1
-    layers = {}
-    for prefix in ("W", "b", "mW", "vW", "mb", "vb"):
-        layers[prefix] = [blocks.get(f"{prefix}{layer}") for layer in range(n_layers)]
-        for layer, arr in enumerate(layers[prefix]):
-            # weights and their moments are fan_in x fan_out, the rest fan_out
-            want = dims[layer:layer + 2] if prefix.endswith("W") else (dims[layer + 1],)
-            if arr is None or arr.shape != want:
-                raise CheckpointError(
-                    f"{path}: block {prefix}{layer} missing or inconsistent with dims")
-    model = MLPModel(dims=dims, weights=layers["W"], biases=layers["b"],
-                     m_w=layers["mW"], v_w=layers["vW"], m_b=layers["mb"],
-                     v_b=layers["vb"], step_count=step_count, hyper=hyper,
+    # exactly one W (fan_in x fan_out) and one b (fan_out) block per layer
+    layers = range(len(dims) - 1)
+    want = {f"W{k}": dims[k:k + 2] for k in layers}
+    want.update({f"b{k}": dims[k + 1:k + 2] for k in layers})
+    for tag in sorted(want.keys() | blocks.keys()):
+        if tag not in blocks or blocks[tag].shape != want.get(tag):
+            raise CheckpointError(
+                f"{path}: block {tag} missing, unexpected or inconsistent with dims")
+    model = MLPModel(dims=dims, weights=[blocks[f"W{k}"] for k in layers],
+                     biases=[blocks[f"b{k}"] for k in layers],
                      seed=seed, layout_version=layout)
     return model, scaler
 

@@ -28,6 +28,7 @@ from satedge.evaluator import completion_time, reward, validate_action
 from satedge.geometry import coverage_time, earth_central_angle, relative_angular_velocity
 from satedge.neural import (
     FeatureScaler,
+    adam_state,
     adam_step,
     cross_entropy,
     infer,
@@ -164,7 +165,8 @@ def test_criterion_4_training_math(capsys):
     model = init_model((3, 2), seed=0)
     before = model.weights[0].copy()
     grads = np.array([[0.5, -2.0], [1.0, 0.25], [-0.75, 3.0]])
-    adam_step(model, [grads], [np.zeros(2)])
+    opt = adam_state(model, default_config().train)
+    adam_step(model, opt, [grads], [np.zeros(2)])
     steps = np.abs(before - model.weights[0])
     adam_ok = bool(np.all(np.abs(steps - 0.001) <= 1e-9))
 

@@ -70,7 +70,7 @@ def test_gen_dataset_writes_reproducible_files(tmp_path, tiny_cfg, capsys):
 def test_train_emits_model_and_curve(tmp_path, tiny_cfg):
     dataset = _gen(tmp_path, tiny_cfg)
     model = _train(tmp_path, tiny_cfg, dataset)
-    assert model.read_text().startswith("#satedge-model v1")
+    assert model.read_text().startswith("#satedge-model v2\n")
     curve = (model.parent / "train_curve.csv").read_text().splitlines()
     assert curve[0] == "epoch,train_loss,val_loss"
     assert len(curve) >= 3  # epoch 0 plus at least two training epochs
@@ -262,6 +262,33 @@ def test_eval_metrics_bytes_are_pinned(tmp_path, tiny_cfg, policy, cache_mode):
     assert digest == PINNED_METRICS_SHA256[(policy, cache_mode)]
 
 
+# SHA-256 of the train and compare artifacts under TINY_CONFIG with the
+# default seeds. train_curve.csv and comparison.csv are unchanged since
+# model v1; model.txt is the v1 file with its optimizer header lines and
+# moment blocks removed, so a change to training or to the checkpoint
+# format moves bytes here.
+PINNED_TRAIN_SHA256 = {
+    "train_curve.csv":
+        "3e7e5dd3d7d2f2e9f64b53ee0ca60c57385eda2d787f14ccc8eafc3c36fc11b4",
+    "model.txt":
+        "4f8975e7538f86efd18cbd6d4e4e9231acae7ab83faeb08084e9722dc70880c6",
+    "comparison.csv":
+        "44a18102d745010e80e37495c3e8130837cc06e71d7aeb6d0bbd93a812fb6c08",
+}
+
+
+def test_train_and_compare_bytes_are_pinned(tmp_path, tiny_cfg):
+    model = _train(tmp_path, tiny_cfg, _gen(tmp_path, tiny_cfg))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", tiny_cfg, "--model", str(model),
+                 "--out", str(out)]) == 0
+    paths = {"train_curve.csv": model.parent / "train_curve.csv",
+             "model.txt": model, "comparison.csv": out / "comparison.csv"}
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == PINNED_TRAIN_SHA256
+
+
 def test_gen_dataset_accepts_long_chains(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("num_subtasks = 12\n")
@@ -308,6 +335,50 @@ def test_corrupt_model_reports_model_error(tmp_path, capsys):
     _expect_error(capsys, ["eval", "--policy", "docs", "--model", str(junk),
                            "--episodes", "5", "--out", str(tmp_path / "o")],
                   "model")
+
+
+def test_v1_model_reports_model_error(tmp_path, tiny_cfg, capsys):
+    model = _train(tmp_path, tiny_cfg, _gen(tmp_path, tiny_cfg))
+    lines = model.read_text().splitlines()
+    v1 = tmp_path / "v1.txt"
+    v1.write_text("\n".join(["#satedge-model v1"] + lines[1:]) + "\n")
+    _expect_error(capsys, ["eval", "--config", tiny_cfg, "--policy", "docs",
+                           "--model", str(v1), "--episodes", "5",
+                           "--out", str(tmp_path / "o")], "model")
+
+
+# a config whose episode budgets differ from every default
+BUDGET_CONFIG = "dataset_episodes = 17\ncompare_episodes = 9\n"
+
+
+@pytest.mark.parametrize("command,episodes", [
+    ("gen-dataset", "0"),
+    ("eval", "0"),
+    ("eval", "-3"),
+    ("compare", "0"),
+])
+def test_episodes_below_one_report_invalid(tmp_path, capsys, command, episodes):
+    config = tmp_path / "cfg.txt"
+    config.write_text(BUDGET_CONFIG)
+    argv = [command, "--config", str(config), "--episodes", episodes,
+            "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--policy", "to-mrc", "--cache-mode", "persistent"]
+    if command == "compare":
+        argv += ["--model", str(tmp_path / "never-read.txt")]
+    _expect_error(capsys, argv, "invalid")
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_episodes_default_comes_from_config(tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text(BUDGET_CONFIG)
+    out = tmp_path / "data"
+    assert main(["gen-dataset", "--config", str(config), "--out", str(out)]) == 0
+    assert len((out / "dataset.txt").read_text().splitlines()) == 1 + 17
+    assert main(["eval", "--config", str(config), "--policy", "oracle",
+                 "--out", str(tmp_path / "ev")]) == 0
+    assert _rows(tmp_path / "ev" / "metrics.csv")[0]["episodes"] == "9"
 
 
 def test_docs_without_model_reports_invalid(tmp_path, capsys):

@@ -19,6 +19,12 @@ from satedge.config import ConfigError, default_config, load_config, validate_co
     "rho_max = 0",
     "num_ranks = 0",
     "mix_compute = 0.5",
+    "adam_beta1 = 1.5",
+    "adam_beta1 = 1.0",
+    "adam_beta2 = 1.0",
+    "adam_beta2 = -0.5",
+    "adam_eps = -1",
+    "adam_eps = 0",
 ])
 def test_out_of_domain_value_is_a_config_error(tmp_path, line):
     path = tmp_path / "bad.txt"
@@ -40,3 +46,10 @@ def test_zero_propagation_delay_is_allowed(tmp_path):
     path.write_text("prop_vs_s = 0\nprop_sg_s = 0.0\n")
     cfg = load_config(path)
     assert cfg.scenario.prop_vs_s == cfg.scenario.prop_sg_s == 0.0
+
+
+def test_adam_domain_edges_are_allowed(tmp_path):
+    path = tmp_path / "ok.txt"
+    path.write_text("adam_beta1 = 0\nadam_beta2 = 0.0\nadam_eps = 1e-300\n")
+    cfg = load_config(path)
+    assert (cfg.train.adam_beta1, cfg.train.adam_beta2) == (0.0, 0.0)

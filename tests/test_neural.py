@@ -1,5 +1,6 @@
 """Feature encoding, MLP math, decoding, and checkpoint format."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from conftest import (GOLDEN_LINK, compute, download, gradient_check, make_cache,
                       make_state, upload)
 from satedge.caching import request_probability
+from satedge.config import TrainConfig
 from satedge.evaluator import validate_action
 from satedge.neural import (
-    AdamHyper,
     CheckpointError,
     FeatureScaler,
+    MLPModel,
+    adam_state,
     adam_step,
     cross_entropy,
     decode_actions,
@@ -137,9 +140,11 @@ def test_init_model_glorot_bounds_and_determinism():
         assert np.all(np.abs(w) <= bound)
     for bias in a.biases:
         assert np.array_equal(bias, np.zeros_like(bias))
-    for block in (a.m_w, a.v_w, a.m_b, a.v_b):
-        assert all(not arr.any() for arr in block)
-    assert a.step_count == 0
+
+
+def test_model_holds_the_policy_only():
+    names = {f.name for f in dataclasses.fields(MLPModel)}
+    assert names == {"dims", "weights", "biases", "seed", "layout_version"}
 
 
 def test_init_model_rejects_degenerate_dims():
@@ -266,8 +271,9 @@ def test_adam_first_step_moves_by_learning_rate():
     model.weights[0][:] = [[0.7]]
     w_before = model.weights[0][0, 0]
     b_before = model.biases[0][0]
-    adam_step(model, [np.array([[2.0]])], [np.array([0.5])])
-    assert model.step_count == 1
+    opt = adam_state(model, TrainConfig())
+    adam_step(model, opt, [np.array([[2.0]])], [np.array([0.5])])
+    assert opt.step_count == 1
     # bias correction makes the very first update lr * g / (|g| + eps)
     assert abs((w_before - model.weights[0][0, 0]) - 0.001) <= 1e-9
     assert abs((b_before - model.biases[0][0]) - 0.001) <= 1e-9
@@ -275,11 +281,15 @@ def test_adam_first_step_moves_by_learning_rate():
 
 def test_adam_moment_accumulators_after_one_step():
     model = init_model((1, 1), seed=0)
+    opt = adam_state(model, TrainConfig())
+    assert opt.step_count == 0
+    assert all(not arr.any() for arr in opt.m + opt.v)
     g = 3.0
-    adam_step(model, [np.array([[g]])], [np.zeros(1)])
-    assert np.allclose(model.m_w[0], 0.1 * g, rtol=1e-15)
-    assert np.allclose(model.v_w[0], 0.001 * g * g, rtol=1e-12)
-    assert model.m_b[0][0] == 0.0 and model.v_b[0][0] == 0.0
+    adam_step(model, opt, [np.array([[g]])], [np.zeros(1)])
+    (m_w, m_b), (v_w, v_b) = opt.m, opt.v  # weights first, then biases
+    assert np.allclose(m_w, 0.1 * g, rtol=1e-15)
+    assert np.allclose(v_w, 0.001 * g * g, rtol=1e-12)
+    assert m_b[0] == 0.0 and v_b[0] == 0.0
 
 
 def test_adam_zero_gradient_leaves_weights_alone():
@@ -287,8 +297,9 @@ def test_adam_zero_gradient_leaves_weights_alone():
     snapshot = [w.copy() for w in model.weights]
     zeros_w = [np.zeros_like(w) for w in model.weights]
     zeros_b = [np.zeros_like(b) for b in model.biases]
-    adam_step(model, zeros_w, zeros_b)
-    assert model.step_count == 1
+    opt = adam_state(model, TrainConfig())
+    adam_step(model, opt, zeros_w, zeros_b)
+    assert opt.step_count == 1
     for w, keep in zip(model.weights, snapshot):
         assert np.array_equal(w, keep)
 
@@ -299,9 +310,10 @@ def test_adam_identical_histories_identical_weights():
     rng = np.random.default_rng(8)
     x = rng.uniform(0.0, 1.0, size=(6, 4))
     y = rng.integers(0, 2, size=(6, 2)).astype(float)
+    opt_a, opt_b = adam_state(a, TrainConfig()), adam_state(b, TrainConfig())
     for _ in range(3):
-        adam_step(a, *gradients(a, x, y))
-        adam_step(b, *gradients(b, x, y))
+        adam_step(a, opt_a, *gradients(a, x, y))
+        adam_step(b, opt_b, *gradients(b, x, y))
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(wa, wb)
 
@@ -312,8 +324,9 @@ def test_adam_sign_descent_lowers_loss():
     x = rng.uniform(0.0, 1.0, size=(16, 4))
     y = rng.integers(0, 2, size=(16, 2)).astype(float)
     before = cross_entropy(forward(model, x), y)
+    opt = adam_state(model, TrainConfig())
     for _ in range(50):
-        adam_step(model, *gradients(model, x, y))
+        adam_step(model, opt, *gradients(model, x, y))
     after = cross_entropy(forward(model, x), y)
     assert after < before
 
@@ -386,7 +399,7 @@ def _trained_toy_model():
     rng = np.random.default_rng(18)
     x = rng.uniform(0.0, 1.0, size=(8, 6))
     y = rng.integers(0, 2, size=(8, 4)).astype(float)
-    adam_step(model, *gradients(model, x, y))
+    adam_step(model, adam_state(model, TrainConfig()), *gradients(model, x, y))
     scaler = FeatureScaler(lo=np.zeros(6), hi=np.linspace(1.0, 6.0, 6))
     return model, scaler
 
@@ -407,17 +420,79 @@ def test_checkpoint_restores_every_field(tmp_path):
     save_model(path, model, scaler)
     loaded, loaded_scaler = load_model(path)
     assert loaded.dims == model.dims
-    assert loaded.step_count == model.step_count
     assert loaded.seed == model.seed
-    assert loaded.hyper == model.hyper
-    for mine, theirs in zip(
-            model.weights + model.biases + model.m_w + model.v_w
-            + model.m_b + model.v_b,
-            loaded.weights + loaded.biases + loaded.m_w + loaded.v_w
-            + loaded.m_b + loaded.v_b):
+    assert loaded.layout_version == model.layout_version
+    for mine, theirs in zip(model.weights + model.biases,
+                            loaded.weights + loaded.biases):
         assert np.array_equal(mine, theirs)
     assert np.array_equal(scaler.lo, loaded_scaler.lo)
     assert np.array_equal(scaler.hi, loaded_scaler.hi)
+
+
+def test_checkpoint_holds_no_optimizer_state(tmp_path):
+    model, scaler = _trained_toy_model()
+    path = tmp_path / "model.txt"
+    save_model(path, model, scaler)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "#satedge-model v2"
+    assert [line.split("=")[0] for line in lines[1:6]] == \
+        ["layout_version", "seed", "dims", "scaler_lo", "scaler_hi"]
+    assert [line.split()[1] for line in lines if line.startswith("#block")] == \
+        ["W0", "b0", "W1", "b1"]
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _v1_lines(model, scaler, learning_rate):
+    """What the v1 writer produced: Adam header lines and moment blocks."""
+    def row(arr):
+        return ",".join(repr(float(v)) for v in arr)
+
+    lines = ["#satedge-model v1", f"layout_version={model.layout_version}",
+             f"seed={model.seed}", "dims=" + ",".join(map(str, model.dims)),
+             f"learning_rate={learning_rate}", "beta1=0.9", "beta2=0.999",
+             "eps=1e-08", "step_count=1",
+             "scaler_lo=" + row(scaler.lo), "scaler_hi=" + row(scaler.hi)]
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        zw, zb = np.zeros_like(w), np.zeros_like(b)
+        for tag, arr in (("W", w), ("b", b), ("mW", zw), ("vW", zw),
+                         ("mb", zb), ("vb", zb)):
+            lines.append(f"#block {tag}{k} " + "x".join(map(str, arr.shape)))
+            lines += [row(r) for r in np.atleast_2d(arr)]
+    return lines
+
+
+@pytest.mark.parametrize("learning_rate", ["0.001", "nan"])
+def test_checkpoint_rejects_v1_and_says_to_retrain(tmp_path, learning_rate):
+    model, scaler = _trained_toy_model()
+    path = _write_lines(tmp_path / "v1.txt", _v1_lines(model, scaler, learning_rate))
+    with pytest.raises(CheckpointError, match="satedge train"):
+        load_model(path)
+
+
+def test_checkpoint_rejects_stray_optimizer_header(tmp_path):
+    model, scaler = _trained_toy_model()
+    path = tmp_path / "model.txt"
+    save_model(path, model, scaler)
+    lines = path.read_text().splitlines()
+    bad = _write_lines(tmp_path / "bad.txt",
+                       lines[:4] + ["learning_rate=nan"] + lines[4:])
+    with pytest.raises(CheckpointError, match="learning_rate"):
+        load_model(bad)
+
+
+def test_checkpoint_rejects_stray_moment_block(tmp_path):
+    model, scaler = _trained_toy_model()
+    path = tmp_path / "model.txt"
+    save_model(path, model, scaler)
+    lines = path.read_text().splitlines()
+    bad = _write_lines(tmp_path / "bad.txt",
+                       lines + ["#block mb1 4", "0.0,0.0,0.0,0.0"])
+    with pytest.raises(CheckpointError, match="mb1"):
+        load_model(bad)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

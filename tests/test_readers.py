@@ -1,9 +1,10 @@
 """File readers reject malformed input with a typed error.
 
-read_dataset raises ValueError and load_model raises CheckpointError for
-every malformed file, never a stray KeyError or IndexError, and whatever
-they do accept is finite and usable: every feature row has the declared
-width, and a loaded model runs a forward pass.
+read_dataset raises ValueError, load_model raises CheckpointError and
+load_config raises ConfigError for every malformed file, never a stray
+KeyError, IndexError or UnicodeDecodeError, and whatever they do accept
+is finite and usable: every feature row has the declared width, a loaded
+model runs a forward pass, and a loaded config validates.
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from satedge.cli import main
-from satedge.config import default_config
-from satedge.neural import (CheckpointError, FeatureScaler, adam_step, forward,
-                            gradients, init_model, load_model, save_model)
+from satedge.config import ConfigError, default_config, load_config, validate_config
+from satedge.neural import (CheckpointError, FeatureScaler, adam_state, adam_step,
+                            forward, gradients, init_model, load_model, save_model)
 from satedge.oracle import build_dataset, read_dataset, write_dataset
 
 
@@ -30,8 +31,9 @@ def dataset_lines(tmp_path_factory):
 def model_lines(tmp_path_factory):
     model = init_model((6, 5, 4), seed=3)
     rng = np.random.default_rng(4)
-    adam_step(model, *gradients(model, rng.uniform(size=(8, 6)),
-                                rng.integers(0, 2, size=(8, 4)).astype(float)))
+    adam_step(model, adam_state(model, default_config().train),
+              *gradients(model, rng.uniform(size=(8, 6)),
+                         rng.integers(0, 2, size=(8, 4)).astype(float)))
     path = tmp_path_factory.mktemp("valid") / "model.txt"
     save_model(path, model, FeatureScaler(lo=np.zeros(6), hi=np.ones(6)))
     return path.read_text().splitlines()
@@ -45,23 +47,45 @@ _JUNK = st.one_of(
 )
 
 
+# lone surrogates encode (surrogateescape) to bytes that are not UTF-8
+_CONFIG_JUNK = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-1", "0", "0.0", "1e999", "1.5", "=", "#",
+                     "orbit", "fixed", "mpc", "x", "lambda", "num_subtasks",
+                     "adam_beta1", "coverage_mode", "\udcff", "\udcc3"]),
+    st.text(alphabet="0123456789.=#-e naiorbxf_", max_size=12),
+)
+
+_CONFIG_LINES = [
+    "# a valid config touching every value type and an alias",
+    "num_subtasks = 4",
+    "size_max_bytes = 400e3  # bytes",
+    "coverage_mode = orbit",
+    "lambda = 0.7",
+    "adam_beta1 = 0.8",
+    "adam_eps = 1e-7",
+    "persistent_eviction = mpc",
+    "",
+    "dataset_episodes = 30",
+]
+
+
 @st.composite
-def _mutated(draw, lines):
+def _mutated(draw, lines, junk=_JUNK):
     """A copy of lines with one to three edits: a token, a line, or a cut."""
     lines = list(lines)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         i = draw(st.integers(min_value=0, max_value=max(len(lines) - 1, 0)))
         op = draw(st.sampled_from(["token", "token", "line", "drop", "dup", "cut"]))
         if not lines:
-            lines = [draw(_JUNK)]
+            lines = [draw(junk)]
         elif op == "token":
             sep = draw(st.sampled_from([",", " ", "=", "x"]))
             pieces = lines[i].split(sep)
             j = draw(st.integers(min_value=0, max_value=len(pieces) - 1))
-            pieces[j] = draw(_JUNK)
+            pieces[j] = draw(junk)
             lines[i] = sep.join(pieces)
         elif op == "line":
-            lines[i] = draw(_JUNK)
+            lines[i] = draw(junk)
         elif op == "drop":
             del lines[i]
         elif op == "dup":
@@ -106,6 +130,34 @@ def test_load_model_fuzz_raises_only_checkpoint_error(tmp_path, model_lines, dat
         return
     out = forward(model, scaler.transform(scaler.lo))
     assert out.shape == (model.dims[-1],) and np.isfinite(out).all()
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_config_fuzz_raises_only_config_error(tmp_path, data):
+    lines = data.draw(_mutated(_CONFIG_LINES, _CONFIG_JUNK))
+    path = tmp_path / "c.txt"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    validate_config(cfg)
+
+
+def test_config_fixture_is_valid(tmp_path):
+    path = _write(tmp_path, "c.txt", _CONFIG_LINES)
+    cfg = load_config(path)
+    assert cfg.scenario.coverage_mode == "orbit" and cfg.train.adam_eps == 1e-7
+
+
+def test_non_utf8_config_reports_config_error(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xff")
+    rc = main(["coverage", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:config:") and "UTF-8" in err
 
 
 def test_dataset_header_without_features_names_the_key(tmp_path):
