@@ -3,7 +3,7 @@
 The package models a vehicle streaming a chain of sub-tasks through a
 low-orbit satellite with an attached edge server: each sub-task is either
 run locally or offloaded, and each produced content item is either kept in
-the satellite cache or dropped. An exhaustive solver labels episodes with
+the satellite cache or dropped. An exact solver labels episodes with
 minimum-cost action matrices, a small feed-forward policy imitates those
 labels, and rule baselines provide reference points.
 """

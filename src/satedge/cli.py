@@ -25,11 +25,11 @@ from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
                         PriceVector)
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
-from .neural import (CheckpointError, FeatureScaler, cross_entropy, forward,
-                     infer, load_model, save_model)
+from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
+                     cross_entropy, forward, load_model, save_model)
 from .oracle import (Demonstration, build_dataset, label_states, read_dataset,
-                     solve_optimal, write_dataset)
-from .policies import BASELINE_PAIRS, baseline_name, baseline_policy
+                     write_dataset)
+from .policies import BASELINE_PAIRS, baseline_name
 from .scenario import (episode_state, episode_stream, make_library, orbit_params,
                        prices_from)
 
@@ -58,8 +58,9 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _fresh_states(cfg: SimConfig, seed: int, n: int) -> list[EpisodeState]:
-    return [state for _, state in episode_stream(cfg.scenario, seed, n)]
+def _check_episodes(episodes: int) -> None:
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,7 @@ def _fresh_states(cfg: SimConfig, seed: int, n: int) -> list[EpisodeState]:
 
 
 def run_gen_dataset(cfg: SimConfig, seed: int, episodes: int, out: Path) -> Path:
+    _check_episodes(episodes)
     t0 = time.perf_counter()
     demos = build_dataset(cfg.scenario, episodes, seed)
     path = out / "dataset.txt"
@@ -119,61 +121,72 @@ def run_train(cfg: SimConfig, seed: int, dataset: Path, out: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# eval
+# eval and compare: label the stream once, then score each scheme's actions
+
+_SCHEMES = ("oracle", "docs") + tuple(
+    baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
 
 
-def _policy_fn(policy: str, model, scaler, prices: PriceVector):
-    if policy == "docs":
-        return lambda state: infer(model, scaler, state)
-    if policy == "oracle":
-        return lambda state: solve_optimal(state, prices)[0]
-    of_kind, ch_kind = policy.split("-")
-    return lambda state: baseline_policy(of_kind, ch_kind, state, prices)
+def _scheme_actions(scheme: str, model: MLPModel | None, demos: list[Demonstration],
+                    states: list[EpisodeState], prices: PriceVector) -> list[ActionMatrix]:
+    """One scheme's actions: the labels, the decoded policy, or a baseline."""
+    if scheme == "oracle":
+        return oracle_actions(demos)
+    if scheme == "docs":
+        return docs_actions(model, demos, states)
+    of_kind, ch_kind = scheme.split("-")
+    return baseline_actions(of_kind, ch_kind, states, prices)
 
 
-def _persistent_rollout(cfg: SimConfig, seed: int, n: int, act_fn,
-                        eviction: str) -> tuple[list[EpisodeState], list[ActionMatrix]]:
-    """Carry the cache across episodes; episode 0 keeps its drawn placement."""
+def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
+                        model: MLPModel | None, scaler: FeatureScaler, eviction: str,
+                        ) -> tuple[list[EpisodeState], list[Demonstration],
+                                   list[ActionMatrix]]:
+    """Carry the cache across episodes; episode 0 keeps its drawn placement.
+
+    Each state is labelled as it is drawn: its action sets the next cache.
+    """
     scen = cfg.scenario
+    prices = prices_from(scen)
     library = make_library(scen, seed)
     states: list[EpisodeState] = []
+    demos: list[Demonstration] = []
     actions: list[ActionMatrix] = []
     cache = None
     for i in range(n):
         state = episode_state(scen, seed, i, library)
         if cache is not None:
             state = replace(state, cache=cache)
-        action = act_fn(state)
+        demo = replace(label_states([state], prices, scaler)[0], episode_id=i)
+        action = _scheme_actions(scheme, model, [demo], [state], prices)[0]
         states.append(state)
+        demos.append(demo)
         actions.append(action)
         cache = apply_caching_action(state.cache, state.task, action.cache, eviction)
-    return states, actions
-
-
-_POLICY_CHOICES = ("docs", "oracle") + tuple(
-    baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
+    return states, demos, actions
 
 
 def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
              episodes: int, cache_mode: str, out: Path) -> dict[str, float]:
+    _check_episodes(episodes)
     prices = prices_from(cfg.scenario)
-    model = scaler = None
     if policy == "docs":
         if model_path is None:
             raise ValueError("--model is required for the docs policy")
         model, scaler = load_model(model_path)
-    if scaler is None:
-        scaler = FeatureScaler.from_scenario(cfg.scenario)
-    act_fn = _policy_fn(policy, model, scaler, prices)
+        check_policy(model, scaler, cfg.scenario.num_subtasks)
+    else:
+        model, scaler = None, FeatureScaler.from_scenario(cfg.scenario)
 
     if cache_mode == "persistent":
         eviction = policy.split("-")[1] if "-" in policy \
             else cfg.train.persistent_eviction
-        states, actions = _persistent_rollout(cfg, seed, episodes, act_fn, eviction)
+        states, demos, actions = _persistent_rollout(cfg, seed, episodes, policy,
+                                                     model, scaler, eviction)
     else:
-        states = _fresh_states(cfg, seed, episodes)
-        actions = [act_fn(s) for s in states]
-    demos = label_states(states, prices, scaler)
+        states = [state for _, state in episode_stream(cfg.scenario, seed, episodes)]
+        demos = label_states(states, prices, scaler)
+        actions = _scheme_actions(policy, model, demos, states, prices)
     report = action_report(actions, demos, states, prices)
 
     rows = [(policy, cache_mode, episodes) + tuple(report[k] for k in (
@@ -190,29 +203,24 @@ def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
     return report
 
 
-# ---------------------------------------------------------------------------
-# compare
-
-
 def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
                 out: Path) -> dict[str, dict[str, float]]:
     """Oracle, trained policy, and all six baselines on one episode stream."""
+    _check_episodes(episodes)
     t0 = time.perf_counter()
     model, scaler = load_model(model_path)
+    check_policy(model, scaler, cfg.scenario.num_subtasks)
     prices = prices_from(cfg.scenario)
-    states = _fresh_states(cfg, seed, episodes)
+    states = [state for _, state in episode_stream(cfg.scenario, seed, episodes)]
     demos = label_states(states, prices, scaler)
 
-    infer_t0 = time.perf_counter()
-    docs_acts = [infer(model, scaler, s) for s in states]
-    infer_elapsed = time.perf_counter() - infer_t0
-
-    reports = {"oracle": action_report(oracle_actions(demos), demos, states, prices),
-               "docs": action_report(docs_acts, demos, states, prices)}
-    for of_kind, ch_kind in BASELINE_PAIRS:
-        name = baseline_name(of_kind, ch_kind)
-        acts = baseline_actions(of_kind, ch_kind, states, prices)
-        reports[name] = action_report(acts, demos, states, prices)
+    reports = {}
+    for name in _SCHEMES:
+        scheme_t0 = time.perf_counter()
+        actions = _scheme_actions(name, model, demos, states, prices)
+        if name == "docs":
+            infer_elapsed = time.perf_counter() - scheme_t0
+        reports[name] = action_report(actions, demos, states, prices)
 
     docs = reports["docs"]
     rows = []
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score one policy on a fresh stream")
     _add_common(p, "runs/eval")
-    p.add_argument("--policy", required=True, choices=_POLICY_CHOICES)
+    p.add_argument("--policy", required=True, choices=_SCHEMES)
     p.add_argument("--model", default=None, help="model.txt (docs policy only)")
     p.add_argument("--episodes", type=int, default=None,
                    help="override train.compare_episodes")
@@ -398,11 +406,8 @@ def _setup(args) -> tuple[SimConfig, int, Path]:
 
 
 def _episodes(args, default: int) -> int:
-    """--episodes if given, else the config default; either must be at least 1."""
-    episodes = default if args.episodes is None else args.episodes
-    if episodes < 1:
-        raise ValueError(f"--episodes must be at least 1, got {episodes}")
-    return episodes
+    """--episodes if given, else the config default."""
+    return default if args.episodes is None else args.episodes
 
 
 def _cmd_gen_dataset(args) -> int:

@@ -208,11 +208,12 @@ def validate_config(cfg: SimConfig) -> None:
 
 
 def dump_config(cfg: SimConfig) -> str:
-    """Canonical text form: sorted key=value lines, one per field."""
+    """Canonical text form: sorted key=value lines that load_config reads back."""
     lines = []
     for section in (cfg.scenario, cfg.train):
         for f in fields(section):
-            lines.append(f"{f.name}={getattr(section, f.name)!r}")
+            value = getattr(section, f.name)
+            lines.append(f"{f.name}={value if f.type == 'str' else repr(value)}")
     return "\n".join(sorted(lines)) + "\n"
 
 

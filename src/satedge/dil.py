@@ -1,4 +1,4 @@
-"""Imitation training against enumerated optima, plus policy scoring.
+"""Imitation training against the exact solver's optima, plus policy scoring.
 
 The policy is trained to reproduce the oracle's action bits from the
 encoded episode state. Splits, shuffles, and initialization all hang off

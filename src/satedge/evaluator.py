@@ -92,6 +92,15 @@ def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int],
     return PAIRS if within else ((0, 1), (1, 1))
 
 
+def nearest_feasible(st: SubTask, state: EpisodeState,
+                     pair: tuple[int, int]) -> tuple[int, int]:
+    """The feasible pair nearest to pair by Hamming distance; ties go to the smaller."""
+    feas = feasible_actions(st, state)
+    if pair in feas:
+        return pair
+    return min(feas, key=lambda f: ((f[0] != pair[0]) + (f[1] != pair[1]), f))
+
+
 def hit_flags(state: EpisodeState) -> tuple[bool, ...]:
     """Per-sub-task cache hits against the episode's starting placement."""
     return tuple(

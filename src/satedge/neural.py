@@ -23,7 +23,7 @@ import numpy as np
 from .caching import request_probability
 from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig, TrainConfig
-from .evaluator import ActionMatrix, EpisodeState, feasible_actions, hit_flags
+from .evaluator import ActionMatrix, EpisodeState, hit_flags, nearest_feasible
 from .geometry import earth_central_angle, relative_angular_velocity
 from .workload import Category
 
@@ -250,30 +250,20 @@ def adam_step(model: MLPModel, opt: AdamState, grad_w: list[np.ndarray],
 def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
     """Threshold each bit at 0.5 and project infeasible pairs.
 
-    A pair outside the feasible set is replaced by the feasible pair with
-    the highest product of per-bit probabilities; exact ties fall to the
-    smaller (offload, cache) pair. The result always validates.
+    A pair outside the feasible set is replaced by the feasible pair at
+    the smallest Hamming distance; ties fall to the smaller (offload,
+    cache) pair, as in the baselines' projection. The result always
+    validates.
     """
     n = len(state.task)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (2 * n,):
         raise ValueError(f"expected {2 * n} probabilities, got {probs.shape}")
-    of_bits, ch_bits = [], []
-    for v, st in enumerate(state.task):
-        p_of, p_ch = float(probs[v]), float(probs[n + v])
-        pair = (1 if p_of > 0.5 else 0, 1 if p_ch > 0.5 else 0)
-        feas = feasible_actions(st, state)
-        if pair not in feas:
-            best, best_like = None, -1.0
-            for cand in feas:  # ascending order keeps ties lexicographic
-                like = ((p_of if cand[0] else 1.0 - p_of)
-                        * (p_ch if cand[1] else 1.0 - p_ch))
-                if like > best_like:
-                    best, best_like = cand, like
-            pair = best
-        of_bits.append(pair[0])
-        ch_bits.append(pair[1])
-    return ActionMatrix(offload=tuple(of_bits), cache=tuple(ch_bits))
+    bits = [1 if p > 0.5 else 0 for p in probs.tolist()]
+    pairs = [nearest_feasible(st, state, (bits[v], bits[n + v]))
+             for v, st in enumerate(state.task)]
+    return ActionMatrix(offload=tuple(p[0] for p in pairs),
+                        cache=tuple(p[1] for p in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +375,17 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
     return model, scaler
 
 
-def infer(model: MLPModel, scaler: FeatureScaler, state: EpisodeState) -> ActionMatrix:
-    """Encode, forward, decode; checks layouts and dimensions line up."""
+def check_policy(model: MLPModel, scaler: FeatureScaler, num_subtasks: int) -> None:
+    """Raise CheckpointError unless model and scaler fit chains of num_subtasks."""
     if model.layout_version != LAYOUT_VERSION or scaler.layout_version != LAYOUT_VERSION:
         raise CheckpointError("model/scaler layout version mismatch with this build")
-    expected = feature_dim(len(state.task))
-    if model.dims[0] != expected:
-        raise CheckpointError(
-            f"model wants {model.dims[0]} features, episode encodes to {expected}")
-    if model.dims[-1] != 2 * len(state.task):
-        raise CheckpointError("model output width does not match 2 * |V|")
+    n_in, n_out = feature_dim(num_subtasks), 2 * num_subtasks
+    if (model.dims[0], model.dims[-1]) != (n_in, n_out):
+        raise CheckpointError(f"model dims {model.dims} do not fit {num_subtasks} "
+                              f"sub-tasks ({n_in} features in, {n_out} bits out)")
+
+
+def infer(model: MLPModel, scaler: FeatureScaler, state: EpisodeState) -> ActionMatrix:
+    """Encode, forward, decode; checks layouts and dimensions line up."""
+    check_policy(model, scaler, len(state.task))
     return decode_actions(forward(model, encode_state(state, scaler)), state)

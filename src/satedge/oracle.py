@@ -97,12 +97,10 @@ def label_states(states: Iterable[EpisodeState], prices: PriceVector,
     return demos
 
 
-def build_dataset(cfg: ScenarioConfig, n: int, seed: int,
-                  scaler: FeatureScaler | None = None) -> list[Demonstration]:
+def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> list[Demonstration]:
     """Generate and label n episodes from the seeded stream."""
-    scaler = scaler or FeatureScaler.from_scenario(cfg)
     states = (state for _, state in episode_stream(cfg, seed, n))
-    return label_states(states, prices_from(cfg), scaler)
+    return label_states(states, prices_from(cfg), FeatureScaler.from_scenario(cfg))
 
 
 # ---------------------------------------------------------------------------

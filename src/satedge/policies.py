@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .caching import apply_caching_action, is_hit
 from .evaluator import (ActionMatrix, EpisodeState, PriceVector,
-                        feasible_actions, hit_flags, subtask_cost)
+                        feasible_actions, hit_flags, nearest_feasible, subtask_cost)
 
 OFFLOAD_KINDS = ("le", "to", "go")  # local execution, total offloading, greedy
 CACHE_KINDS = ("mrc", "mpc")  # most-recent-contents, most-popular-contents
@@ -52,8 +52,7 @@ def baseline_offload(kind: str, state: EpisodeState,
     return tuple(bits)
 
 
-def baseline_cache(kind: str, state: EpisodeState,
-                   a_of: tuple[int, ...]) -> tuple[int, ...]:
+def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
     """Caching bits from retention: keep what the eviction policy keeps.
 
     Every produced output is offered to the cache in chain order against
@@ -61,8 +60,6 @@ def baseline_cache(kind: str, state: EpisodeState,
     still resident afterwards. Sub-tasks whose feasible set forces caching
     (coverage expiry) get 1 regardless of retention.
     """
-    if len(a_of) != len(state.task):
-        raise ValueError("offload bit-vector length must match the task")
     cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
     return tuple(
         int(all(ch == 1 for _, ch in feasible_actions(st, state))
@@ -79,23 +76,14 @@ def project_feasible(pairs: tuple[tuple[int, int], ...],
     """
     if len(pairs) != len(state.task):
         raise ValueError("proposal length must match the task")
-    of_bits, ch_bits = [], []
-    for st, prop in zip(state.task, pairs):
-        feas = feasible_actions(st, state)
-        if prop in feas:
-            chosen = prop
-        else:
-            chosen = min(
-                feas,
-                key=lambda f: ((f[0] != prop[0]) + (f[1] != prop[1]), f))
-        of_bits.append(chosen[0])
-        ch_bits.append(chosen[1])
-    return ActionMatrix(offload=tuple(of_bits), cache=tuple(ch_bits))
+    chosen = [nearest_feasible(st, state, prop) for st, prop in zip(state.task, pairs)]
+    return ActionMatrix(offload=tuple(p[0] for p in chosen),
+                        cache=tuple(p[1] for p in chosen))
 
 
 def baseline_policy(offload_kind: str, cache_kind: str, state: EpisodeState,
                     prices: PriceVector) -> ActionMatrix:
     """Full baseline pipeline: propose, cache by retention, project."""
     a_of = baseline_offload(offload_kind, state, prices)
-    a_ch = baseline_cache(cache_kind, state, a_of)
+    a_ch = baseline_cache(cache_kind, state)
     return project_feasible(tuple(zip(a_of, a_ch)), state)

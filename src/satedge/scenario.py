@@ -102,8 +102,7 @@ def draw_link(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState:
 
 
 def draw_coverage(cfg: ScenarioConfig, rng: np.random.Generator) -> float:
-    if cfg.coverage_mode == "fixed":
-        return cfg.coverage_s
+    """Window of a pass that starts at a uniform offset (orbit coverage mode)."""
     params = orbit_params(cfg)
     theta_0 = earth_central_angle(params)
     theta_m = float(rng.uniform(0.0, theta_0))
@@ -115,17 +114,18 @@ def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
     """Regenerate episode `episode` of the stream keyed by `seed`."""
     task = generate_task(_task_seed(seed, episode), cfg, library)
     link = draw_link(cfg, _rng(seed, episode, _LINK))
-    t_c = draw_coverage(cfg, _rng(seed, episode, _ORBIT))
+    # fixed mode draws nothing, so it builds no orbit-stream generator
+    t_c = (cfg.coverage_s if cfg.coverage_mode == "fixed"
+           else draw_coverage(cfg, _rng(seed, episode, _ORBIT)))
     cache = random_placement(cfg, library, _rng(seed, episode, _PLACE))
     return EpisodeState(task=task, t_c=t_c, link=link,
                         cpu_rate=cfg.cpu_rate_hz, cache=cache)
 
 
 def episode_stream(cfg: ScenarioConfig, seed: int, n: int,
-                   library: tuple[float, ...] | None = None,
                    ) -> Iterator[tuple[int, EpisodeState]]:
     if n < 0:
         raise ValueError("episode count must be nonnegative")
-    lib = make_library(cfg, seed) if library is None else library
+    library = make_library(cfg, seed)
     for i in range(n):
-        yield i, episode_state(cfg, seed, i, lib)
+        yield i, episode_state(cfg, seed, i, library)

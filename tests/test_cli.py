@@ -6,10 +6,16 @@ file so the whole module stays fast.
 
 import csv
 import hashlib
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from satedge.cli import main
+from satedge import neural, oracle
+from satedge.cli import main, run_compare, run_eval, run_gen_dataset
+from satedge.config import default_config
+from satedge.neural import FeatureScaler, feature_dim, init_model, save_model
 
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
@@ -289,6 +295,57 @@ def test_train_and_compare_bytes_are_pinned(tmp_path, tiny_cfg):
     assert digests == PINNED_TRAIN_SHA256
 
 
+def _untrained_model(path, num_subtasks):
+    """A checkpoint shaped for num_subtasks under the default scenario."""
+    scen = replace(default_config().scenario, num_subtasks=num_subtasks)
+    model = init_model((feature_dim(num_subtasks), 8, 2 * num_subtasks), seed=3)
+    save_model(path, model, FeatureScaler.from_scenario(scen))
+    return path
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls of func through every satedge module name bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "satedge":
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--policy", "oracle"],
+    ["eval", "--policy", "oracle", "--cache-mode", "persistent"],
+    ["eval", "--policy", "docs"],
+    ["eval", "--policy", "docs", "--cache-mode", "persistent"],
+    ["compare"],
+])
+def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, argv):
+    model = _untrained_model(tmp_path / "model.txt", 6)
+    if "oracle" not in argv:
+        argv = argv + ["--model", str(model)]
+    solves = _count_calls(monkeypatch, oracle.solve_optimal)
+    encodes = _count_calls(monkeypatch, neural.encode_state)
+    assert main(argv + ["--episodes", "7", "--out", str(tmp_path / "o")]) == 0
+    assert (len(solves), len(encodes)) == (7, 7)
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--policy", "docs"],
+    ["compare"],
+])
+def test_model_for_other_chain_length_reports_model_error(tmp_path, capsys, command):
+    model = _untrained_model(tmp_path / "model.txt", 4)
+    _expect_error(capsys, command + ["--model", str(model), "--episodes", "5",
+                                     "--out", str(tmp_path / "o")], "model")
+
+
 def test_gen_dataset_accepts_long_chains(tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_text("num_subtasks = 12\n")
@@ -368,6 +425,20 @@ def test_episodes_below_one_report_invalid(tmp_path, capsys, command, episodes):
         argv += ["--model", str(tmp_path / "never-read.txt")]
     _expect_error(capsys, argv, "invalid")
     assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("stage", [
+    lambda cfg, out: run_gen_dataset(cfg, 1, 0, out),
+    lambda cfg, out: run_eval(cfg, 1, "to-mrc", None, 0, "fresh", out),
+    lambda cfg, out: run_eval(cfg, 1, "oracle", None, 0, "persistent", out),
+    lambda cfg, out: run_compare(cfg, 1, Path("never-read.txt"), 0, out),
+], ids=["gen-dataset", "eval-fresh", "eval-persistent", "compare"])
+def test_stage_functions_reject_zero_episodes(tmp_path, stage):
+    out = tmp_path / "o"
+    out.mkdir()
+    with pytest.raises(ValueError, match="episodes"):
+        stage(default_config(), out)
+    assert not any(out.iterdir())
 
 
 def test_episodes_default_comes_from_config(tmp_path):

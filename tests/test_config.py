@@ -2,7 +2,8 @@
 
 import pytest
 
-from satedge.config import ConfigError, default_config, load_config, validate_config
+from satedge.config import (ConfigError, default_config, dump_config, load_config,
+                            validate_config)
 
 
 @pytest.mark.parametrize("line", [
@@ -53,3 +54,17 @@ def test_adam_domain_edges_are_allowed(tmp_path):
     path.write_text("adam_beta1 = 0\nadam_beta2 = 0.0\nadam_eps = 1e-300\n")
     cfg = load_config(path)
     assert (cfg.train.adam_beta1, cfg.train.adam_beta2) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"coverage_mode": "orbit", "persistent_eviction": "mpc"},
+])
+def test_dumped_config_loads_back_equal(tmp_path, overrides):
+    cfg = default_config()
+    for key, value in overrides.items():
+        section = cfg.scenario if hasattr(cfg.scenario, key) else cfg.train
+        setattr(section, key, value)
+    path = tmp_path / "config_used.txt"
+    path.write_text(dump_config(cfg))
+    assert load_config(path) == cfg

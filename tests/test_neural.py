@@ -368,6 +368,23 @@ def test_decode_respects_coverage_forced_caching():
     assert (act.offload, act.cache) == ((0,), (1,))
 
 
+def test_decode_saturated_download_keeps_the_free_bit():
+    # (1.0, 0.9) thresholds to (1, 1); a download must not offload, and
+    # (0, 1) is one flip away while (0, 0) is two
+    state = make_state((download(),))
+    for probs in ([1.0, 0.9], [0.99, 0.9]):
+        act = decode_actions(np.array(probs), state)
+        assert (act.offload, act.cache) == ((0,), (1,))
+
+
+def test_decode_saturated_upload_keeps_the_free_bit():
+    # (0.0, 0.9) thresholds to (0, 1); an upload must offload
+    state = make_state((upload(),))
+    for probs in ([0.0, 0.9], [0.01, 0.9]):
+        act = decode_actions(np.array(probs), state)
+        assert (act.offload, act.cache) == ((1,), (1,))
+
+
 def test_decode_rejects_wrong_width():
     state = make_state((upload(), compute()))
     with pytest.raises(ValueError):

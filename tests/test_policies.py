@@ -74,13 +74,13 @@ def test_go_never_worse_per_subtask(prices):
 
 def test_cache_bits_zero_without_outputs(prices):
     state = make_state([upload(), upload()])
-    assert baseline_cache("mrc", state, (1, 1)) == (0, 0)
+    assert baseline_cache("mrc", state) == (0, 0)
 
 
 def test_forced_caching_pinned(prices):
     state = make_state([download(160e3)], t_c=0.5)  # return leg 0.83 > t_c
     for kind in ("mrc", "mpc"):
-        assert baseline_cache(kind, state, (0,)) == (1,)
+        assert baseline_cache(kind, state) == (1,)
 
 
 def test_mpc_retention_ignores_unpopular_outputs(prices):
@@ -89,7 +89,7 @@ def test_mpc_retention_ignores_unpopular_outputs(prices):
     cache = make_cache(placed=(1, 2), capacity=2.0, sizes=sizes)
     task = [download(d_out=1.0, rank=29), download(d_out=1.0, rank=30)]
     state = make_state(task, cache=cache)
-    assert baseline_cache("mpc", state, (0, 0)) == (0, 0)
+    assert baseline_cache("mpc", state) == (0, 0)
 
 
 def test_mrc_retention_keeps_recent_outputs(prices):
@@ -98,7 +98,7 @@ def test_mrc_retention_keeps_recent_outputs(prices):
     task = [download(d_out=1.0, rank=29), download(d_out=1.0, rank=30)]
     state = make_state(task, cache=cache)
     # both outputs stream through a two-slot cache; both fit at the end
-    assert baseline_cache("mrc", state, (0, 0)) == (1, 1)
+    assert baseline_cache("mrc", state) == (1, 1)
 
 
 def test_all_baselines_feasible_everywhere(prices):
