@@ -189,17 +189,12 @@ def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
         actions = _scheme_actions(policy, model, demos, states, prices)
     report = action_report(actions, demos, states, prices)
 
-    rows = [(policy, cache_mode, episodes) + tuple(report[k] for k in (
-        "exact_match", "per_bit_acc", "mean_reward", "mean_completion_time_s",
-        "reward_ratio_vs_opt"))]
-    _write_csv(out / "metrics.csv",
-               ("scheme", "cache_mode", "episodes", "exact_match", "per_bit_acc",
-                "mean_reward", "mean_completion_time_s", "reward_ratio_vs_opt"),
-               rows)
+    # metric columns follow action_report's key order
+    _write_csv(out / "metrics.csv", ("scheme", "cache_mode", "episodes") + tuple(report),
+               [(policy, cache_mode, episodes) + tuple(report.values())])
     print(f"wrote {out / 'metrics.csv'}")
-    for key in ("exact_match", "per_bit_acc", "mean_reward",
-                "mean_completion_time_s", "reward_ratio_vs_opt"):
-        print(f"{policy} {key}: {report[key]!r}")
+    for key, value in report.items():
+        print(f"{policy} {key}: {value!r}")
     return report
 
 
@@ -225,19 +220,12 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     docs = reports["docs"]
     rows = []
     for name, rep in reports.items():
-        if name in ("oracle", "docs"):
-            red_r = red_t = ""
-        else:
-            red_r = 100.0 * (rep["mean_reward"] - docs["mean_reward"]) / rep["mean_reward"]
-            red_t = 100.0 * (rep["mean_completion_time_s"] - docs["mean_completion_time_s"]) \
-                / rep["mean_completion_time_s"]
-        rows.append((name, rep["exact_match"], rep["per_bit_acc"], rep["mean_reward"],
-                     rep["mean_completion_time_s"], rep["reward_ratio_vs_opt"],
-                     red_r, red_t))
-    _write_csv(out / "comparison.csv",
-               ("scheme", "exact_match", "per_bit_acc", "mean_reward",
-                "mean_completion_time_s", "reward_ratio_vs_opt",
-                "docs_reward_reduction_pct", "docs_time_reduction_pct"), rows)
+        reduction = ("", "") if name in ("oracle", "docs") else tuple(
+            100.0 * (rep[k] - docs[k]) / rep[k]
+            for k in ("mean_reward", "mean_completion_time_s"))
+        rows.append((name,) + tuple(rep.values()) + reduction)
+    _write_csv(out / "comparison.csv", ("scheme",) + tuple(docs)
+               + ("docs_reward_reduction_pct", "docs_time_reduction_pct"), rows)
 
     print(f"wrote {out / 'comparison.csv'}")
     print(f"docs exact match: {docs['exact_match']:.4f}, "
@@ -253,6 +241,7 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
 
 HIDDEN_LAYER_GRID = (1, 2, 3, 4, 5)
 RAIN_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+_SWEEP_METRICS = ("exact_match", "per_bit_acc", "mean_reward", "reward_ratio_vs_opt")
 
 
 def _sweep_point(cfg: SimConfig, demos: list[Demonstration], seed: int,
@@ -278,24 +267,20 @@ def run_sweep(cfg: SimConfig, kind: str, seed: int, out: Path) -> Path:
         demos = build_dataset(cfg.scenario, cfg.train.sweep_episodes, seed)
         for k in HIDDEN_LAYER_GRID:
             rep = _sweep_point(cfg, demos, seed, k)
-            rows.append((k, rep["exact_match"], rep["per_bit_acc"],
-                         rep["mean_reward"], rep["reward_ratio_vs_opt"]))
+            rows.append((k,) + tuple(rep[m] for m in _SWEEP_METRICS))
             print(f"hidden_layers={k}: exact_match={rep['exact_match']:.4f}")
         path = out / "sweep_hidden_layers.csv"
-        _write_csv(path, ("hidden_layers", "exact_match", "per_bit_acc",
-                          "mean_reward", "reward_ratio_vs_opt"), rows)
+        _write_csv(path, ("hidden_layers",) + _SWEEP_METRICS, rows)
     elif kind == "rain":
         for lam in RAIN_GRID:
             scen = replace(cfg.scenario, rain_attenuation=lam)
             demos = build_dataset(scen, cfg.train.sweep_episodes, seed)
             rep = _sweep_point(cfg, demos, seed, cfg.train.hidden_layers,
                                scen_override=scen)
-            rows.append((lam, rep["exact_match"], rep["per_bit_acc"],
-                         rep["mean_reward"], rep["reward_ratio_vs_opt"]))
+            rows.append((lam,) + tuple(rep[m] for m in _SWEEP_METRICS))
             print(f"attenuation={lam}: exact_match={rep['exact_match']:.4f}")
         path = out / "sweep_rain.csv"
-        _write_csv(path, ("attenuation", "exact_match", "per_bit_acc",
-                          "mean_reward", "reward_ratio_vs_opt"), rows)
+        _write_csv(path, ("attenuation",) + _SWEEP_METRICS, rows)
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
     print(f"wrote {path}")
@@ -465,11 +450,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(e for e, _ in _ERROR_CATEGORIES) as exc:
-        for etype, category in _ERROR_CATEGORIES:
-            if isinstance(exc, etype):
-                print(f"error:{category}: {exc}", file=sys.stderr)
-                return 1
-        raise  # unreachable
+        category = next(c for etype, c in _ERROR_CATEGORIES if isinstance(exc, etype))
+        print(f"error:{category}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

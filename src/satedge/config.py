@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .channel import link_rate, snr_from_db
+
 
 class ConfigError(ValueError):
     """Bad config file or inconsistent config values."""
@@ -180,16 +182,26 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("rain_attenuation must be in (0, 1]")
     if s.coverage_mode not in ("fixed", "orbit"):
         raise ConfigError(f"coverage_mode must be fixed or orbit, got {s.coverage_mode!r}")
-    for name in ("cpu_rate_hz", "bandwidth_fh_hz", "bandwidth_bh_hz", "coverage_s"):
+    # every sub-task takes positive time, so price_cpl > 0 keeps every mean reward > 0
+    for name in ("cpu_rate_hz", "bandwidth_fh_hz", "bandwidth_bh_hz", "coverage_s",
+                 "price_cpl"):
         if getattr(s, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    for name in ("prop_vs_s", "prop_sg_s"):
+    for name in ("prop_vs_s", "prop_sg_s", "snr_jitter_db", "price_comp", "price_comm",
+                 "price_cache"):
         if getattr(s, name) < 0:
             raise ConfigError(f"{name} must be nonnegative")
-    if s.snr_jitter_db < 0:
-        raise ConfigError("snr_jitter_db must be nonnegative")
-    if min(s.price_comp, s.price_comm, s.price_cache, s.price_cpl) < 0:
-        raise ConfigError("prices must be nonnegative")
+    for key, bw_key in (("snr_fh_db", "bandwidth_fh_hz"), ("snr_bh_db", "bandwidth_bh_hz")):
+        lo_db, hi_db = getattr(s, key) - s.snr_jitter_db, getattr(s, key) + s.snr_jitter_db
+        bandwidth = getattr(s, bw_key)
+        try:  # draws span [lo_db, hi_db]; the feature scaler bounds rates at attenuation 1
+            ok = (math.isfinite(link_rate(1.0, bandwidth, snr_from_db(hi_db)))
+                  and link_rate(s.rain_attenuation, bandwidth, snr_from_db(lo_db)) > 0)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} ± snr_jitter_db spans {lo_db!r} to {hi_db!r} dB; "
+                              f"with {bw_key} rates must be finite, > 0 at rain_attenuation")
     if not 0 < t.train_frac < 1 or not 0 < t.val_frac < 1 or t.train_frac + t.val_frac >= 1:
         raise ConfigError("train_frac and val_frac must leave a nonempty test split")
     for name in ("dataset_episodes", "hidden_layers", "hidden_width", "batch_size",

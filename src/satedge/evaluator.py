@@ -7,6 +7,12 @@ per-category pipelines below; the reward is a cost (lower is better)
 that prices compute cycles, offloaded bytes, pinned cache bytes, and
 completion seconds.
 
+An EpisodeState derives hits, feasible (each sub-task's pairs, ascending)
+and seconds (each feasible pair's time) once, on first use, for the
+solver, baselines, decoding and scoring to read. They are cached
+properties, not fields, so ==, hash and replace ignore them; a replaced
+state (a persistent rollout's carried cache, say) derives its own.
+
 Modeling note: the satellite-to-vehicle return leg is charged at the
 fronthaul rate (symmetric fronthaul). Cache hits are judged against the
 episode's starting placement, and a hit consumes no compute or offload
@@ -16,6 +22,7 @@ budget: only its return legs and any re-pin charge count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .caching import CacheState, is_hit
 from .channel import LinkState, transmit_time
@@ -55,6 +62,10 @@ class ActionMatrix:
         return self.offload + self.cache
 
     @classmethod
+    def from_pairs(cls, pairs: list[tuple[int, int]]) -> "ActionMatrix":
+        return cls(offload=tuple(p[0] for p in pairs), cache=tuple(p[1] for p in pairs))
+
+    @classmethod
     def from_bits(cls, bits: tuple[int, ...]) -> "ActionMatrix":
         if len(bits) % 2:
             raise ValueError("bit count must be even")
@@ -69,6 +80,25 @@ class EpisodeState:
     link: LinkState
     cpu_rate: float  # edge server, cycles/s
     cache: CacheState
+
+    @cached_property
+    def hits(self) -> tuple[bool, ...]:
+        """Per-sub-task cache hits against the episode's starting placement."""
+        return tuple(st.out_rank > 0 and is_hit(self.cache, st.out_rank)
+                     for st in self.task)
+
+    @cached_property
+    def feasible(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each sub-task's feasible (offload, cache) pairs, ascending."""
+        return tuple(feasible_actions(st, self) for st in self.task)
+
+    @cached_property
+    def seconds(self) -> tuple[tuple[float, ...], ...]:
+        """subtask_time of each feasible pair, aligned with feasible."""
+        # the cache bit never changes a pair's time, so time each offload bit once
+        both = [(subtask_time(st, 0, hit, self), subtask_time(st, 1, hit, self))
+                for st, hit in zip(self.task, self.hits)]
+        return tuple(tuple(t[of] for of, _ in feas) for t, feas in zip(both, self.feasible))
 
 
 def return_leg(st: SubTask, state: EpisodeState) -> float:
@@ -92,19 +122,12 @@ def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int],
     return PAIRS if within else ((0, 1), (1, 1))
 
 
-def nearest_feasible(st: SubTask, state: EpisodeState,
+def nearest_feasible(feas: tuple[tuple[int, int], ...],
                      pair: tuple[int, int]) -> tuple[int, int]:
-    """The feasible pair nearest to pair by Hamming distance; ties go to the smaller."""
-    feas = feasible_actions(st, state)
+    """The pair in feas nearest to pair by Hamming distance; ties go to the smaller."""
     if pair in feas:
         return pair
     return min(feas, key=lambda f: ((f[0] != pair[0]) + (f[1] != pair[1]), f))
-
-
-def hit_flags(state: EpisodeState) -> tuple[bool, ...]:
-    """Per-sub-task cache hits against the episode's starting placement."""
-    return tuple(
-        st.out_rank > 0 and is_hit(state.cache, st.out_rank) for st in state.task)
 
 
 def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> float:
@@ -130,10 +153,9 @@ def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> floa
     return ingest + work + back
 
 
-def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, state: EpisodeState,
+def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
                  prices: PriceVector) -> float:
-    """This sub-task's contribution to the episode reward."""
-    t = subtask_time(st, a_of, hit, state)
+    """This sub-task's contribution to the episode reward, given its time t."""
     live = 0.0 if hit else 1.0  # a hit consumes no compute or offload budget
     return (prices.comp * (1 - a_of) * st.zeta * live
             + prices.comm * a_of * st.d_in * live
@@ -141,39 +163,44 @@ def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, state: EpisodeSta
             + prices.cpl * t)
 
 
-def validate_action(state: EpisodeState, action: ActionMatrix) -> None:
-    """Raise InfeasibleActionError unless every pair sits in its feasible set."""
+def cost_rows(state: EpisodeState, prices: PriceVector) -> list[list[float]]:
+    """Each sub-task's cost of every feasible pair, aligned with state.feasible."""
+    return [[subtask_cost(st, of, ch, hit, t, prices) for (of, ch), t in zip(feas, secs)]
+            for st, feas, secs, hit in zip(state.task, state.feasible, state.seconds,
+                                           state.hits)]
+
+
+def validate_action(state: EpisodeState, action: ActionMatrix) -> tuple[int, ...]:
+    """Each pair's index in its feasible set; InfeasibleActionError if one is absent."""
     if len(action.offload) != len(state.task):
         raise InfeasibleActionError(
             f"action covers {len(action.offload)} sub-tasks, task has {len(state.task)}")
-    for v, st in enumerate(state.task):
+    picks = []
+    for v, (st, feas) in enumerate(zip(state.task, state.feasible)):
         pair = action.pair(v)
-        feas = feasible_actions(st, state)
         if pair not in feas:
             raise InfeasibleActionError(
                 f"sub-task {v} ({st.category.value}): pair {pair} not in {feas}")
-
-
-def completion_time(state: EpisodeState, action: ActionMatrix) -> float:
-    """Total seconds across the chain, hits judged on the starting placement."""
-    validate_action(state, action)
-    hits = hit_flags(state)
-    total = 0.0
-    for v, st in enumerate(state.task):
-        total += subtask_time(st, action.offload[v], hits[v], state)
-    return total
+        picks.append(feas.index(pair))
+    return tuple(picks)
 
 
 def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
     """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds.
 
-    With prices (0, 0, 0, 1) this equals completion_time bit-for-bit,
-    since both accumulate the same per-sub-task terms in chain order.
+    The picked costs fold left in chain order, as the solver's value does.
     """
-    validate_action(state, action)
-    hits = hit_flags(state)
+    picks = validate_action(state, action)
     total = 0.0
-    for v, st in enumerate(state.task):
-        total += subtask_cost(st, action.offload[v], action.cache[v], hits[v],
-                              state, prices)
+    for st, feas, secs, hit, i in zip(state.task, state.feasible, state.seconds,
+                                      state.hits, picks):
+        total += subtask_cost(st, *feas[i], hit, secs[i], prices)
     return total
+
+
+_TIME_ONLY = PriceVector(0.0, 0.0, 0.0, 1.0)  # every other term is an exact 0.0
+
+
+def completion_time(state: EpisodeState, action: ActionMatrix) -> float:
+    """Total seconds across the chain: reward at prices (0, 0, 0, 1), bit for bit."""
+    return reward(state, action, _TIME_ONLY)

@@ -23,7 +23,7 @@ import numpy as np
 from .caching import request_probability
 from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig, TrainConfig
-from .evaluator import ActionMatrix, EpisodeState, hit_flags, nearest_feasible
+from .evaluator import ActionMatrix, EpisodeState, nearest_feasible
 from .geometry import earth_central_angle, relative_angular_velocity
 from .workload import Category
 
@@ -117,7 +117,7 @@ def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
     raw = [state.t_c, link.rate_fh, link.rate_bh, link.prop_vs, link.prop_sg,
            state.cpu_rate]
     delta, num_ranks = state.cache.delta, state.cache.num_ranks
-    for st, hit in zip(state.task, hit_flags(state)):
+    for st, hit in zip(state.task, state.hits):
         cat = st.category
         pop = request_probability(st.out_rank, delta, num_ranks) if st.out_rank else 0.0
         raw += [st.zeta, st.d_in, st.d_out, st.rho,
@@ -260,10 +260,8 @@ def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
     if probs.shape != (2 * n,):
         raise ValueError(f"expected {2 * n} probabilities, got {probs.shape}")
     bits = [1 if p > 0.5 else 0 for p in probs.tolist()]
-    pairs = [nearest_feasible(st, state, (bits[v], bits[n + v]))
-             for v, st in enumerate(state.task)]
-    return ActionMatrix(offload=tuple(p[0] for p in pairs),
-                        cache=tuple(p[1] for p in pairs))
+    return ActionMatrix.from_pairs([nearest_feasible(feas, (bits[v], bits[n + v]))
+                                    for v, feas in enumerate(state.feasible)])
 
 
 # ---------------------------------------------------------------------------

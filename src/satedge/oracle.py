@@ -21,8 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
-from .evaluator import (ActionMatrix, EpisodeState, PriceVector,
-                        feasible_actions, hit_flags, subtask_cost)
+from .evaluator import ActionMatrix, EpisodeState, PriceVector, cost_rows
 from .neural import LAYOUT_VERSION, FeatureScaler, encode_state, feature_dim
 from .scenario import episode_stream, prices_from
 
@@ -74,15 +73,8 @@ def lexicographic_argmin(tables: Sequence[Sequence[float]],
 
 def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatrix, float]:
     """Minimum-reward action over the pre-classified joint action space."""
-    feas = [feasible_actions(st, state) for st in state.task]
-    hits = hit_flags(state)
-    tables = [[subtask_cost(st, of, ch, hit, state, prices) for of, ch in f]
-              for st, f, hit in zip(state.task, feas, hits)]
-    picks, value = lexicographic_argmin(tables)
-    pairs = [f[i] for f, i in zip(feas, picks)]
-    action = ActionMatrix(offload=tuple(p[0] for p in pairs),
-                          cache=tuple(p[1] for p in pairs))
-    return action, value
+    picks, value = lexicographic_argmin(cost_rows(state, prices))
+    return ActionMatrix.from_pairs([f[i] for f, i in zip(state.feasible, picks)]), value
 
 
 def label_states(states: Iterable[EpisodeState], prices: PriceVector,

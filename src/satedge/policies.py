@@ -11,14 +11,11 @@ survives, except where coverage expiry forces the bit to 1.
 from __future__ import annotations
 
 from .caching import apply_caching_action, is_hit
-from .evaluator import (ActionMatrix, EpisodeState, PriceVector,
-                        feasible_actions, hit_flags, nearest_feasible, subtask_cost)
+from .evaluator import (ActionMatrix, EpisodeState, PriceVector, cost_rows,
+                        nearest_feasible)
 
-OFFLOAD_KINDS = ("le", "to", "go")  # local execution, total offloading, greedy
-CACHE_KINDS = ("mrc", "mpc")  # most-recent-contents, most-popular-contents
-
-# comparison order used by reports
-BASELINE_PAIRS = (
+# le / to / go: local, total offloading, greedy; mrc / mpc: most recent / popular
+BASELINE_PAIRS = (  # in report order
     ("to", "mrc"), ("le", "mrc"), ("to", "mpc"),
     ("le", "mpc"), ("go", "mrc"), ("go", "mpc"),
 )
@@ -38,18 +35,10 @@ def baseline_offload(kind: str, state: EpisodeState,
         return (1,) * n
     if kind != "go":
         raise ValueError(f"unknown offload baseline {kind!r}")
-    # greedy: per sub-task, in chain order, the feasible pair with the
-    # smallest immediate cost contribution; ties prefer the smaller pair
-    hits = hit_flags(state)
-    bits = []
-    for st, hit in zip(state.task, hits):
-        best_pair, best_cost = None, None
-        for pair in feasible_actions(st, state):
-            cost = subtask_cost(st, pair[0], pair[1], hit, state, prices)
-            if best_cost is None or cost < best_cost:
-                best_pair, best_cost = pair, cost
-        bits.append(best_pair[0])
-    return tuple(bits)
+    # greedy: per sub-task, the feasible pair with the smallest immediate
+    # cost contribution; ties prefer the smaller pair (the first argmin)
+    return tuple(feas[row.index(min(row))][0]
+                 for feas, row in zip(state.feasible, cost_rows(state, prices)))
 
 
 def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
@@ -62,9 +51,9 @@ def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
     """
     cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
     return tuple(
-        int(all(ch == 1 for _, ch in feasible_actions(st, state))
+        int(all(ch == 1 for _, ch in feas)
             or (st.d_out > 0.0 and is_hit(cache, st.out_rank)))
-        for st in state.task)
+        for st, feas in zip(state.task, state.feasible))
 
 
 def project_feasible(pairs: tuple[tuple[int, int], ...],
@@ -76,9 +65,8 @@ def project_feasible(pairs: tuple[tuple[int, int], ...],
     """
     if len(pairs) != len(state.task):
         raise ValueError("proposal length must match the task")
-    chosen = [nearest_feasible(st, state, prop) for st, prop in zip(state.task, pairs)]
-    return ActionMatrix(offload=tuple(p[0] for p in chosen),
-                        cache=tuple(p[1] for p in chosen))
+    return ActionMatrix.from_pairs(
+        [nearest_feasible(feas, prop) for feas, prop in zip(state.feasible, pairs)])
 
 
 def baseline_policy(offload_kind: str, cache_kind: str, state: EpisodeState,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from satedge.caching import CacheState
+from satedge.caching import CacheState, is_hit
 from satedge.channel import LinkState
 from satedge.config import default_config
 from satedge.evaluator import (PAIRS, ActionMatrix, EpisodeState, PriceVector,
@@ -61,6 +61,12 @@ def compute(d_in=100e3, d_out=100e3, rho=1e4, rank=2):
 
 # ---------------------------------------------------------------------------
 # deliberately naive references that library code is checked against
+
+
+def reference_hits(state: EpisodeState) -> tuple[bool, ...]:
+    """The hit rule on the starting placement, without EpisodeState.hits."""
+    return tuple(st.out_rank > 0 and is_hit(state.cache, st.out_rank)
+                 for st in state.task)
 
 
 def solve_full_grid(state: EpisodeState, prices: PriceVector,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from satedge import neural, oracle
+from satedge import evaluator, neural, oracle
 from satedge.cli import main, run_compare, run_eval, run_gen_dataset
 from satedge.config import default_config
 from satedge.neural import FeatureScaler, feature_dim, init_model, save_model
@@ -334,6 +334,26 @@ def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, arg
     encodes = _count_calls(monkeypatch, neural.encode_state)
     assert main(argv + ["--episodes", "7", "--out", str(tmp_path / "o")]) == 0
     assert (len(solves), len(encodes)) == (7, 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--policy", "oracle"],
+    ["eval", "--policy", "docs", "--cache-mode", "persistent"],
+    ["eval", "--policy", "go-mpc"],
+    ["eval", "--policy", "go-mrc", "--cache-mode", "persistent"],
+    ["eval", "--policy", "le-mpc", "--cache-mode", "persistent"],
+    ["compare"],
+])
+def test_scoring_derives_each_state_view_once(tmp_path, monkeypatch, argv):
+    # V = 6 sub-tasks, N = 7 episodes: one feasible set per sub-task per
+    # state, and at most one time per feasible pair (four pairs at most)
+    model = _untrained_model(tmp_path / "model.txt", 6)
+    feasible = _count_calls(monkeypatch, evaluator.feasible_actions)
+    times = _count_calls(monkeypatch, evaluator.subtask_time)
+    assert main(argv + ["--model", str(model), "--episodes", "7",
+                        "--out", str(tmp_path / "o")]) == 0
+    assert len(feasible) == 6 * 7
+    assert 0 < len(times) <= 4 * 6 * 7
 
 
 @pytest.mark.parametrize("command", [

@@ -4,6 +4,7 @@ import pytest
 
 from satedge.config import (ConfigError, default_config, dump_config, load_config,
                             validate_config)
+from satedge.scenario import episode_stream
 
 
 @pytest.mark.parametrize("line", [
@@ -26,6 +27,12 @@ from satedge.config import (ConfigError, default_config, dump_config, load_confi
     "adam_beta2 = -0.5",
     "adam_eps = -1",
     "adam_eps = 0",
+    "price_cpl = 0",
+    "snr_fh_db = 4000",
+    "snr_jitter_db = 1e308",
+    "snr_fh_db = -157",
+    "snr_bh_db = -400",
+    "bandwidth_fh_hz = 1e308",
 ])
 def test_out_of_domain_value_is_a_config_error(tmp_path, line):
     path = tmp_path / "bad.txt"
@@ -47,6 +54,20 @@ def test_zero_propagation_delay_is_allowed(tmp_path):
     path.write_text("prop_vs_s = 0\nprop_sg_s = 0.0\n")
     cfg = load_config(path)
     assert cfg.scenario.prop_vs_s == cfg.scenario.prop_sg_s == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    "snr_fh_db = -150\n",  # lowest draw -153 dB still has a rate above 0
+    "snr_bh_db = 3079\n",  # highest draw 3082 dB is still a finite SNR and rate
+    "bandwidth_bh_hz = 1e300\n",
+    "price_cpl = 1e-300\nprice_comp = 0\nprice_comm = 0\nprice_cache = 0\n",
+])
+def test_link_budget_and_price_edges_are_allowed(tmp_path, text):
+    path = tmp_path / "ok.txt"
+    path.write_text(text)
+    cfg = load_config(path)
+    for _, state in episode_stream(cfg.scenario, 5, 20):
+        assert state.link.rate_fh > 0 and state.link.rate_bh > 0
 
 
 def test_adam_domain_edges_are_allowed(tmp_path):

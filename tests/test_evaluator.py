@@ -1,14 +1,17 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector,
-                               completion_time, feasible_actions, hit_flags,
-                               reward, subtask_time, validate_action)
+                               completion_time, cost_rows, feasible_actions,
+                               reward, subtask_cost, subtask_time, validate_action)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import compute, download, make_cache, make_state, upload
+from conftest import (compute, download, make_cache, make_state, reference_hits,
+                      upload)
 
 # Worked by hand from the per-category pipelines at 1.6 / 2.4 Mb/s,
 # d_vs = 0.03 s, d_sg = 0.27 s:
@@ -80,7 +83,62 @@ def test_coverage_expiry_forces_caching():
 def test_hit_flags_use_starting_placement():
     cache = make_cache(placed=(4,))
     state = make_state([download(rank=4), download(rank=5)], cache=cache)
-    assert hit_flags(state) == (True, False)
+    assert state.hits == (True, False)
+
+
+@pytest.mark.parametrize("coverage_mode", ["fixed", "orbit"])
+def test_derived_fields_match_the_rules(coverage_mode):
+    cfg = default_config()
+    cfg.scenario.coverage_mode = coverage_mode
+    prices = prices_from(cfg.scenario)
+    for _, state in episode_stream(cfg.scenario, 7, 60):
+        feas = tuple(feasible_actions(sub, state) for sub in state.task)
+        hits = reference_hits(state)
+        secs = tuple(tuple(subtask_time(sub, of, hit, state) for of, _ in f)
+                     for sub, f, hit in zip(state.task, feas, hits))
+        assert (state.feasible, state.hits, state.seconds) == (feas, hits, secs)
+        assert cost_rows(state, prices) == [
+            [subtask_cost(sub, of, ch, hit, t, prices) for (of, ch), t in zip(f, ts)]
+            for sub, f, ts, hit in zip(state.task, feas, secs, hits)]
+
+
+def test_derived_fields_are_not_dataclass_fields():
+    state = make_state([download(rank=4), compute(rank=5)],
+                       cache=make_cache(placed=(4,)))
+    twin = make_state(state.task, cache=state.cache)
+    assert state.feasible and state.seconds and state.hits  # derive on one side only
+    assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
+    with pytest.raises(FrozenInstanceError):
+        state.hits = (False, False)
+
+
+def test_replaced_cache_rederives_hits_and_times():
+    st_ = download(160e3, rank=4)
+    state = make_state([st_], cache=make_cache(placed=(4,)))
+    assert state.hits == (True,)
+    hit_seconds = state.seconds
+    carried = replace(state, cache=make_cache(placed=(5,)))
+    assert carried.hits == (False,)
+    assert carried.seconds == ((subtask_time(st_, 0, False, state),) * 2,)
+    assert carried.seconds[0][0] > hit_seconds[0][0]
+    assert state.hits == (True,) and state.seconds == hit_seconds
+
+
+def test_validate_action_returns_feasible_indices():
+    state = make_state([upload(), download(), compute()])
+    action = ActionMatrix(offload=(1, 0, 1), cache=(1, 0, 0))
+    assert validate_action(state, action) == (1, 0, 2)
+
+
+def test_completion_time_is_the_chain_fold_of_subtask_times():
+    cfg = default_config()
+    prices = prices_from(cfg.scenario)
+    for _, state in episode_stream(cfg.scenario, 98, 40):
+        action, _ = solve_optimal(state, prices)
+        total = 0.0
+        for v, (sub, hit) in enumerate(zip(state.task, reference_hits(state))):
+            total += subtask_time(sub, action.offload[v], hit, state)
+        assert completion_time(state, action) == total
 
 
 def test_completion_time_sums_in_chain_order():

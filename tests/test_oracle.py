@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, PriceVector, feasible_actions,
-                               hit_flags, reward, subtask_cost, validate_action)
+from satedge.evaluator import (ActionMatrix, PriceVector, feasible_actions, reward,
+                               subtask_cost, subtask_time, validate_action)
 from satedge.oracle import (build_dataset, lexicographic_argmin, read_dataset,
                             solve_optimal, write_dataset)
 from satedge.policies import BASELINE_PAIRS, baseline_policy
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import compute, make_state, solve_full_grid, upload
+from conftest import compute, make_state, reference_hits, solve_full_grid, upload
 
 
 def outer_argmin(tables):
@@ -28,10 +28,14 @@ def outer_argmin(tables):
 
 
 def solve_by_enumeration(state, prices):
-    """Reference for solve_optimal: enumerate the pre-classified joint space."""
+    """Reference for solve_optimal: enumerate the pre-classified joint space.
+
+    Builds its own tables, independent of the state's derived fields.
+    """
     feas = [feasible_actions(sub, state) for sub in state.task]
-    tables = [[subtask_cost(sub, of, ch, hit, state, prices) for of, ch in f]
-              for sub, f, hit in zip(state.task, feas, hit_flags(state))]
+    tables = [[subtask_cost(sub, of, ch, hit, subtask_time(sub, of, hit, state), prices)
+               for of, ch in f]
+              for sub, f, hit in zip(state.task, feas, reference_hits(state))]
     picks, value = outer_argmin(tables)
     pairs = [f[i] for f, i in zip(feas, picks)]
     return ActionMatrix(offload=tuple(p[0] for p in pairs),

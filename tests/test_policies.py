@@ -1,13 +1,14 @@
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, feasible_actions, hit_flags,
-                               subtask_cost, validate_action)
+from satedge.evaluator import (ActionMatrix, feasible_actions, subtask_cost,
+                               subtask_time, validate_action)
 from satedge.oracle import solve_optimal
 from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
                               baseline_offload, baseline_policy,
                               project_feasible)
 from satedge.scenario import episode_stream
 
-from conftest import compute, download, make_cache, make_state, upload
+from conftest import (compute, download, make_cache, make_state, reference_hits,
+                      upload)
 
 
 def test_baseline_names():
@@ -58,18 +59,20 @@ def test_go_never_worse_per_subtask(prices):
     # never exceed what the projected LE or TO proposal pays there
     cfg = default_config()
     for _, state in episode_stream(cfg.scenario, 13, 40):
-        hits = hit_flags(state)
+        hits = reference_hits(state)
         go_bits = baseline_offload("go", state, prices)
         for v, sub in enumerate(state.task):
             feas = feasible_actions(sub, state)
-            go_cost = min(
-                subtask_cost(sub, of, ch, hits[v], state, prices)
-                for of, ch in feas if of == go_bits[v])
+
+            def cost(of, ch):
+                t = subtask_time(sub, of, hits[v], state)
+                return subtask_cost(sub, of, ch, hits[v], t, prices)
+
+            go_cost = min(cost(of, ch) for of, ch in feas if of == go_bits[v])
             for proposal in ((0, 0), (1, 1)):  # LE-ish and TO-ish pairs
                 rival = min(feas, key=lambda f: (
                     (f[0] != proposal[0]) + (f[1] != proposal[1]), f))
-                rival_cost = subtask_cost(sub, *rival, hits[v], state, prices)
-                assert go_cost <= rival_cost + 1e-12
+                assert go_cost <= cost(*rival) + 1e-12
 
 
 def test_cache_bits_zero_without_outputs(prices):

@@ -1,0 +1,59 @@
+"""The benchmark's tracer still finds, wraps and restores every name it traces.
+
+perfbench/tracing.py rebinds library functions by name, so deleting or
+renaming one would break only `perfbench/run.py --trace 1`. A small
+traced compare run here makes such a break fail the test suite instead.
+"""
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from satedge import neural
+from satedge.cli import run_compare, run_gen_dataset, run_train
+from satedge.config import default_config
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def _bindings():
+    """Every satedge module global and FeatureScaler attribute, by identity."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "satedge":
+            found.update({(name, attr): value for attr, value in vars(mod).items()})
+    found.update({("FeatureScaler", attr): value
+                  for attr, value in vars(neural.FeatureScaler).items()})
+    return found
+
+
+def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
+    cfg = default_config()
+    cfg = replace(cfg, train=replace(cfg.train, max_epochs=2))
+    dataset = run_gen_dataset(cfg, 42, 60, tmp_path)
+    model = run_train(cfg, 42, dataset, tmp_path)
+    before = _bindings()
+    tracer = _load_tracer()
+    try:
+        tracer.install()
+        wrapped = {key for key, value in _bindings().items() if value is not before[key]}
+        run_compare(cfg, 2042, model, 10, tmp_path)
+        metrics = tracer.layer_metrics(10)
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert [key for key in before if after[key] is not before[key]] == []
+    assert ("satedge.evaluator", "feasible_actions") in wrapped
+    assert ("FeatureScaler", "transform") in wrapped
+    assert metrics["scenario.episode_state.n"] == 10
+    assert metrics["oracle.solve_optimal.n"] == 10
+    # each state derives its feasible sets once, whatever number of schemes reads them
+    assert metrics["evaluator.feasible_actions.calls_per_ep"] == cfg.scenario.num_subtasks
