@@ -1,16 +1,18 @@
 """On-board content cache: Zipf request popularity and two eviction policies.
 
 The cache indexes items by popularity rank (1 = most requested). State is
-immutable; every operation returns a fresh CacheState, which keeps episode
-evaluation pure and makes property testing painless. The two policies
-share one insert-then-evict loop and differ only in the victim's key.
+immutable: an offer edits plain lists and returns one new CacheState. The
+two policies share that loop and differ only in the victim's key. Each
+pass re-sums the held sizes in rank order, as cached_bytes does: a running
+total drifts, because float subtraction does not undo addition.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .workload import TaskGraph
@@ -32,11 +34,14 @@ class CacheState:
         return len(self.sizes)
 
     def __post_init__(self):
+        # runs once per accepted offer, so it stays O(1) and never scans sizes
         n = len(self.sizes)
         if len(self.placement) != n or len(self.recency) != n:
             raise ValueError("placement and recency must match sizes in length")
-        if self.capacity_bytes < 0:
-            raise ValueError("capacity must be nonnegative")
+        if not 0.0 <= self.capacity_bytes < math.inf:
+            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity_bytes}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
 
 def empty_cache(sizes: tuple[float, ...], capacity_bytes: float, delta: float) -> CacheState:
@@ -75,40 +80,32 @@ def cached_bytes(cache: CacheState) -> float:
     return sum(s for s, p in zip(cache.sizes, cache.placement) if p)
 
 
-def _inserted(cache: CacheState, rank: int, nbytes: float) -> CacheState:
-    sizes = list(cache.sizes)
-    placement = list(cache.placement)
-    recency = list(cache.recency)
-    sizes[rank - 1] = float(nbytes)
-    placement[rank - 1] = 1
-    recency[rank - 1] = cache.clock
-    return replace(cache, sizes=tuple(sizes), placement=tuple(placement),
-                   recency=tuple(recency), clock=cache.clock + 1)
-
-
 def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
-                     key: Callable[[CacheState, int], object]) -> CacheState:
-    """Insert rank, then drop the cached rank with the smallest key until it fits.
+                     key: Callable[[list[int], int], object]) -> CacheState:
+    """Insert rank, then drop the held rank r of least key(recency, r) until it fits.
 
     Anything larger than the whole cache is rejected outright and the
     state comes back unchanged (non-fatal).
     """
     if not 1 <= rank <= cache.num_ranks:
         raise ValueError(f"rank {rank} outside [1, {cache.num_ranks}]")
-    if nbytes < 0:
+    if not nbytes >= 0:  # also rejects NaN
         raise ValueError(f"item size must be nonnegative, got {nbytes}")
     if nbytes > cache.capacity_bytes:
         log.debug("rejecting rank %d: %s bytes exceeds capacity %s",
                   rank, nbytes, cache.capacity_bytes)
         return cache
-    cache = _inserted(cache, rank, nbytes)
-    while cached_bytes(cache) > cache.capacity_bytes:
-        victim = min(
-            (r for r in range(1, cache.num_ranks + 1) if cache.placement[r - 1]),
-            key=partial(key, cache))
-        cache = replace(cache, placement=(
-            cache.placement[:victim - 1] + (0,) + cache.placement[victim:]))
-    return cache
+    sizes, placement, recency = list(cache.sizes), list(cache.placement), list(cache.recency)
+    sizes[rank - 1] = float(nbytes)
+    placement[rank - 1] = 1
+    recency[rank - 1] = cache.clock
+    while sum(s for s, p in zip(sizes, placement) if p) > cache.capacity_bytes:
+        victim = min((r for r in range(1, len(sizes) + 1) if placement[r - 1]),
+                     key=lambda r: key(recency, r))
+        placement[victim - 1] = 0
+    return CacheState(sizes=tuple(sizes), placement=tuple(placement),
+                      capacity_bytes=cache.capacity_bytes, delta=cache.delta,
+                      recency=tuple(recency), clock=cache.clock + 1)
 
 
 def evict_mrc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
@@ -118,7 +115,7 @@ def evict_mrc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
     incoming item carries the freshest stamp, so it only leaves when it
     cannot fit at all, and then it is rejected unchanged.
     """
-    return _insert_evicting(cache, rank, nbytes, lambda c, r: c.recency[r - 1])
+    return _insert_evicting(cache, rank, nbytes, lambda recency, r: recency[r - 1])
 
 
 def evict_mpc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
@@ -129,8 +126,8 @@ def evict_mpc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
     so an unpopular incoming item can be the first thing dropped.
     Oversized items are rejected unchanged, as in evict_mrc.
     """
-    return _insert_evicting(cache, rank, nbytes, lambda c, r: (
-        _zipf_pmf(c.delta, c.num_ranks)[r - 1], -r))
+    pmf = _zipf_pmf(cache.delta, cache.num_ranks)
+    return _insert_evicting(cache, rank, nbytes, lambda recency, r: (pmf[r - 1], -r))
 
 
 def apply_caching_action(cache: CacheState, task: TaskGraph, a_ch: tuple[int, ...],

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .evaluator import (ActionMatrix, EpisodeState, PriceVector, completion_time,
-                        reward)
+from .evaluator import ActionMatrix, EpisodeState, PriceVector, reward_and_time
 from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_actions,
                      forward, gradients, init_model)
 from .oracle import Demonstration
@@ -141,8 +140,9 @@ def action_report(actions: list[ActionMatrix], demos: list[Demonstration],
         exact += int(bits == demo.labels)
         bit_ok += sum(a == b for a, b in zip(bits, demo.labels))
         bit_total += len(bits)
-        sum_reward += reward(state, act, prices)
-        sum_time += completion_time(state, act)
+        cost, seconds = reward_and_time(state, act, prices)
+        sum_reward += cost
+        sum_time += seconds
         sum_opt += demo.opt_reward
     n = len(actions)
     return {

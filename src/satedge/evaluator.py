@@ -185,17 +185,21 @@ def validate_action(state: EpisodeState, action: ActionMatrix) -> tuple[int, ...
     return tuple(picks)
 
 
-def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
-    """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds.
-
-    The picked costs fold left in chain order, as the solver's value does.
-    """
+def reward_and_time(state: EpisodeState, action: ActionMatrix,
+                    prices: PriceVector) -> tuple[float, float]:
+    """(reward, completion_time), each a left fold in chain order like the solver's value."""
     picks = validate_action(state, action)
-    total = 0.0
+    cost = seconds = 0.0
     for st, feas, secs, hit, i in zip(state.task, state.feasible, state.seconds,
                                       state.hits, picks):
-        total += subtask_cost(st, *feas[i], hit, secs[i], prices)
-    return total
+        cost += subtask_cost(st, *feas[i], hit, secs[i], prices)
+        seconds += secs[i]
+    return cost, seconds
+
+
+def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
+    """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds."""
+    return reward_and_time(state, action, prices)[0]
 
 
 _TIME_ONLY = PriceVector(0.0, 0.0, 0.0, 1.0)  # every other term is an exact 0.0

@@ -5,7 +5,7 @@ proposals may be infeasible (total offloading proposes uploading a
 Download, say); project_feasible snaps every pair to the nearest
 feasible one by Hamming distance. Caching bits come from replaying the
 episode's outputs through an eviction policy and keeping whatever
-survives, except where coverage expiry forces the bit to 1.
+survives; projection alone sets the bits that coverage expiry forces.
 """
 
 from __future__ import annotations
@@ -46,14 +46,11 @@ def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
 
     Every produced output is offered to the cache in chain order against
     the episode's starting placement; a_ch[v] = 1 iff sub-task v's rank is
-    still resident afterwards. Sub-tasks whose feasible set forces caching
-    (coverage expiry) get 1 regardless of retention.
+    still resident afterwards. Coverage is not consulted: project_feasible
+    pins the bit of a sub-task whose result must be cached.
     """
     cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
-    return tuple(
-        int(all(ch == 1 for _, ch in feas)
-            or (st.d_out > 0.0 and is_hit(cache, st.out_rank)))
-        for st, feas in zip(state.task, state.feasible))
+    return tuple(int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
 
 
 def project_feasible(pairs: tuple[tuple[int, int], ...],

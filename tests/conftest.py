@@ -1,9 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from satedge.caching import CacheState, is_hit
+from satedge.caching import CacheState, cached_bytes, is_hit, request_probability
 from satedge.channel import LinkState
 from satedge.config import default_config
 from satedge.evaluator import (PAIRS, ActionMatrix, EpisodeState, PriceVector,
@@ -67,6 +68,35 @@ def reference_hits(state: EpisodeState) -> tuple[bool, ...]:
     """The hit rule on the starting placement, without EpisodeState.hits."""
     return tuple(st.out_rank > 0 and is_hit(state.cache, st.out_rank)
                  for st in state.task)
+
+
+def reference_evict(cache: CacheState, rank: int, nbytes: float,
+                    policy: str) -> CacheState:
+    """One evict_mrc or evict_mpc offer, rebuilding the state at every step.
+
+    Inserts through dataclasses.replace, then re-sums cached_bytes and
+    rebuilds the placement tuple once per eviction, so it shares no list
+    handling with the library's loop.
+    """
+    if nbytes > cache.capacity_bytes:
+        return cache
+
+    def put(values: tuple, value) -> tuple:
+        return values[:rank - 1] + (value,) + values[rank:]
+
+    cache = replace(cache, sizes=put(cache.sizes, float(nbytes)),
+                    placement=put(cache.placement, 1),
+                    recency=put(cache.recency, cache.clock), clock=cache.clock + 1)
+    while cached_bytes(cache) > cache.capacity_bytes:
+        held = [r for r in range(1, cache.num_ranks + 1) if cache.placement[r - 1]]
+        if policy == "mrc":
+            victim = min(held, key=lambda r: cache.recency[r - 1])
+        else:
+            victim = min(held, key=lambda r: (
+                request_probability(r, cache.delta, cache.num_ranks), -r))
+        cache = replace(cache, placement=(
+            cache.placement[:victim - 1] + (0,) + cache.placement[victim:]))
+    return cache
 
 
 def solve_full_grid(state: EpisodeState, prices: PriceVector,

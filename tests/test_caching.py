@@ -8,6 +8,8 @@ from satedge.caching import (CacheState, apply_caching_action, cached_bytes,
                              request_probability)
 from satedge.workload import Category, SubTask
 
+from conftest import reference_evict
+
 H_30 = 3.9949871309203906  # 30th harmonic number, summed by hand script
 
 
@@ -180,3 +182,39 @@ def test_cache_state_validates_lengths():
     with pytest.raises(ValueError):
         CacheState(sizes=(1.0, 1.0), placement=(0,), capacity_bytes=1.0,
                    delta=1.0, recency=(0, 0), clock=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: evict_mrc(empty_cache((1.0,) * 3, 2.0, 1.0), 1, math.nan),
+    lambda: evict_mpc(empty_cache((1.0,) * 3, 2.0, 1.0), 1, math.nan),
+    lambda: empty_cache((1.0,) * 3, math.nan, 1.0),
+    lambda: empty_cache((1.0,) * 3, math.inf, 1.0),
+    lambda: empty_cache((1.0,) * 3, -1.0, 1.0),
+    lambda: empty_cache((1.0,) * 3, 2.0, -0.5),
+    lambda: empty_cache((1.0,) * 3, 2.0, math.nan),
+    lambda: empty_cache((1.0,) * 3, 2.0, math.inf),
+], ids=["mrc-nan-size", "mpc-nan-size", "nan-capacity", "inf-capacity",
+        "negative-capacity", "negative-delta", "nan-delta", "inf-delta"])
+def test_cache_rejects_bad_sizes_capacities_and_skews(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+# --- eviction against a naive rebuild-per-step reference ---------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["mrc", "mpc"]),
+                          st.integers(min_value=1, max_value=8),
+                          st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0])),
+                max_size=30),
+       st.sampled_from([0.6, 0.9, 1.0, 1.2, 2.0]),
+       st.sampled_from([0.0, 1.0]))
+def test_eviction_matches_naive_reference(ops, capacity, delta):
+    # decimal sizes make float sums order-sensitive, and delta = 0 makes
+    # every MPC key tie, so both victim order and tie-break are exercised
+    cache = expected = empty_cache((1.0,) * 8, capacity, delta)
+    for policy, rank, nbytes in ops:
+        cache = (evict_mrc if policy == "mrc" else evict_mpc)(cache, rank, nbytes)
+        expected = reference_evict(expected, rank, nbytes, policy)
+        assert cache == expected

@@ -356,6 +356,19 @@ def test_scoring_derives_each_state_view_once(tmp_path, monkeypatch, argv):
     assert 0 < len(times) <= 4 * 6 * 7
 
 
+@pytest.mark.parametrize("argv, validations", [
+    (["compare"], 8 * 7),
+    (["eval", "--policy", "go-mpc", "--cache-mode", "persistent"], 7),
+])
+def test_scoring_validates_each_action_once(tmp_path, monkeypatch, argv, validations):
+    # N = 7 episodes; reward and completion time come from one validation
+    model = _untrained_model(tmp_path / "model.txt", 6)
+    calls = _count_calls(monkeypatch, evaluator.validate_action)
+    assert main(argv + ["--model", str(model), "--episodes", "7",
+                        "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == validations
+
+
 @pytest.mark.parametrize("command", [
     ["eval", "--policy", "docs"],
     ["compare"],

@@ -81,9 +81,17 @@ def test_cache_bits_zero_without_outputs(prices):
 
 
 def test_forced_caching_pinned(prices):
-    state = make_state([download(160e3)], t_c=0.5)  # return leg 0.83 > t_c
+    # return leg 0.83 s > t_c, so the download's result must be cached; in
+    # `tiny` it outgrows the cache, retention drops it, and projection pins it
+    state = make_state([download(160e3)], t_c=0.5)
+    tiny = make_state([download(160e3)], t_c=0.5, cache=make_cache(capacity=100e3))
     for kind in ("mrc", "mpc"):
-        assert baseline_cache(kind, state) == (1,)
+        assert baseline_cache(kind, tiny) == (0,)
+        for s in (state, tiny):
+            for of_kind in ("le", "to", "go"):
+                action = baseline_policy(of_kind, kind, s, prices)
+                assert action.cache == (1,)
+                validate_action(s, action)
 
 
 def test_mpc_retention_ignores_unpopular_outputs(prices):

@@ -57,3 +57,7 @@ def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
     assert metrics["oracle.solve_optimal.n"] == 10
     # each state derives its feasible sets once, whatever number of schemes reads them
     assert metrics["evaluator.feasible_actions.calls_per_ep"] == cfg.scenario.num_subtasks
+    # cache offers and evictions are counted through the rebindable evict_mrc
+    # and evict_mpc, so a replay that bypassed them would read 0 here
+    assert metrics["caching.evict.calls_per_ep"] == 36.0
+    assert metrics["caching.evictions_per_ep"] == 1.5
