@@ -65,7 +65,7 @@ def request_probability(rank: int, delta: float, num_ranks: int) -> float:
     """
     if not 1 <= rank <= num_ranks:
         raise ValueError(f"rank {rank} outside [1, {num_ranks}]")
-    if delta < 0:
+    if not delta >= 0:  # also rejects NaN
         raise ValueError(f"delta must be nonnegative, got {delta}")
     return _zipf_pmf(delta, num_ranks)[rank - 1]
 

@@ -111,7 +111,7 @@ def write_dataset(path: str | Path, demos: Iterable[Demonstration],
     for d in demos:
         if d.features.shape != (n_features,):
             raise ValueError(f"episode {d.episode_id}: feature shape mismatch")
-        feats = ",".join(repr(float(v)) for v in d.features)
+        feats = ",".join(map(repr, d.features.tolist()))
         bits = "".join(str(b) for b in d.labels)
         lines.append(f"{d.episode_id},{feats},{bits},{d.opt_reward!r}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .caching import CacheState, empty_cache
+from .caching import CacheState
 from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig
 from .evaluator import EpisodeState, PriceVector
@@ -66,23 +66,23 @@ def random_placement(cfg: ScenarioConfig, library: tuple[float, ...],
 
     The target is U[0, placement_fill_max] of capacity, so episodes range
     from an empty cache to a half-full one under the defaults. Recency
-    stamps follow insertion order.
+    stamps follow insertion order. The state's sizes are the library tuple
+    itself.
     """
     capacity = library_capacity(cfg, library)
-    cache = empty_cache(library, capacity, cfg.zipf_delta)
     target = float(rng.uniform(0.0, cfg.placement_fill_max)) * capacity
     total = 0.0
-    placement = list(cache.placement)
-    recency = list(cache.recency)
-    clock = cache.clock
-    for idx in rng.permutation(cfg.num_ranks):
-        size = library[int(idx)]
+    placement = [0] * cfg.num_ranks
+    recency = [0] * cfg.num_ranks
+    clock = 1
+    for idx in rng.permutation(cfg.num_ranks).tolist():
+        size = library[idx]
         if total + size <= target:
-            placement[int(idx)] = 1
-            recency[int(idx)] = clock
+            placement[idx] = 1
+            recency[idx] = clock
             clock += 1
             total += size
-    return CacheState(sizes=cache.sizes, placement=tuple(placement),
+    return CacheState(sizes=library, placement=tuple(placement),
                       capacity_bytes=capacity, delta=cfg.zipf_delta,
                       recency=tuple(recency), clock=clock)
 

@@ -9,8 +9,12 @@ sign pattern (Upload: zeta = 0 < d_in, d_out = 0; Download: zeta = d_in = 0
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +44,25 @@ class SubTask:
 TaskGraph = tuple[SubTask, ...]
 
 _CATEGORIES = (Category.UPLOAD, Category.DOWNLOAD, Category.COMPUTE)
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's sum tolerance
+
+
+@lru_cache(maxsize=32)  # a run uses one mix, a sweep a few
+def _category_picker(mix: tuple[float, float, float]) -> Callable[[float], int]:
+    """Map one ``rng.random()`` double to the index ``rng.choice(3, p=mix)`` picks.
+
+    numpy's choice draws one double and right-searches the mix's CDF,
+    built as a float64 cumsum divided in place by its last element; the
+    picker searches the same CDF the same way. A zero-probability
+    category repeats the previous bound, so no draw lands on it. A mix
+    that choice refuses (a negative or NaN share, or a sum off 1 by more
+    than sqrt(float64 eps)) raises ValueError here too.
+    """
+    if not (min(mix) >= 0.0 and abs(math.fsum(mix) - 1.0) <= _CHOICE_ATOL):
+        raise ValueError(f"category mix {mix} is not a probability vector")
+    cdf = np.cumsum(np.array(mix, dtype=np.float64))
+    cdf /= cdf[-1]
+    return partial(bisect.bisect_right, tuple(cdf.tolist()))
 
 
 def generate_task(rng_seed: int, cfg: ScenarioConfig,
@@ -48,11 +71,11 @@ def generate_task(rng_seed: int, cfg: ScenarioConfig,
 
     An output of rank r has exactly library[r-1] bytes.
     """
-    mix = (cfg.mix_upload, cfg.mix_download, cfg.mix_compute)
+    pick = _category_picker((cfg.mix_upload, cfg.mix_download, cfg.mix_compute))
     rng = np.random.default_rng(rng_seed)
     subtasks = []
     for _ in range(cfg.num_subtasks):
-        cat = _CATEGORIES[int(rng.choice(3, p=mix))]
+        cat = _CATEGORIES[pick(rng.random())]
         if cat is Category.UPLOAD:
             d_in = float(rng.uniform(cfg.size_min_bytes, cfg.size_max_bytes))
             subtasks.append(SubTask(cat, d_in=d_in, d_out=0.0, rho=0.0, out_rank=0))

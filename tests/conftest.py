@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satedge.caching import CacheState, cached_bytes, is_hit, request_probability
+from satedge.caching import (CacheState, cached_bytes, empty_cache, is_hit,
+                             request_probability)
 from satedge.channel import LinkState
-from satedge.config import default_config
+from satedge.config import ScenarioConfig, default_config
 from satedge.evaluator import (PAIRS, ActionMatrix, EpisodeState, PriceVector,
                                feasible_actions, reward)
 from satedge.neural import MLPModel, cross_entropy, forward, gradients
-from satedge.scenario import prices_from
-from satedge.workload import SubTask, Category
+from satedge.scenario import library_capacity, prices_from
+from satedge.workload import SubTask, Category, TaskGraph
 
 
 @pytest.fixture
@@ -97,6 +98,54 @@ def reference_evict(cache: CacheState, rank: int, nbytes: float,
         cache = replace(cache, placement=(
             cache.placement[:victim - 1] + (0,) + cache.placement[victim:]))
     return cache
+
+
+def reference_generate_task(rng_seed: int, cfg: ScenarioConfig,
+                            library: tuple[float, ...]) -> TaskGraph:
+    """generate_task drawing each category with ``rng.choice(3, p=mix)``."""
+    mix = (cfg.mix_upload, cfg.mix_download, cfg.mix_compute)
+    rng = np.random.default_rng(rng_seed)
+    subtasks = []
+    for _ in range(cfg.num_subtasks):
+        cat = (Category.UPLOAD, Category.DOWNLOAD,
+               Category.COMPUTE)[int(rng.choice(3, p=mix))]
+        if cat is Category.UPLOAD:
+            d_in = float(rng.uniform(cfg.size_min_bytes, cfg.size_max_bytes))
+            subtasks.append(SubTask(cat, d_in=d_in, d_out=0.0, rho=0.0, out_rank=0))
+            continue
+        rank = int(rng.integers(1, cfg.num_ranks + 1))
+        d_out = float(library[rank - 1])
+        if cat is Category.DOWNLOAD:
+            subtasks.append(SubTask(cat, d_in=0.0, d_out=d_out, rho=0.0, out_rank=rank))
+        else:
+            d_in = float(rng.uniform(cfg.size_min_bytes, cfg.size_max_bytes))
+            rho = float(rng.uniform(cfg.rho_min, cfg.rho_max))
+            while rho == 0.0:
+                rho = float(rng.uniform(cfg.rho_min, cfg.rho_max))
+            subtasks.append(SubTask(cat, d_in=d_in, d_out=d_out, rho=rho, out_rank=rank))
+    return tuple(subtasks)
+
+
+def reference_random_placement(cfg: ScenarioConfig, library: tuple[float, ...],
+                               rng: np.random.Generator) -> CacheState:
+    """random_placement starting from empty_cache, one numpy index at a time."""
+    capacity = library_capacity(cfg, library)
+    cache = empty_cache(library, capacity, cfg.zipf_delta)
+    target = float(rng.uniform(0.0, cfg.placement_fill_max)) * capacity
+    total = 0.0
+    placement = list(cache.placement)
+    recency = list(cache.recency)
+    clock = cache.clock
+    for idx in rng.permutation(cfg.num_ranks):
+        size = library[int(idx)]
+        if total + size <= target:
+            placement[int(idx)] = 1
+            recency[int(idx)] = clock
+            clock += 1
+            total += size
+    return CacheState(sizes=cache.sizes, placement=tuple(placement),
+                      capacity_bytes=capacity, delta=cfg.zipf_delta,
+                      recency=tuple(recency), clock=clock)
 
 
 def solve_full_grid(state: EpisodeState, prices: PriceVector,

@@ -58,6 +58,12 @@ def test_rank_out_of_range():
         request_probability(31, 1.0, 30)
 
 
+@pytest.mark.parametrize("delta", [-0.5, math.nan], ids=["negative", "nan"])
+def test_bad_skew_rejected(delta):
+    with pytest.raises(ValueError):
+        request_probability(1, delta, 30)
+
+
 # --- hits ------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ file so the whole module stays fast.
 
 import csv
 import hashlib
+import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,6 +72,22 @@ def test_gen_dataset_writes_reproducible_files(tmp_path, tiny_cfg, capsys):
     assert (first.parent / "config_used.txt").exists()
     out = capsys.readouterr().out
     assert "label density" in out and "60 episodes" in out
+
+
+def test_inspect_dataset_script_summarises_a_dataset(tmp_path, tiny_cfg, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "inspect_dataset.py"
+    spec = importlib.util.spec_from_file_location("inspect_dataset", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    dataset = _gen(tmp_path, tiny_cfg)
+    capsys.readouterr()
+    assert module.main([str(dataset)]) == 0
+    out = capsys.readouterr().out
+    assert f"{dataset}: 60 episodes, 6 sub-tasks each" in out
+    mix_line = next(line for line in out.splitlines() if line.startswith("category mix: "))
+    shares = dict(part.split() for part in mix_line.removeprefix("category mix: ").split(", "))
+    assert set(shares) <= {"upload", "download", "compute"}
+    assert abs(sum(float(v) for v in shares.values()) - 1.0) <= 0.002
 
 
 def test_train_emits_model_and_curve(tmp_path, tiny_cfg):

@@ -1,5 +1,8 @@
 from dataclasses import replace
 
+import pytest
+
+from satedge import scenario
 from satedge.caching import cached_bytes
 from satedge.channel import link_rate, snr_from_db
 from satedge.config import default_config
@@ -7,6 +10,8 @@ from satedge.geometry import earth_central_angle, relative_angular_velocity
 from satedge.scenario import (episode_state, episode_stream, library_capacity,
                               make_library, orbit_params, prices_from)
 from satedge.workload import Category
+
+from conftest import reference_generate_task, reference_random_placement
 
 
 def collect(cfg, seed, n):
@@ -86,3 +91,18 @@ def test_orbit_coverage_mode(cfg):
 def test_prices_follow_config(cfg):
     p = prices_from(cfg.scenario)
     assert (p.comp, p.comm, p.cache, p.cpl) == (1e-10, 1e-6, 1e-6, 0.2)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "orbit"])
+@pytest.mark.parametrize("num_subtasks", [1, 6, 9])
+def test_draw_matches_choice_reference(cfg, monkeypatch, mode, num_subtasks):
+    """Stream v1 is unchanged: same task, link, window and full cache state."""
+    scen = replace(cfg.scenario, coverage_mode=mode, num_subtasks=num_subtasks)
+    library = make_library(scen, 42)
+    states = [episode_state(scen, 42, i, library) for i in range(40)]
+    monkeypatch.setattr(scenario, "generate_task", reference_generate_task)
+    monkeypatch.setattr(scenario, "random_placement", reference_random_placement)
+    expected = [episode_state(scen, 42, i, library) for i in range(40)]
+    for got, want in zip(states, expected):
+        assert got == want  # task, window, link, CPU rate and every CacheState field
+        assert all(type(s) is float for s in got.cache.sizes)

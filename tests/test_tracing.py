@@ -35,22 +35,43 @@ def _bindings():
     return found
 
 
-def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
-    cfg = default_config()
-    cfg = replace(cfg, train=replace(cfg.train, max_epochs=2))
-    dataset = run_gen_dataset(cfg, 42, 60, tmp_path)
-    model = run_train(cfg, 42, dataset, tmp_path)
+def _traced(stage, episodes):
+    """Run stage() under an installed tracer; check every name is restored.
+
+    Returns the bindings the tracer replaced and its per-layer metrics.
+    """
     before = _bindings()
     tracer = _load_tracer()
     try:
         tracer.install()
         wrapped = {key for key, value in _bindings().items() if value is not before[key]}
-        run_compare(cfg, 2042, model, 10, tmp_path)
-        metrics = tracer.layer_metrics(10)
+        stage()
+        metrics = tracer.layer_metrics(episodes)
     finally:
         tracer.uninstall()
     after = _bindings()
     assert [key for key in before if after[key] is not before[key]] == []
+    return wrapped, metrics
+
+
+def test_tracer_wraps_label_and_restores_every_name(tmp_path):
+    cfg = default_config()
+    wrapped, metrics = _traced(lambda: run_gen_dataset(cfg, 42, 10, tmp_path), 10)
+    assert ("satedge.scenario", "episode_state") in wrapped
+    assert ("satedge.oracle", "encode_state") in wrapped
+    assert metrics["scenario.episode_state.n"] == 10
+    assert metrics["oracle.solve_optimal.n"] == 10
+    assert metrics["neural.encode_state.n"] == 10
+    assert metrics["evaluator.feasible_actions.calls_per_ep"] == cfg.scenario.num_subtasks
+    assert metrics["oracle.write_dataset.s"] > 0
+
+
+def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
+    cfg = default_config()
+    cfg = replace(cfg, train=replace(cfg.train, max_epochs=2))
+    dataset = run_gen_dataset(cfg, 42, 60, tmp_path)
+    model = run_train(cfg, 42, dataset, tmp_path)
+    wrapped, metrics = _traced(lambda: run_compare(cfg, 2042, model, 10, tmp_path), 10)
     assert ("satedge.evaluator", "feasible_actions") in wrapped
     assert ("FeatureScaler", "transform") in wrapped
     assert metrics["scenario.episode_state.n"] == 10
