@@ -3,12 +3,14 @@
 The cache indexes items by popularity rank (1 = most requested). State is
 immutable: an offer edits plain lists and returns one new CacheState. The
 two policies share that loop and differ only in the victim's key. Each
-pass re-sums the held sizes in rank order, as cached_bytes does: a running
-total drifts, because float subtraction does not undo addition.
+pass re-sums the held sizes in rank order, as cached_bytes does, through
+one sum(itertools.compress(sizes, placement)): a running total drifts,
+because float subtraction does not undo addition.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -77,7 +79,7 @@ def is_hit(cache: CacheState, rank: int) -> bool:
 
 
 def cached_bytes(cache: CacheState) -> float:
-    return sum(s for s, p in zip(cache.sizes, cache.placement) if p)
+    return sum(itertools.compress(cache.sizes, cache.placement))
 
 
 def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
@@ -99,7 +101,7 @@ def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
     sizes[rank - 1] = float(nbytes)
     placement[rank - 1] = 1
     recency[rank - 1] = cache.clock
-    while sum(s for s, p in zip(sizes, placement) if p) > cache.capacity_bytes:
+    while sum(itertools.compress(sizes, placement)) > cache.capacity_bytes:
         victim = min((r for r in range(1, len(sizes) + 1) if placement[r - 1]),
                      key=lambda r: key(recency, r))
         placement[victim - 1] = 0

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .caching import apply_caching_action
-from .config import ConfigError, SimConfig, dump_config, load_config, scenario_hash
+from .config import (ConfigError, SimConfig, dump_config, load_config, orbit_params,
+                     scenario_hash)
 from .dil import (action_report, baseline_actions, docs_actions, oracle_actions,
                   train_policy)
 from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
@@ -30,8 +31,7 @@ from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
 from .oracle import (Demonstration, build_dataset, label_states, read_dataset,
                      write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
-from .scenario import (episode_state, episode_stream, make_library, orbit_params,
-                       prices_from)
+from .scenario import episode_state, episode_stream, make_library, prices_from
 
 GEN_SEED = 42  # default for dataset generation, training, sweeps
 EVAL_SEED = 2042  # default for held-out evaluation streams

@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .channel import link_rate, snr_from_db
+from .geometry import (CoverageDomainError, OrbitParams, earth_central_angle,
+                       relative_angular_velocity)
 
 
 class ConfigError(ValueError):
@@ -152,6 +154,16 @@ def load_config(path: str | Path | None) -> SimConfig:
     return cfg
 
 
+def orbit_params(cfg: ScenarioConfig) -> OrbitParams:
+    return OrbitParams(
+        earth_radius_km=cfg.earth_radius_km,
+        altitude_km=cfg.altitude_km,
+        min_elevation_rad=math.radians(cfg.min_elevation_deg),
+        inclination_rad=math.radians(cfg.inclination_deg),
+        earth_rotation_rate=cfg.earth_rotation_rad_s,
+    )
+
+
 def validate_config(cfg: SimConfig) -> None:
     """Raise ConfigError for a non-finite float field or an out-of-domain value."""
     s, t = cfg.scenario, cfg.train
@@ -182,6 +194,18 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("rain_attenuation must be in (0, 1]")
     if s.coverage_mode not in ("fixed", "orbit"):
         raise ConfigError(f"coverage_mode must be fixed or orbit, got {s.coverage_mode!r}")
+    # in both modes: fixed-mode runs still record the orbit in config_used.txt,
+    # and the coverage command reads it
+    try:
+        params = orbit_params(s)
+        theta_0 = earth_central_angle(params)
+        relative_angular_velocity(params)
+        if s.coverage_mode == "orbit" and not theta_0 > 0:  # every window would be 0 s
+            raise CoverageDomainError(f"coverage cap half-angle {theta_0!r} is not positive")
+    except CoverageDomainError as exc:
+        raise ConfigError("orbit fields earth_radius_km, altitude_km, min_elevation_deg, "
+                          f"inclination_deg, earth_rotation_rad_s give no pass: {exc}"
+                          ) from None
     # every sub-task takes positive time, so price_cpl > 0 keeps every mean reward > 0
     for name in ("cpu_rate_hz", "bandwidth_fh_hz", "bandwidth_bh_hz", "coverage_s",
                  "price_cpl"):

@@ -9,9 +9,13 @@ completion seconds.
 
 An EpisodeState derives hits, feasible (each sub-task's pairs, ascending)
 and seconds (each feasible pair's time) once, on first use, for the
-solver, baselines, decoding and scoring to read. They are cached
-properties, not fields, so ==, hash and replace ignore them; a replaced
-state (a persistent rollout's carried cache, say) derives its own.
+solver, baselines, decoding and scoring to read. It also memoises the
+cost table of each price vector it is scored at (cost_tables, filled by
+cost_rows) and the retention bits of each cache kind (retained, filled
+by policies.baseline_cache), so every scheme scored on one state reads
+one table and one replay per kind. All of these are cached properties,
+not fields, so ==, hash and replace ignore them; a replaced state (a
+persistent rollout's carried cache, say) derives its own.
 
 Modeling note: the satellite-to-vehicle return leg is charged at the
 fronthaul rate (symmetric fronthaul). Cache hits are judged against the
@@ -100,6 +104,16 @@ class EpisodeState:
                 for st, hit in zip(self.task, self.hits)]
         return tuple(tuple(t[of] for of, _ in feas) for t, feas in zip(both, self.feasible))
 
+    @cached_property
+    def cost_tables(self) -> dict[PriceVector, list[list[float]]]:
+        """cost_rows' memo: one table per price vector, built on first use."""
+        return {}
+
+    @cached_property
+    def retained(self) -> dict[str, tuple[int, ...]]:
+        """policies.baseline_cache's memo: retention bits per cache kind."""
+        return {}
+
 
 def return_leg(st: SubTask, state: EpisodeState) -> float:
     """Satellite-to-vehicle delivery time for the sub-task's output."""
@@ -164,10 +178,18 @@ def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
 
 
 def cost_rows(state: EpisodeState, prices: PriceVector) -> list[list[float]]:
-    """Each sub-task's cost of every feasible pair, aligned with state.feasible."""
-    return [[subtask_cost(st, of, ch, hit, t, prices) for (of, ch), t in zip(feas, secs)]
+    """Each sub-task's cost of every feasible pair, aligned with state.feasible.
+
+    Built once per (state, prices) and shared by every caller, so callers
+    must not mutate it.
+    """
+    rows = state.cost_tables.get(prices)
+    if rows is None:
+        rows = state.cost_tables[prices] = [
+            [subtask_cost(st, of, ch, hit, t, prices) for (of, ch), t in zip(feas, secs)]
             for st, feas, secs, hit in zip(state.task, state.feasible, state.seconds,
                                            state.hits)]
+    return rows
 
 
 def validate_action(state: EpisodeState, action: ActionMatrix) -> tuple[int, ...]:
@@ -190,9 +212,8 @@ def reward_and_time(state: EpisodeState, action: ActionMatrix,
     """(reward, completion_time), each a left fold in chain order like the solver's value."""
     picks = validate_action(state, action)
     cost = seconds = 0.0
-    for st, feas, secs, hit, i in zip(state.task, state.feasible, state.seconds,
-                                      state.hits, picks):
-        cost += subtask_cost(st, *feas[i], hit, secs[i], prices)
+    for row, secs, i in zip(cost_rows(state, prices), state.seconds, picks):
+        cost += row[i]
         seconds += secs[i]
     return cost, seconds
 

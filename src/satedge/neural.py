@@ -22,7 +22,7 @@ import numpy as np
 
 from .caching import request_probability
 from .channel import link_rate, snr_from_db
-from .config import ScenarioConfig, TrainConfig
+from .config import ScenarioConfig, TrainConfig, orbit_params
 from .evaluator import ActionMatrix, EpisodeState, nearest_feasible
 from .geometry import earth_central_angle, relative_angular_velocity
 from .workload import Category
@@ -83,7 +83,6 @@ class FeatureScaler:
         if cfg.coverage_mode == "fixed":
             t_c_hi = 2.0 * cfg.coverage_s
         else:
-            from .scenario import orbit_params  # local import, avoids a cycle
             params = orbit_params(cfg)
             t_c_hi = earth_central_angle(params) / relative_angular_velocity(params)
         snr_hi_fh = snr_from_db(cfg.snr_fh_db + cfg.snr_jitter_db)

@@ -6,6 +6,8 @@ Download, say); project_feasible snaps every pair to the nearest
 feasible one by Hamming distance. Caching bits come from replaying the
 episode's outputs through an eviction policy and keeping whatever
 survives; projection alone sets the bits that coverage expiry forces.
+The greedy rule reads the state's memoised cost table, and each cache
+kind is replayed once per state, whichever baselines share it.
 """
 
 from __future__ import annotations
@@ -47,10 +49,15 @@ def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
     Every produced output is offered to the cache in chain order against
     the episode's starting placement; a_ch[v] = 1 iff sub-task v's rank is
     still resident afterwards. Coverage is not consulted: project_feasible
-    pins the bit of a sub-task whose result must be cached.
+    pins the bit of a sub-task whose result must be cached. The replay
+    runs once per (state, kind); later calls read state.retained.
     """
-    cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
-    return tuple(int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
+    bits = state.retained.get(kind)
+    if bits is None:
+        cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
+        bits = state.retained[kind] = tuple(
+            int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
+    return bits
 
 
 def project_feasible(pairs: tuple[tuple[int, int], ...],

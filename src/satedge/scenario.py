@@ -9,16 +9,15 @@ episodes, which keeps cache capacity accounting coherent.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
 
 from .caching import CacheState
 from .channel import LinkState, snr_from_db
-from .config import ScenarioConfig
+from .config import ScenarioConfig, orbit_params
 from .evaluator import EpisodeState, PriceVector
-from .geometry import OrbitParams, coverage_time, earth_central_angle
+from .geometry import coverage_time, earth_central_angle
 from .workload import generate_task
 
 # stream tags; changing these re-keys every dataset
@@ -37,16 +36,6 @@ def _task_seed(seed: int, episode: int) -> int:
 def prices_from(cfg: ScenarioConfig) -> PriceVector:
     return PriceVector(comp=cfg.price_comp, comm=cfg.price_comm,
                        cache=cfg.price_cache, cpl=cfg.price_cpl)
-
-
-def orbit_params(cfg: ScenarioConfig) -> OrbitParams:
-    return OrbitParams(
-        earth_radius_km=cfg.earth_radius_km,
-        altitude_km=cfg.altitude_km,
-        min_elevation_rad=math.radians(cfg.min_elevation_deg),
-        inclination_rad=math.radians(cfg.inclination_deg),
-        earth_rotation_rate=cfg.earth_rotation_rad_s,
-    )
 
 
 def make_library(cfg: ScenarioConfig, seed: int) -> tuple[float, ...]:

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satedge.caching import (CacheState, cached_bytes, empty_cache, is_hit,
-                             request_probability)
+from satedge.caching import (CacheState, apply_caching_action, cached_bytes,
+                             empty_cache, is_hit, request_probability)
 from satedge.channel import LinkState
 from satedge.config import ScenarioConfig, default_config
 from satedge.evaluator import (PAIRS, ActionMatrix, EpisodeState, PriceVector,
-                               feasible_actions, reward)
+                               feasible_actions, reward, subtask_cost, subtask_time)
 from satedge.neural import MLPModel, cross_entropy, forward, gradients
 from satedge.scenario import library_capacity, prices_from
 from satedge.workload import SubTask, Category, TaskGraph
@@ -69,6 +69,28 @@ def reference_hits(state: EpisodeState) -> tuple[bool, ...]:
     """The hit rule on the starting placement, without EpisodeState.hits."""
     return tuple(st.out_rank > 0 and is_hit(state.cache, st.out_rank)
                  for st in state.task)
+
+
+def reference_reward_and_time(state: EpisodeState, action: ActionMatrix,
+                              prices: PriceVector) -> tuple[float, float]:
+    """(reward, completion_time) from one subtask_time and subtask_cost per pick.
+
+    Reads no derived view or cost table of the state; the action must be
+    feasible.
+    """
+    cost = seconds = 0.0
+    for v, (st, hit) in enumerate(zip(state.task, reference_hits(state))):
+        of, ch = action.pair(v)
+        t = subtask_time(st, of, hit, state)
+        cost += subtask_cost(st, of, ch, hit, t, prices)
+        seconds += t
+    return cost, seconds
+
+
+def reference_baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
+    """Retention bits from a fresh replay of every output on each call."""
+    cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
+    return tuple(int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
 
 
 def reference_evict(cache: CacheState, rank: int, nbytes: float,

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 from satedge import evaluator, neural, oracle
-from satedge.cli import main, run_compare, run_eval, run_gen_dataset
-from satedge.config import default_config
+from satedge.cli import EVAL_SEED, main, run_compare, run_eval, run_gen_dataset
+from satedge.config import default_config, load_config
 from satedge.neural import FeatureScaler, feature_dim, init_model, save_model
+from satedge.scenario import episode_stream
 
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
@@ -74,11 +75,16 @@ def test_gen_dataset_writes_reproducible_files(tmp_path, tiny_cfg, capsys):
     assert "label density" in out and "60 episodes" in out
 
 
-def test_inspect_dataset_script_summarises_a_dataset(tmp_path, tiny_cfg, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "inspect_dataset.py"
-    spec = importlib.util.spec_from_file_location("inspect_dataset", script)
+def _script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_inspect_dataset_script_summarises_a_dataset(tmp_path, tiny_cfg, capsys):
+    module = _script("inspect_dataset")
     dataset = _gen(tmp_path, tiny_cfg)
     capsys.readouterr()
     assert module.main([str(dataset)]) == 0
@@ -268,6 +274,8 @@ def test_orbit_gen_dataset_bytes_are_pinned(tmp_path):
 PINNED_METRICS_SHA256 = {
     ("go-mpc", "fresh"):
         "c1d4dadb49b252a400a31bb4580c186c44e289178ac5ba3b30acdcc5d9facf52",
+    ("go-mpc", "persistent"):
+        "9c255ea6b8f8e8c5613772e7f51d5d02110bb232037700de32140bad5e5e21ec",
     ("to-mrc", "persistent"):
         "cbc4d0a2578e5679fbe77d9503f5f2bf1136a5554dc825632b9b1ce4340eee07",
     ("le-mpc", "persistent"):
@@ -310,6 +318,56 @@ def test_train_and_compare_bytes_are_pinned(tmp_path, tiny_cfg):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in paths.items()}
     assert digests == PINNED_TRAIN_SHA256
+
+
+# SHA-256 of comparison.csv under TINY_CONFIG with a 0.16 s coverage
+# window, about the median return leg, so coverage expiry forces the cache
+# bit of many sub-tasks and projection, retention and the solver all meet
+# restricted feasible sets.
+SHORT_COVERAGE_COMPARISON_SHA256 = (
+    "a36634735200323ffda855ab9742731e8f3ec9baafa942afb6668b49d869b7e0")
+
+
+def test_short_coverage_compare_bytes_are_pinned(tmp_path):
+    config = tmp_path / "short.txt"
+    config.write_text(TINY_CONFIG + "coverage_s = 0.16\n")
+    cfg = load_config(config)
+    forced = [all(ch for _, ch in feas)
+              for _, state in episode_stream(cfg.scenario, EVAL_SEED,
+                                             cfg.train.compare_episodes)
+              for feas in state.feasible]
+    assert any(forced)
+    model = _train(tmp_path, str(config), _gen(tmp_path, str(config)))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(config), "--model", str(model),
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+    assert digest == SHORT_COVERAGE_COMPARISON_SHA256
+
+
+def test_artifact_digests_script_lists_every_artifact(tmp_path, tiny_cfg, capsys):
+    module = _script("artifact_digests")
+    listings = []
+    for name in ("a", "b"):
+        capsys.readouterr()
+        assert module.main(["--config", tiny_cfg, "--out", str(tmp_path / name)]) == 0
+        listings.append(capsys.readouterr().out)
+    assert listings[0] == listings[1]
+    digests = {path: digest for digest, path in
+               (line.split("  ") for line in listings[0].splitlines())}
+    evals = [f"eval/{scheme}-{mode}/metrics.csv" for scheme in module.SCHEMES
+             for mode in ("fresh", "persistent")]
+    assert len(evals) == 16
+    assert sorted(digests) == sorted(
+        ["dataset/dataset.txt", "dataset/config_used.txt", "train/model.txt",
+         "train/train_curve.csv", "compare/comparison.csv",
+         "sweep/hidden-layers/sweep_hidden_layers.csv", "sweep/rain/sweep_rain.csv"]
+        + evals)
+    # the default seeds reproduce the pinned train and compare artifacts
+    assert {name: digests[path] for name, path in (
+        ("train_curve.csv", "train/train_curve.csv"), ("model.txt", "train/model.txt"),
+        ("comparison.csv", "compare/comparison.csv"))} == PINNED_TRAIN_SHA256
+    assert module.main(["--config", tiny_cfg, "--out", str(tmp_path / "a")]) == 2
 
 
 def _untrained_model(path, num_subtasks):

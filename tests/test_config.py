@@ -89,3 +89,36 @@ def test_dumped_config_loads_back_equal(tmp_path, overrides):
     path = tmp_path / "config_used.txt"
     path.write_text(dump_config(cfg))
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("coverage_mode", ["fixed", "orbit"])
+@pytest.mark.parametrize("line", [
+    "altitude_km = -5",
+    "earth_radius_km = 0",
+    "min_elevation_deg = -1",
+    "min_elevation_deg = 90.5",
+    "earth_rotation_rad_s = 1",  # the ground track outruns the satellite
+])
+def test_orbit_fields_are_checked_in_both_coverage_modes(tmp_path, coverage_mode, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"coverage_mode = {coverage_mode}\n{line}\n")
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "min_elevation_deg = 0\n",
+    "min_elevation_deg = 90\naltitude_km = 1e-3\n",
+])
+def test_orbit_domain_edges_are_allowed_in_fixed_mode(tmp_path, text):
+    path = tmp_path / "ok.txt"
+    path.write_text(text)
+    assert load_config(path).scenario.coverage_mode == "fixed"
+
+
+def test_orbit_mode_needs_a_coverage_cap_of_positive_width(tmp_path):
+    # a 90 degree mask shrinks the cap to a point: every drawn window is 0 s
+    path = tmp_path / "bad.txt"
+    path.write_text("coverage_mode = orbit\nmin_elevation_deg = 90\n")
+    with pytest.raises(ConfigError, match="min_elevation_deg"):
+        load_config(path)

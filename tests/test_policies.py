@@ -1,14 +1,20 @@
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, feasible_actions, subtask_cost,
+from satedge.evaluator import (ActionMatrix, PriceVector, completion_time, cost_rows,
+                               feasible_actions, reward, reward_and_time, subtask_cost,
                                subtask_time, validate_action)
 from satedge.oracle import solve_optimal
 from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
                               baseline_offload, baseline_policy,
                               project_feasible)
-from satedge.scenario import episode_stream
+from satedge.scenario import episode_stream, prices_from
 
-from conftest import (compute, download, make_cache, make_state, reference_hits,
-                      upload)
+from conftest import (compute, download, make_cache, make_state,
+                      reference_baseline_cache, reference_hits,
+                      reference_reward_and_time, upload)
 
 
 def test_baseline_names():
@@ -128,3 +134,51 @@ def test_unknown_kinds_rejected(prices):
             pass
         else:
             raise AssertionError("unknown offload kind accepted")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_subtasks=st.sampled_from([1, 6, 9]),
+       coverage=st.sampled_from([("fixed", 300.0), ("fixed", 0.16), ("orbit", 300.0)]))
+def test_scoring_and_retention_match_the_per_call_references(seed, num_subtasks,
+                                                              coverage):
+    # every scheme of a compare episode, scored in compare's order, so all
+    # but the first read of each cost table and retention come from the memo;
+    # a 0.16 s window forces the cache bit of about half the outputs
+    cfg = default_config().scenario
+    cfg.num_subtasks = num_subtasks
+    cfg.coverage_mode, cfg.coverage_s = coverage
+    time_only = PriceVector(0.0, 0.0, 0.0, 1.0)
+    for _, state in episode_stream(cfg, seed, 4):
+        for prices in (prices_from(cfg), time_only):
+            opt, value = solve_optimal(state, prices)
+            assert value == reference_reward_and_time(state, opt, prices)[0]
+            actions = [opt] + [baseline_policy(of, ch, state, prices)
+                               for of, ch in BASELINE_PAIRS]
+            for action in actions:
+                expected = reference_reward_and_time(state, action, prices)
+                assert reward_and_time(state, action, prices) == expected
+                assert reward(state, action, prices) == expected[0]
+                assert completion_time(state, action) == expected[1]
+        for kind in ("mrc", "mpc"):
+            assert baseline_cache(kind, state) == reference_baseline_cache(kind, state)
+
+
+def test_replaced_cache_rederives_costs_and_retention(prices):
+    # rank 4's output is a hit that stays resident in the starting cache;
+    # the replaced cache holds nothing and is too small to take it
+    st_ = download(160e3, rank=4)
+    state = make_state([st_], cache=make_cache(placed=(4,)))
+    rows = cost_rows(state, prices)
+    retained = {kind: baseline_cache(kind, state) for kind in ("mrc", "mpc")}
+    carried = replace(state, cache=make_cache(capacity=100e3))
+    assert (state.hits, carried.hits) == ((True,), (False,))
+    assert carried.hits == reference_hits(carried)
+    carried_rows = cost_rows(carried, prices)
+    assert carried_rows == [[subtask_cost(st_, of, ch, False, t, prices)
+                             for (of, ch), t in zip(carried.feasible[0],
+                                                    carried.seconds[0])]]
+    assert carried_rows != rows
+    for kind in ("mrc", "mpc"):
+        assert (retained[kind], baseline_cache(kind, carried)) == ((1,), (0,))
+        assert baseline_cache(kind, carried) == reference_baseline_cache(kind, carried)
+    assert cost_rows(state, prices) == rows

@@ -78,7 +78,13 @@ def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
     assert metrics["oracle.solve_optimal.n"] == 10
     # each state derives its feasible sets once, whatever number of schemes reads them
     assert metrics["evaluator.feasible_actions.calls_per_ep"] == cfg.scenario.num_subtasks
+    # one cost per feasible pair: the solver, the go rule and the scoring of
+    # all eight schemes read one memoised table per state
+    V = cfg.scenario.num_subtasks
+    assert metrics["evaluator.subtask_cost.calls_per_ep"] == \
+        4 * V * metrics["evaluator.feasible_pair_frac"]
     # cache offers and evictions are counted through the rebindable evict_mrc
-    # and evict_mpc, so a replay that bypassed them would read 0 here
-    assert metrics["caching.evict.calls_per_ep"] == 36.0
-    assert metrics["caching.evictions_per_ep"] == 1.5
+    # and evict_mpc, so a replay that bypassed them would read 0 here; each
+    # cache kind is replayed once per state, whatever number of baselines use it
+    assert metrics["caching.evict.calls_per_ep"] == 12.0
+    assert metrics["caching.evictions_per_ep"] == 0.5
