@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def snr_from_db(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
@@ -27,11 +29,14 @@ def link_rate(attenuation: float, bandwidth_hz: float, snr: float) -> float:
     return attenuation * bandwidth_hz * math.log2(1.0 + snr)
 
 
-def transmit_time(num_bytes: float, rate_bits_s: float) -> float:
-    """Seconds to move num_bytes over a link running at rate_bits_s."""
-    if rate_bits_s <= 0.0:
+def transmit_time(num_bytes, rate_bits_s):
+    """Seconds to move num_bytes over a link running at rate_bits_s.
+
+    Either argument may be a numpy array; the result then broadcasts.
+    """
+    if np.any(np.less_equal(rate_bits_s, 0.0)):
         raise ValueError(f"rate must be positive, got {rate_bits_s}")
-    if num_bytes < 0.0:
+    if np.any(np.less(num_bytes, 0.0)):
         raise ValueError(f"byte count must be nonnegative, got {num_bytes}")
     return 8.0 * num_bytes / rate_bits_s
 

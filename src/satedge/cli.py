@@ -23,13 +23,13 @@ from .config import (ConfigError, SimConfig, dump_config, load_config, orbit_par
 from .dil import (action_report, baseline_actions, docs_actions, oracle_actions,
                   train_policy)
 from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
-                        PriceVector)
+                        PriceVector, blocks, carry_cache, tabulate)
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
 from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
                      cross_entropy, forward, load_model, save_model)
-from .oracle import (Demonstration, build_dataset, label_states, read_dataset,
-                     write_dataset)
+from .oracle import (Demonstration, build_dataset, label_state, label_states,
+                     read_dataset, write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
 from .scenario import episode_state, episode_stream, make_library, prices_from
 
@@ -144,20 +144,23 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
                                    list[ActionMatrix]]:
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
-    Each state is labelled as it is drawn: its action sets the next cache.
+    The draws do not depend on the cache, so they are tabulated in blocks
+    up front; each state is then labelled on its own, since its action
+    sets the next cache.
     """
     scen = cfg.scenario
     prices = prices_from(scen)
-    library = make_library(scen, seed)
+    drawn = [state for _, state in episode_stream(scen, seed, n)]
+    for block in blocks(drawn):
+        tabulate(block)
     states: list[EpisodeState] = []
     demos: list[Demonstration] = []
     actions: list[ActionMatrix] = []
     cache = None
-    for i in range(n):
-        state = episode_state(scen, seed, i, library)
+    for i, state in enumerate(drawn):
         if cache is not None:
-            state = replace(state, cache=cache)
-        demo = replace(label_states([state], prices, scaler)[0], episode_id=i)
+            state = carry_cache(state, cache)
+        demo = label_state(i, state, prices, scaler)
         action = _scheme_actions(scheme, model, [demo], [state], prices)[0]
         states.append(state)
         demos.append(demo)
@@ -255,6 +258,8 @@ def _sweep_point(cfg: SimConfig, demos: list[Demonstration], seed: int,
     test_demos = [demos[i] for i in result.test_idx]
     test_states = [episode_state(scen, seed, d.episode_id, library)
                    for d in test_demos]
+    for block in blocks(test_states):  # the tables the scoring reads
+        tabulate(block)
     prices = prices_from(scen)
     actions = docs_actions(result.model, test_demos, test_states)
     return action_report(actions, test_demos, test_states, prices)

@@ -7,26 +7,33 @@ per-category pipelines below; the reward is a cost (lower is better)
 that prices compute cycles, offloaded bytes, pinned cache bytes, and
 completion seconds.
 
-An EpisodeState derives hits, feasible (each sub-task's pairs, ascending)
-and seconds (each feasible pair's time) once, on first use, for the
-solver, baselines, decoding and scoring to read. It also memoises the
-cost table of each price vector it is scored at (cost_tables, filled by
-cost_rows) and the retention bits of each cache kind (retained, filled
-by policies.baseline_cache), so every scheme scored on one state reads
-one table and one replay per kind. All of these are cached properties,
-not fields, so ==, hash and replace ignore them; a replaced state (a
-persistent rollout's carried cache, say) derives its own.
+Times, feasible sets and costs come from Tables, which computes them for
+a block of states with whole-array numpy: labelling builds one block per
+batch of states (tabulate), and a state outside any block builds a block
+of one. An EpisodeState reads its row of that block once, on first use,
+into hits, feasible (each sub-task's pairs, ascending) and seconds (each
+feasible pair's time), for the solver, baselines, decoding and scoring
+to read. It also memoises the cost rows of each price vector it is
+scored at (cost_tables, filled by cost_rows) and the retention bits of
+each cache kind (retained, filled by policies.baseline_cache), so every
+scheme scored on one state reads one table and one replay per kind. All
+of these are cached properties, not fields, so ==, hash and replace
+ignore them; a replaced state derives its own, except that carry_cache
+(a persistent rollout's carried cache) keeps the table row, which does
+not depend on the cache.
 
-Modeling note: the satellite-to-vehicle return leg is charged at the
-fronthaul rate (symmetric fronthaul). Cache hits are judged against the
-episode's starting placement, and a hit consumes no compute or offload
-budget: only its return legs and any re-pin charge count.
+Cache hits are judged against the episode's starting placement, and a
+hit consumes no compute or offload budget: only its return legs and any
+re-pin charge count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .caching import CacheState, is_hit
 from .channel import LinkState, transmit_time
@@ -55,7 +62,7 @@ class ActionMatrix:
     def __post_init__(self):
         if len(self.offload) != len(self.cache):
             raise ValueError("offload and cache bit-vectors must match in length")
-        if any(b not in (0, 1) for b in self.offload + self.cache):
+        if not {*self.offload, *self.cache} <= {0, 1}:
             raise ValueError("action bits must be 0 or 1")
 
     def pair(self, v: int) -> tuple[int, int]:
@@ -67,7 +74,8 @@ class ActionMatrix:
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[int, int]]) -> "ActionMatrix":
-        return cls(offload=tuple(p[0] for p in pairs), cache=tuple(p[1] for p in pairs))
+        offload, cache = zip(*pairs) if pairs else ((), ())
+        return cls(offload=offload, cache=cache)
 
     @classmethod
     def from_bits(cls, bits: tuple[int, ...]) -> "ActionMatrix":
@@ -92,17 +100,25 @@ class EpisodeState:
                      for st in self.task)
 
     @cached_property
+    def tables(self) -> tuple[Tables, int]:
+        """The Tables block holding this state, and its row there.
+
+        tabulate and carry_cache fill this; a state that no block holds
+        builds a block of its own on first use.
+        """
+        return Tables([self]), 0
+
+    @cached_property
     def feasible(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each sub-task's feasible (offload, cache) pairs, ascending."""
-        return tuple(feasible_actions(st, self) for st in self.task)
+        block, row = self.tables
+        return tuple(FEASIBLE[p] for p in block.pattern[row].tolist())
 
     @cached_property
     def seconds(self) -> tuple[tuple[float, ...], ...]:
-        """subtask_time of each feasible pair, aligned with feasible."""
-        # the cache bit never changes a pair's time, so time each offload bit once
-        both = [(subtask_time(st, 0, hit, self), subtask_time(st, 1, hit, self))
-                for st, hit in zip(self.task, self.hits)]
-        return tuple(tuple(t[of] for of, _ in feas) for t, feas in zip(both, self.feasible))
+        """Time of each feasible pair, aligned with feasible."""
+        block, row = self.tables
+        return tuple(map(tuple, block.cut(block.seconds, row, self.hits)))
 
     @cached_property
     def cost_tables(self) -> dict[PriceVector, list[list[float]]]:
@@ -115,25 +131,144 @@ class EpisodeState:
         return {}
 
 
-def return_leg(st: SubTask, state: EpisodeState) -> float:
-    """Satellite-to-vehicle delivery time for the sub-task's output."""
-    return transmit_time(st.d_out, state.link.rate_fh) + state.link.prop_vs
+# Feasible pairs, ascending, indexed by 2 * category code + within, where
+# within says the output's return leg ends inside the coverage window.
+# Upload must offload; Download must not. An output that cannot return in
+# time has to be cached for a later pass, which pins the cache bit to 1.
+_CODE = {Category.UPLOAD: 0, Category.DOWNLOAD: 1, Category.COMPUTE: 2}
+FEASIBLE = (
+    ((1, 0), (1, 1)), ((1, 0), (1, 1)),  # upload
+    ((0, 1),), ((0, 0), (0, 1)),  # download
+    ((0, 1), (1, 1)), PAIRS,  # compute
+)
+_PICKS = tuple(tuple(PAIRS.index(pair) for pair in feas) for feas in FEASIBLE)
+_INFEASIBLE = np.array([[pair not in feas for pair in PAIRS] for feas in FEASIBLE])
+PAIR_OFFLOAD = np.array([of for of, _ in PAIRS])  # each pair's bits, by PAIRS index
+PAIR_CACHE = np.array([ch for _, ch in PAIRS])
+_LIVE = np.array([[1.0], [0.0]])  # a miss (h = 0) consumes budget, a hit (h = 1) none
+
+
+def _pair_cost(zeta, d_in, d_out, live, a_of, a_ch, t, prices: PriceVector):
+    """The cost formula, for floats or broadcasting numpy arrays alike.
+
+    live is 0 on a cache hit, which consumes no compute or offload budget.
+    """
+    return (prices.comp * (1 - a_of) * zeta * live
+            + prices.comm * a_of * d_in * live
+            + prices.cache * a_ch * d_out
+            + prices.cpl * t)
+
+
+class Tables:
+    """Per-pair times and feasible sets of a block of N states, as numpy arrays.
+
+    seconds[n, v, h, p] is the time of sub-task v of state n under
+    PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its output, and
+    pattern[n, v] indexes FEASIBLE with that sub-task's feasible pairs.
+    Nothing here reads a state's cache, so a state whose cache is swapped
+    (carry_cache) keeps its row; its hits pick h. Every state of a block
+    has the same number V of sub-tasks. costs(prices) prices the block
+    once per price vector, +inf on the infeasible pairs. The time and
+    feasibility formulas live here only, and the cost formula in
+    _pair_cost: subtask_time and feasible_actions read a block of one
+    sub-task, and a state outside any block a block of its own.
+
+    Modeling note: the satellite-to-vehicle return leg is charged at the
+    fronthaul rate (symmetric fronthaul).
+    """
+
+    def __init__(self, states: Sequence[EpisodeState]):
+        codes, columns, links = [], [], []
+        for state in states:
+            link = state.link
+            links += (state.t_c, link.rate_fh, link.rate_bh, link.prop_vs,
+                      link.prop_sg, state.cpu_rate)
+            for st in state.task:
+                codes.append(_CODE[st.category])
+                columns += (st.d_in, st.d_out, st.zeta)
+        n, v = len(states), len(states[0].task)
+        if any(len(state.task) != v for state in states):
+            raise ValueError("every state of a block needs the same number of sub-tasks")
+        # N x V x 1 per sub-task column and N x 1 x 1 per state column, so the
+        # pair axis broadcasts last
+        code = np.array(codes, dtype=np.intp).reshape(n, v, 1)
+        columns = np.array(columns, dtype=np.float64).reshape(n, v, 1, 3)
+        links = np.array(links).reshape(n, 6)
+        d_in, d_out, zeta = columns.transpose(3, 0, 1, 2)
+        t_c, rate_fh, rate_bh, prop_vs, prop_sg, cpu_rate = links.T[:, :, None, None]
+        # legs[n, v, r, 0, s]: bytes s (input, output) over rate r (fronthaul, backhaul)
+        legs = transmit_time(columns[..., None, :2], links[:, None, 1:3, None, None])
+        (in_fh, out_fh), (in_bh, out_bh) = legs.transpose(2, 4, 0, 1, 3)
+        back = out_fh + prop_vs  # the output's return leg
+        # compute: the input rides the fronthaul up, then the edge server
+        # works on it or relays it to the ground; the result rides back down
+        ingest = in_fh + prop_vs
+        work = np.where(PAIR_OFFLOAD == 1, in_bh + prop_sg, zeta / cpu_rate)
+        # download: a miss first fetches the output from the ground
+        fetched = out_bh + prop_sg + back
+        is_upload, is_compute = code == 0, code == 2
+        upload = ingest + in_bh + prop_sg
+        miss = np.where(is_upload, upload,
+                        np.where(is_compute, ingest + work + back, fetched))
+        hit = np.where(is_upload, upload, np.where(is_compute, ingest + back, back))
+        self.seconds = np.stack((miss, np.broadcast_to(hit, miss.shape)), axis=2)
+        self.pattern = (2 * code + (back < t_c))[:, :, 0]
+        self._columns = (zeta[..., None], d_in[..., None], d_out[..., None])
+        self._costs: dict[PriceVector, np.ndarray] = {}
+
+    def costs(self, prices: PriceVector) -> np.ndarray:
+        """N x V x 2 x 4 cost of every pair at prices, laid out like seconds,
+        +inf where infeasible. Built once per price vector; do not mutate."""
+        cost = self._costs.get(prices)
+        if cost is None:
+            cost = self._costs[prices] = _pair_cost(
+                *self._columns, _LIVE, PAIR_OFFLOAD, PAIR_CACHE, self.seconds, prices)
+            np.copyto(cost, np.inf, where=_INFEASIBLE[self.pattern][:, :, None, :])
+        return cost
+
+    def cut(self, table: np.ndarray, row: int, hits: Sequence[bool]) -> list[list[float]]:
+        """One state's entries of an N x V x 2 x 4 table: each sub-task's
+        feasible pairs, on a miss or a hit as hits say."""
+        return [[by_hit[hit][i] for i in _PICKS[p]] for by_hit, hit, p in
+                zip(table[row].tolist(), hits, self.pattern[row].tolist())]
+
+
+# States per Tables block. Larger blocks spread numpy's per-call cost
+# thinner but hold more states' tables at once; past this size labelling
+# gains a few percent at most (gen-dataset, default config).
+BLOCK_STATES = 256
+
+
+def blocks(states: Iterable[EpisodeState]) -> Iterator[list[EpisodeState]]:
+    """Consecutive runs of up to BLOCK_STATES states with equal chain lengths."""
+    block: list[EpisodeState] = []
+    for state in states:
+        if block and (len(block) == BLOCK_STATES or len(state.task) != len(block[0].task)):
+            yield block
+            block = []
+        block.append(state)
+    if block:
+        yield block
+
+
+def tabulate(states: Sequence[EpisodeState]) -> Tables:
+    """Build one Tables for states and make it the block each state reads."""
+    block = Tables(states)
+    for row, state in enumerate(states):
+        state.__dict__["tables"] = (block, row)  # where the cached property keeps it
+    return block
+
+
+def carry_cache(state: EpisodeState, cache: CacheState) -> EpisodeState:
+    """state with its cache swapped for cache; it keeps state's Tables row."""
+    carried = replace(state, cache=cache)
+    carried.__dict__["tables"] = state.tables
+    return carried
 
 
 def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int], ...]:
-    """Feasible (offload, cache) pairs, ascending.
-
-    Upload must offload; Download must not. When the output's return leg
-    no longer fits in the coverage window, the result has to be cached
-    for a later pass, which pins the cache bit to 1.
-    """
-    cat = st.category
-    if cat is Category.UPLOAD:
-        return ((1, 0), (1, 1))
-    within = return_leg(st, state) < state.t_c
-    if cat is Category.DOWNLOAD:
-        return ((0, 0), (0, 1)) if within else ((0, 1),)
-    return PAIRS if within else ((0, 1), (1, 1))
+    """Feasible (offload, cache) pairs of one sub-task, ascending (see FEASIBLE)."""
+    return FEASIBLE[int(Tables([replace(state, task=(st,))]).pattern[0, 0])]
 
 
 def nearest_feasible(feas: tuple[tuple[int, int], ...],
@@ -146,49 +281,26 @@ def nearest_feasible(feas: tuple[tuple[int, int], ...],
 
 def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> float:
     """Seconds until this sub-task's result is back at the vehicle."""
-    link = state.link
-    cat = st.category
-    if cat is Category.UPLOAD:
-        return (transmit_time(st.d_in, link.rate_fh) + link.prop_vs
-                + transmit_time(st.d_in, link.rate_bh) + link.prop_sg)
-    back = return_leg(st, state)
-    if cat is Category.DOWNLOAD:
-        if hit:
-            return back
-        return transmit_time(st.d_out, link.rate_bh) + link.prop_sg + back
-    # compute: input always rides the fronthaul up, result always rides it down
-    ingest = transmit_time(st.d_in, link.rate_fh) + link.prop_vs
-    if hit:
-        return ingest + back
-    if a_of:
-        work = transmit_time(st.d_in, link.rate_bh) + link.prop_sg
-    else:
-        work = st.zeta / state.cpu_rate
-    return ingest + work + back
+    return float(Tables([replace(state, task=(st,))]).seconds[0, 0, int(hit), 2 * a_of])
 
 
 def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
                  prices: PriceVector) -> float:
     """This sub-task's contribution to the episode reward, given its time t."""
-    live = 0.0 if hit else 1.0  # a hit consumes no compute or offload budget
-    return (prices.comp * (1 - a_of) * st.zeta * live
-            + prices.comm * a_of * st.d_in * live
-            + prices.cache * a_ch * st.d_out
-            + prices.cpl * t)
+    return _pair_cost(st.zeta, st.d_in, st.d_out, 0.0 if hit else 1.0, a_of, a_ch, t,
+                      prices)
 
 
 def cost_rows(state: EpisodeState, prices: PriceVector) -> list[list[float]]:
     """Each sub-task's cost of every feasible pair, aligned with state.feasible.
 
-    Built once per (state, prices) and shared by every caller, so callers
-    must not mutate it.
+    Read once per (state, prices) from the state's Tables block and shared
+    by every caller, so callers must not mutate it.
     """
     rows = state.cost_tables.get(prices)
     if rows is None:
-        rows = state.cost_tables[prices] = [
-            [subtask_cost(st, of, ch, hit, t, prices) for (of, ch), t in zip(feas, secs)]
-            for st, feas, secs, hit in zip(state.task, state.feasible, state.seconds,
-                                           state.hits)]
+        block, row = state.tables
+        rows = state.cost_tables[prices] = block.cut(block.costs(prices), row, state.hits)
     return rows
 
 
@@ -198,12 +310,14 @@ def validate_action(state: EpisodeState, action: ActionMatrix) -> tuple[int, ...
         raise InfeasibleActionError(
             f"action covers {len(action.offload)} sub-tasks, task has {len(state.task)}")
     picks = []
-    for v, (st, feas) in enumerate(zip(state.task, state.feasible)):
-        pair = action.pair(v)
-        if pair not in feas:
+    for v, (pair, feas) in enumerate(zip(zip(action.offload, action.cache),
+                                         state.feasible)):
+        try:
+            picks.append(feas.index(pair))
+        except ValueError:
             raise InfeasibleActionError(
-                f"sub-task {v} ({st.category.value}): pair {pair} not in {feas}")
-        picks.append(feas.index(pair))
+                f"sub-task {v} ({state.task[v].category.value}): pair {pair} not in {feas}"
+            ) from None
     return tuple(picks)
 
 

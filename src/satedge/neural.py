@@ -67,8 +67,12 @@ class FeatureScaler:
             raise ValueError("every feature range needs hi > lo")
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
+        """Scale one feature vector, or an N x F batch of them row by row.
+
+        A batch counts the clamps of all its rows and logs one warning.
+        """
         raw = np.asarray(raw, dtype=np.float64)
-        if raw.shape != self.lo.shape:
+        if raw.shape[-1:] != self.lo.shape or raw.ndim > 2:
             raise ValueError(f"expected {self.lo.shape[0]} features, got {raw.shape}")
         outside = int(np.count_nonzero((raw < self.lo) | (raw > self.hi)))
         if outside:
@@ -104,8 +108,8 @@ class FeatureScaler:
         return cls(lo=np.array(lo), hi=np.array(hi))
 
 
-def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
-    """Fixed-layout feature vector, min-max scaled to [0, 1].
+def _raw_features(state: EpisodeState) -> list[float]:
+    """Unscaled feature vector of one state.
 
     Layout v1: [t_c, r_fh, r_bh, d_vs, d_sg, f_m] then per sub-task
     [zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity].
@@ -124,7 +128,20 @@ def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
                 1.0 if cat is Category.DOWNLOAD else 0.0,
                 1.0 if hit else 0.0,
                 pop]
-    return scaler.transform(np.asarray(raw, dtype=np.float64))
+    return raw
+
+
+def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
+    """Fixed-layout feature vector (see _raw_features), min-max scaled to [0, 1]."""
+    return scaler.transform(np.asarray(_raw_features(state), dtype=np.float64))
+
+
+def encode_states(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
+    """encode_state of each state, as the rows of one array, in one scaling call."""
+    raw = np.empty((len(states), scaler.lo.shape[0]))
+    for row, state in enumerate(states):  # a row at a time: no list of all rows
+        raw[row] = _raw_features(state)
+    return scaler.transform(raw)
 
 
 @dataclass

@@ -8,6 +8,11 @@ enumeration returns: the total is the chain-order left fold of the
 picked costs, so it agrees bit-for-bit with evaluator.reward, and ties,
 including ties that float rounding creates in the total, fall to the
 lexicographically smallest pick (prefer local, prefer not caching).
+
+label_states labels a stream in blocks of states: block_argmin applies
+that rule to every state of a block at once, with the same folds.
+label_state labels one state through lexicographic_argmin, for a
+rollout whose next state depends on this one's action.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
-from .evaluator import ActionMatrix, EpisodeState, PriceVector, cost_rows
-from .neural import LAYOUT_VERSION, FeatureScaler, encode_state, feature_dim
+from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, ActionMatrix, EpisodeState,
+                        PriceVector, blocks, cost_rows, tabulate)
+from .neural import (LAYOUT_VERSION, FeatureScaler, encode_state, encode_states,
+                     feature_dim)
 from .scenario import episode_stream, prices_from
 
 
@@ -71,21 +78,75 @@ def lexicographic_argmin(tables: Sequence[Sequence[float]],
     return tuple(picks), float(total)
 
 
+def block_argmin(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lexicographic_argmin of every row of an N x V x K cost block at once.
+
+    Row n holds V tables of K costs, +inf marking an absent entry (an
+    infeasible pair). Returns the N x V picks and the N totals, each
+    equal to what lexicographic_argmin returns for the row's finite
+    entries, bit for bit: the same left folds, each step one whole-array
+    operation over the N rows. A candidate's completion with the
+    remaining minima reaches the optimum as soon as one of its partial
+    sums equals the optimum's, and from there on the two folds add the
+    same numbers, so testing the full completion against the optimum's
+    total decides what lexicographic_argmin's partial-sum test decides.
+    """
+    n, num_tables, _ = costs.shape
+    mins = costs.min(axis=2)
+    optimum = mins[:, 0] if num_tables else np.zeros(n)
+    for v in range(1, num_tables):
+        optimum = optimum + mins[:, v]
+    rows = np.arange(n)
+    picks = np.empty((n, num_tables), dtype=np.intp)
+    total = np.zeros(n)
+    for v in range(num_tables):
+        # the fold starts at the first cost itself, as np.add.outer does
+        acc = costs[:, v] if v == 0 else total[:, None] + costs[:, v]
+        completion = acc
+        for k in range(v + 1, num_tables):
+            completion = completion + mins[:, k, None]
+        picks[:, v] = (completion == optimum[:, None]).argmax(axis=1)  # first True
+        total = acc[rows, picks[:, v]]
+    return picks, total
+
+
 def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatrix, float]:
     """Minimum-reward action over the pre-classified joint action space."""
     picks, value = lexicographic_argmin(cost_rows(state, prices))
     return ActionMatrix.from_pairs([f[i] for f, i in zip(state.feasible, picks)]), value
 
 
+def label_state(episode_id: int, state: EpisodeState, prices: PriceVector,
+                scaler: FeatureScaler) -> Demonstration:
+    """Solve and encode one state on its own, for a rollout whose next state
+    depends on this one's action; bit for bit what label_states returns."""
+    action, value = solve_optimal(state, prices)
+    return Demonstration(episode_id=episode_id, features=encode_state(state, scaler),
+                         labels=action.bits(), opt_reward=value)
+
+
 def label_states(states: Iterable[EpisodeState], prices: PriceVector,
                  scaler: FeatureScaler) -> list[Demonstration]:
-    """Solve and encode pre-drawn states; episode ids count from 0."""
-    demos = []
-    for i, state in enumerate(states):
-        action, value = solve_optimal(state, prices)
-        demos.append(Demonstration(episode_id=i,
-                                   features=encode_state(state, scaler),
-                                   labels=action.bits(), opt_reward=value))
+    """Solve and encode pre-drawn states, block by block; episode ids count from 0.
+
+    Each block shares one Tables (its states' views read it later), one
+    block_argmin over its cost table at the states' own hits and one
+    scaling call.
+    """
+    demos: list[Demonstration] = []
+    # a stream repeats few label patterns, so its rows share one tuple per pattern
+    patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for block in blocks(states):
+        cost = tabulate(block).costs(prices)
+        hits = np.array([state.hits for state in block])[:, :, None]
+        picks, values = block_argmin(np.where(hits, cost[:, :, 1], cost[:, :, 0]))
+        labels = np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
+        features = encode_states(block, scaler)
+        for row, bits, value in zip(features, labels.tolist(), values.tolist()):
+            key = tuple(bits)
+            demos.append(Demonstration(episode_id=len(demos), features=row,
+                                       labels=patterns.setdefault(key, key),
+                                       opt_reward=value))
     return demos
 
 

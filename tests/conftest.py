@@ -1,16 +1,17 @@
 import itertools
 from dataclasses import replace
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from satedge.caching import (CacheState, apply_caching_action, cached_bytes,
                              empty_cache, is_hit, request_probability)
-from satedge.channel import LinkState
+from satedge.channel import LinkState, transmit_time
 from satedge.config import ScenarioConfig, default_config
-from satedge.evaluator import (PAIRS, ActionMatrix, EpisodeState, PriceVector,
-                               feasible_actions, reward, subtask_cost, subtask_time)
-from satedge.neural import MLPModel, cross_entropy, forward, gradients
+from satedge.evaluator import PAIRS, ActionMatrix, EpisodeState, PriceVector, reward
+from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
+from satedge.oracle import Demonstration
 from satedge.scenario import library_capacity, prices_from
 from satedge.workload import SubTask, Category, TaskGraph
 
@@ -71,18 +72,158 @@ def reference_hits(state: EpisodeState) -> tuple[bool, ...]:
                  for st in state.task)
 
 
+# The scalar labelling path as it stood before labelling ran in blocks,
+# copied from the library: per-sub-task time, feasibility and cost
+# formulas, per-state cost rows, the list solver, and one scaling call per
+# state. It shares no code with Tables, block_argmin or encode_states.
+
+
+def reference_return_leg(st: SubTask, state: EpisodeState) -> float:
+    """Satellite-to-vehicle delivery time for the sub-task's output."""
+    return transmit_time(st.d_out, state.link.rate_fh) + state.link.prop_vs
+
+
+def reference_feasible_actions(st: SubTask,
+                               state: EpisodeState) -> tuple[tuple[int, int], ...]:
+    """Feasible (offload, cache) pairs, ascending.
+
+    Upload must offload; Download must not. When the output's return leg
+    no longer fits in the coverage window, the result has to be cached
+    for a later pass, which pins the cache bit to 1.
+    """
+    cat = st.category
+    if cat is Category.UPLOAD:
+        return ((1, 0), (1, 1))
+    within = reference_return_leg(st, state) < state.t_c
+    if cat is Category.DOWNLOAD:
+        return ((0, 0), (0, 1)) if within else ((0, 1),)
+    return PAIRS if within else ((0, 1), (1, 1))
+
+
+def reference_subtask_time(st: SubTask, a_of: int, hit: bool,
+                           state: EpisodeState) -> float:
+    """Seconds until this sub-task's result is back at the vehicle."""
+    link = state.link
+    cat = st.category
+    if cat is Category.UPLOAD:
+        return (transmit_time(st.d_in, link.rate_fh) + link.prop_vs
+                + transmit_time(st.d_in, link.rate_bh) + link.prop_sg)
+    back = reference_return_leg(st, state)
+    if cat is Category.DOWNLOAD:
+        if hit:
+            return back
+        return transmit_time(st.d_out, link.rate_bh) + link.prop_sg + back
+    # compute: input always rides the fronthaul up, result always rides it down
+    ingest = transmit_time(st.d_in, link.rate_fh) + link.prop_vs
+    if hit:
+        return ingest + back
+    if a_of:
+        work = transmit_time(st.d_in, link.rate_bh) + link.prop_sg
+    else:
+        work = st.zeta / state.cpu_rate
+    return ingest + work + back
+
+
+def reference_subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
+                           prices: PriceVector) -> float:
+    """This sub-task's contribution to the episode reward, given its time t."""
+    live = 0.0 if hit else 1.0  # a hit consumes no compute or offload budget
+    return (prices.comp * (1 - a_of) * st.zeta * live
+            + prices.comm * a_of * st.d_in * live
+            + prices.cache * a_ch * st.d_out
+            + prices.cpl * t)
+
+
+def reference_cost_rows(state: EpisodeState, prices: PriceVector,
+                        ) -> tuple[list[tuple[tuple[int, int], ...]], list[list[float]]]:
+    """Each sub-task's feasible pairs and their costs, rebuilt on every call."""
+    hits = reference_hits(state)
+    feasible = [reference_feasible_actions(st, state) for st in state.task]
+    rows = [[reference_subtask_cost(st, of, ch, hit,
+                                    reference_subtask_time(st, of, hit, state), prices)
+             for of, ch in feas]
+            for st, feas, hit in zip(state.task, feasible, hits)]
+    return feasible, rows
+
+
+def reference_lexicographic_argmin(tables: Sequence[Sequence[float]],
+                                   ) -> tuple[tuple[int, ...], float]:
+    """First minimum, in row-major order, of the left-fold sum over tables."""
+    mins = [min(t) for t in tables]
+    target = list(itertools.accumulate(mins))  # partial sums of the optimum
+
+    def reaches_optimum(v: int, acc: float) -> bool:
+        if acc == target[v]:
+            return True
+        for k in range(v + 1, len(tables)):
+            acc += mins[k]
+            if acc == target[k]:
+                return True
+        return False
+
+    picks: list[int] = []
+    total = 0.0
+    for v, table in enumerate(tables):
+        # the fold starts at the first cost itself, as np.add.outer does
+        i = next(i for i, cost in enumerate(table)
+                 if reaches_optimum(v, total + cost if v else cost))
+        picks.append(i)
+        total = total + table[i] if v else table[i]
+    return tuple(picks), float(total)
+
+
+def reference_solve_optimal(state: EpisodeState,
+                            prices: PriceVector) -> tuple[ActionMatrix, float]:
+    """Minimum-reward action over the pre-classified joint action space."""
+    feasible, rows = reference_cost_rows(state, prices)
+    picks, value = reference_lexicographic_argmin(rows)
+    pairs = [f[i] for f, i in zip(feasible, picks)]
+    return ActionMatrix(offload=tuple(p[0] for p in pairs),
+                        cache=tuple(p[1] for p in pairs)), value
+
+
+def reference_encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
+    """Layout v1, scaled one vector at a time (no clamp counting)."""
+    link = state.link
+    raw = [state.t_c, link.rate_fh, link.rate_bh, link.prop_vs, link.prop_sg,
+           state.cpu_rate]
+    delta, num_ranks = state.cache.delta, state.cache.num_ranks
+    for st, hit in zip(state.task, reference_hits(state)):
+        cat = st.category
+        pop = request_probability(st.out_rank, delta, num_ranks) if st.out_rank else 0.0
+        raw += [st.zeta, st.d_in, st.d_out, st.rho,
+                1.0 if cat is Category.COMPUTE else 0.0,
+                1.0 if cat is Category.DOWNLOAD else 0.0,
+                1.0 if hit else 0.0,
+                pop]
+    raw = np.asarray(raw, dtype=np.float64)
+    return (np.clip(raw, scaler.lo, scaler.hi) - scaler.lo) / (scaler.hi - scaler.lo)
+
+
+def reference_label_states(states: Iterable[EpisodeState], prices: PriceVector,
+                           scaler: FeatureScaler) -> list[Demonstration]:
+    """Solve and encode pre-drawn states one at a time; episode ids count from 0."""
+    demos = []
+    for i, state in enumerate(states):
+        action, value = reference_solve_optimal(state, prices)
+        demos.append(Demonstration(episode_id=i,
+                                   features=reference_encode_state(state, scaler),
+                                   labels=action.bits(), opt_reward=value))
+    return demos
+
+
 def reference_reward_and_time(state: EpisodeState, action: ActionMatrix,
                               prices: PriceVector) -> tuple[float, float]:
-    """(reward, completion_time) from one subtask_time and subtask_cost per pick.
+    """(reward, completion_time) from one time and one cost formula per pick.
 
-    Reads no derived view or cost table of the state; the action must be
-    feasible.
+    Reads no derived view or cost table of the state, nor the library's
+    tables; the action must be feasible.
     """
     cost = seconds = 0.0
     for v, (st, hit) in enumerate(zip(state.task, reference_hits(state))):
         of, ch = action.pair(v)
-        t = subtask_time(st, of, hit, state)
-        cost += subtask_cost(st, of, ch, hit, t, prices)
+        t = reference_subtask_time(st, of, hit, state)
+        cost += reference_subtask_cost(st, of, ch, hit, t, prices)
         seconds += t
     return cost, seconds
 
@@ -178,7 +319,7 @@ def solve_full_grid(state: EpisodeState, prices: PriceVector,
     shares nothing with solve_optimal beyond the evaluator. Only sane for
     small |V|.
     """
-    feas = [set(feasible_actions(st, state)) for st in state.task]
+    feas = [set(reference_feasible_actions(st, state)) for st in state.task]
     best: tuple[ActionMatrix, float] | None = None
     for combo in itertools.product(PAIRS, repeat=len(state.task)):
         if any(pair not in feas[v] for v, pair in enumerate(combo)):

@@ -1,0 +1,159 @@
+"""Block labelling against the scalar path it replaced.
+
+label_states builds one Tables block per run of states, solves every row
+with block_argmin and scales all feature rows in one call; label_state
+labels a lone state through its own one-state block and the list solver.
+Both must give the labels, the opt_reward bits and the feature bits of
+the scalar path in conftest, and the views that baselines and scoring
+read must equal the scalar formulas.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from satedge.caching import empty_cache
+from satedge.config import default_config
+from satedge.evaluator import (BLOCK_STATES, PriceVector, carry_cache, cost_rows,
+                               tabulate)
+from satedge.neural import FeatureScaler
+from satedge.oracle import block_argmin, label_state, label_states, lexicographic_argmin
+from satedge.scenario import episode_stream, prices_from
+
+from conftest import (reference_cost_rows, reference_hits, reference_label_states,
+                      reference_subtask_time)
+from test_oracle import TIE_COSTS
+
+COVERAGES = {
+    "fixed-300s": {"coverage_mode": "fixed", "coverage_s": 300.0},
+    "fixed-0.16s": {"coverage_mode": "fixed", "coverage_s": 0.16},
+    "orbit": {"coverage_mode": "orbit"},
+}
+PRICES = ("default", "time-only", "zero")
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+def _assert_same_demos(demos, reference):
+    assert len(demos) == len(reference)
+    for demo, ref in zip(demos, reference):
+        assert demo.episode_id == ref.episode_id
+        assert demo.labels == ref.labels
+        assert _bits(demo.opt_reward) == _bits(ref.opt_reward)
+        assert demo.features.dtype == np.float64
+        assert demo.features.tobytes() == ref.features.tobytes()
+
+
+def _assert_views_match_formulas(state, prices):
+    feasible, rows = reference_cost_rows(state, prices)
+    hits = reference_hits(state)
+    assert state.feasible == tuple(feasible)
+    assert cost_rows(state, prices) == rows
+    assert state.seconds == tuple(
+        tuple(reference_subtask_time(sub, of, hit, state) for of, _ in feas)
+        for sub, feas, hit in zip(state.task, feasible, hits))
+
+
+@pytest.mark.parametrize("num_subtasks", [1, 6, 9])
+@pytest.mark.parametrize("coverage", sorted(COVERAGES))
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), price_kind=st.sampled_from(PRICES),
+       n=st.sampled_from([1, 7, BLOCK_STATES - 1, BLOCK_STATES, BLOCK_STATES + 3,
+                          2 * BLOCK_STATES]))
+def test_block_labelling_matches_scalar_path(num_subtasks, coverage, seed, price_kind, n):
+    cfg = default_config()
+    scen = replace(cfg.scenario, num_subtasks=num_subtasks, **COVERAGES[coverage])
+    prices = {"default": prices_from(scen), "time-only": PriceVector(0.0, 0.0, 0.0, 1.0),
+              "zero": PriceVector(0.0, 0.0, 0.0, 0.0)}[price_kind]
+    scaler = FeatureScaler.from_scenario(scen)
+    states = [state for _, state in episode_stream(scen, seed, n)]
+    reference = reference_label_states(states, prices, scaler)
+
+    _assert_same_demos(label_states(states, prices, scaler), reference)
+    # the per-state path: a fresh twin of each state builds its own block
+    _assert_same_demos([label_state(i, replace(s), prices, scaler)
+                        for i, s in enumerate(states[:9])], reference[:9])
+    for state in states[:9]:
+        _assert_views_match_formulas(state, prices)
+
+
+def test_short_coverage_restricts_feasible_sets():
+    # the fixed 0.16 s window is about the median return leg, so the
+    # differential test above meets restricted feasible sets
+    scen = replace(default_config().scenario, **COVERAGES["fixed-0.16s"])
+    states = [state for _, state in episode_stream(scen, 5, 50)]
+    tabulate(states)
+    allowed = {"upload": 2, "download": 2, "compute": 4}
+    restricted = sum(len(feas) < allowed[sub.category.value]
+                     for state in states for sub, feas in zip(state.task, state.feasible))
+    assert restricted > 50
+
+
+def test_carried_state_reads_its_draws_row():
+    cfg = default_config()
+    prices = prices_from(cfg.scenario)
+    scaler = FeatureScaler.from_scenario(cfg.scenario)
+    states = [state for _, state in episode_stream(cfg.scenario, 3, 20)]
+    block = tabulate(states)
+    for state in states:
+        # an empty cache turns every hit of the drawn placement into a miss
+        cache = empty_cache(state.cache.sizes, state.cache.capacity_bytes,
+                            state.cache.delta)
+        carried = carry_cache(state, cache)
+        assert carried.tables == state.tables and carried.tables[0] is block
+        assert not any(carried.hits)
+        _assert_views_match_formulas(carried, prices)
+        _assert_same_demos([label_state(0, carried, prices, scaler)],
+                           reference_label_states([carried], prices, scaler))
+
+
+def test_block_rejects_unequal_chain_lengths():
+    scen = default_config().scenario
+    short = next(episode_stream(replace(scen, num_subtasks=2), 1, 1))[1]
+    long = next(episode_stream(scen, 1, 1))[1]
+    with pytest.raises(ValueError):
+        tabulate([short, long])
+    # label_states starts a new block where the chain length changes
+    prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
+    assert [d.labels for d in label_states([long, long], prices, scaler)] == \
+        [d.labels for d in reference_label_states([long, long], prices, scaler)]
+
+
+cost_table = st.lists(st.one_of(st.sampled_from(TIE_COSTS),
+                                st.floats(min_value=-1e6, max_value=1e6)),
+                      min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda v: st.lists(st.lists(cost_table, min_size=v, max_size=v),
+                       min_size=1, max_size=6)))
+def test_block_argmin_matches_lexicographic_argmin_per_row(rows):
+    costs = np.full((len(rows), len(rows[0]), 4), np.inf)
+    for n, tables in enumerate(rows):
+        for v, table in enumerate(tables):
+            costs[n, v, :len(table)] = table
+    picks, totals = block_argmin(costs)
+    for n, tables in enumerate(rows):
+        ref_picks, ref_total = lexicographic_argmin(tables)
+        assert tuple(picks[n].tolist()) == ref_picks
+        assert _bits(totals[n]) == _bits(ref_total)
+
+
+def test_block_argmin_keeps_rounding_collapsed_tie_inside_a_block():
+    inf = np.inf
+    costs = np.array([
+        [[2.0, 1.0], [3.0, inf]],
+        # 0.5 + 2**53 rounds to 2**53, so index 0 ties the per-table minimum and wins
+        [[0.5, 0.0], [2.0 ** 53, inf]],
+        [[0.0, 0.5], [2.0 ** 53, inf]],
+    ])
+    picks, totals = block_argmin(costs)
+    assert picks.tolist() == [[1, 0], [0, 0], [0, 0]]
+    assert totals.tolist() == [4.0, 2.0 ** 53, 2.0 ** 53]
+    assert lexicographic_argmin([[0.5, 0.0], [2.0 ** 53]]) == ((0, 0), 2.0 ** 53)

@@ -267,6 +267,48 @@ def test_orbit_gen_dataset_bytes_are_pinned(tmp_path):
     assert digest == "74ff965457b80661026665b7f9215c5aabc2f7cc4d755001d59bc5a8ae15aba6"
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _benchmark_references():
+    """REFERENCE_SHA256 of the benchmark's label workloads, read from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.REFERENCE_SHA256
+
+
+@pytest.mark.parametrize("workload,episodes,num_subtasks",
+                         [("label", 250, 6), ("label-wide", 60, 9)])
+def test_gen_dataset_matches_benchmark_reference(tmp_path, workload, episodes,
+                                                 num_subtasks):
+    cfg = default_config()
+    cfg = replace(cfg, scenario=replace(cfg.scenario, num_subtasks=num_subtasks))
+    path = run_gen_dataset(cfg, 42, episodes, tmp_path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _benchmark_references()[workload]
+
+
+# SHA-256 of dataset.txt from `gen-dataset` under TINY_CONFIG (60 episodes,
+# seed 42) where coverage binds or the chain is long: orbit coverage at
+# 9 sub-tasks, and a 0.16 s fixed window that restricts many feasible sets.
+PINNED_TINY_DATASET_SHA256 = {
+    "coverage_mode = orbit\nnum_subtasks = 9\n":
+        "e29309c443a55e9697abb4988f5ee8f30c23c30b7dcbb046bcc238068984a144",
+    "coverage_s = 0.16\n":
+        "d69483a90239eb12a6cc046f81aeb0e0f38c0c63d537963e57fc99e521c00fd6",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(PINNED_TINY_DATASET_SHA256))
+def test_tiny_gen_dataset_bytes_are_pinned(tmp_path, extra):
+    config = tmp_path / "cfg.txt"
+    config.write_text(TINY_CONFIG + extra)
+    dataset = _gen(tmp_path, str(config))
+    digest = hashlib.sha256(dataset.read_bytes()).hexdigest()
+    assert digest == PINNED_TINY_DATASET_SHA256[extra]
+
+
 # SHA-256 of metrics.csv from `eval --episodes 25` under TINY_CONFIG at
 # (policy, cache mode). Baselines replay outputs through cache eviction,
 # and persistent mode carries the evicted cache into the next episode, so
@@ -379,11 +421,12 @@ def _untrained_model(path, num_subtasks):
 
 
 def _count_calls(monkeypatch, func):
-    """Count calls of func through every satedge module name bound to it."""
+    """Record the arguments of each call of func through every satedge module
+    name bound to it."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return func(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -394,6 +437,19 @@ def _count_calls(monkeypatch, func):
     return calls
 
 
+def _count_tables(monkeypatch):
+    """The number of states of each evaluator.Tables block built."""
+    sizes = []
+    init = evaluator.Tables.__init__
+
+    def counted(self, states):
+        sizes.append(len(states))
+        init(self, states)
+
+    monkeypatch.setattr(evaluator.Tables, "__init__", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--policy", "oracle"],
     ["eval", "--policy", "oracle", "--cache-mode", "persistent"],
@@ -402,13 +458,25 @@ def _count_calls(monkeypatch, func):
     ["compare"],
 ])
 def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, argv):
+    # fresh streams are labelled in blocks; a persistent rollout labels each
+    # state on its own, since its action sets the next state's cache
+    per_state = "persistent" in argv
     model = _untrained_model(tmp_path / "model.txt", 6)
     if "oracle" not in argv:
         argv = argv + ["--model", str(model)]
     solves = _count_calls(monkeypatch, oracle.solve_optimal)
     encodes = _count_calls(monkeypatch, neural.encode_state)
+    block_solves = _count_calls(monkeypatch, oracle.block_argmin)
+    block_encodes = _count_calls(monkeypatch, neural.encode_states)
     assert main(argv + ["--episodes", "7", "--out", str(tmp_path / "o")]) == 0
-    assert (len(solves), len(encodes)) == (7, 7)
+    solved_in_blocks = [len(costs) for costs, in block_solves]
+    encoded_in_blocks = [len(states) for states, _ in block_encodes]
+    if per_state:
+        assert (len(solves), len(encodes)) == (7, 7)
+        assert solved_in_blocks == encoded_in_blocks == []
+    else:
+        assert (len(solves), len(encodes)) == (0, 0)
+        assert solved_in_blocks == encoded_in_blocks == [7]
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,15 +488,19 @@ def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, arg
     ["compare"],
 ])
 def test_scoring_derives_each_state_view_once(tmp_path, monkeypatch, argv):
-    # V = 6 sub-tasks, N = 7 episodes: one feasible set per sub-task per
-    # state, and at most one time per feasible pair (four pairs at most)
+    # N = 7 episodes: one Tables block holds every state's times and feasible
+    # sets (a persistent rollout's carried states share their draw's row),
+    # and it is priced once, whatever number of schemes reads the costs
     model = _untrained_model(tmp_path / "model.txt", 6)
+    tables = _count_tables(monkeypatch)
+    pricings = _count_calls(monkeypatch, evaluator._pair_cost)
     feasible = _count_calls(monkeypatch, evaluator.feasible_actions)
     times = _count_calls(monkeypatch, evaluator.subtask_time)
     assert main(argv + ["--model", str(model), "--episodes", "7",
                         "--out", str(tmp_path / "o")]) == 0
-    assert len(feasible) == 6 * 7
-    assert 0 < len(times) <= 4 * 6 * 7
+    assert tables == [7]
+    assert len(pricings) == 1
+    assert (len(feasible), len(times)) == (0, 0)
 
 
 @pytest.mark.parametrize("argv, validations", [

@@ -22,6 +22,7 @@ from satedge.neural import (
     cross_entropy,
     decode_actions,
     encode_state,
+    encode_states,
     feature_dim,
     forward,
     gradients,
@@ -63,6 +64,35 @@ def test_scaler_clamps_out_of_range_and_counts(caplog):
     below = scaler.transform(np.array([-3.0, -1.0]))
     assert np.array_equal(below, np.zeros(2))
     assert scaler.clamp_count == 3
+
+
+def test_scaler_batch_equals_row_by_row(caplog):
+    rng = np.random.default_rng(4)
+    lo, hi = np.array([0.0, -2.0, 10.0]), np.array([4.0, 2.0, 11.0])
+    raw = rng.uniform(-5.0, 15.0, size=(40, 3))  # many rows clamp somewhere
+    rows, batch = FeatureScaler(lo=lo, hi=hi), FeatureScaler(lo=lo, hi=hi)
+    stacked = np.stack([rows.transform(r) for r in raw])
+    with caplog.at_level("WARNING", logger="satedge.neural"):
+        caplog.clear()
+        scaled = batch.transform(raw)
+    assert scaled.tobytes() == stacked.tobytes()
+    assert batch.clamp_count == rows.clamp_count > 0
+    assert len([r for r in caplog.records if "clamped" in r.getMessage()]) == 1
+    assert batch.transform(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 2), (5, 4), (2, 5, 3), (3, 1)])
+def test_scaler_rejects_other_shapes(shape):
+    scaler = FeatureScaler(lo=np.zeros(3), hi=np.ones(3))
+    with pytest.raises(ValueError):
+        scaler.transform(np.zeros(shape))
+
+
+def test_encode_states_equals_encode_state_per_row(cfg):
+    scaler = FeatureScaler.from_scenario(cfg.scenario)
+    states = [state for _, state in episode_stream(cfg.scenario, seed=8, n=30)]
+    batch = encode_states(states, scaler)
+    assert batch.tobytes() == np.stack([encode_state(s, scaler) for s in states]).tobytes()
 
 
 def test_scaler_rejects_bad_ranges():

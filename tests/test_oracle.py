@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, PriceVector, feasible_actions, reward,
-                               subtask_cost, subtask_time, validate_action)
+                               validate_action)
 from satedge.oracle import (build_dataset, lexicographic_argmin, read_dataset,
                             solve_optimal, write_dataset)
 from satedge.policies import BASELINE_PAIRS, baseline_policy
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import compute, make_state, reference_hits, solve_full_grid, upload
+from conftest import (compute, make_state, reference_feasible_actions, reference_hits,
+                      reference_subtask_cost, reference_subtask_time, solve_full_grid,
+                      upload)
 
 
 def outer_argmin(tables):
@@ -32,8 +34,9 @@ def solve_by_enumeration(state, prices):
 
     Builds its own tables, independent of the state's derived fields.
     """
-    feas = [feasible_actions(sub, state) for sub in state.task]
-    tables = [[subtask_cost(sub, of, ch, hit, subtask_time(sub, of, hit, state), prices)
+    feas = [reference_feasible_actions(sub, state) for sub in state.task]
+    tables = [[reference_subtask_cost(sub, of, ch, hit,
+                                      reference_subtask_time(sub, of, hit, state), prices)
                for of, ch in f]
               for sub, f, hit in zip(state.task, feas, reference_hits(state))]
     picks, value = outer_argmin(tables)

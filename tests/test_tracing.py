@@ -7,10 +7,11 @@ traced compare run here makes such a break fail the test suite instead.
 
 import importlib.util
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from satedge import neural
+from satedge import neural, oracle
 from satedge.cli import run_compare, run_gen_dataset, run_train
 from satedge.config import default_config
 
@@ -54,15 +55,41 @@ def _traced(stage, episodes):
     return wrapped, metrics
 
 
+@contextmanager
+def _block_sizes(module, name):
+    """Record the length of the first argument of each call of module.name."""
+    func = getattr(module, name)
+    sizes = []
+
+    def counted(*args, **kwargs):
+        sizes.append(len(args[0]))
+        return func(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield sizes
+    finally:
+        setattr(module, name, func)
+
+
 def test_tracer_wraps_label_and_restores_every_name(tmp_path):
     cfg = default_config()
-    wrapped, metrics = _traced(lambda: run_gen_dataset(cfg, 42, 10, tmp_path), 10)
+
+    def stage():
+        with _block_sizes(oracle, "block_argmin") as solved, \
+                _block_sizes(oracle, "encode_states") as encoded:
+            run_gen_dataset(cfg, 42, 10, tmp_path)
+        assert solved == encoded == [10]  # one block: every episode once
+
+    wrapped, metrics = _traced(stage, 10)
     assert ("satedge.scenario", "episode_state") in wrapped
     assert ("satedge.oracle", "encode_state") in wrapped
     assert metrics["scenario.episode_state.n"] == 10
-    assert metrics["oracle.solve_optimal.n"] == 10
-    assert metrics["neural.encode_state.n"] == 10
-    assert metrics["evaluator.feasible_actions.calls_per_ep"] == cfg.scenario.num_subtasks
+    # labelling runs in blocks, past the per-state solver, encoder and
+    # feasibility function the tracer times
+    assert metrics["oracle.solve_optimal.n"] == 0
+    assert metrics["neural.encode_state.n"] == 0
+    assert metrics["evaluator.feasible_actions.calls_per_ep"] == 0
     assert metrics["oracle.write_dataset.s"] > 0
 
 
@@ -71,18 +98,22 @@ def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
     cfg = replace(cfg, train=replace(cfg.train, max_epochs=2))
     dataset = run_gen_dataset(cfg, 42, 60, tmp_path)
     model = run_train(cfg, 42, dataset, tmp_path)
-    wrapped, metrics = _traced(lambda: run_compare(cfg, 2042, model, 10, tmp_path), 10)
+
+    def stage():
+        with _block_sizes(oracle, "block_argmin") as solved, \
+                _block_sizes(oracle, "encode_states") as encoded:
+            run_compare(cfg, 2042, model, 10, tmp_path)
+        assert solved == encoded == [10]  # the stream is labelled once
+
+    wrapped, metrics = _traced(stage, 10)
     assert ("satedge.evaluator", "feasible_actions") in wrapped
     assert ("FeatureScaler", "transform") in wrapped
     assert metrics["scenario.episode_state.n"] == 10
-    assert metrics["oracle.solve_optimal.n"] == 10
-    # each state derives its feasible sets once, whatever number of schemes reads them
-    assert metrics["evaluator.feasible_actions.calls_per_ep"] == cfg.scenario.num_subtasks
-    # one cost per feasible pair: the solver, the go rule and the scoring of
-    # all eight schemes read one memoised table per state
-    V = cfg.scenario.num_subtasks
-    assert metrics["evaluator.subtask_cost.calls_per_ep"] == \
-        4 * V * metrics["evaluator.feasible_pair_frac"]
+    assert metrics["oracle.solve_optimal.n"] == 0
+    # every state reads its feasible sets and costs from one Tables block, so
+    # neither per-sub-task function runs, whatever number of schemes is scored
+    assert metrics["evaluator.feasible_actions.calls_per_ep"] == 0
+    assert metrics["evaluator.subtask_cost.calls_per_ep"] == 0
     # cache offers and evictions are counted through the rebindable evict_mrc
     # and evict_mpc, so a replay that bypassed them would read 0 here; each
     # cache kind is replayed once per state, whatever number of baselines use it
