@@ -34,9 +34,10 @@ def transmit_time(num_bytes, rate_bits_s):
 
     Either argument may be a numpy array; the result then broadcasts.
     """
-    if np.any(np.less_equal(rate_bits_s, 0.0)):
+    # "not >" rather than "<=", so NaN fails too
+    if not np.all(np.greater(rate_bits_s, 0.0)):
         raise ValueError(f"rate must be positive, got {rate_bits_s}")
-    if np.any(np.less(num_bytes, 0.0)):
+    if not np.all(np.greater_equal(num_bytes, 0.0)):
         raise ValueError(f"byte count must be nonnegative, got {num_bytes}")
     return 8.0 * num_bytes / rate_bits_s
 

@@ -20,10 +20,9 @@ import numpy as np
 from .caching import apply_caching_action
 from .config import (ConfigError, SimConfig, dump_config, load_config, orbit_params,
                      scenario_hash)
-from .dil import (action_report, baseline_actions, docs_actions, oracle_actions,
-                  train_policy)
-from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
-                        PriceVector, blocks, carry_cache, tabulate)
+from .dil import action_report, docs_actions, scheme_actions, train_policy
+from .evaluator import (PAIR_CACHE, EpisodeState, InfeasibleActionError, blocks,
+                        carry_cache, tabulate)
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
 from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
@@ -122,31 +121,20 @@ def run_train(cfg: SimConfig, seed: int, dataset: Path, out: Path) -> Path:
 
 # ---------------------------------------------------------------------------
 # eval and compare: label the stream once, then score each scheme's actions
+# on the same Tables blocks
 
 _SCHEMES = ("oracle", "docs") + tuple(
     baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
 
 
-def _scheme_actions(scheme: str, model: MLPModel | None, demos: list[Demonstration],
-                    states: list[EpisodeState], prices: PriceVector) -> list[ActionMatrix]:
-    """One scheme's actions: the labels, the decoded policy, or a baseline."""
-    if scheme == "oracle":
-        return oracle_actions(demos)
-    if scheme == "docs":
-        return docs_actions(model, demos, states)
-    of_kind, ch_kind = scheme.split("-")
-    return baseline_actions(of_kind, ch_kind, states, prices)
-
-
 def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
                         model: MLPModel | None, scaler: FeatureScaler, eviction: str,
-                        ) -> tuple[list[EpisodeState], list[Demonstration],
-                                   list[ActionMatrix]]:
+                        ) -> tuple[list[EpisodeState], list[Demonstration], np.ndarray]:
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
     The draws do not depend on the cache, so they are tabulated in blocks
-    up front; each state is then labelled on its own, since its action
-    sets the next cache.
+    up front; each state is then labelled and acted on as a block of one,
+    since its action sets the next cache.
     """
     scen = cfg.scenario
     prices = prices_from(scen)
@@ -155,18 +143,19 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
         tabulate(block)
     states: list[EpisodeState] = []
     demos: list[Demonstration] = []
-    actions: list[ActionMatrix] = []
+    actions: list[np.ndarray] = []
     cache = None
     for i, state in enumerate(drawn):
         if cache is not None:
             state = carry_cache(state, cache)
         demo = label_state(i, state, prices, scaler)
-        action = _scheme_actions(scheme, model, [demo], [state], prices)[0]
+        action = scheme_actions(scheme, model, [demo], [state], prices)
         states.append(state)
         demos.append(demo)
         actions.append(action)
-        cache = apply_caching_action(state.cache, state.task, action.cache, eviction)
-    return states, demos, actions
+        cache = apply_caching_action(state.cache, state.task,
+                                     tuple(PAIR_CACHE[action[0]].tolist()), eviction)
+    return states, demos, np.concatenate(actions)
 
 
 def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
@@ -189,7 +178,7 @@ def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
     else:
         states = [state for _, state in episode_stream(cfg.scenario, seed, episodes)]
         demos = label_states(states, prices, scaler)
-        actions = _scheme_actions(policy, model, demos, states, prices)
+        actions = scheme_actions(policy, model, demos, states, prices)
     report = action_report(actions, demos, states, prices)
 
     # metric columns follow action_report's key order
@@ -215,7 +204,7 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     reports = {}
     for name in _SCHEMES:
         scheme_t0 = time.perf_counter()
-        actions = _scheme_actions(name, model, demos, states, prices)
+        actions = scheme_actions(name, model, demos, states, prices)
         if name == "docs":
             infer_elapsed = time.perf_counter() - scheme_t0
         reports[name] = action_report(actions, demos, states, prices)

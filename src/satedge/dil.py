@@ -4,6 +4,12 @@ The policy is trained to reproduce the oracle's action bits from the
 encoded episode state. Splits, shuffles, and initialization all hang off
 one seed, so a fixed (dataset, config, seed) triple reproduces the loss
 curve exactly.
+
+Scoring runs on whole streams: each scheme's actions are one N x V array
+of PAIRS indices (the labels, the batched forward pass decoded in one
+projection, or a baseline built for the block), and action_report scores
+them through evaluator.score. Only a baseline's retention replay runs per
+state; a persistent rollout calls these on blocks of one state.
 """
 
 from __future__ import annotations
@@ -13,11 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .evaluator import ActionMatrix, EpisodeState, PriceVector, reward_and_time
-from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_actions,
+from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, EpisodeState, PriceVector, pair_index,
+                        patterns, score)
+from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_picks,
                      forward, gradients, init_model)
 from .oracle import Demonstration
-from .policies import baseline_policy
+from .policies import baseline_actions
 
 
 @dataclass
@@ -104,50 +111,53 @@ def train_policy(demos: list[Demonstration], cfg: TrainConfig,
 
 
 def docs_actions(model: MLPModel, demos: list[Demonstration],
-                 states: list[EpisodeState]) -> list[ActionMatrix]:
-    """Decode the trained policy for each episode (batched forward pass)."""
+                 states: list[EpisodeState]) -> np.ndarray:
+    """The trained policy's actions: one batched forward pass, decoded at once."""
     probs = forward(model, np.stack([d.features for d in demos]))
-    return [decode_actions(probs[i], s) for i, s in enumerate(states)]
+    return decode_picks(probs, patterns(states))
 
 
-def baseline_actions(offload_kind: str, cache_kind: str,
-                     states: list[EpisodeState],
-                     prices: PriceVector) -> list[ActionMatrix]:
-    return [baseline_policy(offload_kind, cache_kind, s, prices) for s in states]
+def oracle_actions(demos: list[Demonstration]) -> np.ndarray:
+    """The labels' actions, as N x V PAIRS indices."""
+    labels = np.array([d.labels for d in demos])
+    v = labels.shape[1] // 2
+    return pair_index(labels[:, :v], labels[:, v:])
 
 
-def oracle_actions(demos: list[Demonstration]) -> list[ActionMatrix]:
-    return [ActionMatrix.from_bits(d.labels) for d in demos]
+def scheme_actions(scheme: str, model: MLPModel | None, demos: list[Demonstration],
+                   states: list[EpisodeState], prices: PriceVector) -> np.ndarray:
+    """One scheme's actions: the labels, the decoded policy, or a baseline."""
+    if scheme == "oracle":
+        return oracle_actions(demos)
+    if scheme == "docs":
+        return docs_actions(model, demos, states)
+    of_kind, ch_kind = scheme.split("-")
+    return baseline_actions(of_kind, ch_kind, states, prices)
 
 
-def action_report(actions: list[ActionMatrix], demos: list[Demonstration],
+def action_report(actions: np.ndarray, demos: list[Demonstration],
                   states: list[EpisodeState], prices: PriceVector) -> dict[str, float]:
-    """Accuracy and cost metrics for one policy against the oracle labels.
+    """Accuracy and cost metrics for one policy's N x V actions against the
+    oracle labels.
 
     exact_match is the fraction of episodes whose full bit pattern equals
-    the oracle's; reward_ratio_vs_opt is the ratio of mean rewards.
+    the oracle's; reward_ratio_vs_opt is the ratio of mean rewards. The
+    sums over episodes are left folds in episode order.
     """
     if not (len(actions) == len(demos) == len(states)):
         raise ValueError("actions, demos, and states must align")
-    exact = 0
-    bit_ok = 0
-    bit_total = 0
-    sum_reward = 0.0
-    sum_time = 0.0
-    sum_opt = 0.0
-    for act, demo, state in zip(actions, demos, states):
-        bits = act.bits()
-        exact += int(bits == demo.labels)
-        bit_ok += sum(a == b for a, b in zip(bits, demo.labels))
-        bit_total += len(bits)
-        cost, seconds = reward_and_time(state, act, prices)
+    rewards, times = score(states, actions, prices)
+    bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
+    same = bits == np.array([d.labels for d in demos])
+    sum_reward = sum_time = sum_opt = 0.0
+    for cost, seconds, demo in zip(rewards, times, demos):
         sum_reward += cost
         sum_time += seconds
         sum_opt += demo.opt_reward
     n = len(actions)
     return {
-        "exact_match": exact / n,
-        "per_bit_acc": bit_ok / bit_total,
+        "exact_match": int(same.all(axis=1).sum()) / n,
+        "per_bit_acc": int(same.sum()) / same.size,
         "mean_reward": sum_reward / n,
         "mean_completion_time_s": sum_time / n,
         "reward_ratio_vs_opt": sum_reward / sum_opt,

@@ -1,26 +1,27 @@
-"""Action feasibility, completion time, and priced reward for one episode.
+"""Action feasibility, completion time, and priced reward for episodes.
 
-An action assigns each sub-task an (offload, cache) bit pair. Feasible
-pairs depend on the category and on whether the output's return leg
-still fits inside the remaining coverage window. Times follow the
-per-category pipelines below; the reward is a cost (lower is better)
+An action assigns each sub-task an (offload, cache) bit pair, which the
+scoring path carries as its index p = 2 * offload + cache in PAIRS.
+Feasible pairs depend on the category and on whether the output's
+return leg still fits inside the remaining coverage window. Times follow
+the per-category pipelines below; the reward is a cost (lower is better)
 that prices compute cycles, offloaded bytes, pinned cache bytes, and
 completion seconds.
 
 Times, feasible sets and costs come from Tables, which computes them for
 a block of states with whole-array numpy: labelling builds one block per
 batch of states (tabulate), and a state outside any block builds a block
-of one. An EpisodeState reads its row of that block once, on first use,
-into hits, feasible (each sub-task's pairs, ascending) and seconds (each
-feasible pair's time), for the solver, baselines, decoding and scoring
-to read. It also memoises the cost rows of each price vector it is
-scored at (cost_tables, filled by cost_rows) and the retention bits of
-each cache kind (retained, filled by policies.baseline_cache), so every
-scheme scored on one state reads one table and one replay per kind. All
-of these are cached properties, not fields, so ==, hash and replace
-ignore them; a replaced state derives its own, except that carry_cache
-(a persistent rollout's carried cache) keeps the table row, which does
-not depend on the cache.
+of one. Scoring runs on the same blocks: score checks an N x V array of
+pair indices against the block's feasible patterns and gathers each
+state's cost and seconds at its own hits and pairs, folded over the
+chain one N-vector add per sub-task. reward, completion_time and
+validate_action are its one-state forms. A state memoises its hits, its
+Tables row, and the retention bits of each cache kind (retained, filled
+by policies.baseline_cache), so every scheme scored on one state reads
+one replay per kind. All of these are cached properties, not fields, so
+==, hash and replace ignore them; a replaced state derives its own,
+except that carry_cache (a persistent rollout's carried cache) keeps the
+table row, which does not depend on the cache.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -40,6 +41,11 @@ from .channel import LinkState, transmit_time
 from .workload import Category, SubTask, TaskGraph
 
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def pair_index(offload, cache):
+    """The PAIRS index of (offload, cache) bits, elementwise for numpy arrays."""
+    return 2 * offload + cache
 
 
 class InfeasibleActionError(ValueError):
@@ -71,6 +77,10 @@ class ActionMatrix:
     def bits(self) -> tuple[int, ...]:
         """Blocked label layout: all offload bits, then all cache bits."""
         return self.offload + self.cache
+
+    @classmethod
+    def from_picks(cls, picks: Iterable[int]) -> "ActionMatrix":
+        return cls.from_pairs([PAIRS[p] for p in picks])
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[int, int]]) -> "ActionMatrix":
@@ -109,23 +119,6 @@ class EpisodeState:
         return Tables([self]), 0
 
     @cached_property
-    def feasible(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each sub-task's feasible (offload, cache) pairs, ascending."""
-        block, row = self.tables
-        return tuple(FEASIBLE[p] for p in block.pattern[row].tolist())
-
-    @cached_property
-    def seconds(self) -> tuple[tuple[float, ...], ...]:
-        """Time of each feasible pair, aligned with feasible."""
-        block, row = self.tables
-        return tuple(map(tuple, block.cut(block.seconds, row, self.hits)))
-
-    @cached_property
-    def cost_tables(self) -> dict[PriceVector, list[list[float]]]:
-        """cost_rows' memo: one table per price vector, built on first use."""
-        return {}
-
-    @cached_property
     def retained(self) -> dict[str, tuple[int, ...]]:
         """policies.baseline_cache's memo: retention bits per cache kind."""
         return {}
@@ -141,11 +134,24 @@ FEASIBLE = (
     ((0, 1),), ((0, 0), (0, 1)),  # download
     ((0, 1), (1, 1)), PAIRS,  # compute
 )
-_PICKS = tuple(tuple(PAIRS.index(pair) for pair in feas) for feas in FEASIBLE)
 _INFEASIBLE = np.array([[pair not in feas for pair in PAIRS] for feas in FEASIBLE])
 PAIR_OFFLOAD = np.array([of for of, _ in PAIRS])  # each pair's bits, by PAIRS index
 PAIR_CACHE = np.array([ch for _, ch in PAIRS])
 _LIVE = np.array([[1.0], [0.0]])  # a miss (h = 0) consumes budget, a hit (h = 1) none
+
+
+def nearest_feasible(feas: tuple[tuple[int, int], ...],
+                     pair: tuple[int, int]) -> tuple[int, int]:
+    """The pair in feas nearest to pair by Hamming distance; ties go to the smaller."""
+    if pair in feas:
+        return pair
+    return min(feas, key=lambda f: ((f[0] != pair[0]) + (f[1] != pair[1]), f))
+
+
+# NEAR[pattern, p]: the PAIRS index of nearest_feasible(FEASIBLE[pattern], PAIRS[p]),
+# so projecting a block of proposals is one lookup
+NEAR = np.array([[PAIRS.index(nearest_feasible(feas, pair)) for pair in PAIRS]
+                 for feas in FEASIBLE])
 
 
 def _pair_cost(zeta, d_in, d_out, live, a_of, a_ch, t, prices: PriceVector):
@@ -226,12 +232,6 @@ class Tables:
             np.copyto(cost, np.inf, where=_INFEASIBLE[self.pattern][:, :, None, :])
         return cost
 
-    def cut(self, table: np.ndarray, row: int, hits: Sequence[bool]) -> list[list[float]]:
-        """One state's entries of an N x V x 2 x 4 table: each sub-task's
-        feasible pairs, on a miss or a hit as hits say."""
-        return [[by_hit[hit][i] for i in _PICKS[p]] for by_hit, hit, p in
-                zip(table[row].tolist(), hits, self.pattern[row].tolist())]
-
 
 # States per Tables block. Larger blocks spread numpy's per-call cost
 # thinner but hold more states' tables at once; past this size labelling
@@ -271,17 +271,10 @@ def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int],
     return FEASIBLE[int(Tables([replace(state, task=(st,))]).pattern[0, 0])]
 
 
-def nearest_feasible(feas: tuple[tuple[int, int], ...],
-                     pair: tuple[int, int]) -> tuple[int, int]:
-    """The pair in feas nearest to pair by Hamming distance; ties go to the smaller."""
-    if pair in feas:
-        return pair
-    return min(feas, key=lambda f: ((f[0] != pair[0]) + (f[1] != pair[1]), f))
-
-
 def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> float:
     """Seconds until this sub-task's result is back at the vehicle."""
-    return float(Tables([replace(state, task=(st,))]).seconds[0, 0, int(hit), 2 * a_of])
+    seconds = Tables([replace(state, task=(st,))]).seconds
+    return float(seconds[0, 0, int(hit), pair_index(a_of, 0)])
 
 
 def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
@@ -291,45 +284,100 @@ def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
                       prices)
 
 
-def cost_rows(state: EpisodeState, prices: PriceVector) -> list[list[float]]:
-    """Each sub-task's cost of every feasible pair, aligned with state.feasible.
+def table_runs(states: Sequence[EpisodeState]) -> Iterator[tuple[slice, Tables, slice]]:
+    """Each run of blocks(states) with the Tables rows that hold it.
 
-    Read once per (state, prices) from the state's Tables block and shared
-    by every caller, so callers must not mutate it.
+    Yields (span, table, rows): states[span] are rows `rows` of table. A
+    run whose states are consecutive rows of one block, as tabulate and
+    carry_cache leave them, reads that block; any other run is tabulated.
     """
-    rows = state.cost_tables.get(prices)
-    if rows is None:
-        block, row = state.tables
-        rows = state.cost_tables[prices] = block.cut(block.costs(prices), row, state.hits)
-    return rows
+    start = 0
+    for run in blocks(states):
+        held = [state.__dict__.get("tables") for state in run]  # the cached property's slot
+        table, first = held[0] or (None, 0)
+        if table is None or held != [(table, first + i) for i in range(len(run))]:
+            table, first = tabulate(run), 0
+        yield slice(start, start + len(run)), table, slice(first, first + len(run))
+        start += len(run)
+
+
+def patterns(states: Sequence[EpisodeState]) -> np.ndarray:
+    """The N x V FEASIBLE patterns of states, read from their Tables rows."""
+    return np.concatenate([table.pattern[rows] for _, table, rows in table_runs(states)])
+
+
+def state_hits(states: Sequence[EpisodeState]) -> np.ndarray:
+    """The N x V cache hits of states."""
+    return np.array([state.hits for state in states], dtype=bool)
+
+
+def at_hits(block: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """The N x V x 4 entries of an N x V x 2 x 4 Tables array at each sub-task's hit."""
+    return np.where(hits[:, :, None], block[:, :, 1], block[:, :, 0])
+
+
+def _check_feasible(pattern: np.ndarray, actions: np.ndarray, start: int) -> None:
+    """InfeasibleActionError naming the first state and sub-task whose pair
+    index in actions is infeasible under pattern; states count from start."""
+    if actions.shape != pattern.shape:
+        raise InfeasibleActionError(f"actions of shape {actions.shape} do not fit "
+                                    f"{len(pattern)} tasks of {pattern.shape[1]} sub-tasks")
+    bad = _INFEASIBLE[pattern, actions]
+    if bad.any():
+        n, v = np.argwhere(bad)[0].tolist()  # row-major: the first state, then sub-task
+        p = int(pattern[n, v])
+        raise InfeasibleActionError(
+            f"episode {start + n}, sub-task {v} ({tuple(_CODE)[p // 2].value}): "
+            f"pair {PAIRS[actions[n, v]]} not in {FEASIBLE[p]}")
+
+
+def score(states: Sequence[EpisodeState], actions: np.ndarray,
+          prices: PriceVector) -> tuple[list[float], list[float]]:
+    """Each state's (reward, completion time) under its row of actions.
+
+    actions is N x V, PAIRS indices. Every pair is checked against its
+    feasible set first (InfeasibleActionError names the first offender).
+    Each state's cost and seconds are gathered at its own hits and pairs,
+    and each total is a left fold in chain order from 0.0, one N-vector
+    add per sub-task, as block_argmin folds the solver's value.
+    """
+    rewards: list[float] = []
+    times: list[float] = []
+    for span, table, rows in table_runs(states):
+        picks = actions[span]
+        _check_feasible(table.pattern[rows], picks, span.start)
+        hits = state_hits(states[span])
+        for block, out in ((table.costs(prices), rewards), (table.seconds, times)):
+            picked = np.take_along_axis(at_hits(block[rows], hits), picks[..., None], axis=2)
+            total = np.zeros(len(picks))
+            for column in picked[..., 0].T:
+                total += column
+            out += total.tolist()
+    return rewards, times
+
+
+def action_array(actions: Sequence[ActionMatrix]) -> np.ndarray:
+    """The N x V PAIRS indices of N actions, as score and action_report take them."""
+    n = len(actions)
+    offload = np.array([a.offload for a in actions], dtype=np.intp).reshape(n, -1)
+    cache = np.array([a.cache for a in actions], dtype=np.intp).reshape(n, -1)
+    return pair_index(offload, cache)
 
 
 def validate_action(state: EpisodeState, action: ActionMatrix) -> tuple[int, ...]:
     """Each pair's index in its feasible set; InfeasibleActionError if one is absent."""
-    if len(action.offload) != len(state.task):
-        raise InfeasibleActionError(
-            f"action covers {len(action.offload)} sub-tasks, task has {len(state.task)}")
-    picks = []
-    for v, (pair, feas) in enumerate(zip(zip(action.offload, action.cache),
-                                         state.feasible)):
-        try:
-            picks.append(feas.index(pair))
-        except ValueError:
-            raise InfeasibleActionError(
-                f"sub-task {v} ({state.task[v].category.value}): pair {pair} not in {feas}"
-            ) from None
-    return tuple(picks)
+    table, row = state.tables
+    pattern = table.pattern[row:row + 1]
+    _check_feasible(pattern, action_array([action]), 0)
+    return tuple(FEASIBLE[p].index(pair) for p, pair in
+                 zip(pattern[0].tolist(), zip(action.offload, action.cache)))
 
 
 def reward_and_time(state: EpisodeState, action: ActionMatrix,
                     prices: PriceVector) -> tuple[float, float]:
-    """(reward, completion_time), each a left fold in chain order like the solver's value."""
-    picks = validate_action(state, action)
-    cost = seconds = 0.0
-    for row, secs, i in zip(cost_rows(state, prices), state.seconds, picks):
-        cost += row[i]
-        seconds += secs[i]
-    return cost, seconds
+    """(reward, completion_time) of one state: score on a block of one."""
+    rewards, times = score([state], action_array([action]), prices)
+    return rewards[0], times[0]
 
 
 def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .caching import request_probability
 from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig, TrainConfig, orbit_params
-from .evaluator import ActionMatrix, EpisodeState, nearest_feasible
+from .evaluator import NEAR, ActionMatrix, EpisodeState, pair_index
 from .geometry import earth_central_angle, relative_angular_velocity
 from .workload import Category
 
@@ -263,21 +263,28 @@ def adam_step(model: MLPModel, opt: AdamState, grad_w: list[np.ndarray],
     return model
 
 
-def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
-    """Threshold each bit at 0.5 and project infeasible pairs.
+def decode_picks(probs: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Threshold an N x 2V block of output probabilities at 0.5 and project.
 
-    A pair outside the feasible set is replaced by the feasible pair at
-    the smallest Hamming distance; ties fall to the smaller (offload,
-    cache) pair, as in the baselines' projection. The result always
-    validates.
+    pattern holds the N x V FEASIBLE patterns. A thresholded pair outside
+    its feasible set is replaced by the feasible pair at the smallest
+    Hamming distance; ties fall to the smaller (offload, cache) pair, as
+    in the baselines' projection. Returns N x V PAIRS indices, all
+    feasible.
     """
-    n = len(state.task)
+    n, v = pattern.shape
+    if probs.shape != (n, 2 * v):
+        raise ValueError(f"expected {n} x {2 * v} probabilities, got {probs.shape}")
+    bits = probs > 0.5
+    return NEAR[pattern, pair_index(bits[:, :v], bits[:, v:])]
+
+
+def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
+    """One state's decode_picks, as an ActionMatrix; it always validates."""
+    table, row = state.tables
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (2 * n,):
-        raise ValueError(f"expected {2 * n} probabilities, got {probs.shape}")
-    bits = [1 if p > 0.5 else 0 for p in probs.tolist()]
-    return ActionMatrix.from_pairs([nearest_feasible(feas, (bits[v], bits[n + v]))
-                                    for v, feas in enumerate(state.feasible)])
+    return ActionMatrix.from_picks(
+        decode_picks(probs[None], table.pattern[row:row + 1])[0].tolist())
 
 
 # ---------------------------------------------------------------------------

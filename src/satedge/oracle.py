@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
 from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, ActionMatrix, EpisodeState,
-                        PriceVector, blocks, cost_rows, tabulate)
+                        PriceVector, at_hits, blocks, state_hits, tabulate)
 from .neural import (LAYOUT_VERSION, FeatureScaler, encode_state, encode_states,
                      feature_dim)
 from .scenario import episode_stream, prices_from
@@ -111,9 +111,16 @@ def block_argmin(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatrix, float]:
-    """Minimum-reward action over the pre-classified joint action space."""
-    picks, value = lexicographic_argmin(cost_rows(state, prices))
-    return ActionMatrix.from_pairs([f[i] for f, i in zip(state.feasible, picks)]), value
+    """Minimum-reward action over the pre-classified joint action space.
+
+    Each sub-task's table holds all four pairs, +inf on the infeasible
+    ones, which never reach the optimum's partial sums, so the picks are
+    PAIRS indices.
+    """
+    table, row = state.tables
+    costs = at_hits(table.costs(prices)[row:row + 1], state_hits([state]))[0]
+    picks, value = lexicographic_argmin(costs.tolist())
+    return ActionMatrix.from_picks(picks), value
 
 
 def label_state(episode_id: int, state: EpisodeState, prices: PriceVector,
@@ -138,8 +145,7 @@ def label_states(states: Iterable[EpisodeState], prices: PriceVector,
     patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
     for block in blocks(states):
         cost = tabulate(block).costs(prices)
-        hits = np.array([state.hits for state in block])[:, :, None]
-        picks, values = block_argmin(np.where(hits, cost[:, :, 1], cost[:, :, 0]))
+        picks, values = block_argmin(at_hits(cost, state_hits(block)))
         labels = np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
         features = encode_states(block, scaler)
         for row, bits, value in zip(features, labels.tolist(), values.tolist()):

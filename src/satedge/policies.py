@@ -1,20 +1,27 @@
 """Heuristic baselines: offload rules, retention-driven caching, projection.
 
-A baseline is an offload rule crossed with a caching rule. Offload
-proposals may be infeasible (total offloading proposes uploading a
-Download, say); project_feasible snaps every pair to the nearest
-feasible one by Hamming distance. Caching bits come from replaying the
-episode's outputs through an eviction policy and keeping whatever
-survives; projection alone sets the bits that coverage expiry forces.
-The greedy rule reads the state's memoised cost table, and each cache
-kind is replayed once per state, whichever baselines share it.
+A baseline is an offload rule crossed with a caching rule, built for a
+block of states at once: baseline_actions returns one row of PAIRS
+indices per state. Offload proposals may be infeasible (total offloading
+proposes uploading a Download, say); projection snaps every pair to the
+nearest feasible one by Hamming distance, one NEAR[pattern, pair] lookup
+for the whole block. Caching bits come from replaying the episode's
+outputs through an eviction policy and keeping whatever survives;
+projection alone sets the bits that coverage expiry forces. The greedy
+rule reads the block's cost table. The retention replay is the one step
+that runs per state, once per (state, cache kind), whichever baselines
+share it. baseline_policy and project_feasible are the one-state forms.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from .caching import apply_caching_action, is_hit
-from .evaluator import (ActionMatrix, EpisodeState, PriceVector, cost_rows,
-                        nearest_feasible)
+from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, at_hits,
+                        pair_index, state_hits, table_runs)
 
 # le / to / go: local, total offloading, greedy; mrc / mpc: most recent / popular
 BASELINE_PAIRS = (  # in report order
@@ -27,30 +34,14 @@ def baseline_name(offload_kind: str, cache_kind: str) -> str:
     return f"{offload_kind}-{cache_kind}"
 
 
-def baseline_offload(kind: str, state: EpisodeState,
-                     prices: PriceVector) -> tuple[int, ...]:
-    """Proposed offload bits; le and to may need projection afterwards."""
-    n = len(state.task)
-    if kind == "le":
-        return (0,) * n
-    if kind == "to":
-        return (1,) * n
-    if kind != "go":
-        raise ValueError(f"unknown offload baseline {kind!r}")
-    # greedy: per sub-task, the feasible pair with the smallest immediate
-    # cost contribution; ties prefer the smaller pair (the first argmin)
-    return tuple(feas[row.index(min(row))][0]
-                 for feas, row in zip(state.feasible, cost_rows(state, prices)))
-
-
 def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
     """Caching bits from retention: keep what the eviction policy keeps.
 
     Every produced output is offered to the cache in chain order against
     the episode's starting placement; a_ch[v] = 1 iff sub-task v's rank is
-    still resident afterwards. Coverage is not consulted: project_feasible
-    pins the bit of a sub-task whose result must be cached. The replay
-    runs once per (state, kind); later calls read state.retained.
+    still resident afterwards. Coverage is not consulted: projection pins
+    the bit of a sub-task whose result must be cached. The replay runs
+    once per (state, kind); later calls read state.retained.
     """
     bits = state.retained.get(kind)
     if bits is None:
@@ -58,6 +49,26 @@ def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
         bits = state.retained[kind] = tuple(
             int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
     return bits
+
+
+def baseline_actions(offload_kind: str, cache_kind: str, states: Sequence[EpisodeState],
+                     prices: PriceVector) -> np.ndarray:
+    """Every state's baseline action as N x V PAIRS indices: propose offload
+    bits, cache by retention, project onto the feasible pairs."""
+    if offload_kind not in ("le", "to", "go"):
+        raise ValueError(f"unknown offload baseline {offload_kind!r}")
+    cache = np.array([baseline_cache(cache_kind, state) for state in states], dtype=np.intp)
+    actions = np.empty_like(cache)
+    for span, table, rows in table_runs(states):
+        if offload_kind == "go":
+            # greedy: per sub-task, the offload bit of the pair with the smallest
+            # immediate cost (+inf when infeasible); ties prefer the smaller pair
+            costs = at_hits(table.costs(prices)[rows], state_hits(states[span]))
+            offload = costs.argmin(axis=2) >> 1
+        else:
+            offload = int(offload_kind == "to")
+        actions[span] = NEAR[table.pattern[rows], pair_index(offload, cache[span])]
+    return actions
 
 
 def project_feasible(pairs: tuple[tuple[int, int], ...],
@@ -69,13 +80,13 @@ def project_feasible(pairs: tuple[tuple[int, int], ...],
     """
     if len(pairs) != len(state.task):
         raise ValueError("proposal length must match the task")
-    return ActionMatrix.from_pairs(
-        [nearest_feasible(feas, prop) for feas, prop in zip(state.feasible, pairs)])
+    table, row = state.tables
+    return ActionMatrix.from_picks(
+        NEAR[table.pattern[row], [pair_index(of, ch) for of, ch in pairs]].tolist())
 
 
 def baseline_policy(offload_kind: str, cache_kind: str, state: EpisodeState,
                     prices: PriceVector) -> ActionMatrix:
-    """Full baseline pipeline: propose, cache by retention, project."""
-    a_of = baseline_offload(offload_kind, state, prices)
-    a_ch = baseline_cache(cache_kind, state)
-    return project_feasible(tuple(zip(a_of, a_ch)), state)
+    """One state's baseline action: baseline_actions on a block of one."""
+    return ActionMatrix.from_picks(
+        baseline_actions(offload_kind, cache_kind, [state], prices)[0].tolist())

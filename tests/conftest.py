@@ -9,7 +9,8 @@ from satedge.caching import (CacheState, apply_caching_action, cached_bytes,
                              empty_cache, is_hit, request_probability)
 from satedge.channel import LinkState, transmit_time
 from satedge.config import ScenarioConfig, default_config
-from satedge.evaluator import PAIRS, ActionMatrix, EpisodeState, PriceVector, reward
+from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
+                               reward)
 from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
 from satedge.oracle import Demonstration
 from satedge.scenario import library_capacity, prices_from
@@ -60,6 +61,34 @@ def download(d_out=160e3, rank=1):
 def compute(d_in=100e3, d_out=100e3, rho=1e4, rank=2):
     return SubTask(category=Category.COMPUTE, d_in=d_in, d_out=d_out, rho=rho,
                    out_rank=rank)
+
+
+# ---------------------------------------------------------------------------
+# one state's entries of its Tables row, laid out per sub-task over its
+# feasible pairs, for tests that compare them against the scalar formulas
+
+
+def feasible_of(state: EpisodeState) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each sub-task's feasible pairs, ascending, from the state's Tables row."""
+    table, row = state.tables
+    return tuple(FEASIBLE[p] for p in table.pattern[row].tolist())
+
+
+def _row_entries(state: EpisodeState, block: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    table, row = state.tables
+    return tuple(tuple(by_hit[hit][PAIRS.index(pair)] for pair in feas)
+                 for by_hit, hit, feas in zip(block[row].tolist(), state.hits,
+                                              feasible_of(state)))
+
+
+def seconds_of(state: EpisodeState) -> tuple[tuple[float, ...], ...]:
+    """Each feasible pair's time, at the state's own hits, aligned with feasible_of."""
+    return _row_entries(state, state.tables[0].seconds)
+
+
+def costs_of(state: EpisodeState, prices: PriceVector) -> tuple[tuple[float, ...], ...]:
+    """Each feasible pair's cost, at the state's own hits, aligned with feasible_of."""
+    return _row_entries(state, state.tables[0].costs(prices))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +261,82 @@ def reference_baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
     """Retention bits from a fresh replay of every output on each call."""
     cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
     return tuple(int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
+
+
+# The per-state scoring path as it stood before scoring ran in blocks:
+# project by Hamming distance over each sub-task's feasible list, the
+# baselines' propose-retain-project pipeline, per-state decoding and the
+# per-state report loop. They read the scalar formulas above, never a
+# Tables block.
+
+
+def reference_nearest_feasible(feas: tuple[tuple[int, int], ...],
+                               pair: tuple[int, int]) -> tuple[int, int]:
+    """The pair in feas nearest to pair by Hamming distance; ties go to the smaller."""
+    if pair in feas:
+        return pair
+    return min(feas, key=lambda f: ((f[0] != pair[0]) + (f[1] != pair[1]), f))
+
+
+def _projected(state: EpisodeState, pairs: Iterable[tuple[int, int]]) -> ActionMatrix:
+    feasible = [reference_feasible_actions(st, state) for st in state.task]
+    return ActionMatrix.from_pairs([reference_nearest_feasible(feas, pair)
+                                    for feas, pair in zip(feasible, pairs)])
+
+
+def reference_baseline_proposal(offload_kind: str, cache_kind: str, state: EpisodeState,
+                                prices: PriceVector) -> list[tuple[int, int]]:
+    """A baseline's pairs before projection: offload rule and retention bits."""
+    n = len(state.task)
+    if offload_kind == "le":
+        a_of = (0,) * n
+    elif offload_kind == "to":
+        a_of = (1,) * n
+    elif offload_kind == "go":
+        feasible, rows = reference_cost_rows(state, prices)
+        a_of = tuple(feas[row.index(min(row))][0] for feas, row in zip(feasible, rows))
+    else:
+        raise ValueError(f"unknown offload baseline {offload_kind!r}")
+    return list(zip(a_of, reference_baseline_cache(cache_kind, state)))
+
+
+def reference_baseline_policy(offload_kind: str, cache_kind: str, state: EpisodeState,
+                              prices: PriceVector) -> ActionMatrix:
+    """Full baseline pipeline: propose, cache by retention, project."""
+    return _projected(state, reference_baseline_proposal(offload_kind, cache_kind,
+                                                         state, prices))
+
+
+def reference_decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
+    """Threshold each bit at 0.5 and project infeasible pairs."""
+    n = len(state.task)
+    bits = [1 if p > 0.5 else 0 for p in probs.tolist()]
+    return _projected(state, [(bits[v], bits[n + v]) for v in range(n)])
+
+
+def reference_action_report(actions: Sequence[ActionMatrix], demos: Sequence[Demonstration],
+                            states: Sequence[EpisodeState],
+                            prices: PriceVector) -> dict[str, float]:
+    """action_report's metrics from one state at a time, in episode order."""
+    exact = bit_ok = bit_total = 0
+    sum_reward = sum_time = sum_opt = 0.0
+    for act, demo, state in zip(actions, demos, states):
+        bits = act.bits()
+        exact += int(bits == demo.labels)
+        bit_ok += sum(a == b for a, b in zip(bits, demo.labels))
+        bit_total += len(bits)
+        cost, seconds = reference_reward_and_time(state, act, prices)
+        sum_reward += cost
+        sum_time += seconds
+        sum_opt += demo.opt_reward
+    n = len(actions)
+    return {
+        "exact_match": exact / n,
+        "per_bit_acc": bit_ok / bit_total,
+        "mean_reward": sum_reward / n,
+        "mean_completion_time_s": sum_time / n,
+        "reward_ratio_vs_opt": sum_reward / sum_opt,
+    }
 
 
 def reference_evict(cache: CacheState, rank: int, nbytes: float,

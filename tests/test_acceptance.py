@@ -24,7 +24,7 @@ from satedge.caching import (
 from satedge.cli import EVAL_SEED, GEN_SEED, main
 from satedge.config import default_config
 from satedge.dil import action_report, train_policy
-from satedge.evaluator import completion_time, reward, validate_action
+from satedge.evaluator import action_array, completion_time, reward, validate_action
 from satedge.geometry import coverage_time, earth_central_angle, relative_angular_velocity
 from satedge.neural import (
     FeatureScaler,
@@ -186,11 +186,11 @@ def test_criterion_5_imitation_accuracy(capsys, trained):
     demos, states = trained["test_demos"], trained["test_states"]
     model = trained["result"].model
 
-    docs_acts = [infer(model, trained["scaler"], s) for s in states]
+    docs_acts = action_array([infer(model, trained["scaler"], s) for s in states])
     docs = action_report(docs_acts, demos, states, prices)
     baseline_exact = {}
     for of_kind, ch_kind in BASELINE_PAIRS:
-        acts = [baseline_policy(of_kind, ch_kind, s, prices) for s in states]
+        acts = action_array([baseline_policy(of_kind, ch_kind, s, prices) for s in states])
         name = f"{of_kind}-{ch_kind}"
         baseline_exact[name] = action_report(acts, demos, states, prices)["exact_match"]
 

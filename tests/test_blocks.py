@@ -4,8 +4,8 @@ label_states builds one Tables block per run of states, solves every row
 with block_argmin and scales all feature rows in one call; label_state
 labels a lone state through its own one-state block and the list solver.
 Both must give the labels, the opt_reward bits and the feature bits of
-the scalar path in conftest, and the views that baselines and scoring
-read must equal the scalar formulas.
+the scalar path in conftest, and the table rows that baselines and
+scoring read must equal the scalar formulas.
 """
 
 from dataclasses import replace
@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from satedge.caching import empty_cache
 from satedge.config import default_config
-from satedge.evaluator import (BLOCK_STATES, PriceVector, carry_cache, cost_rows,
-                               tabulate)
+from satedge.evaluator import BLOCK_STATES, PriceVector, carry_cache, tabulate
 from satedge.neural import FeatureScaler
 from satedge.oracle import block_argmin, label_state, label_states, lexicographic_argmin
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import (reference_cost_rows, reference_hits, reference_label_states,
-                      reference_subtask_time)
+from conftest import (costs_of, feasible_of, reference_cost_rows, reference_hits,
+                      reference_label_states, reference_subtask_time, seconds_of)
 from test_oracle import TIE_COSTS
 
 COVERAGES = {
@@ -52,9 +51,9 @@ def _assert_same_demos(demos, reference):
 def _assert_views_match_formulas(state, prices):
     feasible, rows = reference_cost_rows(state, prices)
     hits = reference_hits(state)
-    assert state.feasible == tuple(feasible)
-    assert cost_rows(state, prices) == rows
-    assert state.seconds == tuple(
+    assert feasible_of(state) == tuple(feasible)
+    assert costs_of(state, prices) == tuple(map(tuple, rows))
+    assert seconds_of(state) == tuple(
         tuple(reference_subtask_time(sub, of, hit, state) for of, _ in feas)
         for sub, feas, hit in zip(state.task, feasible, hits))
 
@@ -90,7 +89,7 @@ def test_short_coverage_restricts_feasible_sets():
     tabulate(states)
     allowed = {"upload": 2, "download": 2, "compute": 4}
     restricted = sum(len(feas) < allowed[sub.category.value]
-                     for state in states for sub, feas in zip(state.task, state.feasible))
+                     for state in states for sub, feas in zip(state.task, feasible_of(state)))
     assert restricted > 50
 
 

@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
+
+from conftest import GOLDEN_LINK, compute, make_state
 
 # Calculator-pinned: 0.8 * 3e6 * log2(1 + 1000)
 BACKHAUL_GOLDEN = 23921343.021206383
@@ -60,6 +64,21 @@ def test_transmit_time_rejects_dead_link():
         transmit_time(100e3, 0.0)
     with pytest.raises(ValueError):
         transmit_time(-1.0, 1e6)
+
+
+def test_transmit_time_rejects_nan():
+    nan = math.nan
+    for num_bytes, rate in ((100e3, nan), (nan, 1e6), (np.array([1.0, nan]), 1e6),
+                            (100e3, np.array([1e6, nan]))):
+        with pytest.raises(ValueError):
+            transmit_time(num_bytes, rate)
+
+
+def test_nan_link_rate_fails_the_state_tables():
+    # a NaN rate used to pass the "rate <= 0" test and fill the times with NaN
+    state = make_state([compute()], link=replace(GOLDEN_LINK, rate_bh=math.nan))
+    with pytest.raises(ValueError, match="rate"):
+        state.tables
 
 
 @given(st.floats(min_value=1e-3, max_value=1e7),

@@ -19,6 +19,8 @@ from satedge.config import default_config, load_config
 from satedge.neural import FeatureScaler, feature_dim, init_model, save_model
 from satedge.scenario import episode_stream
 
+from conftest import feasible_of
+
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
 dataset_episodes = 60
@@ -377,7 +379,7 @@ def test_short_coverage_compare_bytes_are_pinned(tmp_path):
     forced = [all(ch for _, ch in feas)
               for _, state in episode_stream(cfg.scenario, EVAL_SEED,
                                              cfg.train.compare_episodes)
-              for feas in state.feasible]
+              for feas in feasible_of(state)]
     assert any(forced)
     model = _train(tmp_path, str(config), _gen(tmp_path, str(config)))
     out = tmp_path / "cmp"
@@ -508,12 +510,13 @@ def test_scoring_derives_each_state_view_once(tmp_path, monkeypatch, argv):
     (["eval", "--policy", "go-mpc", "--cache-mode", "persistent"], 7),
 ])
 def test_scoring_validates_each_action_once(tmp_path, monkeypatch, argv, validations):
-    # N = 7 episodes; reward and completion time come from one validation
+    # N = 7 episodes; reward and completion time come from one validation of
+    # each scheme's block of actions, a persistent rollout's once at the end
     model = _untrained_model(tmp_path / "model.txt", 6)
-    calls = _count_calls(monkeypatch, evaluator.validate_action)
+    calls = _count_calls(monkeypatch, evaluator._check_feasible)
     assert main(argv + ["--model", str(model), "--episodes", "7",
                         "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) == validations
+    assert sum(len(actions) for _, actions, _ in calls) == validations
 
 
 @pytest.mark.parametrize("command", [

@@ -14,7 +14,8 @@ from satedge.dil import (
     split_indices,
     train_policy,
 )
-from satedge.neural import cross_entropy, decode_actions, forward
+from satedge.evaluator import patterns
+from satedge.neural import cross_entropy, decode_picks, forward
 from satedge.oracle import Demonstration, build_dataset
 from satedge.scenario import episode_state, make_library, prices_from
 
@@ -182,7 +183,7 @@ def test_trained_policy_beats_uninformed_decoder(prices):
     test_states = [states[i] for i in result.test_idx]
     docs = action_report(docs_actions(result.model, test_demos, test_states),
                          test_demos, test_states, prices)
-    flat = [decode_actions(np.full(12, 0.5), s) for s in test_states]
+    flat = decode_picks(np.full((len(test_states), 12), 0.5), patterns(test_states))
     blind = action_report(flat, test_demos, test_states, prices)
     assert docs["exact_match"] > blind["exact_match"]
     assert docs["reward_ratio_vs_opt"] <= blind["reward_ratio_vs_opt"]

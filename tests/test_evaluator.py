@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector,
-                               completion_time, cost_rows, feasible_actions,
-                               reward, subtask_cost, subtask_time, validate_action)
+                               completion_time, feasible_actions, reward, subtask_cost,
+                               subtask_time, validate_action)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import (compute, download, make_cache, make_state, reference_hits,
-                      upload)
+from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
+                      reference_hits, seconds_of, upload)
 
 # Worked by hand from the per-category pipelines at 1.6 / 2.4 Mb/s,
 # d_vs = 0.03 s, d_sg = 0.27 s:
@@ -96,17 +96,17 @@ def test_derived_fields_match_the_rules(coverage_mode):
         hits = reference_hits(state)
         secs = tuple(tuple(subtask_time(sub, of, hit, state) for of, _ in f)
                      for sub, f, hit in zip(state.task, feas, hits))
-        assert (state.feasible, state.hits, state.seconds) == (feas, hits, secs)
-        assert cost_rows(state, prices) == [
-            [subtask_cost(sub, of, ch, hit, t, prices) for (of, ch), t in zip(f, ts)]
-            for sub, f, ts, hit in zip(state.task, feas, secs, hits)]
+        assert (feasible_of(state), state.hits, seconds_of(state)) == (feas, hits, secs)
+        assert costs_of(state, prices) == tuple(
+            tuple(subtask_cost(sub, of, ch, hit, t, prices) for (of, ch), t in zip(f, ts))
+            for sub, f, ts, hit in zip(state.task, feas, secs, hits))
 
 
 def test_derived_fields_are_not_dataclass_fields():
     state = make_state([download(rank=4), compute(rank=5)],
                        cache=make_cache(placed=(4,)))
     twin = make_state(state.task, cache=state.cache)
-    assert state.feasible and state.seconds and state.hits  # derive on one side only
+    assert state.tables and state.hits  # derive on one side only
     assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
     with pytest.raises(FrozenInstanceError):
         state.hits = (False, False)
@@ -116,12 +116,12 @@ def test_replaced_cache_rederives_hits_and_times():
     st_ = download(160e3, rank=4)
     state = make_state([st_], cache=make_cache(placed=(4,)))
     assert state.hits == (True,)
-    hit_seconds = state.seconds
+    hit_seconds = seconds_of(state)
     carried = replace(state, cache=make_cache(placed=(5,)))
     assert carried.hits == (False,)
-    assert carried.seconds == ((subtask_time(st_, 0, False, state),) * 2,)
-    assert carried.seconds[0][0] > hit_seconds[0][0]
-    assert state.hits == (True,) and state.seconds == hit_seconds
+    assert seconds_of(carried) == ((subtask_time(st_, 0, False, state),) * 2,)
+    assert seconds_of(carried)[0][0] > hit_seconds[0][0]
+    assert state.hits == (True,) and seconds_of(state) == hit_seconds
 
 
 def test_validate_action_returns_feasible_indices():

@@ -3,18 +3,17 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, PriceVector, completion_time, cost_rows,
-                               feasible_actions, reward, reward_and_time, subtask_cost,
-                               subtask_time, validate_action)
+from satedge.evaluator import (PriceVector, completion_time, feasible_actions, reward,
+                               reward_and_time, subtask_cost, subtask_time,
+                               validate_action)
 from satedge.oracle import solve_optimal
 from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
-                              baseline_offload, baseline_policy,
-                              project_feasible)
+                              baseline_policy, project_feasible)
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import (compute, download, make_cache, make_state,
+from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
                       reference_baseline_cache, reference_hits,
-                      reference_reward_and_time, upload)
+                      reference_reward_and_time, seconds_of, upload)
 
 
 def test_baseline_names():
@@ -25,8 +24,10 @@ def test_baseline_names():
 
 def test_le_and_to_proposals(prices):
     state = make_state([compute(rank=r + 1) for r in range(4)], t_c=300.0)
-    assert baseline_offload("le", state, prices) == (0, 0, 0, 0)
-    assert baseline_offload("to", state, prices) == (1, 1, 1, 1)
+    # every pair of these sub-tasks is feasible, so projection keeps the proposals
+    for ch_kind in ("mrc", "mpc"):
+        assert baseline_policy("le", ch_kind, state, prices).offload == (0, 0, 0, 0)
+        assert baseline_policy("to", ch_kind, state, prices).offload == (1, 1, 1, 1)
 
 
 def test_le_upload_projected_to_offload(prices):
@@ -57,7 +58,8 @@ def test_go_matches_oracle_offload_bits(prices):
     cfg = default_config()
     for _, state in episode_stream(cfg.scenario, 17, 60):
         opt, _ = solve_optimal(state, prices)
-        assert baseline_offload("go", state, prices) == opt.offload
+        for ch_kind in ("mrc", "mpc"):
+            assert baseline_policy("go", ch_kind, state, prices).offload == opt.offload
 
 
 def test_go_never_worse_per_subtask(prices):
@@ -66,7 +68,7 @@ def test_go_never_worse_per_subtask(prices):
     cfg = default_config()
     for _, state in episode_stream(cfg.scenario, 13, 40):
         hits = reference_hits(state)
-        go_bits = baseline_offload("go", state, prices)
+        go_bits = baseline_policy("go", "mrc", state, prices).offload
         for v, sub in enumerate(state.task):
             feas = feasible_actions(sub, state)
 
@@ -168,17 +170,17 @@ def test_replaced_cache_rederives_costs_and_retention(prices):
     # the replaced cache holds nothing and is too small to take it
     st_ = download(160e3, rank=4)
     state = make_state([st_], cache=make_cache(placed=(4,)))
-    rows = cost_rows(state, prices)
+    rows = costs_of(state, prices)
     retained = {kind: baseline_cache(kind, state) for kind in ("mrc", "mpc")}
     carried = replace(state, cache=make_cache(capacity=100e3))
     assert (state.hits, carried.hits) == ((True,), (False,))
     assert carried.hits == reference_hits(carried)
-    carried_rows = cost_rows(carried, prices)
-    assert carried_rows == [[subtask_cost(st_, of, ch, False, t, prices)
-                             for (of, ch), t in zip(carried.feasible[0],
-                                                    carried.seconds[0])]]
+    carried_rows = costs_of(carried, prices)
+    assert carried_rows == (tuple(subtask_cost(st_, of, ch, False, t, prices)
+                                  for (of, ch), t in zip(feasible_of(carried)[0],
+                                                         seconds_of(carried)[0])),)
     assert carried_rows != rows
     for kind in ("mrc", "mpc"):
         assert (retained[kind], baseline_cache(kind, carried)) == ((1,), (0,))
         assert baseline_cache(kind, carried) == reference_baseline_cache(kind, carried)
-    assert cost_rows(state, prices) == rows
+    assert costs_of(state, prices) == rows

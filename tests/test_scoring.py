@@ -1,0 +1,120 @@
+"""Block scoring against the per-state path it replaced, and a price-scaling relation.
+
+Every fresh-mode scheme is built and scored for a whole Tables block:
+actions are N x V arrays of PAIRS indices, projection and decoding are
+one NEAR lookup, and action_report gathers each state's cost and time at
+its pairs. The per-state references in conftest share none of that code;
+the two paths must agree bit for bit. Scaling every price by a power of
+two scales every reward exactly and leaves everything else unchanged.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from satedge.cli import run_compare, run_gen_dataset, run_train
+from satedge.config import default_config, load_config
+from satedge.dil import action_report, scheme_actions
+from satedge.evaluator import (BLOCK_STATES, FEASIBLE, NEAR, PAIR_CACHE, PAIR_OFFLOAD,
+                               PAIRS, ActionMatrix, nearest_feasible)
+from satedge.neural import FeatureScaler, feature_dim, forward, init_model
+from satedge.oracle import label_states
+from satedge.policies import BASELINE_PAIRS, baseline_name
+from satedge.scenario import episode_stream, prices_from
+
+from conftest import (reference_action_report, reference_baseline_policy,
+                      reference_baseline_proposal, reference_decode_actions,
+                      reference_feasible_actions)
+from test_cli import TINY_CONFIG
+
+SCHEMES = ("oracle", "docs") + tuple(baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
+CONFIGS = {
+    "fixed": {},
+    "orbit": {"coverage_mode": "orbit"},
+    "nine-subtasks": {"num_subtasks": 9},
+    # about the median return leg: coverage expiry forces many cache bits
+    "short-coverage": {"coverage_s": 0.16},
+}
+
+
+def _hex(report: dict[str, float]) -> dict[str, str]:
+    return {key: float(value).hex() for key, value in report.items()}
+
+
+def test_near_is_nearest_feasible_in_every_cell():
+    assert NEAR.shape == (len(FEASIBLE), len(PAIRS))
+    for pattern, feas in enumerate(FEASIBLE):
+        for p, pair in enumerate(PAIRS):
+            assert PAIRS[NEAR[pattern, p]] == nearest_feasible(feas, pair)
+            assert PAIRS[NEAR[pattern, p]] in feas
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_block_scoring_matches_the_per_state_path(name):
+    scen = replace(default_config().scenario, **CONFIGS[name])
+    v = scen.num_subtasks
+    prices = prices_from(scen)
+    # two blocks, the second partial
+    states = [state for _, state in episode_stream(scen, 7, BLOCK_STATES + 20)]
+    demos = label_states(states, prices, FeatureScaler.from_scenario(scen))
+    # untrained, so its outputs straddle 0.5 and decoding meets every pair
+    model = init_model((feature_dim(v), 16, 2 * v), seed=11)
+    probs = forward(model, np.stack([d.features for d in demos]))
+    moved = 0
+    for scheme in SCHEMES:
+        actions = scheme_actions(scheme, model, demos, states, prices)
+        if scheme == "oracle":
+            reference = [ActionMatrix.from_bits(d.labels) for d in demos]
+        elif scheme == "docs":
+            reference = [reference_decode_actions(row, s) for row, s in zip(probs, states)]
+        else:
+            of_kind, ch_kind = scheme.split("-")
+            reference = [reference_baseline_policy(of_kind, ch_kind, s, prices)
+                         for s in states]
+            moved += sum(
+                pair != action.pair(i)
+                for s, action in zip(states, reference)
+                for i, pair in enumerate(
+                    reference_baseline_proposal(of_kind, ch_kind, s, prices)))
+        assert actions.shape == (len(states), v)
+        bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
+        assert [tuple(row) for row in bits.tolist()] == [a.bits() for a in reference]
+        assert _hex(action_report(actions, demos, states, prices)) == \
+            _hex(reference_action_report(reference, demos, states, prices))
+    if name == "short-coverage":
+        # forced caching: retention proposes uncached outputs that must be cached
+        forced = sum(all(ch for _, ch in reference_feasible_actions(sub, s))
+                     for s in states for sub in s.task)
+        assert forced > 0 and moved > 0
+
+
+@pytest.mark.parametrize("coverage", ["fixed", "orbit"])
+def test_power_of_two_prices_scale_only_the_rewards(tmp_path, coverage):
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY_CONFIG + f"coverage_mode = {coverage}\n")
+    cfg = load_config(config)
+    for name in ("data", "fit", "base", "k1", "k-3", "k20"):
+        (tmp_path / name).mkdir()
+    model = run_train(cfg, 42, run_gen_dataset(cfg, 42, 60, tmp_path / "data"),
+                      tmp_path / "fit")
+    scaler = FeatureScaler.from_scenario(cfg.scenario)
+    states = [state for _, state in episode_stream(cfg.scenario, 2042, 150)]
+    base_demos = label_states(states, prices_from(cfg.scenario), scaler)
+    base = run_compare(cfg, 2042, model, 150, tmp_path / "base")
+    for k in (1, -3, 20):
+        factor = 2.0 ** k
+        scen = cfg.scenario
+        scaled = replace(cfg, scenario=replace(
+            scen, price_comp=factor * scen.price_comp, price_comm=factor * scen.price_comm,
+            price_cache=factor * scen.price_cache, price_cpl=factor * scen.price_cpl))
+        reports = run_compare(scaled, 2042, model, 150, tmp_path / f"k{k}")
+        assert list(reports) == list(base) == list(SCHEMES)
+        for scheme, report in reports.items():
+            expected = dict(base[scheme], mean_reward=factor * base[scheme]["mean_reward"])
+            assert _hex(report) == _hex(expected), (k, scheme)
+        demos = label_states(states, prices_from(scaled.scenario), scaler)
+        for demo, ref in zip(demos, base_demos):
+            assert demo.labels == ref.labels
+            assert demo.features.tobytes() == ref.features.tobytes()
+            assert demo.opt_reward == factor * ref.opt_reward

@@ -14,6 +14,7 @@ from pathlib import Path
 from satedge import neural, oracle
 from satedge.cli import run_compare, run_gen_dataset, run_train
 from satedge.config import default_config
+from satedge.policies import BASELINE_PAIRS, baseline_name
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -119,3 +120,6 @@ def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
     # cache kind is replayed once per state, whatever number of baselines use it
     assert metrics["caching.evict.calls_per_ep"] == 12.0
     assert metrics["caching.evictions_per_ep"] == 0.5
+    # each baseline is still built through dil.baseline_actions, once per stream
+    for of_kind, ch_kind in BASELINE_PAIRS:
+        assert metrics[f"policies.{baseline_name(of_kind, ch_kind)}.us_per_ep"] > 0
