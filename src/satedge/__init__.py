@@ -14,7 +14,7 @@ from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
                         PriceVector, completion_time, reward)
 from .oracle import Demonstration, build_dataset, solve_optimal
 from .policies import baseline_policy
-from .scenario import episode_state, episode_stream
+from .scenario import episode_state, episode_states, episode_stream
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,7 @@ __all__ = [
     "completion_time",
     "default_config",
     "episode_state",
+    "episode_states",
     "episode_stream",
     "load_config",
     "reward",

@@ -30,7 +30,7 @@ from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
 from .oracle import (Demonstration, build_dataset, label_state, label_states,
                      read_dataset, write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
-from .scenario import episode_state, episode_stream, make_library, prices_from
+from .scenario import episode_states, episode_stream, make_library, prices_from
 
 GEN_SEED = 42  # default for dataset generation, training, sweeps
 EVAL_SEED = 2042  # default for held-out evaluation streams
@@ -243,10 +243,9 @@ def _sweep_point(cfg: SimConfig, demos: list[Demonstration], seed: int,
                    max_epochs=cfg.train.sweep_epochs,
                    patience=cfg.train.sweep_patience)
     result = train_policy(demos, tcfg, seed)
-    library = make_library(scen, seed)
     test_demos = [demos[i] for i in result.test_idx]
-    test_states = [episode_state(scen, seed, d.episode_id, library)
-                   for d in test_demos]
+    test_states = list(episode_states(scen, seed, [d.episode_id for d in test_demos],
+                                      make_library(scen, seed)))
     for block in blocks(test_states):  # the tables the scoring reads
         tabulate(block)
     prices = prices_from(scen)
@@ -381,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _setup(args) -> tuple[SimConfig, int, Path]:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else args.default_seed
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     return cfg, seed, _outdir(args.out)
 
 

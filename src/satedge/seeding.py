@@ -1,0 +1,135 @@
+"""numpy's SeedSequence -> PCG64 seeding, for a block of keys at once.
+
+``np.random.default_rng(np.random.SeedSequence(key))`` costs about 15 µs a
+key, most of it in SeedSequence's Python-level hashing of a few uint32
+words. The hash runs the same fixed sequence of constants for every key,
+so the keys of a block can go through it together as uint32 array
+columns. This module re-implements numpy's algorithm bit for bit (numpy
+keeps it stable for reproducibility; ``tests/test_seeding.py`` checks it
+against numpy itself):
+
+- An entropy int splits into uint32 words, low first; 0 is one word. A
+  key tuple concatenates the words of its ints.
+- The pool has 4 words. Word i is ``hashmix`` of entropy word i, or of 0
+  past the end, so an entropy of at most 4 words equals itself padded
+  with zeros. Then, for each src and each dst != src,
+  ``pool[dst] = mix(pool[dst], hashmix(pool[src]))``; entropy words past
+  the fourth are mixed into every pool word the same way.
+- ``generate_state`` cycles through the pool, scrambling each word with
+  a second constant sequence.
+- PCG64 reads 8 words as 4 little-endian uint64 u0..u3, with
+  s = u0·2^64 + u1 and i = u2·2^64 + u3: state = 0, inc = 2i + 1, one
+  step, state += s, one step, where a step is state·M + inc mod 2^128.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from typing import Iterator, Sequence
+
+import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, while the pool is mixed
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _int_words(n: int) -> tuple[int, ...]:
+    """SeedSequence's split of an entropy int into uint32 words, low first."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return tuple(words)
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of each successive hashmix: the constant, then its update."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _scramble(v: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    v = (v ^ xor) * mult  # uint32 arrays wrap silently
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(words).generate_state(n_words) for every column of `entropy`.
+
+    `entropy` is a (words, keys) uint32 array; the result is (n_words, keys).
+    """
+    if len(entropy) < _POOL:
+        pad = np.zeros((_POOL - len(entropy), entropy.shape[1]), dtype=np.uint32)
+        entropy = np.vstack([entropy, pad])
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_scramble(entropy[i], constants) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _scramble(pool[src], constants))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _scramble(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    return np.array([_scramble(pool[i % _POOL], constants) for i in range(n_words)])
+
+
+def key_state(seed: int, ids: Sequence[int], tags: Sequence[int],
+              n_words: int) -> np.ndarray:
+    """SeedSequence((seed, e, tag)).generate_state(n_words) for every tag and id.
+
+    Returns a (len(tags), n_words, len(ids)) uint32 array. SeedSequence
+    sees only the concatenated words of a key, so keys are hashed
+    together in groups of equal word count.
+    """
+    head = _int_words(seed)
+    if min(ids) < 0:  # SeedSequence's error; the uint32 cast below raises OverflowError
+        raise ValueError(f"expected non-negative integer, got {min(ids)}")
+    if max(ids) <= _MASK32 and max(tags) <= _MASK32:  # the usual case, no loop over keys
+        entropy = np.empty((len(head) + 2, len(tags) * len(ids)), dtype=np.uint32)
+        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[-2] = np.tile(np.array(ids, dtype=np.uint32), len(tags))
+        entropy[-1] = np.repeat(np.array(tags, dtype=np.uint32), len(ids))
+        words = generate_state(entropy, n_words)
+    else:
+        keys = [head + _int_words(e) + _int_words(t) for t in tags for e in ids]
+        by_count = defaultdict(list)
+        for pos, key in enumerate(keys):
+            by_count[len(key)].append(pos)
+        words = np.empty((n_words, len(keys)), dtype=np.uint32)
+        for pos in by_count.values():
+            entropy = np.array([keys[p] for p in pos], dtype=np.uint32).T
+            words[:, pos] = generate_state(entropy, n_words)
+    return words.reshape(n_words, len(tags), len(ids)).transpose(1, 0, 2)
+
+
+def pcg64_states(words: np.ndarray) -> list[dict]:
+    """The ``bit_generator.state`` of a PCG64 seeded with each column of 8 words."""
+    w = words.astype(np.uint64)
+    u0, u1, u2, u3 = ((w[2 * k] | (w[2 * k + 1] << np.uint64(32))).tolist()
+                      for k in range(4))
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(u0, u1, u2, u3):
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        state = ((inc + ((hi << 64) | lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states

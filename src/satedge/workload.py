@@ -65,11 +65,12 @@ def _category_picker(mix: tuple[float, float, float]) -> Callable[[float], int]:
     return partial(bisect.bisect_right, tuple(cdf.tolist()))
 
 
-def generate_task(rng_seed: int, cfg: ScenarioConfig,
+def generate_task(rng_seed: int | np.random.Generator, cfg: ScenarioConfig,
                   library: tuple[float, ...]) -> TaskGraph:
     """Draw one task chain; same seed, validated config and library, same chain.
 
-    An output of rank r has exactly library[r-1] bytes.
+    `rng_seed` is a seed or a seeded Generator, which is drawn from as it
+    stands. An output of rank r has exactly library[r-1] bytes.
     """
     pick = _category_picker((cfg.mix_upload, cfg.mix_download, cfg.mix_compute))
     rng = np.random.default_rng(rng_seed)

@@ -368,6 +368,18 @@ def reference_evict(cache: CacheState, rank: int, nbytes: float,
     return cache
 
 
+def reference_stream_rng(seed: int, episode: int, tag: int) -> np.random.Generator:
+    """One stream of one episode, seeded by numpy as stream v1 defines it.
+
+    Tag 0, the task stream, seeds twice: two words of its SeedSequence are
+    joined high first into a 64-bit int, which default_rng hashes again.
+    """
+    if tag == 0:
+        words = np.random.SeedSequence((seed, episode, 0)).generate_state(2)
+        return np.random.default_rng((int(words[0]) << 32) | int(words[1]))
+    return np.random.default_rng(np.random.SeedSequence((seed, episode, tag)))
+
+
 def reference_generate_task(rng_seed: int, cfg: ScenarioConfig,
                             library: tuple[float, ...]) -> TaskGraph:
     """generate_task drawing each category with ``rng.choice(3, p=mix)``."""

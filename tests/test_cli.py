@@ -610,6 +610,22 @@ def test_episodes_below_one_report_invalid(tmp_path, capsys, command, episodes):
     assert not any((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("command", ["gen-dataset", "eval", "compare", "sweep", "coverage"])
+def test_negative_seed_reports_invalid_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    argv = [command, "--seed", "-1", "--out", str(out)]
+    if command == "eval":
+        argv += ["--policy", "oracle"]
+    if command == "compare":
+        argv += ["--model", str(tmp_path / "never-read.txt")]
+    if command == "sweep":
+        argv += ["--kind", "rain"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:invalid:") and "--seed" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", [
     lambda cfg, out: run_gen_dataset(cfg, 1, 0, out),
     lambda cfg, out: run_eval(cfg, 1, "to-mrc", None, 0, "fresh", out),

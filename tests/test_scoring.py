@@ -5,13 +5,16 @@ actions are N x V arrays of PAIRS indices, projection and decoding are
 one NEAR lookup, and action_report gathers each state's cost and time at
 its pairs. The per-state references in conftest share none of that code;
 the two paths must agree bit for bit. Scaling every price by a power of
-two scales every reward exactly and leaves everything else unchanged.
+two scales every reward exactly and leaves everything else unchanged, and
+raising one price alone moves the optimal bits it prices one way only.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satedge.cli import run_compare, run_gen_dataset, run_train
 from satedge.config import default_config, load_config
@@ -118,3 +121,33 @@ def test_power_of_two_prices_scale_only_the_rewards(tmp_path, coverage):
             assert demo.labels == ref.labels
             assert demo.features.tobytes() == ref.features.tobytes()
             assert demo.opt_reward == factor * ref.opt_reward
+
+
+# price -> (label half it moves: 0 offload bits, 1 cache bits; the sign a
+# change of those bits may take when that price alone rises). The cache
+# price never turns a cache bit on, the communication price never turns an
+# offload bit on, and the computation price never turns one off.
+MONOTONE = {"cache": (1, -1), "comm": (0, -1), "comp": (0, 1)}
+
+
+@pytest.mark.parametrize("name", ["fixed", "orbit", "short-coverage"])
+@settings(max_examples=5, deadline=None)
+@given(factor=st.floats(1.0, 1e3, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+@example(factor=8.0, seed=42)
+def test_raising_one_price_moves_its_bits_one_way(name, factor, seed):
+    """Nothing couples sub-tasks, so each sub-task's optimum is monotone in
+    each price. At the defaults no cache bit is optimal, so only the short
+    coverage window, which forces caching, tests the cache price."""
+    scen = replace(default_config().scenario, **CONFIGS[name])
+    v = scen.num_subtasks
+    scaler = FeatureScaler.from_scenario(scen)
+    states = [state for _, state in episode_stream(scen, seed, 150)]
+    prices = prices_from(scen)
+    base = np.array([d.labels for d in label_states(states, prices, scaler)])
+    if name == "short-coverage":
+        assert base[:, v:].any()
+    for price, (half, sign) in MONOTONE.items():
+        raised = replace(prices, **{price: factor * getattr(prices, price)})
+        labels = np.array([d.labels for d in label_states(states, raised, scaler)])
+        change = (labels - base)[:, half * v:(half + 1) * v]
+        assert (sign * change >= 0).all(), (price, factor)

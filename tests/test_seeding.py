@@ -1,0 +1,148 @@
+"""Block seeding against numpy's own SeedSequence and PCG64 seeding.
+
+A stream seeds a block of episodes with `seeding`'s uint32-array
+re-implementation of numpy's algorithm, then loads each episode's states
+into generators it reuses. The reference is numpy itself, through
+conftest's reference_stream_rng: every generator state must match, and
+every episode drawn in a block must equal the one drawn alone.
+"""
+
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from satedge import scenario, seeding
+from satedge.config import default_config
+from satedge.scenario import episode_state, episode_states, episode_stream, make_library
+
+from conftest import reference_stream_rng
+
+# entropy ints of one, two, three to four, and four to five uint32 words
+INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                 st.integers(2**64, 2**100 - 1), st.integers(2**100, 2**140))
+SEED = 42
+
+
+def _scen(mode: str, num_subtasks: int = 6):
+    return replace(default_config().scenario, coverage_mode=mode,
+                   num_subtasks=num_subtasks)
+
+
+def _reference_states(mode: str, seed: int, ids) -> list[tuple[dict, ...]]:
+    tags = (0, 1, 2) if mode == "fixed" else (0, 1, 2, 3)  # fixed mode seeds no orbit stream
+    return [tuple(reference_stream_rng(seed, e, tag).bit_generator.state for tag in tags)
+            for e in ids]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=INTS, ids=st.lists(INTS, min_size=1, max_size=12),
+       mode=st.sampled_from(["fixed", "orbit"]))
+@example(seed=2**100, ids=[0, 2**32, 2**64, 2**100], mode="orbit")  # 5 to 8 words a key
+def test_block_states_match_numpy_for_any_key(seed, ids, mode):
+    assert scenario._block_rng_states(_scen(mode), seed, ids) == \
+        _reference_states(mode, seed, ids)
+
+
+@settings(max_examples=10, deadline=None)
+@given(size=st.integers(1, 300), first=st.integers(0, 2**33), seed=st.integers(0, 2**32 - 1))
+@example(size=1, first=0, seed=SEED)
+@example(size=scenario._BREAK_EVEN - 1, first=7, seed=SEED)
+@example(size=300, first=0, seed=SEED)
+@example(size=40, first=2**32 - 20, seed=SEED)  # one block, ids of one and two words
+def test_block_states_match_numpy_at_every_block_size(size, first, seed):
+    ids = range(first, first + size)
+    assert scenario._block_rng_states(_scen("orbit"), seed, ids) == \
+        _reference_states("orbit", seed, ids)
+
+
+@settings(max_examples=30, deadline=None)
+@given(task_seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                           min_size=1, max_size=8))
+@example(task_seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_task_second_pass_matches_default_rng(task_seeds):
+    """default_rng hashes a task seed below 2^32 as one word, others as two;
+    the block seeder hashes every one as (low, high) words."""
+    entropy = np.array([[t & 0xFFFFFFFF for t in task_seeds], [t >> 32 for t in task_seeds]],
+                       dtype=np.uint32)
+    assert seeding.pcg64_states(seeding.generate_state(entropy, 8)) == \
+        [np.random.default_rng(t).bit_generator.state for t in task_seeds]
+
+
+@pytest.mark.parametrize("bad", [-1, -2**32, -2**70])
+def test_negative_seed_or_episode_raises_value_error(bad):
+    scen = _scen("orbit")
+    library = make_library(scen, 1)
+    block = [5] * scenario._BREAK_EVEN
+    calls = [
+        lambda: scenario._block_rng_states(scen, bad, [0, 1]),
+        lambda: scenario._block_rng_states(scen, 1, [0, bad]),
+        lambda: list(episode_stream(scen, bad, 40)),
+        lambda: list(episode_states(scen, bad, block, library)),  # seeded as a block
+        lambda: list(episode_states(scen, 1, block + [bad], library)),
+        lambda: list(episode_states(scen, 1, [bad], library)),  # seeded by numpy
+        lambda: episode_state(scen, 1, bad, library),
+        lambda: make_library(scen, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@lru_cache(maxsize=None)
+def _drawn_alone(mode: str, num_subtasks: int) -> tuple:
+    scen = _scen(mode, num_subtasks)
+    library = make_library(scen, SEED)
+    return tuple(episode_state(scen, SEED, i, library) for i in range(300))
+
+
+@pytest.mark.parametrize("mode", ["fixed", "orbit"])
+@pytest.mark.parametrize("num_subtasks", [1, 6, 9])
+@pytest.mark.parametrize("n", [1, scenario._BREAK_EVEN - 1, scenario._BREAK_EVEN, 31, 32,
+                               256, 257, 300])
+def test_stream_equals_episodes_drawn_alone(mode, num_subtasks, n):
+    """Reused generators carry nothing from one episode, or block, to the next:
+    not the uint32 left buffered by ``integers``, not a skipped orbit stream."""
+    scen = _scen(mode, num_subtasks)
+    alone = list(_drawn_alone(mode, num_subtasks)[:n])
+    assert [state for _, state in episode_stream(scen, SEED, n)] == alone
+    backwards = episode_states(scen, SEED, range(n - 1, -1, -1), make_library(scen, SEED))
+    assert list(backwards) == alone[::-1]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "orbit"])
+def test_scattered_ids_equal_episodes_drawn_alone(mode):
+    """A sweep's test split: ids out of order, with gaps, some past 2^32."""
+    scen = _scen(mode)
+    library = make_library(scen, 9)
+    ids = np.random.default_rng(3).permutation(2000)[:100].tolist() + [2**32 + 5, 2**40, 17]
+    assert list(episode_states(scen, 9, ids, library)) == \
+        [episode_state(scen, 9, e, library) for e in ids]
+
+
+def test_live_iterators_do_not_share_generators():
+    scen = _scen("orbit")
+    library = make_library(scen, SEED)
+    first = episode_states(scen, SEED, range(40), library)
+    second = episode_states(scen, SEED, range(40, 80), library)
+    interleaved = [state for pair in zip(first, second) for state in pair]
+    alone = _drawn_alone("orbit", 6)
+    assert interleaved == [alone[i] for pair in zip(range(40), range(40, 80)) for i in pair]
+
+
+def test_each_state_is_one_call_of_the_module_global(monkeypatch):
+    """The benchmark tracer times episode_state by rebinding the module global."""
+    drawn = []
+    plain = scenario.episode_state
+
+    def counted(*args, **kwargs):
+        drawn.append(args[2])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "episode_state", counted)
+    n = scenario._SEED_BLOCK + 1  # a full block, then a tail seeded by numpy
+    assert len(list(episode_stream(_scen("fixed"), SEED, n))) == n
+    assert drawn == list(range(n))
