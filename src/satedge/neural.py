@@ -328,7 +328,7 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
 
 
 def _parse_row(line: str) -> np.ndarray:
-    row = np.array([float(v) for v in line.split(",")], dtype=np.float64)
+    row = np.fromiter(map(float, line.split(",")), dtype=np.float64)
     if not np.isfinite(row).all():
         raise ValueError("non-finite value")
     return row

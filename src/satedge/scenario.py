@@ -5,11 +5,18 @@ through SeedSequence, so any episode can be regenerated in isolation and
 two runs with the same seed agree byte-for-byte. A stream seeds its
 episodes in blocks: `seeding` re-implements numpy's SeedSequence and
 PCG64 seeding bit for bit over a block's keys at once, and the block's
-states are loaded into one reused generator per stream tag. A lone
-episode, or a block too short to pay for that, is seeded by numpy
-itself. The content library (bytes per popularity rank) is drawn once
-per run and shared by all episodes, which keeps cache capacity
-accounting coherent.
+states are loaded into one reused generator per stream tag. A block's
+task chains are not drawn one numpy call per number: each episode's
+first 4V raw PCG64 outputs are read with one ``random_raw`` call, and
+`workload.decode_tasks` decodes the whole block as arrays, following
+how numpy's Generator consumes raw output (doubles, the buffered 32-bit
+half that rank draws share, Lemire's rejection test). The rare rows it
+cannot decode exactly, a rejected rank word or a zero compute rho, are
+drawn again by generate_task. A lone episode, or a block too short to
+pay for all this, is seeded by numpy itself and drawn by generate_task.
+The content library (bytes per popularity rank) is drawn once per run
+and shared by all episodes, which keeps cache capacity accounting
+coherent.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig, orbit_params
 from .evaluator import EpisodeState, PriceVector
 from .geometry import coverage_time, earth_central_angle
-from .workload import generate_task
+from .workload import TaskGraph, decode_tasks, generate_task
 
 # stream tags; changing these re-keys every dataset
 _TASK, _LINK, _PLACE, _ORBIT, _LIBRARY = 0, 1, 2, 3, 9
@@ -132,17 +139,19 @@ def _block_rng_states(cfg: ScenarioConfig, seed: int,
 def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
                   library: tuple[float, ...],
                   rngs: tuple[np.random.Generator | None, ...] | None = None,
-                  ) -> EpisodeState:
+                  task: TaskGraph | None = None) -> EpisodeState:
     """Regenerate episode `episode` of the stream keyed by `seed`.
 
     `rngs` are the episode's task, link, placement and orbit (None in
     fixed coverage) generators, already seeded; by default numpy seeds
-    them here.
+    them here. `task`, when given, is the episode's chain, already drawn,
+    and the task generator is not read.
     """
     if rngs is None:
         rngs = _numpy_rngs(cfg, seed, episode)
     task_rng, link_rng, place_rng, orbit_rng = rngs
-    task = generate_task(task_rng, cfg, library)
+    if task is None:
+        task = generate_task(task_rng, cfg, library)
     link = draw_link(cfg, link_rng)
     t_c = cfg.coverage_s if orbit_rng is None else draw_coverage(cfg, orbit_rng)
     cache = random_placement(cfg, library, place_rng)
@@ -156,8 +165,9 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
 
     Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
     by one call to it. Ids are seeded in blocks of _SEED_BLOCK into
-    generators this iterator owns, one per stream tag; a block shorter
-    than _BREAK_EVEN is left to numpy's seeding.
+    generators this iterator owns, one per stream tag, and a block's task
+    chains are decoded from raw output before its first state; a block
+    shorter than _BREAK_EVEN is left to numpy's seeding and generate_task.
     """
     # fixed mode seeds no orbit stream
     rngs = tuple(np.random.default_rng(0) for _ in range(3)) + (
@@ -168,10 +178,19 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
             for e in ids:
                 yield episode_state(cfg, seed, e, library)
             continue
-        for e, states in zip(ids, _block_rng_states(cfg, seed, ids)):
-            for rng, state in zip(rngs, states):
+        block = _block_rng_states(cfg, seed, ids)
+        task_bits = rngs[0].bit_generator
+        raw = np.empty((len(ids), 4 * cfg.num_subtasks), dtype=np.uint64)
+        for row, states in zip(raw, block):
+            task_bits.state = states[0]
+            row[:] = task_bits.random_raw(raw.shape[1])
+        for e, (task_state, *states), task in zip(ids, block,
+                                                  decode_tasks(raw, cfg, library)):
+            if task is None:  # left to generate_task
+                task_bits.state = task_state
+            for rng, state in zip(rngs[1:], states):
                 rng.bit_generator.state = state
-            yield episode_state(cfg, seed, e, library, rngs)
+            yield episode_state(cfg, seed, e, library, rngs, task)
 
 
 def episode_stream(cfg: ScenarioConfig, seed: int, n: int,

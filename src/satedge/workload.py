@@ -5,6 +5,25 @@ consumes input bytes at a per-byte cycle density and emits an output
 that also lives in the library. generate_task guarantees each category's
 sign pattern (Upload: zeta = 0 < d_in, d_out = 0; Download: zeta = d_in = 0
 < d_out; Compute: zeta, d_in, d_out > 0), so readers trust SubTask.category.
+
+generate_task is the spec of a chain's draw. decode_tasks draws the same
+chains for a block of episodes from each one's raw PCG64 output
+(``bit_generator.random_raw``), as arrays. It relies on how numpy's
+Generator consumes that output (``tests/test_workload.py`` pins it):
+
+- ``random()`` and ``uniform(a, b)`` each take one 64-bit output x, as
+  ``d = (x >> 11) * 2**-53`` and ``a + (b - a) * d``.
+- ``integers(1, R + 1)`` takes one 32-bit word: the low half of a fresh
+  output, whose high half is buffered for the next such call, or that
+  buffered half. Doubles neither read nor clear the buffer. R = 1 takes
+  nothing.
+- The word u becomes a rank by Lemire's method: ``m = u * R``, rank
+  ``(m >> 32) + 1``, and u is rejected, and another word drawn, when
+  ``m mod 2**32 < (2**32 - R) mod R``.
+
+A chain of V sub-tasks takes at most 4V outputs when no word is rejected.
+A row whose draw rejects a word, or redraws a compute rho of exactly 0.0,
+is left to generate_task.
 """
 
 from __future__ import annotations
@@ -45,24 +64,29 @@ TaskGraph = tuple[SubTask, ...]
 
 _CATEGORIES = (Category.UPLOAD, Category.DOWNLOAD, Category.COMPUTE)
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's sum tolerance
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SIZE_DRAWS = np.array([1, 0, 2])  # uniform draws after the rank: upload, download, compute
 
 
 @lru_cache(maxsize=32)  # a run uses one mix, a sweep a few
-def _category_picker(mix: tuple[float, float, float]) -> Callable[[float], int]:
-    """Map one ``rng.random()`` double to the index ``rng.choice(3, p=mix)`` picks.
+def _category_cdf(mix: tuple[float, float, float]) -> tuple[float, ...]:
+    """The CDF ``rng.choice(3, p=mix)`` right-searches with its one double.
 
-    numpy's choice draws one double and right-searches the mix's CDF,
-    built as a float64 cumsum divided in place by its last element; the
-    picker searches the same CDF the same way. A zero-probability
-    category repeats the previous bound, so no draw lands on it. A mix
-    that choice refuses (a negative or NaN share, or a sum off 1 by more
-    than sqrt(float64 eps)) raises ValueError here too.
+    numpy builds it as a float64 cumsum divided in place by its last
+    element. A zero-probability category repeats the previous bound, so no
+    draw lands on it. A mix that choice refuses (a negative or NaN share,
+    or a sum off 1 by more than sqrt(float64 eps)) raises ValueError here too.
     """
     if not (min(mix) >= 0.0 and abs(math.fsum(mix) - 1.0) <= _CHOICE_ATOL):
         raise ValueError(f"category mix {mix} is not a probability vector")
     cdf = np.cumsum(np.array(mix, dtype=np.float64))
     cdf /= cdf[-1]
-    return partial(bisect.bisect_right, tuple(cdf.tolist()))
+    return tuple(cdf.tolist())
+
+
+def _category_picker(mix: tuple[float, float, float]) -> Callable[[float], int]:
+    """Map one ``rng.random()`` double to the index ``rng.choice(3, p=mix)`` picks."""
+    return partial(bisect.bisect_right, _category_cdf(mix))
 
 
 def generate_task(rng_seed: int | np.random.Generator, cfg: ScenarioConfig,
@@ -92,3 +116,64 @@ def generate_task(rng_seed: int | np.random.Generator, cfg: ScenarioConfig,
                 rho = float(rng.uniform(cfg.rho_min, cfg.rho_max))
             subtasks.append(SubTask(cat, d_in=d_in, d_out=d_out, rho=rho, out_rank=rank))
     return tuple(subtasks)
+
+
+def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig,
+                 library: tuple[float, ...]) -> list[TaskGraph | None]:
+    """generate_task for each row of N x 4V raw PCG64 outputs, decoded as arrays.
+
+    Row i holds the first 4V outputs of a generator in the state that row's
+    generate_task call would start from. Its chain equals that call's, float
+    for float, or is None where the draw rejects a rank word or redraws a
+    zero rho; the caller then draws that row with generate_task.
+    """
+    cdf = np.array(_category_cdf((cfg.mix_upload, cfg.mix_download, cfg.mix_compute)))
+    n, v, ranks = len(raw), cfg.num_subtasks, cfg.num_ranks
+    rows = np.arange(n)
+    doubles = (raw >> np.uint64(11)) * 2.0**-53
+    size_lo, rho_lo = float(cfg.size_min_bytes), float(cfg.rho_min)
+    size_span, rho_span = float(cfg.size_max_bytes) - size_lo, float(cfg.rho_max) - rho_lo
+    reject = (2**32 - ranks) % ranks  # Lemire's threshold on a word's low product
+    ptr = np.zeros(n, dtype=np.intp)  # each row's next unread output
+    buffered = np.zeros(n, dtype=bool)  # a high half waits in `word`
+    word = np.zeros(n, dtype=np.uint64)
+    exact = np.ones(n, dtype=bool)
+    cats, rank = np.empty((v, n), dtype=np.intp), np.ones((v, n), dtype=np.int64)
+    d_in, rho = np.empty((v, n)), np.empty((v, n))
+    # a sub-task reads at most one output for its category, half of one for
+    # its rank and two for its sizes, so no index below passes column 4V - 1
+    for j in range(v):
+        cats[j] = cat = np.searchsorted(cdf, doubles[rows, ptr], side="right")
+        ptr += 1
+        if ranks > 1:
+            ranked = cat != 0
+            fresh = ranked & ~buffered
+            out = raw[rows, ptr]
+            word = np.where(fresh, out & _MASK32, word)
+            m = word * np.uint64(ranks)
+            exact &= ~ranked | ((m & _MASK32) >= reject)
+            rank[j] = m >> np.uint64(32)
+            rank[j] += 1
+            word = np.where(fresh, out >> np.uint64(32), word)
+            buffered ^= ranked
+            ptr += fresh
+        d_in[j] = size_lo + size_span * doubles[rows, ptr]
+        rho[j] = rho_lo + rho_span * doubles[rows, ptr + 1]
+        exact &= (cat != 2) | (rho[j] != 0.0)
+        ptr += _SIZE_DRAWS[cat]
+    tasks: list[TaskGraph | None] = []
+    for ok, *chain in zip(exact.tolist(), cats.T.tolist(), rank.T.tolist(),
+                          d_in.T.tolist(), rho.T.tolist()):
+        if not ok:
+            tasks.append(None)
+            continue
+        subtasks = []
+        for c, r, a, p in zip(*chain):  # positional fields: faster than keywords
+            if c == 0:
+                subtasks.append(SubTask(Category.UPLOAD, a, 0.0, 0.0, 0))
+            elif c == 1:
+                subtasks.append(SubTask(Category.DOWNLOAD, 0.0, float(library[r - 1]), 0.0, r))
+            else:
+                subtasks.append(SubTask(Category.COMPUTE, a, float(library[r - 1]), p, r))
+        tasks.append(tuple(subtasks))
+    return tasks

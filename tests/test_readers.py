@@ -209,3 +209,18 @@ def test_model_unparsable_block_row_is_checkpoint_error(tmp_path, model_lines):
     lines[i] = lines[i].replace(",", ";", 1)
     with pytest.raises(CheckpointError, match="W0"):
         load_model(_write(tmp_path, "m.txt", lines))
+
+
+def test_model_block_with_one_short_row_is_checkpoint_error(tmp_path, model_lines):
+    i = model_lines.index("#block W0 6x5") + 3
+    lines = list(model_lines)
+    lines[i] = lines[i].rsplit(",", 1)[0]
+    with pytest.raises(CheckpointError, match="W0"):
+        load_model(_write(tmp_path, "m.txt", lines))
+
+
+def test_model_block_missing_its_last_row_is_checkpoint_error(tmp_path, model_lines):
+    i = model_lines.index("#block W0 6x5") + 6  # the sixth row, then b0's header
+    lines = model_lines[:i] + model_lines[i + 1:]
+    with pytest.raises(CheckpointError, match="W0"):
+        load_model(_write(tmp_path, "m.txt", lines))

@@ -5,8 +5,10 @@ actions are N x V arrays of PAIRS indices, projection and decoding are
 one NEAR lookup, and action_report gathers each state's cost and time at
 its pairs. The per-state references in conftest share none of that code;
 the two paths must agree bit for bit. Scaling every price by a power of
-two scales every reward exactly and leaves everything else unchanged, and
-raising one price alone moves the optimal bits it prices one way only.
+two scales every reward exactly and leaves everything else unchanged,
+raising one price alone moves the optimal bits it prices one way only, and
+when only completion time is priced no scheme finishes an episode sooner
+than the oracle.
 """
 
 from dataclasses import replace
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 
 from satedge.cli import run_compare, run_gen_dataset, run_train
 from satedge.config import default_config, load_config
-from satedge.dil import action_report, scheme_actions
+from satedge.dil import action_report, oracle_actions, scheme_actions, train_policy
 from satedge.evaluator import (BLOCK_STATES, FEASIBLE, NEAR, PAIR_CACHE, PAIR_OFFLOAD,
-                               PAIRS, ActionMatrix, nearest_feasible)
+                               PAIRS, ActionMatrix, PriceVector, nearest_feasible, score)
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model
 from satedge.oracle import label_states
 from satedge.policies import BASELINE_PAIRS, baseline_name
@@ -151,3 +153,27 @@ def test_raising_one_price_moves_its_bits_one_way(name, factor, seed):
         labels = np.array([d.labels for d in label_states(states, raised, scaler)])
         change = (labels - base)[:, half * v:(half + 1) * v]
         assert (sign * change >= 0).all(), (price, factor)
+
+
+TIME_ONLY = PriceVector(comp=0.0, comm=0.0, cache=0.0, cpl=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_oracle_finishes_first_when_only_time_is_priced(name):
+    """At prices (0, 0, 0, 1) the oracle minimises the completion time over
+    every feasible action, so each scheme's time, episode by episode, is at
+    least the oracle's. Nothing couples sub-tasks, so the relation holds."""
+    scen = replace(default_config().scenario, **CONFIGS[name])
+    states = [state for _, state in episode_stream(scen, 11, 1500)]
+    demos = label_states(states, TIME_ONLY, FeatureScaler.from_scenario(scen))
+    tiny = replace(default_config().train, hidden_layers=1, hidden_width=16,
+                   batch_size=16, max_epochs=3)
+    model = train_policy(demos, tiny, seed=5).model
+    _, fastest = score(states, oracle_actions(demos), TIME_ONLY)
+    slower = set()
+    for scheme in SCHEMES:
+        _, times = score(states, scheme_actions(scheme, model, demos, states, TIME_ONLY),
+                         TIME_ONLY)
+        assert all(t >= best for t, best in zip(times, fastest)), scheme
+        slower |= {scheme for t, best in zip(times, fastest) if t > best}
+    assert {"to-mrc", "le-mrc"} <= slower

@@ -113,6 +113,42 @@ def test_stream_equals_episodes_drawn_alone(mode, num_subtasks, n):
     assert list(backwards) == alone[::-1]
 
 
+def _task_bits(state) -> list[tuple]:
+    return [(s.category, s.d_in.hex(), s.d_out.hex(), s.rho.hex(), s.out_rank)
+            for s in state.task]
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_subtasks=st.sampled_from([1, 6, 9, 12]), num_ranks=st.sampled_from([1, 2, 30, 1000]),
+       mix=st.sampled_from([(0.05, 0.05, 0.9), (0.0, 0.1, 0.9), (1.0, 0.0, 0.0),
+                            (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+       rho_min=st.sampled_from([0.0, 800.0]), mode=st.sampled_from(["fixed", "orbit"]),
+       size=st.sampled_from([15, 16, 17, 256, 257]), first=st.sampled_from([0, 2**32 - 100]),
+       seed=st.integers(0, 2**32 - 1))
+@example(num_subtasks=1, num_ranks=1, mix=(0.0, 0.1, 0.9), rho_min=0.0, mode="fixed",
+         size=15, first=0, seed=SEED)
+@example(num_subtasks=6, num_ranks=2, mix=(1.0, 0.0, 0.0), rho_min=800.0, mode="orbit",
+         size=16, first=2**32 - 100, seed=SEED)
+@example(num_subtasks=9, num_ranks=30, mix=(0.0, 1.0, 0.0), rho_min=0.0, mode="fixed",
+         size=17, first=2**32 - 100, seed=SEED)
+@example(num_subtasks=12, num_ranks=1000, mix=(0.05, 0.05, 0.9), rho_min=800.0,
+         mode="orbit", size=256, first=0, seed=SEED)
+@example(num_subtasks=6, num_ranks=30, mix=(0.0, 0.0, 1.0), rho_min=0.0, mode="fixed",
+         size=257, first=2**32 - 100, seed=SEED)
+def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix, rho_min,
+                                                   mode, size, first, seed):
+    """A block of 16 or more decodes its chains from raw output; a lone draw
+    runs generate_task. Every float must agree bit for bit."""
+    scen = replace(_scen(mode, num_subtasks), num_ranks=num_ranks, rho_min=rho_min,
+                   mix_upload=mix[0], mix_download=mix[1], mix_compute=mix[2])
+    library = make_library(scen, seed)
+    ids = range(first, first + size)
+    block = list(episode_states(scen, seed, ids, library))
+    alone = [episode_state(scen, seed, e, library) for e in ids]
+    assert block == alone
+    assert [_task_bits(s) for s in block] == [_task_bits(s) for s in alone]
+
+
 @pytest.mark.parametrize("mode", ["fixed", "orbit"])
 def test_scattered_ids_equal_episodes_drawn_alone(mode):
     """A sweep's test split: ids out of order, with gaps, some past 2^32."""

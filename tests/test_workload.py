@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from satedge.config import ScenarioConfig
-from satedge.workload import Category, _category_picker, generate_task
+from satedge.workload import Category, _category_picker, decode_tasks, generate_task
 
 from conftest import reference_generate_task
 
@@ -111,3 +111,92 @@ def test_mix_that_numpy_choice_refuses_raises(mix):
     cfg = scenario(mix_upload=mix[0], mix_download=mix[1], mix_compute=mix[2])
     with pytest.raises(ValueError):
         generate_task(1, cfg, LIBRARY)
+
+
+# ---------------------------------------------------------------------------
+# decoding a block's chains from raw PCG64 output
+
+MASK32 = 0xFFFFFFFF
+
+
+def _double(x: int) -> float:
+    return (x >> 11) * 2.0**-53
+
+
+def _lemire(words, ranks: int) -> tuple[int, int]:
+    """numpy's bounded 32-bit draw of 1..ranks: (rank, words read)."""
+    for used, u in enumerate(words, start=1):
+        m = u * ranks
+        if m & MASK32 >= (2**32 - ranks) % ranks:
+            return (m >> 32) + 1, used
+    raise AssertionError("ran out of words")
+
+
+def test_generator_consumes_raw_output_as_decode_tasks_reads_it():
+    """decode_tasks re-implements how numpy's Generator reads PCG64's raw
+    output; a numpy that changes any of these rules fails here by name."""
+    bits = np.random.PCG64(2024)
+    gen = np.random.Generator(bits)
+    start = bits.state
+    raw = [int(x) for x in bits.random_raw(64)]
+    bits.state = start
+    assert gen.random() == _double(raw[0]), \
+        "random() no longer returns (raw >> 11) * 2**-53 of one output"
+    assert gen.uniform(3.0, 7.5) == 3.0 + (7.5 - 3.0) * _double(raw[1]), \
+        "uniform(a, b) no longer returns a + (b - a) * random() of one output"
+    assert _lemire([raw[2] & MASK32], 30)[1] == 1 and _lemire([raw[2] >> 32], 30)[1] == 1
+    assert gen.integers(1, 31) == _lemire([raw[2] & MASK32], 30)[0], \
+        "integers(1, R + 1) no longer reads the low half of a fresh output"
+    assert gen.random() == _double(raw[3]), \
+        "a double no longer reads a fresh output past a buffered uint32"
+    assert gen.integers(1, 31) == _lemire([raw[2] >> 32], 30)[0], \
+        "integers(1, R + 1) no longer reads the high half buffered by the previous call"
+    assert gen.integers(1, 2) == 1 and gen.random() == _double(raw[4]), \
+        "integers(1, 2) no longer consumes nothing"
+    # about half of all words fall in the rejection zone of R = 2^31 + 1
+    ranks = 2**31 + 1
+    words = [w for x in raw[5:] for w in (x & MASK32, x >> 32)]
+    rejected = 0
+    for _ in range(20):
+        rank, used = _lemire(words, ranks)
+        assert gen.integers(1, ranks + 1) == rank, \
+            "integers(1, R + 1) no longer rejects by Lemire's test and reads the next word"
+        words, rejected = words[used:], rejected + used - 1
+    assert rejected > 0
+
+
+def _float_bits(task) -> list[tuple[str, ...]]:
+    return [(s.d_in.hex(), s.d_out.hex(), s.rho.hex()) for s in task]
+
+
+def _raw_rows(cfg, n: int) -> tuple[np.ndarray, list[dict]]:
+    """n rows of 4V raw outputs, and the generator state each row starts at."""
+    bits = np.random.PCG64(77)
+    raw, states = [], []
+    for _ in range(n):
+        states.append(bits.state)
+        raw.append(bits.random_raw(4 * cfg.num_subtasks))
+    return np.array(raw), states
+
+
+def test_decode_masks_exactly_the_rows_it_cannot_decode():
+    """Crafted words: a compute rho of exactly 0.0, which generate_task redraws,
+    and rank words in Lemire's rejection zone, fresh and buffered, are left to
+    generate_task; every other row decodes to generate_task's chain."""
+    cfg = scenario(rho_min=0.0, num_ranks=30)  # (2^32 - 30) % 30 = 16: word 0 is rejected
+    raw, states = _raw_rows(cfg, 40)
+    pick_compute = 2**64 - 1  # the largest double: the last category
+    raw[0, 0], raw[0, 3] = pick_compute, 2**11 - 1  # rho's double is 0.0
+    raw[1, 0], raw[1, 1] = pick_compute, raw[1, 1] & ~np.uint64(MASK32)  # fresh word 0
+    # two computes: the first rank reads a kept low word, the second the buffered 0
+    raw[2, 0], raw[2, 4] = pick_compute, pick_compute
+    raw[2, 1] = (raw[2, 1] & np.uint64(MASK32)) | np.uint64(1)
+    tasks = decode_tasks(raw, cfg, LIBRARY)
+    assert [i for i, task in enumerate(tasks) if task is None] == [0, 1, 2]
+    for task, state in list(zip(tasks, states))[3:]:
+        bits = np.random.PCG64()
+        bits.state = state
+        expected = generate_task(np.random.Generator(bits), cfg, LIBRARY)
+        assert task == expected
+        assert _float_bits(task) == _float_bits(expected)
+
