@@ -8,9 +8,13 @@ relative to --out and sorted. Two checkouts that print the same lines
 wrote byte-identical artifacts, which is the parity check for a change
 that must not move any output byte:
 
-    python3 scripts/artifact_digests.py --config tiny.txt --out /tmp/a > a.txt
-    python3 scripts/artifact_digests.py --config tiny.txt --out /tmp/b > b.txt
+    python3 scripts/artifact_digests.py --config scripts/parity_tiny.txt --out /tmp/a > a.txt
+    python3 scripts/artifact_digests.py --config scripts/parity_tiny.txt --out /tmp/b > b.txt
     diff a.txt b.txt
+
+scripts/parity_tiny.txt runs in a few seconds; its budgets draw a stream
+shorter than 8 episodes and score sweep test splits of 12. The default
+config (no --config) takes a few minutes.
 
 Each command's own output goes to stderr. --seed, when given, replaces
 every command's default seed.

@@ -166,7 +166,7 @@ def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
         if model_path is None:
             raise ValueError("--model is required for the docs policy")
         model, scaler = load_model(model_path)
-        check_policy(model, scaler, cfg.scenario.num_subtasks)
+        check_policy(model, cfg.scenario.num_subtasks)
     else:
         model, scaler = None, FeatureScaler.from_scenario(cfg.scenario)
 
@@ -196,7 +196,7 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     _check_episodes(episodes)
     t0 = time.perf_counter()
     model, scaler = load_model(model_path)
-    check_policy(model, scaler, cfg.scenario.num_subtasks)
+    check_policy(model, cfg.scenario.num_subtasks)
     prices = prices_from(cfg.scenario)
     states = [state for _, state in episode_stream(cfg.scenario, seed, episodes)]
     demos = label_states(states, prices, scaler)
@@ -246,8 +246,6 @@ def _sweep_point(cfg: SimConfig, demos: list[Demonstration], seed: int,
     test_demos = [demos[i] for i in result.test_idx]
     test_states = list(episode_states(scen, seed, [d.episode_id for d in test_demos],
                                       make_library(scen, seed)))
-    for block in blocks(test_states):  # the tables the scoring reads
-        tabulate(block)
     prices = prices_from(scen)
     actions = docs_actions(result.model, test_demos, test_states)
     return action_report(actions, test_demos, test_states, prices)

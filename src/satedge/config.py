@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .channel import link_rate, snr_from_db
+from .channel import link_rate, snr_from_db, transmit_time
 from .geometry import (CoverageDomainError, OrbitParams, earth_central_angle,
                        relative_angular_velocity)
 
@@ -215,17 +215,34 @@ def validate_config(cfg: SimConfig) -> None:
                  "price_cache"):
         if getattr(s, name) < 0:
             raise ConfigError(f"{name} must be nonnegative")
+    low = []  # each hop's rate at its lowest draw
     for key, bw_key in (("snr_fh_db", "bandwidth_fh_hz"), ("snr_bh_db", "bandwidth_bh_hz")):
         lo_db, hi_db = getattr(s, key) - s.snr_jitter_db, getattr(s, key) + s.snr_jitter_db
         bandwidth = getattr(s, bw_key)
         try:  # draws span [lo_db, hi_db]; the feature scaler bounds rates at attenuation 1
-            ok = (math.isfinite(link_rate(1.0, bandwidth, snr_from_db(hi_db)))
-                  and link_rate(s.rain_attenuation, bandwidth, snr_from_db(lo_db)) > 0)
+            low.append(link_rate(s.rain_attenuation, bandwidth, snr_from_db(lo_db)))
+            ok = low[-1] > 0 and math.isfinite(link_rate(1.0, bandwidth, snr_from_db(hi_db)))
         except OverflowError:
             ok = False
         if not ok:
             raise ConfigError(f"{key} ± snr_jitter_db spans {lo_db!r} to {hi_db!r} dB; "
                               f"with {bw_key} rates must be finite, > 0 at rain_attenuation")
+    # an inf at the maxima turns features and labels inf or NaN (inf times a
+    # hit's 0); the time adds every leg of any pipeline, at the slowest rates
+    size, cycles = s.size_max_bytes, s.rho_max * s.size_max_bytes
+    secs = (2 * transmit_time(size, low[0]) + transmit_time(size, low[1])
+               + 2 * s.prop_vs_s + s.prop_sg_s + cycles / s.cpu_rate_hz)
+    cost = s.price_comp * cycles + (s.price_comm + s.price_cache) * size + s.price_cpl * secs
+    n = s.num_subtasks if s.num_subtasks < 2**1023 else math.inf  # past the float range
+    for value, what in (
+            (cycles, "the cycles rho_max * size_max_bytes"),
+            (secs, "the sub-task time (rho_max * size_max_bytes / cpu_rate_hz, "
+                      "size_max_bytes over the slowest link rates, prop_vs_s, prop_sg_s)"),
+            (cost, "the sub-task cost price_comp * rho_max * size_max_bytes + "
+                   "(price_comm + price_cache) * size_max_bytes + price_cpl * time"),
+            (n * (secs + cost), "num_subtasks * the sub-task time and cost")):
+        if not math.isfinite(value):
+            raise ConfigError(f"{what} overflows to {value!r} at the config's maxima")
     if not 0 < t.train_frac < 1 or not 0 < t.val_frac < 1 or t.train_frac + t.val_frac >= 1:
         raise ConfigError("train_frac and val_frac must leave a nonempty test split")
     for name in ("dataset_episodes", "hidden_layers", "hidden_width", "batch_size",

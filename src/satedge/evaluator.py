@@ -176,8 +176,8 @@ class Tables:
     has the same number V of sub-tasks. costs(prices) prices the block
     once per price vector, +inf on the infeasible pairs. The time and
     feasibility formulas live here only, and the cost formula in
-    _pair_cost: subtask_time and feasible_actions read a block of one
-    sub-task, and a state outside any block a block of its own.
+    _pair_cost: feasible_actions reads a block of one sub-task, and a
+    state outside any block a block of its own.
 
     Modeling note: the satellite-to-vehicle return leg is charged at the
     fronthaul rate (symmetric fronthaul).
@@ -269,12 +269,6 @@ def carry_cache(state: EpisodeState, cache: CacheState) -> EpisodeState:
 def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int], ...]:
     """Feasible (offload, cache) pairs of one sub-task, ascending (see FEASIBLE)."""
     return FEASIBLE[int(Tables([replace(state, task=(st,))]).pattern[0, 0])]
-
-
-def subtask_time(st: SubTask, a_of: int, hit: bool, state: EpisodeState) -> float:
-    """Seconds until this sub-task's result is back at the vehicle."""
-    seconds = Tables([replace(state, task=(st,))]).seconds
-    return float(seconds[0, 0, int(hit), pair_index(a_of, 0)])
 
 
 def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,

@@ -55,7 +55,6 @@ class FeatureScaler:
 
     lo: np.ndarray
     hi: np.ndarray
-    layout_version: int = LAYOUT_VERSION
     clamp_count: int = 0
 
     def __post_init__(self):
@@ -150,7 +149,6 @@ class MLPModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int
-    layout_version: int = LAYOUT_VERSION
 
 
 def init_model(dims: tuple[int, ...], seed: int) -> MLPModel:
@@ -315,7 +313,7 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
     """
     lines = [
         MODEL_MAGIC,
-        f"layout_version={model.layout_version}",
+        f"layout_version={LAYOUT_VERSION}",
         f"seed={model.seed}",
         "dims=" + ",".join(str(d) for d in model.dims),
         "scaler_lo=" + _fmt_row(scaler.lo),
@@ -353,8 +351,7 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
         seed = int(header["seed"])
         dims = tuple(int(d) for d in header["dims"].split(","))
         scaler = FeatureScaler(lo=_parse_row(header["scaler_lo"]),
-                               hi=_parse_row(header["scaler_hi"]),
-                               layout_version=layout)
+                               hi=_parse_row(header["scaler_hi"]))
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     if layout != LAYOUT_VERSION:
@@ -392,14 +389,12 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
                 f"{path}: block {tag} missing, unexpected or inconsistent with dims")
     model = MLPModel(dims=dims, weights=[blocks[f"W{k}"] for k in layers],
                      biases=[blocks[f"b{k}"] for k in layers],
-                     seed=seed, layout_version=layout)
+                     seed=seed)
     return model, scaler
 
 
-def check_policy(model: MLPModel, scaler: FeatureScaler, num_subtasks: int) -> None:
-    """Raise CheckpointError unless model and scaler fit chains of num_subtasks."""
-    if model.layout_version != LAYOUT_VERSION or scaler.layout_version != LAYOUT_VERSION:
-        raise CheckpointError("model/scaler layout version mismatch with this build")
+def check_policy(model: MLPModel, num_subtasks: int) -> None:
+    """Raise CheckpointError unless model fits chains of num_subtasks."""
     n_in, n_out = feature_dim(num_subtasks), 2 * num_subtasks
     if (model.dims[0], model.dims[-1]) != (n_in, n_out):
         raise CheckpointError(f"model dims {model.dims} do not fit {num_subtasks} "
@@ -407,6 +402,6 @@ def check_policy(model: MLPModel, scaler: FeatureScaler, num_subtasks: int) -> N
 
 
 def infer(model: MLPModel, scaler: FeatureScaler, state: EpisodeState) -> ActionMatrix:
-    """Encode, forward, decode; checks layouts and dimensions line up."""
-    check_policy(model, scaler, len(state.task))
+    """Encode, forward, decode; checks dimensions line up."""
+    check_policy(model, len(state.task))
     return decode_actions(forward(model, encode_state(state, scaler)), state)

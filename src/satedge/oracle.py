@@ -189,12 +189,14 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#satedge-dataset v1 "):
         raise ValueError(f"{path}: not a v1 dataset file")
-    header = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
     try:
+        header = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
         layout, n_subtasks, n_features = (
             int(header[key]) for key in ("layout", "subtasks", "features"))
     except KeyError as exc:
         raise ValueError(f"{path}: dataset header lacks {exc.args[0]}=") from None
+    except ValueError as exc:  # a token without "=", or a value that is not an int
+        raise ValueError(f"{path}:1: bad dataset header: {exc}") from None
     if layout != LAYOUT_VERSION:
         raise ValueError(f"{path}: feature layout v{layout} unsupported")
     if n_subtasks < 1 or n_features != feature_dim(n_subtasks):
@@ -202,18 +204,21 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
                          f"features={n_features} disagree with layout v{layout}")
     n_bits = 2 * n_subtasks
     demos = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        where = f"{path}:{lineno}: record {parts[0]!r}"
         if len(parts) != n_features + 3:
-            raise ValueError(f"{path}: bad record width {len(parts)}")
+            raise ValueError(f"{where}: bad record width {len(parts)}")
         bits = parts[-2]
         if len(bits) != n_bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"{path}: bad label field {bits!r}")
-        features = np.array([float(v) for v in parts[1:-2]], dtype=np.float64)
-        opt_reward = float(parts[-1])
-        if not (np.isfinite(features).all() and math.isfinite(opt_reward)):
-            raise ValueError(f"{path}: non-finite value in record {parts[0]!r}")
-        demos.append(Demonstration(
-            episode_id=int(parts[0]), features=features,
-            labels=tuple(int(b) for b in bits), opt_reward=opt_reward))
+            raise ValueError(f"{where}: bad label field {bits!r}")
+        try:
+            demo = Demonstration(
+                episode_id=int(parts[0]), features=np.array([float(v) for v in parts[1:-2]]),
+                labels=tuple(int(b) for b in bits), opt_reward=float(parts[-1]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not (np.isfinite(demo.features).all() and math.isfinite(demo.opt_reward)):
+            raise ValueError(f"{where}: non-finite value")
+        demos.append(demo)
     return header, demos

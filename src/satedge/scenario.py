@@ -12,11 +12,11 @@ first 4V raw PCG64 outputs are read with one ``random_raw`` call, and
 how numpy's Generator consumes raw output (doubles, the buffered 32-bit
 half that rank draws share, Lemire's rejection test). The rare rows it
 cannot decode exactly, a rejected rank word or a zero compute rho, are
-drawn again by generate_task. A lone episode, or a block too short to
-pay for all this, is seeded by numpy itself and drawn by generate_task.
-The content library (bytes per popularity rank) is drawn once per run
-and shared by all episodes, which keeps cache capacity accounting
-coherent.
+drawn again by generate_task. Only a lone episode_state call is seeded
+by numpy and drawn by generate_task: the spec every block is tested
+against. The content library (bytes per popularity rank) is drawn once
+per run and shared by all episodes, which keeps cache capacity
+accounting coherent.
 """
 
 from __future__ import annotations
@@ -29,17 +29,12 @@ from . import seeding
 from .caching import CacheState
 from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig, orbit_params
-from .evaluator import EpisodeState, PriceVector
+from .evaluator import BLOCK_STATES, EpisodeState, PriceVector
 from .geometry import coverage_time, earth_central_angle
 from .workload import TaskGraph, decode_tasks, generate_task
 
 # stream tags; changing these re-keys every dataset
 _TASK, _LINK, _PLACE, _ORBIT, _LIBRARY = 0, 1, 2, 3, 9
-_SEED_BLOCK = 256  # episodes seeded at once
-# a block shorter than this seeds faster through numpy's own SeedSequence:
-# measured, a block of 8 seeds in 72 to 80 µs an episode, as numpy does
-# (75 to 80), one of 16 in 47 to 49 and one of 256 in 9 to 17
-_BREAK_EVEN = 16
 
 
 def _rng(seed: int, episode: int, tag: int) -> np.random.Generator:
@@ -164,20 +159,15 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
     """The listed episodes of the stream keyed by `seed`, in order.
 
     Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
-    by one call to it. Ids are seeded in blocks of _SEED_BLOCK into
+    by one call to it. Ids are seeded in blocks of up to BLOCK_STATES into
     generators this iterator owns, one per stream tag, and a block's task
-    chains are decoded from raw output before its first state; a block
-    shorter than _BREAK_EVEN is left to numpy's seeding and generate_task.
+    chains are decoded from raw output before its first state.
     """
     # fixed mode seeds no orbit stream
     rngs = tuple(np.random.default_rng(0) for _ in range(3)) + (
         None if cfg.coverage_mode == "fixed" else np.random.default_rng(0),)
-    for start in range(0, len(episodes), _SEED_BLOCK):
-        ids = episodes[start:start + _SEED_BLOCK]
-        if len(ids) < _BREAK_EVEN:
-            for e in ids:
-                yield episode_state(cfg, seed, e, library)
-            continue
+    for start in range(0, len(episodes), BLOCK_STATES):
+        ids = episodes[start:start + BLOCK_STATES]
         block = _block_rng_states(cfg, seed, ids)
         task_bits = rngs[0].bit_generator
         raw = np.empty((len(ids), 4 * cfg.num_subtasks), dtype=np.uint64)

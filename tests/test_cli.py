@@ -497,12 +497,11 @@ def test_scoring_derives_each_state_view_once(tmp_path, monkeypatch, argv):
     tables = _count_tables(monkeypatch)
     pricings = _count_calls(monkeypatch, evaluator._pair_cost)
     feasible = _count_calls(monkeypatch, evaluator.feasible_actions)
-    times = _count_calls(monkeypatch, evaluator.subtask_time)
     assert main(argv + ["--model", str(model), "--episodes", "7",
                         "--out", str(tmp_path / "o")]) == 0
     assert tables == [7]
     assert len(pricings) == 1
-    assert (len(feasible), len(times)) == (0, 0)
+    assert feasible == []
 
 
 @pytest.mark.parametrize("argv, validations", [

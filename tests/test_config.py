@@ -1,9 +1,14 @@
 """Config validation: every value reaching physics or prices is checked."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from satedge.config import (ConfigError, default_config, dump_config, load_config,
-                            validate_config)
+from satedge.cli import HIDDEN_LAYER_GRID, RAIN_GRID
+from satedge.config import (ConfigError, SimConfig, default_config, dump_config,
+                            load_config, validate_config)
+from satedge.oracle import build_dataset
 from satedge.scenario import episode_stream
 
 
@@ -68,6 +73,40 @@ def test_link_budget_and_price_edges_are_allowed(tmp_path, text):
     cfg = load_config(path)
     for _, state in episode_stream(cfg.scenario, 5, 20):
         assert state.link.rate_fh > 0 and state.link.rate_bh > 0
+
+
+@pytest.mark.parametrize("text, names", [
+    # unchecked, each puts NaN or inf into dataset.txt or metrics.csv
+    ("rho_max = 1e308\n", ("rho_max", "size_max_bytes")),
+    ("price_comp = 1e300\nrho_max = 1e10\n", ("price_comp", "rho_max", "size_max_bytes")),
+    ("cpu_rate_hz = 1e-300\n", ("cpu_rate_hz",)),
+    ("num_subtasks = 3\nprice_cpl = 1e308\n", ("num_subtasks",)),  # finite per sub-task
+], ids=["cycles", "compute-charge", "local-time", "chain-cost"])
+def test_overflowing_extremes_are_config_errors(tmp_path, text, names):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="overflows") as err:
+        load_config(path)
+    assert all(name in str(err.value) for name in names)
+
+
+@pytest.mark.parametrize("text", [
+    "price_comp = 1e290\nrho_max = 1e10\n",
+    "cpu_rate_hz = 1e-290\n",
+], ids=["compute-charge", "local-time"])
+def test_extremes_short_of_overflow_label_finitely(tmp_path, text):
+    path = tmp_path / "ok.txt"
+    path.write_text(text)
+    demos = build_dataset(load_config(path).scenario, 20, 3)
+    assert all(np.isfinite(d.features).all() and np.isfinite(d.opt_reward) for d in demos)
+
+
+def test_defaults_and_sweep_grids_validate():
+    cfg = default_config()
+    for lam in RAIN_GRID:
+        validate_config(SimConfig(replace(cfg.scenario, rain_attenuation=lam), cfg.train))
+    for k in HIDDEN_LAYER_GRID:
+        validate_config(SimConfig(cfg.scenario, replace(cfg.train, hidden_layers=k)))
 
 
 def test_adam_domain_edges_are_allowed(tmp_path):

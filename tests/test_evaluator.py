@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector,
-                               completion_time, feasible_actions, reward, subtask_cost,
-                               subtask_time, validate_action)
+from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector, Tables,
+                               completion_time, feasible_actions, pair_index, reward,
+                               subtask_cost, validate_action)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
 
@@ -24,22 +24,28 @@ def rel_err(a, b):
     return abs(a - b) / abs(b)
 
 
+def seconds_alone(st_, a_of, hit, state):
+    """The library's Tables.seconds of st_ alone in state, under offload bit a_of."""
+    seconds = Tables([replace(state, task=(st_,))]).seconds
+    return float(seconds[0, 0, int(hit), pair_index(a_of, 0)])
+
+
 def test_upload_golden():
     state = make_state([upload(400e3)])
-    t = subtask_time(state.task[0], 1, False, state)
+    t = seconds_alone(state.task[0], 1, False, state)
     assert rel_err(t, UPLOAD_400KB) < 1e-6
     assert t == UPLOAD_400KB  # exact under these round rates
 
 
 def test_download_hit_golden():
     state = make_state([download(160e3)])
-    t = subtask_time(state.task[0], 0, True, state)
+    t = seconds_alone(state.task[0], 0, True, state)
     assert rel_err(t, DOWNLOAD_HIT_160KB) < 1e-6
 
 
 def test_download_miss_adds_backhaul_leg():
     state = make_state([download(160e3)])
-    miss = subtask_time(state.task[0], 0, False, state)
+    miss = seconds_alone(state.task[0], 0, False, state)
     # miss prepends d_out/r_bh + d_sg to the hit path
     assert rel_err(miss - DOWNLOAD_HIT_160KB,
                    160e3 * 8 / 2.4e6 + 0.27) < 1e-9
@@ -48,8 +54,8 @@ def test_download_miss_adds_backhaul_leg():
 def test_compute_local_work_golden():
     st_ = compute(d_in=100e3, d_out=100e3, rho=1e4)
     state = make_state([st_])
-    local = subtask_time(st_, 0, False, state)
-    hit = subtask_time(st_, 0, True, state)
+    local = seconds_alone(st_, 0, False, state)
+    hit = seconds_alone(st_, 0, True, state)
     # the hit path skips exactly the local processing term
     assert rel_err(local - hit, COMPUTE_LOCAL_WORK) < 1e-6
     ingest = 100e3 * 8 / 1.6e6 + 0.03
@@ -60,8 +66,8 @@ def test_compute_local_work_golden():
 def test_compute_offloaded_uses_backhaul():
     st_ = compute(d_in=240e3, d_out=100e3, rho=1e4)
     state = make_state([st_])
-    off = subtask_time(st_, 1, False, state)
-    loc = subtask_time(st_, 0, False, state)
+    off = seconds_alone(st_, 1, False, state)
+    loc = seconds_alone(st_, 0, False, state)
     d_off = 240e3 * 8 / 2.4e6  # 0.8 s
     assert rel_err(off - loc, (d_off + 0.27) - 240e3 * 1e4 / 1e10) < 1e-9
 
@@ -94,7 +100,7 @@ def test_derived_fields_match_the_rules(coverage_mode):
     for _, state in episode_stream(cfg.scenario, 7, 60):
         feas = tuple(feasible_actions(sub, state) for sub in state.task)
         hits = reference_hits(state)
-        secs = tuple(tuple(subtask_time(sub, of, hit, state) for of, _ in f)
+        secs = tuple(tuple(seconds_alone(sub, of, hit, state) for of, _ in f)
                      for sub, f, hit in zip(state.task, feas, hits))
         assert (feasible_of(state), state.hits, seconds_of(state)) == (feas, hits, secs)
         assert costs_of(state, prices) == tuple(
@@ -119,7 +125,7 @@ def test_replaced_cache_rederives_hits_and_times():
     hit_seconds = seconds_of(state)
     carried = replace(state, cache=make_cache(placed=(5,)))
     assert carried.hits == (False,)
-    assert seconds_of(carried) == ((subtask_time(st_, 0, False, state),) * 2,)
+    assert seconds_of(carried) == ((seconds_alone(st_, 0, False, state),) * 2,)
     assert seconds_of(carried)[0][0] > hit_seconds[0][0]
     assert state.hits == (True,) and seconds_of(state) == hit_seconds
 
@@ -137,7 +143,7 @@ def test_completion_time_is_the_chain_fold_of_subtask_times():
         action, _ = solve_optimal(state, prices)
         total = 0.0
         for v, (sub, hit) in enumerate(zip(state.task, reference_hits(state))):
-            total += subtask_time(sub, action.offload[v], hit, state)
+            total += seconds_alone(sub, action.offload[v], hit, state)
         assert completion_time(state, action) == total
 
 

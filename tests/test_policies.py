@@ -3,9 +3,8 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (PriceVector, completion_time, feasible_actions, reward,
-                               reward_and_time, subtask_cost, subtask_time,
-                               validate_action)
+from satedge.evaluator import (PriceVector, completion_time, reward,
+                               reward_and_time, subtask_cost, validate_action)
 from satedge.oracle import solve_optimal
 from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
                               baseline_policy, project_feasible)
@@ -67,20 +66,14 @@ def test_go_never_worse_per_subtask(prices):
     # never exceed what the projected LE or TO proposal pays there
     cfg = default_config()
     for _, state in episode_stream(cfg.scenario, 13, 40):
-        hits = reference_hits(state)
         go_bits = baseline_policy("go", "mrc", state, prices).offload
-        for v, sub in enumerate(state.task):
-            feas = feasible_actions(sub, state)
-
-            def cost(of, ch):
-                t = subtask_time(sub, of, hits[v], state)
-                return subtask_cost(sub, of, ch, hits[v], t, prices)
-
-            go_cost = min(cost(of, ch) for of, ch in feas if of == go_bits[v])
+        for v, (feas, costs) in enumerate(zip(feasible_of(state), costs_of(state, prices))):
+            cost = dict(zip(feas, costs))  # the state's Tables row, at its own hits
+            go_cost = min(cost[f] for f in feas if f[0] == go_bits[v])
             for proposal in ((0, 0), (1, 1)):  # LE-ish and TO-ish pairs
                 rival = min(feas, key=lambda f: (
                     (f[0] != proposal[0]) + (f[1] != proposal[1]), f))
-                assert go_cost <= cost(*rival) + 1e-12
+                assert go_cost <= cost[rival] + 1e-12
 
 
 def test_cache_bits_zero_without_outputs(prices):

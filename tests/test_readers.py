@@ -185,6 +185,26 @@ def test_dataset_rejects_nan(tmp_path, dataset_lines, field):
         read_dataset(path)
 
 
+def _with_record_field(lines, field, value):
+    parts = lines[1].split(",")
+    parts[field] = value
+    return [lines[0], ",".join(parts)] + lines[2:]
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: [lines[0] + " stray"] + lines[1:], ":1: bad dataset header"),
+    (lambda lines: [lines[0].replace("features=54", "features=5x4")] + lines[1:],
+     ":1: bad dataset header"),
+    (lambda lines: _with_record_field(lines, 0, "zero"), ":2: record 'zero'"),
+    (lambda lines: _with_record_field(lines, 3, "abc"), ":2: record '0'"),
+], ids=["header-token", "features-value", "episode-id", "feature"])
+def test_dataset_errors_name_the_file_and_line(tmp_path, dataset_lines, edit, where):
+    path = _write(tmp_path, "d.txt", edit(dataset_lines))
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
+
 def test_model_with_one_dim_and_no_blocks_is_rejected(tmp_path, model_lines):
     header = model_lines[:model_lines.index("#block W0 6x5")]
     lines = [line.replace("dims=6,5,4", "dims=6") for line in header]

@@ -2,9 +2,12 @@
 
 A stream seeds a block of episodes with `seeding`'s uint32-array
 re-implementation of numpy's algorithm, then loads each episode's states
-into generators it reuses. The reference is numpy itself, through
-conftest's reference_stream_rng: every generator state must match, and
-every episode drawn in a block must equal the one drawn alone.
+into generators it reuses, and decodes the block's task chains from raw
+output. Every block takes this path, whatever its length. The reference
+is numpy itself, through conftest's reference_stream_rng: every
+generator state must match, and every episode drawn in a block must
+equal the one drawn alone by episode_state, which numpy seeds and
+generate_task draws.
 """
 
 from dataclasses import replace
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from satedge import scenario, seeding
 from satedge.config import default_config
+from satedge.evaluator import BLOCK_STATES
 from satedge.scenario import episode_state, episode_states, episode_stream, make_library
 
 from conftest import reference_stream_rng
@@ -50,7 +54,7 @@ def test_block_states_match_numpy_for_any_key(seed, ids, mode):
 @settings(max_examples=10, deadline=None)
 @given(size=st.integers(1, 300), first=st.integers(0, 2**33), seed=st.integers(0, 2**32 - 1))
 @example(size=1, first=0, seed=SEED)
-@example(size=scenario._BREAK_EVEN - 1, first=7, seed=SEED)
+@example(size=15, first=7, seed=SEED)
 @example(size=300, first=0, seed=SEED)
 @example(size=40, first=2**32 - 20, seed=SEED)  # one block, ids of one and two words
 def test_block_states_match_numpy_at_every_block_size(size, first, seed):
@@ -76,15 +80,15 @@ def test_task_second_pass_matches_default_rng(task_seeds):
 def test_negative_seed_or_episode_raises_value_error(bad):
     scen = _scen("orbit")
     library = make_library(scen, 1)
-    block = [5] * scenario._BREAK_EVEN
+    block = [5, 6]
     calls = [
         lambda: scenario._block_rng_states(scen, bad, [0, 1]),
         lambda: scenario._block_rng_states(scen, 1, [0, bad]),
         lambda: list(episode_stream(scen, bad, 40)),
-        lambda: list(episode_states(scen, bad, block, library)),  # seeded as a block
+        lambda: list(episode_states(scen, bad, block, library)),
         lambda: list(episode_states(scen, 1, block + [bad], library)),
-        lambda: list(episode_states(scen, 1, [bad], library)),  # seeded by numpy
-        lambda: episode_state(scen, 1, bad, library),
+        lambda: list(episode_states(scen, 1, [bad], library)),  # a block of one
+        lambda: episode_state(scen, 1, bad, library),  # seeded by numpy
         lambda: make_library(scen, bad),
     ]
     for call in calls:
@@ -101,8 +105,7 @@ def _drawn_alone(mode: str, num_subtasks: int) -> tuple:
 
 @pytest.mark.parametrize("mode", ["fixed", "orbit"])
 @pytest.mark.parametrize("num_subtasks", [1, 6, 9])
-@pytest.mark.parametrize("n", [1, scenario._BREAK_EVEN - 1, scenario._BREAK_EVEN, 31, 32,
-                               256, 257, 300])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16, 17, 31, 32, 255, 256, 257, 300])
 def test_stream_equals_episodes_drawn_alone(mode, num_subtasks, n):
     """Reused generators carry nothing from one episode, or block, to the next:
     not the uint32 left buffered by ``integers``, not a skipped orbit stream."""
@@ -123,10 +126,13 @@ def _task_bits(state) -> list[tuple]:
        mix=st.sampled_from([(0.05, 0.05, 0.9), (0.0, 0.1, 0.9), (1.0, 0.0, 0.0),
                             (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
        rho_min=st.sampled_from([0.0, 800.0]), mode=st.sampled_from(["fixed", "orbit"]),
-       size=st.sampled_from([15, 16, 17, 256, 257]), first=st.sampled_from([0, 2**32 - 100]),
+       size=st.sampled_from([1, 2, 7, 8, 15, 16, 17, 255, 256, 257]),
+       first=st.sampled_from([0, 2**32 - 100]),
        seed=st.integers(0, 2**32 - 1))
 @example(num_subtasks=1, num_ranks=1, mix=(0.0, 0.1, 0.9), rho_min=0.0, mode="fixed",
-         size=15, first=0, seed=SEED)
+         size=1, first=0, seed=SEED)
+@example(num_subtasks=9, num_ranks=2, mix=(0.05, 0.05, 0.9), rho_min=0.0, mode="orbit",
+         size=7, first=2**32 - 100, seed=SEED)
 @example(num_subtasks=6, num_ranks=2, mix=(1.0, 0.0, 0.0), rho_min=800.0, mode="orbit",
          size=16, first=2**32 - 100, seed=SEED)
 @example(num_subtasks=9, num_ranks=30, mix=(0.0, 1.0, 0.0), rho_min=0.0, mode="fixed",
@@ -137,8 +143,8 @@ def _task_bits(state) -> list[tuple]:
          size=257, first=2**32 - 100, seed=SEED)
 def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix, rho_min,
                                                    mode, size, first, seed):
-    """A block of 16 or more decodes its chains from raw output; a lone draw
-    runs generate_task. Every float must agree bit for bit."""
+    """A block, of any length, decodes its chains from raw output; a lone
+    draw runs generate_task. Every float must agree bit for bit."""
     scen = replace(_scen(mode, num_subtasks), num_ranks=num_ranks, rho_min=rho_min,
                    mix_upload=mix[0], mix_download=mix[1], mix_compute=mix[2])
     library = make_library(scen, seed)
@@ -147,6 +153,40 @@ def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix,
     alone = [episode_state(scen, seed, e, library) for e in ids]
     assert block == alone
     assert [_task_bits(s) for s in block] == [_task_bits(s) for s in alone]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "orbit"])
+@pytest.mark.parametrize("n, given_up", [
+    (20, lambda rows: rows[:1]),
+    (20, lambda rows: rows[-1:]),
+    (20, lambda rows: rows),
+    (1, lambda rows: rows),
+    (BLOCK_STATES + 1, lambda rows: rows[::len(rows) - 1 or 1]),
+], ids=["first", "last", "all", "only-row", "ends-of-two-blocks"])
+def test_rows_the_decoder_gives_up_on_equal_episodes_drawn_alone(monkeypatch, mode, n,
+                                                                  given_up):
+    """A row decode_tasks leaves as None is drawn by generate_task from the
+    restored task state, and the rows around it are not disturbed."""
+    plain_decode, plain_generate = scenario.decode_tasks, scenario.generate_task
+    dropped, generated = [], []
+
+    def decode(raw, cfg, library):
+        tasks = plain_decode(raw, cfg, library)
+        rows = given_up(list(range(len(tasks))))
+        for row in rows:
+            tasks[row] = None
+        dropped.extend(rows)
+        return tasks
+
+    def generate(*args):
+        generated.append(args)
+        return plain_generate(*args)
+
+    monkeypatch.setattr(scenario, "decode_tasks", decode)
+    monkeypatch.setattr(scenario, "generate_task", generate)
+    assert [state for _, state in episode_stream(_scen(mode), SEED, n)] == \
+        list(_drawn_alone(mode, 6)[:n])
+    assert dropped and len(generated) == len(dropped)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "orbit"])
@@ -179,6 +219,6 @@ def test_each_state_is_one_call_of_the_module_global(monkeypatch):
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "episode_state", counted)
-    n = scenario._SEED_BLOCK + 1  # a full block, then a tail seeded by numpy
+    n = BLOCK_STATES + 1  # a full block, then a block of one
     assert len(list(episode_stream(_scen("fixed"), SEED, n))) == n
     assert drawn == list(range(n))
