@@ -14,10 +14,10 @@ batch of states (tabulate), and a state outside any block builds a block
 of one. Scoring runs on the same blocks: score checks an N x V array of
 pair indices against the block's feasible patterns and gathers each
 state's cost and seconds at its own hits and pairs, folded over the
-chain one N-vector add per sub-task. reward, completion_time and
-validate_action are its one-state forms. A state memoises its hits, its
-Tables row, and the retention bits of each cache kind (retained, filled
-by policies.baseline_cache), so every scheme scored on one state reads
+chain one N-vector add per sub-task. reward and completion_time are its
+one-state forms. A state memoises its hits, its Tables row, and the
+retention bits of each cache kind (retained, filled by
+policies.baseline_cache), so every scheme scored on one state reads
 one replay per kind. All of these are cached properties, not fields, so
 ==, hash and replace ignore them; a replaced state derives its own,
 except that carry_cache (a persistent rollout's carried cache) keeps the
@@ -30,6 +30,7 @@ re-pin charge count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -80,10 +81,7 @@ class ActionMatrix:
 
     @classmethod
     def from_picks(cls, picks: Iterable[int]) -> "ActionMatrix":
-        return cls.from_pairs([PAIRS[p] for p in picks])
-
-    @classmethod
-    def from_pairs(cls, pairs: list[tuple[int, int]]) -> "ActionMatrix":
+        pairs = [PAIRS[p] for p in picks]
         offload, cache = zip(*pairs) if pairs else ((), ())
         return cls(offload=offload, cache=cache)
 
@@ -202,6 +200,15 @@ class Tables:
         links = np.array(links).reshape(n, 6)
         d_in, d_out, zeta = columns.transpose(3, 0, 1, 2)
         t_c, rate_fh, rate_bh, prop_vs, prop_sg, cpu_rate = links.T[:, :, None, None]
+        # states no draw produces: byte counts and link rates are transmit_time's
+        bad = ~((zeta >= 0) & (zeta < np.inf) & (cpu_rate > 0) & (cpu_rate < np.inf)
+                & (t_c >= 0))[:, :, 0]  # NaN fails every comparison
+        if bad.any():
+            n, v = np.argwhere(bad)[0].tolist()
+            raise ValueError(
+                f"state {n}, sub-task {v}: needs a finite zeta >= 0, a finite cpu_rate > 0 "
+                f"and a t_c >= 0, got zeta={zeta[n, v, 0].item()!r}, "
+                f"cpu_rate={links[n, 5].item()!r}, t_c={links[n, 0].item()!r}")
         # legs[n, v, r, 0, s]: bytes s (input, output) over rate r (fronthaul, backhaul)
         legs = transmit_time(columns[..., None, :2], links[:, None, 1:3, None, None])
         (in_fh, out_fh), (in_bh, out_bh) = legs.transpose(2, 4, 0, 1, 3)
@@ -240,15 +247,12 @@ BLOCK_STATES = 256
 
 
 def blocks(states: Iterable[EpisodeState]) -> Iterator[list[EpisodeState]]:
-    """Consecutive runs of up to BLOCK_STATES states with equal chain lengths."""
-    block: list[EpisodeState] = []
-    for state in states:
-        if block and (len(block) == BLOCK_STATES or len(state.task) != len(block[0].task)):
-            yield block
-            block = []
-        block.append(state)
-    if block:
-        yield block
+    """Consecutive runs of BLOCK_STATES states, the last one shorter.
+
+    Every state of a block needs the same chain length (see Tables).
+    """
+    it = iter(states)
+    return iter(lambda: list(itertools.islice(it, BLOCK_STATES)), [])
 
 
 def tabulate(states: Sequence[EpisodeState]) -> Tables:
@@ -311,11 +315,19 @@ def at_hits(block: np.ndarray, hits: np.ndarray) -> np.ndarray:
 
 
 def _check_feasible(pattern: np.ndarray, actions: np.ndarray, start: int) -> None:
-    """InfeasibleActionError naming the first state and sub-task whose pair
-    index in actions is infeasible under pattern; states count from start."""
+    """InfeasibleActionError naming the first state and sub-task whose entry
+    in actions is not a PAIRS index or is infeasible under pattern; states
+    count from start."""
     if actions.shape != pattern.shape:
         raise InfeasibleActionError(f"actions of shape {actions.shape} do not fit "
                                     f"{len(pattern)} tasks of {pattern.shape[1]} sub-tasks")
+    integral = np.issubdtype(actions.dtype, np.integer)
+    bad = (actions < 0) | (actions >= len(PAIRS)) if integral else np.ones(actions.shape, bool)
+    if bad.any():
+        n, v = np.argwhere(bad)[0].tolist()
+        raise InfeasibleActionError(
+            f"episode {start + n}, sub-task {v}: {actions[n, v].item()!r} is not a "
+            f"pair index, an integer in 0..{len(PAIRS) - 1}")
     bad = _INFEASIBLE[pattern, actions]
     if bad.any():
         n, v = np.argwhere(bad)[0].tolist()  # row-major: the first state, then sub-task
@@ -358,25 +370,9 @@ def action_array(actions: Sequence[ActionMatrix]) -> np.ndarray:
     return pair_index(offload, cache)
 
 
-def validate_action(state: EpisodeState, action: ActionMatrix) -> tuple[int, ...]:
-    """Each pair's index in its feasible set; InfeasibleActionError if one is absent."""
-    table, row = state.tables
-    pattern = table.pattern[row:row + 1]
-    _check_feasible(pattern, action_array([action]), 0)
-    return tuple(FEASIBLE[p].index(pair) for p, pair in
-                 zip(pattern[0].tolist(), zip(action.offload, action.cache)))
-
-
-def reward_and_time(state: EpisodeState, action: ActionMatrix,
-                    prices: PriceVector) -> tuple[float, float]:
-    """(reward, completion_time) of one state: score on a block of one."""
-    rewards, times = score([state], action_array([action]), prices)
-    return rewards[0], times[0]
-
-
 def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
     """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds."""
-    return reward_and_time(state, action, prices)[0]
+    return score([state], action_array([action]), prices)[0][0]
 
 
 _TIME_ONLY = PriceVector(0.0, 0.0, 0.0, 1.0)  # every other term is an exact 0.0

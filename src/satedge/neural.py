@@ -48,14 +48,13 @@ def feature_dim(num_subtasks: int) -> int:
 class FeatureScaler:
     """Min-max feature normalization with declared ranges.
 
-    Values outside a range are clamped and counted; a nonzero clamp_count
-    after a run usually means the scaler came from a different scenario
+    Values outside a range are clamped, and each call that clamps logs how
+    many; a clamp usually means the scaler came from a different scenario
     config than the episodes did.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    clamp_count: int = 0
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=np.float64)
@@ -68,16 +67,14 @@ class FeatureScaler:
     def transform(self, raw: np.ndarray) -> np.ndarray:
         """Scale one feature vector, or an N x F batch of them row by row.
 
-        A batch counts the clamps of all its rows and logs one warning.
+        A batch logs one warning, with the clamps of all its rows.
         """
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape[-1:] != self.lo.shape or raw.ndim > 2:
             raise ValueError(f"expected {self.lo.shape[0]} features, got {raw.shape}")
         outside = int(np.count_nonzero((raw < self.lo) | (raw > self.hi)))
         if outside:
-            self.clamp_count += outside
-            log.warning("clamped %d feature(s) outside declared ranges "
-                        "(total %d)", outside, self.clamp_count)
+            log.warning("clamped %d feature(s) outside declared ranges", outside)
         return (np.clip(raw, self.lo, self.hi) - self.lo) / (self.hi - self.lo)
 
     @classmethod
@@ -325,34 +322,43 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_row(line: str) -> np.ndarray:
+def _parse_row(line: str, width: int | None = None) -> np.ndarray:
+    """Comma-separated finite floats, exactly width of them if width is given."""
     row = np.fromiter(map(float, line.split(",")), dtype=np.float64)
+    if width is not None and len(row) != width:
+        raise ValueError(f"{len(row)} values, expected {width}")
     if not np.isfinite(row).all():
         raise ValueError("non-finite value")
     return row
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
-    """Read a v2 checkpoint; anything malformed or inconsistent raises CheckpointError."""
+    """Read a v2 checkpoint in exactly the layout save_model writes.
+
+    That is MODEL_MAGIC, the _HEADER_KEYS lines in order, then for each
+    layer k a block `#block W{k} {a}x{b}` of a rows and a block
+    `#block b{k} {b}` of one row, shapes taken from dims, then the end of
+    the file. Anything else raises CheckpointError naming the file, and
+    the line where the layout breaks.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise CheckpointError(f"{path}: not a v2 model checkpoint; v1 files are "
                               "no longer read, re-run `satedge train`")
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("#block"):
-        key, _, value = lines[i].partition("=")
-        if key not in _HEADER_KEYS:
-            raise CheckpointError(f"{path}: unknown header key {key!r}")
-        header[key] = value
-        i += 1
+
+    def unexpected(at: int, what: str) -> CheckpointError:
+        got = repr(lines[at]) if at < len(lines) else "the end of the file"
+        return CheckpointError(f"{path}:{at + 1}: expected {what}, got {got}")
+
+    for at, key in enumerate(_HEADER_KEYS, start=1):
+        if at >= len(lines) or not lines[at].startswith(f"{key}="):
+            raise unexpected(at, f"a {key}= line")
+    header = [line.partition("=")[2] for line in lines[1:1 + len(_HEADER_KEYS)]]
     try:
-        layout = int(header["layout_version"])
-        seed = int(header["seed"])
-        dims = tuple(int(d) for d in header["dims"].split(","))
-        scaler = FeatureScaler(lo=_parse_row(header["scaler_lo"]),
-                               hi=_parse_row(header["scaler_hi"]))
-    except (KeyError, ValueError) as exc:
+        layout, seed = int(header[0]), int(header[1])
+        dims = tuple(int(d) for d in header[2].split(","))
+        scaler = FeatureScaler(lo=_parse_row(header[3]), hi=_parse_row(header[4]))
+    except ValueError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     if layout != LAYOUT_VERSION:
         raise CheckpointError(
@@ -360,37 +366,23 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
     if len(dims) < 2 or min(dims) < 1 or scaler.lo.shape != dims[:1]:
         raise CheckpointError(f"{path}: dims {dims} need two or more widths >= 1, "
                               f"the first matching the scaler's {scaler.lo.shape[0]}")
-
-    blocks: dict[str, np.ndarray] = {}
-    while i < len(lines):
-        parts = lines[i].split()
-        if len(parts) != 3 or parts[0] != "#block":
-            raise CheckpointError(f"{path}: malformed block header {lines[i]!r}")
-        tag = parts[1]
-        i += 1
-        try:
-            shape = tuple(int(s) for s in parts[2].split("x"))
-            rows = shape[0] if len(shape) == 2 else 1
-            arr = np.stack([_parse_row(line) for line in lines[i:i + rows]])
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: block {tag}: {exc}") from exc
-        i += rows
-        if len(shape) > 2 or arr.shape != (rows, shape[-1]):
-            raise CheckpointError(f"{path}: block {tag} shape mismatch or truncated")
-        blocks[tag] = arr.reshape(shape)
-
-    # exactly one W (fan_in x fan_out) and one b (fan_out) block per layer
-    layers = range(len(dims) - 1)
-    want = {f"W{k}": dims[k:k + 2] for k in layers}
-    want.update({f"b{k}": dims[k + 1:k + 2] for k in layers})
-    for tag in sorted(want.keys() | blocks.keys()):
-        if tag not in blocks or blocks[tag].shape != want.get(tag):
-            raise CheckpointError(
-                f"{path}: block {tag} missing, unexpected or inconsistent with dims")
-    model = MLPModel(dims=dims, weights=[blocks[f"W{k}"] for k in layers],
-                     biases=[blocks[f"b{k}"] for k in layers],
-                     seed=seed)
-    return model, scaler
+    at = 1 + len(_HEADER_KEYS)
+    weights, biases = [], []
+    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        for tag, shape, params in ((f"W{k}", (fan_in, fan_out), weights),
+                                   (f"b{k}", (fan_out,), biases)):
+            head = f"#block {tag} " + "x".join(map(str, shape))
+            if lines[at:at + 1] != [head]:
+                raise unexpected(at, f"{head!r}, the block and shape that dims {dims} give")
+            rows = lines[at + 1:at + 1 + (fan_in if len(shape) == 2 else 1)]
+            try:
+                params.append(np.stack([_parse_row(row, fan_out) for row in rows]).reshape(shape))
+            except ValueError as exc:
+                raise CheckpointError(f"{path}:{at + 1}: block {tag}: {exc}") from exc
+            at += 1 + len(rows)
+    if at < len(lines):
+        raise unexpected(at, "the end of the file")
+    return MLPModel(dims=dims, weights=weights, biases=biases, seed=seed), scaler
 
 
 def check_policy(model: MLPModel, num_subtasks: int) -> None:

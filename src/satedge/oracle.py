@@ -166,6 +166,8 @@ def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> list[Demonstration]
 # dataset file format: one header line, then one comma-separated record per
 # episode: id, features..., label bitstring, optimal reward
 
+_HEADER_KEYS = ("config", "layout", "subtasks", "features")  # after the magic, in order
+
 
 def write_dataset(path: str | Path, demos: Iterable[Demonstration],
                   cfg: ScenarioConfig) -> None:
@@ -185,17 +187,20 @@ def write_dataset(path: str | Path, demos: Iterable[Demonstration],
 
 
 def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]:
-    """Parse a dataset file; any malformed header or record raises ValueError."""
+    """Parse a dataset file in exactly the layout write_dataset writes; any
+    other header or a malformed record raises ValueError."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#satedge-dataset v1 "):
         raise ValueError(f"{path}: not a v1 dataset file")
+    tokens = [token.partition("=") for token in lines[0].split(" ")[2:]]
+    if [(key, eq) for key, eq, _ in tokens] != [(key, "=") for key in _HEADER_KEYS]:
+        raise ValueError(f"{path}:1: bad dataset header: expected the tokens "
+                         f"{' '.join(key + '=' for key in _HEADER_KEYS)} in that order, "
+                         f"got {lines[0]!r}")
+    header = {key: value for key, _, value in tokens}
     try:
-        header = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
-        layout, n_subtasks, n_features = (
-            int(header[key]) for key in ("layout", "subtasks", "features"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: dataset header lacks {exc.args[0]}=") from None
-    except ValueError as exc:  # a token without "=", or a value that is not an int
+        layout, n_subtasks, n_features = (int(header[key]) for key in _HEADER_KEYS[1:])
+    except ValueError as exc:
         raise ValueError(f"{path}:1: bad dataset header: {exc}") from None
     if layout != LAYOUT_VERSION:
         raise ValueError(f"{path}: feature layout v{layout} unsupported")

@@ -280,8 +280,9 @@ def reference_nearest_feasible(feas: tuple[tuple[int, int], ...],
 
 def _projected(state: EpisodeState, pairs: Iterable[tuple[int, int]]) -> ActionMatrix:
     feasible = [reference_feasible_actions(st, state) for st in state.task]
-    return ActionMatrix.from_pairs([reference_nearest_feasible(feas, pair)
-                                    for feas, pair in zip(feasible, pairs)])
+    projected = [reference_nearest_feasible(feas, pair) for feas, pair in zip(feasible, pairs)]
+    return ActionMatrix(offload=tuple(of for of, _ in projected),
+                        cache=tuple(ch for _, ch in projected))
 
 
 def reference_baseline_proposal(offload_kind: str, cache_kind: str, state: EpisodeState,

@@ -24,7 +24,7 @@ from satedge.caching import (
 from satedge.cli import EVAL_SEED, GEN_SEED, main
 from satedge.config import default_config
 from satedge.dil import action_report, train_policy
-from satedge.evaluator import action_array, completion_time, reward, validate_action
+from satedge.evaluator import action_array, completion_time, reward
 from satedge.geometry import coverage_time, earth_central_angle, relative_angular_velocity
 from satedge.neural import (
     FeatureScaler,
@@ -312,10 +312,10 @@ def test_criterion_8_property_bundle(capsys, tmp_path, trained):
     for _, state in episode_stream(cfg.scenario, 777, 10_000):
         try:
             act, _ = solve_optimal(state, prices)
-            validate_action(state, act)
-            validate_action(state, infer(model, scaler, state))
+            completion_time(state, act)
+            completion_time(state, infer(model, scaler, state))
             for of_kind, ch_kind in BASELINE_PAIRS:
-                validate_action(
+                completion_time(
                     state, baseline_policy(of_kind, ch_kind, state, prices))
         except Exception:
             feas_failures += 1

@@ -117,8 +117,10 @@ def test_block_rejects_unequal_chain_lengths():
     long = next(episode_stream(scen, 1, 1))[1]
     with pytest.raises(ValueError):
         tabulate([short, long])
-    # label_states starts a new block where the chain length changes
+    # blocks split at BLOCK_STATES only, so a stream of mixed lengths is refused
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
+    with pytest.raises(ValueError):
+        label_states([long, short], prices, scaler)
     assert [d.labels for d in label_states([long, long], prices, scaler)] == \
         [d.labels for d in reference_label_states([long, long], prices, scaler)]
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector, Tables,
                                completion_time, feasible_actions, pair_index, reward,
-                               subtask_cost, validate_action)
+                               subtask_cost)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
+from satedge.workload import Category
 
 from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
                       reference_hits, seconds_of, upload)
@@ -130,12 +131,6 @@ def test_replaced_cache_rederives_hits_and_times():
     assert state.hits == (True,) and seconds_of(state) == hit_seconds
 
 
-def test_validate_action_returns_feasible_indices():
-    state = make_state([upload(), download(), compute()])
-    action = ActionMatrix(offload=(1, 0, 1), cache=(1, 0, 0))
-    assert validate_action(state, action) == (1, 0, 2)
-
-
 def test_completion_time_is_the_chain_fold_of_subtask_times():
     cfg = default_config()
     prices = prices_from(cfg.scenario)
@@ -206,10 +201,8 @@ def test_validate_action_names_the_offender():
     state = make_state([upload(), download()])
     bad = ActionMatrix(offload=(0, 0), cache=(0, 0))
     with pytest.raises(InfeasibleActionError) as err:
-        validate_action(state, bad)
-    assert "0" in str(err.value) and "upload" in str(err.value).lower()
-    with pytest.raises(InfeasibleActionError):
         completion_time(state, bad)
+    assert "0" in str(err.value) and "upload" in str(err.value).lower()
     with pytest.raises(InfeasibleActionError):
         reward(state, bad, PriceVector(0, 0, 0, 1.0))
 
@@ -233,3 +226,29 @@ def test_local_compute_reward_monotone_in_zeta(rho, d_in):
     lo = make_state([compute(d_in=d_in, rho=rho)])
     hi = make_state([compute(d_in=d_in, rho=rho * 1.5)])
     assert reward(lo, act, prices) <= reward(hi, act, prices)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho", NAN), ("rho", -5.0), ("rho", INF),
+    ("cpu_rate", 0.0), ("cpu_rate", NAN), ("cpu_rate", INF),
+    ("t_c", NAN), ("t_c", -1.0),
+])
+def test_tables_reject_states_no_draw_produces(field, value):
+    """A library caller's state whose cycles, CPU rate or coverage window
+    lies outside its domain is refused, naming the state and sub-task."""
+    scen = default_config().scenario
+    _, state = next(episode_stream(scen, 1, 1))
+    if field == "rho":
+        v = next(v for v, st_ in enumerate(state.task) if st_.category is Category.COMPUTE)
+        task = list(state.task)
+        task[v] = replace(task[v], rho=value)
+        bad = replace(state, task=tuple(task))
+    else:
+        v, bad = 0, replace(state, **{field: value})
+    with pytest.raises(ValueError, match=f"state 1, sub-task {v}: needs"):
+        Tables([state, bad])
+    with pytest.raises(ValueError, match=f"state 0, sub-task {v}: needs"):
+        solve_optimal(bad, prices_from(scen))

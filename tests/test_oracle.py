@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, PriceVector, feasible_actions, reward,
-                               validate_action)
+from satedge.evaluator import (ActionMatrix, PriceVector, completion_time, feasible_actions,
+                               reward)
 from satedge.oracle import (build_dataset, lexicographic_argmin, read_dataset,
                             solve_optimal, write_dataset)
 from satedge.policies import BASELINE_PAIRS, baseline_policy
@@ -124,7 +124,7 @@ def test_matches_full_grid_on_small_tasks(prices):
 def test_full_grid_discards_infeasible(prices):
     state = make_state([upload(300e3)])
     action, _ = solve_full_grid(state, prices)
-    validate_action(state, action)
+    completion_time(state, action)
     assert action.offload == (1,)
 
 
@@ -143,7 +143,7 @@ def test_demonstrations_replay_to_their_reward(prices):
     states = [s for _, s in episode_stream(cfg.scenario, 5, 100)]
     for demo, state in zip(demos, states):
         action = ActionMatrix.from_bits(demo.labels)
-        validate_action(state, action)
+        completion_time(state, action)
         assert abs(reward(state, action, prices) - demo.opt_reward) <= 1e-9
 
 

@@ -3,8 +3,8 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (PriceVector, completion_time, reward,
-                               reward_and_time, subtask_cost, validate_action)
+from satedge.evaluator import (PriceVector, action_array, completion_time, reward, score,
+                               subtask_cost)
 from satedge.oracle import solve_optimal
 from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
                               baseline_policy, project_feasible)
@@ -33,7 +33,7 @@ def test_le_upload_projected_to_offload(prices):
     state = make_state([upload()])
     action = baseline_policy("le", "mrc", state, prices)
     assert action.offload == (1,)
-    validate_action(state, action)
+    completion_time(state, action)
 
 
 def test_projection_examples():
@@ -92,7 +92,7 @@ def test_forced_caching_pinned(prices):
             for of_kind in ("le", "to", "go"):
                 action = baseline_policy(of_kind, kind, s, prices)
                 assert action.cache == (1,)
-                validate_action(s, action)
+                completion_time(s, action)
 
 
 def test_mpc_retention_ignores_unpopular_outputs(prices):
@@ -117,7 +117,7 @@ def test_all_baselines_feasible_everywhere(prices):
     cfg = default_config()
     for _, state in episode_stream(cfg.scenario, 23, 120):
         for of_kind, ch_kind in BASELINE_PAIRS:
-            validate_action(state, baseline_policy(of_kind, ch_kind, state, prices))
+            completion_time(state, baseline_policy(of_kind, ch_kind, state, prices))
 
 
 def test_unknown_kinds_rejected(prices):
@@ -151,7 +151,8 @@ def test_scoring_and_retention_match_the_per_call_references(seed, num_subtasks,
                                for of, ch in BASELINE_PAIRS]
             for action in actions:
                 expected = reference_reward_and_time(state, action, prices)
-                assert reward_and_time(state, action, prices) == expected
+                rewards, times = score([state], action_array([action]), prices)
+                assert (rewards[0], times[0]) == expected
                 assert reward(state, action, prices) == expected[0]
                 assert completion_time(state, action) == expected[1]
         for kind in ("mrc", "mpc"):

@@ -244,3 +244,34 @@ def test_model_block_missing_its_last_row_is_checkpoint_error(tmp_path, model_li
     lines = model_lines[:i] + model_lines[i + 1:]
     with pytest.raises(CheckpointError, match="W0"):
         load_model(_write(tmp_path, "m.txt", lines))
+
+
+def _swap_w0_and_b0(lines):
+    w0, b0 = lines.index("#block W0 6x5"), lines.index("#block b0 5")
+    return lines[:w0] + lines[b0:b0 + 2] + lines[w0:b0] + lines[b0 + 2:]
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: lines[:3] + [lines[2]] + lines[3:], 4),
+    (lambda lines: lines + ["#block b1 4", "7.0,7.0,7.0,7.0"], 24),
+    (_swap_w0_and_b0, 7),
+], ids=["second-seed", "second-b1", "b0-before-w0"])
+def test_model_accepts_only_the_written_layout(tmp_path, model_lines, edit, line):
+    path = _write(tmp_path, "m.txt", edit(model_lines))
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:{line}: expected ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda keys: keys + ["stream=2"],
+    lambda keys: keys[:1] + keys,
+    lambda keys: keys[::-1],
+], ids=["stream-2", "config-twice", "reversed"])
+def test_dataset_header_accepts_only_the_written_tokens(tmp_path, dataset_lines, edit):
+    tokens = dataset_lines[0].split(" ")
+    header = " ".join(tokens[:2] + edit(tokens[2:]))
+    path = _write(tmp_path, "d.txt", [header] + dataset_lines[1:])
+    with pytest.raises(ValueError, match="config= layout= subtasks= features=") as err:
+        read_dataset(path)
+    assert str(err.value).startswith(f"{path}:1: bad dataset header")

@@ -6,9 +6,9 @@ one NEAR lookup, and action_report gathers each state's cost and time at
 its pairs. The per-state references in conftest share none of that code;
 the two paths must agree bit for bit. Scaling every price by a power of
 two scales every reward exactly and leaves everything else unchanged,
-raising one price alone moves the optimal bits it prices one way only, and
+raising one price alone moves the optimal bits it prices one way only,
 when only completion time is priced no scheme finishes an episode sooner
-than the oracle.
+than the oracle, and a change of byte and cycle units changes nothing.
 """
 
 from dataclasses import replace
@@ -22,7 +22,8 @@ from satedge.cli import run_compare, run_gen_dataset, run_train
 from satedge.config import default_config, load_config
 from satedge.dil import action_report, oracle_actions, scheme_actions, train_policy
 from satedge.evaluator import (BLOCK_STATES, FEASIBLE, NEAR, PAIR_CACHE, PAIR_OFFLOAD,
-                               PAIRS, ActionMatrix, PriceVector, nearest_feasible, score)
+                               PAIRS, ActionMatrix, InfeasibleActionError, PriceVector,
+                               nearest_feasible, score)
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model
 from satedge.oracle import label_states
 from satedge.policies import BASELINE_PAIRS, baseline_name
@@ -92,6 +93,20 @@ def test_block_scoring_matches_the_per_state_path(name):
         forced = sum(all(ch for _, ch in reference_feasible_actions(sub, s))
                      for s in states for sub in s.task)
         assert forced > 0 and moved > 0
+
+
+@pytest.mark.parametrize("bad", [-1, 4, "float"])
+def test_score_rejects_entries_that_are_not_pair_indices(bad):
+    scen = default_config().scenario
+    states = [state for _, state in episode_stream(scen, 1, 3)]
+    prices = prices_from(scen)
+    actions = oracle_actions(label_states(states, prices, FeatureScaler.from_scenario(scen)))
+    if bad == "float":
+        actions, where = actions.astype(float), "episode 0, sub-task 0"
+    else:
+        actions[1, 2], where = bad, "episode 1, sub-task 2"
+    with pytest.raises(InfeasibleActionError, match=where):
+        score(states, actions, prices)
 
 
 @pytest.mark.parametrize("coverage", ["fixed", "orbit"])
@@ -177,3 +192,33 @@ def test_oracle_finishes_first_when_only_time_is_priced(name):
         assert all(t >= best for t, best in zip(times, fastest)), scheme
         slower |= {scheme for t, best in zip(times, fastest) if t > best}
     assert {"to-mrc", "le-mrc"} <= slower
+
+
+@pytest.mark.parametrize("name", ["fixed", "orbit", "short-coverage"])
+def test_a_change_of_units_changes_no_label(name):
+    """Count bytes and cycles in units 2^k times smaller: every size,
+    bandwidth and the CPU rate scale by 2^k and the per-byte and per-cycle
+    prices by 2^-k. Every time, scaled feature and reward is then the same
+    float, so every dataset row and every scheme's report is unchanged."""
+    scen = replace(default_config().scenario, **CONFIGS[name])
+
+    def labelled(scen):
+        states = [state for _, state in episode_stream(scen, 11, 400)]
+        prices = prices_from(scen)
+        demos = label_states(states, prices, FeatureScaler.from_scenario(scen))
+        reports = {scheme: _hex(action_report(
+            scheme_actions(scheme, None, demos[:200], states[:200], prices),
+            demos[:200], states[:200], prices)) for scheme in ("go-mrc", "le-mpc", "to-mrc")}
+        rows = [(d.labels, d.opt_reward.hex(), d.features.tobytes()) for d in demos]
+        return rows, reports
+
+    base = labelled(scen)
+    for k in (-3, 1, 7, 20):
+        up, down = 2.0 ** k, 2.0 ** -k
+        scaled = replace(
+            scen, size_min_bytes=up * scen.size_min_bytes,
+            size_max_bytes=up * scen.size_max_bytes, bandwidth_fh_hz=up * scen.bandwidth_fh_hz,
+            bandwidth_bh_hz=up * scen.bandwidth_bh_hz, cpu_rate_hz=up * scen.cpu_rate_hz,
+            price_comp=down * scen.price_comp, price_comm=down * scen.price_comm,
+            price_cache=down * scen.price_cache)
+        assert labelled(scaled) == base, k
