@@ -13,8 +13,10 @@ that must not move any output byte:
     diff a.txt b.txt
 
 scripts/parity_tiny.txt runs in a few seconds; its budgets draw a stream
-shorter than 8 episodes and score sweep test splits of 12. The default
-config (no --config) takes a few minutes.
+shorter than 8 episodes and score sweep test splits of 12. Its listing is
+committed as scripts/parity_tiny.sha256, and tests/test_cli.py derives it
+again and diffs the two. The default config (no --config) takes a few
+minutes.
 
 Each command's own output goes to stderr. --seed, when given, replaces
 every command's default seed.

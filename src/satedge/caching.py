@@ -54,7 +54,8 @@ def empty_cache(sizes: tuple[float, ...], capacity_bytes: float, delta: float) -
 
 
 @lru_cache(maxsize=32)  # a run uses one (delta, num_ranks), a sweep a few
-def _zipf_pmf(delta: float, num_ranks: int) -> tuple[float, ...]:
+def zipf_pmf(delta: float, num_ranks: int) -> tuple[float, ...]:
+    """request_probability of ranks 1..num_ranks, in rank order."""
     norm = sum(l ** -delta for l in range(1, num_ranks + 1))
     return tuple(r ** -delta / norm for r in range(1, num_ranks + 1))
 
@@ -69,7 +70,7 @@ def request_probability(rank: int, delta: float, num_ranks: int) -> float:
         raise ValueError(f"rank {rank} outside [1, {num_ranks}]")
     if not delta >= 0:  # also rejects NaN
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    return _zipf_pmf(delta, num_ranks)[rank - 1]
+    return zipf_pmf(delta, num_ranks)[rank - 1]
 
 
 def is_hit(cache: CacheState, rank: int) -> bool:
@@ -128,7 +129,7 @@ def evict_mpc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
     so an unpopular incoming item can be the first thing dropped.
     Oversized items are rejected unchanged, as in evict_mrc.
     """
-    pmf = _zipf_pmf(cache.delta, cache.num_ranks)
+    pmf = zipf_pmf(cache.delta, cache.num_ranks)
     return _insert_evicting(cache, rank, nbytes, lambda recency, r: (pmf[r - 1], -r))
 
 

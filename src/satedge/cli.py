@@ -21,8 +21,7 @@ from .caching import apply_caching_action
 from .config import (ConfigError, SimConfig, dump_config, load_config, orbit_params,
                      scenario_hash)
 from .dil import action_report, docs_actions, scheme_actions, train_policy
-from .evaluator import (PAIR_CACHE, EpisodeState, InfeasibleActionError, blocks,
-                        carry_cache, tabulate)
+from .evaluator import PAIR_CACHE, EpisodeState, InfeasibleActionError, carry_cache
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
 from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
@@ -132,15 +131,13 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
                         ) -> tuple[list[EpisodeState], list[Demonstration], np.ndarray]:
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
-    The draws do not depend on the cache, so they are tabulated in blocks
-    up front; each state is then labelled and acted on as a block of one,
-    since its action sets the next cache.
+    The draws do not depend on the cache, so each carried state keeps the
+    Tables row its draw tabulated; each state is labelled and acted on as
+    a block of one, since its action sets the next cache.
     """
     scen = cfg.scenario
     prices = prices_from(scen)
     drawn = [state for _, state in episode_stream(scen, seed, n)]
-    for block in blocks(drawn):
-        tabulate(block)
     states: list[EpisodeState] = []
     demos: list[Demonstration] = []
     actions: list[np.ndarray] = []

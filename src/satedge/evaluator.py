@@ -9,19 +9,22 @@ that prices compute cycles, offloaded bytes, pinned cache bytes, and
 completion seconds.
 
 Times, feasible sets and costs come from Tables, which computes them for
-a block of states with whole-array numpy: labelling builds one block per
-batch of states (tabulate), and a state outside any block builds a block
-of one. Scoring runs on the same blocks: score checks an N x V array of
-pair indices against the block's feasible patterns and gathers each
-state's cost and seconds at its own hits and pairs, folded over the
-chain one N-vector add per sub-task. reward and completion_time are its
-one-state forms. A state memoises its hits, its Tables row, and the
-retention bits of each cache kind (retained, filled by
-policies.baseline_cache), so every scheme scored on one state reads
-one replay per kind. All of these are cached properties, not fields, so
-==, hash and replace ignore them; a replaced state derives its own,
-except that carry_cache (a persistent rollout's carried cache) keeps the
-table row, which does not depend on the cache.
+a block of states with whole-array numpy from the block's Columns: the
+draw (scenario.episode_states) fills those from the arrays it decoded and
+tabulates each block it yields, and Columns.of gathers them from the
+objects for any other block, such as a state outside every block, which
+builds a block of one. Scoring runs on the same blocks: score checks an
+N x V array of pair indices against the block's feasible patterns and
+gathers each state's cost and seconds at its own hits and pairs, folded
+over the chain one N-vector add per sub-task. reward and completion_time
+are its one-state forms. Hits are never stored on a block: Tables.hits
+gathers them from each state's own cache, so a state whose cache is
+swapped (carry_cache, a persistent rollout's carried cache) keeps its
+table row. A state memoises its hits, its Tables row, and the retention
+bits of each cache kind (retained, filled by policies.baseline_cache),
+so every scheme scored on one state reads one replay per kind. All of
+these are cached properties, not fields, so ==, hash and replace ignore
+them; a replaced state derives its own.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -37,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .caching import CacheState, is_hit
+from .caching import CacheState
 from .channel import LinkState, transmit_time
 from .workload import Category, SubTask, TaskGraph
 
@@ -104,8 +107,8 @@ class EpisodeState:
     @cached_property
     def hits(self) -> tuple[bool, ...]:
         """Per-sub-task cache hits against the episode's starting placement."""
-        return tuple(st.out_rank > 0 and is_hit(self.cache, st.out_rank)
-                     for st in self.task)
+        table, row = self.tables
+        return tuple(table.hits(slice(row, row + 1), [self])[0].tolist())
 
     @cached_property
     def tables(self) -> tuple[Tables, int]:
@@ -163,42 +166,79 @@ def _pair_cost(zeta, d_in, d_out, live, a_of, a_ch, t, prices: PriceVector):
             + prices.cpl * t)
 
 
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """The numbers Tables and the feature encoder read of N states of V sub-tasks.
+
+    The N x V sub-task columns hold what each SubTask holds: the category
+    code (_CODE), d_in, d_out, rho, zeta and the output rank (0 = none).
+    state is N x 6: t_c, rate_fh, rate_bh, prop_vs, prop_sg and cpu_rate,
+    in the feature layout's order.
+    """
+
+    code: np.ndarray
+    d_in: np.ndarray
+    d_out: np.ndarray
+    rho: np.ndarray
+    zeta: np.ndarray
+    rank: np.ndarray
+    state: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    @classmethod
+    def of(cls, states: Sequence[EpisodeState], tasks: tuple[np.ndarray, ...] | None = None,
+           ) -> "Columns":
+        """The columns of states, gathered from their objects.
+
+        tasks, when given, are their chains' N x V code, d_in, d_out, rho
+        and rank columns as the draw decoded them; zeta is then rho * d_in,
+        the product SubTask.zeta computes.
+        """
+        n = len(states)
+        state = np.array([(s.t_c, s.link.rate_fh, s.link.rate_bh, s.link.prop_vs,
+                           s.link.prop_sg, s.cpu_rate) for s in states],
+                         dtype=np.float64).reshape(n, 6)
+        if tasks is not None:
+            code, d_in, d_out, rho, rank = tasks
+            return cls(code, d_in, d_out, rho, rho * d_in, rank, state)
+        v = len(states[0].task)
+        if any(len(s.task) != v for s in states):
+            raise ValueError("every state of a block needs the same number of sub-tasks")
+        sub = np.array([(_CODE[st.category], st.d_in, st.d_out, st.rho, st.zeta, st.out_rank)
+                        for s in states for st in s.task], dtype=np.float64).reshape(n, v, 6)
+        code, d_in, d_out, rho, zeta, rank = sub.transpose(2, 0, 1)
+        return cls(code.astype(np.intp), d_in, d_out, rho, zeta, rank.astype(np.intp), state)
+
+
 class Tables:
     """Per-pair times and feasible sets of a block of N states, as numpy arrays.
 
-    seconds[n, v, h, p] is the time of sub-task v of state n under
-    PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its output, and
-    pattern[n, v] indexes FEASIBLE with that sub-task's feasible pairs.
-    Nothing here reads a state's cache, so a state whose cache is swapped
-    (carry_cache) keeps its row; its hits pick h. Every state of a block
-    has the same number V of sub-tasks. costs(prices) prices the block
-    once per price vector, +inf on the infeasible pairs. The time and
-    feasibility formulas live here only, and the cost formula in
-    _pair_cost: feasible_actions reads a block of one sub-task, and a
-    state outside any block a block of its own.
+    Built from the block's Columns, or from its states, whose Columns are
+    gathered first. seconds[n, v, h, p] is the time of sub-task v of
+    state n under PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its
+    output, and pattern[n, v] indexes FEASIBLE with that sub-task's
+    feasible pairs. Nothing here reads a state's cache, so a state whose
+    cache is swapped (carry_cache) keeps its row; hits(rows, states) picks
+    h from each state's own cache. Every state of a block has the same
+    number V of sub-tasks. costs(prices) prices the block once per price
+    vector, +inf on the infeasible pairs. The time and feasibility
+    formulas live here only, and the cost formula in _pair_cost:
+    feasible_actions reads a block of one sub-task, and a state outside
+    any block a block of its own.
 
     Modeling note: the satellite-to-vehicle return leg is charged at the
     fronthaul rate (symmetric fronthaul).
     """
 
-    def __init__(self, states: Sequence[EpisodeState]):
-        codes, columns, links = [], [], []
-        for state in states:
-            link = state.link
-            links += (state.t_c, link.rate_fh, link.rate_bh, link.prop_vs,
-                      link.prop_sg, state.cpu_rate)
-            for st in state.task:
-                codes.append(_CODE[st.category])
-                columns += (st.d_in, st.d_out, st.zeta)
-        n, v = len(states), len(states[0].task)
-        if any(len(state.task) != v for state in states):
-            raise ValueError("every state of a block needs the same number of sub-tasks")
+    def __init__(self, states: Sequence[EpisodeState] | Columns):
+        self.columns = cols = states if isinstance(states, Columns) else Columns.of(states)
         # N x V x 1 per sub-task column and N x 1 x 1 per state column, so the
         # pair axis broadcasts last
-        code = np.array(codes, dtype=np.intp).reshape(n, v, 1)
-        columns = np.array(columns, dtype=np.float64).reshape(n, v, 1, 3)
-        links = np.array(links).reshape(n, 6)
-        d_in, d_out, zeta = columns.transpose(3, 0, 1, 2)
+        code, d_in, d_out, zeta = (c[..., None] for c in (cols.code, cols.d_in, cols.d_out,
+                                                        cols.zeta))
+        links = cols.state
         t_c, rate_fh, rate_bh, prop_vs, prop_sg, cpu_rate = links.T[:, :, None, None]
         # states no draw produces: byte counts and link rates are transmit_time's
         bad = ~((zeta >= 0) & (zeta < np.inf) & (cpu_rate > 0) & (cpu_rate < np.inf)
@@ -210,7 +250,8 @@ class Tables:
                 f"and a t_c >= 0, got zeta={zeta[n, v, 0].item()!r}, "
                 f"cpu_rate={links[n, 5].item()!r}, t_c={links[n, 0].item()!r}")
         # legs[n, v, r, 0, s]: bytes s (input, output) over rate r (fronthaul, backhaul)
-        legs = transmit_time(columns[..., None, :2], links[:, None, 1:3, None, None])
+        sizes = np.stack((cols.d_in, cols.d_out), axis=-1)[:, :, None, None]
+        legs = transmit_time(sizes, links[:, None, 1:3, None, None])
         (in_fh, out_fh), (in_bh, out_bh) = legs.transpose(2, 4, 0, 1, 3)
         back = out_fh + prop_vs  # the output's return leg
         # compute: the input rides the fronthaul up, then the edge server
@@ -226,8 +267,19 @@ class Tables:
         hit = np.where(is_upload, upload, np.where(is_compute, ingest + back, back))
         self.seconds = np.stack((miss, np.broadcast_to(hit, miss.shape)), axis=2)
         self.pattern = (2 * code + (back < t_c))[:, :, 0]
-        self._columns = (zeta[..., None], d_in[..., None], d_out[..., None])
+        self._cost_terms = (zeta[..., None], d_in[..., None], d_out[..., None])
         self._costs: dict[PriceVector, np.ndarray] = {}
+
+    def hits(self, rows: slice, states: Sequence[EpisodeState]) -> np.ndarray:
+        """The N x V cache hits of states, rows `rows` of this block, each
+        judged against its own cache: one gather of the output ranks from the
+        N x R placement matrix. Never stored here, since carry_cache swaps a
+        state's cache and keeps its row."""
+        rank = self.columns.rank[rows]
+        placement = np.frombuffer(bytes(itertools.chain.from_iterable(
+            state.cache.placement for state in states)), dtype=np.uint8)
+        held = placement.reshape(len(states), -1) == 1
+        return np.take_along_axis(held, rank - 1, axis=1) & (rank > 0)
 
     def costs(self, prices: PriceVector) -> np.ndarray:
         """N x V x 2 x 4 cost of every pair at prices, laid out like seconds,
@@ -235,7 +287,7 @@ class Tables:
         cost = self._costs.get(prices)
         if cost is None:
             cost = self._costs[prices] = _pair_cost(
-                *self._columns, _LIVE, PAIR_OFFLOAD, PAIR_CACHE, self.seconds, prices)
+                *self._cost_terms, _LIVE, PAIR_OFFLOAD, PAIR_CACHE, self.seconds, prices)
             np.copyto(cost, np.inf, where=_INFEASIBLE[self.pattern][:, :, None, :])
         return cost
 
@@ -255,9 +307,14 @@ def blocks(states: Iterable[EpisodeState]) -> Iterator[list[EpisodeState]]:
     return iter(lambda: list(itertools.islice(it, BLOCK_STATES)), [])
 
 
-def tabulate(states: Sequence[EpisodeState]) -> Tables:
-    """Build one Tables for states and make it the block each state reads."""
-    block = Tables(states)
+def tabulate(states: Sequence[EpisodeState],
+             tasks: tuple[np.ndarray, ...] | None = None) -> Tables:
+    """Build one Tables for states and make it the block each state reads.
+
+    tasks, when given, are their chains' columns as the draw decoded them
+    (see Columns.of).
+    """
+    block = Tables(Columns.of(states, tasks))
     for row, state in enumerate(states):
         state.__dict__["tables"] = (block, row)  # where the cached property keeps it
     return block
@@ -304,11 +361,6 @@ def patterns(states: Sequence[EpisodeState]) -> np.ndarray:
     return np.concatenate([table.pattern[rows] for _, table, rows in table_runs(states)])
 
 
-def state_hits(states: Sequence[EpisodeState]) -> np.ndarray:
-    """The N x V cache hits of states."""
-    return np.array([state.hits for state in states], dtype=bool)
-
-
 def at_hits(block: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """The N x V x 4 entries of an N x V x 2 x 4 Tables array at each sub-task's hit."""
     return np.where(hits[:, :, None], block[:, :, 1], block[:, :, 0])
@@ -352,7 +404,7 @@ def score(states: Sequence[EpisodeState], actions: np.ndarray,
     for span, table, rows in table_runs(states):
         picks = actions[span]
         _check_feasible(table.pattern[rows], picks, span.start)
-        hits = state_hits(states[span])
+        hits = table.hits(rows, states[span])
         for block, out in ((table.costs(prices), rewards), (table.seconds, times)):
             picked = np.take_along_axis(at_hits(block[rows], hits), picks[..., None], axis=2)
             total = np.zeros(len(picks))

@@ -5,6 +5,11 @@ training path carries no framework dependency and stays reproducible
 down to the bit. The output layer is 2*|V| sigmoids in the blocked
 label layout: all offload bits first, then all cache bits.
 
+Features are filled column by column from the Tables rows the states
+hold (the columns the draw decoded, or gathered from the objects for a
+state outside any block), and scaled in one call per block; the hit and
+popularity features always come from each state's own cache.
+
 An MLPModel is the trained policy and nothing else. Adam's moments,
 step count and hyperparameters live in an AdamState that exists only
 while training runs, so a checkpoint holds the network and its feature
@@ -15,17 +20,17 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .caching import request_probability
+from .caching import request_probability, zipf_pmf
 from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig, TrainConfig, orbit_params
-from .evaluator import NEAR, ActionMatrix, EpisodeState, pair_index
+from .evaluator import NEAR, ActionMatrix, EpisodeState, pair_index, table_runs
 from .geometry import earth_central_angle, relative_angular_velocity
-from .workload import Category
 
 log = logging.getLogger(__name__)
 
@@ -104,40 +109,53 @@ class FeatureScaler:
         return cls(lo=np.array(lo), hi=np.array(hi))
 
 
-def _raw_features(state: EpisodeState) -> list[float]:
-    """Unscaled feature vector of one state.
+def _popularity(rank: np.ndarray, states: list[EpisodeState]) -> np.ndarray:
+    """The N x V Zipf request probability of each output rank under its own
+    state's cache (request_probability), 0.0 where the rank is 0 (no output).
+    Every cache holds the same number of ranks: Tables.hits, run first, refuses a mix."""
+    num_ranks = states[0].cache.num_ranks
+    deltas, which = np.unique([s.cache.delta for s in states], return_inverse=True)
+    pmf = np.zeros((len(deltas), 1 + num_ranks))
+    for row, delta in zip(pmf, deltas.tolist()):
+        row[1:] = zipf_pmf(delta, num_ranks)
+    return pmf[which[:, None], rank]
+
+
+def _encode(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
+    """Fixed-layout feature rows of states, min-max scaled in one call.
 
     Layout v1: [t_c, r_fh, r_bh, d_vs, d_sg, f_m] then per sub-task
     [zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity].
     Upload encodes as (0, 0) on the category bits; popularity is the
     Zipf request probability of the output rank, 0 when there is none.
+    Every value but the hit and popularity is a copy of a column of the
+    state's Tables row; those two come from the state's own cache.
     """
-    link = state.link
-    raw = [state.t_c, link.rate_fh, link.rate_bh, link.prop_vs, link.prop_sg,
-           state.cpu_rate]
-    delta, num_ranks = state.cache.delta, state.cache.num_ranks
-    for st, hit in zip(state.task, state.hits):
-        cat = st.category
-        pop = request_probability(st.out_rank, delta, num_ranks) if st.out_rank else 0.0
-        raw += [st.zeta, st.d_in, st.d_out, st.rho,
-                1.0 if cat is Category.COMPUTE else 0.0,
-                1.0 if cat is Category.DOWNLOAD else 0.0,
-                1.0 if hit else 0.0,
-                pop]
-    return raw
+    raw = np.empty((len(states), scaler.lo.shape[0]))
+    for span, table, rows in table_runs(states):
+        cols, block = table.columns, states[span]
+        raw[span, :GLOBAL_FEATURES] = cols.state[rows]
+        code, rank = cols.code[rows], cols.rank[rows]
+        # a view of the row's sub-task features; a width that does not fit
+        # V sub-tasks raises ValueError here
+        sub = raw[span, GLOBAL_FEATURES:].reshape(*code.shape, SUBTASK_FEATURES)
+        for k, column in enumerate((cols.zeta, cols.d_in, cols.d_out, cols.rho)):
+            sub[..., k] = column[rows]
+        sub[..., 4] = code == 2
+        sub[..., 5] = code == 1
+        sub[..., 6] = table.hits(rows, block)
+        sub[..., 7] = _popularity(rank, block)
+    return scaler.transform(raw)
 
 
 def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
-    """Fixed-layout feature vector (see _raw_features), min-max scaled to [0, 1]."""
-    return scaler.transform(np.asarray(_raw_features(state), dtype=np.float64))
+    """One state's feature vector: the block path (_encode) on a block of one."""
+    return _encode([state], scaler)[0]
 
 
 def encode_states(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
-    """encode_state of each state, as the rows of one array, in one scaling call."""
-    raw = np.empty((len(states), scaler.lo.shape[0]))
-    for row, state in enumerate(states):  # a row at a time: no list of all rows
-        raw[row] = _raw_features(state)
-    return scaler.transform(raw)
+    """The feature rows of states (layout v1, see _encode), in one scaling call."""
+    return _encode(states, scaler)
 
 
 @dataclass
@@ -322,14 +340,44 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_row(line: str, width: int | None = None) -> np.ndarray:
-    """Comma-separated finite floats, exactly width of them if width is given."""
-    row = np.fromiter(map(float, line.split(",")), dtype=np.float64)
-    if width is not None and len(row) != width:
-        raise ValueError(f"{len(row)} values, expected {width}")
-    if not np.isfinite(row).all():
+# float(), int() and np.loadtxt forgive an underscore or whitespace in a
+# number; no writer emits either there
+_STRAY = re.compile(r"[_\s]")
+
+
+def stray_row(rows: list[str]) -> int | None:
+    """Index of the first row that is blank or holds an underscore or
+    whitespace, or None. Two C-speed tests cover all the rows at once, a
+    substring search and a whitespace split; the regex runs row by row
+    only once they find something."""
+    text = ",".join(rows)
+    if "_" not in text and text.split(None, 1) == [text] and "" not in rows:
+        return None
+    return next((i for i, row in enumerate(rows) if not row or _STRAY.search(row)), None)
+
+
+def canonical_int(token: str) -> int:
+    """int(token), refusing any spelling str() does not write: '03', '+3', '0_3', ' 3'."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(f"{token!r} is not written as str() writes an integer")
+    return value
+
+
+def _parse_rows(rows: list[str], width: int | None = None) -> np.ndarray:
+    """A len(rows) x width array of finite floats, one comma-separated row
+    per line; any width when width is None. stray_row runs first: loadtxt
+    skips a blank row and forgives surrounding whitespace."""
+    at = stray_row(rows)
+    if at is not None:
+        raise ValueError(f"row {at + 1}: blank, or an underscore or whitespace in a number")
+    values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if values.shape != (len(rows), width or values.shape[1]):
+        raise ValueError(f"{values.shape[0]} x {values.shape[1]} values, "
+                         f"expected {len(rows)} x {width}")
+    if not np.isfinite(values).all():
         raise ValueError("non-finite value")
-    return row
+    return values
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
@@ -338,8 +386,9 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
     That is MODEL_MAGIC, the _HEADER_KEYS lines in order, then for each
     layer k a block `#block W{k} {a}x{b}` of a rows and a block
     `#block b{k} {b}` of one row, shapes taken from dims, then the end of
-    the file. Anything else raises CheckpointError naming the file, and
-    the line where the layout breaks.
+    the file. Integers are spelled as str() spells them, and each block is
+    parsed by one np.loadtxt call. Anything else raises CheckpointError
+    naming the file, and the line where the layout breaks.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -355,9 +404,9 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
             raise unexpected(at, f"a {key}= line")
     header = [line.partition("=")[2] for line in lines[1:1 + len(_HEADER_KEYS)]]
     try:
-        layout, seed = int(header[0]), int(header[1])
-        dims = tuple(int(d) for d in header[2].split(","))
-        scaler = FeatureScaler(lo=_parse_row(header[3]), hi=_parse_row(header[4]))
+        layout, seed = canonical_int(header[0]), canonical_int(header[1])
+        dims = tuple(canonical_int(d) for d in header[2].split(","))
+        scaler = FeatureScaler(*_parse_rows(header[3:5]))
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     if layout != LAYOUT_VERSION:
@@ -374,9 +423,12 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
             head = f"#block {tag} " + "x".join(map(str, shape))
             if lines[at:at + 1] != [head]:
                 raise unexpected(at, f"{head!r}, the block and shape that dims {dims} give")
-            rows = lines[at + 1:at + 1 + (fan_in if len(shape) == 2 else 1)]
+            count = fan_in if len(shape) == 2 else 1
+            rows = lines[at + 1:at + 1 + count]
+            if len(rows) < count:
+                raise unexpected(at + 1 + len(rows), f"row {len(rows) + 1} of block {tag}")
             try:
-                params.append(np.stack([_parse_row(row, fan_out) for row in rows]).reshape(shape))
+                params.append(_parse_rows(rows, fan_out).reshape(shape))
             except ValueError as exc:
                 raise CheckpointError(f"{path}:{at + 1}: block {tag}: {exc}") from exc
             at += 1 + len(rows)

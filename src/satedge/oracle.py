@@ -27,9 +27,9 @@ import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
 from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, ActionMatrix, EpisodeState,
-                        PriceVector, at_hits, blocks, state_hits, tabulate)
-from .neural import (LAYOUT_VERSION, FeatureScaler, encode_state, encode_states,
-                     feature_dim)
+                        PriceVector, at_hits, blocks, table_runs)
+from .neural import (LAYOUT_VERSION, FeatureScaler, canonical_int, encode_state,
+                     encode_states, feature_dim, stray_row)
 from .scenario import episode_stream, prices_from
 
 
@@ -118,7 +118,8 @@ def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatri
     PAIRS indices.
     """
     table, row = state.tables
-    costs = at_hits(table.costs(prices)[row:row + 1], state_hits([state]))[0]
+    rows = slice(row, row + 1)
+    costs = at_hits(table.costs(prices)[rows], table.hits(rows, [state]))[0]
     picks, value = lexicographic_argmin(costs.tolist())
     return ActionMatrix.from_picks(picks), value
 
@@ -136,16 +137,17 @@ def label_states(states: Iterable[EpisodeState], prices: PriceVector,
                  scaler: FeatureScaler) -> list[Demonstration]:
     """Solve and encode pre-drawn states, block by block; episode ids count from 0.
 
-    Each block shares one Tables (its states' views read it later), one
-    block_argmin over its cost table at the states' own hits and one
-    scaling call.
+    Each block reads the Tables rows its states hold (table_runs), and
+    runs one block_argmin over its cost table at the states' own hits and
+    one scaling call.
     """
     demos: list[Demonstration] = []
     # a stream repeats few label patterns, so its rows share one tuple per pattern
     patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
     for block in blocks(states):
-        cost = tabulate(block).costs(prices)
-        picks, values = block_argmin(at_hits(cost, state_hits(block)))
+        (_, table, rows), = table_runs(block)  # a block is one run
+        picks, values = block_argmin(at_hits(table.costs(prices)[rows],
+                                             table.hits(rows, block)))
         labels = np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
         features = encode_states(block, scaler)
         for row, bits, value in zip(features, labels.tolist(), values.tolist()):
@@ -188,7 +190,9 @@ def write_dataset(path: str | Path, demos: Iterable[Demonstration],
 
 def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]:
     """Parse a dataset file in exactly the layout write_dataset writes; any
-    other header or a malformed record raises ValueError."""
+    other header or a malformed record raises ValueError. Integers must be
+    spelled as str() spells them, and no field may hold an underscore or
+    whitespace, which int() and float() would forgive."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#satedge-dataset v1 "):
         raise ValueError(f"{path}: not a v1 dataset file")
@@ -199,7 +203,8 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
                          f"got {lines[0]!r}")
     header = {key: value for key, _, value in tokens}
     try:
-        layout, n_subtasks, n_features = (int(header[key]) for key in _HEADER_KEYS[1:])
+        layout, n_subtasks, n_features = (canonical_int(header[key])
+                                          for key in _HEADER_KEYS[1:])
     except ValueError as exc:
         raise ValueError(f"{path}:1: bad dataset header: {exc}") from None
     if layout != LAYOUT_VERSION:
@@ -208,6 +213,10 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
         raise ValueError(f"{path}: header subtasks={n_subtasks} and "
                          f"features={n_features} disagree with layout v{layout}")
     n_bits = 2 * n_subtasks
+    at = stray_row(lines[1:])  # one pass over every record
+    if at is not None:
+        raise ValueError(f"{path}:{at + 2}: record {lines[at + 1].split(',')[0]!r}: blank, "
+                         "or an underscore or whitespace in a field")
     demos = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -219,7 +228,8 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
             raise ValueError(f"{where}: bad label field {bits!r}")
         try:
             demo = Demonstration(
-                episode_id=int(parts[0]), features=np.array([float(v) for v in parts[1:-2]]),
+                episode_id=canonical_int(parts[0]),
+                features=np.array([float(v) for v in parts[1:-2]]),
                 labels=tuple(int(b) for b in bits), opt_reward=float(parts[-1]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None

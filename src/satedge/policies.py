@@ -21,7 +21,7 @@ import numpy as np
 
 from .caching import apply_caching_action, is_hit
 from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, at_hits,
-                        pair_index, state_hits, table_runs)
+                        pair_index, table_runs)
 
 # le / to / go: local, total offloading, greedy; mrc / mpc: most recent / popular
 BASELINE_PAIRS = (  # in report order
@@ -63,7 +63,7 @@ def baseline_actions(offload_kind: str, cache_kind: str, states: Sequence[Episod
         if offload_kind == "go":
             # greedy: per sub-task, the offload bit of the pair with the smallest
             # immediate cost (+inf when infeasible); ties prefer the smaller pair
-            costs = at_hits(table.costs(prices)[rows], state_hits(states[span]))
+            costs = at_hits(table.costs(prices)[rows], table.hits(rows, states[span]))
             offload = costs.argmin(axis=2) >> 1
         else:
             offload = int(offload_kind == "to")

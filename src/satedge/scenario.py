@@ -14,9 +14,14 @@ half that rank draws share, Lemire's rejection test). The rare rows it
 cannot decode exactly, a rejected rank word or a zero compute rho, are
 drawn again by generate_task. Only a lone episode_state call is seeded
 by numpy and drawn by generate_task: the spec every block is tested
-against. The content library (bytes per popularity rank) is drawn once
-per run and shared by all episodes, which keeps cache capacity
-accounting coherent.
+against. A block is drawn whole before its first state is yielded, and
+its evaluator.Tables is built from the columns decode_tasks decoded
+(category codes, sizes, rho and ranks) and the t_c, link and cpu_rate of
+each drawn state; a block holding a row left to generate_task gathers
+its columns from the objects instead. Hits are not part of those
+columns: they always come from a state's own cache. The content library
+(bytes per popularity rank) is drawn once per run and shared by all
+episodes, which keeps cache capacity accounting coherent.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from . import seeding
 from .caching import CacheState
 from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig, orbit_params
-from .evaluator import BLOCK_STATES, EpisodeState, PriceVector
+from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, tabulate
 from .geometry import coverage_time, earth_central_angle
 from .workload import TaskGraph, decode_tasks, generate_task
 
@@ -160,8 +165,11 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
 
     Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
     by one call to it. Ids are seeded in blocks of up to BLOCK_STATES into
-    generators this iterator owns, one per stream tag, and a block's task
-    chains are decoded from raw output before its first state.
+    generators this iterator owns, one per stream tag. A block's task
+    chains are decoded from raw output before its first state, and the
+    whole block is drawn and tabulated before its first state is yielded:
+    its Tables is built from the columns decode_tasks decoded, so every
+    state already holds its row.
     """
     # fixed mode seeds no orbit stream
     rngs = tuple(np.random.default_rng(0) for _ in range(3)) + (
@@ -174,13 +182,17 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
         for row, states in zip(raw, block):
             task_bits.state = states[0]
             row[:] = task_bits.random_raw(raw.shape[1])
-        for e, (task_state, *states), task in zip(ids, block,
-                                                  decode_tasks(raw, cfg, library)):
+        chains = decode_tasks(raw, cfg, library)
+        drawn = []
+        for e, (task_state, *states), task in zip(ids, block, chains):
             if task is None:  # left to generate_task
                 task_bits.state = task_state
             for rng, state in zip(rngs[1:], states):
                 rng.bit_generator.state = state
-            yield episode_state(cfg, seed, e, library, rngs, task)
+            drawn.append(episode_state(cfg, seed, e, library, rngs, task))
+        # a chain generate_task drew has no decoded columns: gather them all
+        tabulate(drawn, None if None in chains else chains.columns)
+        yield from drawn
 
 
 def episode_stream(cfg: ScenarioConfig, seed: int, n: int,

@@ -23,7 +23,9 @@ Generator consumes that output (``tests/test_workload.py`` pins it):
 
 A chain of V sub-tasks takes at most 4V outputs when no word is rejected.
 A row whose draw rejects a word, or redraws a compute rho of exactly 0.0,
-is left to generate_task.
+is left to generate_task. The N x V arrays the chains are built from
+come back with them (Chains.columns), so a block's tables are built
+without reading the SubTask objects back.
 """
 
 from __future__ import annotations
@@ -118,8 +120,20 @@ def generate_task(rng_seed: int | np.random.Generator, cfg: ScenarioConfig,
     return tuple(subtasks)
 
 
+class Chains(list):
+    """decode_tasks' result: each row's chain, or None where generate_task
+    must draw it. columns holds the N x V arrays the chains were built
+    from, the fields each SubTask holds: the category code (an index into
+    the upload, download, compute order), d_in, d_out, rho and out_rank.
+    A None row's columns hold no chain."""
+
+    def __init__(self, chains: list[TaskGraph | None], columns: tuple[np.ndarray, ...]):
+        super().__init__(chains)
+        self.columns = columns
+
+
 def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig,
-                 library: tuple[float, ...]) -> list[TaskGraph | None]:
+                 library: tuple[float, ...]) -> Chains:
     """generate_task for each row of N x 4V raw PCG64 outputs, decoded as arrays.
 
     Row i holds the first 4V outputs of a generator in the state that row's
@@ -161,19 +175,15 @@ def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig,
         rho[j] = rho_lo + rho_span * doubles[rows, ptr + 1]
         exact &= (cat != 2) | (rho[j] != 0.0)
         ptr += _SIZE_DRAWS[cat]
-    tasks: list[TaskGraph | None] = []
-    for ok, *chain in zip(exact.tolist(), cats.T.tolist(), rank.T.tolist(),
-                          d_in.T.tolist(), rho.T.tolist()):
-        if not ok:
-            tasks.append(None)
-            continue
-        subtasks = []
-        for c, r, a, p in zip(*chain):  # positional fields: faster than keywords
-            if c == 0:
-                subtasks.append(SubTask(Category.UPLOAD, a, 0.0, 0.0, 0))
-            elif c == 1:
-                subtasks.append(SubTask(Category.DOWNLOAD, 0.0, float(library[r - 1]), 0.0, r))
-            else:
-                subtasks.append(SubTask(Category.COMPUTE, a, float(library[r - 1]), p, r))
-        tasks.append(tuple(subtasks))
-    return tasks
+    # the fields generate_task leaves at zero for each category
+    cats, rank, d_in, rho = cats.T, rank.T, d_in.T, rho.T
+    upload = cats == 0
+    rank[upload] = 0
+    d_in[cats == 1] = 0.0
+    rho[cats != 2] = 0.0
+    d_out = np.where(upload, 0.0, np.array(library, dtype=np.float64)[rank - 1])
+    columns = (cats, d_in, d_out, rho, rank)
+    tasks = [tuple(map(SubTask, map(_CATEGORIES.__getitem__, chain[0]), *chain[1:]))
+             if ok else None
+             for ok, *chain in zip(exact.tolist(), *(c.tolist() for c in columns))]
+    return Chains(tasks, columns)

@@ -291,6 +291,24 @@ def test_gen_dataset_matches_benchmark_reference(tmp_path, workload, episodes,
     assert digest == _benchmark_references()[workload]
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_parity_listing_matches_the_committed_one(tmp_path, capsys):
+    """scripts/artifact_digests.py under scripts/parity_tiny.txt, diffed against
+    the committed listing: gen-dataset, train, compare, fresh and persistent
+    eval of all eight schemes and both sweeps, every artifact byte."""
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  SCRIPTS / "artifact_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--config", str(SCRIPTS / "parity_tiny.txt"),
+                        "--out", str(tmp_path / "out")]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    assert listing == (SCRIPTS / "parity_tiny.sha256").read_text().splitlines()
+    assert len(listing) == 23
+
+
 # SHA-256 of dataset.txt from `gen-dataset` under TINY_CONFIG (60 episodes,
 # seed 42) where coverage binds or the chain is long: orbit coverage at
 # 9 sub-tasks, and a 0.16 s fixed window that restricts many feasible sets.

@@ -275,3 +275,57 @@ def test_dataset_header_accepts_only_the_written_tokens(tmp_path, dataset_lines,
     with pytest.raises(ValueError, match="config= layout= subtasks= features=") as err:
         read_dataset(path)
     assert str(err.value).startswith(f"{path}:1: bad dataset header")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("dims=6,5,4", "dims=6, 5,4"),
+    ("seed=3", "seed=0_3"),
+    ("seed=3", "seed=03"),
+    ("layout_version=1", "layout_version=+1"),
+], ids=["dims-space", "seed-underscore", "seed-leading-zero", "layout-plus"])
+def test_model_header_integers_are_spelled_as_written(tmp_path, model_lines, old, new):
+    lines = [new if line == old else line for line in model_lines]
+    assert lines != model_lines
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: bad header")
+
+
+@pytest.mark.parametrize("block, value", [
+    ("#block W0 6x5", "1_0.5"), ("#block W0 6x5", " 0.5"), ("#block b1 4", "0.5 "),
+    ("#block W1 5x4", "0.5\t"),
+])
+def test_model_numbers_hold_no_underscore_or_whitespace(tmp_path, model_lines, block, value):
+    i = model_lines.index(block)
+    lines = list(model_lines)
+    lines[i + 1] = ",".join([value] + lines[i + 1].split(",")[1:])
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:{i + 1}: block {block.split()[1]}: row 1")
+
+
+def test_model_scaler_row_holds_no_whitespace(tmp_path, model_lines):
+    lines = [line.replace("scaler_hi=", "scaler_hi= ") for line in model_lines]
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError, match="bad header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: _with_record_field(lines, 1, "1_0.5"), ":2: record '0'"),
+    (lambda lines: _with_record_field(lines, 1, " 0.5"), ":2: record '0'"),
+    (lambda lines: lines[:2] + [lines[2] + " "], ":3: record '1'"),
+    (lambda lines: _with_record_field(lines, 0, "0_0"), ":2: record '0_0'"),
+    (lambda lines: _with_record_field(lines, 0, "00"), ":2: record '00'"),
+    (lambda lines: [lines[0].replace("subtasks=6", "subtasks=06")] + lines[1:],
+     ":1: bad dataset header"),
+], ids=["feature-underscore", "feature-space", "reward-space", "id-underscore",
+        "id-leading-zero", "header-leading-zero"])
+def test_dataset_fields_are_spelled_as_written(tmp_path, dataset_lines, edit, where):
+    path = _write(tmp_path, "d.txt", edit(dataset_lines))
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value).startswith(f"{path}{where}")
+
