@@ -3,8 +3,8 @@
 The cache indexes items by popularity rank (1 = most requested). State is
 immutable: an offer edits plain lists and returns one new CacheState. The
 two policies share that loop and differ only in the victim's key. Each
-pass re-sums the held sizes in rank order, as cached_bytes does, through
-one sum(itertools.compress(sizes, placement)): a running total drifts,
+pass re-sums the held sizes, a left fold in rank order, through one
+sum(itertools.compress(sizes, placement)): a running total drifts,
 because float subtraction does not undo addition.
 """
 
@@ -46,13 +46,6 @@ class CacheState:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
 
-def empty_cache(sizes: tuple[float, ...], capacity_bytes: float, delta: float) -> CacheState:
-    n = len(sizes)
-    return CacheState(sizes=tuple(float(s) for s in sizes), placement=(0,) * n,
-                      capacity_bytes=capacity_bytes, delta=delta,
-                      recency=(0,) * n, clock=1)
-
-
 @lru_cache(maxsize=32)  # a run uses one (delta, num_ranks), a sweep a few
 def zipf_pmf(delta: float, num_ranks: int) -> tuple[float, ...]:
     """request_probability of ranks 1..num_ranks, in rank order."""
@@ -77,10 +70,6 @@ def is_hit(cache: CacheState, rank: int) -> bool:
     if not 1 <= rank <= cache.num_ranks:
         raise ValueError(f"rank {rank} outside [1, {cache.num_ranks}]")
     return cache.placement[rank - 1] == 1
-
-
-def cached_bytes(cache: CacheState) -> float:
-    return sum(itertools.compress(cache.sizes, cache.placement))
 
 
 def _insert_evicting(cache: CacheState, rank: int, nbytes: float,

@@ -26,8 +26,8 @@ from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
 from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
                      cross_entropy, forward, load_model, save_model)
-from .oracle import (Demonstration, build_dataset, label_state, label_states,
-                     read_dataset, write_dataset)
+from .oracle import (Demonstration, build_dataset, label_states, read_dataset,
+                     write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
 from .scenario import episode_states, episode_stream, make_library, prices_from
 
@@ -132,8 +132,9 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
     The draws do not depend on the cache, so each carried state keeps the
-    Tables row its draw tabulated; each state is labelled and acted on as
-    a block of one, since its action sets the next cache.
+    Tables row its draw tabulated. Each state is labelled by label_states
+    and acted on as a block of one, since its action sets the next cache;
+    its demonstration takes the state's own episode id.
     """
     scen = cfg.scenario
     prices = prices_from(scen)
@@ -145,7 +146,7 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
     for i, state in enumerate(drawn):
         if cache is not None:
             state = carry_cache(state, cache)
-        demo = label_state(i, state, prices, scaler)
+        demo = replace(label_states([state], prices, scaler)[0], episode_id=i)
         action = scheme_actions(scheme, model, [demo], [state], prices)
         states.append(state)
         demos.append(demo)

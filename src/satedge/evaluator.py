@@ -20,11 +20,11 @@ over the chain one N-vector add per sub-task. reward and completion_time
 are its one-state forms. Hits are never stored on a block: Tables.hits
 gathers them from each state's own cache, so a state whose cache is
 swapped (carry_cache, a persistent rollout's carried cache) keeps its
-table row. A state memoises its hits, its Tables row, and the retention
-bits of each cache kind (retained, filled by policies.baseline_cache),
-so every scheme scored on one state reads one replay per kind. All of
-these are cached properties, not fields, so ==, hash and replace ignore
-them; a replaced state derives its own.
+table row. A state memoises its Tables row and the retention bits of
+each cache kind (retained, filled by policies.baseline_cache), so every
+scheme scored on one state reads one replay per kind. Both are cached
+properties, not fields, so ==, hash and replace ignore them; a replaced
+state derives its own.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -103,12 +103,6 @@ class EpisodeState:
     link: LinkState
     cpu_rate: float  # edge server, cycles/s
     cache: CacheState
-
-    @cached_property
-    def hits(self) -> tuple[bool, ...]:
-        """Per-sub-task cache hits against the episode's starting placement."""
-        table, row = self.tables
-        return tuple(table.hits(slice(row, row + 1), [self])[0].tolist())
 
     @cached_property
     def tables(self) -> tuple[Tables, int]:
@@ -273,13 +267,28 @@ class Tables:
     def hits(self, rows: slice, states: Sequence[EpisodeState]) -> np.ndarray:
         """The N x V cache hits of states, rows `rows` of this block, each
         judged against its own cache: one gather of the output ranks from the
-        N x R placement matrix. Never stored here, since carry_cache swaps a
-        state's cache and keeps its row."""
+        N x (1 + R) placement matrix, whose column 0 (rank 0, no output) is
+        never a hit. Never stored here, since carry_cache swaps a state's
+        cache and keeps its row. Every cache needs the same number R of ranks
+        and every output rank must lie in 0..R; ValueError names the first
+        state, and sub-task, that breaks either."""
         rank = self.columns.rank[rows]
-        placement = np.frombuffer(bytes(itertools.chain.from_iterable(
-            state.cache.placement for state in states)), dtype=np.uint8)
-        held = placement.reshape(len(states), -1) == 1
-        return np.take_along_axis(held, rank - 1, axis=1) & (rank > 0)
+        placements = [state.cache.placement for state in states]
+        width = len(placements[0])
+        if len(set(map(len, placements))) > 1:
+            n = next(n for n, placement in enumerate(placements) if len(placement) != width)
+            raise ValueError(f"state {n}: its cache holds {len(placements[n])} ranks where "
+                             f"state 0's holds {width}; every cache of a block needs the same "
+                             "number")
+        bad = (rank < 0) | (rank > width)
+        if bad.any():
+            n, v = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"state {n}, sub-task {v}: output rank {rank[n, v].item()} "
+                             f"outside 0..{width}, its cache's ranks")
+        held = np.zeros((len(states), 1 + width), dtype=bool)
+        held[:, 1:] = np.frombuffer(bytes(itertools.chain.from_iterable(placements)),
+                                    dtype=np.uint8).reshape(len(states), width) == 1
+        return np.take_along_axis(held, rank, axis=1)
 
     def costs(self, prices: PriceVector) -> np.ndarray:
         """N x V x 2 x 4 cost of every pair at prices, laid out like seconds,

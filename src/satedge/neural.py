@@ -5,10 +5,12 @@ training path carries no framework dependency and stays reproducible
 down to the bit. The output layer is 2*|V| sigmoids in the blocked
 label layout: all offload bits first, then all cache bits.
 
-Features are filled column by column from the Tables rows the states
-hold (the columns the draw decoded, or gathered from the objects for a
-state outside any block), and scaled in one call per block; the hit and
-popularity features always come from each state's own cache.
+encode_states is the one feature encoder: it fills features column by
+column from the Tables rows the states hold (the columns the draw
+decoded, or gathered from the objects for a state outside any block),
+and scales them in one call per block; the hit and popularity features
+always come from each state's own cache. encode_state is encode_states
+on a block of one.
 
 An MLPModel is the trained policy and nothing else. Adam's moments,
 step count and hyperparameters live in an AdamState that exists only
@@ -121,7 +123,7 @@ def _popularity(rank: np.ndarray, states: list[EpisodeState]) -> np.ndarray:
     return pmf[which[:, None], rank]
 
 
-def _encode(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
+def encode_states(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
     """Fixed-layout feature rows of states, min-max scaled in one call.
 
     Layout v1: [t_c, r_fh, r_bh, d_vs, d_sg, f_m] then per sub-task
@@ -149,13 +151,8 @@ def _encode(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
 
 
 def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
-    """One state's feature vector: the block path (_encode) on a block of one."""
-    return _encode([state], scaler)[0]
-
-
-def encode_states(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
-    """The feature rows of states (layout v1, see _encode), in one scaling call."""
-    return _encode(states, scaler)
+    """One state's feature vector: encode_states on a block of one."""
+    return encode_states([state], scaler)[0]
 
 
 @dataclass

@@ -9,27 +9,27 @@ picked costs, so it agrees bit-for-bit with evaluator.reward, and ties,
 including ties that float rounding creates in the total, fall to the
 lexicographically smallest pick (prefer local, prefer not caching).
 
-label_states labels a stream in blocks of states: block_argmin applies
-that rule to every state of a block at once, with the same folds.
-label_state labels one state through lexicographic_argmin, for a
-rollout whose next state depends on this one's action.
+block_argmin applies that rule to every state of a block at once, and
+label_states labels any sequence of states through it, block by block:
+a stream in blocks of BLOCK_STATES, a persistent rollout, whose next
+state depends on this one's action, in blocks of one. solve_optimal is
+block_argmin on a block of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
 from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, ActionMatrix, EpisodeState,
                         PriceVector, at_hits, blocks, table_runs)
-from .neural import (LAYOUT_VERSION, FeatureScaler, canonical_int, encode_state,
-                     encode_states, feature_dim, stray_row)
+from .neural import (LAYOUT_VERSION, FeatureScaler, canonical_int, encode_states,
+                     feature_dim, stray_row)
 from .scenario import episode_stream, prices_from
 
 
@@ -41,55 +41,20 @@ class Demonstration:
     opt_reward: float
 
 
-def lexicographic_argmin(tables: Sequence[Sequence[float]],
-                         ) -> tuple[tuple[int, ...], float]:
-    """First minimum, in row-major order, of the left-fold sum over tables.
-
-    Equals ``np.argmin`` of the iterated ``np.add.outer`` of the tables
-    (unravelled) and the total at that index, in O(sum(len) * len(tables))
-    additions. Round-to-nearest addition is monotone in each operand, so
-    the fold of the per-table minima is the minimum total, and a prefix
-    can still reach it exactly when the prefix completed with the
-    remaining minima does. That completion equals the optimum as soon as
-    one of its partial sums equals the optimum's partial sum at the same
-    position, since the remaining additions then coincide. Tables must be
-    non-empty and hold no NaN.
-    """
-    mins = [min(t) for t in tables]
-    target = list(itertools.accumulate(mins))  # partial sums of the optimum
-
-    def reaches_optimum(v: int, acc: float) -> bool:
-        if acc == target[v]:
-            return True
-        for k in range(v + 1, len(tables)):
-            acc += mins[k]
-            if acc == target[k]:
-                return True
-        return False
-
-    picks: list[int] = []
-    total = 0.0
-    for v, table in enumerate(tables):
-        # the fold starts at the first cost itself, as np.add.outer does
-        i = next(i for i, cost in enumerate(table)
-                 if reaches_optimum(v, total + cost if v else cost))
-        picks.append(i)
-        total = total + table[i] if v else table[i]
-    return tuple(picks), float(total)
-
-
 def block_argmin(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lexicographic_argmin of every row of an N x V x K cost block at once.
+    """First minimum, in row-major order, of the left-fold sum over the
+    tables of every row of an N x V x K cost block at once.
 
     Row n holds V tables of K costs, +inf marking an absent entry (an
-    infeasible pair). Returns the N x V picks and the N totals, each
-    equal to what lexicographic_argmin returns for the row's finite
-    entries, bit for bit: the same left folds, each step one whole-array
-    operation over the N rows. A candidate's completion with the
-    remaining minima reaches the optimum as soon as one of its partial
-    sums equals the optimum's, and from there on the two folds add the
-    same numbers, so testing the full completion against the optimum's
-    total decides what lexicographic_argmin's partial-sum test decides.
+    infeasible pair), and no NaN. Returns
+    the N x V picks and the N totals: for each row, np.argmin of the
+    iterated np.add.outer of its tables (unravelled) and the total at
+    that index, bit for bit, each step one whole-array operation over
+    the N rows. Round-to-nearest addition is monotone in each operand,
+    so the fold of the per-table minima is the minimum total, and a
+    prefix can still reach it exactly when the prefix completed with the
+    remaining minima does: each step picks the first entry whose
+    completion folds to the optimum's total.
     """
     n, num_tables, _ = costs.shape
     mins = costs.min(axis=2)
@@ -111,35 +76,26 @@ def block_argmin(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatrix, float]:
-    """Minimum-reward action over the pre-classified joint action space.
+    """Minimum-reward action over the pre-classified joint action space:
+    block_argmin on the state's own Tables row, a block of one.
 
     Each sub-task's table holds all four pairs, +inf on the infeasible
-    ones, which never reach the optimum's partial sums, so the picks are
-    PAIRS indices.
+    ones, which never reach the optimum, so the picks are PAIRS indices.
     """
     table, row = state.tables
     rows = slice(row, row + 1)
-    costs = at_hits(table.costs(prices)[rows], table.hits(rows, [state]))[0]
-    picks, value = lexicographic_argmin(costs.tolist())
-    return ActionMatrix.from_picks(picks), value
-
-
-def label_state(episode_id: int, state: EpisodeState, prices: PriceVector,
-                scaler: FeatureScaler) -> Demonstration:
-    """Solve and encode one state on its own, for a rollout whose next state
-    depends on this one's action; bit for bit what label_states returns."""
-    action, value = solve_optimal(state, prices)
-    return Demonstration(episode_id=episode_id, features=encode_state(state, scaler),
-                         labels=action.bits(), opt_reward=value)
+    picks, values = block_argmin(at_hits(table.costs(prices)[rows], table.hits(rows, [state])))
+    return ActionMatrix.from_picks(picks[0].tolist()), values.item()
 
 
 def label_states(states: Iterable[EpisodeState], prices: PriceVector,
                  scaler: FeatureScaler) -> list[Demonstration]:
     """Solve and encode pre-drawn states, block by block; episode ids count from 0.
 
-    Each block reads the Tables rows its states hold (table_runs), and
-    runs one block_argmin over its cost table at the states' own hits and
-    one scaling call.
+    Each block reads the Tables rows its states hold (table_runs), so a
+    carried state (carry_cache) reuses its draw's row, and runs one
+    block_argmin over its cost table at the states' own hits and one
+    scaling call.
     """
     demos: list[Demonstration] = []
     # a stream repeats few label patterns, so its rows share one tuple per pattern

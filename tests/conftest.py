@@ -5,8 +5,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import pytest
 
-from satedge.caching import (CacheState, apply_caching_action, cached_bytes,
-                             empty_cache, is_hit, request_probability)
+from satedge.caching import CacheState, apply_caching_action, is_hit, request_probability
 from satedge.channel import LinkState, transmit_time
 from satedge.config import ScenarioConfig, default_config
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
@@ -30,6 +29,19 @@ def prices(cfg):
 # Hand-built episode pieces used by the formula golden tests. Rates are the
 # 1.6 / 2.4 Mb/s pair every worked example in the module docs is stated at.
 GOLDEN_LINK = LinkState(rate_fh=1.6e6, rate_bh=2.4e6, prop_vs=0.03, prop_sg=0.27)
+
+
+def empty_cache(sizes: tuple[float, ...], capacity_bytes: float, delta: float) -> CacheState:
+    """A cache holding nothing, its recency clock at 1."""
+    n = len(sizes)
+    return CacheState(sizes=tuple(float(s) for s in sizes), placement=(0,) * n,
+                      capacity_bytes=capacity_bytes, delta=delta,
+                      recency=(0,) * n, clock=1)
+
+
+def cached_bytes(cache: CacheState) -> float:
+    """Bytes the cache holds, summed in rank order."""
+    return sum(itertools.compress(cache.sizes, cache.placement))
 
 
 def make_cache(num_ranks=30, capacity=1e9, placed=(), delta=1.0, sizes=None):
@@ -74,10 +86,16 @@ def feasible_of(state: EpisodeState) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(FEASIBLE[p] for p in table.pattern[row].tolist())
 
 
+def hits_of(state: EpisodeState) -> tuple[bool, ...]:
+    """Each sub-task's cache hit, from Tables.hits on the state's row."""
+    table, row = state.tables
+    return tuple(table.hits(slice(row, row + 1), [state])[0].tolist())
+
+
 def _row_entries(state: EpisodeState, block: np.ndarray) -> tuple[tuple[float, ...], ...]:
     table, row = state.tables
     return tuple(tuple(by_hit[hit][PAIRS.index(pair)] for pair in feas)
-                 for by_hit, hit, feas in zip(block[row].tolist(), state.hits,
+                 for by_hit, hit, feas in zip(block[row].tolist(), hits_of(state),
                                               feasible_of(state)))
 
 
@@ -96,7 +114,7 @@ def costs_of(state: EpisodeState, prices: PriceVector) -> tuple[tuple[float, ...
 
 
 def reference_hits(state: EpisodeState) -> tuple[bool, ...]:
-    """The hit rule on the starting placement, without EpisodeState.hits."""
+    """The hit rule on the starting placement, without Tables.hits."""
     return tuple(st.out_rank > 0 and is_hit(state.cache, st.out_rank)
                  for st in state.task)
 

@@ -14,13 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from satedge.caching import (
-    cached_bytes,
-    empty_cache,
-    evict_mpc,
-    evict_mrc,
-    request_probability,
-)
+from satedge.caching import evict_mpc, evict_mrc, request_probability
 from satedge.cli import EVAL_SEED, GEN_SEED, main
 from satedge.config import default_config
 from satedge.dil import action_report, train_policy
@@ -45,8 +39,8 @@ from satedge.oracle import (
 from satedge.policies import BASELINE_PAIRS, baseline_policy
 from satedge.scenario import episode_state, episode_stream, make_library, orbit_params, prices_from
 
-from conftest import (compute, download, gradient_check, make_cache, make_state,
-                      solve_full_grid, upload)
+from conftest import (cached_bytes, compute, download, empty_cache, gradient_check,
+                      make_cache, make_state, solve_full_grid, upload)
 
 
 def _verdict(capsys, number, name, ok, detail=""):

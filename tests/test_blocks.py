@@ -1,11 +1,11 @@
 """Block labelling against the scalar path it replaced.
 
 label_states builds one Tables block per run of states, solves every row
-with block_argmin and scales all feature rows in one call; label_state
-labels a lone state through its own one-state block and the list solver.
-Both must give the labels, the opt_reward bits and the feature bits of
-the scalar path in conftest, and the table rows that baselines and
-scoring read must equal the scalar formulas.
+with block_argmin and scales all feature rows in one call, whether the
+run is a whole stream or a lone state in a block of one. Both must give
+the labels, the opt_reward bits and the feature bits of the scalar path
+in conftest, and the table rows that baselines and scoring read must
+equal the scalar formulas.
 """
 
 from dataclasses import replace
@@ -15,15 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satedge.caching import empty_cache
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES, PriceVector, carry_cache, tabulate
 from satedge.neural import FeatureScaler
-from satedge.oracle import block_argmin, label_state, label_states, lexicographic_argmin
+from satedge.oracle import block_argmin, label_states
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import (costs_of, feasible_of, reference_cost_rows, reference_hits,
-                      reference_label_states, reference_subtask_time, seconds_of)
+from conftest import (costs_of, empty_cache, feasible_of, hits_of, reference_cost_rows,
+                      reference_hits, reference_label_states,
+                      reference_lexicographic_argmin, reference_subtask_time, seconds_of)
 from test_oracle import TIE_COSTS
 
 COVERAGES = {
@@ -74,9 +74,10 @@ def test_block_labelling_matches_scalar_path(num_subtasks, coverage, seed, price
     reference = reference_label_states(states, prices, scaler)
 
     _assert_same_demos(label_states(states, prices, scaler), reference)
-    # the per-state path: a fresh twin of each state builds its own block
-    _assert_same_demos([label_state(i, replace(s), prices, scaler)
-                        for i, s in enumerate(states[:9])], reference[:9])
+    # the per-state path: a fresh twin of each state builds its own block of one
+    for state, ref in zip(states[:9], reference):
+        _assert_same_demos(label_states([replace(state)], prices, scaler),
+                           [replace(ref, episode_id=0)])
     for state in states[:9]:
         _assert_views_match_formulas(state, prices)
 
@@ -105,9 +106,9 @@ def test_carried_state_reads_its_draws_row():
                             state.cache.delta)
         carried = carry_cache(state, cache)
         assert carried.tables == state.tables and carried.tables[0] is block
-        assert not any(carried.hits)
+        assert not any(hits_of(carried))
         _assert_views_match_formulas(carried, prices)
-        _assert_same_demos([label_state(0, carried, prices, scaler)],
+        _assert_same_demos(label_states([carried], prices, scaler),
                            reference_label_states([carried], prices, scaler))
 
 
@@ -141,7 +142,7 @@ def test_block_argmin_matches_lexicographic_argmin_per_row(rows):
             costs[n, v, :len(table)] = table
     picks, totals = block_argmin(costs)
     for n, tables in enumerate(rows):
-        ref_picks, ref_total = lexicographic_argmin(tables)
+        ref_picks, ref_total = reference_lexicographic_argmin(tables)
         assert tuple(picks[n].tolist()) == ref_picks
         assert _bits(totals[n]) == _bits(ref_total)
 
@@ -157,4 +158,4 @@ def test_block_argmin_keeps_rounding_collapsed_tie_inside_a_block():
     picks, totals = block_argmin(costs)
     assert picks.tolist() == [[1, 0], [0, 0], [0, 0]]
     assert totals.tolist() == [4.0, 2.0 ** 53, 2.0 ** 53]
-    assert lexicographic_argmin([[0.5, 0.0], [2.0 ** 53]]) == ((0, 0), 2.0 ** 53)
+    assert reference_lexicographic_argmin([[0.5, 0.0], [2.0 ** 53]]) == ((0, 0), 2.0 ** 53)

@@ -3,12 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.caching import (CacheState, apply_caching_action, cached_bytes,
-                             empty_cache, evict_mpc, evict_mrc, is_hit,
-                             request_probability)
+from satedge.caching import (CacheState, apply_caching_action, evict_mpc, evict_mrc,
+                             is_hit, request_probability)
 from satedge.workload import Category, SubTask
 
-from conftest import reference_evict
+from conftest import cached_bytes, empty_cache, reference_evict
 
 H_30 = 3.9949871309203906  # 30th harmonic number, summed by hand script
 

@@ -479,7 +479,7 @@ def _count_tables(monkeypatch):
 ])
 def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, argv):
     # fresh streams are labelled in blocks; a persistent rollout labels each
-    # state on its own, since its action sets the next state's cache
+    # state as a block of one, since its action sets the next state's cache
     per_state = "persistent" in argv
     model = _untrained_model(tmp_path / "model.txt", 6)
     if "oracle" not in argv:
@@ -491,12 +491,8 @@ def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, arg
     assert main(argv + ["--episodes", "7", "--out", str(tmp_path / "o")]) == 0
     solved_in_blocks = [len(costs) for costs, in block_solves]
     encoded_in_blocks = [len(states) for states, _ in block_encodes]
-    if per_state:
-        assert (len(solves), len(encodes)) == (7, 7)
-        assert solved_in_blocks == encoded_in_blocks == []
-    else:
-        assert (len(solves), len(encodes)) == (0, 0)
-        assert solved_in_blocks == encoded_in_blocks == [7]
+    assert (len(solves), len(encodes)) == (0, 0)
+    assert solved_in_blocks == encoded_in_blocks == ([1] * 7 if per_state else [7])
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from satedge import scenario
-from satedge.caching import empty_cache
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES, Tables, carry_cache
 from satedge.neural import FeatureScaler, encode_state, encode_states
 from satedge.scenario import episode_state, episode_states, make_library, prices_from
 
-from conftest import reference_encode_state, reference_hits
+from conftest import empty_cache, hits_of, reference_encode_state, reference_hits
 
 SCENARIOS = {
     "fixed": {},
@@ -76,7 +75,7 @@ def test_drawn_blocks_match_the_object_path(name):
         _same(lone.seconds, table.seconds[row:row + 1])
         _same(lone.pattern, table.pattern[row:row + 1])
         _same(lone.costs(prices_from(scen)), table.costs(prices_from(scen))[row:row + 1])
-        assert alone.hits == states[e].hits
+        assert hits_of(alone) == hits_of(states[e])
         _same(encode_state(alone, FeatureScaler.from_scenario(scen)),
               encode_states([states[e]], FeatureScaler.from_scenario(scen))[0])
 
@@ -85,7 +84,7 @@ def test_drawn_blocks_match_the_object_path(name):
 def test_carried_states_read_hits_from_their_own_cache(name):
     scen = replace(default_config().scenario, **SCENARIOS[name])
     drawn = list(episode_states(scen, SEED, range(40), make_library(scen, SEED)))
-    assert any(any(s.hits) for s in drawn)  # the empty caches below turn hits into misses
+    assert any(any(hits_of(s)) for s in drawn)  # the empty caches below turn hits into misses
     carried = [carry_cache(s, empty_cache(s.cache.sizes, s.cache.capacity_bytes,
                                           s.cache.delta)) for s in drawn]
     carried[::3] = drawn[::3]  # carried and drawn states interleaved in one run

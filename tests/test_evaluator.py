@@ -1,18 +1,19 @@
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector, Tables,
                                completion_time, feasible_actions, pair_index, reward,
-                               subtask_cost)
+                               score, subtask_cost)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
 from satedge.workload import Category
 
-from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
-                      reference_hits, seconds_of, upload)
+from conftest import (compute, costs_of, download, feasible_of, hits_of, make_cache,
+                      make_state, reference_hits, seconds_of, upload)
 
 # Worked by hand from the per-category pipelines at 1.6 / 2.4 Mb/s,
 # d_vs = 0.03 s, d_sg = 0.27 s:
@@ -90,7 +91,7 @@ def test_coverage_expiry_forces_caching():
 def test_hit_flags_use_starting_placement():
     cache = make_cache(placed=(4,))
     state = make_state([download(rank=4), download(rank=5)], cache=cache)
-    assert state.hits == (True, False)
+    assert hits_of(state) == (True, False)
 
 
 @pytest.mark.parametrize("coverage_mode", ["fixed", "orbit"])
@@ -103,7 +104,7 @@ def test_derived_fields_match_the_rules(coverage_mode):
         hits = reference_hits(state)
         secs = tuple(tuple(seconds_alone(sub, of, hit, state) for of, _ in f)
                      for sub, f, hit in zip(state.task, feas, hits))
-        assert (feasible_of(state), state.hits, seconds_of(state)) == (feas, hits, secs)
+        assert (feasible_of(state), hits_of(state), seconds_of(state)) == (feas, hits, secs)
         assert costs_of(state, prices) == tuple(
             tuple(subtask_cost(sub, of, ch, hit, t, prices) for (of, ch), t in zip(f, ts))
             for sub, f, ts, hit in zip(state.task, feas, secs, hits))
@@ -113,22 +114,46 @@ def test_derived_fields_are_not_dataclass_fields():
     state = make_state([download(rank=4), compute(rank=5)],
                        cache=make_cache(placed=(4,)))
     twin = make_state(state.task, cache=state.cache)
-    assert state.tables and state.hits  # derive on one side only
+    assert state.tables  # derive on one side only
     assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
     with pytest.raises(FrozenInstanceError):
-        state.hits = (False, False)
+        state.tables = twin.tables
 
 
 def test_replaced_cache_rederives_hits_and_times():
     st_ = download(160e3, rank=4)
     state = make_state([st_], cache=make_cache(placed=(4,)))
-    assert state.hits == (True,)
+    assert hits_of(state) == (True,)
     hit_seconds = seconds_of(state)
     carried = replace(state, cache=make_cache(placed=(5,)))
-    assert carried.hits == (False,)
+    assert hits_of(carried) == (False,)
     assert seconds_of(carried) == ((seconds_alone(st_, 0, False, state),) * 2,)
     assert seconds_of(carried)[0][0] > hit_seconds[0][0]
-    assert state.hits == (True,) and seconds_of(state) == hit_seconds
+    assert hits_of(state) == (True,) and seconds_of(state) == hit_seconds
+
+
+def test_hits_refuse_a_block_of_caches_with_unequal_rank_counts(prices):
+    # flattened and cut into equal rows, the two placements would read rank
+    # 15 of the 40-rank cache where rank 5 is asked for: a hit, not a miss
+    short = make_state([download(rank=15)], cache=make_cache(20, placed=(15,)))
+    long = make_state([download(rank=5)], cache=make_cache(40, placed=(15,)))
+    assert [reference_hits(s) for s in (short, long)] == [(True,), (False,)]
+    with pytest.raises(ValueError, match="state 1: its cache holds 40 ranks"):
+        Tables([short, long]).hits(slice(0, 2), [short, long])
+    with pytest.raises(ValueError, match="state 1: its cache holds 40 ranks"):
+        score([short, long], np.zeros((2, 1), dtype=np.intp), prices)
+
+
+def test_hits_refuse_an_output_rank_past_its_cache(prices):
+    state = make_state([upload(), download(rank=25)], cache=make_cache(20))
+    with pytest.raises(ValueError, match="state 0, sub-task 1: output rank 25 outside 0..20"):
+        reward(state, ActionMatrix(offload=(1, 0), cache=(0, 0)), prices)
+
+
+def test_a_cache_of_no_ranks_holds_no_hit(prices):
+    state = make_state([upload()], cache=make_cache(num_ranks=0))
+    assert hits_of(state) == (False,)
+    assert reward(state, ActionMatrix(offload=(1,), cache=(0,)), prices) > 0.0
 
 
 def test_completion_time_is_the_chain_fold_of_subtask_times():

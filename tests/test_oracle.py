@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, PriceVector, completion_time, feasible_actions,
                                reward)
-from satedge.oracle import (build_dataset, lexicographic_argmin, read_dataset,
-                            solve_optimal, write_dataset)
+from satedge.oracle import (block_argmin, build_dataset, read_dataset, solve_optimal,
+                            write_dataset)
 from satedge.policies import BASELINE_PAIRS, baseline_policy
 from satedge.scenario import episode_stream, prices_from
 
@@ -19,7 +19,7 @@ from conftest import (compute, make_state, reference_feasible_actions, reference
 
 
 def outer_argmin(tables):
-    """Reference for lexicographic_argmin: the full joint sum, first argmin."""
+    """Reference for block_argmin: the full joint sum, first argmin."""
     acc = np.asarray(tables[0], dtype=np.float64)
     for t in tables[1:]:
         acc = np.add.outer(acc, np.asarray(t, dtype=np.float64))
@@ -87,10 +87,19 @@ cost_tables = st.lists(
     min_size=1, max_size=5)
 
 
+def argmin_of_one_row(tables):
+    """block_argmin on ragged tables as a block of one, padded with +inf."""
+    costs = np.full((1, len(tables), max(map(len, tables))), np.inf)
+    for v, table in enumerate(tables):
+        costs[0, v, :len(table)] = table
+    picks, totals = block_argmin(costs)
+    return tuple(picks[0].tolist()), totals.item()
+
+
 @settings(max_examples=500, deadline=None)
 @given(cost_tables)
 def test_lexicographic_argmin_matches_outer_sum(tables):
-    picks, value = lexicographic_argmin(tables)
+    picks, value = argmin_of_one_row(tables)
     ref_picks, ref_value = outer_argmin(tables)
     assert picks == ref_picks
     assert repr(value) == repr(ref_value)
@@ -100,7 +109,7 @@ def test_lexicographic_argmin_keeps_rounding_collapsed_tie():
     # 0.5 + 2**53 rounds to 2**53, so index 0 ties the per-table minimum and wins
     tables = [[0.5, 0.0], [2.0 ** 53]]
     assert outer_argmin(tables) == ((0, 0), 2.0 ** 53)
-    assert lexicographic_argmin(tables) == ((0, 0), 2.0 ** 53)
+    assert argmin_of_one_row(tables) == ((0, 0), 2.0 ** 53)
 
 
 def test_long_chains_solve_and_replay_to_their_reward():

@@ -11,7 +11,7 @@ from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
 from satedge.scenario import episode_stream, prices_from
 
 from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
-                      reference_baseline_cache, reference_hits,
+                      hits_of, reference_baseline_cache, reference_hits,
                       reference_reward_and_time, seconds_of, upload)
 
 
@@ -167,8 +167,8 @@ def test_replaced_cache_rederives_costs_and_retention(prices):
     rows = costs_of(state, prices)
     retained = {kind: baseline_cache(kind, state) for kind in ("mrc", "mpc")}
     carried = replace(state, cache=make_cache(capacity=100e3))
-    assert (state.hits, carried.hits) == ((True,), (False,))
-    assert carried.hits == reference_hits(carried)
+    assert (hits_of(state), hits_of(carried)) == ((True,), (False,))
+    assert hits_of(carried) == reference_hits(carried)
     carried_rows = costs_of(carried, prices)
     assert carried_rows == (tuple(subtask_cost(st_, of, ch, False, t, prices)
                                   for (of, ch), t in zip(feasible_of(carried)[0],

@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 
 from satedge import scenario
-from satedge.caching import cached_bytes
 from satedge.channel import link_rate, snr_from_db
 from satedge.config import default_config
 from satedge.geometry import earth_central_angle, relative_angular_velocity
@@ -11,7 +10,7 @@ from satedge.scenario import (episode_state, episode_stream, library_capacity,
                               make_library, orbit_params, prices_from)
 from satedge.workload import Category
 
-from conftest import reference_generate_task, reference_random_placement
+from conftest import cached_bytes, reference_generate_task, reference_random_placement
 
 
 def collect(cfg, seed, n):

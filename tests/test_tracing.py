@@ -84,7 +84,7 @@ def test_tracer_wraps_label_and_restores_every_name(tmp_path):
 
     wrapped, metrics = _traced(stage, 10)
     assert ("satedge.scenario", "episode_state") in wrapped
-    assert ("satedge.oracle", "encode_state") in wrapped
+    assert ("satedge.neural", "encode_state") in wrapped
     assert metrics["scenario.episode_state.n"] == 10
     # labelling runs in blocks, past the per-state solver, encoder and
     # feasibility function the tracer times
