@@ -2,41 +2,44 @@
 
 Every random quantity derives from (run seed, episode index, stream tag)
 through SeedSequence, so any episode can be regenerated in isolation and
-two runs with the same seed agree byte-for-byte. A stream seeds its
-episodes in blocks: `seeding` re-implements numpy's SeedSequence and
-PCG64 seeding bit for bit over a block's keys at once, and the block's
-states are loaded into one reused generator per stream tag. A block's
+two runs with the same seed agree byte-for-byte. A stream hashes its
+episodes' keys in blocks: `seeding` re-implements numpy's SeedSequence
+hashing bit for bit over a block's keys at once, and numpy seeds a fresh
+PCG64 for each stream of each episode from its key's words. A block's
 task chains are not drawn one numpy call per number: each episode's
 first 4V raw PCG64 outputs are read with one ``random_raw`` call, and
-`workload.decode_tasks` decodes the whole block as arrays, following
-how numpy's Generator consumes raw output (doubles, the buffered 32-bit
-half that rank draws share, Lemire's rejection test). The rare rows it
-cannot decode exactly, a rejected rank word or a zero compute rho, are
-drawn again by generate_task. Only a lone episode_state call is seeded
-by numpy and drawn by generate_task: the spec every block is tested
-against. A block is drawn whole before its first state is yielded, and
-its evaluator.Tables is built from the columns decode_tasks decoded
-(category codes, sizes, rho and ranks) and the t_c, link and cpu_rate of
-each drawn state; a block holding a row left to generate_task gathers
-its columns from the objects instead. Hits are not part of those
-columns: they always come from a state's own cache. The content library
-(bytes per popularity rank) is drawn once per run and shared by all
-episodes, which keeps cache capacity accounting coherent.
+`workload.decode_tasks` decodes the whole block as arrays, following how
+numpy's Generator consumes raw output (doubles, the buffered 32-bit half
+that rank draws share, Lemire's rejection test). The rare rows it cannot
+decode exactly, a rejected rank word or a zero compute rho, are drawn
+again by generate_task from a fresh generator on their task key. Only a
+lone episode_state call is keyed by numpy's own SeedSequence and drawn
+by generate_task: the spec every block is tested against. A block is
+drawn whole before its first state is yielded, and its evaluator.Tables
+is built from the columns decode_tasks decoded (category codes, sizes,
+rho and ranks) and the t_c, link and cpu_rate of each drawn state; a
+block holding a row left to generate_task gathers its columns from the
+objects instead. Hits are not part of those columns: they always come
+from a state's own cache. The content library (bytes per popularity
+rank) is drawn once per run and shared by all episodes, which keeps
+cache capacity accounting coherent.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from . import seeding
 from .caching import CacheState
 from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig, orbit_params
 from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, tabulate
 from .geometry import coverage_time, earth_central_angle
 from .workload import TaskGraph, decode_tasks, generate_task
+
+if TYPE_CHECKING:
+    from . import seeding
 
 # stream tags; changing these re-keys every dataset
 _TASK, _LINK, _PLACE, _ORBIT, _LIBRARY = 0, 1, 2, 3, 9
@@ -126,14 +129,22 @@ def _numpy_rngs(cfg: ScenarioConfig, seed: int, episode: int,
 
 
 def _block_rng_states(cfg: ScenarioConfig, seed: int,
-                      ids: Sequence[int]) -> list[tuple[dict, ...]]:
-    """Each episode's generator states, in _numpy_rngs order, seeded as one block."""
+                      ids: Sequence[int]) -> list[tuple[seeding.Key, ...]]:
+    """Each episode's PCG64 keys, in _numpy_rngs order, hashed as one block."""
+    # imported here, not above: seeding imports numpy.random, which `import numpy`
+    # leaves to first use, so `import satedge` does not pay for it
+    from . import seeding
     tags = (_TASK, _LINK, _PLACE) + (() if cfg.coverage_mode == "fixed" else (_ORBIT,))
     words = seeding.key_state(seed, ids, tags, 8)
     # _task_seed joins the task key's first two words high first, and
     # default_rng splits that int back into words low first
     task = seeding.generate_state(words[0, 1::-1], 8)
-    return list(zip(*(seeding.pcg64_states(w) for w in (task, *words[1:]))))
+    rows = (np.ascontiguousarray(w.T) for w in (task, *words[1:]))  # a key's 8 words each
+    return list(zip(*(map(seeding.Key, w) for w in rows)))
+
+
+def _generator(key: seeding.Key) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(key))
 
 
 def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
@@ -145,7 +156,7 @@ def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
     `rngs` are the episode's task, link, placement and orbit (None in
     fixed coverage) generators, already seeded; by default numpy seeds
     them here. `task`, when given, is the episode's chain, already drawn,
-    and the task generator is not read.
+    and the task generator is not read: it may be None.
     """
     if rngs is None:
         rngs = _numpy_rngs(cfg, seed, episode)
@@ -164,34 +175,27 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
     """The listed episodes of the stream keyed by `seed`, in order.
 
     Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
-    by one call to it. Ids are seeded in blocks of up to BLOCK_STATES into
-    generators this iterator owns, one per stream tag. A block's task
+    by one call to it. Ids are hashed in blocks of up to BLOCK_STATES, and
+    each episode gets fresh generators seeded from its keys. A block's task
     chains are decoded from raw output before its first state, and the
     whole block is drawn and tabulated before its first state is yielded:
     its Tables is built from the columns decode_tasks decoded, so every
     state already holds its row.
     """
-    # fixed mode seeds no orbit stream
-    rngs = tuple(np.random.default_rng(0) for _ in range(3)) + (
-        None if cfg.coverage_mode == "fixed" else np.random.default_rng(0),)
     for start in range(0, len(episodes), BLOCK_STATES):
         ids = episodes[start:start + BLOCK_STATES]
         block = _block_rng_states(cfg, seed, ids)
-        task_bits = rngs[0].bit_generator
-        raw = np.empty((len(ids), 4 * cfg.num_subtasks), dtype=np.uint64)
-        for row, states in zip(raw, block):
-            task_bits.state = states[0]
-            row[:] = task_bits.random_raw(raw.shape[1])
-        chains = decode_tasks(raw, cfg, library)
+        raw = np.array([np.random.PCG64(keys[0]).random_raw(4 * cfg.num_subtasks)
+                        for keys in block])
+        chains, columns = decode_tasks(raw, cfg, library)
         drawn = []
-        for e, (task_state, *states), task in zip(ids, block, chains):
-            if task is None:  # left to generate_task
-                task_bits.state = task_state
-            for rng, state in zip(rngs[1:], states):
-                rng.bit_generator.state = state
+        for e, (task_key, *keys), task in zip(ids, block, chains):
+            link, place, *orbit = map(_generator, keys)  # fixed mode seeds no orbit stream
+            task_rng = _generator(task_key) if task is None else None  # left to generate_task
+            rngs = (task_rng, link, place, orbit[0] if orbit else None)
             drawn.append(episode_state(cfg, seed, e, library, rngs, task))
         # a chain generate_task drew has no decoded columns: gather them all
-        tabulate(drawn, None if None in chains else chains.columns)
+        tabulate(drawn, None if None in chains else columns)
         yield from drawn
 
 

@@ -1,4 +1,4 @@
-"""numpy's SeedSequence -> PCG64 seeding, for a block of keys at once.
+"""numpy's SeedSequence hashing, for a block of keys at once.
 
 ``np.random.default_rng(np.random.SeedSequence(key))`` costs about 15 µs a
 key, most of it in SeedSequence's Python-level hashing of a few uint32
@@ -17,9 +17,8 @@ against numpy itself):
   the fourth are mixed into every pool word the same way.
 - ``generate_state`` cycles through the pool, scrambling each word with
   a second constant sequence.
-- PCG64 reads 8 words as 4 little-endian uint64 u0..u3, with
-  s = u0·2^64 + u1 and i = u2·2^64 + u3: state = 0, inc = 2i + 1, one
-  step, state += s, one step, where a step is state·M + inc mod 2^128.
+
+A `Key` hands one key's words to numpy's own PCG64 seeding.
 """
 
 from __future__ import annotations
@@ -28,14 +27,13 @@ from collections import defaultdict
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, while the pool is mixed
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _int_words(n: int) -> tuple[int, ...]:
@@ -100,6 +98,9 @@ def key_state(seed: int, ids: Sequence[int], tags: Sequence[int],
     together in groups of equal word count.
     """
     head = _int_words(seed)
+    for e in ids:  # the uint32 cast below would truncate a float
+        if not isinstance(e, (int, np.integer)):
+            raise TypeError(f"episode id {e!r} is not an integer")
     if min(ids) < 0:  # SeedSequence's error; the uint32 cast below raises OverflowError
         raise ValueError(f"expected non-negative integer, got {min(ids)}")
     if max(ids) <= _MASK32 and max(tags) <= _MASK32:  # the usual case, no loop over keys
@@ -120,16 +121,18 @@ def key_state(seed: int, ids: Sequence[int], tags: Sequence[int],
     return words.reshape(n_words, len(tags), len(ids)).transpose(1, 0, 2)
 
 
-def pcg64_states(words: np.ndarray) -> list[dict]:
-    """The ``bit_generator.state`` of a PCG64 seeded with each column of 8 words."""
-    w = words.astype(np.uint64)
-    u0, u1, u2, u3 = ((w[2 * k] | (w[2 * k + 1] << np.uint64(32))).tolist()
-                      for k in range(4))
-    states = []
-    for hi, lo, inc_hi, inc_lo in zip(u0, u1, u2, u3):
-        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
-        state = ((inc + ((hi << 64) | lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+class Key(ISeedSequence):
+    """One key's first 8 generate_state words, handed to numpy as an ISeedSequence.
+
+    ``np.random.PCG64(Key(words))`` equals ``PCG64(SeedSequence(key))``: PCG64
+    asks for 4 uint64 words, which are SeedSequence's 8 uint32 words viewed
+    as uint64. `words` must be contiguous.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Key seeds PCG64 only, not {n_words} {np.dtype(dtype)} words")
+        return self.words.view(np.uint64)

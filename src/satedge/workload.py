@@ -24,8 +24,8 @@ Generator consumes that output (``tests/test_workload.py`` pins it):
 A chain of V sub-tasks takes at most 4V outputs when no word is rejected.
 A row whose draw rejects a word, or redraws a compute rho of exactly 0.0,
 is left to generate_task. The N x V arrays the chains are built from
-come back with them (Chains.columns), so a block's tables are built
-without reading the SubTask objects back.
+come back with them, so a block's tables are built without reading the
+SubTask objects back.
 """
 
 from __future__ import annotations
@@ -120,26 +120,17 @@ def generate_task(rng_seed: int | np.random.Generator, cfg: ScenarioConfig,
     return tuple(subtasks)
 
 
-class Chains(list):
-    """decode_tasks' result: each row's chain, or None where generate_task
-    must draw it. columns holds the N x V arrays the chains were built
-    from, the fields each SubTask holds: the category code (an index into
-    the upload, download, compute order), d_in, d_out, rho and out_rank.
-    A None row's columns hold no chain."""
-
-    def __init__(self, chains: list[TaskGraph | None], columns: tuple[np.ndarray, ...]):
-        super().__init__(chains)
-        self.columns = columns
-
-
-def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig,
-                 library: tuple[float, ...]) -> Chains:
+def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig, library: tuple[float, ...],
+                 ) -> tuple[list[TaskGraph | None], tuple[np.ndarray, ...]]:
     """generate_task for each row of N x 4V raw PCG64 outputs, decoded as arrays.
 
     Row i holds the first 4V outputs of a generator in the state that row's
     generate_task call would start from. Its chain equals that call's, float
     for float, or is None where the draw rejects a rank word or redraws a
-    zero rho; the caller then draws that row with generate_task.
+    zero rho; the caller then draws that row with generate_task. The N x V
+    columns the chains were built from come with them, the fields each
+    SubTask holds: the category code (an index into the upload, download,
+    compute order), d_in, d_out, rho and out_rank. A None row's hold no chain.
     """
     cdf = np.array(_category_cdf((cfg.mix_upload, cfg.mix_download, cfg.mix_compute)))
     n, v, ranks = len(raw), cfg.num_subtasks, cfg.num_ranks
@@ -186,4 +177,4 @@ def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig,
     tasks = [tuple(map(SubTask, map(_CATEGORIES.__getitem__, chain[0]), *chain[1:]))
              if ok else None
              for ok, *chain in zip(exact.tolist(), *(c.tolist() for c in columns))]
-    return Chains(tasks, columns)
+    return tasks, columns

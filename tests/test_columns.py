@@ -102,12 +102,12 @@ def test_a_block_with_rows_left_to_generate_task_matches(monkeypatch, name, give
     plain = scenario.decode_tasks
 
     def decode(raw, cfg, library):
-        chains = plain(raw, cfg, library)
+        chains, columns = plain(raw, cfg, library)
         for row in given_up:
             chains[row] = None
-            for column in chains.columns:
+            for column in columns:
                 column[row] = -1 if column.dtype.kind == "i" else np.nan
-        return chains
+        return chains, columns
 
     monkeypatch.setattr(scenario, "decode_tasks", decode)
     scen = replace(default_config().scenario, **SCENARIOS[name])

@@ -1,15 +1,16 @@
 """Block seeding against numpy's own SeedSequence and PCG64 seeding.
 
-A stream seeds a block of episodes with `seeding`'s uint32-array
-re-implementation of numpy's algorithm, then loads each episode's states
-into generators it reuses, and decodes the block's task chains from raw
-output. Every block takes this path, whatever its length. The reference
-is numpy itself, through conftest's reference_stream_rng: every
-generator state must match, and every episode drawn in a block must
-equal the one drawn alone by episode_state, which numpy seeds and
-generate_task draws.
+A stream hashes a block of episodes' keys with `seeding`'s uint32-array
+re-implementation of numpy's SeedSequence, lets numpy seed fresh PCG64
+generators for each episode from the hashed words (`seeding.Key`), and
+decodes the block's task chains from raw output. Every block takes this
+path, whatever its length. The reference is numpy itself, through
+conftest's reference_stream_rng: every generator state must match, and
+every episode drawn in a block must equal the one drawn alone by
+episode_state, which numpy seeds and generate_task draws.
 """
 
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -42,13 +43,18 @@ def _reference_states(mode: str, seed: int, ids) -> list[tuple[dict, ...]]:
             for e in ids]
 
 
+def _block_states(mode: str, seed: int, ids) -> list[tuple[dict, ...]]:
+    """The state numpy's PCG64 takes from each key of each episode of a block."""
+    return [tuple(np.random.PCG64(key).state for key in keys)
+            for keys in scenario._block_rng_states(_scen(mode), seed, ids)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=INTS, ids=st.lists(INTS, min_size=1, max_size=12),
        mode=st.sampled_from(["fixed", "orbit"]))
 @example(seed=2**100, ids=[0, 2**32, 2**64, 2**100], mode="orbit")  # 5 to 8 words a key
 def test_block_states_match_numpy_for_any_key(seed, ids, mode):
-    assert scenario._block_rng_states(_scen(mode), seed, ids) == \
-        _reference_states(mode, seed, ids)
+    assert _block_states(mode, seed, ids) == _reference_states(mode, seed, ids)
 
 
 @settings(max_examples=10, deadline=None)
@@ -59,8 +65,7 @@ def test_block_states_match_numpy_for_any_key(seed, ids, mode):
 @example(size=40, first=2**32 - 20, seed=SEED)  # one block, ids of one and two words
 def test_block_states_match_numpy_at_every_block_size(size, first, seed):
     ids = range(first, first + size)
-    assert scenario._block_rng_states(_scen("orbit"), seed, ids) == \
-        _reference_states("orbit", seed, ids)
+    assert _block_states("orbit", seed, ids) == _reference_states("orbit", seed, ids)
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,8 +77,21 @@ def test_task_second_pass_matches_default_rng(task_seeds):
     the block seeder hashes every one as (low, high) words."""
     entropy = np.array([[t & 0xFFFFFFFF for t in task_seeds], [t >> 32 for t in task_seeds]],
                        dtype=np.uint32)
-    assert seeding.pcg64_states(seeding.generate_state(entropy, 8)) == \
+    words = np.ascontiguousarray(seeding.generate_state(entropy, 8).T)
+    assert [np.random.PCG64(seeding.Key(w)).state for w in words] == \
         [np.random.default_rng(t).bit_generator.state for t in task_seeds]
+
+
+def test_key_answers_only_the_request_pcg64_makes():
+    words = np.random.SeedSequence(7).generate_state(8)
+    key = seeding.Key(words)
+    assert key.generate_state(4, np.uint64).tolist() == \
+        np.random.SeedSequence(7).generate_state(4, np.uint64).tolist()
+    for n_words, dtype in [(8, np.uint32), (4, np.uint32), (2, np.uint64), (624, np.uint32)]:
+        with pytest.raises(ValueError, match="PCG64 only"):
+            key.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="PCG64 only"):
+        np.random.MT19937(key)  # asks for 624 uint32 words
 
 
 @pytest.mark.parametrize("bad", [-1, -2**32, -2**70])
@@ -96,6 +114,19 @@ def test_negative_seed_or_episode_raises_value_error(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [1.5, np.float64(3.0), 2**32 + 0.5])
+def test_non_integer_episode_id_raises_type_error(bad):
+    """A float id must not be truncated to an episode the caller never named."""
+    scen = _scen("orbit")
+    library = make_library(scen, 1)
+    named = f"episode id {bad!r} is not an integer"
+    for ids in ([bad], [bad, 2], [2, bad], list(range(BLOCK_STATES)) + [bad]):
+        with pytest.raises(TypeError, match=re.escape(named)):
+            list(episode_states(scen, 1, ids, library))
+    with pytest.raises(TypeError):
+        episode_state(scen, 1, bad, library)  # seeded by numpy
+
+
 @lru_cache(maxsize=None)
 def _drawn_alone(mode: str, num_subtasks: int) -> tuple:
     scen = _scen(mode, num_subtasks)
@@ -107,8 +138,8 @@ def _drawn_alone(mode: str, num_subtasks: int) -> tuple:
 @pytest.mark.parametrize("num_subtasks", [1, 6, 9])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16, 17, 31, 32, 255, 256, 257, 300])
 def test_stream_equals_episodes_drawn_alone(mode, num_subtasks, n):
-    """Reused generators carry nothing from one episode, or block, to the next:
-    not the uint32 left buffered by ``integers``, not a skipped orbit stream."""
+    """Nothing passes from one episode, or block, to the next: not the uint32
+    left buffered by ``integers``, not a skipped orbit stream."""
     scen = _scen(mode, num_subtasks)
     alone = list(_drawn_alone(mode, num_subtasks)[:n])
     assert [state for _, state in episode_stream(scen, SEED, n)] == alone
@@ -165,18 +196,18 @@ def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix,
 ], ids=["first", "last", "all", "only-row", "ends-of-two-blocks"])
 def test_rows_the_decoder_gives_up_on_equal_episodes_drawn_alone(monkeypatch, mode, n,
                                                                   given_up):
-    """A row decode_tasks leaves as None is drawn by generate_task from the
-    restored task state, and the rows around it are not disturbed."""
+    """A row decode_tasks leaves as None is drawn by generate_task from a
+    fresh generator on its task key, and the rows around it are not disturbed."""
     plain_decode, plain_generate = scenario.decode_tasks, scenario.generate_task
     dropped, generated = [], []
 
     def decode(raw, cfg, library):
-        tasks = plain_decode(raw, cfg, library)
+        tasks, columns = plain_decode(raw, cfg, library)
         rows = given_up(list(range(len(tasks))))
         for row in rows:
             tasks[row] = None
         dropped.extend(rows)
-        return tasks
+        return tasks, columns
 
     def generate(*args):
         generated.append(args)

@@ -191,7 +191,7 @@ def test_decode_masks_exactly_the_rows_it_cannot_decode():
     # two computes: the first rank reads a kept low word, the second the buffered 0
     raw[2, 0], raw[2, 4] = pick_compute, pick_compute
     raw[2, 1] = (raw[2, 1] & np.uint64(MASK32)) | np.uint64(1)
-    tasks = decode_tasks(raw, cfg, LIBRARY)
+    tasks, _ = decode_tasks(raw, cfg, LIBRARY)
     assert [i for i, task in enumerate(tasks) if task is None] == [0, 1, 2]
     for task, state in list(zip(tasks, states))[3:]:
         bits = np.random.PCG64()
