@@ -1,11 +1,16 @@
 """On-board content cache: Zipf request popularity and two eviction policies.
 
 The cache indexes items by popularity rank (1 = most requested). State is
-immutable: an offer edits plain lists and returns one new CacheState. The
-two policies share that loop and differ only in the victim's key. Each
-pass re-sums the held sizes, a left fold in rank order, through one
-sum(itertools.compress(sizes, placement)): a running total drifts,
-because float subtraction does not undo addition.
+immutable: an offer edits plain lists of the placement and recency and
+returns one new CacheState. The two policies share that loop and differ
+only in the victim's key. Each pass re-sums the held sizes, a left fold
+in rank order, through one sum(itertools.compress(sizes, placement)): a
+running total drifts, because float subtraction does not undo addition.
+The offered state is built without rerunning CacheState's checks: each
+of its fields is copied from the checked input or has the input's
+length, so they hold by construction. An offer of the size already
+stored keeps the input's sizes tuple, as every offer of a library-sized
+output does.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ class CacheState:
         return len(self.sizes)
 
     def __post_init__(self):
-        # runs once per accepted offer, so it stays O(1) and never scans sizes
+        # O(1), never scanning sizes; offers skip it (_offered), since they
+        # copy a checked state's fields
         n = len(self.sizes)
         if len(self.placement) != n or len(self.recency) != n:
             raise ValueError("placement and recency must match sizes in length")
@@ -87,17 +93,35 @@ def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
         log.debug("rejecting rank %d: %s bytes exceeds capacity %s",
                   rank, nbytes, cache.capacity_bytes)
         return cache
-    sizes, placement, recency = list(cache.sizes), list(cache.placement), list(cache.recency)
-    sizes[rank - 1] = float(nbytes)
+    size, sizes = float(nbytes), cache.sizes
+    stored = sizes[rank - 1]
+    # repr keeps -0.0 apart from 0.0 and 1 apart from 1.0, which == does not
+    if not (type(stored) is float and stored == size
+            and math.copysign(1.0, stored) == math.copysign(1.0, size)):
+        sizes = sizes[:rank - 1] + (size,) + sizes[rank:]
+    placement, recency = list(cache.placement), list(cache.recency)
     placement[rank - 1] = 1
     recency[rank - 1] = cache.clock
     while sum(itertools.compress(sizes, placement)) > cache.capacity_bytes:
         victim = min((r for r in range(1, len(sizes) + 1) if placement[r - 1]),
                      key=lambda r: key(recency, r))
         placement[victim - 1] = 0
-    return CacheState(sizes=tuple(sizes), placement=tuple(placement),
-                      capacity_bytes=cache.capacity_bytes, delta=cache.delta,
-                      recency=tuple(recency), clock=cache.clock + 1)
+    return _offered(cache, sizes, tuple(placement), tuple(recency))
+
+
+def _offered(cache: CacheState, sizes: tuple[float, ...], placement: tuple[int, ...],
+             recency: tuple[int, ...]) -> CacheState:
+    """cache after one accepted offer, its instance dict filled directly.
+
+    Skips the frozen dataclass's __init__ and __post_init__: capacity and
+    delta are copied from cache, which passed them, and sizes, placement
+    and recency keep cache's length.
+    """
+    offered = object.__new__(CacheState)
+    vars(offered).update(sizes=sizes, placement=placement,
+                         capacity_bytes=cache.capacity_bytes, delta=cache.delta,
+                         recency=recency, clock=cache.clock + 1)
+    return offered
 
 
 def evict_mrc(cache: CacheState, rank: int, nbytes: float) -> CacheState:

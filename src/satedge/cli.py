@@ -132,13 +132,17 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
     The draws do not depend on the cache, so each carried state keeps the
-    Tables row its draw tabulated. Each state is labelled by label_states
-    and acted on as a block of one, since its action sets the next cache;
-    its demonstration takes the state's own episode id.
+    Tables row its draw tabulated. Each state is acted on as a block of
+    one, since its action sets the next cache. oracle and docs read the
+    demonstrations, so they label each state before acting on it, and its
+    demonstration takes the state's own episode id; a baseline reads the
+    state alone, and its carried states, still consecutive rows of their
+    draw's blocks, are labelled in one label_states call at the end.
     """
     scen = cfg.scenario
     prices = prices_from(scen)
     drawn = [state for _, state in episode_stream(scen, seed, n)]
+    reads_demos = scheme in ("oracle", "docs")
     states: list[EpisodeState] = []
     demos: list[Demonstration] = []
     actions: list[np.ndarray] = []
@@ -146,13 +150,15 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
     for i, state in enumerate(drawn):
         if cache is not None:
             state = carry_cache(state, cache)
-        demo = replace(label_states([state], prices, scaler)[0], episode_id=i)
-        action = scheme_actions(scheme, model, [demo], [state], prices)
+        if reads_demos:
+            demos.append(replace(label_states([state], prices, scaler)[0], episode_id=i))
+        action = scheme_actions(scheme, model, demos[-1:], [state], prices)
         states.append(state)
-        demos.append(demo)
         actions.append(action)
         cache = apply_caching_action(state.cache, state.task,
                                      tuple(PAIR_CACHE[action[0]].tolist()), eviction)
+    if not reads_demos:
+        demos = label_states(states, prices, scaler)
     return states, demos, np.concatenate(actions)
 
 

@@ -9,11 +9,12 @@ Scoring runs on whole streams: each scheme's actions are one N x V array
 of PAIRS indices (the labels, the batched forward pass decoded in one
 projection, or a baseline built for the block), and action_report scores
 them through evaluator.score. Only a baseline's retention replay runs per
-state; a persistent rollout calls these on blocks of one state.
+state; a persistent rollout acts on blocks of one state.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,13 +149,19 @@ def action_report(actions: np.ndarray, demos: list[Demonstration],
         raise ValueError("actions, demos, and states must align")
     rewards, times = score(states, actions, prices)
     bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
-    same = bits == np.array([d.labels for d in demos])
+    n, width = bits.shape
+    for k, demo in enumerate(demos):
+        if len(demo.labels) != width:
+            raise ValueError(f"demonstration {k} holds {len(demo.labels)} label bits "
+                             f"where its action has {width}")
+    labels = np.fromiter(itertools.chain.from_iterable(d.labels for d in demos),
+                         dtype=np.intp, count=n * width).reshape(n, width)
+    same = bits == labels
     sum_reward = sum_time = sum_opt = 0.0
     for cost, seconds, demo in zip(rewards, times, demos):
         sum_reward += cost
         sum_time += seconds
         sum_opt += demo.opt_reward
-    n = len(actions)
     return {
         "exact_match": int(same.all(axis=1).sum()) / n,
         "per_bit_acc": int(same.sum()) / same.size,

@@ -17,14 +17,17 @@ builds a block of one. Scoring runs on the same blocks: score checks an
 N x V array of pair indices against the block's feasible patterns and
 gathers each state's cost and seconds at its own hits and pairs, folded
 over the chain one N-vector add per sub-task. reward and completion_time
-are its one-state forms. Hits are never stored on a block: Tables.hits
-gathers them from each state's own cache, so a state whose cache is
-swapped (carry_cache, a persistent rollout's carried cache) keeps its
-table row. A state memoises its Tables row and the retention bits of
-each cache kind (retained, filled by policies.baseline_cache), so every
-scheme scored on one state reads one replay per kind. Both are cached
-properties, not fields, so ==, hash and replace ignore them; a replaced
-state derives its own.
+are its one-state forms. Hits are not part of a block's tables:
+Tables.hits gathers them from each state's own cache, so a state whose
+cache is swapped (carry_cache, a persistent rollout's carried cache)
+keeps its table row. A block keeps only its last hits, with the cache
+objects they were judged against, so labelling, each scored scheme and
+each greedy baseline on one stream build a block's hits once. A state
+memoises its Tables row and the retention bits of each cache kind
+(retained, filled by policies.baseline_cache), so every scheme scored
+on one state reads one replay per kind. Both are cached properties, not
+fields, so ==, hash and replace ignore them; a replaced state derives
+its own.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -34,6 +37,7 @@ re-pin charge count.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -213,9 +217,10 @@ class Tables:
     gathered first. seconds[n, v, h, p] is the time of sub-task v of
     state n under PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its
     output, and pattern[n, v] indexes FEASIBLE with that sub-task's
-    feasible pairs. Nothing here reads a state's cache, so a state whose
-    cache is swapped (carry_cache) keeps its row; hits(rows, states) picks
-    h from each state's own cache. Every state of a block has the same
+    feasible pairs. Nothing but hits reads a state's cache, so a state
+    whose cache is swapped (carry_cache) keeps its row; hits(rows, states)
+    picks h from each state's own cache, and keeps its last result only
+    for the same caches. Every state of a block has the same
     number V of sub-tasks. costs(prices) prices the block once per price
     vector, +inf on the infeasible pairs. The time and feasibility
     formulas live here only, and the cost formula in _pair_cost:
@@ -263,17 +268,28 @@ class Tables:
         self.pattern = (2 * code + (back < t_c))[:, :, 0]
         self._cost_terms = (zeta[..., None], d_in[..., None], d_out[..., None])
         self._costs: dict[PriceVector, np.ndarray] = {}
+        self._hits: tuple = (None, [], None)  # hits' last (rows, caches, result)
 
     def hits(self, rows: slice, states: Sequence[EpisodeState]) -> np.ndarray:
         """The N x V cache hits of states, rows `rows` of this block, each
         judged against its own cache: one gather of the output ranks from the
         N x (1 + R) placement matrix, whose column 0 (rank 0, no output) is
-        never a hit. Never stored here, since carry_cache swaps a state's
-        cache and keeps its row. Every cache needs the same number R of ranks
-        and every output rank must lie in 0..R; ValueError names the first
-        state, and sub-task, that breaks either."""
+        never a hit. Every cache needs the same number R of ranks and every
+        output rank must lie in 0..R; ValueError names the first state, and
+        sub-task, that breaks either.
+
+        The last result is kept with the rows and the cache objects it
+        judged, and returned again, read-only, while both are the same: the
+        same slice and, compared by identity, the same caches (CacheState is
+        immutable). A state whose cache is swapped (carry_cache) keeps its
+        row but not its hits."""
+        caches = [state.cache for state in states]
+        last_rows, last_caches, last = self._hits
+        if rows == last_rows and len(caches) == len(last_caches) \
+                and all(map(operator.is_, caches, last_caches)):
+            return last
         rank = self.columns.rank[rows]
-        placements = [state.cache.placement for state in states]
+        placements = [cache.placement for cache in caches]
         width = len(placements[0])
         if len(set(map(len, placements))) > 1:
             n = next(n for n, placement in enumerate(placements) if len(placement) != width)
@@ -288,7 +304,10 @@ class Tables:
         held = np.zeros((len(states), 1 + width), dtype=bool)
         held[:, 1:] = np.frombuffer(bytes(itertools.chain.from_iterable(placements)),
                                     dtype=np.uint8).reshape(len(states), width) == 1
-        return np.take_along_axis(held, rank, axis=1)
+        hits = np.take_along_axis(held, rank, axis=1)
+        hits.flags.writeable = False
+        self._hits = (rows, caches, hits)
+        return hits
 
     def costs(self, prices: PriceVector) -> np.ndarray:
         """N x V x 2 x 4 cost of every pair at prices, laid out like seconds,

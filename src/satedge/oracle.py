@@ -11,9 +11,10 @@ lexicographically smallest pick (prefer local, prefer not caching).
 
 block_argmin applies that rule to every state of a block at once, and
 label_states labels any sequence of states through it, block by block:
-a stream in blocks of BLOCK_STATES, a persistent rollout, whose next
-state depends on this one's action, in blocks of one. solve_optimal is
-block_argmin on a block of one.
+a stream in blocks of BLOCK_STATES, and so the carried states of a
+baseline's persistent rollout; under oracle and docs, whose next state
+depends on an action read from this one's labels, a rollout labels in
+blocks of one. solve_optimal is block_argmin on a block of one.
 """
 
 from __future__ import annotations

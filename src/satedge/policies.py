@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .caching import apply_caching_action, is_hit
+from .caching import apply_caching_action
 from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, at_hits,
                         pair_index, table_runs)
 
@@ -41,13 +41,16 @@ def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
     the episode's starting placement; a_ch[v] = 1 iff sub-task v's rank is
     still resident afterwards. Coverage is not consulted: projection pins
     the bit of a sub-task whose result must be cached. The replay runs
-    once per (state, kind); later calls read state.retained.
+    once per (state, kind); later calls read state.retained. The bits are
+    read from the replay's final placement: every rank read there was
+    offered, and so range-checked, by the replay.
     """
     bits = state.retained.get(kind)
     if bits is None:
-        cache = apply_caching_action(state.cache, state.task, (1,) * len(state.task), kind)
+        placement = apply_caching_action(state.cache, state.task, (1,) * len(state.task),
+                                         kind).placement
         bits = state.retained[kind] = tuple(
-            int(st.d_out > 0.0 and is_hit(cache, st.out_rank)) for st in state.task)
+            int(st.d_out > 0.0 and placement[st.out_rank - 1] == 1) for st in state.task)
     return bits
 
 

@@ -97,6 +97,8 @@ def key_state(seed: int, ids: Sequence[int], tags: Sequence[int],
     sees only the concatenated words of a key, so keys are hashed
     together in groups of equal word count.
     """
+    if not isinstance(seed, (int, np.integer)):  # _int_words' bit masks need one
+        raise TypeError(f"run seed {seed!r} is not an integer")
     head = _int_words(seed)
     for e in ids:  # the uint32 cast below would truncate a float
         if not isinstance(e, (int, np.integer)):

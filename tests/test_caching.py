@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,3 +224,27 @@ def test_eviction_matches_naive_reference(ops, capacity, delta):
         cache = (evict_mrc if policy == "mrc" else evict_mpc)(cache, rank, nbytes)
         expected = reference_evict(expected, rank, nbytes, policy)
         assert cache == expected
+
+
+# 0.0 and -0.0 compare and hash equal but print apart, and 1.0 is the size
+# most ranks start at, so offers often repeat the stored size
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["mrc", "mpc"]),
+                          st.integers(min_value=1, max_value=8),
+                          st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0])),
+                max_size=30),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=8, max_size=8),
+       st.sampled_from([0.6, 1.0, 2.0]),
+       st.sampled_from([0.0, 1.0]))
+def test_offered_state_is_the_state_its_fields_construct(ops, sizes, capacity, delta):
+    # an offer builds its state without CacheState's __init__; it must still
+    # be the CacheState those fields make, down to repr and hash
+    cache = expected = empty_cache(tuple(sizes), capacity, delta)
+    for policy, rank, nbytes in ops:
+        cache = (evict_mrc if policy == "mrc" else evict_mpc)(cache, rank, nbytes)
+        expected = reference_evict(expected, rank, nbytes, policy)
+        built = CacheState(**{f.name: getattr(cache, f.name) for f in fields(CacheState)})
+        for state in (built, expected):
+            assert cache == state
+            assert hash(cache) == hash(state)
+            assert repr(cache) == repr(state)

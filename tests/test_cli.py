@@ -14,12 +14,16 @@ from pathlib import Path
 import pytest
 
 from satedge import evaluator, neural, oracle
-from satedge.cli import EVAL_SEED, main, run_compare, run_eval, run_gen_dataset
+from satedge.caching import apply_caching_action
+from satedge.cli import (EVAL_SEED, _persistent_rollout, main, run_compare, run_eval,
+                         run_gen_dataset)
 from satedge.config import default_config, load_config
+from satedge.evaluator import BLOCK_STATES, action_array
 from satedge.neural import FeatureScaler, feature_dim, init_model, save_model
-from satedge.scenario import episode_stream
+from satedge.policies import BASELINE_PAIRS
+from satedge.scenario import episode_stream, prices_from
 
-from conftest import feasible_of
+from conftest import feasible_of, reference_baseline_policy, reference_label_states
 
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
@@ -149,6 +153,34 @@ def test_eval_persistent_cache_mode(tmp_path, tiny_cfg):
     assert rc == 0
     row = _rows(out / "metrics.csv")[0]
     assert row["cache_mode"] == "persistent"
+
+
+@pytest.mark.parametrize("offload_kind, cache_kind", BASELINE_PAIRS)
+def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, cache_kind):
+    # a cache of 5 % of the library evicts on carried offers, and the stream
+    # spans two draw blocks, which the rollout labels once it has acted
+    cfg = default_config()
+    cfg = replace(cfg, scenario=replace(cfg.scenario, capacity_fraction=0.05))
+    scen, n, seed = cfg.scenario, BLOCK_STATES + 4, 5
+    prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
+    states, demos, actions = _persistent_rollout(
+        cfg, seed, n, f"{offload_kind}-{cache_kind}", None, scaler, cache_kind)
+    # the reference carries the cache, labels each state alone with the
+    # scalar solver and encoder, then acts on it
+    cache, evicted = None, 0
+    for i, (_, drawn) in enumerate(episode_stream(scen, seed, n)):
+        state = drawn if cache is None else replace(drawn, cache=cache)
+        ref, = reference_label_states([state], prices, scaler)
+        action = reference_baseline_policy(offload_kind, cache_kind, state, prices)
+        assert states[i] == state
+        assert (demos[i].episode_id, demos[i].labels) == (i, ref.labels)
+        assert demos[i].opt_reward.hex() == ref.opt_reward.hex()
+        assert demos[i].features.tobytes() == ref.features.tobytes()
+        assert actions[i].tolist() == action_array([action])[0].tolist()
+        cache = apply_caching_action(state.cache, state.task, action.cache, cache_kind)
+        evicted += any(a > b for a, b in zip(state.cache.placement, cache.placement))
+    assert len(demos) == len(actions) == n
+    assert evicted > 0
 
 
 def test_compare_ranks_all_schemes(tmp_path, tiny_cfg, capsys):
@@ -476,11 +508,14 @@ def _count_tables(monkeypatch):
     ["eval", "--policy", "docs"],
     ["eval", "--policy", "docs", "--cache-mode", "persistent"],
     ["compare"],
+    ["eval", "--policy", "go-mrc", "--cache-mode", "persistent"],
 ])
 def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, argv):
-    # fresh streams are labelled in blocks; a persistent rollout labels each
-    # state as a block of one, since its action sets the next state's cache
-    per_state = "persistent" in argv
+    # fresh streams are labelled in blocks; a persistent oracle or docs
+    # rollout labels each state as a block of one, since its action, read
+    # from the labels, sets the next state's cache; a baseline acts on the
+    # states alone, so its rollout labels them in one block at the end
+    per_state = "persistent" in argv and argv[2] in ("oracle", "docs")
     model = _untrained_model(tmp_path / "model.txt", 6)
     if "oracle" not in argv:
         argv = argv + ["--model", str(model)]

@@ -175,6 +175,16 @@ def test_action_report_rejects_misaligned_lists(prices):
         action_report(acts, demos[:-1], states, prices)
 
 
+@pytest.mark.parametrize("width", [1, 11, 13])
+def test_action_report_rejects_labels_of_another_width(prices, width):
+    # one label bit would broadcast against every bit of its action
+    _, demos, states = _demos_and_states(10)
+    acts = oracle_actions(demos)
+    demos[4] = dataclasses.replace(demos[4], labels=demos[4].labels[:1] * width)
+    with pytest.raises(ValueError, match=f"demonstration 4 holds {width} label bits"):
+        action_report(acts, demos, states, prices)
+
+
 def test_trained_policy_beats_uninformed_decoder(prices):
     _, demos, states = _demos_and_states(2000)
     cfg = _tiny_train_cfg(hidden_width=128, max_epochs=50, patience=50)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector, Tables,
-                               completion_time, feasible_actions, pair_index, reward,
-                               score, subtask_cost)
+                               carry_cache, completion_time, feasible_actions, pair_index,
+                               reward, score, subtask_cost)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
 from satedge.workload import Category
@@ -142,6 +142,25 @@ def test_hits_refuse_a_block_of_caches_with_unequal_rank_counts(prices):
         Tables([short, long]).hits(slice(0, 2), [short, long])
     with pytest.raises(ValueError, match="state 1: its cache holds 40 ranks"):
         score([short, long], np.zeros((2, 1), dtype=np.intp), prices)
+
+
+def test_hits_follow_each_states_cache_and_are_read_only():
+    states = [state for _, state in episode_stream(default_config().scenario, 4, 12)]
+    table, _ = states[0].tables
+    rows = slice(0, len(states))
+    hits = table.hits(rows, states)
+    assert hits.tolist() == [list(reference_hits(s)) for s in states]
+    assert table.hits(rows, list(states)) is hits  # the same caches: reused
+    with pytest.raises(ValueError):
+        hits[0, 0] = not hits[0, 0]
+    # every placement bit flipped: each output rank's hit flips, and the
+    # carried states keep their rows
+    carried = [carry_cache(s, replace(s.cache, placement=tuple(1 - b for b in s.cache.placement)))
+               for s in states]
+    fresh = table.hits(rows, carried)
+    assert fresh.tolist() == [list(reference_hits(s)) for s in carried]
+    assert (fresh != hits).any()
+    assert table.hits(slice(1, 2), states[1:2]).tolist() == [list(reference_hits(states[1]))]
 
 
 def test_hits_refuse_an_output_rank_past_its_cache(prices):

@@ -127,6 +127,19 @@ def test_non_integer_episode_id_raises_type_error(bad):
         episode_state(scen, 1, bad, library)  # seeded by numpy
 
 
+@pytest.mark.parametrize("bad", [1.5, np.float64(3.0)])
+def test_non_integer_run_seed_raises_type_error(bad):
+    """A block draw names a seed that is not an integer, as it names an id."""
+    scen = _scen("orbit")
+    library = make_library(scen, 1)
+    named = f"run seed {bad!r} is not an integer"
+    for ids in ([1], [1, 2], list(range(BLOCK_STATES + 1))):
+        with pytest.raises(TypeError, match=re.escape(named)):
+            list(episode_states(scen, bad, ids, library))
+    with pytest.raises(TypeError, match="seed must be integer"):
+        episode_state(scen, bad, 1, library)  # seeded by numpy
+
+
 @lru_cache(maxsize=None)
 def _drawn_alone(mode: str, num_subtasks: int) -> tuple:
     scen = _scen(mode, num_subtasks)
