@@ -72,12 +72,6 @@ def request_probability(rank: int, delta: float, num_ranks: int) -> float:
     return zipf_pmf(delta, num_ranks)[rank - 1]
 
 
-def is_hit(cache: CacheState, rank: int) -> bool:
-    if not 1 <= rank <= cache.num_ranks:
-        raise ValueError(f"rank {rank} outside [1, {cache.num_ranks}]")
-    return cache.placement[rank - 1] == 1
-
-
 def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
                      key: Callable[[list[int], int], object]) -> CacheState:
     """Insert rank, then drop the held rank r of least key(recency, r) until it fits.

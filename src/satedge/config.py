@@ -1,8 +1,9 @@
 """Dataclass configs and the flat key=value config file format.
 
 A config file is plain text, one ``key = value`` pair per line, ``#``
-starts a comment. Keys are the dataclass field names below; every key
-has a default, so an empty (or absent) file is a valid config.
+starts a comment. Keys are the dataclass field names below, each set at
+most once, under its name or an alias; every key has a default, so an
+empty (or absent) file is a valid config.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def load_config(path: str | Path | None) -> SimConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     smap, tmap = _field_map(cfg.scenario), _field_map(cfg.train)
+    set_on: dict[str, int] = {}  # field name -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,6 +141,10 @@ def load_config(path: str | Path | None) -> SimConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = _KEY_ALIASES.get(key, key)
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is set twice, "
+                              f"on lines {set_on[key]} and {lineno}")
+        set_on[key] = lineno
         try:
             if key in smap:
                 setattr(cfg.scenario, key, smap[key](value))

@@ -2,27 +2,27 @@
 
 Every random quantity derives from (run seed, episode index, stream tag)
 through SeedSequence, so any episode can be regenerated in isolation and
-two runs with the same seed agree byte-for-byte. A stream hashes its
-episodes' keys in blocks: `seeding` re-implements numpy's SeedSequence
-hashing bit for bit over a block's keys at once, and numpy seeds a fresh
-PCG64 for each stream of each episode from its key's words. A block's
-task chains are not drawn one numpy call per number: each episode's
-first 4V raw PCG64 outputs are read with one ``random_raw`` call, and
-`workload.decode_tasks` decodes the whole block as arrays, following how
-numpy's Generator consumes raw output (doubles, the buffered 32-bit half
-that rank draws share, Lemire's rejection test). The rare rows it cannot
-decode exactly, a rejected rank word or a zero compute rho, are drawn
-again by generate_task from a fresh generator on their task key. Only a
-lone episode_state call is keyed by numpy's own SeedSequence and drawn
-by generate_task: the spec every block is tested against. A block is
-drawn whole before its first state is yielded, and its evaluator.Tables
-is built from the columns decode_tasks decoded (category codes, sizes,
-rho and ranks) and the t_c, link and cpu_rate of each drawn state; a
-block holding a row left to generate_task gathers its columns from the
-objects instead. Hits are not part of those columns: they always come
-from a state's own cache. The content library (bytes per popularity
-rank) is drawn once per run and shared by all episodes, which keeps
-cache capacity accounting coherent.
+two runs with the same seed agree byte-for-byte. An episode's keys, drawn
+alone or in a block, are hashed by `seeding`, which re-implements numpy's
+SeedSequence hashing bit for bit over a block's keys at once, and numpy
+seeds a fresh PCG64 for each stream of each episode from its key's words.
+A block's task chains are not drawn one numpy call per number: each
+episode's first 4V raw PCG64 outputs are read with one ``random_raw``
+call, and `workload.decode_tasks` decodes the whole block as arrays,
+following how numpy's Generator consumes raw output (doubles, the
+buffered 32-bit half that rank draws share, Lemire's rejection test).
+A lone episode_state call, and the rare block row decode_tasks cannot
+decode exactly (a rejected rank word or a zero compute rho), draws its
+chain by generate_task from a fresh generator on its task key. A block
+is drawn whole before its first state is yielded, and its
+evaluator.Tables is built from the columns decode_tasks decoded
+(category codes, sizes, rho and ranks) and the t_c, link and cpu_rate of
+each drawn state; a block holding a row left to generate_task gathers
+its columns from the objects instead. Hits are not part of those
+columns: they always come from a state's own cache. The content library
+(bytes per popularity rank) is drawn once per run, from numpy's own
+SeedSequence, and shared by all episodes, which keeps cache capacity
+accounting coherent.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ if TYPE_CHECKING:
 _TASK, _LINK, _PLACE, _ORBIT, _LIBRARY = 0, 1, 2, 3, 9
 
 
-def _rng(seed: int, episode: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, episode, tag)))
-
-
-def _task_seed(seed: int, episode: int) -> int:
-    words = np.random.SeedSequence((seed, episode, _TASK)).generate_state(2)
-    return (int(words[0]) << 32) | int(words[1])
-
-
 def prices_from(cfg: ScenarioConfig) -> PriceVector:
     return PriceVector(comp=cfg.price_comp, comm=cfg.price_comm,
                        cache=cfg.price_cache, cpl=cfg.price_cpl)
@@ -61,7 +52,9 @@ def prices_from(cfg: ScenarioConfig) -> PriceVector:
 
 def make_library(cfg: ScenarioConfig, seed: int) -> tuple[float, ...]:
     """Bytes per popularity rank, fixed for the whole run."""
-    rng = _rng(seed, 0, _LIBRARY)
+    from . import seeding  # imported here for the reason _block_rng_states gives
+    seeding.check_run_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, _LIBRARY)))
     sizes = rng.uniform(cfg.size_min_bytes, cfg.size_max_bytes, size=cfg.num_ranks)
     return tuple(float(s) for s in sizes)
 
@@ -119,25 +112,19 @@ def draw_coverage(cfg: ScenarioConfig, rng: np.random.Generator) -> float:
     return coverage_time(theta_m, params)
 
 
-def _numpy_rngs(cfg: ScenarioConfig, seed: int, episode: int,
-                ) -> tuple[np.random.Generator, ...]:
-    """An episode's task, link, placement and orbit generators, seeded by numpy."""
-    # fixed mode draws nothing, so it builds no orbit-stream generator
-    orbit = None if cfg.coverage_mode == "fixed" else _rng(seed, episode, _ORBIT)
-    return (np.random.default_rng(_task_seed(seed, episode)),
-            _rng(seed, episode, _LINK), _rng(seed, episode, _PLACE), orbit)
-
-
 def _block_rng_states(cfg: ScenarioConfig, seed: int,
                       ids: Sequence[int]) -> list[tuple[seeding.Key, ...]]:
-    """Each episode's PCG64 keys, in _numpy_rngs order, hashed as one block."""
+    """Each episode's task, link, placement and orbit PCG64 keys, hashed as one block.
+
+    Fixed coverage draws nothing from the orbit stream, so it gets no key.
+    """
     # imported here, not above: seeding imports numpy.random, which `import numpy`
     # leaves to first use, so `import satedge` does not pay for it
     from . import seeding
     tags = (_TASK, _LINK, _PLACE) + (() if cfg.coverage_mode == "fixed" else (_ORBIT,))
     words = seeding.key_state(seed, ids, tags, 8)
-    # _task_seed joins the task key's first two words high first, and
-    # default_rng splits that int back into words low first
+    # stream v1 joins the task key's first two words high first into one
+    # int, which default_rng hashes again split into words low first
     task = seeding.generate_state(words[0, 1::-1], 8)
     rows = (np.ascontiguousarray(w.T) for w in (task, *words[1:]))  # a key's 8 words each
     return list(zip(*(map(seeding.Key, w) for w in rows)))
@@ -149,23 +136,24 @@ def _generator(key: seeding.Key) -> np.random.Generator:
 
 def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
                   library: tuple[float, ...],
-                  rngs: tuple[np.random.Generator | None, ...] | None = None,
+                  keys: tuple[seeding.Key, ...] | None = None,
                   task: TaskGraph | None = None) -> EpisodeState:
     """Regenerate episode `episode` of the stream keyed by `seed`.
 
-    `rngs` are the episode's task, link, placement and orbit (None in
-    fixed coverage) generators, already seeded; by default numpy seeds
-    them here. `task`, when given, is the episode's chain, already drawn,
-    and the task generator is not read: it may be None.
+    `keys` are the episode's task, link, placement and, in orbit coverage,
+    orbit keys, as _block_rng_states returns them; by default they are
+    hashed here. Each stream draws from a fresh generator on its key.
+    `task`, when given, is the episode's chain, already drawn, and the
+    task key is not read.
     """
-    if rngs is None:
-        rngs = _numpy_rngs(cfg, seed, episode)
-    task_rng, link_rng, place_rng, orbit_rng = rngs
+    if keys is None:
+        (keys,) = _block_rng_states(cfg, seed, [episode])
+    task_key, link_key, place_key, *orbit_key = keys
     if task is None:
-        task = generate_task(task_rng, cfg, library)
-    link = draw_link(cfg, link_rng)
-    t_c = cfg.coverage_s if orbit_rng is None else draw_coverage(cfg, orbit_rng)
-    cache = random_placement(cfg, library, place_rng)
+        task = generate_task(_generator(task_key), cfg, library)
+    link = draw_link(cfg, _generator(link_key))
+    t_c = draw_coverage(cfg, _generator(orbit_key[0])) if orbit_key else cfg.coverage_s
+    cache = random_placement(cfg, library, _generator(place_key))
     return EpisodeState(task=task, t_c=t_c, link=link,
                         cpu_rate=cfg.cpu_rate_hz, cache=cache)
 
@@ -175,12 +163,11 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
     """The listed episodes of the stream keyed by `seed`, in order.
 
     Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
-    by one call to it. Ids are hashed in blocks of up to BLOCK_STATES, and
-    each episode gets fresh generators seeded from its keys. A block's task
-    chains are decoded from raw output before its first state, and the
-    whole block is drawn and tabulated before its first state is yielded:
-    its Tables is built from the columns decode_tasks decoded, so every
-    state already holds its row.
+    by one call to it, on the keys its block hashed. Ids are hashed in
+    blocks of up to BLOCK_STATES. A block's task chains are decoded from
+    raw output before its first state, and the whole block is drawn and
+    tabulated before its first state is yielded: its Tables is built from
+    the columns decode_tasks decoded, so every state already holds its row.
     """
     for start in range(0, len(episodes), BLOCK_STATES):
         ids = episodes[start:start + BLOCK_STATES]
@@ -188,12 +175,9 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
         raw = np.array([np.random.PCG64(keys[0]).random_raw(4 * cfg.num_subtasks)
                         for keys in block])
         chains, columns = decode_tasks(raw, cfg, library)
-        drawn = []
-        for e, (task_key, *keys), task in zip(ids, block, chains):
-            link, place, *orbit = map(_generator, keys)  # fixed mode seeds no orbit stream
-            task_rng = _generator(task_key) if task is None else None  # left to generate_task
-            rngs = (task_rng, link, place, orbit[0] if orbit else None)
-            drawn.append(episode_state(cfg, seed, e, library, rngs, task))
+        # a row decode_tasks gave up on is None: episode_state draws it
+        drawn = [episode_state(cfg, seed, e, library, keys, task)
+                 for e, keys, task in zip(ids, block, chains)]
         # a chain generate_task drew has no decoded columns: gather them all
         tabulate(drawn, None if None in chains else columns)
         yield from drawn

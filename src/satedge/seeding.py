@@ -89,6 +89,15 @@ def generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return np.array([_scramble(pool[i % _POOL], constants) for i in range(n_words)])
 
 
+def check_run_seed(seed) -> None:
+    """Raise TypeError unless `seed` is an int or numpy integer.
+
+    SeedSequence would take other types: it reads '7' as 7.
+    """
+    if not isinstance(seed, (int, np.integer)):  # _int_words' bit masks need one
+        raise TypeError(f"run seed {seed!r} is not an integer")
+
+
 def key_state(seed: int, ids: Sequence[int], tags: Sequence[int],
               n_words: int) -> np.ndarray:
     """SeedSequence((seed, e, tag)).generate_state(n_words) for every tag and id.
@@ -97,8 +106,7 @@ def key_state(seed: int, ids: Sequence[int], tags: Sequence[int],
     sees only the concatenated words of a key, so keys are hashed
     together in groups of equal word count.
     """
-    if not isinstance(seed, (int, np.integer)):  # _int_words' bit masks need one
-        raise TypeError(f"run seed {seed!r} is not an integer")
+    check_run_seed(seed)
     head = _int_words(seed)
     for e in ids:  # the uint32 cast below would truncate a float
         if not isinstance(e, (int, np.integer)):

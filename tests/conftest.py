@@ -5,15 +5,16 @@ from typing import Iterable, Sequence
 import numpy as np
 import pytest
 
-from satedge.caching import CacheState, apply_caching_action, is_hit, request_probability
+from satedge.caching import CacheState, apply_caching_action, request_probability
 from satedge.channel import LinkState, transmit_time
 from satedge.config import ScenarioConfig, default_config
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
                                reward)
 from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
 from satedge.oracle import Demonstration
-from satedge.scenario import library_capacity, prices_from
-from satedge.workload import SubTask, Category, TaskGraph
+from satedge.scenario import (draw_coverage, draw_link, library_capacity, prices_from,
+                              random_placement)
+from satedge.workload import SubTask, Category, TaskGraph, generate_task
 
 
 @pytest.fixture
@@ -42,6 +43,13 @@ def empty_cache(sizes: tuple[float, ...], capacity_bytes: float, delta: float) -
 def cached_bytes(cache: CacheState) -> float:
     """Bytes the cache holds, summed in rank order."""
     return sum(itertools.compress(cache.sizes, cache.placement))
+
+
+def is_hit(cache: CacheState, rank: int) -> bool:
+    """Whether the cache holds popularity rank `rank` (1-based)."""
+    if not 1 <= rank <= cache.num_ranks:
+        raise ValueError(f"rank {rank} outside [1, {cache.num_ranks}]")
+    return cache.placement[rank - 1] == 1
 
 
 def make_cache(num_ranks=30, capacity=1e9, placed=(), delta=1.0, sizes=None):
@@ -397,6 +405,20 @@ def reference_stream_rng(seed: int, episode: int, tag: int) -> np.random.Generat
         words = np.random.SeedSequence((seed, episode, 0)).generate_state(2)
         return np.random.default_rng((int(words[0]) << 32) | int(words[1]))
     return np.random.default_rng(np.random.SeedSequence((seed, episode, tag)))
+
+
+def reference_episode_state(cfg: ScenarioConfig, seed: int, episode: int,
+                            library: tuple[float, ...]) -> EpisodeState:
+    """Episode `episode` drawn alone, each stream seeded by numpy (reference_stream_rng).
+
+    Fixed coverage draws nothing from the orbit stream (tag 3).
+    """
+    task = generate_task(reference_stream_rng(seed, episode, 0), cfg, library)
+    link = draw_link(cfg, reference_stream_rng(seed, episode, 1))
+    t_c = (cfg.coverage_s if cfg.coverage_mode == "fixed"
+           else draw_coverage(cfg, reference_stream_rng(seed, episode, 3)))
+    cache = random_placement(cfg, library, reference_stream_rng(seed, episode, 2))
+    return EpisodeState(task=task, t_c=t_c, link=link, cpu_rate=cfg.cpu_rate_hz, cache=cache)
 
 
 def reference_generate_task(rng_seed: int, cfg: ScenarioConfig,

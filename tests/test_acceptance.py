@@ -37,7 +37,7 @@ from satedge.oracle import (
     write_dataset,
 )
 from satedge.policies import BASELINE_PAIRS, baseline_policy
-from satedge.scenario import episode_state, episode_stream, make_library, orbit_params, prices_from
+from satedge.scenario import episode_states, episode_stream, make_library, orbit_params, prices_from
 
 from conftest import (cached_bytes, compute, download, empty_cache, gradient_check,
                       make_cache, make_state, solve_full_grid, upload)
@@ -61,8 +61,8 @@ def trained():
     train_s = time.perf_counter() - t1
     library = make_library(cfg.scenario, GEN_SEED)
     test_demos = [demos[i] for i in result.test_idx]
-    test_states = [episode_state(cfg.scenario, GEN_SEED, d.episode_id, library)
-                   for d in test_demos]
+    test_states = list(episode_states(cfg.scenario, GEN_SEED,
+                                      [d.episode_id for d in test_demos], library))
     scaler = FeatureScaler.from_scenario(cfg.scenario)
     return {
         "cfg": cfg, "result": result, "scaler": scaler,

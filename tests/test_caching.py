@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.caching import (CacheState, apply_caching_action, evict_mpc, evict_mrc,
-                             is_hit, request_probability)
+                             request_probability)
 from satedge.workload import Category, SubTask
 
-from conftest import cached_bytes, empty_cache, reference_evict
+from conftest import cached_bytes, empty_cache, is_hit, reference_evict
 
 H_30 = 3.9949871309203906  # 30th harmonic number, summed by hand script
 

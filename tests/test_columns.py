@@ -19,7 +19,8 @@ from satedge.evaluator import BLOCK_STATES, Tables, carry_cache
 from satedge.neural import FeatureScaler, encode_state, encode_states
 from satedge.scenario import episode_state, episode_states, make_library, prices_from
 
-from conftest import empty_cache, hits_of, reference_encode_state, reference_hits
+from conftest import (empty_cache, hits_of, reference_encode_state, reference_episode_state,
+                      reference_hits)
 
 SCENARIOS = {
     "fixed": {},
@@ -113,5 +114,5 @@ def test_a_block_with_rows_left_to_generate_task_matches(monkeypatch, name, give
     scen = replace(default_config().scenario, **SCENARIOS[name])
     library = make_library(scen, SEED)
     states = list(episode_states(scen, SEED, range(40), library))
-    assert states == [episode_state(scen, SEED, e, library) for e in range(40)]
+    assert states == [reference_episode_state(scen, SEED, e, library) for e in range(40)]
     _assert_block_matches_objects(states, scen)

@@ -116,6 +116,35 @@ def test_adam_domain_edges_are_allowed(tmp_path):
     assert (cfg.train.adam_beta1, cfg.train.adam_beta2) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("alias, field, value", [
+    ("B_vs_hz", "bandwidth_fh_hz", 1.5e6),
+    ("B_sg_hz", "bandwidth_bh_hz", 2.5e6),
+    ("lambda", "rain_attenuation", 0.5),
+    ("d_vs_s", "prop_vs_s", 0.02),
+    ("d_sg_s", "prop_sg_s", 0.25),
+])
+def test_each_alias_loads_into_its_field(tmp_path, alias, field, value):
+    by_alias, by_name = tmp_path / "alias.txt", tmp_path / "name.txt"
+    by_alias.write_text(f"{alias} = {value!r}\n")
+    by_name.write_text(f"{field} = {value!r}\n")
+    assert getattr(load_config(by_alias).scenario, field) == value
+    assert load_config(by_alias) == load_config(by_name)
+
+
+@pytest.mark.parametrize("first, second, field", [
+    ("num_ranks = 20", "num_ranks = 40", "num_ranks"),
+    ("lambda = 0.5", "rain_attenuation = 0.9", "rain_attenuation"),
+    ("rain_attenuation = 0.9", "lambda = 0.5", "rain_attenuation"),
+    ("d_sg_s = 0.25", "d_sg_s = 0.25", "prop_sg_s"),  # even to the same value
+    ("max_epochs = 5", "max_epochs = 5", "max_epochs"),
+])
+def test_a_field_set_twice_is_a_config_error(tmp_path, first, second, field):
+    path = tmp_path / "c.txt"
+    path.write_text(f"# header\n{first}\n{second}\n")
+    with pytest.raises(ConfigError, match=rf"c\.txt:3: {field} is set twice, on lines 2 and 3"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     {"coverage_mode": "orbit", "persistent_eviction": "mpc"},

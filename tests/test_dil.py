@@ -17,14 +17,14 @@ from satedge.dil import (
 from satedge.evaluator import patterns
 from satedge.neural import cross_entropy, decode_picks, forward
 from satedge.oracle import Demonstration, build_dataset
-from satedge.scenario import episode_state, make_library, prices_from
+from satedge.scenario import episode_states, make_library, prices_from
 
 
 def _demos_and_states(n, seed=11):
     scen = default_config().scenario
     demos = build_dataset(scen, n, seed)
     library = make_library(scen, seed)
-    states = [episode_state(scen, seed, d.episode_id, library) for d in demos]
+    states = list(episode_states(scen, seed, [d.episode_id for d in demos], library))
     return scen, demos, states
 
 

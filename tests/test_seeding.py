@@ -1,30 +1,36 @@
-"""Block seeding against numpy's own SeedSequence and PCG64 seeding.
+"""Episode seeding against numpy's own SeedSequence and PCG64 seeding.
 
 A stream hashes a block of episodes' keys with `seeding`'s uint32-array
 re-implementation of numpy's SeedSequence, lets numpy seed fresh PCG64
 generators for each episode from the hashed words (`seeding.Key`), and
 decodes the block's task chains from raw output. Every block takes this
-path, whatever its length. The reference is numpy itself, through
-conftest's reference_stream_rng: every generator state must match, and
-every episode drawn in a block must equal the one drawn alone by
-episode_state, which numpy seeds and generate_task draws.
+path, whatever its length, and a lone episode_state call hashes its keys
+as a block of one and draws its chain by generate_task. The reference is
+numpy itself, through conftest's reference_stream_rng: every generator
+state must match, and every episode, drawn in a block or alone, must
+equal conftest's reference_episode_state, whose every stream numpy seeds.
 """
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import satedge
 from satedge import scenario, seeding
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES
 from satedge.scenario import episode_state, episode_states, episode_stream, make_library
 
-from conftest import reference_stream_rng
+from conftest import reference_episode_state, reference_stream_rng
 
 # entropy ints of one, two, three to four, and four to five uint32 words
 INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
@@ -106,7 +112,7 @@ def test_negative_seed_or_episode_raises_value_error(bad):
         lambda: list(episode_states(scen, bad, block, library)),
         lambda: list(episode_states(scen, 1, block + [bad], library)),
         lambda: list(episode_states(scen, 1, [bad], library)),  # a block of one
-        lambda: episode_state(scen, 1, bad, library),  # seeded by numpy
+        lambda: episode_state(scen, 1, bad, library),  # drawn alone
         lambda: make_library(scen, bad),
     ]
     for call in calls:
@@ -123,28 +129,45 @@ def test_non_integer_episode_id_raises_type_error(bad):
     for ids in ([bad], [bad, 2], [2, bad], list(range(BLOCK_STATES)) + [bad]):
         with pytest.raises(TypeError, match=re.escape(named)):
             list(episode_states(scen, 1, ids, library))
-    with pytest.raises(TypeError):
-        episode_state(scen, 1, bad, library)  # seeded by numpy
+    with pytest.raises(TypeError, match=re.escape(named)):
+        episode_state(scen, 1, bad, library)  # drawn alone
 
 
-@pytest.mark.parametrize("bad", [1.5, np.float64(3.0)])
+@pytest.mark.parametrize("bad", [1.5, np.float64(3.0), "7"])
 def test_non_integer_run_seed_raises_type_error(bad):
-    """A block draw names a seed that is not an integer, as it names an id."""
+    """Every draw names a seed that is not an integer, as it names an id:
+    numpy's SeedSequence would key the library and the stream of seed 7 on '7'."""
     scen = _scen("orbit")
     library = make_library(scen, 1)
     named = f"run seed {bad!r} is not an integer"
     for ids in ([1], [1, 2], list(range(BLOCK_STATES + 1))):
         with pytest.raises(TypeError, match=re.escape(named)):
             list(episode_states(scen, bad, ids, library))
-    with pytest.raises(TypeError, match="seed must be integer"):
-        episode_state(scen, bad, 1, library)  # seeded by numpy
+    with pytest.raises(TypeError, match=re.escape(named)):
+        episode_state(scen, bad, 1, library)  # drawn alone
+    with pytest.raises(TypeError, match=re.escape(named)):
+        make_library(scen, bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=INTS, ids=st.lists(INTS, min_size=1, max_size=3),
+       mode=st.sampled_from(["fixed", "orbit"]))
+@example(seed=2**100, ids=[0, 2**32, 2**64, 2**100 + 1], mode="orbit")  # 6 to 9 words a key
+@example(seed=SEED, ids=[0, 1], mode="fixed")
+def test_lone_episode_equals_numpy_seeded_reference(seed, ids, mode):
+    """A lone episode_state call hashes its own keys, for any seed and id."""
+    scen = _scen(mode)
+    library = make_library(scen, seed)
+    for e in ids:
+        assert episode_state(scen, seed, e, library) == \
+            reference_episode_state(scen, seed, e, library)
 
 
 @lru_cache(maxsize=None)
 def _drawn_alone(mode: str, num_subtasks: int) -> tuple:
     scen = _scen(mode, num_subtasks)
     library = make_library(scen, SEED)
-    return tuple(episode_state(scen, SEED, i, library) for i in range(300))
+    return tuple(reference_episode_state(scen, SEED, i, library) for i in range(300))
 
 
 @pytest.mark.parametrize("mode", ["fixed", "orbit"])
@@ -187,14 +210,14 @@ def _task_bits(state) -> list[tuple]:
          size=257, first=2**32 - 100, seed=SEED)
 def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix, rho_min,
                                                    mode, size, first, seed):
-    """A block, of any length, decodes its chains from raw output; a lone
-    draw runs generate_task. Every float must agree bit for bit."""
+    """A block, of any length, decodes its chains from raw output; the
+    reference runs generate_task. Every float must agree bit for bit."""
     scen = replace(_scen(mode, num_subtasks), num_ranks=num_ranks, rho_min=rho_min,
                    mix_upload=mix[0], mix_download=mix[1], mix_compute=mix[2])
     library = make_library(scen, seed)
     ids = range(first, first + size)
     block = list(episode_states(scen, seed, ids, library))
-    alone = [episode_state(scen, seed, e, library) for e in ids]
+    alone = [reference_episode_state(scen, seed, e, library) for e in ids]
     assert block == alone
     assert [_task_bits(s) for s in block] == [_task_bits(s) for s in alone]
 
@@ -240,7 +263,7 @@ def test_scattered_ids_equal_episodes_drawn_alone(mode):
     library = make_library(scen, 9)
     ids = np.random.default_rng(3).permutation(2000)[:100].tolist() + [2**32 + 5, 2**40, 17]
     assert list(episode_states(scen, 9, ids, library)) == \
-        [episode_state(scen, 9, e, library) for e in ids]
+        [reference_episode_state(scen, 9, e, library) for e in ids]
 
 
 def test_live_iterators_do_not_share_generators():
@@ -266,3 +289,17 @@ def test_each_state_is_one_call_of_the_module_global(monkeypatch):
     n = BLOCK_STATES + 1  # a full block, then a block of one
     assert len(list(episode_stream(_scen("fixed"), SEED, n))) == n
     assert drawn == list(range(n))
+
+
+def test_import_loads_no_numpy_random():
+    """`import numpy` leaves numpy.random to first use, and `import satedge`
+    must too: seeding, which imports it, is imported only where a draw runs."""
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import satedge\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m == 'numpy.random' or m.startswith('numpy.random.')))\n")
+    src = str(Path(satedge.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert run.stdout.strip() == "[]"
