@@ -31,30 +31,24 @@ def main(argv=None):
     print(f"{args.dataset}: {n} episodes, {num_subtasks} sub-tasks each, "
           f"scenario {header['config']}")
 
-    labels = np.array([d.labels for d in demos])
-    of_block, ch_block = labels[:, :num_subtasks], labels[:, num_subtasks:]
+    of_block, ch_block = demos.labels[:, :num_subtasks], demos.labels[:, num_subtasks:]
     print(f"offload bits: {of_block.mean():.4f} ones "
           f"(per slot {np.array2string(of_block.mean(axis=0), precision=3)})")
     print(f"cache bits:   {ch_block.mean():.4f} ones "
           f"(per slot {np.array2string(ch_block.mean(axis=0), precision=3)})")
 
-    counts = Counter()
-    for v in range(num_subtasks):
-        base = GLOBAL_FEATURES + v * SUBTASK_FEATURES
-        for d in demos:
-            is_compute = d.features[base + 4] == 1.0
-            is_download = d.features[base + 5] == 1.0
-            counts["compute" if is_compute
-                   else "download" if is_download else "upload"] += 1
+    slots = demos.features[:, GLOBAL_FEATURES:].reshape(n, num_subtasks, SUBTASK_FEATURES)
+    kinds = np.where(slots[..., 4] == 1.0, "compute",
+                     np.where(slots[..., 5] == 1.0, "download", "upload"))
+    counts = Counter(kinds.ravel().tolist())
     total = sum(counts.values())
     mix = ", ".join(f"{k} {v / total:.3f}" for k, v in sorted(counts.items()))
     print(f"category mix: {mix}")
 
-    opt = np.array([d.opt_reward for d in demos])
-    print(f"optimal reward: mean {opt.mean():.4f}, "
-          f"min {opt.min():.4f}, max {opt.max():.4f}")
+    opt = demos.opt_reward
+    print(f"optimal reward: mean {opt.mean():.4f}, min {opt.min():.4f}, max {opt.max():.4f}")
 
-    patterns = Counter("".join(map(str, d.labels)) for d in demos)
+    patterns = Counter("".join(map(str, bits)) for bits in demos.labels.tolist())
     print(f"top {args.top} joint label patterns "
           f"({len(patterns)} distinct):")
     for bits, count in patterns.most_common(args.top):

@@ -12,7 +12,7 @@ from .config import (ConfigError, ScenarioConfig, SimConfig, TrainConfig,
                      default_config, load_config, validate_config)
 from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
                         PriceVector, completion_time, reward)
-from .oracle import Demonstration, build_dataset, solve_optimal
+from .oracle import Demonstration, Demonstrations, build_dataset, solve_optimal
 from .policies import baseline_policy
 from .scenario import episode_state, episode_states, episode_stream
 
@@ -22,6 +22,7 @@ __all__ = [
     "ActionMatrix",
     "ConfigError",
     "Demonstration",
+    "Demonstrations",
     "EpisodeState",
     "InfeasibleActionError",
     "PriceVector",

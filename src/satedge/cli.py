@@ -26,7 +26,7 @@ from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
 from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
                      cross_entropy, forward, load_model, save_model)
-from .oracle import (Demonstration, build_dataset, label_states, read_dataset,
+from .oracle import (Demonstrations, build_dataset, label_states, read_dataset,
                      write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
 from .scenario import episode_states, episode_stream, make_library, prices_from
@@ -74,7 +74,7 @@ def run_gen_dataset(cfg: SimConfig, seed: int, episodes: int, out: Path) -> Path
     (out / "config_used.txt").write_text(dump_config(cfg))
     elapsed = time.perf_counter() - t0
     n_bits = 2 * cfg.scenario.num_subtasks
-    ones = sum(sum(d.labels) for d in demos)
+    ones = int(demos.labels.sum())
     print(f"wrote {path} ({episodes} episodes, config {scenario_hash(cfg.scenario)})")
     print(f"label density: {ones / (episodes * n_bits):.4f} ones")
     print(f"elapsed: {elapsed:.1f}s")
@@ -104,9 +104,8 @@ def run_train(cfg: SimConfig, seed: int, dataset: Path, out: Path) -> Path:
                [(e, tl, vl) for e, tl, vl in result.curve])
 
     # threshold-only test metrics; full decode happens in eval/compare
-    x_te = np.stack([demos[i].features for i in result.test_idx])
-    y_te = np.array([demos[i].labels for i in result.test_idx], dtype=np.float64)
-    probs = forward(result.model, x_te)
+    y_te = demos.labels[result.test_idx].astype(np.float64)
+    probs = forward(result.model, demos.features[result.test_idx])
     bit_acc = float(np.mean((probs > 0.5) == (y_te > 0.5)))
     elapsed = time.perf_counter() - t0
     print(f"wrote {model_path}")
@@ -128,37 +127,36 @@ _SCHEMES = ("oracle", "docs") + tuple(
 
 def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
                         model: MLPModel | None, scaler: FeatureScaler, eviction: str,
-                        ) -> tuple[list[EpisodeState], list[Demonstration], np.ndarray]:
+                        ) -> tuple[list[EpisodeState], Demonstrations, np.ndarray]:
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
     The draws do not depend on the cache, so each carried state keeps the
     Tables row its draw tabulated. Each state is acted on as a block of
     one, since its action sets the next cache. oracle and docs read the
-    demonstrations, so they label each state before acting on it, and its
-    demonstration takes the state's own episode id; a baseline reads the
-    state alone, and its carried states, still consecutive rows of their
-    draw's blocks, are labelled in one label_states call at the end.
+    demonstrations, so they label each state before acting on it, and the
+    blocks of one stack in episode order; a baseline reads the state alone,
+    and its carried states, still consecutive rows of their draw's blocks,
+    are labelled in one label_states call at the end.
     """
     scen = cfg.scenario
     prices = prices_from(scen)
     drawn = [state for _, state in episode_stream(scen, seed, n)]
-    reads_demos = scheme in ("oracle", "docs")
+    per_state = scheme in ("oracle", "docs")  # labels each state before acting on it
     states: list[EpisodeState] = []
-    demos: list[Demonstration] = []
+    blocks: list[Demonstrations | None] = []  # blocks of one, under oracle and docs
     actions: list[np.ndarray] = []
     cache = None
-    for i, state in enumerate(drawn):
+    for state in drawn:
         if cache is not None:
             state = carry_cache(state, cache)
-        if reads_demos:
-            demos.append(replace(label_states([state], prices, scaler)[0], episode_id=i))
-        action = scheme_actions(scheme, model, demos[-1:], [state], prices)
+        demos = label_states([state], prices, scaler) if per_state else None
+        action = scheme_actions(scheme, model, demos, [state], prices)
         states.append(state)
+        blocks.append(demos)
         actions.append(action)
         cache = apply_caching_action(state.cache, state.task,
                                      tuple(PAIR_CACHE[action[0]].tolist()), eviction)
-    if not reads_demos:
-        demos = label_states(states, prices, scaler)
+    demos = Demonstrations.stack(blocks) if per_state else label_states(states, prices, scaler)
     return states, demos, np.concatenate(actions)
 
 
@@ -240,15 +238,15 @@ RAIN_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 _SWEEP_METRICS = ("exact_match", "per_bit_acc", "mean_reward", "reward_ratio_vs_opt")
 
 
-def _sweep_point(cfg: SimConfig, demos: list[Demonstration], seed: int,
+def _sweep_point(cfg: SimConfig, demos: Demonstrations, seed: int,
                  hidden_layers: int, scen_override=None) -> dict[str, float]:
     scen = scen_override or cfg.scenario
     tcfg = replace(cfg.train, hidden_layers=hidden_layers,
                    max_epochs=cfg.train.sweep_epochs,
                    patience=cfg.train.sweep_patience)
     result = train_policy(demos, tcfg, seed)
-    test_demos = [demos[i] for i in result.test_idx]
-    test_states = list(episode_states(scen, seed, [d.episode_id for d in test_demos],
+    test_demos = demos.take(result.test_idx)
+    test_states = list(episode_states(scen, seed, test_demos.episode_id.tolist(),
                                       make_library(scen, seed)))
     prices = prices_from(scen)
     actions = docs_actions(result.model, test_demos, test_states)

@@ -208,7 +208,7 @@ def validate_config(cfg: SimConfig) -> None:
         relative_angular_velocity(params)
         if s.coverage_mode == "orbit" and not theta_0 > 0:  # every window would be 0 s
             raise CoverageDomainError(f"coverage cap half-angle {theta_0!r} is not positive")
-    except CoverageDomainError as exc:
+    except (CoverageDomainError, OverflowError) as exc:  # r**3 can overflow
         raise ConfigError("orbit fields earth_radius_km, altitude_km, min_elevation_deg, "
                           f"inclination_deg, earth_rotation_rad_s give no pass: {exc}"
                           ) from None

@@ -14,7 +14,7 @@ state; a persistent rollout acts on blocks of one state.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +24,7 @@ from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, EpisodeState, PriceVector, pai
                         patterns, score)
 from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_picks,
                      forward, gradients, init_model)
-from .oracle import Demonstration
+from .oracle import Demonstrations
 from .policies import baseline_actions
 
 
@@ -48,18 +48,16 @@ def split_indices(n: int, train_frac: float, val_frac: float,
     return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
 
 
-def train_policy(demos: list[Demonstration], cfg: TrainConfig,
-                 seed: int) -> TrainResult:
+def train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainResult:
     """Mini-batch Adam with early stopping on validation loss.
 
     The curve starts at epoch 0 (losses before any update) and the
     returned model is the best-validation snapshot, so its validation
     loss never exceeds the epoch-0 value.
     """
-    if not demos:
+    if not len(demos):
         raise ValueError("empty demonstration set")
-    x = np.stack([d.features for d in demos])
-    y = np.array([d.labels for d in demos], dtype=np.float64)
+    x, y = demos.features, demos.labels.astype(np.float64)
     rng = np.random.default_rng(seed)
     train_idx, val_idx, test_idx = split_indices(
         len(demos), cfg.train_frac, cfg.val_frac, rng)
@@ -111,21 +109,19 @@ def train_policy(demos: list[Demonstration], cfg: TrainConfig,
 # scoring
 
 
-def docs_actions(model: MLPModel, demos: list[Demonstration],
+def docs_actions(model: MLPModel, demos: Demonstrations,
                  states: list[EpisodeState]) -> np.ndarray:
     """The trained policy's actions: one batched forward pass, decoded at once."""
-    probs = forward(model, np.stack([d.features for d in demos]))
-    return decode_picks(probs, patterns(states))
+    return decode_picks(forward(model, demos.features), patterns(states))
 
 
-def oracle_actions(demos: list[Demonstration]) -> np.ndarray:
+def oracle_actions(demos: Demonstrations) -> np.ndarray:
     """The labels' actions, as N x V PAIRS indices."""
-    labels = np.array([d.labels for d in demos])
-    v = labels.shape[1] // 2
-    return pair_index(labels[:, :v], labels[:, v:])
+    v = demos.labels.shape[1] // 2
+    return pair_index(demos.labels[:, :v], demos.labels[:, v:])
 
 
-def scheme_actions(scheme: str, model: MLPModel | None, demos: list[Demonstration],
+def scheme_actions(scheme: str, model: MLPModel | None, demos: Demonstrations | None,
                    states: list[EpisodeState], prices: PriceVector) -> np.ndarray:
     """One scheme's actions: the labels, the decoded policy, or a baseline."""
     if scheme == "oracle":
@@ -136,32 +132,34 @@ def scheme_actions(scheme: str, model: MLPModel | None, demos: list[Demonstratio
     return baseline_actions(of_kind, ch_kind, states, prices)
 
 
-def action_report(actions: np.ndarray, demos: list[Demonstration],
+def action_report(actions: np.ndarray, demos: Demonstrations,
                   states: list[EpisodeState], prices: PriceVector) -> dict[str, float]:
     """Accuracy and cost metrics for one policy's N x V actions against the
     oracle labels.
 
     exact_match is the fraction of episodes whose full bit pattern equals
     the oracle's; reward_ratio_vs_opt is the ratio of mean rewards. The
-    sums over episodes are left folds in episode order.
+    sums over episodes are left folds in episode order, and one that is
+    not finite raises ValueError.
     """
     if not (len(actions) == len(demos) == len(states)):
         raise ValueError("actions, demos, and states must align")
     rewards, times = score(states, actions, prices)
     bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
-    n, width = bits.shape
-    for k, demo in enumerate(demos):
-        if len(demo.labels) != width:
-            raise ValueError(f"demonstration {k} holds {len(demo.labels)} label bits "
-                             f"where its action has {width}")
-    labels = np.fromiter(itertools.chain.from_iterable(d.labels for d in demos),
-                         dtype=np.intp, count=n * width).reshape(n, width)
-    same = bits == labels
-    sum_reward = sum_time = sum_opt = 0.0
-    for cost, seconds, demo in zip(rewards, times, demos):
-        sum_reward += cost
-        sum_time += seconds
-        sum_opt += demo.opt_reward
+    if demos.labels.shape != bits.shape:
+        raise ValueError(f"labels {demos.labels.shape} do not fit action bits {bits.shape}")
+    same = bits == demos.labels
+    n = len(demos)
+    sums = []
+    for name, values in (("reward", rewards), ("completion time", times),
+                         ("optimal reward", demos.opt_reward.tolist())):
+        total = 0.0
+        for value in values:
+            total += value
+        if not math.isfinite(total):
+            raise ValueError(f"the {name} summed over {n} episodes is {total!r}")
+        sums.append(total)
+    sum_reward, sum_time, sum_opt = sums
     return {
         "exact_match": int(same.all(axis=1).sum()) / n,
         "per_bit_acc": int(same.sum()) / same.size,

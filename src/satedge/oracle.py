@@ -19,10 +19,10 @@ blocks of one. solve_optimal is block_argmin on a block of one.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,10 +36,38 @@ from .scenario import episode_stream, prices_from
 
 @dataclass(frozen=True)
 class Demonstration:
+    """One row of a Demonstrations block, as iterating the block yields it."""
     episode_id: int
     features: np.ndarray  # encoded state, layout v1
     labels: tuple[int, ...]  # blocked bits: offload then cache
     opt_reward: float
+
+
+@dataclass(frozen=True, eq=False)
+class Demonstrations:
+    """Labelled episodes as four aligned columns, one row per episode."""
+    episode_id: np.ndarray  # N ids
+    features: np.ndarray  # N x F encoded states, layout v1
+    labels: np.ndarray  # N x 2V blocked bits (np.intp): offload then cache
+    opt_reward: np.ndarray  # N optimal rewards
+
+    @classmethod
+    def stack(cls, blocks: Sequence[Demonstrations]) -> Demonstrations:
+        """The blocks' rows in order, renumbered from 0."""
+        columns = [np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(cls)]
+        return cls(np.arange(len(columns[0])), *columns[1:])
+
+    def take(self, rows) -> Demonstrations:
+        """The rows a numpy index selects, ids kept."""
+        return Demonstrations(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __len__(self) -> int:
+        return len(self.episode_id)
+
+    def __iter__(self) -> Iterator[Demonstration]:
+        for episode, row, bits, value in zip(self.episode_id.tolist(), self.features,
+                                             self.labels.tolist(), self.opt_reward.tolist()):
+            yield Demonstration(episode, row, tuple(bits), value)
 
 
 def block_argmin(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +118,7 @@ def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatri
 
 
 def label_states(states: Iterable[EpisodeState], prices: PriceVector,
-                 scaler: FeatureScaler) -> list[Demonstration]:
+                 scaler: FeatureScaler) -> Demonstrations:
     """Solve and encode pre-drawn states, block by block; episode ids count from 0.
 
     Each block reads the Tables rows its states hold (table_runs), so a
@@ -98,24 +126,18 @@ def label_states(states: Iterable[EpisodeState], prices: PriceVector,
     block_argmin over its cost table at the states' own hits and one
     scaling call.
     """
-    demos: list[Demonstration] = []
-    # a stream repeats few label patterns, so its rows share one tuple per pattern
-    patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
+    labelled = []
     for block in blocks(states):
         (_, table, rows), = table_runs(block)  # a block is one run
         picks, values = block_argmin(at_hits(table.costs(prices)[rows],
                                              table.hits(rows, block)))
         labels = np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
-        features = encode_states(block, scaler)
-        for row, bits, value in zip(features, labels.tolist(), values.tolist()):
-            key = tuple(bits)
-            demos.append(Demonstration(episode_id=len(demos), features=row,
-                                       labels=patterns.setdefault(key, key),
-                                       opt_reward=value))
-    return demos
+        labelled.append(Demonstrations(np.arange(len(values)), encode_states(block, scaler),
+                                       labels, values))
+    return Demonstrations.stack(labelled)
 
 
-def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> list[Demonstration]:
+def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> Demonstrations:
     """Generate and label n episodes from the seeded stream."""
     states = (state for _, state in episode_stream(cfg, seed, n))
     return label_states(states, prices_from(cfg), FeatureScaler.from_scenario(cfg))
@@ -128,24 +150,22 @@ def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> list[Demonstration]
 _HEADER_KEYS = ("config", "layout", "subtasks", "features")  # after the magic, in order
 
 
-def write_dataset(path: str | Path, demos: Iterable[Demonstration],
-                  cfg: ScenarioConfig) -> None:
-    demos = list(demos)
+def write_dataset(path: str | Path, demos: Demonstrations, cfg: ScenarioConfig) -> None:
     n_features = feature_dim(cfg.num_subtasks)
+    if len(demos) and demos.features.shape[1] != n_features:
+        raise ValueError(f"episode {demos.episode_id[0]}: feature shape mismatch")
     lines = [
         f"#satedge-dataset v1 config={scenario_hash(cfg)} "
         f"layout={LAYOUT_VERSION} subtasks={cfg.num_subtasks} features={n_features}"
     ]
-    for d in demos:
-        if d.features.shape != (n_features,):
-            raise ValueError(f"episode {d.episode_id}: feature shape mismatch")
-        feats = ",".join(map(repr, d.features.tolist()))
-        bits = "".join(str(b) for b in d.labels)
-        lines.append(f"{d.episode_id},{feats},{bits},{d.opt_reward!r}")
+    for i, row, bits, value in zip(demos.episode_id.tolist(), demos.features,
+                                   demos.labels.tolist(), demos.opt_reward.tolist()):
+        lines.append(f"{i},{','.join(map(repr, row.tolist()))},{''.join(map(str, bits))},"
+                     f"{value!r}")  # row by row: one block-wide tolist() holds every float
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]:
+def read_dataset(path: str | Path) -> tuple[dict[str, str], Demonstrations]:
     """Parse a dataset file in exactly the layout write_dataset writes; any
     other header or a malformed record raises ValueError. Integers must be
     spelled as str() spells them, and no field may hold an underscore or
@@ -174,23 +194,28 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], list[Demonstration]]
     if at is not None:
         raise ValueError(f"{path}:{at + 2}: record {lines[at + 1].split(',')[0]!r}: blank, "
                          "or an underscore or whitespace in a field")
-    demos = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    records, fault = [], None  # fault: (record index, id field, message), raised last
+    for k, line in enumerate(lines[1:]):
         parts = line.split(",")
-        where = f"{path}:{lineno}: record {parts[0]!r}"
-        if len(parts) != n_features + 3:
-            raise ValueError(f"{where}: bad record width {len(parts)}")
-        bits = parts[-2]
-        if len(bits) != n_bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"{where}: bad label field {bits!r}")
         try:
-            demo = Demonstration(
-                episode_id=canonical_int(parts[0]),
-                features=np.array([float(v) for v in parts[1:-2]]),
-                labels=tuple(int(b) for b in bits), opt_reward=float(parts[-1]))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        if not (np.isfinite(demo.features).all() and math.isfinite(demo.opt_reward)):
-            raise ValueError(f"{where}: non-finite value")
-        demos.append(demo)
+            if len(parts) != n_features + 3:
+                raise ValueError(f"bad record width {len(parts)}")
+            if len(parts[-2]) != n_bits or set(parts[-2]) - {"0", "1"}:
+                raise ValueError(f"bad label field {parts[-2]!r}")
+            records.append((np.intp(canonical_int(parts[0])),
+                            array("d", map(float, parts[1:-2])),  # 8 bytes a value
+                            list(map(int, parts[-2])), float(parts[-1])))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an id past np.intp
+            fault = k, parts[0], str(exc)
+            break
+    del lines  # the records hold what is left to check; free the text first
+    ids, features, bits, opt = zip(*records) if records else ((),) * 4
+    demos = Demonstrations(np.array(ids, np.intp), np.array(features).reshape(-1, n_features),
+                           np.array(bits, np.intp).reshape(-1, n_bits), np.array(opt))
+    finite = np.isfinite(demos.features).all(axis=1) & np.isfinite(demos.opt_reward)
+    if not finite.all():  # canonical_int made each id's str() its field as written
+        fault = int(finite.argmin()), str(ids[finite.argmin()]), "non-finite value"
+    if fault:
+        k, field, message = fault
+        raise ValueError(f"{path}:{k + 2}: record {field!r}: {message}")
     return header, demos

@@ -60,9 +60,9 @@ def trained():
     result = train_policy(demos, cfg.train, GEN_SEED)
     train_s = time.perf_counter() - t1
     library = make_library(cfg.scenario, GEN_SEED)
-    test_demos = [demos[i] for i in result.test_idx]
+    test_demos = demos.take(result.test_idx)
     test_states = list(episode_states(cfg.scenario, GEN_SEED,
-                                      [d.episode_id for d in test_demos], library))
+                                      test_demos.episode_id.tolist(), library))
     scaler = FeatureScaler.from_scenario(cfg.scenario)
     return {
         "cfg": cfg, "result": result, "scaler": scaler,

@@ -18,12 +18,13 @@ from satedge.caching import apply_caching_action
 from satedge.cli import (EVAL_SEED, _persistent_rollout, main, run_compare, run_eval,
                          run_gen_dataset)
 from satedge.config import default_config, load_config
-from satedge.evaluator import BLOCK_STATES, action_array
-from satedge.neural import FeatureScaler, feature_dim, init_model, save_model
+from satedge.evaluator import BLOCK_STATES, ActionMatrix, action_array
+from satedge.neural import FeatureScaler, feature_dim, forward, init_model, save_model
 from satedge.policies import BASELINE_PAIRS
 from satedge.scenario import episode_stream, prices_from
 
-from conftest import feasible_of, reference_baseline_policy, reference_label_states
+from conftest import (feasible_of, reference_baseline_policy, reference_decode_actions,
+                      reference_label_states)
 
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
@@ -173,14 +174,42 @@ def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, c
         ref, = reference_label_states([state], prices, scaler)
         action = reference_baseline_policy(offload_kind, cache_kind, state, prices)
         assert states[i] == state
-        assert (demos[i].episode_id, demos[i].labels) == (i, ref.labels)
-        assert demos[i].opt_reward.hex() == ref.opt_reward.hex()
-        assert demos[i].features.tobytes() == ref.features.tobytes()
+        assert (demos.episode_id[i], tuple(demos.labels[i])) == (i, ref.labels)
+        assert demos.opt_reward[i].hex() == ref.opt_reward.hex()
+        assert demos.features[i].tobytes() == ref.features.tobytes()
         assert actions[i].tolist() == action_array([action])[0].tolist()
         cache = apply_caching_action(state.cache, state.task, action.cache, cache_kind)
         evicted += any(a > b for a, b in zip(state.cache.placement, cache.placement))
     assert len(demos) == len(actions) == n
     assert evicted > 0
+
+
+@pytest.mark.parametrize("scheme", ["oracle", "docs"])
+def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
+    # oracle and docs act on each carried state's own labels or features, so
+    # the rollout labels it as a block of one and stacks the blocks in order
+    cfg = default_config()
+    cfg = replace(cfg, scenario=replace(cfg.scenario, capacity_fraction=0.05))
+    scen, n, seed, v = cfg.scenario, BLOCK_STATES + 4, 5, cfg.scenario.num_subtasks
+    prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
+    eviction = cfg.train.persistent_eviction
+    # untrained, so its outputs straddle 0.5 and some cache bits come on
+    model = init_model((feature_dim(v), 16, 2 * v), seed=11) if scheme == "docs" else None
+    states, demos, actions = _persistent_rollout(cfg, seed, n, scheme, model, scaler,
+                                                 eviction)
+    assert len(demos) == len(actions) == n
+    cache = None
+    for i, ((_, drawn), demo) in enumerate(zip(episode_stream(scen, seed, n), demos)):
+        state = drawn if cache is None else replace(drawn, cache=cache)
+        ref, = reference_label_states([state], prices, scaler)
+        action = (ActionMatrix.from_bits(ref.labels) if scheme == "oracle" else
+                  reference_decode_actions(forward(model, ref.features[None])[0], state))
+        assert states[i] == state
+        assert (demo.episode_id, demo.labels) == (i, ref.labels)
+        assert demo.opt_reward.hex() == ref.opt_reward.hex()
+        assert demo.features.tobytes() == ref.features.tobytes()
+        assert actions[i].tolist() == action_array([action])[0].tolist()
+        cache = apply_caching_action(state.cache, state.task, action.cache, eviction)
 
 
 def test_compare_ranks_all_schemes(tmp_path, tiny_cfg, capsys):
@@ -596,6 +625,26 @@ def _expect_error(capsys, argv, category):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error:{category}:"), err
+
+
+@pytest.mark.parametrize("line", ["earth_radius_km = 6.371e303", "altitude_km = 1e120"])
+def test_orbit_radius_whose_cube_overflows_reports_config_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(line + "\n")
+    _expect_error(capsys, ["gen-dataset", "--config", str(bad), "--episodes", "3",
+                           "--out", str(tmp_path / "o")], "config")
+    assert not (tmp_path / "o").exists()
+
+
+def test_reward_sum_that_overflows_reports_invalid_and_writes_nothing(tmp_path, capsys):
+    # one le-mrc episode costs about 4.8e307, finite, but 24 of them sum past
+    # the float range
+    bad = tmp_path / "bad.txt"
+    bad.write_text("bandwidth_fh_hz = 2e-24\nbandwidth_bh_hz = 0.002\n"
+                   "cpu_rate_hz = 1e-290\nprice_cpl = 4.08e7\n")
+    _expect_error(capsys, ["eval", "--config", str(bad), "--policy", "le-mrc",
+                           "--episodes", "24", "--out", str(tmp_path / "o")], "invalid")
+    assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 def test_unknown_config_key_reports_config_error(tmp_path, capsys):

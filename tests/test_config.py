@@ -174,6 +174,16 @@ def test_orbit_fields_are_checked_in_both_coverage_modes(tmp_path, coverage_mode
         load_config(path)
 
 
+@pytest.mark.parametrize("field, value", [("earth_radius_km", 6.371e303),
+                                          ("altitude_km", 1e120)])
+def test_orbit_radius_whose_cube_overflows_is_a_config_error(field, value):
+    # mean_motion takes r**3, which raises OverflowError past about 5.6e102 km
+    cfg = default_config()
+    cfg = replace(cfg, scenario=replace(cfg.scenario, **{field: value}))
+    with pytest.raises(ConfigError, match="give no pass"):
+        validate_config(cfg)
+
+
 @pytest.mark.parametrize("text", [
     "min_elevation_deg = 0\n",
     "min_elevation_deg = 90\naltitude_km = 1e-3\n",

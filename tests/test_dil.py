@@ -16,7 +16,7 @@ from satedge.dil import (
 )
 from satedge.evaluator import patterns
 from satedge.neural import cross_entropy, decode_picks, forward
-from satedge.oracle import Demonstration, build_dataset
+from satedge.oracle import Demonstrations, build_dataset
 from satedge.scenario import episode_states, make_library, prices_from
 
 
@@ -24,7 +24,7 @@ def _demos_and_states(n, seed=11):
     scen = default_config().scenario
     demos = build_dataset(scen, n, seed)
     library = make_library(scen, seed)
-    states = list(episode_states(scen, seed, [d.episode_id for d in demos], library))
+    states = list(episode_states(scen, seed, demos.episode_id.tolist(), library))
     return scen, demos, states
 
 
@@ -73,14 +73,14 @@ def test_training_overfits_small_dataset():
     _, demos, _ = _demos_and_states(200)
     cfg = _tiny_train_cfg(max_epochs=150, patience=150, learning_rate=0.003)
     result = train_policy(demos, cfg, seed=0)
-    x = np.stack([demos[i].features for i in result.train_idx])
-    y = np.array([demos[i].labels for i in result.train_idx], dtype=float)
+    x = demos.features[result.train_idx]
+    y = demos.labels[result.train_idx].astype(float)
     final = result.curve[-1][1]
     assert final < 0.05, f"train loss stuck at {final}"
     # and the quoted curve matches a recomputation on the raw arrays
     # for the best snapshot that came back
-    val_x = np.stack([demos[i].features for i in result.val_idx])
-    val_y = np.array([demos[i].labels for i in result.val_idx], dtype=float)
+    val_x = demos.features[result.val_idx]
+    val_y = demos.labels[result.val_idx].astype(float)
     best_val = cross_entropy(forward(result.model, val_x), val_y)
     assert best_val == min(v for _, _, v in result.curve)
     assert y.shape[0] == len(result.train_idx) and x.shape[0] == y.shape[0]
@@ -131,8 +131,8 @@ def test_early_stopping_caps_epochs_after_plateau():
 
 
 def test_non_finite_loss_aborts_with_diagnostics():
-    bad = [Demonstration(episode_id=i, features=np.full(8, np.nan),
-                         labels=(0, 1), opt_reward=1.0) for i in range(12)]
+    bad = Demonstrations(episode_id=np.arange(12), features=np.full((12, 8), np.nan),
+                         labels=np.tile([0, 1], (12, 1)), opt_reward=np.ones(12))
     cfg = _tiny_train_cfg(max_epochs=5, patience=5, hidden_layers=1,
                           hidden_width=4, train_frac=0.5, val_frac=0.25)
     with pytest.raises(ValueError, match="non-finite"):
@@ -140,8 +140,10 @@ def test_non_finite_loss_aborts_with_diagnostics():
 
 
 def test_empty_demo_list_rejected():
-    with pytest.raises(ValueError):
-        train_policy([], _tiny_train_cfg(), seed=0)
+    with pytest.raises(ValueError, match="empty"):
+        train_policy(Demonstrations(np.zeros(0, np.intp), np.zeros((0, 8)),
+                                    np.zeros((0, 2), np.intp), np.zeros(0)),
+                     _tiny_train_cfg(), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_action_report_rejects_misaligned_lists(prices):
     with pytest.raises(ValueError):
         action_report(acts[:-1], demos, states, prices)
     with pytest.raises(ValueError):
-        action_report(acts, demos[:-1], states, prices)
+        action_report(acts, demos.take(slice(-1)), states, prices)
 
 
 @pytest.mark.parametrize("width", [1, 11, 13])
@@ -180,8 +182,8 @@ def test_action_report_rejects_labels_of_another_width(prices, width):
     # one label bit would broadcast against every bit of its action
     _, demos, states = _demos_and_states(10)
     acts = oracle_actions(demos)
-    demos[4] = dataclasses.replace(demos[4], labels=demos[4].labels[:1] * width)
-    with pytest.raises(ValueError, match=f"demonstration 4 holds {width} label bits"):
+    demos = dataclasses.replace(demos, labels=np.repeat(demos.labels[:, :1], width, axis=1))
+    with pytest.raises(ValueError, match=rf"labels \(10, {width}\) do not fit"):
         action_report(acts, demos, states, prices)
 
 
@@ -189,7 +191,7 @@ def test_trained_policy_beats_uninformed_decoder(prices):
     _, demos, states = _demos_and_states(2000)
     cfg = _tiny_train_cfg(hidden_width=128, max_epochs=50, patience=50)
     result = train_policy(demos, cfg, seed=5)
-    test_demos = [demos[i] for i in result.test_idx]
+    test_demos = demos.take(result.test_idx)
     test_states = [states[i] for i in result.test_idx]
     docs = action_report(docs_actions(result.model, test_demos, test_states),
                          test_demos, test_states, prices)

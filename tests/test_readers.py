@@ -197,12 +197,32 @@ def _with_record_field(lines, field, value):
      ":1: bad dataset header"),
     (lambda lines: _with_record_field(lines, 0, "zero"), ":2: record 'zero'"),
     (lambda lines: _with_record_field(lines, 3, "abc"), ":2: record '0'"),
-], ids=["header-token", "features-value", "episode-id", "feature"])
+    (lambda lines: _with_record_field(lines, 0, str(2**63)), f":2: record '{2**63}'"),
+], ids=["header-token", "features-value", "episode-id", "feature", "episode-id-past-int64"])
 def test_dataset_errors_name_the_file_and_line(tmp_path, dataset_lines, edit, where):
     path = _write(tmp_path, "d.txt", edit(dataset_lines))
     with pytest.raises(ValueError) as err:
         read_dataset(path)
     assert str(err.value).startswith(f"{path}{where}")
+
+
+@pytest.mark.parametrize("nan_line, width_line, reported", [
+    (3, 4, ":3: record '1': non-finite value"),
+    (3, 2, ":2: record '0': bad record width"),
+])
+def test_dataset_reports_its_first_faulty_line(tmp_path, dataset_lines, nan_line,
+                                               width_line, reported):
+    # records are checked finite as whole columns once parsed, yet a file
+    # with two faults still names the earlier one
+    lines = list(dataset_lines)
+    parts = lines[nan_line - 1].split(",")
+    parts[-1] = "nan"
+    lines[nan_line - 1] = ",".join(parts)
+    lines[width_line - 1] += ",0.5"
+    path = _write(tmp_path, "d.txt", lines)
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value).startswith(f"{path}{reported}")
 
 
 def test_model_with_one_dim_and_no_blocks_is_rejected(tmp_path, model_lines):

@@ -66,7 +66,7 @@ def test_block_scoring_matches_the_per_state_path(name):
     demos = label_states(states, prices, FeatureScaler.from_scenario(scen))
     # untrained, so its outputs straddle 0.5 and decoding meets every pair
     model = init_model((feature_dim(v), 16, 2 * v), seed=11)
-    probs = forward(model, np.stack([d.features for d in demos]))
+    probs = forward(model, demos.features)
     moved = 0
     for scheme in SCHEMES:
         actions = scheme_actions(scheme, model, demos, states, prices)
@@ -160,12 +160,12 @@ def test_raising_one_price_moves_its_bits_one_way(name, factor, seed):
     scaler = FeatureScaler.from_scenario(scen)
     states = [state for _, state in episode_stream(scen, seed, 150)]
     prices = prices_from(scen)
-    base = np.array([d.labels for d in label_states(states, prices, scaler)])
+    base = label_states(states, prices, scaler).labels
     if name == "short-coverage":
         assert base[:, v:].any()
     for price, (half, sign) in MONOTONE.items():
         raised = replace(prices, **{price: factor * getattr(prices, price)})
-        labels = np.array([d.labels for d in label_states(states, raised, scaler)])
+        labels = label_states(states, raised, scaler).labels
         change = (labels - base)[:, half * v:(half + 1) * v]
         assert (sign * change >= 0).all(), (price, factor)
 
@@ -206,9 +206,10 @@ def test_a_change_of_units_changes_no_label(name):
         states = [state for _, state in episode_stream(scen, 11, 400)]
         prices = prices_from(scen)
         demos = label_states(states, prices, FeatureScaler.from_scenario(scen))
+        head = demos.take(slice(200))
         reports = {scheme: _hex(action_report(
-            scheme_actions(scheme, None, demos[:200], states[:200], prices),
-            demos[:200], states[:200], prices)) for scheme in ("go-mrc", "le-mpc", "to-mrc")}
+            scheme_actions(scheme, None, head, states[:200], prices),
+            head, states[:200], prices)) for scheme in ("go-mrc", "le-mpc", "to-mrc")}
         rows = [(d.labels, d.opt_reward.hex(), d.features.tobytes()) for d in demos]
         return rows, reports
 
