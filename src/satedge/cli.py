@@ -21,7 +21,7 @@ from .caching import apply_caching_action
 from .config import (ConfigError, SimConfig, dump_config, load_config, orbit_params,
                      scenario_hash)
 from .dil import action_report, docs_actions, scheme_actions, train_policy
-from .evaluator import PAIR_CACHE, EpisodeState, InfeasibleActionError, carry_cache
+from .evaluator import PAIR_CACHE, InfeasibleActionError, Tables
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
 from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
@@ -29,7 +29,7 @@ from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
 from .oracle import (Demonstrations, build_dataset, label_states, read_dataset,
                      write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
-from .scenario import episode_states, episode_stream, make_library, prices_from
+from .scenario import episode_blocks, make_library, prices_from
 
 GEN_SEED = 42  # default for dataset generation, training, sweeps
 EVAL_SEED = 2042  # default for held-out evaluation streams
@@ -125,39 +125,48 @@ _SCHEMES = ("oracle", "docs") + tuple(
     baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
 
 
+def _stream(cfg: SimConfig, seed: int, n: int) -> list[Tables]:
+    """Episodes 0..n-1 of the stream keyed by seed, as drawn blocks."""
+    scen = cfg.scenario
+    return list(episode_blocks(scen, seed, range(n), make_library(scen, seed)))
+
+
 def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
                         model: MLPModel | None, scaler: FeatureScaler, eviction: str,
-                        ) -> tuple[list[EpisodeState], Demonstrations, np.ndarray]:
+                        ) -> tuple[list[Tables], Demonstrations, np.ndarray]:
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
-    The draws do not depend on the cache, so each carried state keeps the
-    Tables row its draw tabulated. Each state is acted on as a block of
+    The draws do not depend on the cache, so each carried state reads its
+    draw's block (Tables.carrying). Each state is acted on as a block of
     one, since its action sets the next cache. oracle and docs read the
     demonstrations, so they label each state before acting on it, and the
     blocks of one stack in episode order; a baseline reads the state alone,
-    and its carried states, still consecutive rows of their draw's blocks,
-    are labelled in one label_states call at the end.
+    and its carried blocks, one per drawn block, are labelled in one
+    label_states call at the end.
     """
-    scen = cfg.scenario
-    prices = prices_from(scen)
-    drawn = [state for _, state in episode_stream(scen, seed, n)]
+    prices = prices_from(cfg.scenario)
     per_state = scheme in ("oracle", "docs")  # labels each state before acting on it
-    states: list[EpisodeState] = []
-    blocks: list[Demonstrations | None] = []  # blocks of one, under oracle and docs
+    carried: list[Tables] = []
+    labelled: list[Demonstrations] = []  # blocks of one, under oracle and docs
     actions: list[np.ndarray] = []
     cache = None
-    for state in drawn:
-        if cache is not None:
-            state = carry_cache(state, cache)
-        demos = label_states([state], prices, scaler) if per_state else None
-        action = scheme_actions(scheme, model, demos, [state], prices)
-        states.append(state)
-        blocks.append(demos)
-        actions.append(action)
-        cache = apply_caching_action(state.cache, state.task,
-                                     tuple(PAIR_CACHE[action[0]].tolist()), eviction)
-    demos = Demonstrations.stack(blocks) if per_state else label_states(states, prices, scaler)
-    return states, demos, np.concatenate(actions)
+    for drawn in _stream(cfg, seed, n):
+        states = []
+        for row, state in enumerate(drawn.states):
+            if cache is not None:
+                state = replace(state, cache=cache)
+            block = drawn.carrying([state], slice(row, row + 1))
+            demos = label_states([block], prices, scaler) if per_state else None
+            action = scheme_actions(scheme, model, demos, [block], prices)
+            states.append(state)
+            labelled.append(demos)
+            actions.append(action)
+            cache = apply_caching_action(state.cache, state.task,
+                                         tuple(PAIR_CACHE[action[0]].tolist()), eviction)
+        carried.append(drawn.carrying(states, slice(0, len(drawn))))
+    demos = Demonstrations.stack(labelled) if per_state else label_states(carried, prices,
+                                                                          scaler)
+    return carried, demos, np.concatenate(actions)
 
 
 def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
@@ -175,13 +184,13 @@ def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,
     if cache_mode == "persistent":
         eviction = policy.split("-")[1] if "-" in policy \
             else cfg.train.persistent_eviction
-        states, demos, actions = _persistent_rollout(cfg, seed, episodes, policy,
+        blocks, demos, actions = _persistent_rollout(cfg, seed, episodes, policy,
                                                      model, scaler, eviction)
     else:
-        states = [state for _, state in episode_stream(cfg.scenario, seed, episodes)]
-        demos = label_states(states, prices, scaler)
-        actions = scheme_actions(policy, model, demos, states, prices)
-    report = action_report(actions, demos, states, prices)
+        blocks = _stream(cfg, seed, episodes)
+        demos = label_states(blocks, prices, scaler)
+        actions = scheme_actions(policy, model, demos, blocks, prices)
+    report = action_report(actions, demos, blocks, prices)
 
     # metric columns follow action_report's key order
     _write_csv(out / "metrics.csv", ("scheme", "cache_mode", "episodes") + tuple(report),
@@ -200,16 +209,16 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     model, scaler = load_model(model_path)
     check_policy(model, cfg.scenario.num_subtasks)
     prices = prices_from(cfg.scenario)
-    states = [state for _, state in episode_stream(cfg.scenario, seed, episodes)]
-    demos = label_states(states, prices, scaler)
+    blocks = _stream(cfg, seed, episodes)
+    demos = label_states(blocks, prices, scaler)
 
     reports = {}
     for name in _SCHEMES:
         scheme_t0 = time.perf_counter()
-        actions = scheme_actions(name, model, demos, states, prices)
+        actions = scheme_actions(name, model, demos, blocks, prices)
         if name == "docs":
             infer_elapsed = time.perf_counter() - scheme_t0
-        reports[name] = action_report(actions, demos, states, prices)
+        reports[name] = action_report(actions, demos, blocks, prices)
 
     docs = reports["docs"]
     rows = []
@@ -246,11 +255,10 @@ def _sweep_point(cfg: SimConfig, demos: Demonstrations, seed: int,
                    patience=cfg.train.sweep_patience)
     result = train_policy(demos, tcfg, seed)
     test_demos = demos.take(result.test_idx)
-    test_states = list(episode_states(scen, seed, test_demos.episode_id.tolist(),
+    test_blocks = list(episode_blocks(scen, seed, test_demos.episode_id.tolist(),
                                       make_library(scen, seed)))
-    prices = prices_from(scen)
-    actions = docs_actions(result.model, test_demos, test_states)
-    return action_report(actions, test_demos, test_states, prices)
+    actions = docs_actions(result.model, test_demos, test_blocks)
+    return action_report(actions, test_demos, test_blocks, prices_from(scen))
 
 
 def run_sweep(cfg: SimConfig, kind: str, seed: int, out: Path) -> Path:
@@ -287,20 +295,23 @@ def run_sweep(cfg: SimConfig, kind: str, seed: int, out: Path) -> Path:
 
 def run_coverage(cfg: SimConfig, theta_m_deg: float | None, grid: int | None,
                  out: Path) -> None:
+    """Print the pass geometry, and write coverage.csv when grid is given;
+    every input is checked before anything is printed or out is created."""
+    if grid is not None and grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {grid}")
     params = orbit_params(cfg.scenario)
     theta0 = earth_central_angle(params)
-    eta = relative_angular_velocity(params)
-    print(f"max earth-central half-angle: {theta0!r} rad "
-          f"({float(np.degrees(theta0))!r} deg)")
-    print(f"relative angular velocity: {eta!r} rad/s")
-    print(f"coverage window from overhead: {coverage_time(0.0, params)!r} s")
+    lines = [f"max earth-central half-angle: {theta0!r} rad "
+             f"({float(np.degrees(theta0))!r} deg)",
+             f"relative angular velocity: {relative_angular_velocity(params)!r} rad/s",
+             f"coverage window from overhead: {coverage_time(0.0, params)!r} s"]
     if theta_m_deg is not None:
         theta_m = float(np.radians(theta_m_deg))
-        print(f"coverage at {theta_m_deg} deg offset: "
-              f"{coverage_time(theta_m, params)!r} s")
+        lines.append(f"coverage at {theta_m_deg} deg offset: "
+                     f"{coverage_time(theta_m, params)!r} s")
+    out = _outdir(out)
+    print("\n".join(lines))
     if grid is not None:
-        if grid < 1:
-            raise ValueError("--grid must be at least 1")
         rows = []
         for i in range(grid + 1):
             theta_m = theta0 * i / grid
@@ -377,11 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup(args) -> tuple[SimConfig, int, Path]:
+def _config(args) -> tuple[SimConfig, int]:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else args.default_seed
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
+    return cfg, seed
+
+
+def _setup(args) -> tuple[SimConfig, int, Path]:
+    cfg, seed = _config(args)
     return cfg, seed, _outdir(args.out)
 
 
@@ -425,8 +441,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    cfg, _, out = _setup(args)
-    run_coverage(cfg, args.theta_m_deg, args.grid, out)
+    cfg, _ = _config(args)  # run_coverage checks its inputs before creating --out
+    run_coverage(cfg, args.theta_m_deg, args.grid, Path(args.out))
     return 0
 
 

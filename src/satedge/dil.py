@@ -5,23 +5,24 @@ encoded episode state. Splits, shuffles, and initialization all hang off
 one seed, so a fixed (dataset, config, seed) triple reproduces the loss
 curve exactly.
 
-Scoring runs on whole streams: each scheme's actions are one N x V array
+Scoring runs on whole streams, passed as the Tables blocks that
+scenario.episode_blocks draws: each scheme's actions are one N x V array
 of PAIRS indices (the labels, the batched forward pass decoded in one
-projection, or a baseline built for the block), and action_report scores
-them through evaluator.score. Only a baseline's retention replay runs per
-state; a persistent rollout acts on blocks of one state.
+projection, or a baseline built block by block), and action_report
+scores them through evaluator.score. Only a baseline's retention replay
+runs per state; a persistent rollout acts on blocks of one state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .config import TrainConfig
-from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, EpisodeState, PriceVector, pair_index,
-                        patterns, score)
+from .evaluator import PAIR_CACHE, PAIR_OFFLOAD, PriceVector, Tables, pair_index, score
 from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_picks,
                      forward, gradients, init_model)
 from .oracle import Demonstrations
@@ -109,10 +110,11 @@ def train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainRes
 # scoring
 
 
-def docs_actions(model: MLPModel, demos: Demonstrations,
-                 states: list[EpisodeState]) -> np.ndarray:
+def docs_actions(model: MLPModel, demos: Demonstrations, blocks: Sequence[Tables],
+                 ) -> np.ndarray:
     """The trained policy's actions: one batched forward pass, decoded at once."""
-    return decode_picks(forward(model, demos.features), patterns(states))
+    pattern = np.concatenate([block.pattern for block in blocks])
+    return decode_picks(forward(model, demos.features), pattern)
 
 
 def oracle_actions(demos: Demonstrations) -> np.ndarray:
@@ -122,18 +124,18 @@ def oracle_actions(demos: Demonstrations) -> np.ndarray:
 
 
 def scheme_actions(scheme: str, model: MLPModel | None, demos: Demonstrations | None,
-                   states: list[EpisodeState], prices: PriceVector) -> np.ndarray:
+                   blocks: Sequence[Tables], prices: PriceVector) -> np.ndarray:
     """One scheme's actions: the labels, the decoded policy, or a baseline."""
     if scheme == "oracle":
         return oracle_actions(demos)
     if scheme == "docs":
-        return docs_actions(model, demos, states)
+        return docs_actions(model, demos, blocks)
     of_kind, ch_kind = scheme.split("-")
-    return baseline_actions(of_kind, ch_kind, states, prices)
+    return baseline_actions(of_kind, ch_kind, blocks, prices)
 
 
 def action_report(actions: np.ndarray, demos: Demonstrations,
-                  states: list[EpisodeState], prices: PriceVector) -> dict[str, float]:
+                  blocks: Sequence[Tables], prices: PriceVector) -> dict[str, float]:
     """Accuracy and cost metrics for one policy's N x V actions against the
     oracle labels.
 
@@ -142,9 +144,9 @@ def action_report(actions: np.ndarray, demos: Demonstrations,
     sums over episodes are left folds in episode order, and one that is
     not finite raises ValueError.
     """
-    if not (len(actions) == len(demos) == len(states)):
-        raise ValueError("actions, demos, and states must align")
-    rewards, times = score(states, actions, prices)
+    if not (len(actions) == len(demos) == sum(map(len, blocks))):
+        raise ValueError("actions, demos, and the blocks' states must align")
+    rewards, times = score(blocks, actions, prices)
     bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
     if demos.labels.shape != bits.shape:
         raise ValueError(f"labels {demos.labels.shape} do not fit action bits {bits.shape}")

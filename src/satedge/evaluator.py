@@ -9,25 +9,16 @@ that prices compute cycles, offloaded bytes, pinned cache bytes, and
 completion seconds.
 
 Times, feasible sets and costs come from Tables, which computes them for
-a block of states with whole-array numpy from the block's Columns: the
-draw (scenario.episode_states) fills those from the arrays it decoded and
-tabulates each block it yields, and Columns.of gathers them from the
-objects for any other block, such as a state outside every block, which
-builds a block of one. Scoring runs on the same blocks: score checks an
-N x V array of pair indices against the block's feasible patterns and
-gathers each state's cost and seconds at its own hits and pairs, folded
-over the chain one N-vector add per sub-task. reward and completion_time
-are its one-state forms. Hits are not part of a block's tables:
-Tables.hits gathers them from each state's own cache, so a state whose
-cache is swapped (carry_cache, a persistent rollout's carried cache)
-keeps its table row. A block keeps only its last hits, with the cache
-objects they were judged against, so labelling, each scored scheme and
-each greedy baseline on one stream build a block's hits once. A state
-memoises its Tables row and the retention bits of each cache kind
-(retained, filled by policies.baseline_cache), so every scheme scored
-on one state reads one replay per kind. Both are cached properties, not
-fields, so ==, hash and replace ignore them; a replaced state derives
-its own.
+a block of states, and holds them, with whole-array numpy from the
+block's Columns: the draw (scenario.episode_blocks) fills those from the
+arrays it decoded, and Columns.of gathers them from the objects for any
+other block, such as a lone state's block of one. Every stage takes a
+sequence of blocks. score checks an N x V array of pair indices against
+each block's feasible patterns and gathers each state's cost and
+seconds at its own hits and pairs, folded over the chain one N-vector
+add per sub-task; reward and completion_time are its one-state forms.
+A persistent rollout's carried states differ from their draw only in
+the cache, so Tables.carrying gives them the draw's rows and prices.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -37,10 +28,9 @@ re-pin charge count.
 from __future__ import annotations
 
 import itertools
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,27 +90,13 @@ class ActionMatrix:
         return cls(offload=tuple(bits[:n]), cache=tuple(bits[n:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeState:
     task: TaskGraph
     t_c: float  # remaining coverage budget at episode start, seconds
     link: LinkState
     cpu_rate: float  # edge server, cycles/s
     cache: CacheState
-
-    @cached_property
-    def tables(self) -> tuple[Tables, int]:
-        """The Tables block holding this state, and its row there.
-
-        tabulate and carry_cache fill this; a state that no block holds
-        builds a block of its own on first use.
-        """
-        return Tables([self]), 0
-
-    @cached_property
-    def retained(self) -> dict[str, tuple[int, ...]]:
-        """policies.baseline_cache's memo: retention bits per cache kind."""
-        return {}
 
 
 # Feasible pairs, ascending, indexed by 2 * category code + within, where
@@ -213,26 +189,26 @@ class Columns:
 class Tables:
     """Per-pair times and feasible sets of a block of N states, as numpy arrays.
 
-    Built from the block's Columns, or from its states, whose Columns are
-    gathered first. seconds[n, v, h, p] is the time of sub-task v of
-    state n under PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its
-    output, and pattern[n, v] indexes FEASIBLE with that sub-task's
-    feasible pairs. Nothing but hits reads a state's cache, so a state
-    whose cache is swapped (carry_cache) keeps its row; hits(rows, states)
-    picks h from each state's own cache, and keeps its last result only
-    for the same caches. Every state of a block has the same
-    number V of sub-tasks. costs(prices) prices the block once per price
-    vector, +inf on the infeasible pairs. The time and feasibility
-    formulas live here only, and the cost formula in _pair_cost:
-    feasible_actions reads a block of one sub-task, and a state outside
-    any block a block of its own.
+    Built from the Columns of its states (tasks as Columns.of takes them).
+    seconds[n, v, h, p] is the time of sub-task v of state n under
+    PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its output, and
+    pattern[n, v] indexes FEASIBLE with that sub-task's feasible pairs.
+    Nothing but hits reads a state's cache. Every state of a block has
+    the same number V of sub-tasks. costs(prices) prices the block once
+    per price vector, +inf on the infeasible pairs. The time and
+    feasibility formulas live here only, and the cost formula in
+    _pair_cost: feasible_actions reads a block of one sub-task, and a
+    lone state a block of its own. retained is policies.baseline_cache's
+    memo: the block's retention bits per cache kind.
 
     Modeling note: the satellite-to-vehicle return leg is charged at the
     fronthaul rate (symmetric fronthaul).
     """
 
-    def __init__(self, states: Sequence[EpisodeState] | Columns):
-        self.columns = cols = states if isinstance(states, Columns) else Columns.of(states)
+    def __init__(self, states: Sequence[EpisodeState],
+                 tasks: tuple[np.ndarray, ...] | None = None):
+        self.states = tuple(states)
+        self.columns = cols = Columns.of(self.states, tasks)
         # N x V x 1 per sub-task column and N x 1 x 1 per state column, so the
         # pair axis broadcasts last
         code, d_in, d_out, zeta = (c[..., None] for c in (cols.code, cols.d_in, cols.d_out,
@@ -268,28 +244,39 @@ class Tables:
         self.pattern = (2 * code + (back < t_c))[:, :, 0]
         self._cost_terms = (zeta[..., None], d_in[..., None], d_out[..., None])
         self._costs: dict[PriceVector, np.ndarray] = {}
-        self._hits: tuple = (None, [], None)  # hits' last (rows, caches, result)
+        self._drawn: tuple[Tables, slice] | None = None  # a carried block's draw, rows
+        self.retained: dict[str, np.ndarray] = {}
 
-    def hits(self, rows: slice, states: Sequence[EpisodeState]) -> np.ndarray:
-        """The N x V cache hits of states, rows `rows` of this block, each
-        judged against its own cache: one gather of the output ranks from the
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def carrying(self, states: Sequence[EpisodeState], rows: slice) -> Tables:
+        """The block of states, rows `rows` of this block with their caches
+        swapped. Only hits read a cache, so its columns, times and patterns
+        are views of those rows and its costs are this block's, priced once
+        per price vector; its hits and retention bits are its own."""
+        carried = object.__new__(Tables)
+        carried.states = tuple(states)
+        carried.columns = Columns(*(getattr(self.columns, f.name)[rows]
+                                    for f in fields(Columns)))
+        carried.seconds, carried.pattern = self.seconds[rows], self.pattern[rows]
+        if len(carried.pattern) != len(carried.states):
+            raise ValueError(f"{len(carried.states)} states carried on "
+                             f"{len(carried.pattern)} rows")
+        carried._drawn = (self, rows)
+        carried.retained = {}
+        return carried
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """The N x V cache hits of the block, each state's judged against its
+        own cache, read-only: one gather of the output ranks from the
         N x (1 + R) placement matrix, whose column 0 (rank 0, no output) is
         never a hit. Every cache needs the same number R of ranks and every
         output rank must lie in 0..R; ValueError names the first state, and
-        sub-task, that breaks either.
-
-        The last result is kept with the rows and the cache objects it
-        judged, and returned again, read-only, while both are the same: the
-        same slice and, compared by identity, the same caches (CacheState is
-        immutable). A state whose cache is swapped (carry_cache) keeps its
-        row but not its hits."""
-        caches = [state.cache for state in states]
-        last_rows, last_caches, last = self._hits
-        if rows == last_rows and len(caches) == len(last_caches) \
-                and all(map(operator.is_, caches, last_caches)):
-            return last
-        rank = self.columns.rank[rows]
-        placements = [cache.placement for cache in caches]
+        sub-task, that breaks either."""
+        rank = self.columns.rank
+        placements = [state.cache.placement for state in self.states]
         width = len(placements[0])
         if len(set(map(len, placements))) > 1:
             n = next(n for n, placement in enumerate(placements) if len(placement) != width)
@@ -301,17 +288,19 @@ class Tables:
             n, v = np.argwhere(bad)[0].tolist()
             raise ValueError(f"state {n}, sub-task {v}: output rank {rank[n, v].item()} "
                              f"outside 0..{width}, its cache's ranks")
-        held = np.zeros((len(states), 1 + width), dtype=bool)
+        held = np.zeros((len(placements), 1 + width), dtype=bool)
         held[:, 1:] = np.frombuffer(bytes(itertools.chain.from_iterable(placements)),
-                                    dtype=np.uint8).reshape(len(states), width) == 1
+                                    dtype=np.uint8).reshape(len(placements), width) == 1
         hits = np.take_along_axis(held, rank, axis=1)
         hits.flags.writeable = False
-        self._hits = (rows, caches, hits)
         return hits
 
     def costs(self, prices: PriceVector) -> np.ndarray:
         """N x V x 2 x 4 cost of every pair at prices, laid out like seconds,
         +inf where infeasible. Built once per price vector; do not mutate."""
+        if self._drawn is not None:
+            block, rows = self._drawn
+            return block.costs(prices)[rows]
         cost = self._costs.get(prices)
         if cost is None:
             cost = self._costs[prices] = _pair_cost(
@@ -326,35 +315,6 @@ class Tables:
 BLOCK_STATES = 256
 
 
-def blocks(states: Iterable[EpisodeState]) -> Iterator[list[EpisodeState]]:
-    """Consecutive runs of BLOCK_STATES states, the last one shorter.
-
-    Every state of a block needs the same chain length (see Tables).
-    """
-    it = iter(states)
-    return iter(lambda: list(itertools.islice(it, BLOCK_STATES)), [])
-
-
-def tabulate(states: Sequence[EpisodeState],
-             tasks: tuple[np.ndarray, ...] | None = None) -> Tables:
-    """Build one Tables for states and make it the block each state reads.
-
-    tasks, when given, are their chains' columns as the draw decoded them
-    (see Columns.of).
-    """
-    block = Tables(Columns.of(states, tasks))
-    for row, state in enumerate(states):
-        state.__dict__["tables"] = (block, row)  # where the cached property keeps it
-    return block
-
-
-def carry_cache(state: EpisodeState, cache: CacheState) -> EpisodeState:
-    """state with its cache swapped for cache; it keeps state's Tables row."""
-    carried = replace(state, cache=cache)
-    carried.__dict__["tables"] = state.tables
-    return carried
-
-
 def feasible_actions(st: SubTask, state: EpisodeState) -> tuple[tuple[int, int], ...]:
     """Feasible (offload, cache) pairs of one sub-task, ascending (see FEASIBLE)."""
     return FEASIBLE[int(Tables([replace(state, task=(st,))]).pattern[0, 0])]
@@ -365,28 +325,6 @@ def subtask_cost(st: SubTask, a_of: int, a_ch: int, hit: bool, t: float,
     """This sub-task's contribution to the episode reward, given its time t."""
     return _pair_cost(st.zeta, st.d_in, st.d_out, 0.0 if hit else 1.0, a_of, a_ch, t,
                       prices)
-
-
-def table_runs(states: Sequence[EpisodeState]) -> Iterator[tuple[slice, Tables, slice]]:
-    """Each run of blocks(states) with the Tables rows that hold it.
-
-    Yields (span, table, rows): states[span] are rows `rows` of table. A
-    run whose states are consecutive rows of one block, as tabulate and
-    carry_cache leave them, reads that block; any other run is tabulated.
-    """
-    start = 0
-    for run in blocks(states):
-        held = [state.__dict__.get("tables") for state in run]  # the cached property's slot
-        table, first = held[0] or (None, 0)
-        if table is None or held != [(table, first + i) for i in range(len(run))]:
-            table, first = tabulate(run), 0
-        yield slice(start, start + len(run)), table, slice(first, first + len(run))
-        start += len(run)
-
-
-def patterns(states: Sequence[EpisodeState]) -> np.ndarray:
-    """The N x V FEASIBLE patterns of states, read from their Tables rows."""
-    return np.concatenate([table.pattern[rows] for _, table, rows in table_runs(states)])
 
 
 def at_hits(block: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -417,28 +355,30 @@ def _check_feasible(pattern: np.ndarray, actions: np.ndarray, start: int) -> Non
             f"pair {PAIRS[actions[n, v]]} not in {FEASIBLE[p]}")
 
 
-def score(states: Sequence[EpisodeState], actions: np.ndarray,
+def score(blocks: Sequence[Tables], actions: np.ndarray,
           prices: PriceVector) -> tuple[list[float], list[float]]:
     """Each state's (reward, completion time) under its row of actions.
 
-    actions is N x V, PAIRS indices. Every pair is checked against its
-    feasible set first (InfeasibleActionError names the first offender).
-    Each state's cost and seconds are gathered at its own hits and pairs,
-    and each total is a left fold in chain order from 0.0, one N-vector
-    add per sub-task, as block_argmin folds the solver's value.
+    actions is N x V, PAIRS indices, one row per state of the blocks in
+    order. Every pair is checked against its feasible set first
+    (InfeasibleActionError names the first offender). Each state's cost
+    and seconds are gathered at its own hits and pairs, and each total is
+    a left fold in chain order from 0.0, one N-vector add per sub-task, as
+    block_argmin folds the solver's value.
     """
     rewards: list[float] = []
     times: list[float] = []
-    for span, table, rows in table_runs(states):
-        picks = actions[span]
-        _check_feasible(table.pattern[rows], picks, span.start)
-        hits = table.hits(rows, states[span])
-        for block, out in ((table.costs(prices), rewards), (table.seconds, times)):
-            picked = np.take_along_axis(at_hits(block[rows], hits), picks[..., None], axis=2)
+    start = 0
+    for block in blocks:
+        picks = actions[start:start + len(block)]
+        _check_feasible(block.pattern, picks, start)
+        for table, out in ((block.costs(prices), rewards), (block.seconds, times)):
+            picked = np.take_along_axis(at_hits(table, block.hits), picks[..., None], axis=2)
             total = np.zeros(len(picks))
             for column in picked[..., 0].T:
                 total += column
             out += total.tolist()
+        start += len(block)
     return rewards, times
 
 
@@ -452,7 +392,7 @@ def action_array(actions: Sequence[ActionMatrix]) -> np.ndarray:
 
 def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
     """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds."""
-    return score([state], action_array([action]), prices)[0][0]
+    return score([Tables([state])], action_array([action]), prices)[0][0]
 
 
 _TIME_ONLY = PriceVector(0.0, 0.0, 0.0, 1.0)  # every other term is an exact 0.0

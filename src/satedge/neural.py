@@ -6,11 +6,10 @@ down to the bit. The output layer is 2*|V| sigmoids in the blocked
 label layout: all offload bits first, then all cache bits.
 
 encode_states is the one feature encoder: it fills features column by
-column from the Tables rows the states hold (the columns the draw
-decoded, or gathered from the objects for a state outside any block),
-and scales them in one call per block; the hit and popularity features
-always come from each state's own cache. encode_state is encode_states
-on a block of one.
+column from each Tables block's columns (the ones the draw decoded, or
+gathered from the objects for a lone state's block of one) and scales
+them in one call; the hit and popularity features come from each state's
+own cache. encode_state is encode_states on a block of one.
 
 An MLPModel is the trained policy and nothing else. Adam's moments,
 step count and hyperparameters live in an AdamState that exists only
@@ -25,13 +24,14 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .caching import request_probability, zipf_pmf
 from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig, TrainConfig, orbit_params
-from .evaluator import NEAR, ActionMatrix, EpisodeState, pair_index, table_runs
+from .evaluator import NEAR, ActionMatrix, EpisodeState, Tables, pair_index
 from .geometry import earth_central_angle, relative_angular_velocity
 
 log = logging.getLogger(__name__)
@@ -111,10 +111,10 @@ class FeatureScaler:
         return cls(lo=np.array(lo), hi=np.array(hi))
 
 
-def _popularity(rank: np.ndarray, states: list[EpisodeState]) -> np.ndarray:
+def _popularity(rank: np.ndarray, states: Sequence[EpisodeState]) -> np.ndarray:
     """The N x V Zipf request probability of each output rank under its own
     state's cache (request_probability), 0.0 where the rank is 0 (no output).
-    Every cache holds the same number of ranks: Tables.hits, run first, refuses a mix."""
+    Every cache holds the same number of ranks: Tables.hits, read first, refuses a mix."""
     num_ranks = states[0].cache.num_ranks
     deltas, which = np.unique([s.cache.delta for s in states], return_inverse=True)
     pmf = np.zeros((len(deltas), 1 + num_ranks))
@@ -123,36 +123,37 @@ def _popularity(rank: np.ndarray, states: list[EpisodeState]) -> np.ndarray:
     return pmf[which[:, None], rank]
 
 
-def encode_states(states: list[EpisodeState], scaler: FeatureScaler) -> np.ndarray:
-    """Fixed-layout feature rows of states, min-max scaled in one call.
+def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray:
+    """Fixed-layout feature rows of the blocks' states, min-max scaled in one call.
 
     Layout v1: [t_c, r_fh, r_bh, d_vs, d_sg, f_m] then per sub-task
     [zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity].
     Upload encodes as (0, 0) on the category bits; popularity is the
     Zipf request probability of the output rank, 0 when there is none.
     Every value but the hit and popularity is a copy of a column of the
-    state's Tables row; those two come from the state's own cache.
+    block; those two come from the state's own cache.
     """
-    raw = np.empty((len(states), scaler.lo.shape[0]))
-    for span, table, rows in table_runs(states):
-        cols, block = table.columns, states[span]
-        raw[span, :GLOBAL_FEATURES] = cols.state[rows]
-        code, rank = cols.code[rows], cols.rank[rows]
-        # a view of the row's sub-task features; a width that does not fit
+    raw = np.empty((sum(map(len, blocks)), scaler.lo.shape[0]))
+    start = 0
+    for block in blocks:
+        cols, span = block.columns, slice(start, start + len(block))
+        raw[span, :GLOBAL_FEATURES] = cols.state
+        # a view of the rows' sub-task features; a width that does not fit
         # V sub-tasks raises ValueError here
-        sub = raw[span, GLOBAL_FEATURES:].reshape(*code.shape, SUBTASK_FEATURES)
+        sub = raw[span, GLOBAL_FEATURES:].reshape(*cols.code.shape, SUBTASK_FEATURES)
         for k, column in enumerate((cols.zeta, cols.d_in, cols.d_out, cols.rho)):
-            sub[..., k] = column[rows]
-        sub[..., 4] = code == 2
-        sub[..., 5] = code == 1
-        sub[..., 6] = table.hits(rows, block)
-        sub[..., 7] = _popularity(rank, block)
+            sub[..., k] = column
+        sub[..., 4] = cols.code == 2
+        sub[..., 5] = cols.code == 1
+        sub[..., 6] = block.hits
+        sub[..., 7] = _popularity(cols.rank, block.states)
+        start = span.stop
     return scaler.transform(raw)
 
 
 def encode_state(state: EpisodeState, scaler: FeatureScaler) -> np.ndarray:
     """One state's feature vector: encode_states on a block of one."""
-    return encode_states([state], scaler)[0]
+    return encode_states([Tables([state])], scaler)[0]
 
 
 @dataclass
@@ -291,10 +292,8 @@ def decode_picks(probs: np.ndarray, pattern: np.ndarray) -> np.ndarray:
 
 def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
     """One state's decode_picks, as an ActionMatrix; it always validates."""
-    table, row = state.tables
-    probs = np.asarray(probs, dtype=np.float64)
-    return ActionMatrix.from_picks(
-        decode_picks(probs[None], table.pattern[row:row + 1])[0].tolist())
+    probs = np.asarray(probs, dtype=np.float64)[None]
+    return ActionMatrix.from_picks(decode_picks(probs, Tables([state]).pattern)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

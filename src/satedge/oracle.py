@@ -9,9 +9,9 @@ picked costs, so it agrees bit-for-bit with evaluator.reward, and ties,
 including ties that float rounding creates in the total, fall to the
 lexicographically smallest pick (prefer local, prefer not caching).
 
-block_argmin applies that rule to every state of a block at once, and
-label_states labels any sequence of states through it, block by block:
-a stream in blocks of BLOCK_STATES, and so the carried states of a
+block_argmin applies that rule to every state of a Tables block at
+once, and label_states labels a sequence of blocks through it: a stream
+as scenario.episode_blocks draws it, and so the carried blocks of a
 baseline's persistent rollout; under oracle and docs, whose next state
 depends on an action read from this one's labels, a rollout labels in
 blocks of one. solve_optimal is block_argmin on a block of one.
@@ -28,10 +28,10 @@ import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
 from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, ActionMatrix, EpisodeState,
-                        PriceVector, at_hits, blocks, table_runs)
+                        PriceVector, Tables, at_hits)
 from .neural import (LAYOUT_VERSION, FeatureScaler, canonical_int, encode_states,
                      feature_dim, stray_row)
-from .scenario import episode_stream, prices_from
+from .scenario import episode_blocks, make_library, prices_from
 
 
 @dataclass(frozen=True)
@@ -106,41 +106,36 @@ def block_argmin(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_optimal(state: EpisodeState, prices: PriceVector) -> tuple[ActionMatrix, float]:
     """Minimum-reward action over the pre-classified joint action space:
-    block_argmin on the state's own Tables row, a block of one.
+    block_argmin on the state's own block of one.
 
     Each sub-task's table holds all four pairs, +inf on the infeasible
     ones, which never reach the optimum, so the picks are PAIRS indices.
     """
-    table, row = state.tables
-    rows = slice(row, row + 1)
-    picks, values = block_argmin(at_hits(table.costs(prices)[rows], table.hits(rows, [state])))
+    block = Tables([state])
+    picks, values = block_argmin(at_hits(block.costs(prices), block.hits))
     return ActionMatrix.from_picks(picks[0].tolist()), values.item()
 
 
-def label_states(states: Iterable[EpisodeState], prices: PriceVector,
+def label_states(blocks: Iterable[Tables], prices: PriceVector,
                  scaler: FeatureScaler) -> Demonstrations:
-    """Solve and encode pre-drawn states, block by block; episode ids count from 0.
+    """Solve and encode pre-drawn blocks of states; episode ids count from 0.
 
-    Each block reads the Tables rows its states hold (table_runs), so a
-    carried state (carry_cache) reuses its draw's row, and runs one
-    block_argmin over its cost table at the states' own hits and one
-    scaling call.
+    Each block runs one block_argmin over its cost table at its states'
+    own hits and one scaling call.
     """
     labelled = []
-    for block in blocks(states):
-        (_, table, rows), = table_runs(block)  # a block is one run
-        picks, values = block_argmin(at_hits(table.costs(prices)[rows],
-                                             table.hits(rows, block)))
+    for block in blocks:
+        picks, values = block_argmin(at_hits(block.costs(prices), block.hits))
         labels = np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
-        labelled.append(Demonstrations(np.arange(len(values)), encode_states(block, scaler),
+        labelled.append(Demonstrations(np.arange(len(values)), encode_states([block], scaler),
                                        labels, values))
     return Demonstrations.stack(labelled)
 
 
 def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> Demonstrations:
     """Generate and label n episodes from the seeded stream."""
-    states = (state for _, state in episode_stream(cfg, seed, n))
-    return label_states(states, prices_from(cfg), FeatureScaler.from_scenario(cfg))
+    return label_states(episode_blocks(cfg, seed, range(n), make_library(cfg, seed)),
+                        prices_from(cfg), FeatureScaler.from_scenario(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,10 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], Demonstrations]:
                 raise ValueError(f"bad record width {len(parts)}")
             if len(parts[-2]) != n_bits or set(parts[-2]) - {"0", "1"}:
                 raise ValueError(f"bad label field {parts[-2]!r}")
-            records.append((np.intp(canonical_int(parts[0])),
+            episode = canonical_int(parts[0])
+            if episode < 0:
+                raise ValueError("negative episode id")
+            records.append((np.intp(episode),
                             array("d", map(float, parts[1:-2])),  # 8 bytes a value
                             list(map(int, parts[-2])), float(parts[-1])))
         except (ValueError, OverflowError) as exc:  # OverflowError: an id past np.intp

@@ -1,16 +1,16 @@
 """Heuristic baselines: offload rules, retention-driven caching, projection.
 
-A baseline is an offload rule crossed with a caching rule, built for a
-block of states at once: baseline_actions returns one row of PAIRS
+A baseline is an offload rule crossed with a caching rule, built for
+Tables blocks of states: baseline_actions returns one row of PAIRS
 indices per state. Offload proposals may be infeasible (total offloading
 proposes uploading a Download, say); projection snaps every pair to the
 nearest feasible one by Hamming distance, one NEAR[pattern, pair] lookup
-for the whole block. Caching bits come from replaying the episode's
-outputs through an eviction policy and keeping whatever survives;
-projection alone sets the bits that coverage expiry forces. The greedy
-rule reads the block's cost table. The retention replay is the one step
-that runs per state, once per (state, cache kind), whichever baselines
-share it. baseline_policy and project_feasible are the one-state forms.
+per block. Caching bits come from replaying the episode's outputs
+through an eviction policy and keeping whatever survives; projection
+alone sets the bits that coverage expiry forces. The greedy rule reads
+the block's cost table. The retention replay is the one step that runs
+per state, once per (block, cache kind), whichever baselines share it.
+baseline_policy and project_feasible are the one-state forms.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .caching import apply_caching_action
-from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, at_hits,
-                        pair_index, table_runs)
+from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, Tables, at_hits,
+                        pair_index)
 
 # le / to / go: local, total offloading, greedy; mrc / mpc: most recent / popular
 BASELINE_PAIRS = (  # in report order
@@ -34,44 +34,46 @@ def baseline_name(offload_kind: str, cache_kind: str) -> str:
     return f"{offload_kind}-{cache_kind}"
 
 
-def baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:
-    """Caching bits from retention: keep what the eviction policy keeps.
+def baseline_cache(kind: str, block: Tables) -> np.ndarray:
+    """Caching bits from retention, N x V: keep what the eviction policy keeps.
 
     Every produced output is offered to the cache in chain order against
     the episode's starting placement; a_ch[v] = 1 iff sub-task v's rank is
     still resident afterwards. Coverage is not consulted: projection pins
     the bit of a sub-task whose result must be cached. The replay runs
-    once per (state, kind); later calls read state.retained. The bits are
+    once per (block, kind); later calls read block.retained. The bits are
     read from the replay's final placement: every rank read there was
     offered, and so range-checked, by the replay.
     """
-    bits = state.retained.get(kind)
+    bits = block.retained.get(kind)
     if bits is None:
-        placement = apply_caching_action(state.cache, state.task, (1,) * len(state.task),
-                                         kind).placement
-        bits = state.retained[kind] = tuple(
-            int(st.d_out > 0.0 and placement[st.out_rank - 1] == 1) for st in state.task)
+        rows = []
+        for state in block.states:
+            placement = apply_caching_action(state.cache, state.task, (1,) * len(state.task),
+                                             kind).placement
+            rows.append([st.d_out > 0.0 and placement[st.out_rank - 1] == 1
+                         for st in state.task])
+        bits = block.retained[kind] = np.array(rows, dtype=np.intp).reshape(len(block), -1)
     return bits
 
 
-def baseline_actions(offload_kind: str, cache_kind: str, states: Sequence[EpisodeState],
+def baseline_actions(offload_kind: str, cache_kind: str, blocks: Sequence[Tables],
                      prices: PriceVector) -> np.ndarray:
     """Every state's baseline action as N x V PAIRS indices: propose offload
     bits, cache by retention, project onto the feasible pairs."""
     if offload_kind not in ("le", "to", "go"):
         raise ValueError(f"unknown offload baseline {offload_kind!r}")
-    cache = np.array([baseline_cache(cache_kind, state) for state in states], dtype=np.intp)
-    actions = np.empty_like(cache)
-    for span, table, rows in table_runs(states):
+    actions = []
+    for block in blocks:
         if offload_kind == "go":
             # greedy: per sub-task, the offload bit of the pair with the smallest
             # immediate cost (+inf when infeasible); ties prefer the smaller pair
-            costs = at_hits(table.costs(prices)[rows], table.hits(rows, states[span]))
-            offload = costs.argmin(axis=2) >> 1
+            offload = at_hits(block.costs(prices), block.hits).argmin(axis=2) >> 1
         else:
             offload = int(offload_kind == "to")
-        actions[span] = NEAR[table.pattern[rows], pair_index(offload, cache[span])]
-    return actions
+        cache = baseline_cache(cache_kind, block)
+        actions.append(NEAR[block.pattern, pair_index(offload, cache)])
+    return np.concatenate(actions)
 
 
 def project_feasible(pairs: tuple[tuple[int, int], ...],
@@ -83,13 +85,12 @@ def project_feasible(pairs: tuple[tuple[int, int], ...],
     """
     if len(pairs) != len(state.task):
         raise ValueError("proposal length must match the task")
-    table, row = state.tables
     return ActionMatrix.from_picks(
-        NEAR[table.pattern[row], [pair_index(of, ch) for of, ch in pairs]].tolist())
+        NEAR[Tables([state]).pattern[0], [pair_index(of, ch) for of, ch in pairs]].tolist())
 
 
 def baseline_policy(offload_kind: str, cache_kind: str, state: EpisodeState,
                     prices: PriceVector) -> ActionMatrix:
     """One state's baseline action: baseline_actions on a block of one."""
     return ActionMatrix.from_picks(
-        baseline_actions(offload_kind, cache_kind, [state], prices)[0].tolist())
+        baseline_actions(offload_kind, cache_kind, [Tables([state])], prices)[0].tolist())

@@ -13,16 +13,15 @@ following how numpy's Generator consumes raw output (doubles, the
 buffered 32-bit half that rank draws share, Lemire's rejection test).
 A lone episode_state call, and the rare block row decode_tasks cannot
 decode exactly (a rejected rank word or a zero compute rho), draws its
-chain by generate_task from a fresh generator on its task key. A block
-is drawn whole before its first state is yielded, and its
-evaluator.Tables is built from the columns decode_tasks decoded
-(category codes, sizes, rho and ranks) and the t_c, link and cpu_rate of
-each drawn state; a block holding a row left to generate_task gathers
-its columns from the objects instead. Hits are not part of those
-columns: they always come from a state's own cache. The content library
-(bytes per popularity rank) is drawn once per run, from numpy's own
-SeedSequence, and shared by all episodes, which keeps cache capacity
-accounting coherent.
+chain by generate_task from a fresh generator on its task key.
+episode_blocks yields each block as the evaluator.Tables of its states,
+built from the columns decode_tasks decoded (category codes, sizes, rho
+and ranks) and the t_c, link and cpu_rate of each drawn state; a block
+holding a row left to generate_task gathers its columns from the objects
+instead. episode_states is the same draw, state by state. The content
+library (bytes per popularity rank) is drawn once per run, from numpy's
+own SeedSequence, and shared by all episodes, which keeps cache
+capacity accounting coherent.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from .caching import CacheState
 from .channel import LinkState, snr_from_db
 from .config import ScenarioConfig, orbit_params
-from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, tabulate
+from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, Tables
 from .geometry import coverage_time, earth_central_angle
 from .workload import TaskGraph, decode_tasks, generate_task
 
@@ -158,16 +157,15 @@ def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
                         cpu_rate=cfg.cpu_rate_hz, cache=cache)
 
 
-def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
-                   library: tuple[float, ...]) -> Iterator[EpisodeState]:
-    """The listed episodes of the stream keyed by `seed`, in order.
+def episode_blocks(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
+                   library: tuple[float, ...]) -> Iterator[Tables]:
+    """The listed episodes of the stream keyed by `seed`, in order, as
+    Tables blocks of up to BLOCK_STATES states.
 
     Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
-    by one call to it, on the keys its block hashed. Ids are hashed in
-    blocks of up to BLOCK_STATES. A block's task chains are decoded from
-    raw output before its first state, and the whole block is drawn and
-    tabulated before its first state is yielded: its Tables is built from
-    the columns decode_tasks decoded, so every state already holds its row.
+    by one call to it, on the keys its block hashed. A block's task chains
+    are decoded from raw output before its first state is drawn, and its
+    Tables is built from the columns decode_tasks decoded.
     """
     for start in range(0, len(episodes), BLOCK_STATES):
         ids = episodes[start:start + BLOCK_STATES]
@@ -179,8 +177,14 @@ def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
         drawn = [episode_state(cfg, seed, e, library, keys, task)
                  for e, keys, task in zip(ids, block, chains)]
         # a chain generate_task drew has no decoded columns: gather them all
-        tabulate(drawn, None if None in chains else columns)
-        yield from drawn
+        yield Tables(drawn, None if None in chains else columns)
+
+
+def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
+                   library: tuple[float, ...]) -> Iterator[EpisodeState]:
+    """The states of episode_blocks, one by one."""
+    for block in episode_blocks(cfg, seed, episodes, library):
+        yield from block.states
 
 
 def episode_stream(cfg: ScenarioConfig, seed: int, n: int,

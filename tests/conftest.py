@@ -9,11 +9,12 @@ from satedge.caching import CacheState, apply_caching_action, request_probabilit
 from satedge.channel import LinkState, transmit_time
 from satedge.config import ScenarioConfig, default_config
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
-                               reward)
+                               Tables, action_array, score)
 from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
 from satedge.oracle import Demonstration
-from satedge.scenario import (draw_coverage, draw_link, library_capacity, prices_from,
-                              random_placement)
+from satedge.policies import baseline_cache
+from satedge.scenario import (draw_coverage, draw_link, episode_blocks, library_capacity,
+                              make_library, prices_from, random_placement)
 from satedge.workload import SubTask, Category, TaskGraph, generate_task
 
 
@@ -83,38 +84,59 @@ def compute(d_in=100e3, d_out=100e3, rho=1e4, rank=2):
                    out_rank=rank)
 
 
+def stream_blocks(cfg: ScenarioConfig, seed: int, n: int) -> list[Tables]:
+    """Episodes 0..n-1 of the stream keyed by seed, as the draw's blocks."""
+    return list(episode_blocks(cfg, seed, range(n), make_library(cfg, seed)))
+
+
+def states_of(blocks: Iterable[Tables]) -> list[EpisodeState]:
+    """The blocks' states, in order."""
+    return [state for block in blocks for state in block.states]
+
+
 # ---------------------------------------------------------------------------
-# one state's entries of its Tables row, laid out per sub-task over its
-# feasible pairs, for tests that compare them against the scalar formulas
+# one state's entries of a Tables row, laid out per sub-task over its
+# feasible pairs, for tests that compare them against the scalar formulas.
+# Each takes a (block, row) pair, or a state, read as a block of one.
 
 
-def feasible_of(state: EpisodeState) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each sub-task's feasible pairs, ascending, from the state's Tables row."""
-    table, row = state.tables
+def _block_row(of: EpisodeState | tuple[Tables, int]) -> tuple[Tables, int]:
+    return (Tables([of]), 0) if isinstance(of, EpisodeState) else of
+
+
+def feasible_of(of) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each sub-task's feasible pairs, ascending, from the Tables row."""
+    table, row = _block_row(of)
     return tuple(FEASIBLE[p] for p in table.pattern[row].tolist())
 
 
-def hits_of(state: EpisodeState) -> tuple[bool, ...]:
-    """Each sub-task's cache hit, from Tables.hits on the state's row."""
-    table, row = state.tables
-    return tuple(table.hits(slice(row, row + 1), [state])[0].tolist())
+def hits_of(of) -> tuple[bool, ...]:
+    """Each sub-task's cache hit, from Tables.hits on the row."""
+    table, row = _block_row(of)
+    return tuple(table.hits[row].tolist())
 
 
-def _row_entries(state: EpisodeState, block: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    table, row = state.tables
+def _row_entries(of, array_of) -> tuple[tuple[float, ...], ...]:
+    table, row = _block_row(of)
     return tuple(tuple(by_hit[hit][PAIRS.index(pair)] for pair in feas)
-                 for by_hit, hit, feas in zip(block[row].tolist(), hits_of(state),
-                                              feasible_of(state)))
+                 for by_hit, hit, feas in zip(array_of(table)[row].tolist(),
+                                              hits_of((table, row)),
+                                              feasible_of((table, row))))
 
 
-def seconds_of(state: EpisodeState) -> tuple[tuple[float, ...], ...]:
-    """Each feasible pair's time, at the state's own hits, aligned with feasible_of."""
-    return _row_entries(state, state.tables[0].seconds)
+def seconds_of(of) -> tuple[tuple[float, ...], ...]:
+    """Each feasible pair's time, at the row's own hits, aligned with feasible_of."""
+    return _row_entries(of, lambda table: table.seconds)
 
 
-def costs_of(state: EpisodeState, prices: PriceVector) -> tuple[tuple[float, ...], ...]:
-    """Each feasible pair's cost, at the state's own hits, aligned with feasible_of."""
-    return _row_entries(state, state.tables[0].costs(prices))
+def costs_of(of, prices: PriceVector) -> tuple[tuple[float, ...], ...]:
+    """Each feasible pair's cost, at the row's own hits, aligned with feasible_of."""
+    return _row_entries(of, lambda table: table.costs(prices))
+
+
+def retained_of(kind: str, state: EpisodeState) -> tuple[int, ...]:
+    """policies.baseline_cache of a state's block of one."""
+    return tuple(baseline_cache(kind, Tables([state]))[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +495,19 @@ def solve_full_grid(state: EpisodeState, prices: PriceVector,
                     ) -> tuple[ActionMatrix, float]:
     """Reference optimum from the raw 4^|V| grid, infeasible combos discarded.
 
-    Deliberately naive (re-scores every combination through reward) so it
-    shares nothing with solve_optimal beyond the evaluator. Only sane for
-    small |V|.
+    Deliberately naive (re-scores every combination through score, as
+    reward does, on the state's block of one) so it shares nothing with
+    solve_optimal beyond the evaluator. Only sane for small |V|.
     """
     feas = [set(reference_feasible_actions(st, state)) for st in state.task]
+    block = Tables([state])
     best: tuple[ActionMatrix, float] | None = None
     for combo in itertools.product(PAIRS, repeat=len(state.task)):
         if any(pair not in feas[v] for v, pair in enumerate(combo)):
             continue
         action = ActionMatrix(offload=tuple(p[0] for p in combo),
                               cache=tuple(p[1] for p in combo))
-        value = reward(state, action, prices)
+        value = score([block], action_array([action]), prices)[0][0]
         if best is None or value < best[1]:
             best = (action, value)
     if best is None:

@@ -17,30 +17,30 @@ import pytest
 from satedge.caching import evict_mpc, evict_mrc, request_probability
 from satedge.cli import EVAL_SEED, GEN_SEED, main
 from satedge.config import default_config
-from satedge.dil import action_report, train_policy
-from satedge.evaluator import action_array, completion_time, reward
+from satedge.dil import action_report, docs_actions, scheme_actions, train_policy
+from satedge.evaluator import FEASIBLE, PAIRS, completion_time, reward
 from satedge.geometry import coverage_time, earth_central_angle, relative_angular_velocity
 from satedge.neural import (
     FeatureScaler,
     adam_state,
     adam_step,
     cross_entropy,
-    infer,
     init_model,
     load_model,
     save_model,
 )
 from satedge.oracle import (
     build_dataset,
+    label_states,
     read_dataset,
     solve_optimal,
     write_dataset,
 )
-from satedge.policies import BASELINE_PAIRS, baseline_policy
-from satedge.scenario import episode_states, episode_stream, make_library, orbit_params, prices_from
+from satedge.policies import BASELINE_PAIRS, baseline_actions, baseline_policy
+from satedge.scenario import episode_blocks, episode_stream, make_library, orbit_params, prices_from
 
 from conftest import (cached_bytes, compute, download, empty_cache, gradient_check,
-                      make_cache, make_state, solve_full_grid, upload)
+                      make_cache, make_state, solve_full_grid, stream_blocks, upload)
 
 
 def _verdict(capsys, number, name, ok, detail=""):
@@ -61,12 +61,12 @@ def trained():
     train_s = time.perf_counter() - t1
     library = make_library(cfg.scenario, GEN_SEED)
     test_demos = demos.take(result.test_idx)
-    test_states = list(episode_states(cfg.scenario, GEN_SEED,
+    test_blocks = list(episode_blocks(cfg.scenario, GEN_SEED,
                                       test_demos.episode_id.tolist(), library))
     scaler = FeatureScaler.from_scenario(cfg.scenario)
     return {
         "cfg": cfg, "result": result, "scaler": scaler,
-        "test_demos": test_demos, "test_states": test_states,
+        "test_demos": test_demos, "test_blocks": test_blocks,
         "gen_s": gen_s, "train_s": train_s,
     }
 
@@ -177,16 +177,16 @@ def test_criterion_4_training_math(capsys):
 def test_criterion_5_imitation_accuracy(capsys, trained):
     cfg = trained["cfg"]
     prices = prices_from(cfg.scenario)
-    demos, states = trained["test_demos"], trained["test_states"]
+    demos, blocks = trained["test_demos"], trained["test_blocks"]
     model = trained["result"].model
 
-    docs_acts = action_array([infer(model, trained["scaler"], s) for s in states])
-    docs = action_report(docs_acts, demos, states, prices)
+    # every scheme acts on the drawn blocks, as compare does
+    docs = action_report(docs_actions(model, demos, blocks), demos, blocks, prices)
     baseline_exact = {}
     for of_kind, ch_kind in BASELINE_PAIRS:
-        acts = action_array([baseline_policy(of_kind, ch_kind, s, prices) for s in states])
+        acts = baseline_actions(of_kind, ch_kind, blocks, prices)
         name = f"{of_kind}-{ch_kind}"
-        baseline_exact[name] = action_report(acts, demos, states, prices)["exact_match"]
+        baseline_exact[name] = action_report(acts, demos, blocks, prices)["exact_match"]
 
     budget_s = trained["gen_s"] + trained["train_s"]
     time_ok = budget_s <= 1800.0
@@ -209,22 +209,17 @@ def test_criterion_6_docs_cost_reduction(capsys, trained):
     prices = prices_from(cfg.scenario)
     model, scaler = trained["result"].model, trained["scaler"]
 
-    sums = {name: [0.0, 0.0] for name in
-            ["docs"] + [f"{a}-{b}" for a, b in BASELINE_PAIRS]}
-    n = cfg.train.compare_episodes
-    for _, state in episode_stream(cfg.scenario, EVAL_SEED, n):
-        act = infer(model, scaler, state)
-        sums["docs"][0] += reward(state, act, prices)
-        sums["docs"][1] += completion_time(state, act)
-        for of_kind, ch_kind in BASELINE_PAIRS:
-            act = baseline_policy(of_kind, ch_kind, state, prices)
-            key = f"{of_kind}-{ch_kind}"
-            sums[key][0] += reward(state, act, prices)
-            sums[key][1] += completion_time(state, act)
-
-    docs_reward, docs_time = (v / n for v in sums["docs"])
-    rewards = {k: v[0] / n for k, v in sums.items() if k != "docs"}
-    to_mrc_time = sums["to-mrc"][1] / n
+    # each mean is the episode-order sum of reward (or completion_time) over
+    # n, as action_report folds it from the drawn blocks
+    blocks = stream_blocks(cfg.scenario, EVAL_SEED, cfg.train.compare_episodes)
+    demos = label_states(blocks, prices, scaler)
+    means = {name: action_report(scheme_actions(name, model, demos, blocks, prices), demos,
+                                 blocks, prices)
+             for name in ["docs"] + [f"{a}-{b}" for a, b in BASELINE_PAIRS]}
+    docs_reward, docs_time = (means["docs"][key]
+                              for key in ("mean_reward", "mean_completion_time_s"))
+    rewards = {k: v["mean_reward"] for k, v in means.items() if k != "docs"}
+    to_mrc_time = means["to-mrc"]["mean_completion_time_s"]
     cheaper = all(docs_reward < v for v in rewards.values())
     time_cut = 100.0 * (to_mrc_time - docs_time) / to_mrc_time
     faster = docs_time <= 0.8 * to_mrc_time
@@ -298,21 +293,21 @@ def test_criterion_8_property_bundle(capsys, tmp_path, trained):
             break
     notes.append("cache invariant held" if cache_ok else "cache invariant broke")
 
-    # every policy issues feasible actions across a wide episode draw
+    # every policy issues feasible actions across a wide episode draw: each
+    # scheme acts on the drawn blocks, as compare does, and an episode fails
+    # when any scheme picks a pair outside its sub-task's feasible set
     cfg = trained["cfg"]
     prices = prices_from(cfg.scenario)
     model, scaler = trained["result"].model, trained["scaler"]
-    feas_failures = 0
-    for _, state in episode_stream(cfg.scenario, 777, 10_000):
-        try:
-            act, _ = solve_optimal(state, prices)
-            completion_time(state, act)
-            completion_time(state, infer(model, scaler, state))
-            for of_kind, ch_kind in BASELINE_PAIRS:
-                completion_time(
-                    state, baseline_policy(of_kind, ch_kind, state, prices))
-        except Exception:
-            feas_failures += 1
+    blocks = stream_blocks(cfg.scenario, 777, 10_000)
+    demos = label_states(blocks, prices, scaler)
+    pattern = np.concatenate([block.pattern for block in blocks])
+    allowed = np.array([[pair in feas for pair in PAIRS] for feas in FEASIBLE])
+    failed = np.zeros(len(demos), dtype=bool)
+    for name in ["oracle", "docs"] + [f"{a}-{b}" for a, b in BASELINE_PAIRS]:
+        actions = scheme_actions(name, model, demos, blocks, prices)
+        failed |= ~allowed[pattern, actions].all(axis=1)
+    feas_failures = int(failed.sum())
     feas_ok = feas_failures == 0
     notes.append(f"{feas_failures} infeasible episodes")
 

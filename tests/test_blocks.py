@@ -1,8 +1,8 @@
 """Block labelling against the scalar path it replaced.
 
-label_states builds one Tables block per run of states, solves every row
-with block_argmin and scales all feature rows in one call, whether the
-run is a whole stream or a lone state in a block of one. Both must give
+label_states solves every row of each Tables block it is given with
+block_argmin and scales its feature rows in one call, whether the block
+is one the draw built or a lone state's block of one. Both must give
 the labels, the opt_reward bits and the feature bits of the scalar path
 in conftest, and the table rows that baselines and scoring read must
 equal the scalar formulas.
@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import BLOCK_STATES, PriceVector, carry_cache, tabulate
+from satedge.evaluator import BLOCK_STATES, PriceVector, Tables
 from satedge.neural import FeatureScaler
 from satedge.oracle import block_argmin, label_states
 from satedge.scenario import episode_stream, prices_from
 
 from conftest import (costs_of, empty_cache, feasible_of, hits_of, reference_cost_rows,
                       reference_hits, reference_label_states,
-                      reference_lexicographic_argmin, reference_subtask_time, seconds_of)
+                      reference_lexicographic_argmin, reference_subtask_time, seconds_of,
+                      states_of, stream_blocks)
 from test_oracle import TIE_COSTS
 
 COVERAGES = {
@@ -48,12 +49,13 @@ def _assert_same_demos(demos, reference):
         assert demo.features.tobytes() == ref.features.tobytes()
 
 
-def _assert_views_match_formulas(state, prices):
+def _assert_views_match_formulas(block, row, prices):
+    state = block.states[row]
     feasible, rows = reference_cost_rows(state, prices)
     hits = reference_hits(state)
-    assert feasible_of(state) == tuple(feasible)
-    assert costs_of(state, prices) == tuple(map(tuple, rows))
-    assert seconds_of(state) == tuple(
+    assert feasible_of((block, row)) == tuple(feasible)
+    assert costs_of((block, row), prices) == tuple(map(tuple, rows))
+    assert seconds_of((block, row)) == tuple(
         tuple(reference_subtask_time(sub, of, hit, state) for of, _ in feas)
         for sub, feas, hit in zip(state.task, feasible, hits))
 
@@ -70,27 +72,28 @@ def test_block_labelling_matches_scalar_path(num_subtasks, coverage, seed, price
     prices = {"default": prices_from(scen), "time-only": PriceVector(0.0, 0.0, 0.0, 1.0),
               "zero": PriceVector(0.0, 0.0, 0.0, 0.0)}[price_kind]
     scaler = FeatureScaler.from_scenario(scen)
-    states = [state for _, state in episode_stream(scen, seed, n)]
+    blocks = stream_blocks(scen, seed, n)
+    states = states_of(blocks)
     reference = reference_label_states(states, prices, scaler)
 
-    _assert_same_demos(label_states(states, prices, scaler), reference)
+    _assert_same_demos(label_states(blocks, prices, scaler), reference)
     # the per-state path: a fresh twin of each state builds its own block of one
     for state, ref in zip(states[:9], reference):
-        _assert_same_demos(label_states([replace(state)], prices, scaler),
+        _assert_same_demos(label_states([Tables([replace(state)])], prices, scaler),
                            [replace(ref, episode_id=0)])
-    for state in states[:9]:
-        _assert_views_match_formulas(state, prices)
+    for row in range(min(9, n)):
+        _assert_views_match_formulas(blocks[0], row, prices)
 
 
 def test_short_coverage_restricts_feasible_sets():
     # the fixed 0.16 s window is about the median return leg, so the
     # differential test above meets restricted feasible sets
     scen = replace(default_config().scenario, **COVERAGES["fixed-0.16s"])
-    states = [state for _, state in episode_stream(scen, 5, 50)]
-    tabulate(states)
+    block, = stream_blocks(scen, 5, 50)
     allowed = {"upload": 2, "download": 2, "compute": 4}
     restricted = sum(len(feas) < allowed[sub.category.value]
-                     for state in states for sub, feas in zip(state.task, feasible_of(state)))
+                     for row, state in enumerate(block.states)
+                     for sub, feas in zip(state.task, feasible_of((block, row))))
     assert restricted > 50
 
 
@@ -98,31 +101,29 @@ def test_carried_state_reads_its_draws_row():
     cfg = default_config()
     prices = prices_from(cfg.scenario)
     scaler = FeatureScaler.from_scenario(cfg.scenario)
-    states = [state for _, state in episode_stream(cfg.scenario, 3, 20)]
-    block = tabulate(states)
-    for state in states:
+    block, = stream_blocks(cfg.scenario, 3, 20)
+    for row, state in enumerate(block.states):
         # an empty cache turns every hit of the drawn placement into a miss
         cache = empty_cache(state.cache.sizes, state.cache.capacity_bytes,
                             state.cache.delta)
-        carried = carry_cache(state, cache)
-        assert carried.tables == state.tables and carried.tables[0] is block
-        assert not any(hits_of(carried))
-        _assert_views_match_formulas(carried, prices)
+        carried = block.carrying([replace(state, cache=cache)], slice(row, row + 1))
+        assert np.shares_memory(carried.seconds, block.seconds)
+        assert np.shares_memory(carried.costs(prices), block.costs(prices))
+        assert not any(hits_of((carried, 0)))
+        _assert_views_match_formulas(carried, 0, prices)
         _assert_same_demos(label_states([carried], prices, scaler),
-                           reference_label_states([carried], prices, scaler))
+                           reference_label_states(carried.states, prices, scaler))
 
 
 def test_block_rejects_unequal_chain_lengths():
     scen = default_config().scenario
     short = next(episode_stream(replace(scen, num_subtasks=2), 1, 1))[1]
     long = next(episode_stream(scen, 1, 1))[1]
-    with pytest.raises(ValueError):
-        tabulate([short, long])
-    # blocks split at BLOCK_STATES only, so a stream of mixed lengths is refused
+    for mixed in ([short, long], [long, short]):
+        with pytest.raises(ValueError):
+            Tables(mixed)
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
-    with pytest.raises(ValueError):
-        label_states([long, short], prices, scaler)
-    assert [d.labels for d in label_states([long, long], prices, scaler)] == \
+    assert [d.labels for d in label_states([Tables([long, long])], prices, scaler)] == \
         [d.labels for d in reference_label_states([long, long], prices, scaler)]
 
 

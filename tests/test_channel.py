@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
+from satedge.evaluator import Tables
 
 from conftest import GOLDEN_LINK, compute, make_state
 
@@ -78,7 +79,7 @@ def test_nan_link_rate_fails_the_state_tables():
     # a NaN rate used to pass the "rate <= 0" test and fill the times with NaN
     state = make_state([compute()], link=replace(GOLDEN_LINK, rate_bh=math.nan))
     with pytest.raises(ValueError, match="rate"):
-        state.tables
+        Tables([state])
 
 
 @given(st.floats(min_value=1e-3, max_value=1e7),

@@ -24,7 +24,7 @@ from satedge.policies import BASELINE_PAIRS
 from satedge.scenario import episode_stream, prices_from
 
 from conftest import (feasible_of, reference_baseline_policy, reference_decode_actions,
-                      reference_label_states)
+                      reference_label_states, states_of)
 
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
@@ -164,8 +164,9 @@ def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, c
     cfg = replace(cfg, scenario=replace(cfg.scenario, capacity_fraction=0.05))
     scen, n, seed = cfg.scenario, BLOCK_STATES + 4, 5
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
-    states, demos, actions = _persistent_rollout(
+    blocks, demos, actions = _persistent_rollout(
         cfg, seed, n, f"{offload_kind}-{cache_kind}", None, scaler, cache_kind)
+    states = states_of(blocks)
     # the reference carries the cache, labels each state alone with the
     # scalar solver and encoder, then acts on it
     cache, evicted = None, 0
@@ -195,8 +196,9 @@ def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
     eviction = cfg.train.persistent_eviction
     # untrained, so its outputs straddle 0.5 and some cache bits come on
     model = init_model((feature_dim(v), 16, 2 * v), seed=11) if scheme == "docs" else None
-    states, demos, actions = _persistent_rollout(cfg, seed, n, scheme, model, scaler,
+    blocks, demos, actions = _persistent_rollout(cfg, seed, n, scheme, model, scaler,
                                                  eviction)
+    states = states_of(blocks)
     assert len(demos) == len(actions) == n
     cache = None
     for i, ((_, drawn), demo) in enumerate(zip(episode_stream(scen, seed, n), demos)):
@@ -356,18 +358,21 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_parity_listing_matches_the_committed_one(tmp_path, capsys):
-    """scripts/artifact_digests.py under scripts/parity_tiny.txt, diffed against
-    the committed listing: gen-dataset, train, compare, fresh and persistent
-    eval of all eight schemes and both sweeps, every artifact byte."""
+    """scripts/artifact_digests.py under scripts/parity_tiny.txt and
+    scripts/parity_evict.txt, each diffed against its committed listing:
+    gen-dataset, train, compare, fresh and persistent eval of all eight
+    schemes and both sweeps, every artifact byte."""
     spec = importlib.util.spec_from_file_location("artifact_digests",
                                                   SCRIPTS / "artifact_digests.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(["--config", str(SCRIPTS / "parity_tiny.txt"),
-                        "--out", str(tmp_path / "out")]) == 0
-    listing = capsys.readouterr().out.splitlines()
-    assert listing == (SCRIPTS / "parity_tiny.sha256").read_text().splitlines()
-    assert len(listing) == 23
+    for name in ("parity_tiny", "parity_evict"):
+        capsys.readouterr()
+        assert module.main(["--config", str(SCRIPTS / f"{name}.txt"),
+                            "--out", str(tmp_path / name)]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        assert listing == (SCRIPTS / f"{name}.sha256").read_text().splitlines(), name
+        assert len(listing) == 23
 
 
 # SHA-256 of dataset.txt from `gen-dataset` under TINY_CONFIG (60 episodes,
@@ -523,9 +528,9 @@ def _count_tables(monkeypatch):
     sizes = []
     init = evaluator.Tables.__init__
 
-    def counted(self, states):
+    def counted(self, states, *args):
         sizes.append(len(states))
-        init(self, states)
+        init(self, states, *args)
 
     monkeypatch.setattr(evaluator.Tables, "__init__", counted)
     return sizes
@@ -554,7 +559,7 @@ def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, arg
     block_encodes = _count_calls(monkeypatch, neural.encode_states)
     assert main(argv + ["--episodes", "7", "--out", str(tmp_path / "o")]) == 0
     solved_in_blocks = [len(costs) for costs, in block_solves]
-    encoded_in_blocks = [len(states) for states, _ in block_encodes]
+    encoded_in_blocks = [sum(map(len, blocks)) for blocks, _ in block_encodes]
     assert (len(solves), len(encodes)) == (0, 0)
     assert solved_in_blocks == encoded_in_blocks == ([1] * 7 if per_state else [7])
 
@@ -754,8 +759,22 @@ def test_docs_without_model_reports_invalid(tmp_path, capsys):
 
 
 def test_coverage_point_beyond_cap_reports_domain(tmp_path, capsys):
-    _expect_error(capsys, ["coverage", "--theta-m-deg", "30.0",
-                           "--out", str(tmp_path / "o")], "domain")
+    out = tmp_path / "o"
+    assert main(["coverage", "--theta-m-deg", "30.0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:domain:"), captured.err
+    # checked before any report line is printed or --out is created
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_coverage_grid_below_one_reports_invalid_before_any_output(tmp_path, capsys, grid):
+    out = tmp_path / "o"
+    assert main(["coverage", "--grid", grid, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:invalid:") and "--grid" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_dataset_config_hash_mismatch(tmp_path, tiny_cfg, capsys):

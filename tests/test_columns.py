@@ -1,6 +1,6 @@
 """The draw's column path against the object path, bit for bit.
 
-episode_states builds each block's Tables from the columns decode_tasks
+episode_blocks builds each block's Tables from the columns decode_tasks
 decoded; Tables(states) gathers the same columns from the SubTask,
 LinkState and EpisodeState objects. Hits are gathered from each state's
 own cache and features are filled from the columns. Every float must
@@ -15,12 +15,12 @@ import pytest
 
 from satedge import scenario
 from satedge.config import default_config
-from satedge.evaluator import BLOCK_STATES, Tables, carry_cache
+from satedge.evaluator import BLOCK_STATES, Tables
 from satedge.neural import FeatureScaler, encode_state, encode_states
-from satedge.scenario import episode_state, episode_states, make_library, prices_from
+from satedge.scenario import episode_blocks, episode_state, make_library, prices_from
 
 from conftest import (empty_cache, hits_of, reference_encode_state, reference_episode_state,
-                      reference_hits)
+                      reference_hits, states_of)
 
 SCENARIOS = {
     "fixed": {},
@@ -40,59 +40,59 @@ def _same(a: np.ndarray, b: np.ndarray) -> None:
     assert np.array_equal(a, b)
 
 
-def _assert_block_matches_objects(states, scen) -> None:
-    """Each run of states, read from the rows its states hold, against Tables
-    built from the objects and against per-state encoding of fresh twins."""
+def _assert_block_matches_objects(blocks, scen) -> None:
+    """Each block against Tables built from its states' objects and against
+    per-state encoding of fresh twins."""
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
-    for start in range(0, len(states), BLOCK_STATES):
-        run = states[start:start + BLOCK_STATES]
-        table, first = run[0].tables
-        assert [s.tables for s in run] == [(table, first + i) for i in range(len(run))]
-        rows = slice(first, first + len(run))
-        objects = Tables(run)
-        _same(table.seconds[rows], objects.seconds)
-        _same(table.pattern[rows], objects.pattern)
-        _same(table.costs(prices)[rows], objects.costs(prices))
-        hits = table.hits(rows, run)
-        _same(hits, objects.hits(slice(0, len(run)), run))
-        assert [tuple(h) for h in hits.tolist()] == [reference_hits(s) for s in run]
-        features = encode_states(run, scaler)
-        _same(features, np.stack([encode_state(replace(s), scaler) for s in run]))
-        _same(features, np.stack([reference_encode_state(s, scaler) for s in run]))
+    for block in blocks:
+        objects = Tables(block.states)
+        _same(block.seconds, objects.seconds)
+        _same(block.pattern, objects.pattern)
+        _same(block.costs(prices), objects.costs(prices))
+        _same(block.hits, objects.hits)
+        assert [tuple(h) for h in block.hits.tolist()] == [reference_hits(s)
+                                                           for s in block.states]
+        features = encode_states([block], scaler)
+        _same(features, np.stack([encode_state(replace(s), scaler) for s in block.states]))
+        _same(features, np.stack([reference_encode_state(s, scaler) for s in block.states]))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_drawn_blocks_match_the_object_path(name):
     scen = replace(default_config().scenario, **SCENARIOS[name])
     library = make_library(scen, SEED)
-    states = list(episode_states(scen, SEED, range(BLOCK_STATES + 5), library))
-    _assert_block_matches_objects(states, scen)
-    # a lone draw has no block: its Tables is gathered from its objects
+    blocks = list(episode_blocks(scen, SEED, range(BLOCK_STATES + 5), library))
+    assert list(map(len, blocks)) == [BLOCK_STATES, 5]
+    _assert_block_matches_objects(blocks, scen)
+    # a lone draw's block of one is gathered from its objects
     for e in (0, BLOCK_STATES - 1, BLOCK_STATES + 4):
+        table, row = divmod(e, BLOCK_STATES)
+        table = blocks[table]
         alone = episode_state(scen, SEED, e, library)
-        table, row = states[e].tables
-        lone, lone_row = alone.tables
-        assert (lone_row, len(lone.pattern)) == (0, 1)
+        lone = Tables([alone])
+        assert len(lone.pattern) == 1
         _same(lone.seconds, table.seconds[row:row + 1])
         _same(lone.pattern, table.pattern[row:row + 1])
         _same(lone.costs(prices_from(scen)), table.costs(prices_from(scen))[row:row + 1])
-        assert hits_of(alone) == hits_of(states[e])
+        assert hits_of(alone) == hits_of((table, row))
         _same(encode_state(alone, FeatureScaler.from_scenario(scen)),
-              encode_states([states[e]], FeatureScaler.from_scenario(scen))[0])
+              encode_states([table], FeatureScaler.from_scenario(scen))[row])
 
 
 @pytest.mark.parametrize("name", ["fixed", "orbit"])
 def test_carried_states_read_hits_from_their_own_cache(name):
     scen = replace(default_config().scenario, **SCENARIOS[name])
-    drawn = list(episode_states(scen, SEED, range(40), make_library(scen, SEED)))
-    assert any(any(hits_of(s)) for s in drawn)  # the empty caches below turn hits into misses
-    carried = [carry_cache(s, empty_cache(s.cache.sizes, s.cache.capacity_bytes,
-                                          s.cache.delta)) for s in drawn]
-    carried[::3] = drawn[::3]  # carried and drawn states interleaved in one run
+    drawn, = episode_blocks(scen, SEED, range(40), make_library(scen, SEED))
+    # the empty caches below turn hits into misses
+    assert any(any(hits_of((drawn, row))) for row in range(40))
+    carried = [replace(s, cache=empty_cache(s.cache.sizes, s.cache.capacity_bytes,
+                                            s.cache.delta)) for s in drawn.states]
+    carried[::3] = drawn.states[::3]  # carried and drawn states interleaved in one block
     # popularity follows each state's own cache too, even a differently skewed one
-    carried[2::3] = [carry_cache(s, replace(s.cache, delta=2.5)) for s in drawn[2::3]]
-    _assert_block_matches_objects(carried, scen)
-    assert carried[1].tables == drawn[1].tables
+    carried[2::3] = [replace(s, cache=replace(s.cache, delta=2.5)) for s in drawn.states[2::3]]
+    block = drawn.carrying(carried, slice(0, 40))
+    _assert_block_matches_objects([block], scen)
+    assert np.shares_memory(block.seconds, drawn.seconds)
 
 
 @pytest.mark.parametrize("name", ["fixed", "orbit-V9-R1"])
@@ -113,6 +113,7 @@ def test_a_block_with_rows_left_to_generate_task_matches(monkeypatch, name, give
     monkeypatch.setattr(scenario, "decode_tasks", decode)
     scen = replace(default_config().scenario, **SCENARIOS[name])
     library = make_library(scen, SEED)
-    states = list(episode_states(scen, SEED, range(40), library))
-    assert states == [reference_episode_state(scen, SEED, e, library) for e in range(40)]
-    _assert_block_matches_objects(states, scen)
+    blocks = list(episode_blocks(scen, SEED, range(40), library))
+    assert states_of(blocks) == [reference_episode_state(scen, SEED, e, library)
+                                 for e in range(40)]
+    _assert_block_matches_objects(blocks, scen)

@@ -14,18 +14,21 @@ from satedge.dil import (
     split_indices,
     train_policy,
 )
-from satedge.evaluator import patterns
 from satedge.neural import cross_entropy, decode_picks, forward
 from satedge.oracle import Demonstrations, build_dataset
-from satedge.scenario import episode_states, make_library, prices_from
+from satedge.scenario import episode_blocks, make_library, prices_from
 
 
-def _demos_and_states(n, seed=11):
+def _blocks(scen, demos, seed=11):
+    """The drawn blocks of the episodes demos holds."""
+    library = make_library(scen, seed)
+    return list(episode_blocks(scen, seed, demos.episode_id.tolist(), library))
+
+
+def _demos_and_blocks(n, seed=11):
     scen = default_config().scenario
     demos = build_dataset(scen, n, seed)
-    library = make_library(scen, seed)
-    states = list(episode_states(scen, seed, demos.episode_id.tolist(), library))
-    return scen, demos, states
+    return scen, demos, _blocks(scen, demos, seed)
 
 
 def _tiny_train_cfg(**overrides):
@@ -70,7 +73,7 @@ def test_split_indices_reject_empty_slices():
 
 
 def test_training_overfits_small_dataset():
-    _, demos, _ = _demos_and_states(200)
+    _, demos, _ = _demos_and_blocks(200)
     cfg = _tiny_train_cfg(max_epochs=150, patience=150, learning_rate=0.003)
     result = train_policy(demos, cfg, seed=0)
     x = demos.features[result.train_idx]
@@ -87,7 +90,7 @@ def test_training_overfits_small_dataset():
 
 
 def test_training_memorizes_single_sample():
-    _, demos, _ = _demos_and_states(10)
+    _, demos, _ = _demos_and_blocks(10)
     cfg = _tiny_train_cfg(train_frac=0.1, val_frac=0.1, hidden_layers=1,
                           hidden_width=16, batch_size=1, max_epochs=900,
                           patience=900, learning_rate=0.01)
@@ -96,7 +99,7 @@ def test_training_memorizes_single_sample():
 
 
 def test_training_is_reproducible():
-    _, demos, _ = _demos_and_states(120)
+    _, demos, _ = _demos_and_blocks(120)
     cfg = _tiny_train_cfg(max_epochs=12, patience=12)
     a = train_policy(demos, cfg, seed=7)
     b = train_policy(demos, cfg, seed=7)
@@ -110,7 +113,7 @@ def test_training_is_reproducible():
 
 
 def test_curve_starts_before_any_update_and_best_never_worse():
-    _, demos, _ = _demos_and_states(150)
+    _, demos, _ = _demos_and_blocks(150)
     cfg = _tiny_train_cfg(max_epochs=20, patience=20)
     result = train_policy(demos, cfg, seed=1)
     epochs = [e for e, _, _ in result.curve]
@@ -122,7 +125,7 @@ def test_curve_starts_before_any_update_and_best_never_worse():
 
 
 def test_early_stopping_caps_epochs_after_plateau():
-    _, demos, _ = _demos_and_states(150)
+    _, demos, _ = _demos_and_blocks(150)
     cfg = _tiny_train_cfg(max_epochs=200, patience=3, learning_rate=0.05)
     result = train_policy(demos, cfg, seed=2)
     last_epoch = result.curve[-1][0]
@@ -151,8 +154,8 @@ def test_empty_demo_list_rejected():
 
 
 def test_action_report_oracle_identity(prices):
-    _, demos, states = _demos_and_states(60)
-    report = action_report(oracle_actions(demos), demos, states, prices)
+    _, demos, blocks = _demos_and_blocks(60)
+    report = action_report(oracle_actions(demos), demos, blocks, prices)
     assert report["exact_match"] == 1.0
     assert report["per_bit_acc"] == 1.0
     assert abs(report["reward_ratio_vs_opt"] - 1.0) <= 1e-9
@@ -160,42 +163,44 @@ def test_action_report_oracle_identity(prices):
 
 
 def test_action_report_counts_partial_matches(prices):
-    _, demos, states = _demos_and_states(40)
-    acts = baseline_actions("to", "mrc", states, prices)
-    report = action_report(acts, demos, states, prices)
+    _, demos, blocks = _demos_and_blocks(40)
+    acts = baseline_actions("to", "mrc", blocks, prices)
+    report = action_report(acts, demos, blocks, prices)
     assert 0.0 <= report["exact_match"] <= 1.0
     assert 0.0 <= report["per_bit_acc"] <= 1.0
     assert report["reward_ratio_vs_opt"] >= 1.0 - 1e-9
 
 
 def test_action_report_rejects_misaligned_lists(prices):
-    _, demos, states = _demos_and_states(10)
+    _, demos, blocks = _demos_and_blocks(10)
     acts = oracle_actions(demos)
     with pytest.raises(ValueError):
-        action_report(acts[:-1], demos, states, prices)
+        action_report(acts[:-1], demos, blocks, prices)
     with pytest.raises(ValueError):
-        action_report(acts, demos.take(slice(-1)), states, prices)
+        action_report(acts, demos.take(slice(-1)), blocks, prices)
 
 
 @pytest.mark.parametrize("width", [1, 11, 13])
 def test_action_report_rejects_labels_of_another_width(prices, width):
     # one label bit would broadcast against every bit of its action
-    _, demos, states = _demos_and_states(10)
+    _, demos, blocks = _demos_and_blocks(10)
     acts = oracle_actions(demos)
     demos = dataclasses.replace(demos, labels=np.repeat(demos.labels[:, :1], width, axis=1))
     with pytest.raises(ValueError, match=rf"labels \(10, {width}\) do not fit"):
-        action_report(acts, demos, states, prices)
+        action_report(acts, demos, blocks, prices)
 
 
 def test_trained_policy_beats_uninformed_decoder(prices):
-    _, demos, states = _demos_and_states(2000)
+    scen = default_config().scenario
+    demos = build_dataset(scen, 2000, 11)
     cfg = _tiny_train_cfg(hidden_width=128, max_epochs=50, patience=50)
     result = train_policy(demos, cfg, seed=5)
     test_demos = demos.take(result.test_idx)
-    test_states = [states[i] for i in result.test_idx]
-    docs = action_report(docs_actions(result.model, test_demos, test_states),
-                         test_demos, test_states, prices)
-    flat = decode_picks(np.full((len(test_states), 12), 0.5), patterns(test_states))
-    blind = action_report(flat, test_demos, test_states, prices)
+    test_blocks = _blocks(scen, test_demos)
+    docs = action_report(docs_actions(result.model, test_demos, test_blocks),
+                         test_demos, test_blocks, prices)
+    pattern = np.concatenate([block.pattern for block in test_blocks])
+    flat = decode_picks(np.full((len(test_demos), 12), 0.5), pattern)
+    blind = action_report(flat, test_demos, test_blocks, prices)
     assert docs["exact_match"] > blind["exact_match"]
     assert docs["reward_ratio_vs_opt"] <= blind["reward_ratio_vs_opt"]

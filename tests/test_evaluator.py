@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector, Tables,
-                               carry_cache, completion_time, feasible_actions, pair_index,
-                               reward, score, subtask_cost)
+                               completion_time, feasible_actions, pair_index, reward, score,
+                               subtask_cost)
 from satedge.oracle import solve_optimal
 from satedge.scenario import episode_stream, prices_from
 from satedge.workload import Category
 
 from conftest import (compute, costs_of, download, feasible_of, hits_of, make_cache,
-                      make_state, reference_hits, seconds_of, upload)
+                      make_state, reference_hits, seconds_of, stream_blocks, upload)
 
 # Worked by hand from the per-category pipelines at 1.6 / 2.4 Mb/s,
 # d_vs = 0.03 s, d_sg = 0.27 s:
@@ -114,10 +114,18 @@ def test_derived_fields_are_not_dataclass_fields():
     state = make_state([download(rank=4), compute(rank=5)],
                        cache=make_cache(placed=(4,)))
     twin = make_state(state.task, cache=state.cache)
-    assert state.tables  # derive on one side only
+    Tables([state])  # derive on one side only
     assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
     with pytest.raises(FrozenInstanceError):
-        state.tables = twin.tables
+        state.cache = twin.cache
+
+
+def test_a_drawn_state_holds_no_memo():
+    # slots: no module can keep a derived value on a state
+    state = stream_blocks(default_config().scenario, 4, 1)[0].states[0]
+    assert not hasattr(state, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        object.__setattr__(state, "tables", None)
 
 
 def test_replaced_cache_rederives_hits_and_times():
@@ -139,28 +147,28 @@ def test_hits_refuse_a_block_of_caches_with_unequal_rank_counts(prices):
     long = make_state([download(rank=5)], cache=make_cache(40, placed=(15,)))
     assert [reference_hits(s) for s in (short, long)] == [(True,), (False,)]
     with pytest.raises(ValueError, match="state 1: its cache holds 40 ranks"):
-        Tables([short, long]).hits(slice(0, 2), [short, long])
+        Tables([short, long]).hits
     with pytest.raises(ValueError, match="state 1: its cache holds 40 ranks"):
-        score([short, long], np.zeros((2, 1), dtype=np.intp), prices)
+        score([Tables([short, long])], np.zeros((2, 1), dtype=np.intp), prices)
 
 
 def test_hits_follow_each_states_cache_and_are_read_only():
-    states = [state for _, state in episode_stream(default_config().scenario, 4, 12)]
-    table, _ = states[0].tables
-    rows = slice(0, len(states))
-    hits = table.hits(rows, states)
-    assert hits.tolist() == [list(reference_hits(s)) for s in states]
-    assert table.hits(rows, list(states)) is hits  # the same caches: reused
+    block, = stream_blocks(default_config().scenario, 4, 12)
+    hits = block.hits
+    assert hits.tolist() == [list(reference_hits(s)) for s in block.states]
+    assert block.hits is hits  # computed once
     with pytest.raises(ValueError):
         hits[0, 0] = not hits[0, 0]
     # every placement bit flipped: each output rank's hit flips, and the
     # carried states keep their rows
-    carried = [carry_cache(s, replace(s.cache, placement=tuple(1 - b for b in s.cache.placement)))
-               for s in states]
-    fresh = table.hits(rows, carried)
-    assert fresh.tolist() == [list(reference_hits(s)) for s in carried]
+    carried = block.carrying(
+        [replace(s, cache=replace(s.cache, placement=tuple(1 - b for b in s.cache.placement)))
+         for s in block.states], slice(0, len(block)))
+    fresh = carried.hits
+    assert fresh.tolist() == [list(reference_hits(s)) for s in carried.states]
     assert (fresh != hits).any()
-    assert table.hits(slice(1, 2), states[1:2]).tolist() == [list(reference_hits(states[1]))]
+    assert block.carrying(block.states[1:2], slice(1, 2)).hits.tolist() == \
+        [list(reference_hits(block.states[1]))]
 
 
 def test_hits_refuse_an_output_rank_past_its_cache(prices):

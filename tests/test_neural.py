@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_LINK, compute, download, gradient_check, make_cache,
-                      make_state, upload)
+                      make_state, states_of, stream_blocks, upload)
 from satedge.caching import request_probability
 from satedge.config import TrainConfig
 from satedge.evaluator import completion_time
@@ -97,9 +97,10 @@ def test_scaler_rejects_other_shapes(shape):
 
 def test_encode_states_equals_encode_state_per_row(cfg):
     scaler = FeatureScaler.from_scenario(cfg.scenario)
-    states = [state for _, state in episode_stream(cfg.scenario, seed=8, n=30)]
-    batch = encode_states(states, scaler)
-    assert batch.tobytes() == np.stack([encode_state(s, scaler) for s in states]).tobytes()
+    blocks = stream_blocks(cfg.scenario, 8, 30)
+    batch = encode_states(blocks, scaler)
+    assert batch.tobytes() == np.stack([encode_state(s, scaler)
+                                        for s in states_of(blocks)]).tobytes()
 
 
 def test_scaler_rejects_bad_ranges():

@@ -3,16 +3,16 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (PriceVector, action_array, completion_time, reward, score,
-                               subtask_cost)
+from satedge.evaluator import (PriceVector, Tables, action_array, completion_time, reward,
+                               score, subtask_cost)
 from satedge.oracle import solve_optimal
-from satedge.policies import (BASELINE_PAIRS, baseline_cache, baseline_name,
+from satedge.policies import (BASELINE_PAIRS, baseline_actions, baseline_cache, baseline_name,
                               baseline_policy, project_feasible)
 from satedge.scenario import episode_stream, prices_from
 
 from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
                       hits_of, reference_baseline_cache, reference_hits,
-                      reference_reward_and_time, seconds_of, upload)
+                      reference_reward_and_time, retained_of, seconds_of, upload)
 
 
 def test_baseline_names():
@@ -78,7 +78,7 @@ def test_go_never_worse_per_subtask(prices):
 
 def test_cache_bits_zero_without_outputs(prices):
     state = make_state([upload(), upload()])
-    assert baseline_cache("mrc", state) == (0, 0)
+    assert retained_of("mrc", state) == (0, 0)
 
 
 def test_forced_caching_pinned(prices):
@@ -87,7 +87,7 @@ def test_forced_caching_pinned(prices):
     state = make_state([download(160e3)], t_c=0.5)
     tiny = make_state([download(160e3)], t_c=0.5, cache=make_cache(capacity=100e3))
     for kind in ("mrc", "mpc"):
-        assert baseline_cache(kind, tiny) == (0,)
+        assert retained_of(kind, tiny) == (0,)
         for s in (state, tiny):
             for of_kind in ("le", "to", "go"):
                 action = baseline_policy(of_kind, kind, s, prices)
@@ -101,7 +101,7 @@ def test_mpc_retention_ignores_unpopular_outputs(prices):
     cache = make_cache(placed=(1, 2), capacity=2.0, sizes=sizes)
     task = [download(d_out=1.0, rank=29), download(d_out=1.0, rank=30)]
     state = make_state(task, cache=cache)
-    assert baseline_cache("mpc", state) == (0, 0)
+    assert retained_of("mpc", state) == (0, 0)
 
 
 def test_mrc_retention_keeps_recent_outputs(prices):
@@ -110,7 +110,7 @@ def test_mrc_retention_keeps_recent_outputs(prices):
     task = [download(d_out=1.0, rank=29), download(d_out=1.0, rank=30)]
     state = make_state(task, cache=cache)
     # both outputs stream through a two-slot cache; both fit at the end
-    assert baseline_cache("mrc", state) == (1, 1)
+    assert retained_of("mrc", state) == (1, 1)
 
 
 def test_all_baselines_feasible_everywhere(prices):
@@ -144,19 +144,24 @@ def test_scoring_and_retention_match_the_per_call_references(seed, num_subtasks,
     cfg.coverage_mode, cfg.coverage_s = coverage
     time_only = PriceVector(0.0, 0.0, 0.0, 1.0)
     for _, state in episode_stream(cfg, seed, 4):
+        block = Tables([state])
         for prices in (prices_from(cfg), time_only):
             opt, value = solve_optimal(state, prices)
             assert value == reference_reward_and_time(state, opt, prices)[0]
             actions = [opt] + [baseline_policy(of, ch, state, prices)
                                for of, ch in BASELINE_PAIRS]
+            assert action_array(actions[1:]).tolist() == [
+                baseline_actions(of, ch, [block], prices)[0].tolist()
+                for of, ch in BASELINE_PAIRS]
             for action in actions:
                 expected = reference_reward_and_time(state, action, prices)
-                rewards, times = score([state], action_array([action]), prices)
+                rewards, times = score([block], action_array([action]), prices)
                 assert (rewards[0], times[0]) == expected
                 assert reward(state, action, prices) == expected[0]
                 assert completion_time(state, action) == expected[1]
         for kind in ("mrc", "mpc"):
-            assert baseline_cache(kind, state) == reference_baseline_cache(kind, state)
+            assert tuple(baseline_cache(kind, block)[0].tolist()) == \
+                reference_baseline_cache(kind, state)
 
 
 def test_replaced_cache_rederives_costs_and_retention(prices):
@@ -164,17 +169,19 @@ def test_replaced_cache_rederives_costs_and_retention(prices):
     # the replaced cache holds nothing and is too small to take it
     st_ = download(160e3, rank=4)
     state = make_state([st_], cache=make_cache(placed=(4,)))
-    rows = costs_of(state, prices)
-    retained = {kind: baseline_cache(kind, state) for kind in ("mrc", "mpc")}
-    carried = replace(state, cache=make_cache(capacity=100e3))
-    assert (hits_of(state), hits_of(carried)) == ((True,), (False,))
-    assert hits_of(carried) == reference_hits(carried)
-    carried_rows = costs_of(carried, prices)
+    block = Tables([state])
+    rows = costs_of((block, 0), prices)
+    retained = {kind: baseline_cache(kind, block)[0].tolist() for kind in ("mrc", "mpc")}
+    carried = block.carrying([replace(state, cache=make_cache(capacity=100e3))], slice(0, 1))
+    assert (hits_of((block, 0)), hits_of((carried, 0))) == ((True,), (False,))
+    assert hits_of((carried, 0)) == reference_hits(carried.states[0])
+    carried_rows = costs_of((carried, 0), prices)
     assert carried_rows == (tuple(subtask_cost(st_, of, ch, False, t, prices)
-                                  for (of, ch), t in zip(feasible_of(carried)[0],
-                                                         seconds_of(carried)[0])),)
+                                  for (of, ch), t in zip(feasible_of((carried, 0))[0],
+                                                         seconds_of((carried, 0))[0])),)
     assert carried_rows != rows
     for kind in ("mrc", "mpc"):
-        assert (retained[kind], baseline_cache(kind, carried)) == ((1,), (0,))
-        assert baseline_cache(kind, carried) == reference_baseline_cache(kind, carried)
-    assert costs_of(state, prices) == rows
+        assert (retained[kind], baseline_cache(kind, carried)[0].tolist()) == ([1], [0])
+        assert tuple(baseline_cache(kind, carried)[0].tolist()) == \
+            reference_baseline_cache(kind, carried.states[0])
+    assert costs_of((block, 0), prices) == rows

@@ -198,7 +198,9 @@ def _with_record_field(lines, field, value):
     (lambda lines: _with_record_field(lines, 0, "zero"), ":2: record 'zero'"),
     (lambda lines: _with_record_field(lines, 3, "abc"), ":2: record '0'"),
     (lambda lines: _with_record_field(lines, 0, str(2**63)), f":2: record '{2**63}'"),
-], ids=["header-token", "features-value", "episode-id", "feature", "episode-id-past-int64"])
+    (lambda lines: _with_record_field(lines, 0, "-1"), ":2: record '-1': negative episode id"),
+], ids=["header-token", "features-value", "episode-id", "feature", "episode-id-past-int64",
+        "episode-id-negative"])
 def test_dataset_errors_name_the_file_and_line(tmp_path, dataset_lines, edit, where):
     path = _write(tmp_path, "d.txt", edit(dataset_lines))
     with pytest.raises(ValueError) as err:

@@ -27,11 +27,11 @@ from satedge.evaluator import (BLOCK_STATES, FEASIBLE, NEAR, PAIR_CACHE, PAIR_OF
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model
 from satedge.oracle import label_states
 from satedge.policies import BASELINE_PAIRS, baseline_name
-from satedge.scenario import episode_stream, prices_from
+from satedge.scenario import episode_blocks, make_library, prices_from
 
 from conftest import (reference_action_report, reference_baseline_policy,
                       reference_baseline_proposal, reference_decode_actions,
-                      reference_feasible_actions)
+                      reference_feasible_actions, states_of, stream_blocks)
 from test_cli import TINY_CONFIG
 
 SCHEMES = ("oracle", "docs") + tuple(baseline_name(of, ch) for of, ch in BASELINE_PAIRS)
@@ -62,14 +62,15 @@ def test_block_scoring_matches_the_per_state_path(name):
     v = scen.num_subtasks
     prices = prices_from(scen)
     # two blocks, the second partial
-    states = [state for _, state in episode_stream(scen, 7, BLOCK_STATES + 20)]
-    demos = label_states(states, prices, FeatureScaler.from_scenario(scen))
+    blocks = stream_blocks(scen, 7, BLOCK_STATES + 20)
+    states = states_of(blocks)
+    demos = label_states(blocks, prices, FeatureScaler.from_scenario(scen))
     # untrained, so its outputs straddle 0.5 and decoding meets every pair
     model = init_model((feature_dim(v), 16, 2 * v), seed=11)
     probs = forward(model, demos.features)
     moved = 0
     for scheme in SCHEMES:
-        actions = scheme_actions(scheme, model, demos, states, prices)
+        actions = scheme_actions(scheme, model, demos, blocks, prices)
         if scheme == "oracle":
             reference = [ActionMatrix.from_bits(d.labels) for d in demos]
         elif scheme == "docs":
@@ -86,7 +87,7 @@ def test_block_scoring_matches_the_per_state_path(name):
         assert actions.shape == (len(states), v)
         bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
         assert [tuple(row) for row in bits.tolist()] == [a.bits() for a in reference]
-        assert _hex(action_report(actions, demos, states, prices)) == \
+        assert _hex(action_report(actions, demos, blocks, prices)) == \
             _hex(reference_action_report(reference, demos, states, prices))
     if name == "short-coverage":
         # forced caching: retention proposes uncached outputs that must be cached
@@ -98,15 +99,15 @@ def test_block_scoring_matches_the_per_state_path(name):
 @pytest.mark.parametrize("bad", [-1, 4, "float"])
 def test_score_rejects_entries_that_are_not_pair_indices(bad):
     scen = default_config().scenario
-    states = [state for _, state in episode_stream(scen, 1, 3)]
+    blocks = stream_blocks(scen, 1, 3)
     prices = prices_from(scen)
-    actions = oracle_actions(label_states(states, prices, FeatureScaler.from_scenario(scen)))
+    actions = oracle_actions(label_states(blocks, prices, FeatureScaler.from_scenario(scen)))
     if bad == "float":
         actions, where = actions.astype(float), "episode 0, sub-task 0"
     else:
         actions[1, 2], where = bad, "episode 1, sub-task 2"
     with pytest.raises(InfeasibleActionError, match=where):
-        score(states, actions, prices)
+        score(blocks, actions, prices)
 
 
 @pytest.mark.parametrize("coverage", ["fixed", "orbit"])
@@ -119,8 +120,8 @@ def test_power_of_two_prices_scale_only_the_rewards(tmp_path, coverage):
     model = run_train(cfg, 42, run_gen_dataset(cfg, 42, 60, tmp_path / "data"),
                       tmp_path / "fit")
     scaler = FeatureScaler.from_scenario(cfg.scenario)
-    states = [state for _, state in episode_stream(cfg.scenario, 2042, 150)]
-    base_demos = label_states(states, prices_from(cfg.scenario), scaler)
+    blocks = stream_blocks(cfg.scenario, 2042, 150)
+    base_demos = label_states(blocks, prices_from(cfg.scenario), scaler)
     base = run_compare(cfg, 2042, model, 150, tmp_path / "base")
     for k in (1, -3, 20):
         factor = 2.0 ** k
@@ -133,7 +134,7 @@ def test_power_of_two_prices_scale_only_the_rewards(tmp_path, coverage):
         for scheme, report in reports.items():
             expected = dict(base[scheme], mean_reward=factor * base[scheme]["mean_reward"])
             assert _hex(report) == _hex(expected), (k, scheme)
-        demos = label_states(states, prices_from(scaled.scenario), scaler)
+        demos = label_states(blocks, prices_from(scaled.scenario), scaler)
         for demo, ref in zip(demos, base_demos):
             assert demo.labels == ref.labels
             assert demo.features.tobytes() == ref.features.tobytes()
@@ -158,14 +159,14 @@ def test_raising_one_price_moves_its_bits_one_way(name, factor, seed):
     scen = replace(default_config().scenario, **CONFIGS[name])
     v = scen.num_subtasks
     scaler = FeatureScaler.from_scenario(scen)
-    states = [state for _, state in episode_stream(scen, seed, 150)]
+    blocks = stream_blocks(scen, seed, 150)
     prices = prices_from(scen)
-    base = label_states(states, prices, scaler).labels
+    base = label_states(blocks, prices, scaler).labels
     if name == "short-coverage":
         assert base[:, v:].any()
     for price, (half, sign) in MONOTONE.items():
         raised = replace(prices, **{price: factor * getattr(prices, price)})
-        labels = label_states(states, raised, scaler).labels
+        labels = label_states(blocks, raised, scaler).labels
         change = (labels - base)[:, half * v:(half + 1) * v]
         assert (sign * change >= 0).all(), (price, factor)
 
@@ -179,15 +180,15 @@ def test_oracle_finishes_first_when_only_time_is_priced(name):
     every feasible action, so each scheme's time, episode by episode, is at
     least the oracle's. Nothing couples sub-tasks, so the relation holds."""
     scen = replace(default_config().scenario, **CONFIGS[name])
-    states = [state for _, state in episode_stream(scen, 11, 1500)]
-    demos = label_states(states, TIME_ONLY, FeatureScaler.from_scenario(scen))
+    blocks = stream_blocks(scen, 11, 1500)
+    demos = label_states(blocks, TIME_ONLY, FeatureScaler.from_scenario(scen))
     tiny = replace(default_config().train, hidden_layers=1, hidden_width=16,
                    batch_size=16, max_epochs=3)
     model = train_policy(demos, tiny, seed=5).model
-    _, fastest = score(states, oracle_actions(demos), TIME_ONLY)
+    _, fastest = score(blocks, oracle_actions(demos), TIME_ONLY)
     slower = set()
     for scheme in SCHEMES:
-        _, times = score(states, scheme_actions(scheme, model, demos, states, TIME_ONLY),
+        _, times = score(blocks, scheme_actions(scheme, model, demos, blocks, TIME_ONLY),
                          TIME_ONLY)
         assert all(t >= best for t, best in zip(times, fastest)), scheme
         slower |= {scheme for t, best in zip(times, fastest) if t > best}
@@ -203,13 +204,15 @@ def test_a_change_of_units_changes_no_label(name):
     scen = replace(default_config().scenario, **CONFIGS[name])
 
     def labelled(scen):
-        states = [state for _, state in episode_stream(scen, 11, 400)]
         prices = prices_from(scen)
-        demos = label_states(states, prices, FeatureScaler.from_scenario(scen))
+        demos = label_states(stream_blocks(scen, 11, 400), prices,
+                             FeatureScaler.from_scenario(scen))
         head = demos.take(slice(200))
+        # the first 200 episodes, drawn again as a block of their own
+        blocks = list(episode_blocks(scen, 11, range(200), make_library(scen, 11)))
         reports = {scheme: _hex(action_report(
-            scheme_actions(scheme, None, head, states[:200], prices),
-            head, states[:200], prices)) for scheme in ("go-mrc", "le-mpc", "to-mrc")}
+            scheme_actions(scheme, None, head, blocks, prices),
+            head, blocks, prices)) for scheme in ("go-mrc", "le-mpc", "to-mrc")}
         rows = [(d.labels, d.opt_reward.hex(), d.features.tobytes()) for d in demos]
         return rows, reports
 

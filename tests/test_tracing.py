@@ -56,14 +56,18 @@ def _traced(stage, episodes):
     return wrapped, metrics
 
 
+def _states(blocks):
+    return sum(map(len, blocks))
+
+
 @contextmanager
-def _block_sizes(module, name):
-    """Record the length of the first argument of each call of module.name."""
+def _block_sizes(module, name, rows=len):
+    """Record the rows of the first argument of each call of module.name."""
     func = getattr(module, name)
     sizes = []
 
     def counted(*args, **kwargs):
-        sizes.append(len(args[0]))
+        sizes.append(rows(args[0]))
         return func(*args, **kwargs)
 
     setattr(module, name, counted)
@@ -78,7 +82,7 @@ def test_tracer_wraps_label_and_restores_every_name(tmp_path):
 
     def stage():
         with _block_sizes(oracle, "block_argmin") as solved, \
-                _block_sizes(oracle, "encode_states") as encoded:
+                _block_sizes(oracle, "encode_states", _states) as encoded:
             run_gen_dataset(cfg, 42, 10, tmp_path)
         assert solved == encoded == [10]  # one block: every episode once
 
@@ -102,7 +106,7 @@ def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
 
     def stage():
         with _block_sizes(oracle, "block_argmin") as solved, \
-                _block_sizes(oracle, "encode_states") as encoded:
+                _block_sizes(oracle, "encode_states", _states) as encoded:
             run_compare(cfg, 2042, model, 10, tmp_path)
         assert solved == encoded == [10]  # the stream is labelled once
 
