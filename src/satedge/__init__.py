@@ -10,35 +10,21 @@ labels, and rule baselines provide reference points.
 
 from .config import (ConfigError, ScenarioConfig, SimConfig, TrainConfig,
                      default_config, load_config, validate_config)
-from .evaluator import (ActionMatrix, EpisodeState, InfeasibleActionError,
-                        PriceVector, completion_time, reward)
-from .oracle import Demonstration, Demonstrations, build_dataset, solve_optimal
-from .policies import baseline_policy
-from .scenario import episode_state, episode_states, episode_stream
+from .dil import action_report
+from .evaluator import InfeasibleActionError, PriceVector, Tables, score
+from .geometry import CoverageDomainError
+from .neural import CheckpointError
+from .oracle import Demonstrations, build_dataset, label_states
+from .policies import baseline_actions
+from .scenario import episode_blocks, make_library, prices_from
 
 __version__ = "0.1.0"
 
+# the block API; the one-state forms, ActionMatrix and Demonstration stay in their modules
 __all__ = [
-    "ActionMatrix",
-    "ConfigError",
-    "Demonstration",
-    "Demonstrations",
-    "EpisodeState",
-    "InfeasibleActionError",
-    "PriceVector",
-    "ScenarioConfig",
-    "SimConfig",
-    "TrainConfig",
-    "baseline_policy",
-    "build_dataset",
-    "completion_time",
-    "default_config",
-    "episode_state",
-    "episode_states",
-    "episode_stream",
-    "load_config",
-    "reward",
-    "solve_optimal",
-    "validate_config",
-    "__version__",
+    "episode_blocks", "make_library", "prices_from", "label_states", "build_dataset",
+    "baseline_actions", "score", "action_report", "Tables", "Demonstrations", "PriceVector",
+    "ScenarioConfig", "SimConfig", "TrainConfig", "default_config", "load_config",
+    "validate_config", "CheckpointError", "ConfigError", "CoverageDomainError",
+    "InfeasibleActionError", "__version__",
 ]

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import TrainConfig
-from .evaluator import PAIR_CACHE, PAIR_OFFLOAD, PriceVector, Tables, pair_index, score
+from .evaluator import PriceVector, Tables, label_bits, label_picks, score
 from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_picks,
                      forward, gradients, init_model)
 from .oracle import Demonstrations
@@ -119,8 +119,7 @@ def docs_actions(model: MLPModel, demos: Demonstrations, blocks: Sequence[Tables
 
 def oracle_actions(demos: Demonstrations) -> np.ndarray:
     """The labels' actions, as N x V PAIRS indices."""
-    v = demos.labels.shape[1] // 2
-    return pair_index(demos.labels[:, :v], demos.labels[:, v:])
+    return label_picks(demos.labels)
 
 
 def scheme_actions(scheme: str, model: MLPModel | None, demos: Demonstrations | None,
@@ -147,7 +146,7 @@ def action_report(actions: np.ndarray, demos: Demonstrations,
     if not (len(actions) == len(demos) == sum(map(len, blocks))):
         raise ValueError("actions, demos, and the blocks' states must align")
     rewards, times = score(blocks, actions, prices)
-    bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
+    bits = label_bits(actions)
     if demos.labels.shape != bits.shape:
         raise ValueError(f"labels {demos.labels.shape} do not fit action bits {bits.shape}")
     same = bits == demos.labels

@@ -9,16 +9,17 @@ that prices compute cycles, offloaded bytes, pinned cache bytes, and
 completion seconds.
 
 Times, feasible sets and costs come from Tables, which computes them for
-a block of states, and holds them, with whole-array numpy from the
-block's Columns: the draw (scenario.episode_blocks) fills those from the
-arrays it decoded, and Columns.of gathers them from the objects for any
-other block, such as a lone state's block of one. Every stage takes a
-sequence of blocks. score checks an N x V array of pair indices against
-each block's feasible patterns and gathers each state's cost and
-seconds at its own hits and pairs, folded over the chain one N-vector
-add per sub-task; reward and completion_time are its one-state forms.
-A persistent rollout's carried states differ from their draw only in
-the cache, so Tables.carrying gives them the draw's rows and prices.
+a block of states, and holds them, with whole-array numpy from its own
+columns: the ones the draw (scenario.episode_blocks) decoded, or, for
+any other block, such as a lone state's, ones gathered from the objects.
+Every stage takes a sequence of blocks. score checks an N x V array of
+pair indices against each block's feasible patterns and gathers each
+state's cost and seconds at its own hits and pairs, folded over the
+chain one N-vector add per sub-task; reward and completion_time are its
+one-state forms. Labels hold pairs as N x 2V bits, all offload bits then
+all cache bits, split and joined by label_picks and label_bits only. A
+persistent rollout's carried states differ from their draw only in the
+cache, so Tables.carrying gives them the draw's rows and prices.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -28,7 +29,7 @@ re-pin charge count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -39,11 +40,23 @@ from .channel import LinkState, transmit_time
 from .workload import Category, SubTask, TaskGraph
 
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+PAIR_OFFLOAD = np.array([of for of, _ in PAIRS])  # each pair's bits, by PAIRS index
+PAIR_CACHE = np.array([ch for _, ch in PAIRS])
 
 
 def pair_index(offload, cache):
     """The PAIRS index of (offload, cache) bits, elementwise for numpy arrays."""
     return 2 * offload + cache
+
+
+def label_bits(picks: np.ndarray) -> np.ndarray:
+    """N x V PAIRS indices as N x 2V label bits: all offload bits, then all cache bits."""
+    return np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
+
+
+def label_picks(bits: np.ndarray) -> np.ndarray:
+    """The N x V PAIRS indices of N x 2V blocked label bits; label_bits inverted."""
+    return pair_index(*np.split(bits, 2, axis=1))
 
 
 class InfeasibleActionError(ValueError):
@@ -71,10 +84,6 @@ class ActionMatrix:
 
     def pair(self, v: int) -> tuple[int, int]:
         return (self.offload[v], self.cache[v])
-
-    def bits(self) -> tuple[int, ...]:
-        """Blocked label layout: all offload bits, then all cache bits."""
-        return self.offload + self.cache
 
     @classmethod
     def from_picks(cls, picks: Iterable[int]) -> "ActionMatrix":
@@ -110,8 +119,6 @@ FEASIBLE = (
     ((0, 1), (1, 1)), PAIRS,  # compute
 )
 _INFEASIBLE = np.array([[pair not in feas for pair in PAIRS] for feas in FEASIBLE])
-PAIR_OFFLOAD = np.array([of for of, _ in PAIRS])  # each pair's bits, by PAIRS index
-PAIR_CACHE = np.array([ch for _, ch in PAIRS])
 _LIVE = np.array([[1.0], [0.0]])  # a miss (h = 0) consumes budget, a hit (h = 1) none
 
 
@@ -140,80 +147,55 @@ def _pair_cost(zeta, d_in, d_out, live, a_of, a_ch, t, prices: PriceVector):
             + prices.cpl * t)
 
 
-@dataclass(frozen=True, eq=False)
-class Columns:
-    """The numbers Tables and the feature encoder read of N states of V sub-tasks.
-
-    The N x V sub-task columns hold what each SubTask holds: the category
-    code (_CODE), d_in, d_out, rho, zeta and the output rank (0 = none).
-    state is N x 6: t_c, rate_fh, rate_bh, prop_vs, prop_sg and cpu_rate,
-    in the feature layout's order.
-    """
-
-    code: np.ndarray
-    d_in: np.ndarray
-    d_out: np.ndarray
-    rho: np.ndarray
-    zeta: np.ndarray
-    rank: np.ndarray
-    state: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.state)
-
-    @classmethod
-    def of(cls, states: Sequence[EpisodeState], tasks: tuple[np.ndarray, ...] | None = None,
-           ) -> "Columns":
-        """The columns of states, gathered from their objects.
-
-        tasks, when given, are their chains' N x V code, d_in, d_out, rho
-        and rank columns as the draw decoded them; zeta is then rho * d_in,
-        the product SubTask.zeta computes.
-        """
-        n = len(states)
-        state = np.array([(s.t_c, s.link.rate_fh, s.link.rate_bh, s.link.prop_vs,
-                           s.link.prop_sg, s.cpu_rate) for s in states],
-                         dtype=np.float64).reshape(n, 6)
-        if tasks is not None:
-            code, d_in, d_out, rho, rank = tasks
-            return cls(code, d_in, d_out, rho, rho * d_in, rank, state)
-        v = len(states[0].task)
-        if any(len(s.task) != v for s in states):
-            raise ValueError("every state of a block needs the same number of sub-tasks")
-        sub = np.array([(_CODE[st.category], st.d_in, st.d_out, st.rho, st.zeta, st.out_rank)
-                        for s in states for st in s.task], dtype=np.float64).reshape(n, v, 6)
-        code, d_in, d_out, rho, zeta, rank = sub.transpose(2, 0, 1)
-        return cls(code.astype(np.intp), d_in, d_out, rho, zeta, rank.astype(np.intp), state)
+def _task_columns(states: Sequence[EpisodeState]) -> tuple[np.ndarray, ...]:
+    """The N x V code, d_in, d_out, rho and rank columns of states' SubTask objects."""
+    n, v = len(states), len(states[0].task)
+    if any(len(s.task) != v for s in states):
+        raise ValueError("every state of a block needs the same number of sub-tasks")
+    sub = np.array([(_CODE[st.category], st.d_in, st.d_out, st.rho, st.out_rank)
+                    for s in states for st in s.task], dtype=np.float64).reshape(n, v, 5)
+    code, d_in, d_out, rho, rank = sub.transpose(2, 0, 1)
+    return code.astype(np.intp), d_in, d_out, rho, rank.astype(np.intp)
 
 
 class Tables:
     """Per-pair times and feasible sets of a block of N states, as numpy arrays.
 
-    Built from the Columns of its states (tasks as Columns.of takes them).
-    seconds[n, v, h, p] is the time of sub-task v of state n under
-    PAIRS[p], on a miss (h = 0) or a hit (h = 1) of its output, and
-    pattern[n, v] indexes FEASIBLE with that sub-task's feasible pairs.
-    Nothing but hits reads a state's cache. Every state of a block has
-    the same number V of sub-tasks. costs(prices) prices the block once
-    per price vector, +inf on the infeasible pairs. The time and
-    feasibility formulas live here only, and the cost formula in
-    _pair_cost: feasible_actions reads a block of one sub-task, and a
-    lone state a block of its own. retained is policies.baseline_cache's
-    memo: the block's retention bits per cache kind.
+    It holds what it reads of its states as columns: N x V code (the
+    category's _CODE), d_in, d_out, rho, zeta = rho * d_in (as SubTask.zeta
+    computes it) and rank (the output's, 0 = none), and links, N x 6: t_c,
+    rate_fh, rate_bh, prop_vs, prop_sg and cpu_rate. tasks, when given,
+    are code, d_in, d_out, rho and rank as the draw decoded them; else they
+    are gathered from the SubTask objects. seconds[n, v, h, p] is the time
+    of sub-task v of state n under PAIRS[p], on a miss (h = 0) or a hit
+    (h = 1) of its output, and pattern[n, v] indexes FEASIBLE with that
+    sub-task's feasible pairs. Nothing but hits reads a state's cache.
+    Every state of a block has the same number V of sub-tasks.
+    costs(prices) prices the block once per price vector, +inf on the
+    infeasible pairs. The time and feasibility formulas live here only,
+    and the cost formula in _pair_cost: feasible_actions reads a block of
+    one sub-task, and a lone state a block of its own. retained is
+    policies.baseline_cache's memo: the block's retention bits per cache
+    kind.
 
     Modeling note: the satellite-to-vehicle return leg is charged at the
     fronthaul rate (symmetric fronthaul).
     """
 
+    COLUMNS = ("code", "d_in", "d_out", "rho", "zeta", "rank", "links")  # carrying slices each
+
     def __init__(self, states: Sequence[EpisodeState],
                  tasks: tuple[np.ndarray, ...] | None = None):
         self.states = tuple(states)
-        self.columns = cols = Columns.of(self.states, tasks)
+        self.code, self.d_in, self.d_out, self.rho, self.rank = (
+            _task_columns(self.states) if tasks is None else tasks)
+        self.zeta = self.rho * self.d_in
+        self.links = links = np.array(
+            [(s.t_c, s.link.rate_fh, s.link.rate_bh, s.link.prop_vs, s.link.prop_sg,
+              s.cpu_rate) for s in self.states], dtype=np.float64).reshape(-1, 6)
         # N x V x 1 per sub-task column and N x 1 x 1 per state column, so the
         # pair axis broadcasts last
-        code, d_in, d_out, zeta = (c[..., None] for c in (cols.code, cols.d_in, cols.d_out,
-                                                        cols.zeta))
-        links = cols.state
+        code, zeta = self.code[..., None], self.zeta[..., None]
         t_c, rate_fh, rate_bh, prop_vs, prop_sg, cpu_rate = links.T[:, :, None, None]
         # states no draw produces: byte counts and link rates are transmit_time's
         bad = ~((zeta >= 0) & (zeta < np.inf) & (cpu_rate > 0) & (cpu_rate < np.inf)
@@ -225,7 +207,7 @@ class Tables:
                 f"and a t_c >= 0, got zeta={zeta[n, v, 0].item()!r}, "
                 f"cpu_rate={links[n, 5].item()!r}, t_c={links[n, 0].item()!r}")
         # legs[n, v, r, 0, s]: bytes s (input, output) over rate r (fronthaul, backhaul)
-        sizes = np.stack((cols.d_in, cols.d_out), axis=-1)[:, :, None, None]
+        sizes = np.stack((self.d_in, self.d_out), axis=-1)[:, :, None, None]
         legs = transmit_time(sizes, links[:, None, 1:3, None, None])
         (in_fh, out_fh), (in_bh, out_bh) = legs.transpose(2, 4, 0, 1, 3)
         back = out_fh + prop_vs  # the output's return leg
@@ -242,7 +224,6 @@ class Tables:
         hit = np.where(is_upload, upload, np.where(is_compute, ingest + back, back))
         self.seconds = np.stack((miss, np.broadcast_to(hit, miss.shape)), axis=2)
         self.pattern = (2 * code + (back < t_c))[:, :, 0]
-        self._cost_terms = (zeta[..., None], d_in[..., None], d_out[..., None])
         self._costs: dict[PriceVector, np.ndarray] = {}
         self._drawn: tuple[Tables, slice] | None = None  # a carried block's draw, rows
         self.retained: dict[str, np.ndarray] = {}
@@ -257,8 +238,8 @@ class Tables:
         per price vector; its hits and retention bits are its own."""
         carried = object.__new__(Tables)
         carried.states = tuple(states)
-        carried.columns = Columns(*(getattr(self.columns, f.name)[rows]
-                                    for f in fields(Columns)))
+        for name in Tables.COLUMNS:
+            setattr(carried, name, getattr(self, name)[rows])
         carried.seconds, carried.pattern = self.seconds[rows], self.pattern[rows]
         if len(carried.pattern) != len(carried.states):
             raise ValueError(f"{len(carried.states)} states carried on "
@@ -275,7 +256,7 @@ class Tables:
         never a hit. Every cache needs the same number R of ranks and every
         output rank must lie in 0..R; ValueError names the first state, and
         sub-task, that breaks either."""
-        rank = self.columns.rank
+        rank = self.rank
         placements = [state.cache.placement for state in self.states]
         width = len(placements[0])
         if len(set(map(len, placements))) > 1:
@@ -304,7 +285,8 @@ class Tables:
         cost = self._costs.get(prices)
         if cost is None:
             cost = self._costs[prices] = _pair_cost(
-                *self._cost_terms, _LIVE, PAIR_OFFLOAD, PAIR_CACHE, self.seconds, prices)
+                *(c[..., None, None] for c in (self.zeta, self.d_in, self.d_out)),
+                _LIVE, PAIR_OFFLOAD, PAIR_CACHE, self.seconds, prices)
             np.copyto(cost, np.inf, where=_INFEASIBLE[self.pattern][:, :, None, :])
         return cost
 
@@ -382,17 +364,10 @@ def score(blocks: Sequence[Tables], actions: np.ndarray,
     return rewards, times
 
 
-def action_array(actions: Sequence[ActionMatrix]) -> np.ndarray:
-    """The N x V PAIRS indices of N actions, as score and action_report take them."""
-    n = len(actions)
-    offload = np.array([a.offload for a in actions], dtype=np.intp).reshape(n, -1)
-    cache = np.array([a.cache for a in actions], dtype=np.intp).reshape(n, -1)
-    return pair_index(offload, cache)
-
-
 def reward(state: EpisodeState, action: ActionMatrix, prices: PriceVector) -> float:
     """Episode cost: priced cycles + offloaded bytes + pinned bytes + seconds."""
-    return score([Tables([state])], action_array([action]), prices)[0][0]
+    picks = pair_index(np.array([action.offload], np.intp), np.array([action.cache], np.intp))
+    return score([Tables([state])], picks, prices)[0][0]
 
 
 _TIME_ONLY = PriceVector(0.0, 0.0, 0.0, 1.0)  # every other term is an exact 0.0

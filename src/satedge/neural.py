@@ -6,10 +6,10 @@ down to the bit. The output layer is 2*|V| sigmoids in the blocked
 label layout: all offload bits first, then all cache bits.
 
 encode_states is the one feature encoder: it fills features column by
-column from each Tables block's columns (the ones the draw decoded, or
-gathered from the objects for a lone state's block of one) and scales
-them in one call; the hit and popularity features come from each state's
-own cache. encode_state is encode_states on a block of one.
+column from each Tables block's columns and scales them in one call; the
+hit and popularity features come from each state's own cache.
+encode_state, decode_actions and infer are the one-state forms, each on
+its state's block of one.
 
 An MLPModel is the trained policy and nothing else. Adam's moments,
 step count and hyperparameters live in an AdamState that exists only
@@ -31,7 +31,7 @@ import numpy as np
 from .caching import request_probability, zipf_pmf
 from .channel import link_rate, snr_from_db
 from .config import ScenarioConfig, TrainConfig, orbit_params
-from .evaluator import NEAR, ActionMatrix, EpisodeState, Tables, pair_index
+from .evaluator import NEAR, ActionMatrix, EpisodeState, Tables, label_picks
 from .geometry import earth_central_angle, relative_angular_velocity
 
 log = logging.getLogger(__name__)
@@ -136,17 +136,17 @@ def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray
     raw = np.empty((sum(map(len, blocks)), scaler.lo.shape[0]))
     start = 0
     for block in blocks:
-        cols, span = block.columns, slice(start, start + len(block))
-        raw[span, :GLOBAL_FEATURES] = cols.state
+        span = slice(start, start + len(block))
+        raw[span, :GLOBAL_FEATURES] = block.links
         # a view of the rows' sub-task features; a width that does not fit
         # V sub-tasks raises ValueError here
-        sub = raw[span, GLOBAL_FEATURES:].reshape(*cols.code.shape, SUBTASK_FEATURES)
-        for k, column in enumerate((cols.zeta, cols.d_in, cols.d_out, cols.rho)):
+        sub = raw[span, GLOBAL_FEATURES:].reshape(*block.code.shape, SUBTASK_FEATURES)
+        for k, column in enumerate((block.zeta, block.d_in, block.d_out, block.rho)):
             sub[..., k] = column
-        sub[..., 4] = cols.code == 2
-        sub[..., 5] = cols.code == 1
+        sub[..., 4] = block.code == 2
+        sub[..., 5] = block.code == 1
         sub[..., 6] = block.hits
-        sub[..., 7] = _popularity(cols.rank, block.states)
+        sub[..., 7] = _popularity(block.rank, block.states)
         start = span.stop
     return scaler.transform(raw)
 
@@ -286,8 +286,7 @@ def decode_picks(probs: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     n, v = pattern.shape
     if probs.shape != (n, 2 * v):
         raise ValueError(f"expected {n} x {2 * v} probabilities, got {probs.shape}")
-    bits = probs > 0.5
-    return NEAR[pattern, pair_index(bits[:, :v], bits[:, v:])]
+    return NEAR[pattern, label_picks(probs > 0.5)]
 
 
 def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
@@ -321,18 +320,31 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
     """Write a v2 checkpoint: shape, seed, layout, scaler ranges, weights, biases.
 
     No optimizer state is written. Reload then re-save is byte-identical.
+    What load_model would refuse raises ValueError, naming the first bad
+    block, before anything is written.
     """
+    dims, layers = model.dims, len(model.dims) - 1
+    if layers < 1 or min(dims) < 1 or (len(model.weights), len(model.biases)) != (layers,) * 2:
+        raise ValueError(f"dims {dims} need two or more widths >= 1 and a weight and a bias "
+                         f"per layer, got {len(model.weights)} and {len(model.biases)}")
+    blocks = [("scaler", np.stack((scaler.lo, scaler.hi)), (2, dims[0]))]
+    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        blocks += [(f"W{k}", model.weights[k], (fan_in, fan_out)),
+                   (f"b{k}", model.biases[k], (fan_out,))]
+    for tag, values, shape in blocks:
+        if np.shape(values) != shape or not np.isfinite(values).all():
+            raise ValueError(f"block {tag}: needs {shape} finite values for dims {dims}, "
+                             f"got shape {np.shape(values)}")
     lines = [
         MODEL_MAGIC,
         f"layout_version={LAYOUT_VERSION}",
         f"seed={model.seed}",
-        "dims=" + ",".join(str(d) for d in model.dims),
+        "dims=" + ",".join(str(d) for d in dims),
         "scaler_lo=" + _fmt_row(scaler.lo),
         "scaler_hi=" + _fmt_row(scaler.hi),
     ]
-    for layer in range(len(model.weights)):
-        _write_block(lines, f"W{layer}", model.weights[layer])
-        _write_block(lines, f"b{layer}", model.biases[layer])
+    for tag, values, _ in blocks[1:]:
+        _write_block(lines, tag, values)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -442,6 +454,8 @@ def check_policy(model: MLPModel, num_subtasks: int) -> None:
 
 
 def infer(model: MLPModel, scaler: FeatureScaler, state: EpisodeState) -> ActionMatrix:
-    """Encode, forward, decode; checks dimensions line up."""
+    """Encode, forward, decode on the state's block of one; checks dimensions line up."""
     check_policy(model, len(state.task))
-    return decode_actions(forward(model, encode_state(state, scaler)), state)
+    block = Tables([state])
+    picks = decode_picks(forward(model, encode_states([block], scaler)), block.pattern)
+    return ActionMatrix.from_picks(picks[0].tolist())

@@ -27,8 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
-from .evaluator import (PAIR_CACHE, PAIR_OFFLOAD, ActionMatrix, EpisodeState,
-                        PriceVector, Tables, at_hits)
+from .evaluator import ActionMatrix, EpisodeState, PriceVector, Tables, at_hits, label_bits
 from .neural import (LAYOUT_VERSION, FeatureScaler, canonical_int, encode_states,
                      feature_dim, stray_row)
 from .scenario import episode_blocks, make_library, prices_from
@@ -126,9 +125,8 @@ def label_states(blocks: Iterable[Tables], prices: PriceVector,
     labelled = []
     for block in blocks:
         picks, values = block_argmin(at_hits(block.costs(prices), block.hits))
-        labels = np.concatenate((PAIR_OFFLOAD[picks], PAIR_CACHE[picks]), axis=1)
         labelled.append(Demonstrations(np.arange(len(values)), encode_states([block], scaler),
-                                       labels, values))
+                                       label_bits(picks), values))
     return Demonstrations.stack(labelled)
 
 
@@ -146,15 +144,24 @@ _HEADER_KEYS = ("config", "layout", "subtasks", "features")  # after the magic, 
 
 
 def write_dataset(path: str | Path, demos: Demonstrations, cfg: ScenarioConfig) -> None:
-    n_features = feature_dim(cfg.num_subtasks)
-    if len(demos) and demos.features.shape[1] != n_features:
-        raise ValueError(f"episode {demos.episode_id[0]}: feature shape mismatch")
+    """Write demos in the layout read_dataset reads; ValueError names the
+    first episode that read_dataset would refuse, before anything is written."""
+    n_features, n_bits = feature_dim(cfg.num_subtasks), 2 * cfg.num_subtasks
+    ids, labels = demos.episode_id, demos.labels
+    if len(demos) and (demos.features.shape[1], labels.shape[1]) != (n_features, n_bits):
+        raise ValueError(f"episode {ids[0]}: {demos.features.shape[1]} features and "
+                         f"{labels.shape[1]} label bits, expected {n_features} and {n_bits}")
+    bad = ((ids < 0) | ((labels != 0) & (labels != 1)).any(axis=1)
+           | ~np.isfinite(demos.features).all(axis=1) | ~np.isfinite(demos.opt_reward))
+    if bad.any() or not {ids.dtype.kind, labels.dtype.kind} <= {"i", "u"}:
+        raise ValueError(f"episode {ids[bad.argmax()]}: needs an integer id >= 0, integer "
+                         "label bits of 0 or 1, and finite features and opt_reward")
     lines = [
         f"#satedge-dataset v1 config={scenario_hash(cfg)} "
         f"layout={LAYOUT_VERSION} subtasks={cfg.num_subtasks} features={n_features}"
     ]
-    for i, row, bits, value in zip(demos.episode_id.tolist(), demos.features,
-                                   demos.labels.tolist(), demos.opt_reward.tolist()):
+    for i, row, bits, value in zip(ids.tolist(), demos.features, labels.tolist(),
+                                   demos.opt_reward.tolist()):
         lines.append(f"{i},{','.join(map(repr, row.tolist()))},{''.join(map(str, bits))},"
                      f"{value!r}")  # row by row: one block-wide tolist() holds every float
     Path(path).write_text("\n".join(lines) + "\n")

@@ -10,7 +10,7 @@ through an eviction policy and keeping whatever survives; projection
 alone sets the bits that coverage expiry forces. The greedy rule reads
 the block's cost table. The retention replay is the one step that runs
 per state, once per (block, cache kind), whichever baselines share it.
-baseline_policy and project_feasible are the one-state forms.
+project_feasible is the one-state form of the projection.
 """
 
 from __future__ import annotations
@@ -87,10 +87,3 @@ def project_feasible(pairs: tuple[tuple[int, int], ...],
         raise ValueError("proposal length must match the task")
     return ActionMatrix.from_picks(
         NEAR[Tables([state]).pattern[0], [pair_index(of, ch) for of, ch in pairs]].tolist())
-
-
-def baseline_policy(offload_kind: str, cache_kind: str, state: EpisodeState,
-                    prices: PriceVector) -> ActionMatrix:
-    """One state's baseline action: baseline_actions on a block of one."""
-    return ActionMatrix.from_picks(
-        baseline_actions(offload_kind, cache_kind, [Tables([state])], prices)[0].tolist())

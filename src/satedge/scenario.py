@@ -14,11 +14,11 @@ buffered 32-bit half that rank draws share, Lemire's rejection test).
 A lone episode_state call, and the rare block row decode_tasks cannot
 decode exactly (a rejected rank word or a zero compute rho), draws its
 chain by generate_task from a fresh generator on its task key.
-episode_blocks yields each block as the evaluator.Tables of its states,
-built from the columns decode_tasks decoded (category codes, sizes, rho
-and ranks) and the t_c, link and cpu_rate of each drawn state; a block
-holding a row left to generate_task gathers its columns from the objects
-instead. episode_states is the same draw, state by state. The content
+episode_blocks, the one way to draw a stream, yields each block as the
+evaluator.Tables holding its states, built from the columns decode_tasks
+decoded (category codes, sizes, rho and ranks) and the t_c, link and
+cpu_rate of each drawn state; a block holding a row left to
+generate_task gathers its columns from the objects instead. The content
 library (bytes per popularity rank) is drawn once per run, from numpy's
 own SeedSequence, and shared by all episodes, which keeps cache
 capacity accounting coherent.
@@ -178,17 +178,3 @@ def episode_blocks(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
                  for e, keys, task in zip(ids, block, chains)]
         # a chain generate_task drew has no decoded columns: gather them all
         yield Tables(drawn, None if None in chains else columns)
-
-
-def episode_states(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
-                   library: tuple[float, ...]) -> Iterator[EpisodeState]:
-    """The states of episode_blocks, one by one."""
-    for block in episode_blocks(cfg, seed, episodes, library):
-        yield from block.states
-
-
-def episode_stream(cfg: ScenarioConfig, seed: int, n: int,
-                   ) -> Iterator[tuple[int, EpisodeState]]:
-    if n < 0:
-        raise ValueError("episode count must be nonnegative")
-    return enumerate(episode_states(cfg, seed, range(n), make_library(cfg, seed)))

@@ -9,7 +9,7 @@ from satedge.caching import CacheState, apply_caching_action, request_probabilit
 from satedge.channel import LinkState, transmit_time
 from satedge.config import ScenarioConfig, default_config
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
-                               Tables, action_array, score)
+                               Tables, score)
 from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
 from satedge.oracle import Demonstration
 from satedge.policies import baseline_cache
@@ -92,6 +92,11 @@ def stream_blocks(cfg: ScenarioConfig, seed: int, n: int) -> list[Tables]:
 def states_of(blocks: Iterable[Tables]) -> list[EpisodeState]:
     """The blocks' states, in order."""
     return [state for block in blocks for state in block.states]
+
+
+def picks_of(action: ActionMatrix) -> list[int]:
+    """An action's row of PAIRS indices, as score and the block stages carry it."""
+    return [PAIRS.index(action.pair(v)) for v in range(len(action.offload))]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,8 @@ def reference_label_states(states: Iterable[EpisodeState], prices: PriceVector,
         action, value = reference_solve_optimal(state, prices)
         demos.append(Demonstration(episode_id=i,
                                    features=reference_encode_state(state, scaler),
-                                   labels=action.bits(), opt_reward=value))
+                                   labels=action.offload + action.cache,
+                                   opt_reward=value))
     return demos
 
 
@@ -370,7 +376,7 @@ def reference_action_report(actions: Sequence[ActionMatrix], demos: Sequence[Dem
     exact = bit_ok = bit_total = 0
     sum_reward = sum_time = sum_opt = 0.0
     for act, demo, state in zip(actions, demos, states):
-        bits = act.bits()
+        bits = act.offload + act.cache
         exact += int(bits == demo.labels)
         bit_ok += sum(a == b for a, b in zip(bits, demo.labels))
         bit_total += len(bits)
@@ -507,7 +513,8 @@ def solve_full_grid(state: EpisodeState, prices: PriceVector,
             continue
         action = ActionMatrix(offload=tuple(p[0] for p in combo),
                               cache=tuple(p[1] for p in combo))
-        value = score([block], action_array([action]), prices)[0][0]
+        picks = np.array([[PAIRS.index(pair) for pair in combo]], dtype=np.intp)
+        value = score([block], picks, prices)[0][0]
         if best is None or value < best[1]:
             best = (action, value)
     if best is None:

@@ -18,7 +18,7 @@ from satedge.caching import evict_mpc, evict_mrc, request_probability
 from satedge.cli import EVAL_SEED, GEN_SEED, main
 from satedge.config import default_config
 from satedge.dil import action_report, docs_actions, scheme_actions, train_policy
-from satedge.evaluator import FEASIBLE, PAIRS, completion_time, reward
+from satedge.evaluator import FEASIBLE, PAIRS, completion_time, score
 from satedge.geometry import coverage_time, earth_central_angle, relative_angular_velocity
 from satedge.neural import (
     FeatureScaler,
@@ -36,11 +36,12 @@ from satedge.oracle import (
     solve_optimal,
     write_dataset,
 )
-from satedge.policies import BASELINE_PAIRS, baseline_actions, baseline_policy
-from satedge.scenario import episode_blocks, episode_stream, make_library, orbit_params, prices_from
+from satedge.policies import BASELINE_PAIRS, baseline_actions
+from satedge.scenario import episode_blocks, make_library, orbit_params, prices_from
 
 from conftest import (cached_bytes, compute, download, empty_cache, gradient_check,
-                      make_cache, make_state, solve_full_grid, stream_blocks, upload)
+                      make_cache, make_state, solve_full_grid, states_of, stream_blocks,
+                      upload)
 
 
 def _verdict(capsys, number, name, ok, detail=""):
@@ -76,12 +77,11 @@ def test_criterion_1_oracle_dominance(capsys):
     prices = prices_from(cfg.scenario)
     t0 = time.perf_counter()
     violations = 0
-    for _, state in episode_stream(cfg.scenario, EVAL_SEED, 1000):
-        _, opt_value = solve_optimal(state, prices)
-        for of_kind, ch_kind in BASELINE_PAIRS:
-            act = baseline_policy(of_kind, ch_kind, state, prices)
-            if reward(state, act, prices) < opt_value - 1e-9:
-                violations += 1
+    blocks = stream_blocks(cfg.scenario, EVAL_SEED, 1000)
+    optima = [solve_optimal(state, prices)[1] for state in states_of(blocks)]
+    for of_kind, ch_kind in BASELINE_PAIRS:
+        rewards, _ = score(blocks, baseline_actions(of_kind, ch_kind, blocks, prices), prices)
+        violations += sum(value < opt - 1e-9 for opt, value in zip(optima, rewards))
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 60.0
     _verdict(capsys, 1, "oracle dominates every baseline", ok,
@@ -98,7 +98,7 @@ def test_criterion_2_full_grid_equivalence(capsys):
         scen = dataclasses.replace(cfg.scenario, num_subtasks=num_subtasks)
         prices = prices_from(scen)
         per_size = 67 if num_subtasks < 4 else 66
-        for _, state in episode_stream(scen, EVAL_SEED + num_subtasks, per_size):
+        for state in states_of(stream_blocks(scen, EVAL_SEED + num_subtasks, per_size)):
             fast_act, fast_val = solve_optimal(state, prices)
             grid_act, grid_val = solve_full_grid(state, prices)
             checked += 1

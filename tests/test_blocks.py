@@ -8,6 +8,7 @@ in conftest, and the table rows that baselines and scoring read must
 equal the scalar formulas.
 """
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satedge
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES, PriceVector, Tables
 from satedge.neural import FeatureScaler
 from satedge.oracle import block_argmin, label_states
-from satedge.scenario import episode_stream, prices_from
+from satedge.scenario import prices_from
 
 from conftest import (costs_of, empty_cache, feasible_of, hits_of, reference_cost_rows,
                       reference_hits, reference_label_states,
@@ -117,8 +119,8 @@ def test_carried_state_reads_its_draws_row():
 
 def test_block_rejects_unequal_chain_lengths():
     scen = default_config().scenario
-    short = next(episode_stream(replace(scen, num_subtasks=2), 1, 1))[1]
-    long = next(episode_stream(scen, 1, 1))[1]
+    short, = stream_blocks(replace(scen, num_subtasks=2), 1, 1)[0].states
+    long, = stream_blocks(scen, 1, 1)[0].states
     for mixed in ([short, long], [long, short]):
         with pytest.raises(ValueError):
             Tables(mixed)
@@ -160,3 +162,24 @@ def test_block_argmin_keeps_rounding_collapsed_tie_inside_a_block():
     assert picks.tolist() == [[1, 0], [0, 0], [0, 0]]
     assert totals.tolist() == [4.0, 2.0 ** 53, 2.0 ** 53]
     assert reference_lexicographic_argmin([[0.5, 0.0], [2.0 ** 53]]) == ((0, 0), 2.0 ** 53)
+
+
+# the one-state forms the benchmark tracer wraps, and the per-row types
+ONE_STATE = {
+    "evaluator": ("ActionMatrix", "EpisodeState", "reward", "completion_time",
+                  "feasible_actions", "subtask_cost"),
+    "oracle": ("Demonstration", "solve_optimal"),
+    "neural": ("encode_state", "decode_actions", "infer"),
+    "policies": ("project_feasible",),
+    "scenario": ("episode_state",),
+}
+
+
+def test_package_exports_the_block_api_only():
+    exported = {name: getattr(satedge, name) for name in satedge.__all__}  # each resolves
+    assert {"episode_blocks", "label_states", "build_dataset", "baseline_actions", "score",
+            "action_report", "Tables", "Demonstrations"} <= set(exported)
+    for module, names in ONE_STATE.items():
+        for name in names:
+            assert name not in exported
+            assert callable(getattr(importlib.import_module(f"satedge.{module}"), name))

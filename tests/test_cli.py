@@ -18,13 +18,14 @@ from satedge.caching import apply_caching_action
 from satedge.cli import (EVAL_SEED, _persistent_rollout, main, run_compare, run_eval,
                          run_gen_dataset)
 from satedge.config import default_config, load_config
-from satedge.evaluator import BLOCK_STATES, ActionMatrix, action_array
+from satedge.evaluator import BLOCK_STATES, ActionMatrix
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model, save_model
 from satedge.policies import BASELINE_PAIRS
-from satedge.scenario import episode_stream, prices_from
+from satedge.scenario import prices_from
 
-from conftest import (feasible_of, reference_baseline_policy, reference_decode_actions,
-                      reference_label_states, states_of)
+from conftest import (feasible_of, picks_of, reference_baseline_policy,
+                      reference_decode_actions, reference_label_states, states_of,
+                      stream_blocks)
 
 TINY_CONFIG = """\
 # small budgets for CLI round-trip checks
@@ -170,7 +171,7 @@ def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, c
     # the reference carries the cache, labels each state alone with the
     # scalar solver and encoder, then acts on it
     cache, evicted = None, 0
-    for i, (_, drawn) in enumerate(episode_stream(scen, seed, n)):
+    for i, drawn in enumerate(states_of(stream_blocks(scen, seed, n))):
         state = drawn if cache is None else replace(drawn, cache=cache)
         ref, = reference_label_states([state], prices, scaler)
         action = reference_baseline_policy(offload_kind, cache_kind, state, prices)
@@ -178,7 +179,7 @@ def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, c
         assert (demos.episode_id[i], tuple(demos.labels[i])) == (i, ref.labels)
         assert demos.opt_reward[i].hex() == ref.opt_reward.hex()
         assert demos.features[i].tobytes() == ref.features.tobytes()
-        assert actions[i].tolist() == action_array([action])[0].tolist()
+        assert actions[i].tolist() == picks_of(action)
         cache = apply_caching_action(state.cache, state.task, action.cache, cache_kind)
         evicted += any(a > b for a, b in zip(state.cache.placement, cache.placement))
     assert len(demos) == len(actions) == n
@@ -201,7 +202,7 @@ def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
     states = states_of(blocks)
     assert len(demos) == len(actions) == n
     cache = None
-    for i, ((_, drawn), demo) in enumerate(zip(episode_stream(scen, seed, n), demos)):
+    for i, (drawn, demo) in enumerate(zip(states_of(stream_blocks(scen, seed, n)), demos)):
         state = drawn if cache is None else replace(drawn, cache=cache)
         ref, = reference_label_states([state], prices, scaler)
         action = (ActionMatrix.from_bits(ref.labels) if scheme == "oracle" else
@@ -210,7 +211,7 @@ def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
         assert (demo.episode_id, demo.labels) == (i, ref.labels)
         assert demo.opt_reward.hex() == ref.opt_reward.hex()
         assert demo.features.tobytes() == ref.features.tobytes()
-        assert actions[i].tolist() == action_array([action])[0].tolist()
+        assert actions[i].tolist() == picks_of(action)
         cache = apply_caching_action(state.cache, state.task, action.cache, eviction)
 
 
@@ -375,6 +376,27 @@ def test_parity_listing_matches_the_committed_one(tmp_path, capsys):
         assert len(listing) == 23
 
 
+def test_reproduce_results_script_writes_the_parity_artifacts(tmp_path, capsys):
+    """scripts/reproduce_results.py runs every stage through the command line,
+    so under scripts/parity_tiny.txt its artifacts have the digests the
+    committed listing gives the same artifacts."""
+    pinned = {path: digest for digest, path in
+              (line.split("  ") for line in
+               (SCRIPTS / "parity_tiny.sha256").read_text().splitlines())}
+    out = tmp_path / "repro"
+    assert _script("reproduce_results").main(
+        ["--config", str(SCRIPTS / "parity_tiny.txt"), "--out", str(out)]) == 0
+    written = {  # its path: the same artifact's path in the listing
+        "dataset/dataset.txt": "dataset/dataset.txt",
+        "fit/model.txt": "train/model.txt",
+        "compare/comparison.csv": "compare/comparison.csv",
+        "sweep_depth/sweep_hidden_layers.csv": "sweep/hidden-layers/sweep_hidden_layers.csv",
+        "sweep_rain/sweep_rain.csv": "sweep/rain/sweep_rain.csv",
+    }
+    assert {path: hashlib.sha256((out / path).read_bytes()).hexdigest() for path in written} \
+        == {path: pinned[listed] for path, listed in written.items()}
+
+
 # SHA-256 of dataset.txt from `gen-dataset` under TINY_CONFIG (60 episodes,
 # seed 42) where coverage binds or the chain is long: orbit coverage at
 # 9 sub-tasks, and a 0.16 s fixed window that restricts many feasible sets.
@@ -461,8 +483,8 @@ def test_short_coverage_compare_bytes_are_pinned(tmp_path):
     config.write_text(TINY_CONFIG + "coverage_s = 0.16\n")
     cfg = load_config(config)
     forced = [all(ch for _, ch in feas)
-              for _, state in episode_stream(cfg.scenario, EVAL_SEED,
-                                             cfg.train.compare_episodes)
+              for state in states_of(stream_blocks(cfg.scenario, EVAL_SEED,
+                                                   cfg.train.compare_episodes))
               for feas in feasible_of(state)]
     assert any(forced)
     model = _train(tmp_path, str(config), _gen(tmp_path, str(config)))

@@ -9,7 +9,8 @@ from satedge.cli import HIDDEN_LAYER_GRID, RAIN_GRID
 from satedge.config import (ConfigError, SimConfig, default_config, dump_config,
                             load_config, validate_config)
 from satedge.oracle import build_dataset
-from satedge.scenario import episode_stream
+
+from conftest import states_of, stream_blocks
 
 
 @pytest.mark.parametrize("line", [
@@ -71,7 +72,7 @@ def test_link_budget_and_price_edges_are_allowed(tmp_path, text):
     path = tmp_path / "ok.txt"
     path.write_text(text)
     cfg = load_config(path)
-    for _, state in episode_stream(cfg.scenario, 5, 20):
+    for state in states_of(stream_blocks(cfg.scenario, 5, 20)):
         assert state.link.rate_fh > 0 and state.link.rate_bh > 0
 
 

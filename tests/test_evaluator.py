@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, InfeasibleActionError, PriceVector, Tables,
-                               completion_time, feasible_actions, pair_index, reward, score,
-                               subtask_cost)
+from satedge.evaluator import (PAIRS, ActionMatrix, InfeasibleActionError, PriceVector,
+                               Tables, completion_time, feasible_actions, label_bits,
+                               label_picks, pair_index, reward, score, subtask_cost)
 from satedge.oracle import solve_optimal
-from satedge.scenario import episode_stream, prices_from
+from satedge.scenario import prices_from
 from satedge.workload import Category
 
 from conftest import (compute, costs_of, download, feasible_of, hits_of, make_cache,
-                      make_state, reference_hits, seconds_of, stream_blocks, upload)
+                      make_state, reference_hits, seconds_of, states_of, stream_blocks,
+                      upload)
 
 # Worked by hand from the per-category pipelines at 1.6 / 2.4 Mb/s,
 # d_vs = 0.03 s, d_sg = 0.27 s:
@@ -99,7 +101,7 @@ def test_derived_fields_match_the_rules(coverage_mode):
     cfg = default_config()
     cfg.scenario.coverage_mode = coverage_mode
     prices = prices_from(cfg.scenario)
-    for _, state in episode_stream(cfg.scenario, 7, 60):
+    for state in states_of(stream_blocks(cfg.scenario, 7, 60)):
         feas = tuple(feasible_actions(sub, state) for sub in state.task)
         hits = reference_hits(state)
         secs = tuple(tuple(seconds_alone(sub, of, hit, state) for of, _ in f)
@@ -186,7 +188,7 @@ def test_a_cache_of_no_ranks_holds_no_hit(prices):
 def test_completion_time_is_the_chain_fold_of_subtask_times():
     cfg = default_config()
     prices = prices_from(cfg.scenario)
-    for _, state in episode_stream(cfg.scenario, 98, 40):
+    for state in states_of(stream_blocks(cfg.scenario, 98, 40)):
         action, _ = solve_optimal(state, prices)
         total = 0.0
         for v, (sub, hit) in enumerate(zip(state.task, reference_hits(state))):
@@ -212,7 +214,7 @@ def test_reward_time_only_prices_bitwise():
     cfg = default_config()
     unit_time = PriceVector(0.0, 0.0, 0.0, 1.0)
     prices = prices_from(cfg.scenario)
-    for _, state in episode_stream(cfg.scenario, 99, 40):
+    for state in states_of(stream_blocks(cfg.scenario, 99, 40)):
         action, _ = solve_optimal(state, prices)
         assert reward(state, action, unit_time) == completion_time(state, action)
 
@@ -264,9 +266,19 @@ def test_action_matrix_validates_bits():
         ActionMatrix(offload=(1, 0), cache=(0,))
     with pytest.raises(ValueError):
         ActionMatrix(offload=(2,), cache=(0,))
-    bits = ActionMatrix(offload=(1, 0), cache=(0, 1)).bits()
-    assert bits == (1, 0, 0, 1)
-    assert ActionMatrix.from_bits(bits) == ActionMatrix(offload=(1, 0), cache=(0, 1))
+    assert ActionMatrix.from_bits((1, 0, 0, 1)) == ActionMatrix(offload=(1, 0), cache=(0, 1))
+    # the blocked layout: all offload bits, then all cache bits
+    assert label_bits(np.array([[2, 1]])).tolist() == [[1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_label_picks_inverts_label_bits(v):
+    picks = np.array(list(itertools.product(range(len(PAIRS)), repeat=v)), dtype=np.intp)
+    bits = label_bits(picks)
+    assert bits.shape == (len(PAIRS) ** v, 2 * v)
+    assert bits.tolist() == [[PAIRS[p][0] for p in row] + [PAIRS[p][1] for p in row]
+                             for row in picks.tolist()]
+    assert np.array_equal(label_picks(bits), picks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,7 +304,7 @@ def test_tables_reject_states_no_draw_produces(field, value):
     """A library caller's state whose cycles, CPU rate or coverage window
     lies outside its domain is refused, naming the state and sub-task."""
     scen = default_config().scenario
-    _, state = next(episode_stream(scen, 1, 1))
+    state, = stream_blocks(scen, 1, 1)[0].states
     if field == "rho":
         v = next(v for v, st_ in enumerate(state.task) if st_.category is Category.COMPUTE)
         task = list(state.task)

@@ -32,7 +32,7 @@ from satedge.neural import (
     load_model,
     save_model,
 )
-from satedge.scenario import episode_stream, make_library
+from satedge.scenario import make_library
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_scaler_from_scenario_covers_generated_episodes(cfg, caplog):
     scaler = FeatureScaler.from_scenario(scen)
     assert scaler.lo.shape == (feature_dim(scen.num_subtasks),)
     with caplog.at_level("WARNING", logger="satedge.neural"):
-        for _, state in episode_stream(scen, seed=7, n=100):
+        for state in states_of(stream_blocks(scen, 7, 100)):
             enc = encode_state(state, scaler)
             assert np.all(enc >= 0.0) and np.all(enc <= 1.0)
     assert _clamps(caplog) == []
@@ -620,7 +620,7 @@ def test_infer_rejects_wrong_feature_width(cfg):
     scen = cfg.scenario
     scaler = FeatureScaler.from_scenario(scen)
     model = init_model((10, 16, 12), seed=5)
-    _, state = next(iter(episode_stream(scen, seed=1, n=1)))
+    state, = stream_blocks(scen, 1, 1)[0].states
     with pytest.raises(CheckpointError):
         infer(model, scaler, state)
 
@@ -629,6 +629,6 @@ def test_infer_rejects_wrong_output_width(cfg):
     scen = cfg.scenario
     scaler = FeatureScaler.from_scenario(scen)
     model = init_model((feature_dim(scen.num_subtasks), 16, 4), seed=5)
-    _, state = next(iter(episode_stream(scen, seed=1, n=1)))
+    state, = stream_blocks(scen, 1, 1)[0].states
     with pytest.raises(CheckpointError):
         infer(model, scaler, state)

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from satedge.config import default_config
 from satedge.evaluator import (ActionMatrix, PriceVector, completion_time, feasible_actions,
-                               reward)
+                               reward, score)
 from satedge.oracle import (block_argmin, build_dataset, read_dataset, solve_optimal,
                             write_dataset)
-from satedge.policies import BASELINE_PAIRS, baseline_policy
-from satedge.scenario import episode_stream, prices_from
+from satedge.policies import BASELINE_PAIRS, baseline_actions
+from satedge.scenario import prices_from
 
 from conftest import (compute, make_state, reference_feasible_actions, reference_hits,
                       reference_subtask_cost, reference_subtask_time, solve_full_grid,
-                      upload)
+                      states_of, stream_blocks, upload)
 
 
 def outer_argmin(tables):
@@ -71,7 +71,7 @@ def test_matches_enumeration_reference_bit_for_bit(coverage_mode):
     for v in range(1, 9):
         scen = small_cfg(v, coverage_mode=coverage_mode).scenario
         prices = prices_from(scen)
-        for _, state in episode_stream(scen, 100 + v, 40 if v < 8 else 15):
+        for state in states_of(stream_blocks(scen, 100 + v, 40 if v < 8 else 15)):
             action, value = solve_optimal(state, prices)
             ref_action, ref_value = solve_by_enumeration(state, prices)
             assert action == ref_action
@@ -115,7 +115,7 @@ def test_lexicographic_argmin_keeps_rounding_collapsed_tie():
 def test_long_chains_solve_and_replay_to_their_reward():
     scen = small_cfg(12).scenario
     prices = prices_from(scen)
-    for _, state in episode_stream(scen, 12, 30):
+    for state in states_of(stream_blocks(scen, 12, 30)):
         action, value = solve_optimal(state, prices)
         assert repr(reward(state, action, prices)) == repr(value)
 
@@ -123,7 +123,7 @@ def test_long_chains_solve_and_replay_to_their_reward():
 def test_matches_full_grid_on_small_tasks(prices):
     for v in (2, 3, 4):
         cfg = small_cfg(v)
-        for _, state in episode_stream(cfg.scenario, 21, 25):
+        for state in states_of(stream_blocks(cfg.scenario, 21, 25)):
             fast_action, fast_value = solve_optimal(state, prices)
             slow_action, slow_value = solve_full_grid(state, prices)
             assert fast_action == slow_action
@@ -139,17 +139,17 @@ def test_full_grid_discards_infeasible(prices):
 
 def test_oracle_dominates_baselines(prices):
     cfg = default_config()
-    for _, state in episode_stream(cfg.scenario, 77, 100):
-        _, opt = solve_optimal(state, prices)
-        for of_kind, ch_kind in BASELINE_PAIRS:
-            b = baseline_policy(of_kind, ch_kind, state, prices)
-            assert opt <= reward(state, b, prices)
+    blocks = stream_blocks(cfg.scenario, 77, 100)
+    optima = [solve_optimal(state, prices)[1] for state in states_of(blocks)]
+    for of_kind, ch_kind in BASELINE_PAIRS:
+        rewards, _ = score(blocks, baseline_actions(of_kind, ch_kind, blocks, prices), prices)
+        assert all(opt <= value for opt, value in zip(optima, rewards, strict=True))
 
 
 def test_demonstrations_replay_to_their_reward(prices):
     cfg = default_config()
     demos = build_dataset(cfg.scenario, 100, 5)
-    states = [s for _, s in episode_stream(cfg.scenario, 5, 100)]
+    states = states_of(stream_blocks(cfg.scenario, 5, 100))
     for demo, state in zip(demos, states):
         action = ActionMatrix.from_bits(demo.labels)
         completion_time(state, action)

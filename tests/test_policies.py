@@ -1,18 +1,26 @@
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from satedge.config import default_config
-from satedge.evaluator import (PriceVector, Tables, action_array, completion_time, reward,
-                               score, subtask_cost)
+from satedge.evaluator import (PAIR_OFFLOAD, ActionMatrix, PriceVector, Tables,
+                               completion_time, reward, score, subtask_cost)
 from satedge.oracle import solve_optimal
 from satedge.policies import (BASELINE_PAIRS, baseline_actions, baseline_cache, baseline_name,
-                              baseline_policy, project_feasible)
-from satedge.scenario import episode_stream, prices_from
+                              project_feasible)
+from satedge.scenario import prices_from
 
 from conftest import (compute, costs_of, download, feasible_of, make_cache, make_state,
-                      hits_of, reference_baseline_cache, reference_hits,
-                      reference_reward_and_time, retained_of, seconds_of, upload)
+                      hits_of, picks_of, reference_baseline_cache, reference_hits,
+                      reference_reward_and_time, retained_of, seconds_of, states_of,
+                      stream_blocks, upload)
+
+
+def lone_baseline(offload_kind, cache_kind, state, prices) -> ActionMatrix:
+    """baseline_actions on the state's own block of one, as an action."""
+    picks = baseline_actions(offload_kind, cache_kind, [Tables([state])], prices)
+    return ActionMatrix.from_picks(picks[0].tolist())
 
 
 def test_baseline_names():
@@ -25,13 +33,13 @@ def test_le_and_to_proposals(prices):
     state = make_state([compute(rank=r + 1) for r in range(4)], t_c=300.0)
     # every pair of these sub-tasks is feasible, so projection keeps the proposals
     for ch_kind in ("mrc", "mpc"):
-        assert baseline_policy("le", ch_kind, state, prices).offload == (0, 0, 0, 0)
-        assert baseline_policy("to", ch_kind, state, prices).offload == (1, 1, 1, 1)
+        assert lone_baseline("le", ch_kind, state, prices).offload == (0, 0, 0, 0)
+        assert lone_baseline("to", ch_kind, state, prices).offload == (1, 1, 1, 1)
 
 
 def test_le_upload_projected_to_offload(prices):
     state = make_state([upload()])
-    action = baseline_policy("le", "mrc", state, prices)
+    action = lone_baseline("le", "mrc", state, prices)
     assert action.offload == (1,)
     completion_time(state, action)
 
@@ -45,7 +53,7 @@ def test_projection_examples():
 
 def test_projection_keeps_feasible_proposals(prices):
     cfg = default_config()
-    for _, state in episode_stream(cfg.scenario, 31, 30):
+    for state in states_of(stream_blocks(cfg.scenario, 31, 30)):
         action, _ = solve_optimal(state, prices)
         pairs = tuple(action.pair(v) for v in range(len(state.task)))
         assert project_feasible(pairs, state) == action
@@ -55,18 +63,20 @@ def test_go_matches_oracle_offload_bits(prices):
     # the reward decomposes per sub-task, so greedy minimization recovers
     # the oracle's offload choices exactly
     cfg = default_config()
-    for _, state in episode_stream(cfg.scenario, 17, 60):
-        opt, _ = solve_optimal(state, prices)
-        for ch_kind in ("mrc", "mpc"):
-            assert baseline_policy("go", ch_kind, state, prices).offload == opt.offload
+    blocks = stream_blocks(cfg.scenario, 17, 60)
+    optima = [solve_optimal(state, prices)[0].offload for state in states_of(blocks)]
+    for ch_kind in ("mrc", "mpc"):
+        go = PAIR_OFFLOAD[baseline_actions("go", ch_kind, blocks, prices)]
+        assert list(map(tuple, go.tolist())) == optima
 
 
 def test_go_never_worse_per_subtask(prices):
     # GO minimizes each sub-task's immediate contribution, so its cost can
     # never exceed what the projected LE or TO proposal pays there
     cfg = default_config()
-    for _, state in episode_stream(cfg.scenario, 13, 40):
-        go_bits = baseline_policy("go", "mrc", state, prices).offload
+    blocks = stream_blocks(cfg.scenario, 13, 40)
+    go = PAIR_OFFLOAD[baseline_actions("go", "mrc", blocks, prices)].tolist()
+    for state, go_bits in zip(states_of(blocks), go, strict=True):
         for v, (feas, costs) in enumerate(zip(feasible_of(state), costs_of(state, prices))):
             cost = dict(zip(feas, costs))  # the state's Tables row, at its own hits
             go_cost = min(cost[f] for f in feas if f[0] == go_bits[v])
@@ -90,7 +100,7 @@ def test_forced_caching_pinned(prices):
         assert retained_of(kind, tiny) == (0,)
         for s in (state, tiny):
             for of_kind in ("le", "to", "go"):
-                action = baseline_policy(of_kind, kind, s, prices)
+                action = lone_baseline(of_kind, kind, s, prices)
                 assert action.cache == (1,)
                 completion_time(s, action)
 
@@ -115,16 +125,17 @@ def test_mrc_retention_keeps_recent_outputs(prices):
 
 def test_all_baselines_feasible_everywhere(prices):
     cfg = default_config()
-    for _, state in episode_stream(cfg.scenario, 23, 120):
-        for of_kind, ch_kind in BASELINE_PAIRS:
-            completion_time(state, baseline_policy(of_kind, ch_kind, state, prices))
+    blocks = stream_blocks(cfg.scenario, 23, 120)
+    for of_kind, ch_kind in BASELINE_PAIRS:
+        # score raises InfeasibleActionError on the first infeasible pair
+        score(blocks, baseline_actions(of_kind, ch_kind, blocks, prices), prices)
 
 
 def test_unknown_kinds_rejected(prices):
     state = make_state([upload()])
     for bad in ("lru", "", "docs"):
         try:
-            baseline_policy(bad, "mrc", state, prices)
+            lone_baseline(bad, "mrc", state, prices)
         except ValueError:
             pass
         else:
@@ -143,19 +154,19 @@ def test_scoring_and_retention_match_the_per_call_references(seed, num_subtasks,
     cfg.num_subtasks = num_subtasks
     cfg.coverage_mode, cfg.coverage_s = coverage
     time_only = PriceVector(0.0, 0.0, 0.0, 1.0)
-    for _, state in episode_stream(cfg, seed, 4):
+    for state in states_of(stream_blocks(cfg, seed, 4)):
         block = Tables([state])
         for prices in (prices_from(cfg), time_only):
             opt, value = solve_optimal(state, prices)
             assert value == reference_reward_and_time(state, opt, prices)[0]
-            actions = [opt] + [baseline_policy(of, ch, state, prices)
+            actions = [opt] + [lone_baseline(of, ch, state, prices)
                                for of, ch in BASELINE_PAIRS]
-            assert action_array(actions[1:]).tolist() == [
+            assert [picks_of(action) for action in actions[1:]] == [
                 baseline_actions(of, ch, [block], prices)[0].tolist()
                 for of, ch in BASELINE_PAIRS]
             for action in actions:
                 expected = reference_reward_and_time(state, action, prices)
-                rewards, times = score([block], action_array([action]), prices)
+                rewards, times = score([block], np.array([picks_of(action)]), prices)
                 assert (rewards[0], times[0]) == expected
                 assert reward(state, action, prices) == expected[0]
                 assert completion_time(state, action) == expected[1]

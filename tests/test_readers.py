@@ -7,6 +7,9 @@ is finite and usable: every feature row has the declared width, a loaded
 model runs a forward pass, and a loaded config validates.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -225,6 +228,50 @@ def test_dataset_reports_its_first_faulty_line(tmp_path, dataset_lines, nan_line
     with pytest.raises(ValueError) as err:
         read_dataset(path)
     assert str(err.value).startswith(f"{path}{reported}")
+
+
+
+def _set(values: np.ndarray, at, value) -> np.ndarray:
+    """A copy of values with values[at] = value."""
+    values = values.copy()
+    values[at] = value
+    return values
+
+
+# each writer refuses what its own reader refuses, before writing anything
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: replace(d, labels=np.concatenate((d.labels, d.labels[:, :2]), axis=1)),
+     "episode 0: 54 features and 14 label bits, expected 54 and 12"),
+    (lambda d: replace(d, labels=_set(d.labels, (1, 0), 2)), "episode 1: "),
+    (lambda d: replace(d, labels=d.labels.astype(float)), "episode 0: "),
+    (lambda d: replace(d, opt_reward=_set(d.opt_reward, 1, np.nan)), "episode 1: "),
+    (lambda d: replace(d, features=_set(d.features, (2, 7), np.inf)), "episode 2: "),
+    (lambda d: replace(d, episode_id=_set(d.episode_id, 1, -1)), "episode -1: "),
+], ids=["labels-2V+2-wide", "label-bit-2", "float-labels", "nan-opt-reward", "inf-feature",
+        "negative-id"])
+def test_write_dataset_refuses_what_read_dataset_refuses(tmp_path, edit, named):
+    cfg = default_config()
+    path = tmp_path / "dataset.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        write_dataset(path, edit(build_dataset(cfg.scenario, 3, 1)), cfg.scenario)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda m, s: (replace(m, weights=[m.weights[0], _set(m.weights[1], (0, 2), np.nan)]), s),
+     "block W1"),
+    (lambda m, s: (m, FeatureScaler(s.lo[:-1], s.hi[:-1])), "block scaler"),
+    (lambda m, s: (m, FeatureScaler(s.lo, _set(s.hi, 2, np.inf))), "block scaler"),
+    (lambda m, s: (replace(m, biases=[m.biases[0][None], m.biases[1]]), s), "block b0"),
+    (lambda m, s: (replace(m, weights=m.weights[:1], biases=m.biases[:1]), s), "dims"),
+], ids=["nan-weight", "narrow-scaler", "inf-scaler", "bias-shape", "missing-layer"])
+def test_save_model_refuses_what_load_model_refuses(tmp_path, edit, named):
+    model, scaler = edit(init_model((6, 5, 4), seed=3),
+                         FeatureScaler(lo=np.zeros(6), hi=np.ones(6)))
+    path = tmp_path / "model.txt"
+    with pytest.raises(ValueError, match=f"^{named}"):
+        save_model(path, model, scaler)
+    assert not path.exists()
 
 
 def test_model_with_one_dim_and_no_blocks_is_rejected(tmp_path, model_lines):

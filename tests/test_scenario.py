@@ -6,15 +6,16 @@ from satedge import scenario
 from satedge.channel import link_rate, snr_from_db
 from satedge.config import default_config
 from satedge.geometry import earth_central_angle, relative_angular_velocity
-from satedge.scenario import (episode_state, episode_stream, library_capacity,
-                              make_library, orbit_params, prices_from)
+from satedge.scenario import (episode_state, library_capacity, make_library, orbit_params,
+                              prices_from)
 from satedge.workload import Category
 
-from conftest import cached_bytes, reference_generate_task, reference_random_placement
+from conftest import (cached_bytes, reference_generate_task, reference_random_placement,
+                      states_of, stream_blocks)
 
 
 def collect(cfg, seed, n):
-    return [state for _, state in episode_stream(cfg.scenario, seed, n)]
+    return states_of(stream_blocks(cfg.scenario, seed, n))
 
 
 def test_stream_is_deterministic(cfg):

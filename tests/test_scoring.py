@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from satedge.cli import run_compare, run_gen_dataset, run_train
 from satedge.config import default_config, load_config
 from satedge.dil import action_report, oracle_actions, scheme_actions, train_policy
-from satedge.evaluator import (BLOCK_STATES, FEASIBLE, NEAR, PAIR_CACHE, PAIR_OFFLOAD,
-                               PAIRS, ActionMatrix, InfeasibleActionError, PriceVector,
+from satedge.evaluator import (BLOCK_STATES, FEASIBLE, NEAR, PAIRS, ActionMatrix,
+                               InfeasibleActionError, PriceVector, label_bits,
                                nearest_feasible, score)
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model
 from satedge.oracle import label_states
@@ -85,8 +85,8 @@ def test_block_scoring_matches_the_per_state_path(name):
                 for i, pair in enumerate(
                     reference_baseline_proposal(of_kind, ch_kind, s, prices)))
         assert actions.shape == (len(states), v)
-        bits = np.concatenate((PAIR_OFFLOAD[actions], PAIR_CACHE[actions]), axis=1)
-        assert [tuple(row) for row in bits.tolist()] == [a.bits() for a in reference]
+        assert [tuple(row) for row in label_bits(actions).tolist()] == \
+            [a.offload + a.cache for a in reference]
         assert _hex(action_report(actions, demos, blocks, prices)) == \
             _hex(reference_action_report(reference, demos, states, prices))
     if name == "short-coverage":

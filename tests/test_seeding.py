@@ -28,9 +28,10 @@ import satedge
 from satedge import scenario, seeding
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES
-from satedge.scenario import episode_state, episode_states, episode_stream, make_library
+from satedge.scenario import episode_blocks, episode_state, make_library
 
-from conftest import reference_episode_state, reference_stream_rng
+from conftest import (reference_episode_state, reference_stream_rng, states_of,
+                      stream_blocks)
 
 # entropy ints of one, two, three to four, and four to five uint32 words
 INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
@@ -108,10 +109,10 @@ def test_negative_seed_or_episode_raises_value_error(bad):
     calls = [
         lambda: scenario._block_rng_states(scen, bad, [0, 1]),
         lambda: scenario._block_rng_states(scen, 1, [0, bad]),
-        lambda: list(episode_stream(scen, bad, 40)),
-        lambda: list(episode_states(scen, bad, block, library)),
-        lambda: list(episode_states(scen, 1, block + [bad], library)),
-        lambda: list(episode_states(scen, 1, [bad], library)),  # a block of one
+        lambda: stream_blocks(scen, bad, 40),
+        lambda: list(episode_blocks(scen, bad, block, library)),
+        lambda: list(episode_blocks(scen, 1, block + [bad], library)),
+        lambda: list(episode_blocks(scen, 1, [bad], library)),  # a block of one
         lambda: episode_state(scen, 1, bad, library),  # drawn alone
         lambda: make_library(scen, bad),
     ]
@@ -128,7 +129,7 @@ def test_non_integer_episode_id_raises_type_error(bad):
     named = f"episode id {bad!r} is not an integer"
     for ids in ([bad], [bad, 2], [2, bad], list(range(BLOCK_STATES)) + [bad]):
         with pytest.raises(TypeError, match=re.escape(named)):
-            list(episode_states(scen, 1, ids, library))
+            list(episode_blocks(scen, 1, ids, library))
     with pytest.raises(TypeError, match=re.escape(named)):
         episode_state(scen, 1, bad, library)  # drawn alone
 
@@ -142,7 +143,7 @@ def test_non_integer_run_seed_raises_type_error(bad):
     named = f"run seed {bad!r} is not an integer"
     for ids in ([1], [1, 2], list(range(BLOCK_STATES + 1))):
         with pytest.raises(TypeError, match=re.escape(named)):
-            list(episode_states(scen, bad, ids, library))
+            list(episode_blocks(scen, bad, ids, library))
     with pytest.raises(TypeError, match=re.escape(named)):
         episode_state(scen, bad, 1, library)  # drawn alone
     with pytest.raises(TypeError, match=re.escape(named)):
@@ -178,9 +179,9 @@ def test_stream_equals_episodes_drawn_alone(mode, num_subtasks, n):
     left buffered by ``integers``, not a skipped orbit stream."""
     scen = _scen(mode, num_subtasks)
     alone = list(_drawn_alone(mode, num_subtasks)[:n])
-    assert [state for _, state in episode_stream(scen, SEED, n)] == alone
-    backwards = episode_states(scen, SEED, range(n - 1, -1, -1), make_library(scen, SEED))
-    assert list(backwards) == alone[::-1]
+    assert states_of(stream_blocks(scen, SEED, n)) == alone
+    backwards = episode_blocks(scen, SEED, range(n - 1, -1, -1), make_library(scen, SEED))
+    assert states_of(backwards) == alone[::-1]
 
 
 def _task_bits(state) -> list[tuple]:
@@ -216,7 +217,7 @@ def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix,
                    mix_upload=mix[0], mix_download=mix[1], mix_compute=mix[2])
     library = make_library(scen, seed)
     ids = range(first, first + size)
-    block = list(episode_states(scen, seed, ids, library))
+    block = states_of(episode_blocks(scen, seed, ids, library))
     alone = [reference_episode_state(scen, seed, e, library) for e in ids]
     assert block == alone
     assert [_task_bits(s) for s in block] == [_task_bits(s) for s in alone]
@@ -251,8 +252,7 @@ def test_rows_the_decoder_gives_up_on_equal_episodes_drawn_alone(monkeypatch, mo
 
     monkeypatch.setattr(scenario, "decode_tasks", decode)
     monkeypatch.setattr(scenario, "generate_task", generate)
-    assert [state for _, state in episode_stream(_scen(mode), SEED, n)] == \
-        list(_drawn_alone(mode, 6)[:n])
+    assert states_of(stream_blocks(_scen(mode), SEED, n)) == list(_drawn_alone(mode, 6)[:n])
     assert dropped and len(generated) == len(dropped)
 
 
@@ -262,16 +262,17 @@ def test_scattered_ids_equal_episodes_drawn_alone(mode):
     scen = _scen(mode)
     library = make_library(scen, 9)
     ids = np.random.default_rng(3).permutation(2000)[:100].tolist() + [2**32 + 5, 2**40, 17]
-    assert list(episode_states(scen, 9, ids, library)) == \
+    assert states_of(episode_blocks(scen, 9, ids, library)) == \
         [reference_episode_state(scen, 9, e, library) for e in ids]
 
 
 def test_live_iterators_do_not_share_generators():
     scen = _scen("orbit")
     library = make_library(scen, SEED)
-    first = episode_states(scen, SEED, range(40), library)
-    second = episode_states(scen, SEED, range(40, 80), library)
-    interleaved = [state for pair in zip(first, second) for state in pair]
+    first = episode_blocks(scen, SEED, range(40), library)
+    second = episode_blocks(scen, SEED, range(40, 80), library)
+    interleaved = [state for one, other in zip(first, second)
+                   for pair in zip(one.states, other.states) for state in pair]
     alone = _drawn_alone("orbit", 6)
     assert interleaved == [alone[i] for pair in zip(range(40), range(40, 80)) for i in pair]
 
@@ -287,7 +288,7 @@ def test_each_state_is_one_call_of_the_module_global(monkeypatch):
 
     monkeypatch.setattr(scenario, "episode_state", counted)
     n = BLOCK_STATES + 1  # a full block, then a block of one
-    assert len(list(episode_stream(_scen("fixed"), SEED, n))) == n
+    assert len(states_of(stream_blocks(_scen("fixed"), SEED, n))) == n
     assert drawn == list(range(n))
 
 
