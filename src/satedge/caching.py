@@ -46,10 +46,16 @@ class CacheState:
         n = len(self.sizes)
         if len(self.placement) != n or len(self.recency) != n:
             raise ValueError("placement and recency must match sizes in length")
-        if not 0.0 <= self.capacity_bytes < math.inf:
-            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity_bytes}")
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        check_budget(self.capacity_bytes, self.delta)
+
+
+def check_budget(capacity_bytes: float, delta: float) -> None:
+    """CacheState's checks of its capacity and Zipf skew, for a block of
+    caches that share both."""
+    if not 0.0 <= capacity_bytes < math.inf:
+        raise ValueError(f"capacity must be finite and >= 0, got {capacity_bytes}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
 
 @lru_cache(maxsize=32)  # a run uses one (delta, num_ranks), a sweep a few

@@ -10,8 +10,9 @@ completion seconds.
 
 Times, feasible sets and costs come from Tables, which computes them for
 a block of states, and holds them, with whole-array numpy from its own
-columns: the ones the draw (scenario.episode_blocks) decoded, or, for
-any other block, such as a lone state's, ones gathered from the objects.
+columns: the arrays the draw (scenario.episode_blocks) produced, whose
+states are built only if read, or, for any other block, such as a lone
+state's, ones gathered from the objects.
 Every stage takes a sequence of blocks. score checks an N x V array of
 pair indices against each block's feasible patterns and gathers each
 state's cost and seconds at its own hits and pairs, folded over the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -164,19 +165,24 @@ class Tables:
     It holds what it reads of its states as columns: N x V code (the
     category's _CODE), d_in, d_out, rho, zeta = rho * d_in (as SubTask.zeta
     computes it) and rank (the output's, 0 = none), and links, N x 6: t_c,
-    rate_fh, rate_bh, prop_vs, prop_sg and cpu_rate. tasks, when given,
-    are code, d_in, d_out, rho and rank as the draw decoded them; else they
-    are gathered from the SubTask objects. seconds[n, v, h, p] is the time
-    of sub-task v of state n under PAIRS[p], on a miss (h = 0) or a hit
-    (h = 1) of its output, and pattern[n, v] indexes FEASIBLE with that
-    sub-task's feasible pairs. Nothing but hits reads a state's cache.
-    Every state of a block has the same number V of sub-tasks.
-    costs(prices) prices the block once per price vector, +inf on the
-    infeasible pairs. The time and feasibility formulas live here only,
-    and the cost formula in _pair_cost: feasible_actions reads a block of
-    one sub-task, and a lone state a block of its own. retained is
-    policies.baseline_cache's memo: the block's retention bits per cache
-    kind.
+    rate_fh, rate_bh, prop_vs, prop_sg and cpu_rate. seconds[n, v, h, p] is
+    the time of sub-task v of state n under PAIRS[p], on a miss (h = 0) or
+    a hit (h = 1) of its output, and pattern[n, v] indexes FEASIBLE with
+    that sub-task's feasible pairs. Its caches are placement, N x (1 + R)
+    bools, column r true where the state's cache holds rank r (column 0,
+    rank 0 or no output, is never held), and delta, the N Zipf skews: all
+    that hits and the popularity feature read of a cache. Every state of
+    a block has the same number V of sub-tasks and every cache the same
+    number R of ranks.
+
+    Tables(states) gathers all of it from the objects. Tables.drawn takes
+    the arrays the draw (scenario.episode_blocks) produced, and builds the
+    states only when they are first read. costs(prices) prices the block
+    once per price vector, +inf on the infeasible pairs. The time and
+    feasibility formulas live here only, and the cost formula in
+    _pair_cost: feasible_actions reads a block of one sub-task, and a lone
+    state a block of its own. retained is policies.baseline_cache's memo:
+    the block's retention bits per cache kind.
 
     Modeling note: the satellite-to-vehicle return leg is charged at the
     fronthaul rate (symmetric fronthaul).
@@ -184,15 +190,33 @@ class Tables:
 
     COLUMNS = ("code", "d_in", "d_out", "rho", "zeta", "rank", "links")  # carrying slices each
 
-    def __init__(self, states: Sequence[EpisodeState],
-                 tasks: tuple[np.ndarray, ...] | None = None):
+    def __init__(self, states: Sequence[EpisodeState]):
         self.states = tuple(states)
-        self.code, self.d_in, self.d_out, self.rho, self.rank = (
-            _task_columns(self.states) if tasks is None else tasks)
-        self.zeta = self.rho * self.d_in
-        self.links = links = np.array(
+        if not self.states:
+            raise ValueError("a Tables block needs at least one state, got none")
+        self._derive(_task_columns(self.states), np.array(
             [(s.t_c, s.link.rate_fh, s.link.rate_bh, s.link.prop_vs, s.link.prop_sg,
-              s.cpu_rate) for s in self.states], dtype=np.float64).reshape(-1, 6)
+              s.cpu_rate) for s in self.states], dtype=np.float64))
+
+    @classmethod
+    def drawn(cls, tasks: tuple[np.ndarray, ...], links: np.ndarray, placement: np.ndarray,
+              delta: np.ndarray, states: Callable[[], Sequence[EpisodeState]]) -> Tables:
+        """The block of a draw's arrays: tasks, the N x V code, d_in, d_out,
+        rho and rank columns, then links, placement and delta as the class
+        holds them. states() builds the N states; it runs on the first read
+        of .states, and never if nothing reads them."""
+        if not len(links):
+            raise ValueError("a Tables block needs at least one state, got none")
+        block = object.__new__(cls)
+        block.placement, block.delta, block._build_states = placement, delta, states
+        block._derive(tasks, links)
+        return block
+
+    def _derive(self, tasks: tuple[np.ndarray, ...], links: np.ndarray) -> None:
+        """Columns, times and feasible patterns from the task columns and links."""
+        self.code, self.d_in, self.d_out, self.rho, self.rank = tasks
+        self.zeta = self.rho * self.d_in
+        self.links = links
         # N x V x 1 per sub-task column and N x 1 x 1 per state column, so the
         # pair axis broadcasts last
         code, zeta = self.code[..., None], self.zeta[..., None]
@@ -229,13 +253,19 @@ class Tables:
         self.retained: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.links)
+
+    @cached_property
+    def states(self) -> tuple[EpisodeState, ...]:
+        """The block's states; a drawn block builds them here, once."""
+        return tuple(self._build_states())
 
     def carrying(self, states: Sequence[EpisodeState], rows: slice) -> Tables:
         """The block of states, rows `rows` of this block with their caches
         swapped. Only hits read a cache, so its columns, times and patterns
         are views of those rows and its costs are this block's, priced once
-        per price vector; its hits and retention bits are its own."""
+        per price vector; its placement, delta, hits and retention bits are
+        its own states'."""
         carried = object.__new__(Tables)
         carried.states = tuple(states)
         for name in Tables.COLUMNS:
@@ -249,14 +279,10 @@ class Tables:
         return carried
 
     @cached_property
-    def hits(self) -> np.ndarray:
-        """The N x V cache hits of the block, each state's judged against its
-        own cache, read-only: one gather of the output ranks from the
-        N x (1 + R) placement matrix, whose column 0 (rank 0, no output) is
-        never a hit. Every cache needs the same number R of ranks and every
-        output rank must lie in 0..R; ValueError names the first state, and
-        sub-task, that breaks either."""
-        rank = self.rank
+    def placement(self) -> np.ndarray:
+        """The states' caches' placements, gathered from the objects; see the
+        class docstring. ValueError names the first state whose cache holds a
+        number of ranks other than state 0's."""
         placements = [state.cache.placement for state in self.states]
         width = len(placements[0])
         if len(set(map(len, placements))) > 1:
@@ -264,14 +290,29 @@ class Tables:
             raise ValueError(f"state {n}: its cache holds {len(placements[n])} ranks where "
                              f"state 0's holds {width}; every cache of a block needs the same "
                              "number")
+        held = np.zeros((len(placements), 1 + width), dtype=bool)
+        held[:, 1:] = np.frombuffer(bytes(itertools.chain.from_iterable(placements)),
+                                    dtype=np.uint8).reshape(len(placements), width) == 1
+        return held
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """The N Zipf skews of the states' caches, gathered from the objects."""
+        return np.array([state.cache.delta for state in self.states], dtype=np.float64)
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """The N x V cache hits of the block, each state's judged against its
+        own cache, read-only: one gather of the output ranks from placement.
+        Every output rank must lie in 0..R; ValueError names the first state,
+        and sub-task, that breaks it."""
+        rank, held = self.rank, self.placement
+        width = held.shape[1] - 1
         bad = (rank < 0) | (rank > width)
         if bad.any():
             n, v = np.argwhere(bad)[0].tolist()
             raise ValueError(f"state {n}, sub-task {v}: output rank {rank[n, v].item()} "
                              f"outside 0..{width}, its cache's ranks")
-        held = np.zeros((len(placements), 1 + width), dtype=bool)
-        held[:, 1:] = np.frombuffer(bytes(itertools.chain.from_iterable(placements)),
-                                    dtype=np.uint8).reshape(len(placements), width) == 1
         hits = np.take_along_axis(held, rank, axis=1)
         hits.flags.writeable = False
         return hits

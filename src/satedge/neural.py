@@ -7,7 +7,8 @@ label layout: all offload bits first, then all cache bits.
 
 encode_states is the one feature encoder: it fills features column by
 column from each Tables block's columns and scales them in one call; the
-hit and popularity features come from each state's own cache.
+hit and popularity features come from the block's placement and delta,
+each state's own cache's.
 encode_state, decode_actions and infer are the one-state forms, each on
 its state's block of one.
 
@@ -111,16 +112,16 @@ class FeatureScaler:
         return cls(lo=np.array(lo), hi=np.array(hi))
 
 
-def _popularity(rank: np.ndarray, states: Sequence[EpisodeState]) -> np.ndarray:
+def _popularity(block: Tables) -> np.ndarray:
     """The N x V Zipf request probability of each output rank under its own
-    state's cache (request_probability), 0.0 where the rank is 0 (no output).
-    Every cache holds the same number of ranks: Tables.hits, read first, refuses a mix."""
-    num_ranks = states[0].cache.num_ranks
-    deltas, which = np.unique([s.cache.delta for s in states], return_inverse=True)
+    state's skew (request_probability over the block's R ranks), 0.0 where
+    the rank is 0 (no output)."""
+    num_ranks = block.placement.shape[1] - 1
+    deltas, which = np.unique(block.delta, return_inverse=True)
     pmf = np.zeros((len(deltas), 1 + num_ranks))
     for row, delta in zip(pmf, deltas.tolist()):
         row[1:] = zipf_pmf(delta, num_ranks)
-    return pmf[which[:, None], rank]
+    return pmf[which[:, None], block.rank]
 
 
 def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray:
@@ -131,7 +132,8 @@ def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray
     Upload encodes as (0, 0) on the category bits; popularity is the
     Zipf request probability of the output rank, 0 when there is none.
     Every value but the hit and popularity is a copy of a column of the
-    block; those two come from the state's own cache.
+    block; those two come from the block's placement and delta, so no
+    state is read.
     """
     raw = np.empty((sum(map(len, blocks)), scaler.lo.shape[0]))
     start = 0
@@ -146,7 +148,7 @@ def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray
         sub[..., 4] = block.code == 2
         sub[..., 5] = block.code == 1
         sub[..., 6] = block.hits
-        sub[..., 7] = _popularity(block.rank, block.states)
+        sub[..., 7] = _popularity(block)
         start = span.stop
     return scaler.transform(raw)
 

@@ -120,18 +120,22 @@ def label_states(blocks: Iterable[Tables], prices: PriceVector,
     """Solve and encode pre-drawn blocks of states; episode ids count from 0.
 
     Each block runs one block_argmin over its cost table at its states'
-    own hits and one scaling call.
+    own hits and one scaling call. ValueError if there is no block.
     """
     labelled = []
     for block in blocks:
         picks, values = block_argmin(at_hits(block.costs(prices), block.hits))
         labelled.append(Demonstrations(np.arange(len(values)), encode_states([block], scaler),
                                        label_bits(picks), values))
+    if not labelled:
+        raise ValueError("label_states needs at least one block of states, got none")
     return Demonstrations.stack(labelled)
 
 
 def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> Demonstrations:
-    """Generate and label n episodes from the seeded stream."""
+    """Generate and label n >= 1 episodes from the seeded stream."""
+    if n < 1:
+        raise ValueError(f"build_dataset needs at least one episode, got n={n}")
     return label_states(episode_blocks(cfg, seed, range(n), make_library(cfg, seed)),
                         prices_from(cfg), FeatureScaler.from_scenario(cfg))
 

@@ -6,36 +6,42 @@ two runs with the same seed agree byte-for-byte. An episode's keys, drawn
 alone or in a block, are hashed by `seeding`, which re-implements numpy's
 SeedSequence hashing bit for bit over a block's keys at once, and numpy
 seeds a fresh PCG64 for each stream of each episode from its key's words.
-A block's task chains are not drawn one numpy call per number: each
-episode's first 4V raw PCG64 outputs are read with one ``random_raw``
-call, and `workload.decode_tasks` decodes the whole block as arrays,
-following how numpy's Generator consumes raw output (doubles, the
-buffered 32-bit half that rank draws share, Lemire's rejection test).
-A lone episode_state call, and the rare block row decode_tasks cannot
-decode exactly (a rejected rank word or a zero compute rho), draws its
-chain by generate_task from a fresh generator on its task key.
-episode_blocks, the one way to draw a stream, yields each block as the
-evaluator.Tables holding its states, built from the columns decode_tasks
-decoded (category codes, sizes, rho and ranks) and the t_c, link and
-cpu_rate of each drawn state; a block holding a row left to
-generate_task gathers its columns from the objects instead. The content
-library (bytes per popularity rank) is drawn once per run, from numpy's
-own SeedSequence, and shared by all episodes, which keeps cache
-capacity accounting coherent.
+
+episode_state, with draw_link, draw_coverage, random_placement and
+workload.generate_task, is the spec of one episode's draw. episode_blocks,
+the one way to draw a stream, yields the same episodes as evaluator.Tables
+blocks drawn as arrays, bit for bit: each episode's first 4V raw task
+outputs are read with one ``random_raw`` call and `workload.decode_tasks`
+decodes the block's chains, following how numpy's Generator consumes raw
+output (doubles, the buffered 32-bit half that rank draws share, Lemire's
+rejection test); link jitters, orbit offsets and placement fills are
+decoded from raw output the same way; each placement's permutation is
+one Generator shuffle per episode, and the greedy packing runs on
+N-vectors. The SNR,
+rate and coverage formulas run per episode on Python floats, as the spec
+computes them. A drawn block builds its EpisodeState objects only when
+they are first read, from its arrays: labelling reads none. A block with
+a row decode_tasks cannot decode exactly (a rejected rank word or a zero
+compute rho) is drawn state by state by episode_state instead, that
+row's chain by generate_task. The content library (bytes per popularity
+rank) is drawn once per run, from numpy's own SeedSequence, and shared by
+all episodes, which keeps cache capacity accounting coherent.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .caching import CacheState
-from .channel import LinkState, snr_from_db
+from .caching import CacheState, check_budget
+from .channel import LinkState, link_rate, snr_from_db
 from .config import ScenarioConfig, orbit_params
 from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, Tables
 from .geometry import coverage_time, earth_central_angle
-from .workload import TaskGraph, decode_tasks, generate_task
+from .workload import TaskGraph, decode_tasks, generate_task, task_chains
 
 if TYPE_CHECKING:
     from . import seeding
@@ -157,24 +163,121 @@ def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
                         cpu_rate=cfg.cpu_rate_hz, cache=cache)
 
 
+def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` of each raw PCG64 output, as numpy reads it."""
+    return low + (high - low) * ((raw >> np.uint64(11)) * 2.0**-53)
+
+
+def _draw_caches(cfg: ScenarioConfig, library: tuple[float, ...], capacity: float,
+                 keys: Sequence[seeding.Key]) -> tuple[np.ndarray, ...]:
+    """random_placement for each placement key, packed on N-vectors.
+
+    Each episode's generator is read as random_placement reads it: the
+    fill is ``uniform`` of its first raw output, and the permutation,
+    which numpy draws as a shuffle of ``arange(R)``, is a Generator's
+    shuffle of the episode's row of ranks. The greedy packing then walks
+    the R rank positions for all N episodes at once: at each, the rank
+    fits where the running total plus its size stays within the target,
+    the one float add per position random_placement makes. Returns the
+    N x (1 + R) placement of Tables, the N x R recency and the N clocks.
+    """
+    ranks = cfg.num_ranks
+    fills, perms = [], np.tile(np.arange(ranks), (len(keys), 1))
+    for row, key in enumerate(keys):
+        bits = np.random.PCG64(key)
+        fills.append(bits.random_raw())
+        np.random.Generator(bits).shuffle(perms[row])
+    target = _uniform(np.array(fills, dtype=np.uint64), 0.0, cfg.placement_fill_max) * capacity
+    sizes = np.array(library, dtype=np.float64)[perms]  # in each episode's insertion order
+    fits = np.empty(perms.shape, dtype=bool)
+    total = np.zeros(len(keys))
+    for pos in range(ranks):
+        packed = total + sizes[:, pos]
+        fits[:, pos] = fit = packed <= target
+        total = np.where(fit, packed, total)
+    rows = np.arange(len(keys))[:, None]
+    placement = np.zeros((len(keys), 1 + ranks), dtype=bool)
+    placement[rows, perms + 1] = fits
+    recency = np.zeros(perms.shape, dtype=np.intp)  # stamps 1, 2, ... in insertion order
+    stamps = np.cumsum(fits, axis=1)
+    recency[rows, perms] = np.where(fits, stamps, 0)
+    return placement, recency, 1 + stamps[:, -1]
+
+
+def _drawn_states(cfg: ScenarioConfig, library: tuple[float, ...], capacity: float,
+                  tasks: tuple[np.ndarray, ...], t_c: list[float],
+                  rates: list[tuple[float, float]], placement: np.ndarray,
+                  recency: np.ndarray, clock: np.ndarray) -> list[EpisodeState]:
+    """The EpisodeState objects of a drawn block's arrays, as episode_state builds them."""
+    return [EpisodeState(task=task, t_c=t, cpu_rate=cfg.cpu_rate_hz,
+                         link=LinkState(rate_fh=fh, rate_bh=bh, prop_vs=cfg.prop_vs_s,
+                                        prop_sg=cfg.prop_sg_s),
+                         cache=CacheState(sizes=library, placement=tuple(held),
+                                          capacity_bytes=capacity, delta=cfg.zipf_delta,
+                                          recency=tuple(stamps), clock=tick))
+            for task, t, (fh, bh), held, stamps, tick in zip(
+                task_chains(tasks, slice(None)), t_c, rates,
+                placement[:, 1:].view(np.uint8).tolist(), recency.tolist(), clock.tolist())]
+
+
+def _draw_block(cfg: ScenarioConfig, library: tuple[float, ...],
+                keys: Sequence[tuple[seeding.Key, ...]], tasks: tuple[np.ndarray, ...]) -> Tables:
+    """The block of episodes whose chains decode_tasks decoded in full, drawn
+    as arrays: each state equals episode_state's, bit for bit.
+
+    Links and orbit coverage decode their uniforms from raw output, and
+    placements pack on N-vectors (_draw_caches). The SNR, rate and
+    coverage formulas run per episode on Python floats, as in draw_link
+    and draw_coverage: numpy's power, log2 and arccos may round otherwise.
+    """
+    _, link_keys, place_keys, *orbit_keys = zip(*keys)
+    jitter = _uniform(np.array([np.random.PCG64(key).random_raw(2) for key in link_keys]),
+                      -cfg.snr_jitter_db, cfg.snr_jitter_db).tolist()
+    attenuation, fh_hz, bh_hz = cfg.rain_attenuation, cfg.bandwidth_fh_hz, cfg.bandwidth_bh_hz
+    rates = [(link_rate(attenuation, fh_hz, snr_from_db(cfg.snr_fh_db + j_fh)),
+              link_rate(attenuation, bh_hz, snr_from_db(cfg.snr_bh_db + j_bh)))
+             for j_fh, j_bh in jitter]
+    if orbit_keys:
+        params = orbit_params(cfg)
+        theta_m = _uniform(np.concatenate([np.random.PCG64(key).random_raw(1)
+                                           for key in orbit_keys[0]]),
+                           0.0, earth_central_angle(params))
+        t_c = [coverage_time(theta, params) for theta in theta_m.tolist()]
+    else:
+        t_c = [cfg.coverage_s] * len(keys)
+    capacity = library_capacity(cfg, library)
+    check_budget(capacity, cfg.zipf_delta)  # as each CacheState would
+    placement, recency, clock = _draw_caches(cfg, library, capacity, place_keys)
+    links = np.empty((len(keys), 6))
+    links[:, 0], links[:, 1:3] = t_c, rates
+    links[:, 3:] = cfg.prop_vs_s, cfg.prop_sg_s, cfg.cpu_rate_hz
+    # the states are built later, from a copy of the config as it stands now
+    return Tables.drawn(tasks, links, placement, np.full(len(keys), cfg.zipf_delta, np.float64),
+                        partial(_drawn_states, replace(cfg), library, capacity, tasks, t_c,
+                                rates, placement, recency, clock))
+
+
 def episode_blocks(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
                    library: tuple[float, ...]) -> Iterator[Tables]:
     """The listed episodes of the stream keyed by `seed`, in order, as
     Tables blocks of up to BLOCK_STATES states.
 
-    Each state equals ``episode_state(cfg, seed, e, library)`` and is drawn
-    by one call to it, on the keys its block hashed. A block's task chains
-    are decoded from raw output before its first state is drawn, and its
-    Tables is built from the columns decode_tasks decoded.
+    Each state equals ``episode_state(cfg, seed, e, library)``. A block's
+    task chains are decoded from raw output first. A block whose chains
+    all decode is drawn as arrays (_draw_block), and its states are built
+    only when read; a block holding a row decode_tasks gives up on is
+    drawn state by state, one episode_state call each, and that row's
+    chain by generate_task.
     """
     for start in range(0, len(episodes), BLOCK_STATES):
         ids = episodes[start:start + BLOCK_STATES]
         block = _block_rng_states(cfg, seed, ids)
         raw = np.array([np.random.PCG64(keys[0]).random_raw(4 * cfg.num_subtasks)
                         for keys in block])
-        chains, columns = decode_tasks(raw, cfg, library)
-        # a row decode_tasks gave up on is None: episode_state draws it
-        drawn = [episode_state(cfg, seed, e, library, keys, task)
-                 for e, keys, task in zip(ids, block, chains)]
-        # a chain generate_task drew has no decoded columns: gather them all
-        yield Tables(drawn, None if None in chains else columns)
+        exact, tasks = decode_tasks(raw, cfg, library)
+        if exact.all():
+            yield _draw_block(cfg, library, block, tasks)
+            continue
+        decoded = iter(task_chains(tasks, exact))
+        yield Tables([episode_state(cfg, seed, e, library, keys, next(decoded) if ok else None)
+                      for e, keys, ok in zip(ids, block, exact.tolist())])

@@ -143,6 +143,7 @@ class Key(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the type np.uint64 itself; np.dtype() is the slow path
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError(f"a Key seeds PCG64 only, not {n_words} {np.dtype(dtype)} words")
         return self.words.view(np.uint64)

@@ -23,9 +23,9 @@ Generator consumes that output (``tests/test_workload.py`` pins it):
 
 A chain of V sub-tasks takes at most 4V outputs when no word is rejected.
 A row whose draw rejects a word, or redraws a compute rho of exactly 0.0,
-is left to generate_task. The N x V arrays the chains are built from
-come back with them, so a block's tables are built without reading the
-SubTask objects back.
+is left to generate_task. decode_tasks returns the N x V arrays of the
+chains and packs no SubTask: a block's tables are built from the arrays,
+and task_chains packs the objects only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -121,16 +121,17 @@ def generate_task(rng_seed: int | np.random.Generator, cfg: ScenarioConfig,
 
 
 def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig, library: tuple[float, ...],
-                 ) -> tuple[list[TaskGraph | None], tuple[np.ndarray, ...]]:
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """generate_task for each row of N x 4V raw PCG64 outputs, decoded as arrays.
 
     Row i holds the first 4V outputs of a generator in the state that row's
-    generate_task call would start from. Its chain equals that call's, float
-    for float, or is None where the draw rejects a rank word or redraws a
-    zero rho; the caller then draws that row with generate_task. The N x V
-    columns the chains were built from come with them, the fields each
-    SubTask holds: the category code (an index into the upload, download,
-    compute order), d_in, d_out, rho and out_rank. A None row's hold no chain.
+    generate_task call would start from. Returns an N-vector `exact` and
+    the N x V columns of the chains, the fields each SubTask holds: the
+    category code (an index into the upload, download, compute order),
+    d_in, d_out, rho and out_rank. Where exact, a row's columns are that
+    call's chain, float for float (task_chains packs them); elsewhere the
+    draw rejects a rank word or redraws a zero rho, the row's columns hold
+    no chain, and the caller draws that row with generate_task.
     """
     cdf = np.array(_category_cdf((cfg.mix_upload, cfg.mix_download, cfg.mix_compute)))
     n, v, ranks = len(raw), cfg.num_subtasks, cfg.num_ranks
@@ -173,8 +174,10 @@ def decode_tasks(raw: np.ndarray, cfg: ScenarioConfig, library: tuple[float, ...
     d_in[cats == 1] = 0.0
     rho[cats != 2] = 0.0
     d_out = np.where(upload, 0.0, np.array(library, dtype=np.float64)[rank - 1])
-    columns = (cats, d_in, d_out, rho, rank)
-    tasks = [tuple(map(SubTask, map(_CATEGORIES.__getitem__, chain[0]), *chain[1:]))
-             if ok else None
-             for ok, *chain in zip(exact.tolist(), *(c.tolist() for c in columns))]
-    return tasks, columns
+    return exact, (cats, d_in, d_out, rho, rank)
+
+
+def task_chains(columns: tuple[np.ndarray, ...], rows) -> list[TaskGraph]:
+    """The SubTask chains of the rows a numpy index selects from decode_tasks' columns."""
+    return [tuple(map(SubTask, map(_CATEGORIES.__getitem__, chain[0]), *chain[1:]))
+            for chain in zip(*(c[rows].tolist() for c in columns))]

@@ -20,7 +20,7 @@ import satedge
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES, PriceVector, Tables
 from satedge.neural import FeatureScaler
-from satedge.oracle import block_argmin, label_states
+from satedge.oracle import block_argmin, build_dataset, label_states
 from satedge.scenario import prices_from
 
 from conftest import (costs_of, empty_cache, feasible_of, hits_of, reference_cost_rows,
@@ -127,6 +127,26 @@ def test_block_rejects_unequal_chain_lengths():
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
     assert [d.labels for d in label_states([Tables([long, long])], prices, scaler)] == \
         [d.labels for d in reference_label_states([long, long], prices, scaler)]
+
+
+def test_an_empty_block_is_refused_by_name():
+    """No block holds zero states: each way of building or labelling one
+    raises a ValueError that names the cause, not numpy's or tuple's."""
+    scen = default_config().scenario
+    prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
+    drawn, = stream_blocks(scen, 1, 3)
+    none = slice(0, 0)
+    with pytest.raises(ValueError, match="at least one state"):
+        Tables([])
+    with pytest.raises(ValueError, match="at least one state"):
+        Tables.drawn(tuple(getattr(drawn, name)[none] for name in
+                           ("code", "d_in", "d_out", "rho", "rank")),
+                     drawn.links[none], drawn.placement[none], drawn.delta[none], tuple)
+    with pytest.raises(ValueError, match="at least one block"):
+        label_states([], prices, scaler)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one episode"):
+            build_dataset(scen, n, 1)
 
 
 cost_table = st.lists(st.one_of(st.sampled_from(TIE_COSTS),

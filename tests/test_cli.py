@@ -14,14 +14,16 @@ from pathlib import Path
 import pytest
 
 from satedge import evaluator, neural, oracle
-from satedge.caching import apply_caching_action
+from satedge.caching import CacheState, apply_caching_action
+from satedge.channel import LinkState
 from satedge.cli import (EVAL_SEED, _persistent_rollout, main, run_compare, run_eval,
                          run_gen_dataset)
 from satedge.config import default_config, load_config
-from satedge.evaluator import BLOCK_STATES, ActionMatrix
+from satedge.evaluator import BLOCK_STATES, ActionMatrix, EpisodeState
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model, save_model
 from satedge.policies import BASELINE_PAIRS
 from satedge.scenario import prices_from
+from satedge.workload import SubTask
 
 from conftest import (feasible_of, picks_of, reference_baseline_policy,
                       reference_decode_actions, reference_label_states, states_of,
@@ -359,15 +361,15 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_parity_listing_matches_the_committed_one(tmp_path, capsys):
-    """scripts/artifact_digests.py under scripts/parity_tiny.txt and
-    scripts/parity_evict.txt, each diffed against its committed listing:
-    gen-dataset, train, compare, fresh and persistent eval of all eight
-    schemes and both sweeps, every artifact byte."""
+    """scripts/artifact_digests.py under scripts/parity_tiny.txt,
+    scripts/parity_evict.txt and scripts/parity_orbit.txt, each diffed
+    against its committed listing: gen-dataset, train, compare, fresh and
+    persistent eval of all eight schemes and both sweeps, every artifact byte."""
     spec = importlib.util.spec_from_file_location("artifact_digests",
                                                   SCRIPTS / "artifact_digests.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    for name in ("parity_tiny", "parity_evict"):
+    for name in ("parity_tiny", "parity_evict", "parity_orbit"):
         capsys.readouterr()
         assert module.main(["--config", str(SCRIPTS / f"{name}.txt"),
                             "--out", str(tmp_path / name)]) == 0
@@ -546,15 +548,21 @@ def _count_calls(monkeypatch, func):
 
 
 def _count_tables(monkeypatch):
-    """The number of states of each evaluator.Tables block built."""
+    """The number of states of each evaluator.Tables block built, from
+    objects or from a draw's arrays."""
     sizes = []
-    init = evaluator.Tables.__init__
+    init, drawn = evaluator.Tables.__init__, evaluator.Tables.drawn
 
     def counted(self, states, *args):
         sizes.append(len(states))
         init(self, states, *args)
 
+    def counted_drawn(tasks, links, *args):
+        sizes.append(len(links))
+        return drawn(tasks, links, *args)
+
     monkeypatch.setattr(evaluator.Tables, "__init__", counted)
+    monkeypatch.setattr(evaluator.Tables, "drawn", counted_drawn)
     return sizes
 
 
@@ -607,6 +615,37 @@ def test_scoring_derives_each_state_view_once(tmp_path, monkeypatch, argv):
     assert tables == [7]
     assert len(pricings) == 1
     assert feasible == []
+
+
+def _count_objects(monkeypatch):
+    """The number of EpisodeState, SubTask, LinkState and CacheState objects
+    each class's __init__ builds, by class name."""
+    built = dict.fromkeys(("EpisodeState", "SubTask", "LinkState", "CacheState"), 0)
+    for cls in (EpisodeState, SubTask, LinkState, CacheState):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_gen_dataset_builds_no_episode_object(tmp_path, monkeypatch):
+    # 300 episodes, two blocks, each drawn as arrays and labelled from them
+    built = _count_objects(monkeypatch)
+    tables = _count_tables(monkeypatch)
+    run_gen_dataset(default_config(), 42, 300, tmp_path)
+    assert tables == [BLOCK_STATES, 300 - BLOCK_STATES]
+    assert built == dict.fromkeys(built, 0)
+
+
+def test_compare_builds_each_drawn_state_once(tmp_path, monkeypatch):
+    # six baselines replay two cache kinds over the blocks' states: the
+    # states are built on the first replay's read, and once only
+    model = _untrained_model(tmp_path / "model.txt", 6)
+    built = _count_objects(monkeypatch)
+    run_compare(default_config(), EVAL_SEED, model, 300, tmp_path)
+    assert built == {"EpisodeState": 300, "SubTask": 300 * 6, "LinkState": 300,
+                     "CacheState": 300}
 
 
 @pytest.mark.parametrize("argv, validations", [

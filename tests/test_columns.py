@@ -1,22 +1,25 @@
-"""The draw's column path against the object path, bit for bit.
+"""The draw's array path against the object path, bit for bit.
 
-episode_blocks builds each block's Tables from the columns decode_tasks
-decoded; Tables(states) gathers the same columns from the SubTask,
-LinkState and EpisodeState objects. Hits are gathered from each state's
-own cache and features are filled from the columns. Every float must
-match the object path exactly, compared through .view(np.int64), and the
-independent references in conftest.
+episode_blocks draws each block as arrays: the columns decode_tasks
+decoded, the links and the placement, from which Tables.drawn builds
+the block and, on first read, its states. Tables(states) gathers the
+same columns from the SubTask, LinkState, CacheState and EpisodeState
+objects. Every float must match the object path exactly, compared
+through .view(np.int64), and the independent references in conftest.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satedge import scenario
+from satedge.caching import request_probability
 from satedge.config import default_config
 from satedge.evaluator import BLOCK_STATES, Tables
-from satedge.neural import FeatureScaler, encode_state, encode_states
+from satedge.neural import FeatureScaler, _popularity, encode_state, encode_states
 from satedge.scenario import episode_blocks, episode_state, make_library, prices_from
 
 from conftest import (empty_cache, hits_of, reference_encode_state, reference_episode_state,
@@ -103,12 +106,12 @@ def test_a_block_with_rows_left_to_generate_task_matches(monkeypatch, name, give
     plain = scenario.decode_tasks
 
     def decode(raw, cfg, library):
-        chains, columns = plain(raw, cfg, library)
+        exact, columns = plain(raw, cfg, library)
         for row in given_up:
-            chains[row] = None
+            exact[row] = False
             for column in columns:
                 column[row] = -1 if column.dtype.kind == "i" else np.nan
-        return chains, columns
+        return exact, columns
 
     monkeypatch.setattr(scenario, "decode_tasks", decode)
     scen = replace(default_config().scenario, **SCENARIOS[name])
@@ -117,3 +120,46 @@ def test_a_block_with_rows_left_to_generate_task_matches(monkeypatch, name, give
     assert states_of(blocks) == [reference_episode_state(scen, SEED, e, library)
                                  for e in range(40)]
     _assert_block_matches_objects(blocks, scen)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(num_subtasks=st.integers(1, 9), num_ranks=st.sampled_from([1, 2, 30, 200]),
+       fill=st.sampled_from([0.0, 0.5, 1.0]), capacity=st.sampled_from([0.05, 1.0]),
+       jitter=st.sampled_from([0.0, 3.0]), mode=st.sampled_from(["fixed", "orbit"]),
+       first=st.sampled_from([0, 250, 2**32 - 100]),
+       size=st.sampled_from([1, 9, BLOCK_STATES + 2]), seed=st.integers(0, 2**32 - 1))
+@example(num_subtasks=9, num_ranks=200, fill=1.0, capacity=1.0, jitter=0.0, mode="orbit",
+         first=2**32 - 100, size=BLOCK_STATES + 2, seed=SEED)
+@example(num_subtasks=1, num_ranks=1, fill=0.0, capacity=0.05, jitter=3.0, mode="fixed",
+         first=250, size=BLOCK_STATES + 2, seed=SEED)
+def test_drawn_arrays_equal_the_reference_draw(num_subtasks, num_ranks, fill, capacity,
+                                               jitter, mode, first, size, seed):
+    """The array draw's links, hits and popularity features, and the states it
+    builds on demand, against conftest's numpy-seeded lone draw, bit for bit."""
+    scen = replace(default_config().scenario, num_subtasks=num_subtasks,
+                   num_ranks=num_ranks, placement_fill_max=fill, capacity_fraction=capacity,
+                   snr_jitter_db=jitter, coverage_mode=mode)
+    library = make_library(scen, seed)
+    ids = range(first, first + size)
+    blocks = list(episode_blocks(scen, seed, ids, library))
+    alone = [reference_episode_state(scen, seed, e, library) for e in ids]
+    links = [(s.t_c, s.link.rate_fh, s.link.rate_bh, s.link.prop_vs, s.link.prop_sg,
+              s.cpu_rate) for s in alone]
+    popularity = [[request_probability(sub.out_rank, s.cache.delta, s.cache.num_ranks)
+                   if sub.out_rank else 0.0 for sub in s.task] for s in alone]
+    # the arrays first: none of these reads a state
+    assert np.array_equal(_bits(np.concatenate([b.links for b in blocks])), _bits(links))
+    assert [tuple(h) for b in blocks for h in b.hits.tolist()] == list(map(reference_hits,
+                                                                           alone))
+    assert np.array_equal(_bits(np.concatenate([_popularity(b) for b in blocks])),
+                          _bits(popularity))
+    scaler = FeatureScaler.from_scenario(scen)
+    assert np.array_equal(_bits(encode_states(blocks, scaler)),
+                          _bits([reference_encode_state(s, scaler) for s in alone]))
+    states = states_of(blocks)
+    assert states == alone
+    assert list(map(repr, states)) == list(map(repr, alone))

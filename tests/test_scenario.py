@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from satedge import scenario
@@ -106,3 +107,22 @@ def test_draw_matches_choice_reference(cfg, monkeypatch, mode, num_subtasks):
     for got, want in zip(states, expected):
         assert got == want  # task, window, link, CPU rate and every CacheState field
         assert all(type(s) is float for s in got.cache.sizes)
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 30, 200])
+def test_generator_draws_a_placement_as_the_block_draw_reads_it(ranks):
+    """The block draw reads random_placement's uniform as one raw output and
+    its permutation as a shuffle of arange(R) on the same bit generator; a
+    numpy that changes either rule fails here by name."""
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        bits = np.random.PCG64()
+        bits.state = gen.bit_generator.state
+        x = bits.random_raw()
+        assert gen.uniform(0.0, 0.5) == 0.0 + (0.5 - 0.0) * ((x >> 11) * 2.0**-53), \
+            "uniform(a, b) no longer reads one raw output"
+        shuffled = np.arange(ranks)
+        np.random.Generator(bits).shuffle(shuffled)
+        assert gen.permutation(ranks).tolist() == shuffled.tolist(), \
+            "permutation(R) no longer draws as a shuffle of arange(R)"
+        assert gen.bit_generator.state == bits.state

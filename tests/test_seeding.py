@@ -233,18 +233,18 @@ def test_decoded_chains_equal_episodes_drawn_alone(num_subtasks, num_ranks, mix,
 ], ids=["first", "last", "all", "only-row", "ends-of-two-blocks"])
 def test_rows_the_decoder_gives_up_on_equal_episodes_drawn_alone(monkeypatch, mode, n,
                                                                   given_up):
-    """A row decode_tasks leaves as None is drawn by generate_task from a
+    """A row decode_tasks marks inexact is drawn by generate_task from a
     fresh generator on its task key, and the rows around it are not disturbed."""
     plain_decode, plain_generate = scenario.decode_tasks, scenario.generate_task
     dropped, generated = [], []
 
     def decode(raw, cfg, library):
-        tasks, columns = plain_decode(raw, cfg, library)
-        rows = given_up(list(range(len(tasks))))
+        exact, columns = plain_decode(raw, cfg, library)
+        rows = given_up(list(range(len(exact))))
         for row in rows:
-            tasks[row] = None
+            exact[row] = False
         dropped.extend(rows)
-        return tasks, columns
+        return exact, columns
 
     def generate(*args):
         generated.append(args)
@@ -277,19 +277,17 @@ def test_live_iterators_do_not_share_generators():
     assert interleaved == [alone[i] for pair in zip(range(40), range(40, 80)) for i in pair]
 
 
-def test_each_state_is_one_call_of_the_module_global(monkeypatch):
-    """The benchmark tracer times episode_state by rebinding the module global."""
-    drawn = []
-    plain = scenario.episode_state
-
-    def counted(*args, **kwargs):
-        drawn.append(args[2])
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(scenario, "episode_state", counted)
+def test_each_state_built_on_demand_equals_the_module_global():
+    """A drawn block builds its states from its arrays, calling no episode_state:
+    each must equal the lone draw's, field for field and float for float."""
     n = BLOCK_STATES + 1  # a full block, then a block of one
-    assert len(states_of(stream_blocks(_scen("fixed"), SEED, n))) == n
-    assert drawn == list(range(n))
+    for mode in ("fixed", "orbit"):
+        scen = _scen(mode)
+        states = states_of(stream_blocks(scen, SEED, n))
+        library = make_library(scen, SEED)
+        alone = [scenario.episode_state(scen, SEED, e, library) for e in range(n)]
+        assert states == alone
+        assert list(map(repr, states)) == list(map(repr, alone))  # tells 1 from 1.0
 
 
 def test_import_loads_no_numpy_random():

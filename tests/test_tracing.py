@@ -89,7 +89,8 @@ def test_tracer_wraps_label_and_restores_every_name(tmp_path):
     wrapped, metrics = _traced(stage, 10)
     assert ("satedge.scenario", "episode_state") in wrapped
     assert ("satedge.neural", "encode_state") in wrapped
-    assert metrics["scenario.episode_state.n"] == 10
+    # the block draws its episodes as arrays, past the lone episode_state
+    assert metrics["scenario.episode_state.n"] == 0
     # labelling runs in blocks, past the per-state solver, encoder and
     # feasibility function the tracer times
     assert metrics["oracle.solve_optimal.n"] == 0
@@ -113,7 +114,8 @@ def test_tracer_wraps_compare_and_restores_every_name(tmp_path):
     wrapped, metrics = _traced(stage, 10)
     assert ("satedge.evaluator", "feasible_actions") in wrapped
     assert ("FeatureScaler", "transform") in wrapped
-    assert metrics["scenario.episode_state.n"] == 10
+    assert ("satedge.scenario", "episode_state") in wrapped
+    assert metrics["scenario.episode_state.n"] == 0
     assert metrics["oracle.solve_optimal.n"] == 0
     # every state reads its feasible sets and costs from one Tables block, so
     # neither per-sub-task function runs, whatever number of schemes is scored

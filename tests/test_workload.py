@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from satedge.config import ScenarioConfig
-from satedge.workload import Category, _category_picker, decode_tasks, generate_task
+from satedge.workload import (Category, _category_picker, decode_tasks, generate_task,
+                              task_chains)
 
 from conftest import reference_generate_task
 
@@ -191,9 +192,9 @@ def test_decode_masks_exactly_the_rows_it_cannot_decode():
     # two computes: the first rank reads a kept low word, the second the buffered 0
     raw[2, 0], raw[2, 4] = pick_compute, pick_compute
     raw[2, 1] = (raw[2, 1] & np.uint64(MASK32)) | np.uint64(1)
-    tasks, _ = decode_tasks(raw, cfg, LIBRARY)
-    assert [i for i, task in enumerate(tasks) if task is None] == [0, 1, 2]
-    for task, state in list(zip(tasks, states))[3:]:
+    exact, columns = decode_tasks(raw, cfg, LIBRARY)
+    assert [i for i, ok in enumerate(exact.tolist()) if not ok] == [0, 1, 2]
+    for task, state in list(zip(task_chains(columns, slice(None)), states))[3:]:
         bits = np.random.PCG64()
         bits.state = state
         expected = generate_task(np.random.Generator(bits), cfg, LIBRARY)
