@@ -17,7 +17,10 @@ shorter than 8 episodes and score sweep test splits of 12.
 scripts/parity_evict.txt adds 300 evaluation episodes and a cache of 5 %
 of the library, so carried caches evict and every persistent rollout
 crosses a 256-episode block boundary. scripts/parity_orbit.txt draws
-each coverage window from the orbit geometry. Their listings are
+each coverage window from the orbit geometry, at a minimum elevation
+that keeps passes short enough for some return legs to miss their
+window; its feasible sets, labels and scores then differ from
+parity_tiny's, and the two listings share no digest. The listings are
 committed as scripts/parity_tiny.sha256, scripts/parity_evict.sha256 and
 scripts/parity_orbit.sha256, and tests/test_cli.py derives each again
 and diffs the two. The default config (no --config) takes a few minutes.

@@ -55,14 +55,3 @@ class LinkState:
     rate_bh: float
     prop_vs: float
     prop_sg: float
-
-    @classmethod
-    def build(cls, attenuation: float, bandwidth_fh_hz: float, bandwidth_bh_hz: float,
-              snr_fh: float, snr_bh: float, prop_vs: float, prop_sg: float) -> "LinkState":
-        """Construct with rates derived through link_rate (the only sanctioned path)."""
-        return cls(
-            rate_fh=link_rate(attenuation, bandwidth_fh_hz, snr_fh),
-            rate_bh=link_rate(attenuation, bandwidth_bh_hz, snr_bh),
-            prop_vs=prop_vs,
-            prop_sg=prop_sg,
-        )

@@ -7,25 +7,26 @@ alone or in a block, are hashed by `seeding`, which re-implements numpy's
 SeedSequence hashing bit for bit over a block's keys at once, and numpy
 seeds a fresh PCG64 for each stream of each episode from its key's words.
 
-episode_state, with draw_link, draw_coverage, random_placement and
-workload.generate_task, is the spec of one episode's draw. episode_blocks,
-the one way to draw a stream, yields the same episodes as evaluator.Tables
-blocks drawn as arrays, bit for bit: each episode's first 4V raw task
-outputs are read with one ``random_raw`` call and `workload.decode_tasks`
-decodes the block's chains, following how numpy's Generator consumes raw
-output (doubles, the buffered 32-bit half that rank draws share, Lemire's
-rejection test); link jitters, orbit offsets and placement fills are
-decoded from raw output the same way; each placement's permutation is
-one Generator shuffle per episode, and the greedy packing runs on
-N-vectors. The SNR,
-rate and coverage formulas run per episode on Python floats, as the spec
-computes them. A drawn block builds its EpisodeState objects only when
-they are first read, from its arrays: labelling reads none. A block with
-a row decode_tasks cannot decode exactly (a rejected rank word or a zero
-compute rho) is drawn state by state by episode_state instead, that
-row's chain by generate_task. The content library (bytes per popularity
-rank) is drawn once per run, from numpy's own SeedSequence, and shared by
-all episodes, which keeps cache capacity accounting coherent.
+episode_blocks is the one draw: it yields the listed episodes as
+evaluator.Tables blocks drawn as arrays, and episode_state is the one
+state of a block of one. Each episode's first 4V raw task outputs are
+read with one ``random_raw`` call and `workload.decode_tasks` decodes
+the block's chains, following how numpy's Generator consumes raw output
+(doubles, the buffered 32-bit half that rank draws share, Lemire's
+rejection test). A row it gives up on (a rejected rank word or a zero
+compute rho) is drawn by generate_task from a fresh generator on its
+task key, and its chain is written into the block's task columns. Link
+jitters, orbit offsets and placement fills are decoded from raw output
+the same way; each placement's permutation is one Generator shuffle per
+episode, and the greedy packing runs on N-vectors. The SNR, rate and
+coverage formulas run per episode on Python floats. A drawn block builds
+its EpisodeState objects only when they are first read, from its arrays:
+labelling reads none. The same draw, one numpy call at a time from
+numpy-seeded generators, is tests/conftest.py's reference_episode_state.
+
+The content library (bytes per popularity rank) is drawn once per run,
+from numpy's own SeedSequence, and shared by all episodes, which keeps
+cache capacity accounting coherent.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .channel import LinkState, link_rate, snr_from_db
 from .config import ScenarioConfig, orbit_params
 from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, Tables
 from .geometry import coverage_time, earth_central_angle
-from .workload import TaskGraph, decode_tasks, generate_task, task_chains
+from .workload import decode_tasks, generate_task, task_chains, write_chain
 
 if TYPE_CHECKING:
     from . import seeding
@@ -68,55 +69,6 @@ def library_capacity(cfg: ScenarioConfig, library: tuple[float, ...]) -> float:
     return cfg.capacity_fraction * sum(library)
 
 
-def random_placement(cfg: ScenarioConfig, library: tuple[float, ...],
-                     rng: np.random.Generator) -> CacheState:
-    """Partially filled cache: shuffled ranks packed up to a random target.
-
-    The target is U[0, placement_fill_max] of capacity, so episodes range
-    from an empty cache to a half-full one under the defaults. Recency
-    stamps follow insertion order. The state's sizes are the library tuple
-    itself.
-    """
-    capacity = library_capacity(cfg, library)
-    target = float(rng.uniform(0.0, cfg.placement_fill_max)) * capacity
-    total = 0.0
-    placement = [0] * cfg.num_ranks
-    recency = [0] * cfg.num_ranks
-    clock = 1
-    for idx in rng.permutation(cfg.num_ranks).tolist():
-        size = library[idx]
-        if total + size <= target:
-            placement[idx] = 1
-            recency[idx] = clock
-            clock += 1
-            total += size
-    return CacheState(sizes=library, placement=tuple(placement),
-                      capacity_bytes=capacity, delta=cfg.zipf_delta,
-                      recency=tuple(recency), clock=clock)
-
-
-def draw_link(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState:
-    j_fh = float(rng.uniform(-cfg.snr_jitter_db, cfg.snr_jitter_db))
-    j_bh = float(rng.uniform(-cfg.snr_jitter_db, cfg.snr_jitter_db))
-    return LinkState.build(
-        attenuation=cfg.rain_attenuation,
-        bandwidth_fh_hz=cfg.bandwidth_fh_hz,
-        bandwidth_bh_hz=cfg.bandwidth_bh_hz,
-        snr_fh=snr_from_db(cfg.snr_fh_db + j_fh),
-        snr_bh=snr_from_db(cfg.snr_bh_db + j_bh),
-        prop_vs=cfg.prop_vs_s,
-        prop_sg=cfg.prop_sg_s,
-    )
-
-
-def draw_coverage(cfg: ScenarioConfig, rng: np.random.Generator) -> float:
-    """Window of a pass that starts at a uniform offset (orbit coverage mode)."""
-    params = orbit_params(cfg)
-    theta_0 = earth_central_angle(params)
-    theta_m = float(rng.uniform(0.0, theta_0))
-    return coverage_time(theta_m, params)
-
-
 def _block_rng_states(cfg: ScenarioConfig, seed: int,
                       ids: Sequence[int]) -> list[tuple[seeding.Key, ...]]:
     """Each episode's task, link, placement and orbit PCG64 keys, hashed as one block.
@@ -135,32 +87,12 @@ def _block_rng_states(cfg: ScenarioConfig, seed: int,
     return list(zip(*(map(seeding.Key, w) for w in rows)))
 
 
-def _generator(key: seeding.Key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(key))
-
-
 def episode_state(cfg: ScenarioConfig, seed: int, episode: int,
-                  library: tuple[float, ...],
-                  keys: tuple[seeding.Key, ...] | None = None,
-                  task: TaskGraph | None = None) -> EpisodeState:
-    """Regenerate episode `episode` of the stream keyed by `seed`.
-
-    `keys` are the episode's task, link, placement and, in orbit coverage,
-    orbit keys, as _block_rng_states returns them; by default they are
-    hashed here. Each stream draws from a fresh generator on its key.
-    `task`, when given, is the episode's chain, already drawn, and the
-    task key is not read.
-    """
-    if keys is None:
-        (keys,) = _block_rng_states(cfg, seed, [episode])
-    task_key, link_key, place_key, *orbit_key = keys
-    if task is None:
-        task = generate_task(_generator(task_key), cfg, library)
-    link = draw_link(cfg, _generator(link_key))
-    t_c = draw_coverage(cfg, _generator(orbit_key[0])) if orbit_key else cfg.coverage_s
-    cache = random_placement(cfg, library, _generator(place_key))
-    return EpisodeState(task=task, t_c=t_c, link=link,
-                        cpu_rate=cfg.cpu_rate_hz, cache=cache)
+                  library: tuple[float, ...]) -> EpisodeState:
+    """Regenerate episode `episode` of the stream keyed by `seed`: the one
+    state of its block of one."""
+    (block,) = episode_blocks(cfg, seed, [episode], library)
+    return block.states[0]
 
 
 def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -170,16 +102,17 @@ def _uniform(raw: np.ndarray, low: float, high: float) -> np.ndarray:
 
 def _draw_caches(cfg: ScenarioConfig, library: tuple[float, ...], capacity: float,
                  keys: Sequence[seeding.Key]) -> tuple[np.ndarray, ...]:
-    """random_placement for each placement key, packed on N-vectors.
+    """Each placement key's partially filled cache, packed on N-vectors.
 
-    Each episode's generator is read as random_placement reads it: the
-    fill is ``uniform`` of its first raw output, and the permutation,
-    which numpy draws as a shuffle of ``arange(R)``, is a Generator's
-    shuffle of the episode's row of ranks. The greedy packing then walks
-    the R rank positions for all N episodes at once: at each, the rank
-    fits where the running total plus its size stays within the target,
-    the one float add per position random_placement makes. Returns the
-    N x (1 + R) placement of Tables, the N x R recency and the N clocks.
+    A cache packs shuffled ranks up to a target of U[0, placement_fill_max]
+    of capacity, so episodes range from an empty cache to a half-full one
+    under the defaults; recency stamps follow insertion order. The fill is
+    ``uniform`` of the key's first raw output, and the order, numpy's
+    ``permutation(R)``, is a Generator's shuffle of the episode's row of
+    ranks. The packing then walks the R rank positions for all N episodes
+    at once: a rank fits where the running total plus its size stays within
+    the target, one float add per position, as a scalar loop adds. Returns
+    the N x (1 + R) placement of Tables, the N x R recency and the N clocks.
     """
     ranks = cfg.num_ranks
     fills, perms = [], np.tile(np.arange(ranks), (len(keys), 1))
@@ -208,7 +141,7 @@ def _drawn_states(cfg: ScenarioConfig, library: tuple[float, ...], capacity: flo
                   tasks: tuple[np.ndarray, ...], t_c: list[float],
                   rates: list[tuple[float, float]], placement: np.ndarray,
                   recency: np.ndarray, clock: np.ndarray) -> list[EpisodeState]:
-    """The EpisodeState objects of a drawn block's arrays, as episode_state builds them."""
+    """The EpisodeState objects of a drawn block's arrays."""
     return [EpisodeState(task=task, t_c=t, cpu_rate=cfg.cpu_rate_hz,
                          link=LinkState(rate_fh=fh, rate_bh=bh, prop_vs=cfg.prop_vs_s,
                                         prop_sg=cfg.prop_sg_s),
@@ -222,13 +155,14 @@ def _drawn_states(cfg: ScenarioConfig, library: tuple[float, ...], capacity: flo
 
 def _draw_block(cfg: ScenarioConfig, library: tuple[float, ...],
                 keys: Sequence[tuple[seeding.Key, ...]], tasks: tuple[np.ndarray, ...]) -> Tables:
-    """The block of episodes whose chains decode_tasks decoded in full, drawn
-    as arrays: each state equals episode_state's, bit for bit.
+    """The block of episodes whose task columns `tasks` holds, drawn as arrays.
 
-    Links and orbit coverage decode their uniforms from raw output, and
-    placements pack on N-vectors (_draw_caches). The SNR, rate and
-    coverage formulas run per episode on Python floats, as in draw_link
-    and draw_coverage: numpy's power, log2 and arccos may round otherwise.
+    Each link jitters both hops' SNR by a uniform dB offset, fronthaul
+    first, and each orbit window starts its pass at a uniform offset;
+    both decode their uniforms from raw output, and placements pack on
+    N-vectors (_draw_caches). The SNR, rate and coverage formulas run per
+    episode on Python floats: numpy's power, log2 and arccos may round
+    otherwise.
     """
     _, link_keys, place_keys, *orbit_keys = zip(*keys)
     jitter = _uniform(np.array([np.random.PCG64(key).random_raw(2) for key in link_keys]),
@@ -262,12 +196,10 @@ def episode_blocks(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
     """The listed episodes of the stream keyed by `seed`, in order, as
     Tables blocks of up to BLOCK_STATES states.
 
-    Each state equals ``episode_state(cfg, seed, e, library)``. A block's
-    task chains are decoded from raw output first. A block whose chains
-    all decode is drawn as arrays (_draw_block), and its states are built
-    only when read; a block holding a row decode_tasks gives up on is
-    drawn state by state, one episode_state call each, and that row's
-    chain by generate_task.
+    A block's task chains are decoded from raw output first; a row
+    decode_tasks gives up on gets generate_task's chain, drawn from a
+    fresh generator on its task key. The block is then drawn as arrays
+    (_draw_block), and its states are built only when read.
     """
     for start in range(0, len(episodes), BLOCK_STATES):
         ids = episodes[start:start + BLOCK_STATES]
@@ -275,9 +207,7 @@ def episode_blocks(cfg: ScenarioConfig, seed: int, episodes: Sequence[int],
         raw = np.array([np.random.PCG64(keys[0]).random_raw(4 * cfg.num_subtasks)
                         for keys in block])
         exact, tasks = decode_tasks(raw, cfg, library)
-        if exact.all():
-            yield _draw_block(cfg, library, block, tasks)
-            continue
-        decoded = iter(task_chains(tasks, exact))
-        yield Tables([episode_state(cfg, seed, e, library, keys, next(decoded) if ok else None)
-                      for e, keys, ok in zip(ids, block, exact.tolist())])
+        for row in np.flatnonzero(~exact).tolist():
+            rng = np.random.Generator(np.random.PCG64(block[row][0]))
+            write_chain(tasks, row, generate_task(rng, cfg, library))
+        yield _draw_block(cfg, library, block, tasks)

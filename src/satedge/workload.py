@@ -6,8 +6,8 @@ that also lives in the library. generate_task guarantees each category's
 sign pattern (Upload: zeta = 0 < d_in, d_out = 0; Download: zeta = d_in = 0
 < d_out; Compute: zeta, d_in, d_out > 0), so readers trust SubTask.category.
 
-generate_task is the spec of a chain's draw. decode_tasks draws the same
-chains for a block of episodes from each one's raw PCG64 output
+generate_task draws one chain from a Generator. decode_tasks draws the
+same chains for a block of episodes from each one's raw PCG64 output
 (``bit_generator.random_raw``), as arrays. It relies on how numpy's
 Generator consumes that output (``tests/test_workload.py`` pins it):
 
@@ -23,9 +23,10 @@ Generator consumes that output (``tests/test_workload.py`` pins it):
 
 A chain of V sub-tasks takes at most 4V outputs when no word is rejected.
 A row whose draw rejects a word, or redraws a compute rho of exactly 0.0,
-is left to generate_task. decode_tasks returns the N x V arrays of the
-chains and packs no SubTask: a block's tables are built from the arrays,
-and task_chains packs the objects only where a caller asks for them.
+is left to generate_task, and write_chain writes that chain into the
+row. decode_tasks returns the N x V arrays of the chains and packs no
+SubTask: a block's tables are built from the arrays, and task_chains
+packs the objects only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -181,3 +182,11 @@ def task_chains(columns: tuple[np.ndarray, ...], rows) -> list[TaskGraph]:
     """The SubTask chains of the rows a numpy index selects from decode_tasks' columns."""
     return [tuple(map(SubTask, map(_CATEGORIES.__getitem__, chain[0]), *chain[1:]))
             for chain in zip(*(c[rows].tolist() for c in columns))]
+
+
+def write_chain(columns: tuple[np.ndarray, ...], row: int, chain: TaskGraph) -> None:
+    """Write `chain` into row `row` of decode_tasks' columns, as task_chains reads it."""
+    fields = zip(*((_CATEGORIES.index(sub.category), sub.d_in, sub.d_out, sub.rho,
+                    sub.out_rank) for sub in chain))
+    for column, values in zip(columns, fields):
+        column[row] = values

@@ -4,18 +4,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from satedge.caching import CacheState, apply_caching_action, request_probability
-from satedge.channel import LinkState, transmit_time
-from satedge.config import ScenarioConfig, default_config
+from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
+from satedge.config import ScenarioConfig, default_config, orbit_params
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
                                Tables, score)
+from satedge.geometry import coverage_time, earth_central_angle
 from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
 from satedge.oracle import Demonstration
 from satedge.policies import baseline_cache
-from satedge.scenario import (draw_coverage, draw_link, episode_blocks, library_capacity,
-                              make_library, prices_from, random_placement)
+from satedge.scenario import episode_blocks, library_capacity, make_library, prices_from
 from satedge.workload import SubTask, Category, TaskGraph, generate_task
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and a
+# failure prints the blob that replays it (@reproduce_failure)
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture
@@ -439,13 +444,27 @@ def reference_episode_state(cfg: ScenarioConfig, seed: int, episode: int,
                             library: tuple[float, ...]) -> EpisodeState:
     """Episode `episode` drawn alone, each stream seeded by numpy (reference_stream_rng).
 
-    Fixed coverage draws nothing from the orbit stream (tag 3).
+    The link jitters each hop's SNR by a uniform dB offset, fronthaul
+    first; an orbit window starts its pass at a uniform offset. Fixed
+    coverage draws nothing from the orbit stream (tag 3).
     """
     task = generate_task(reference_stream_rng(seed, episode, 0), cfg, library)
-    link = draw_link(cfg, reference_stream_rng(seed, episode, 1))
-    t_c = (cfg.coverage_s if cfg.coverage_mode == "fixed"
-           else draw_coverage(cfg, reference_stream_rng(seed, episode, 3)))
-    cache = random_placement(cfg, library, reference_stream_rng(seed, episode, 2))
+    rng = reference_stream_rng(seed, episode, 1)
+    j_fh = float(rng.uniform(-cfg.snr_jitter_db, cfg.snr_jitter_db))
+    j_bh = float(rng.uniform(-cfg.snr_jitter_db, cfg.snr_jitter_db))
+    link = LinkState(
+        rate_fh=link_rate(cfg.rain_attenuation, cfg.bandwidth_fh_hz,
+                          snr_from_db(cfg.snr_fh_db + j_fh)),
+        rate_bh=link_rate(cfg.rain_attenuation, cfg.bandwidth_bh_hz,
+                          snr_from_db(cfg.snr_bh_db + j_bh)),
+        prop_vs=cfg.prop_vs_s, prop_sg=cfg.prop_sg_s)
+    if cfg.coverage_mode == "fixed":
+        t_c = cfg.coverage_s
+    else:
+        params = orbit_params(cfg)
+        rng = reference_stream_rng(seed, episode, 3)
+        t_c = coverage_time(float(rng.uniform(0.0, earth_central_angle(params))), params)
+    cache = reference_random_placement(cfg, library, reference_stream_rng(seed, episode, 2))
     return EpisodeState(task=task, t_c=t_c, link=link, cpu_rate=cfg.cpu_rate_hz, cache=cache)
 
 
@@ -477,7 +496,11 @@ def reference_generate_task(rng_seed: int, cfg: ScenarioConfig,
 
 def reference_random_placement(cfg: ScenarioConfig, library: tuple[float, ...],
                                rng: np.random.Generator) -> CacheState:
-    """random_placement starting from empty_cache, one numpy index at a time."""
+    """A partially filled cache: shuffled ranks packed up to a random target.
+
+    The target is U[0, placement_fill_max] of capacity; recency stamps
+    follow insertion order, starting from empty_cache's clock.
+    """
     capacity = library_capacity(cfg, library)
     cache = empty_cache(library, capacity, cfg.zipf_delta)
     target = float(rng.uniform(0.0, cfg.placement_fill_max)) * capacity

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
+from satedge.channel import link_rate, snr_from_db, transmit_time
 from satedge.evaluator import Tables
 
 from conftest import GOLDEN_LINK, compute, make_state
@@ -90,12 +90,3 @@ def test_transmit_time_linear_in_bytes(nbytes, rate):
                         rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(transmit_time(nbytes, 2.0 * rate), t / 2.0,
                         rel_tol=1e-12, abs_tol=0.0)
-
-
-def test_linkstate_build_matches_recomputation():
-    ls = LinkState.build(attenuation=0.8, bandwidth_fh_hz=2e6, snr_fh=1000.0,
-                         bandwidth_bh_hz=3e6, snr_bh=1000.0,
-                         prop_vs=0.03, prop_sg=0.27)
-    assert ls.rate_fh == link_rate(0.8, 2e6, 1000.0)
-    assert ls.rate_bh == BACKHAUL_GOLDEN
-    assert ls.prop_vs == 0.03 and ls.prop_sg == 0.27

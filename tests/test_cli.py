@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from satedge import evaluator, neural, oracle
@@ -22,7 +23,7 @@ from satedge.config import default_config, load_config
 from satedge.evaluator import BLOCK_STATES, ActionMatrix, EpisodeState
 from satedge.neural import FeatureScaler, feature_dim, forward, init_model, save_model
 from satedge.policies import BASELINE_PAIRS
-from satedge.scenario import prices_from
+from satedge.scenario import episode_blocks, make_library, prices_from
 from satedge.workload import SubTask
 
 from conftest import (feasible_of, picks_of, reference_baseline_policy,
@@ -376,6 +377,21 @@ def test_parity_listing_matches_the_committed_one(tmp_path, capsys):
         listing = capsys.readouterr().out.splitlines()
         assert listing == (SCRIPTS / f"{name}.sha256").read_text().splitlines(), name
         assert len(listing) == 23
+
+
+def test_orbit_parity_config_restricts_some_evaluation_episodes():
+    """Under scripts/parity_orbit.txt some, not all, of the episodes compare
+    and eval score hold a sub-task whose return leg misses its window, so
+    its listing also pins the pairs the window prunes."""
+    cfg = load_config(SCRIPTS / "parity_orbit.txt")
+    scen = cfg.scenario
+    # a pattern out of the window that allows fewer pairs than the one within
+    restricted = [p for p in range(0, len(evaluator.FEASIBLE), 2)
+                  if evaluator.FEASIBLE[p] != evaluator.FEASIBLE[p + 1]]
+    blocks = episode_blocks(scen, EVAL_SEED, range(cfg.train.compare_episodes),
+                            make_library(scen, EVAL_SEED))
+    held = [bool(np.isin(row, restricted).any()) for block in blocks for row in block.pattern]
+    assert 0 < sum(held) < len(held)
 
 
 def test_reproduce_results_script_writes_the_parity_artifacts(tmp_path, capsys):

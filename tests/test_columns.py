@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from satedge import scenario
 from satedge.caching import request_probability
-from satedge.config import default_config
+from satedge.config import default_config, validate_config
 from satedge.evaluator import BLOCK_STATES, Tables
 from satedge.neural import FeatureScaler, _popularity, encode_state, encode_states
 from satedge.scenario import episode_blocks, episode_state, make_library, prices_from
@@ -31,6 +31,9 @@ SCENARIOS = {
     "orbit": {"coverage_mode": "orbit"},
     "fixed-V9": {"num_subtasks": 9},
     "orbit-V9-R1": {"coverage_mode": "orbit", "num_subtasks": 9, "num_ranks": 1},
+    # uniform(0, rho_max) rounds to 0.0 about half the time: decode_tasks gives
+    # up on most rows, and generate_task draws them
+    "fixed-rho-subnormal": {"rho_max": 5e-324},
 }
 SEED = 11
 
@@ -120,6 +123,28 @@ def test_a_block_with_rows_left_to_generate_task_matches(monkeypatch, name, give
     assert states_of(blocks) == [reference_episode_state(scen, SEED, e, library)
                                  for e in range(40)]
     _assert_block_matches_objects(blocks, scen)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "orbit"])
+def test_rows_the_decoder_gives_up_on_equal_the_reference(monkeypatch, mode):
+    """A config validate_config accepts, under which decode_tasks gives up on
+    most rows of a block but not all, against the numpy-seeded lone draw."""
+    scen = replace(default_config().scenario, rho_max=5e-324, coverage_mode=mode)
+    validate_config(replace(default_config(), scenario=scen))
+    plain, generated = scenario.generate_task, []
+
+    def generate(*args):
+        generated.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(scenario, "generate_task", generate)
+    library = make_library(scen, 1)
+    ids = range(BLOCK_STATES + 44)
+    states = states_of(episode_blocks(scen, 1, ids, library))
+    assert len(generated) == 247 + 43  # of the 256 rows of the first block, then of 44
+    alone = [reference_episode_state(scen, 1, e, library) for e in ids]
+    assert states == alone
+    assert list(map(repr, states)) == list(map(repr, alone))
 
 
 def _bits(a) -> np.ndarray:

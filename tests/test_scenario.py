@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satedge import scenario
 from satedge.channel import link_rate, snr_from_db
 from satedge.config import default_config
 from satedge.geometry import earth_central_angle, relative_angular_velocity
@@ -11,8 +10,8 @@ from satedge.scenario import (episode_state, library_capacity, make_library, orb
                               prices_from)
 from satedge.workload import Category
 
-from conftest import (cached_bytes, reference_generate_task, reference_random_placement,
-                      states_of, stream_blocks)
+from conftest import (cached_bytes, reference_episode_state, reference_generate_task,
+                      reference_stream_rng, states_of, stream_blocks)
 
 
 def collect(cfg, seed, n):
@@ -96,14 +95,17 @@ def test_prices_follow_config(cfg):
 
 @pytest.mark.parametrize("mode", ["fixed", "orbit"])
 @pytest.mark.parametrize("num_subtasks", [1, 6, 9])
-def test_draw_matches_choice_reference(cfg, monkeypatch, mode, num_subtasks):
-    """Stream v1 is unchanged: same task, link, window and full cache state."""
+def test_draw_matches_choice_reference(cfg, mode, num_subtasks):
+    """Stream v1 is unchanged: same task, link, window and full cache state,
+    against a lone draw whose chain draws each category with rng.choice and
+    whose placement packs one numpy index at a time."""
     scen = replace(cfg.scenario, coverage_mode=mode, num_subtasks=num_subtasks)
     library = make_library(scen, 42)
     states = [episode_state(scen, 42, i, library) for i in range(40)]
-    monkeypatch.setattr(scenario, "generate_task", reference_generate_task)
-    monkeypatch.setattr(scenario, "random_placement", reference_random_placement)
-    expected = [episode_state(scen, 42, i, library) for i in range(40)]
+    expected = [replace(reference_episode_state(scen, 42, i, library),
+                        task=reference_generate_task(reference_stream_rng(42, i, 0), scen,
+                                                     library))
+                for i in range(40)]
     for got, want in zip(states, expected):
         assert got == want  # task, window, link, CPU rate and every CacheState field
         assert all(type(s) is float for s in got.cache.sizes)
@@ -111,7 +113,7 @@ def test_draw_matches_choice_reference(cfg, monkeypatch, mode, num_subtasks):
 
 @pytest.mark.parametrize("ranks", [1, 2, 30, 200])
 def test_generator_draws_a_placement_as_the_block_draw_reads_it(ranks):
-    """The block draw reads random_placement's uniform as one raw output and
+    """The block draw reads a placement's uniform fill as one raw output and
     its permutation as a shuffle of arange(R) on the same bit generator; a
     numpy that changes either rule fails here by name."""
     for seed in range(20):

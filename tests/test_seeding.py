@@ -4,11 +4,11 @@ A stream hashes a block of episodes' keys with `seeding`'s uint32-array
 re-implementation of numpy's SeedSequence, lets numpy seed fresh PCG64
 generators for each episode from the hashed words (`seeding.Key`), and
 decodes the block's task chains from raw output. Every block takes this
-path, whatever its length, and a lone episode_state call hashes its keys
-as a block of one and draws its chain by generate_task. The reference is
-numpy itself, through conftest's reference_stream_rng: every generator
-state must match, and every episode, drawn in a block or alone, must
-equal conftest's reference_episode_state, whose every stream numpy seeds.
+path, whatever its length: a lone episode_state call is the one state of
+a block of one. The reference is numpy itself, through conftest's
+reference_stream_rng: every generator state must match, and every
+episode, drawn in a block or alone, must equal conftest's
+reference_episode_state, whose every stream numpy seeds.
 """
 
 import os
@@ -277,15 +277,14 @@ def test_live_iterators_do_not_share_generators():
     assert interleaved == [alone[i] for pair in zip(range(40), range(40, 80)) for i in pair]
 
 
-def test_each_state_built_on_demand_equals_the_module_global():
-    """A drawn block builds its states from its arrays, calling no episode_state:
-    each must equal the lone draw's, field for field and float for float."""
+def test_each_state_built_on_demand_equals_the_reference():
+    """A drawn block builds its states from its arrays: each must equal the
+    numpy-seeded lone draw's, field for field and float for float."""
     n = BLOCK_STATES + 1  # a full block, then a block of one
     for mode in ("fixed", "orbit"):
         scen = _scen(mode)
         states = states_of(stream_blocks(scen, SEED, n))
-        library = make_library(scen, SEED)
-        alone = [scenario.episode_state(scen, SEED, e, library) for e in range(n)]
+        alone = list(_drawn_alone(mode, 6)[:n])
         assert states == alone
         assert list(map(repr, states)) == list(map(repr, alone))  # tells 1 from 1.0
 
