@@ -4,8 +4,15 @@ The cache indexes items by popularity rank (1 = most requested). State is
 immutable: an offer edits plain lists of the placement and recency and
 returns one new CacheState. The two policies share that loop and differ
 only in the victim's key. Each pass re-sums the held sizes, a left fold
-in rank order, through one sum(itertools.compress(sizes, placement)): a
-running total drifts, because float subtraction does not undo addition.
+in rank order, through one left_sum(itertools.compress(sizes, placement)):
+a running total drifts, because float subtraction does not undo addition.
+left_sum is every float sum that feeds an artifact byte (the Zipf norm,
+the held bytes, the library's total, the report's sums over episodes):
+the builtin sum() compensates its float sums from CPython 3.12 on, and
+so rounds otherwise than 3.10 and 3.11, whose bytes the fold keeps.
+policies.baseline_cache replays a whole block of offers on arrays under
+the same rules; the per-state offers here are its reference and the
+persistent rollout's.
 The offered state is built without rerunning CacheState's checks: each
 of its fields is copied from the checked input or has the input's
 length, so they hold by construction. An offer of the size already
@@ -20,7 +27,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .workload import TaskGraph
 
@@ -58,10 +65,19 @@ def check_budget(capacity_bytes: float, delta: float) -> None:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """values added left to right from 0.0, one rounding per add, on every
+    Python: the builtin sum() of floats before CPython 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @lru_cache(maxsize=32)  # a run uses one (delta, num_ranks), a sweep a few
 def zipf_pmf(delta: float, num_ranks: int) -> tuple[float, ...]:
     """request_probability of ranks 1..num_ranks, in rank order."""
-    norm = sum(l ** -delta for l in range(1, num_ranks + 1))
+    norm = left_sum(l ** -delta for l in range(1, num_ranks + 1))
     return tuple(r ** -delta / norm for r in range(1, num_ranks + 1))
 
 
@@ -102,7 +118,7 @@ def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
     placement, recency = list(cache.placement), list(cache.recency)
     placement[rank - 1] = 1
     recency[rank - 1] = cache.clock
-    while sum(itertools.compress(sizes, placement)) > cache.capacity_bytes:
+    while left_sum(itertools.compress(sizes, placement)) > cache.capacity_bytes:
         victim = min((r for r in range(1, len(sizes) + 1) if placement[r - 1]),
                      key=lambda r: key(recency, r))
         placement[victim - 1] = 0

@@ -9,8 +9,9 @@ Scoring runs on whole streams, passed as the Tables blocks that
 scenario.episode_blocks draws: each scheme's actions are one N x V array
 of PAIRS indices (the labels, the batched forward pass decoded in one
 projection, or a baseline built block by block), and action_report
-scores them through evaluator.score. Only a baseline's retention replay
-runs per state; a persistent rollout acts on blocks of one state.
+scores them through evaluator.score. A baseline's retention replay runs
+on each block's cache arrays too; only a persistent rollout acts on
+blocks of one state.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .caching import left_sum
 from .config import TrainConfig
 from .evaluator import PriceVector, Tables, label_bits, label_picks, score
 from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_picks,
@@ -154,9 +156,7 @@ def action_report(actions: np.ndarray, demos: Demonstrations,
     sums = []
     for name, values in (("reward", rewards), ("completion time", times),
                          ("optimal reward", demos.opt_reward.tolist())):
-        total = 0.0
-        for value in values:
-            total += value
+        total = left_sum(values)
         if not math.isfinite(total):
             raise ValueError(f"the {name} summed over {n} episodes is {total!r}")
         sums.append(total)

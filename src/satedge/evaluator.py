@@ -168,12 +168,14 @@ class Tables:
     rate_fh, rate_bh, prop_vs, prop_sg and cpu_rate. seconds[n, v, h, p] is
     the time of sub-task v of state n under PAIRS[p], on a miss (h = 0) or
     a hit (h = 1) of its output, and pattern[n, v] indexes FEASIBLE with
-    that sub-task's feasible pairs. Its caches are placement, N x (1 + R)
-    bools, column r true where the state's cache holds rank r (column 0,
-    rank 0 or no output, is never held), and delta, the N Zipf skews: all
-    that hits and the popularity feature read of a cache. Every state of
-    a block has the same number V of sub-tasks and every cache the same
-    number R of ranks.
+    that sub-task's feasible pairs. Its caches (CACHES) are placement,
+    N x (1 + R) bools, column r true where the state's cache holds rank r
+    (column 0, rank 0 or no output, is never held), and delta, the N Zipf
+    skews, which are all that hits and the popularity feature read of a
+    cache; then recency, N x R stamps, clock, the N next stamps, sizes,
+    N x R bytes per rank, and capacity, the N byte budgets, which the
+    retention replay reads too. Every state of a block has the same number
+    V of sub-tasks and every cache the same number R of ranks.
 
     Tables(states) gathers all of it from the objects. Tables.drawn takes
     the arrays the draw (scenario.episode_blocks) produced, and builds the
@@ -182,13 +184,15 @@ class Tables:
     feasibility formulas live here only, and the cost formula in
     _pair_cost: feasible_actions reads a block of one sub-task, and a lone
     state a block of its own. retained is policies.baseline_cache's memo:
-    the block's retention bits per cache kind.
+    the block's retention bits per cache kind, replayed on the cache
+    arrays, so a drawn block's retention builds no state.
 
     Modeling note: the satellite-to-vehicle return leg is charged at the
     fronthaul rate (symmetric fronthaul).
     """
 
     COLUMNS = ("code", "d_in", "d_out", "rho", "zeta", "rank", "links")  # carrying slices each
+    CACHES = ("placement", "delta", "recency", "clock", "sizes", "capacity")
 
     def __init__(self, states: Sequence[EpisodeState]):
         self.states = tuple(states)
@@ -199,16 +203,19 @@ class Tables:
               s.cpu_rate) for s in self.states], dtype=np.float64))
 
     @classmethod
-    def drawn(cls, tasks: tuple[np.ndarray, ...], links: np.ndarray, placement: np.ndarray,
-              delta: np.ndarray, states: Callable[[], Sequence[EpisodeState]]) -> Tables:
+    def drawn(cls, tasks: tuple[np.ndarray, ...], links: np.ndarray,
+              caches: tuple[np.ndarray, ...],
+              states: Callable[[], Sequence[EpisodeState]]) -> Tables:
         """The block of a draw's arrays: tasks, the N x V code, d_in, d_out,
-        rho and rank columns, then links, placement and delta as the class
-        holds them. states() builds the N states; it runs on the first read
-        of .states, and never if nothing reads them."""
+        rho and rank columns, then links, and caches, the arrays CACHES
+        names in its order, as the class holds them. states() builds the N
+        states; it runs on the first read of .states, and never if nothing
+        reads them."""
         if not len(links):
             raise ValueError("a Tables block needs at least one state, got none")
         block = object.__new__(cls)
-        block.placement, block.delta, block._build_states = placement, delta, states
+        vars(block).update(zip(cls.CACHES, caches, strict=True))
+        block._build_states = states
         block._derive(tasks, links)
         return block
 
@@ -265,7 +272,7 @@ class Tables:
         swapped. Only hits read a cache, so its columns, times and patterns
         are views of those rows and its costs are this block's, priced once
         per price vector; its placement, delta, hits and retention bits are
-        its own states'."""
+        its own states', as are its caches' other arrays."""
         carried = object.__new__(Tables)
         carried.states = tuple(states)
         for name in Tables.COLUMNS:
@@ -295,10 +302,36 @@ class Tables:
                                     dtype=np.uint8).reshape(len(placements), width) == 1
         return held
 
+    def _gathered(self, field: str, dtype: type) -> np.ndarray:
+        """One CacheState field of every state, gathered from the objects:
+        N x R for a per-rank field, N for a scalar one."""
+        self.placement  # first: names a cache whose number of ranks differs
+        return np.array([getattr(state.cache, field) for state in self.states], dtype=dtype)
+
     @cached_property
     def delta(self) -> np.ndarray:
         """The N Zipf skews of the states' caches, gathered from the objects."""
-        return np.array([state.cache.delta for state in self.states], dtype=np.float64)
+        return self._gathered("delta", np.float64)
+
+    @cached_property
+    def recency(self) -> np.ndarray:
+        """The N x R recency stamps of the states' caches, gathered from the objects."""
+        return self._gathered("recency", np.intp)
+
+    @cached_property
+    def clock(self) -> np.ndarray:
+        """The N next recency stamps of the states' caches, gathered from the objects."""
+        return self._gathered("clock", np.intp)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The N x R bytes per rank of the states' caches, gathered from the objects."""
+        return self._gathered("sizes", np.float64)
+
+    @cached_property
+    def capacity(self) -> np.ndarray:
+        """The N byte budgets of the states' caches, gathered from the objects."""
+        return self._gathered("capacity_bytes", np.float64)
 
     @cached_property
     def hits(self) -> np.ndarray:

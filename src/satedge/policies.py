@@ -5,12 +5,14 @@ Tables blocks of states: baseline_actions returns one row of PAIRS
 indices per state. Offload proposals may be infeasible (total offloading
 proposes uploading a Download, say); projection snaps every pair to the
 nearest feasible one by Hamming distance, one NEAR[pattern, pair] lookup
-per block. Caching bits come from replaying the episode's outputs
+per block. Caching bits come from replaying the episodes' outputs
 through an eviction policy and keeping whatever survives; projection
 alone sets the bits that coverage expiry forces. The greedy rule reads
-the block's cost table. The retention replay is the one step that runs
-per state, once per (block, cache kind), whichever baselines share it.
-project_feasible is the one-state form of the projection.
+the block's cost table. The retention replay runs on the block's cache
+arrays, one masked offer step per sub-task for all its states at once,
+once per (block, cache kind), whichever baselines share it; it builds
+no episode object. project_feasible is the one-state form of the
+projection.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .caching import apply_caching_action
+from .caching import zipf_pmf
 from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, Tables, at_hits,
                         pair_index)
 
@@ -30,30 +32,76 @@ BASELINE_PAIRS = (  # in report order
 )
 
 
+_NEVER = np.iinfo(np.intp).max  # the eviction key of a rank not held
+
+
 def baseline_name(offload_kind: str, cache_kind: str) -> str:
     return f"{offload_kind}-{cache_kind}"
+
+
+def _mpc_keys(delta: np.ndarray, ranks: int) -> np.ndarray:
+    """N x R mpc eviction keys: each rank's place in its row's order of
+    (zipf_pmf, -rank), least popular first, so the held rank of least key
+    is evict_mpc's victim. A drawn block's rows share one skew."""
+    keys = np.empty((len(delta), ranks), dtype=np.intp)
+    for skew in np.unique(delta).tolist():
+        pmf = zipf_pmf(skew, ranks)
+        order = sorted(range(ranks), key=lambda r: (pmf[r], -r))
+        keys[delta == skew] = np.argsort(order)
+    return keys
 
 
 def baseline_cache(kind: str, block: Tables) -> np.ndarray:
     """Caching bits from retention, N x V: keep what the eviction policy keeps.
 
-    Every produced output is offered to the cache in chain order against
-    the episode's starting placement; a_ch[v] = 1 iff sub-task v's rank is
-    still resident afterwards. Coverage is not consulted: projection pins
-    the bit of a sub-task whose result must be cached. The replay runs
-    once per (block, kind); later calls read block.retained. The bits are
-    read from the replay's final placement: every rank read there was
-    offered, and so range-checked, by the replay.
+    Every produced output (d_out > 0) is offered to the cache in chain
+    order against the episode's starting placement; a_ch[v] = 1 iff
+    sub-task v's rank is still resident afterwards. Coverage is not
+    consulted: projection pins the bit of a sub-task whose result must be
+    cached. The replay runs on the block's cache arrays, once per (block,
+    kind), with evict_mrc's and evict_mpc's rules: an offer larger than
+    the capacity leaves its row, clock included, unchanged; an accepted
+    one stores its size and stamps the clock; then, while a row holds more
+    than its capacity, its held rank of least key goes (mrc: recency;
+    mpc: _mpc_keys). Held bytes are re-summed each pass as a cumulative
+    sum along ranks, the left fold in rank order the per-state offers
+    take. Later calls read block.retained. ValueError names the first
+    state and sub-task that offers a rank outside 1..R.
     """
     bits = block.retained.get(kind)
-    if bits is None:
-        rows = []
-        for state in block.states:
-            placement = apply_caching_action(state.cache, state.task, (1,) * len(state.task),
-                                             kind).placement
-            rows.append([st.d_out > 0.0 and placement[st.out_rank - 1] == 1
-                         for st in state.task])
-        bits = block.retained[kind] = np.array(rows, dtype=np.intp).reshape(len(block), -1)
+    if bits is not None:
+        return bits
+    if kind not in ("mrc", "mpc"):
+        raise ValueError(f"unknown eviction policy {kind!r}")
+    rank, d_out, capacity = block.rank, block.d_out, block.capacity
+    offered = d_out > 0.0  # never a zero or NaN output
+    ranks = block.placement.shape[1] - 1
+    bad = offered & ((rank < 1) | (rank > ranks))
+    if bad.any():
+        n, v = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"state {n}, sub-task {v}: offers output rank {rank[n, v].item()} "
+                         f"outside 1..{ranks}, its cache's ranks")
+    # column r for rank r, as in placement; column 0 is never held
+    held = block.placement.copy()
+    sizes = np.zeros(held.shape)
+    sizes[:, 1:] = block.sizes
+    keys = np.zeros(held.shape, dtype=np.intp)
+    keys[:, 1:] = block.recency if kind == "mrc" else _mpc_keys(block.delta, ranks)
+    clock = block.clock.copy()
+    for v in range(rank.shape[1]):
+        at = np.flatnonzero(offered[:, v] & (d_out[:, v] <= capacity))
+        r = rank[at, v]
+        sizes[at, r], held[at, r] = d_out[at, v], True
+        if kind == "mrc":
+            keys[at, r] = clock[at]
+        clock[at] += 1
+        while len(at):
+            at = at[np.cumsum(np.where(held[at], sizes[at], 0.0), axis=1)[:, -1]
+                    > capacity[at]]
+            victim = np.where(held[at], keys[at], _NEVER).argmin(axis=1)
+            held[at, victim] = False
+    bits = offered & np.take_along_axis(held, np.where(offered, rank, 0), axis=1)
+    bits = block.retained[kind] = bits.astype(np.intp)
     return bits
 
 

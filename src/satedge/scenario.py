@@ -21,7 +21,7 @@ the same way; each placement's permutation is one Generator shuffle per
 episode, and the greedy packing runs on N-vectors. The SNR, rate and
 coverage formulas run per episode on Python floats. A drawn block builds
 its EpisodeState objects only when they are first read, from its arrays:
-labelling reads none. The same draw, one numpy call at a time from
+labelling and the baselines' retention replay read none. The same draw, one numpy call at a time from
 numpy-seeded generators, is tests/conftest.py's reference_episode_state.
 
 The content library (bytes per popularity rank) is drawn once per run,
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .caching import CacheState, check_budget
+from .caching import CacheState, check_budget, left_sum
 from .channel import LinkState, link_rate, snr_from_db
 from .config import ScenarioConfig, orbit_params
 from .evaluator import BLOCK_STATES, EpisodeState, PriceVector, Tables
@@ -66,7 +66,7 @@ def make_library(cfg: ScenarioConfig, seed: int) -> tuple[float, ...]:
 
 
 def library_capacity(cfg: ScenarioConfig, library: tuple[float, ...]) -> float:
-    return cfg.capacity_fraction * sum(library)
+    return cfg.capacity_fraction * left_sum(library)
 
 
 def _block_rng_states(cfg: ScenarioConfig, seed: int,
@@ -185,8 +185,11 @@ def _draw_block(cfg: ScenarioConfig, library: tuple[float, ...],
     links = np.empty((len(keys), 6))
     links[:, 0], links[:, 1:3] = t_c, rates
     links[:, 3:] = cfg.prop_vs_s, cfg.prop_sg_s, cfg.cpu_rate_hz
+    n, sizes = len(keys), np.array(library, dtype=np.float64)
+    caches = (placement, np.full(n, cfg.zipf_delta, np.float64), recency, clock,
+              np.broadcast_to(sizes, (n, len(sizes))), np.full(n, capacity, np.float64))
     # the states are built later, from a copy of the config as it stands now
-    return Tables.drawn(tasks, links, placement, np.full(len(keys), cfg.zipf_delta, np.float64),
+    return Tables.drawn(tasks, links, caches,
                         partial(_drawn_states, replace(cfg), library, capacity, tasks, t_c,
                                 rates, placement, recency, clock))
 

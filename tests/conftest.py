@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -47,8 +49,10 @@ def empty_cache(sizes: tuple[float, ...], capacity_bytes: float, delta: float) -
 
 
 def cached_bytes(cache: CacheState) -> float:
-    """Bytes the cache holds, summed in rank order."""
-    return sum(itertools.compress(cache.sizes, cache.placement))
+    """Bytes the cache holds, folded left in rank order from 0.0 on every
+    Python (the builtin sum() compensates from CPython 3.12 on)."""
+    return functools.reduce(operator.add, itertools.compress(cache.sizes, cache.placement),
+                            0.0)
 
 
 def is_hit(cache: CacheState, rank: int) -> bool:

@@ -141,7 +141,8 @@ def test_an_empty_block_is_refused_by_name():
     with pytest.raises(ValueError, match="at least one state"):
         Tables.drawn(tuple(getattr(drawn, name)[none] for name in
                            ("code", "d_in", "d_out", "rho", "rank")),
-                     drawn.links[none], drawn.placement[none], drawn.delta[none], tuple)
+                     drawn.links[none],
+                     tuple(getattr(drawn, name)[none] for name in Tables.CACHES), tuple)
     with pytest.raises(ValueError, match="at least one block"):
         label_states([], prices, scaler)
     for n in (0, -1):

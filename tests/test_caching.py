@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.caching import (CacheState, apply_caching_action, evict_mpc, evict_mrc,
-                             request_probability)
+                             left_sum, request_probability, zipf_pmf)
+from satedge.config import default_config
+from satedge.scenario import library_capacity
 from satedge.workload import Category, SubTask
 
 from conftest import cached_bytes, empty_cache, is_hit, reference_evict
@@ -49,6 +51,19 @@ def test_normalization(delta):
 def test_non_increasing_in_rank(delta):
     probs = [request_probability(r, delta, 30) for r in range(1, 31)]
     assert all(a > b for a, b in zip(probs, probs[1:]))
+
+
+def test_float_sums_fold_left_on_every_python():
+    # CPython 3.12's sum() compensates, and gives 1.0000000000000002e16 here,
+    # and 3.994987130920391 for the default Zipf norm; the fold keeps 3.11's bits
+    assert left_sum((1e16, 1.0, 1.0)) == 1e16
+    assert left_sum(iter(())) == 0.0
+    assert zipf_pmf(1.0, 30)[0] == 1.0 / H_30
+    cfg = default_config().scenario
+    assert library_capacity(cfg, (1e16, 1.0, 1.0)) == cfg.capacity_fraction * 1e16
+    cache = evict_mrc(empty_cache((1e16, 1.0, 1.0), 1e16, 1.0), 1, 1e16)
+    cache = evict_mrc(evict_mrc(cache, 2, 1.0), 3, 1.0)
+    assert placed_ranks(cache) == {1, 2, 3}  # held: 1e16 + 1.0 + 1.0 folds to 1e16
 
 
 def test_rank_out_of_range():

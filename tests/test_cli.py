@@ -654,14 +654,15 @@ def test_gen_dataset_builds_no_episode_object(tmp_path, monkeypatch):
     assert built == dict.fromkeys(built, 0)
 
 
-def test_compare_builds_each_drawn_state_once(tmp_path, monkeypatch):
-    # six baselines replay two cache kinds over the blocks' states: the
-    # states are built on the first replay's read, and once only
+def test_compare_builds_no_episode_object(tmp_path, monkeypatch):
+    # 300 episodes, two blocks: six baselines replay two cache kinds on the
+    # blocks' cache arrays, and every scheme is scored from the blocks
     model = _untrained_model(tmp_path / "model.txt", 6)
     built = _count_objects(monkeypatch)
+    tables = _count_tables(monkeypatch)
     run_compare(default_config(), EVAL_SEED, model, 300, tmp_path)
-    assert built == {"EpisodeState": 300, "SubTask": 300 * 6, "LinkState": 300,
-                     "CacheState": 300}
+    assert tables == [BLOCK_STATES, 300 - BLOCK_STATES]
+    assert built == dict.fromkeys(built, 0)
 
 
 @pytest.mark.parametrize("argv, validations", [

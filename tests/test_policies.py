@@ -1,9 +1,14 @@
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.config import default_config
+from satedge import caching
+from satedge.caching import CacheState
+from satedge.config import default_config, load_config
 from satedge.evaluator import (PAIR_OFFLOAD, ActionMatrix, PriceVector, Tables,
                                completion_time, reward, score, subtask_cost)
 from satedge.oracle import solve_optimal
@@ -196,3 +201,120 @@ def test_replaced_cache_rederives_costs_and_retention(prices):
         assert tuple(baseline_cache(kind, carried)[0].tolist()) == \
             reference_baseline_cache(kind, carried.states[0])
     assert costs_of((block, 0), prices) == rows
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _retention_config(name):
+    scen = default_config().scenario
+    if name == "parity_orbit":
+        return load_config(SCRIPTS / "parity_orbit.txt").scenario
+    if name == "capacity_0.05":
+        return replace(scen, capacity_fraction=0.05)
+    if name == "uniform_capacity_0.05":
+        return replace(scen, capacity_fraction=0.05, zipf_delta=0.0)
+    return scen
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("defaults", 2042), ("parity_orbit", 42), ("capacity_0.05", 7),
+    ("uniform_capacity_0.05", 2042),
+])
+def test_block_retention_matches_the_per_state_replay(name, seed):
+    # 300 episodes, two drawn blocks, replayed on their arrays before any
+    # state is built; a cache of 5 % of the library evicts often, and
+    # zipf_delta = 0 ties every mpc key, which go to the larger rank
+    blocks = stream_blocks(_retention_config(name), seed, 300)
+    offered = np.concatenate([block.d_out > 0.0 for block in blocks])
+    for kind in ("mrc", "mpc"):
+        bits = np.concatenate([baseline_cache(kind, block) for block in blocks])
+        assert bits.dtype == np.intp
+        assert [tuple(row) for row in bits.tolist()] == [
+            reference_baseline_cache(kind, state) for state in states_of(blocks)]
+        if name.endswith("0.05"):
+            assert (bits[offered] == 0).any()  # the small cache evicts
+
+
+def test_block_retention_equals_the_per_state_offers(monkeypatch):
+    # compare's default stream, 10 episodes at seed 2042, replayed per state
+    # through the rebindable evict_mrc and evict_mpc: 12 offers and 0.5
+    # evictions per episode over both kinds; the block replay calls neither
+    # and keeps the same bits, row for row
+    offers, evictions = [], []
+
+    def counted(evict):
+        def offer(cache, rank, nbytes):
+            out = evict(cache, rank, nbytes)
+            offers.append(rank)
+            if out is not cache:  # an oversized offer comes back unchanged
+                before = sum(cache.placement) + (1 - cache.placement[rank - 1])
+                evictions.append(before - sum(out.placement))
+            return out
+        return offer
+
+    blocks = stream_blocks(default_config().scenario, 2042, 10)
+    block_bits = {kind: baseline_cache(kind, blocks[0]).tolist() for kind in ("mrc", "mpc")}
+    for name in ("evict_mrc", "evict_mpc"):
+        monkeypatch.setattr(caching, name, counted(getattr(caching, name)))
+    for kind in ("mrc", "mpc"):
+        assert [tuple(row) for row in block_bits[kind]] == [
+            reference_baseline_cache(kind, state) for state in states_of(blocks)]
+    assert (len(offers) / 10, sum(evictions) / 10) == (12.0, 0.5)
+
+
+def _lone_retention(kind, state):
+    """baseline_cache of the state's block of one, checked against the reference."""
+    bits = retained_of(kind, state)
+    assert bits == reference_baseline_cache(kind, state)
+    return bits
+
+
+def test_an_oversized_offer_leaves_its_row_and_clock_unchanged():
+    # rank 1 holds stamp 3 while the clock reads 2. Had the rejected 5-byte
+    # offer advanced the clock, ranks 2 and 3 would be stamped 3 and 4, and
+    # mrc would break rank 1's tie with rank 2 toward rank 1: (0, 1, 1)
+    cache = CacheState(sizes=(1.0,) * 5, placement=(1, 0, 0, 0, 0), capacity_bytes=2.0,
+                       delta=1.0, recency=(3, 0, 0, 0, 0), clock=2)
+    state = make_state([download(5.0, rank=4), download(1.0, rank=2),
+                        download(1.0, rank=3)], cache=cache)
+    assert _lone_retention("mrc", state) == (0, 0, 1)
+    assert _lone_retention("mpc", state) == (0, 1, 0)
+
+
+def test_an_offer_stores_its_own_size():
+    # rank 2 is stored at 1.0 bytes and offered at 1.5: with rank 3 the cache
+    # holds 2.5 > 2.0 bytes, so one goes; at the stored size both would fit
+    cache = make_cache(num_ranks=5, capacity=2.0, sizes=(1.0,) * 5)
+    state = make_state([download(1.5, rank=2), download(1.0, rank=3)], cache=cache)
+    assert _lone_retention("mrc", state) == (0, 1)
+    assert _lone_retention("mpc", state) == (1, 0)
+
+
+def test_a_zero_output_is_never_offered():
+    # rank 9 lies outside the five ranks but raises nothing, and the held
+    # rank 1 keeps no bit for a zero-byte output; rank 2's byte then
+    # overfills the cache, and mrc drops rank 1, mpc rank 2. A NaN output
+    # never reaches the replay: the block that would hold it is refused
+    cache = make_cache(num_ranks=5, capacity=1.0, placed=(1,), sizes=(1.0,) * 5)
+    state = make_state([download(0.0, rank=9), download(0.0, rank=1),
+                        download(1.0, rank=2)], cache=cache)
+    nan = replace(state, task=(download(math.nan, rank=1),) + state.task[1:])
+    for kind, kept in (("mrc", (0, 0, 1)), ("mpc", (0, 0, 0))):
+        assert _lone_retention(kind, state) == kept
+        assert reference_baseline_cache(kind, nan) == kept
+    with pytest.raises(ValueError, match="byte count must be nonnegative"):
+        Tables([nan])
+
+
+@pytest.mark.parametrize("rank", [0, 31])
+def test_an_offered_rank_outside_the_cache_is_refused_by_name(rank):
+    fine = make_state([download(1.0, rank=1)] * 2)
+    bad = make_state([download(1.0, rank=1), download(1.0, rank=rank)])
+    block = Tables([fine, bad])
+    for kind in ("mrc", "mpc"):
+        with pytest.raises(ValueError, match=f"state 1, sub-task 1: offers output rank "
+                                             f"{rank} outside 1..30"):
+            baseline_cache(kind, block)
+        with pytest.raises(ValueError, match=f"rank {rank} outside"):
+            reference_baseline_cache(kind, bad)
