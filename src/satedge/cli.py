@@ -207,10 +207,13 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     _check_episodes(episodes)
     t0 = time.perf_counter()
     model, scaler = load_model(model_path)
+    load_elapsed = time.perf_counter() - t0
     check_policy(model, cfg.scenario.num_subtasks)
     prices = prices_from(cfg.scenario)
     blocks = _stream(cfg, seed, episodes)
+    label_t0 = time.perf_counter()
     demos = label_states(blocks, prices, scaler)
+    label_elapsed = time.perf_counter() - label_t0
 
     reports = {}
     for name in _SCHEMES:
@@ -233,6 +236,9 @@ def run_compare(cfg: SimConfig, seed: int, model_path: Path, episodes: int,
     print(f"wrote {out / 'comparison.csv'}")
     print(f"docs exact match: {docs['exact_match']:.4f}, "
           f"reward ratio vs optimal: {docs['reward_ratio_vs_opt']:.4f}")
+    print(f"model load: {load_elapsed * 1e3:.1f} ms")
+    print(f"oracle solve (label_states): {label_elapsed / episodes * 1e6:.1f} us/episode "
+          f"(n={episodes})")
     print(f"docs inference: {infer_elapsed / episodes * 1e3:.3f} ms/episode "
           f"(n={episodes})")
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")

@@ -15,11 +15,14 @@ its state's block of one.
 An MLPModel is the trained policy and nothing else. Adam's moments,
 step count and hyperparameters live in an AdamState that exists only
 while training runs, so a checkpoint holds the network and its feature
-scaler, never optimizer state.
+scaler, never optimizer state. save_model writes checkpoint v3: a text
+header, and each weight block as the base64 of its little-endian float64
+bytes, so load_model gives back the saved bits without parsing a decimal.
 """
 
 from __future__ import annotations
 
+import binascii
 import logging
 import math
 import re
@@ -298,9 +301,15 @@ def decode_actions(probs: np.ndarray, state: EpisodeState) -> ActionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: versioned text, repr-exact floats, fixed block order
+# checkpoint format: versioned text header, exact float64 blocks, fixed block order
+#
+# The header's integers are written as str() writes them and its scaler rows
+# as repr() writes each float. Each W{k}/b{k} block is its `#block {tag}
+# {shape}` line, then one line of standard padded base64 (RFC 4648) of its
+# values as little-endian IEEE-754 float64 in C order: the very bits, so no
+# value is formatted or parsed, and each block has one accepted spelling.
 
-MODEL_MAGIC = "#satedge-model v2"
+MODEL_MAGIC = "#satedge-model v3"
 _HEADER_KEYS = ("layout_version", "seed", "dims", "scaler_lo", "scaler_hi")
 
 
@@ -308,18 +317,29 @@ def _fmt_row(row: np.ndarray) -> str:
     return ",".join(repr(float(v)) for v in row)
 
 
-def _write_block(lines: list[str], tag: str, arr: np.ndarray) -> None:
-    if arr.ndim == 1:
-        lines.append(f"#block {tag} {arr.shape[0]}")
-        lines.append(_fmt_row(arr))
-    else:
-        lines.append(f"#block {tag} {arr.shape[0]}x{arr.shape[1]}")
-        for row in arr:
-            lines.append(_fmt_row(row))
+def _encode_block(values: np.ndarray) -> str:
+    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _decode_block(line: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The finite float64 values of one block line, shaped. Raises ValueError
+    unless line is the one spelling _encode_block writes: a2b_base64 skips
+    characters outside the alphabet and forgives pad bits, re-encoding does not."""
+    raw = binascii.a2b_base64(line)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes, expected 8 per value of shape {shape}")
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != line:
+        raise ValueError("not the base64 spelling of its bytes: a stray character, "
+                         "whitespace, padding or pad bits")
+    values = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
 
 
 def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None:
-    """Write a v2 checkpoint: shape, seed, layout, scaler ranges, weights, biases.
+    """Write a v3 checkpoint: shape, seed, layout, scaler ranges, weights, biases.
 
     No optimizer state is written. Reload then re-save is byte-identical.
     What load_model would refuse raises ValueError, naming the first bad
@@ -345,8 +365,8 @@ def save_model(path: str | Path, model: MLPModel, scaler: FeatureScaler) -> None
         "scaler_lo=" + _fmt_row(scaler.lo),
         "scaler_hi=" + _fmt_row(scaler.hi),
     ]
-    for tag, values, _ in blocks[1:]:
-        _write_block(lines, tag, values)
+    for tag, values, shape in blocks[1:]:
+        lines += [f"#block {tag} " + "x".join(map(str, shape)), _encode_block(values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -374,35 +394,36 @@ def canonical_int(token: str) -> int:
     return value
 
 
-def _parse_rows(rows: list[str], width: int | None = None) -> np.ndarray:
-    """A len(rows) x width array of finite floats, one comma-separated row
-    per line; any width when width is None. stray_row runs first: loadtxt
-    skips a blank row and forgives surrounding whitespace."""
-    at = stray_row(rows)
-    if at is not None:
-        raise ValueError(f"row {at + 1}: blank, or an underscore or whitespace in a number")
-    values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    if values.shape != (len(rows), width or values.shape[1]):
-        raise ValueError(f"{values.shape[0]} x {values.shape[1]} values, "
-                         f"expected {len(rows)} x {width}")
-    if not np.isfinite(values).all():
+def _repr_row(row: str) -> np.ndarray:
+    """The finite floats of a comma-separated row, refusing any spelling
+    repr() does not write: '+0.5', '1E5', '0.50', '0_5', ' 0.5'."""
+    tokens = row.split(",")
+    values = [float(t) for t in tokens]
+    bad = next((t for t, v in zip(tokens, values) if repr(v) != t), None)
+    if bad is not None:
+        raise ValueError(f"{bad!r} is not written as repr() writes a float")
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite value")
-    return values
+    return np.array(values)
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
-    """Read a v2 checkpoint in exactly the layout save_model writes.
+    """Read a v3 checkpoint in exactly the layout save_model writes.
 
     That is MODEL_MAGIC, the _HEADER_KEYS lines in order, then for each
-    layer k a block `#block W{k} {a}x{b}` of a rows and a block
-    `#block b{k} {b}` of one row, shapes taken from dims, then the end of
-    the file. Integers are spelled as str() spells them, and each block is
-    parsed by one np.loadtxt call. Anything else raises CheckpointError
-    naming the file, and the line where the layout breaks.
+    layer k a block `#block W{k} {a}x{b}` and a block `#block b{k} {b}`,
+    shapes taken from dims, each followed by its one base64 line, then the
+    end of the file. Integers and scaler floats are spelled as str() and
+    repr() spell them, and each block is decoded by one a2b_base64 call.
+    Anything else raises CheckpointError naming the file, and the line
+    where the layout breaks.
     """
-    lines = Path(path).read_text().splitlines()
+    try:  # a v3 file is ASCII throughout
+        lines = Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not a v3 model checkpoint: {exc}") from exc
     if not lines or lines[0] != MODEL_MAGIC:
-        raise CheckpointError(f"{path}: not a v2 model checkpoint; v1 files are "
+        raise CheckpointError(f"{path}: not a v3 model checkpoint; v1 and v2 files are "
                               "no longer read, re-run `satedge train`")
 
     def unexpected(at: int, what: str) -> CheckpointError:
@@ -416,7 +437,7 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
     try:
         layout, seed = canonical_int(header[0]), canonical_int(header[1])
         dims = tuple(canonical_int(d) for d in header[2].split(","))
-        scaler = FeatureScaler(*_parse_rows(header[3:5]))
+        scaler = FeatureScaler(_repr_row(header[3]), _repr_row(header[4]))
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     if layout != LAYOUT_VERSION:
@@ -433,15 +454,13 @@ def load_model(path: str | Path) -> tuple[MLPModel, FeatureScaler]:
             head = f"#block {tag} " + "x".join(map(str, shape))
             if lines[at:at + 1] != [head]:
                 raise unexpected(at, f"{head!r}, the block and shape that dims {dims} give")
-            count = fan_in if len(shape) == 2 else 1
-            rows = lines[at + 1:at + 1 + count]
-            if len(rows) < count:
-                raise unexpected(at + 1 + len(rows), f"row {len(rows) + 1} of block {tag}")
+            if at + 1 == len(lines):
+                raise unexpected(at + 1, f"the base64 line of block {tag}")
             try:
-                params.append(_parse_rows(rows, fan_out).reshape(shape))
+                params.append(_decode_block(lines[at + 1], shape))
             except ValueError as exc:
-                raise CheckpointError(f"{path}:{at + 1}: block {tag}: {exc}") from exc
-            at += 1 + len(rows)
+                raise CheckpointError(f"{path}:{at + 2}: block {tag}: {exc}") from exc
+            at += 2
     if at < len(lines):
         raise unexpected(at, "the end of the file")
     return MLPModel(dims=dims, weights=weights, biases=biases, seed=seed), scaler

@@ -7,6 +7,7 @@ file so the whole module stays fast.
 import csv
 import hashlib
 import importlib.util
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -107,10 +108,35 @@ def test_inspect_dataset_script_summarises_a_dataset(tmp_path, tiny_cfg, capsys)
     assert abs(sum(float(v) for v in shares.values()) - 1.0) <= 0.002
 
 
+def test_inspect_model_script_summarises_a_checkpoint(tmp_path, capsys):
+    module = _script("inspect_model")
+    path = _untrained_model(tmp_path / "model.txt", 6)
+    model, _ = neural.load_model(path)
+    capsys.readouterr()
+    assert module.main([str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"{path}: #satedge-model v3", "dims: 54,8,12, seed: 3"]
+    assert out[2].startswith("scaler: 54 features, lo 0 to 0, hi ")
+    w0 = model.weights[0]
+    assert out[3:] == [f"block W0 54x8: min {w0.min():.6g}, max {w0.max():.6g}, "
+                       f"mean {w0.mean():.6g}",
+                       "block b0 8: min 0, max 0, mean 0",
+                       out[5], "block b1 12: min 0, max 0, mean 0"]
+    assert out[5].startswith("block W1 8x12: ")
+
+    # --values prints every row as repr writes it, which reads back bit for bit
+    assert module.main([str(path), "--values"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    head = next(i for i, line in enumerate(out) if line.startswith("block W0 54x8: "))
+    rows = np.array([[float(v) for v in line.strip().split(",")]
+                     for line in out[head + 1:head + 55]])
+    assert rows.tobytes() == w0.tobytes()
+
+
 def test_train_emits_model_and_curve(tmp_path, tiny_cfg):
     dataset = _gen(tmp_path, tiny_cfg)
     model = _train(tmp_path, tiny_cfg, dataset)
-    assert model.read_text().startswith("#satedge-model v2\n")
+    assert model.read_text().startswith("#satedge-model v3\n")
     curve = (model.parent / "train_curve.csv").read_text().splitlines()
     assert curve[0] == "epoch,train_loss,val_loss"
     assert len(curve) >= 3  # epoch 0 plus at least two training epochs
@@ -463,14 +489,14 @@ def test_eval_metrics_bytes_are_pinned(tmp_path, tiny_cfg, policy, cache_mode):
 
 # SHA-256 of the train and compare artifacts under TINY_CONFIG with the
 # default seeds. train_curve.csv and comparison.csv are unchanged since
-# model v1; model.txt is the v1 file with its optimizer header lines and
-# moment blocks removed, so a change to training or to the checkpoint
-# format moves bytes here.
+# model v1; comparison.csv scores the weights compare loads, so each
+# checkpoint version has given back the same bits. model.txt is the v3
+# file, so a change to training or to the checkpoint format moves bytes here.
 PINNED_TRAIN_SHA256 = {
     "train_curve.csv":
         "3e7e5dd3d7d2f2e9f64b53ee0ca60c57385eda2d787f14ccc8eafc3c36fc11b4",
     "model.txt":
-        "4f8975e7538f86efd18cbd6d4e4e9231acae7ab83faeb08084e9722dc70880c6",
+        "bd26c17968794c1748de6675443e3d0dc30a857e99e6daf4e64104ae2f53ee3f",
     "comparison.csv":
         "44a18102d745010e80e37495c3e8130837cc06e71d7aeb6d0bbd93a812fb6c08",
 }
@@ -608,6 +634,22 @@ def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, arg
     encoded_in_blocks = [sum(map(len, blocks)) for blocks, _ in block_encodes]
     assert (len(solves), len(encodes)) == (0, 0)
     assert solved_in_blocks == encoded_in_blocks == ([1] * 7 if per_state else [7])
+
+
+def test_compare_prints_model_load_and_solver_timings(tmp_path, capsys):
+    # next to the policy's inference time, on stdout only: the checkpoint
+    # load, and the solver's label_states cost per episode
+    model = _untrained_model(tmp_path / "model.txt", 6)
+    assert main(["compare", "--model", str(model), "--episodes", "7",
+                 "--out", str(tmp_path / "o")]) == 0
+    timed = [line for line in capsys.readouterr().out.splitlines() if line.startswith(
+        ("model load: ", "oracle solve (label_states): ", "docs inference: "))]
+    assert [line.split(": ")[0] for line in timed] == \
+        ["model load", "oracle solve (label_states)", "docs inference"]
+    assert re.fullmatch(r"model load: \d+\.\d ms", timed[0])
+    assert re.fullmatch(r"oracle solve \(label_states\): \d+\.\d us/episode \(n=7\)",
+                        timed[1])
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["comparison.csv"]
 
 
 @pytest.mark.parametrize("argv", [

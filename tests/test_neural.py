@@ -490,11 +490,13 @@ def test_checkpoint_holds_no_optimizer_state(tmp_path):
     path = tmp_path / "model.txt"
     save_model(path, model, scaler)
     lines = path.read_text().splitlines()
-    assert lines[0] == "#satedge-model v2"
+    assert lines[0] == "#satedge-model v3"
     assert [line.split("=")[0] for line in lines[1:6]] == \
         ["layout_version", "seed", "dims", "scaler_lo", "scaler_hi"]
-    assert [line.split()[1] for line in lines if line.startswith("#block")] == \
-        ["W0", "b0", "W1", "b1"]
+    # each block header, then the block's one base64 line, then nothing more
+    assert lines[6::2] == ["#block W0 6x5", "#block b0 5", "#block W1 5x4", "#block b1 4"]
+    assert [len(line) for line in lines[7::2]] == \
+        [4 * math.ceil(8 * n / 3) for n in (30, 5, 20, 4)]
 
 
 def _write_lines(path, lines):
@@ -502,22 +504,24 @@ def _write_lines(path, lines):
     return path
 
 
+def _row(arr):
+    """One block or scaler row as the v1 and v2 writers spelled it."""
+    return ",".join(repr(float(v)) for v in arr)
+
+
 def _v1_lines(model, scaler, learning_rate):
     """What the v1 writer produced: Adam header lines and moment blocks."""
-    def row(arr):
-        return ",".join(repr(float(v)) for v in arr)
-
     lines = ["#satedge-model v1", f"layout_version={LAYOUT_VERSION}",
              f"seed={model.seed}", "dims=" + ",".join(map(str, model.dims)),
              f"learning_rate={learning_rate}", "beta1=0.9", "beta2=0.999",
              "eps=1e-08", "step_count=1",
-             "scaler_lo=" + row(scaler.lo), "scaler_hi=" + row(scaler.hi)]
+             "scaler_lo=" + _row(scaler.lo), "scaler_hi=" + _row(scaler.hi)]
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         zw, zb = np.zeros_like(w), np.zeros_like(b)
         for tag, arr in (("W", w), ("b", b), ("mW", zw), ("vW", zw),
                          ("mb", zb), ("vb", zb)):
             lines.append(f"#block {tag}{k} " + "x".join(map(str, arr.shape)))
-            lines += [row(r) for r in np.atleast_2d(arr)]
+            lines += [_row(r) for r in np.atleast_2d(arr)]
     return lines
 
 
@@ -527,6 +531,51 @@ def test_checkpoint_rejects_v1_and_says_to_retrain(tmp_path, learning_rate):
     path = _write_lines(tmp_path / "v1.txt", _v1_lines(model, scaler, learning_rate))
     with pytest.raises(CheckpointError, match="satedge train"):
         load_model(path)
+
+
+def _v2_lines(model, scaler):
+    """What the v2 writer produced: each block row as repr decimals."""
+    lines = ["#satedge-model v2", f"layout_version={LAYOUT_VERSION}",
+             f"seed={model.seed}", "dims=" + ",".join(map(str, model.dims)),
+             "scaler_lo=" + _row(scaler.lo), "scaler_hi=" + _row(scaler.hi)]
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        for tag, arr in (("W", w), ("b", b)):
+            lines.append(f"#block {tag}{k} " + "x".join(map(str, arr.shape)))
+            lines += [_row(r) for r in np.atleast_2d(arr)]
+    return lines
+
+
+def test_checkpoint_rejects_v2_and_says_to_retrain(tmp_path):
+    model, scaler = _trained_toy_model()
+    path = _write_lines(tmp_path / "v2.txt", _v2_lines(model, scaler))
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: not a v3 model checkpoint; v1 and v2 files are "
+                              "no longer read, re-run `satedge train`")
+
+
+# the signed zero, the least subnormal, the least normal, the greatest
+# finite double, and a value no short decimal spells
+EXTREMES = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3)
+
+
+def test_checkpoint_round_trip_is_exact_to_the_bit(tmp_path):
+    model, _ = _trained_toy_model()
+    values = np.array(EXTREMES + tuple(-v for v in EXTREMES))
+    for p in model.weights + model.biases:
+        p.reshape(-1)[:] = np.resize(values, p.size)
+    # scaler ranges, each hi above its lo, through the same five values
+    chain = np.array([-1.7976931348623157e308, -0.0, 5e-324, 2.2250738585072014e-308,
+                      1 / 3, 1.0, 1.7976931348623157e308])
+    scaler = FeatureScaler(lo=chain[:-1], hi=chain[1:])
+    path = tmp_path / "model.txt"
+    save_model(path, model, scaler)
+    loaded, loaded_scaler = load_model(path)
+    for mine, theirs in zip(model.weights + model.biases + [scaler.lo, scaler.hi],
+                            loaded.weights + loaded.biases
+                            + [loaded_scaler.lo, loaded_scaler.hi]):
+        assert theirs.dtype == np.float64 and theirs.flags.writeable
+        assert np.array_equal(mine.view(np.int64), theirs.view(np.int64))
 
 
 def test_checkpoint_rejects_stray_optimizer_header(tmp_path):

@@ -7,6 +7,7 @@ is finite and usable: every feature row has the declared width, a loaded
 model runs a forward pass, and a loaded config validates.
 """
 
+import base64
 import re
 from dataclasses import replace
 
@@ -146,6 +147,18 @@ def test_load_config_fuzz_raises_only_config_error(tmp_path, data):
     except ConfigError:
         return
     validate_config(cfg)
+
+
+@pytest.mark.parametrize("tail", [b"\xff", "\u00e9".encode()], ids=["not-utf8", "utf8-not-ascii"])
+def test_non_ascii_model_is_checkpoint_error(tmp_path, model_lines, capsys, tail):
+    path = tmp_path / "m.txt"
+    path.write_bytes("\n".join(model_lines).encode() + tail + b"\n")
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: not a v3 model checkpoint: ")
+    rc = main(["eval", "--policy", "docs", "--model", str(path), "--episodes", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1 and capsys.readouterr().err.startswith("error:model:")
 
 
 def test_config_fixture_is_valid(tmp_path):
@@ -292,27 +305,96 @@ def test_model_bad_block_shape_is_checkpoint_error(tmp_path, model_lines, old, n
         load_model(_write(tmp_path, "m.txt", lines))
 
 
+def _block_values(line):
+    """The float64 values a v3 block line spells, decoded with base64, not
+    with the reader's own codec."""
+    return np.frombuffer(base64.b64decode(line, validate=True), "<f8")
+
+
+def _block_line(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _with_block_line(lines, block, edit):
+    """A copy of lines with the base64 line under block header block
+    replaced by edit(line), and that line's 1-based number."""
+    i = lines.index(block) + 1
+    lines = list(lines)
+    lines[i] = edit(lines[i])
+    return lines, i + 1
+
+
 def test_model_unparsable_block_row_is_checkpoint_error(tmp_path, model_lines):
-    i = model_lines.index("#block W0 6x5") + 1
-    lines = list(model_lines)
-    lines[i] = lines[i].replace(",", ";", 1)
-    with pytest.raises(CheckpointError, match="W0"):
-        load_model(_write(tmp_path, "m.txt", lines))
+    # ';' is outside the base64 alphabet, which a2b_base64 would skip
+    lines, at = _with_block_line(model_lines, "#block W0 6x5", lambda line: ";" + line[1:])
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:{at}: block W0: ")
 
 
 def test_model_block_with_one_short_row_is_checkpoint_error(tmp_path, model_lines):
-    i = model_lines.index("#block W0 6x5") + 3
-    lines = list(model_lines)
-    lines[i] = lines[i].rsplit(",", 1)[0]
-    with pytest.raises(CheckpointError, match="W0"):
-        load_model(_write(tmp_path, "m.txt", lines))
+    # the line spells 29 values, a well-formed base64 of one value too few
+    lines, at = _with_block_line(model_lines, "#block W0 6x5",
+                                 lambda line: _block_line(_block_values(line)[:-1]))
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError, match="232 bytes, expected 8 per value of shape") as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:{at}: block W0: ")
 
 
 def test_model_block_missing_its_last_row_is_checkpoint_error(tmp_path, model_lines):
-    i = model_lines.index("#block W0 6x5") + 6  # the sixth row, then b0's header
+    i = model_lines.index("#block W0 6x5") + 1  # W0's line, then b0's header
     lines = model_lines[:i] + model_lines[i + 1:]
     with pytest.raises(CheckpointError, match="W0"):
         load_model(_write(tmp_path, "m.txt", lines))
+
+
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _flip_pad_bit(line):
+    """line with the lowest bit of its last character before '=' flipped: a
+    pad bit, so the line decodes to the same bytes under another spelling."""
+    return line[:-2] + _BASE64[_BASE64.index(line[-2]) ^ 1] + "="
+
+
+# W0 holds 30 values (240 bytes), so its line has no padding; b0 holds 5
+# (40 bytes) and ends in '=='; b1 holds 4 (32 bytes) and ends in three
+# characters and '=', the last of the three carrying 2 pad bits
+@pytest.mark.parametrize("block, edit", [
+    ("#block W0 6x5", lambda line: line[:100] + " " + line[100:]),
+    ("#block W0 6x5", lambda line: line[:100] + "\n" + line[100:]),
+    ("#block W0 6x5", lambda line: line[:101] + "\n" + line[101:]),
+    ("#block b0 5", lambda line: line[:-1]),
+    ("#block b0 5", lambda line: line[:-2]),
+    ("#block W0 6x5", lambda line: line + "="),
+    ("#block b1 4", lambda line: line + "="),
+    ("#block b1 4", _flip_pad_bit),
+    ("#block W0 6x5", lambda line: line[:-1]),
+    ("#block W0 6x5", lambda line: _block_line(np.append(_block_values(line), 0.0))),
+], ids=["stray-space", "broken-in-two", "broken-off-group", "one-pad-missing",
+        "both-pads-missing", "extra-pad", "extra-pad-after-pad", "pad-bits",
+        "one-char-short", "eight-extra-bytes"])
+def test_model_block_has_one_spelling(tmp_path, model_lines, block, edit):
+    lines, at = _with_block_line(model_lines, block, edit)
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}:{at}: block {block.split()[1]}: ")
+
+
+@pytest.mark.parametrize("bits", [0x7FF8000000000000, 0x7FF0000000000001,
+                                  0x7FF0000000000000, 0xFFF0000000000000],
+                         ids=["quiet-nan", "signalling-nan", "inf", "-inf"])
+def test_model_block_with_a_non_finite_value_is_checkpoint_error(tmp_path, model_lines, bits):
+    value = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+    lines, at = _with_block_line(model_lines, "#block W1 5x4",
+                                 lambda line: _block_line(_set(_block_values(line), 7, value)))
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}:{at}: block W1: non-finite value"
 
 
 def _swap_w0_and_b0(lines):
@@ -322,7 +404,7 @@ def _swap_w0_and_b0(lines):
 
 @pytest.mark.parametrize("edit, line", [
     (lambda lines: lines[:3] + [lines[2]] + lines[3:], 4),
-    (lambda lines: lines + ["#block b1 4", "7.0,7.0,7.0,7.0"], 24),
+    (lambda lines: lines + ["#block b1 4", _block_line([7.0] * 4)], 15),
     (_swap_w0_and_b0, 7),
 ], ids=["second-seed", "second-b1", "b0-before-w0"])
 def test_model_accepts_only_the_written_layout(tmp_path, model_lines, edit, line):
@@ -366,13 +448,13 @@ def test_model_header_integers_are_spelled_as_written(tmp_path, model_lines, old
     ("#block W1 5x4", "0.5\t"),
 ])
 def test_model_numbers_hold_no_underscore_or_whitespace(tmp_path, model_lines, block, value):
-    i = model_lines.index(block)
-    lines = list(model_lines)
-    lines[i + 1] = ",".join([value] + lines[i + 1].split(",")[1:])
+    # value is a spelling of 0.5 that float() forgives; the block's line
+    # takes the place of the number in it
+    lines, at = _with_block_line(model_lines, block, lambda line: value.replace("0.5", line))
     path = _write(tmp_path, "m.txt", lines)
     with pytest.raises(CheckpointError) as err:
         load_model(path)
-    assert str(err.value).startswith(f"{path}:{i + 1}: block {block.split()[1]}: row 1")
+    assert str(err.value).startswith(f"{path}:{at}: block {block.split()[1]}: ")
 
 
 def test_model_scaler_row_holds_no_whitespace(tmp_path, model_lines):
@@ -380,6 +462,18 @@ def test_model_scaler_row_holds_no_whitespace(tmp_path, model_lines):
     path = _write(tmp_path, "m.txt", lines)
     with pytest.raises(CheckpointError, match="bad header"):
         load_model(path)
+
+
+@pytest.mark.parametrize("spelling", ["+0.5", "1E5", "0.50"])
+def test_model_scaler_values_are_spelled_as_repr_writes_them(tmp_path, model_lines, spelling):
+    # np.loadtxt and float() take each of these; repr() writes none of them
+    lines = [line.replace("scaler_hi=1.0,", f"scaler_hi={spelling},") for line in model_lines]
+    assert lines != model_lines
+    path = _write(tmp_path, "m.txt", lines)
+    with pytest.raises(CheckpointError) as err:
+        load_model(path)
+    assert str(err.value) == \
+        f"{path}: bad header: {spelling!r} is not written as repr() writes a float"
 
 
 @pytest.mark.parametrize("edit, where", [
