@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import ScenarioConfig, scenario_hash
-from .evaluator import ActionMatrix, EpisodeState, PriceVector, Tables, at_hits, label_bits
+from .evaluator import (BLOCK_STATES, ActionMatrix, EpisodeState, PriceVector, Tables, at_hits,
+                        label_bits)
 from .neural import (LAYOUT_VERSION, FeatureScaler, canonical_int, encode_states,
                      feature_dim, stray_row)
 from .scenario import episode_blocks, make_library, prices_from
@@ -142,14 +143,24 @@ def build_dataset(cfg: ScenarioConfig, n: int, seed: int) -> Demonstrations:
 
 # ---------------------------------------------------------------------------
 # dataset file format: one header line, then one comma-separated record per
-# episode: id, features..., label bitstring, optimal reward
+# episode: id, features..., label bitstring, optimal reward. Every float is
+# spelled as repr() spells it. The writer spells each distinct float64 bit
+# pattern once per block of up to BLOCK_STATES records and copies the
+# spelling into every field that holds it; the key is the bits, not the
+# value, since -0.0 == 0.0 but the two are spelled differently.
 
 _HEADER_KEYS = ("config", "layout", "subtasks", "features")  # after the magic, in order
 
 
 def write_dataset(path: str | Path, demos: Demonstrations, cfg: ScenarioConfig) -> None:
     """Write demos in the layout read_dataset reads; ValueError names the
-    first episode that read_dataset would refuse, before anything is written."""
+    first episode that read_dataset would refuse, before anything is written.
+
+    Features are written as float64. Within each block of up to
+    BLOCK_STATES records, repr() runs once per distinct bit pattern of the
+    block's features (about a third of them on the default stream), and the
+    bytes are those of spelling every field on its own.
+    """
     n_features, n_bits = feature_dim(cfg.num_subtasks), 2 * cfg.num_subtasks
     ids, labels = demos.episode_id, demos.labels
     if len(demos) and (demos.features.shape[1], labels.shape[1]) != (n_features, n_bits):
@@ -164,19 +175,41 @@ def write_dataset(path: str | Path, demos: Demonstrations, cfg: ScenarioConfig) 
         f"#satedge-dataset v1 config={scenario_hash(cfg)} "
         f"layout={LAYOUT_VERSION} subtasks={cfg.num_subtasks} features={n_features}"
     ]
-    for i, row, bits, value in zip(ids.tolist(), demos.features, labels.tolist(),
-                                   demos.opt_reward.tolist()):
-        lines.append(f"{i},{','.join(map(repr, row.tolist()))},{''.join(map(str, bits))},"
-                     f"{value!r}")  # row by row: one block-wide tolist() holds every float
+    features = np.ascontiguousarray(demos.features, dtype=np.float64).view(np.int64)
+    bits = (labels.astype(np.uint8) + ord("0")).view(f"S{n_bits}").astype(str)
+    for start in range(0, len(demos), BLOCK_STATES):
+        rows = slice(start, start + BLOCK_STATES)
+        # flattened, so the inverse is 1-D on every numpy version
+        keys, at = np.unique(features[rows].ravel(), return_inverse=True)
+        spelled = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+        table = np.empty((len(ids[rows]), n_features + 3), dtype=object)
+        table[:, 0] = list(map(str, ids[rows].tolist()))
+        table[:, 1:-2] = spelled[at.reshape(-1, n_features)]
+        table[:, -2] = bits[rows, 0]
+        table[:, -1] = list(map(repr, demos.opt_reward[rows].tolist()))
+        lines.extend(map(",".join, table.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _ascii_lines(path: str | Path) -> list[str]:
+    """The file's lines, split as str.splitlines splits them; ValueError
+    names the file and line of the first byte that is not ASCII."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # one placeholder character, so a partial last line counts too
+        line = len((data[:exc.start] + b"?").decode("ascii").splitlines())
+        raise ValueError(f"{path}:{line}: byte {data[exc.start]:#04x} is not ASCII") from None
 
 
 def read_dataset(path: str | Path) -> tuple[dict[str, str], Demonstrations]:
     """Parse a dataset file in exactly the layout write_dataset writes; any
     other header or a malformed record raises ValueError. Integers must be
     spelled as str() spells them, and no field may hold an underscore or
-    whitespace, which int() and float() would forgive."""
-    lines = Path(path).read_text().splitlines()
+    whitespace, which int() and float() would forgive. The file must be
+    ASCII: ValueError names the line of the first byte that is not."""
+    lines = _ascii_lines(path)
     if not lines or not lines[0].startswith("#satedge-dataset v1 "):
         raise ValueError(f"{path}: not a v1 dataset file")
     tokens = [token.partition("=") for token in lines[0].split(" ")[2:]]

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 from dataclasses import replace
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -10,12 +11,13 @@ from hypothesis import settings
 
 from satedge.caching import CacheState, apply_caching_action, request_probability
 from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
-from satedge.config import ScenarioConfig, default_config, orbit_params
+from satedge.config import ScenarioConfig, default_config, orbit_params, scenario_hash
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
                                Tables, score)
 from satedge.geometry import coverage_time, earth_central_angle
-from satedge.neural import FeatureScaler, MLPModel, cross_entropy, forward, gradients
-from satedge.oracle import Demonstration
+from satedge.neural import (LAYOUT_VERSION, FeatureScaler, MLPModel, cross_entropy,
+                            feature_dim, forward, gradients)
+from satedge.oracle import Demonstration, Demonstrations
 from satedge.policies import baseline_cache
 from satedge.scenario import episode_blocks, library_capacity, make_library, prices_from
 from satedge.workload import SubTask, Category, TaskGraph, generate_task
@@ -302,6 +304,18 @@ def reference_label_states(states: Iterable[EpisodeState], prices: PriceVector,
                                    labels=action.offload + action.cache,
                                    opt_reward=value))
     return demos
+
+
+def reference_write_dataset(path, demos: Demonstrations, cfg: ScenarioConfig) -> None:
+    """write_dataset's bytes, spelled row by row with one repr() per field
+    (no validation)."""
+    lines = [f"#satedge-dataset v1 config={scenario_hash(cfg)} layout={LAYOUT_VERSION} "
+             f"subtasks={cfg.num_subtasks} features={feature_dim(cfg.num_subtasks)}"]
+    for i, row, bits, value in zip(demos.episode_id.tolist(), demos.features,
+                                   demos.labels.tolist(), demos.opt_reward.tolist()):
+        lines.append(f"{i},{','.join(map(repr, row.tolist()))},{''.join(map(str, bits))},"
+                     f"{value!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def reference_reward_and_time(state: EpisodeState, action: ActionMatrix,

@@ -337,6 +337,7 @@ def test_config_aliases_match_field_names(tmp_path):
 # needs a dataset header version bump.
 PINNED_DATASET_SHA256 = {
     (6, 200): "4301b167be5fdfe3afbf3c25d45692cfd3ef4acdc5f5f18a6fe6ba7233be8730",
+    (6, 600): "a49748c001be833784fdda1cd5d2e6011ce2856b19da73928c1142f336fba60e",
     (9, 50): "597a2a45c0d37c560d7956ea25ffd7248c9ae33237ba47e07cc576c86e6c78a3",
 }
 

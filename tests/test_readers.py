@@ -192,6 +192,20 @@ def test_train_on_header_without_features_reports_invalid(tmp_path, capsys):
     assert err.startswith("error:invalid:") and "features=" in err
 
 
+@pytest.mark.parametrize("tail, byte", [(b"\xff", "0xff"), ("\u00e9".encode(), "0xc3")],
+                         ids=["not-utf8", "utf8-not-ascii"])
+def test_non_ascii_dataset_names_the_file_and_line(tmp_path, dataset_lines, capsys, tail,
+                                                   byte):
+    path = tmp_path / "d.txt"  # the byte ends line 3, the second record
+    path.write_bytes("\n".join(dataset_lines[:3]).encode() + tail + b"\n"
+                     + "\n".join(dataset_lines[3:]).encode() + b"\n")
+    named = f"{path}:3: byte {byte} is not ASCII"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        read_dataset(path)
+    rc = main(["train", "--dataset", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1 and capsys.readouterr().err.startswith(f"error:invalid: {named}")
+
+
 @pytest.mark.parametrize("field", [1, -1])  # a feature, then opt_reward
 def test_dataset_rejects_nan(tmp_path, dataset_lines, field):
     parts = dataset_lines[1].split(",")
