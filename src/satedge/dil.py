@@ -26,7 +26,7 @@ from .caching import left_sum
 from .config import TrainConfig
 from .evaluator import PriceVector, Tables, label_bits, label_picks, score
 from .neural import (MLPModel, adam_state, adam_step, cross_entropy, decode_picks,
-                     forward, gradients, init_model)
+                     forward, forward_workspace, gradients, init_model)
 from .oracle import Demonstrations
 from .policies import baseline_actions
 
@@ -66,16 +66,20 @@ def train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainRes
         len(demos), cfg.train_frac, cfg.val_frac, rng)
     dims = ((x.shape[1],) + (cfg.hidden_width,) * cfg.hidden_layers + (y.shape[1],))
     model = init_model(dims, seed)
-    opt = adam_state(model, cfg)  # dropped when training ends
+    # the run's workspace, dropped when training ends: parameters, gradients
+    # and moments in opt, both loss passes' activations in acts
+    opt = adam_state(model, cfg)
+    grads = (opt.grad_w, opt.grad_b)
 
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_va, y_va = x[val_idx], y[val_idx]
+    acts = forward_workspace(model, max(len(x_tr), len(x_va)))
 
     def train_loss() -> float:
-        return cross_entropy(forward(model, x_tr), y_tr)
+        return cross_entropy(forward(model, x_tr, out=acts), y_tr)
 
     def val_loss() -> float:
-        return cross_entropy(forward(model, x_va), y_va)
+        return cross_entropy(forward(model, x_va, out=acts), y_va)
 
     def snapshot() -> MLPModel:
         return replace(model, weights=[w.copy() for w in model.weights],
@@ -89,7 +93,7 @@ def train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainRes
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grad_w, grad_b = gradients(model, x_tr[batch], y_tr[batch])
+            grad_w, grad_b = gradients(model, x_tr[batch], y_tr[batch], out=grads)
             adam_step(model, opt, grad_w, grad_b)
         vl = val_loss()
         tl = train_loss()

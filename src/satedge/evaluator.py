@@ -100,8 +100,12 @@ class ActionMatrix:
         return cls(offload=tuple(bits[:n]), cache=tuple(bits[n:]))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EpisodeState:
+    # slots by hand, not slots=True: with slots=True, CPython 3.10 to 3.13
+    # raise TypeError, not FrozenInstanceError, on assigning a name that is
+    # not a field, since the frozen __setattr__ names the class it replaced
+    __slots__ = ("task", "t_c", "link", "cpu_rate", "cache")
     task: TaskGraph
     t_c: float  # remaining coverage budget at episode start, seconds
     link: LinkState

@@ -15,9 +15,15 @@ its state's block of one.
 An MLPModel is the trained policy and nothing else. Adam's moments,
 step count and hyperparameters live in an AdamState that exists only
 while training runs, so a checkpoint holds the network and its feature
-scaler, never optimizer state. save_model writes checkpoint v3: a text
-header, and each weight block as the base64 of its little-endian float64
-bytes, so load_model gives back the saved bits without parsing a decimal.
+scaler, never optimizer state. The AdamState is also the run's training
+workspace, allocated once: the parameters, gradients and moments are
+views into flat float64 rows that gradients(..., out=) and adam_step
+write in place, and forward(..., out=) runs a loss pass in two ping-pong
+buffers from forward_workspace. Without out, each function runs the same
+arithmetic on buffers it allocates, so both give the same bits.
+save_model writes checkpoint v3: a text header, and each weight block as
+the base64 of its little-endian float64 bytes, so load_model gives back
+the saved bits without parsing a decimal.
 """
 
 from __future__ import annotations
@@ -184,54 +190,111 @@ def init_model(dims: tuple[int, ...], seed: int) -> MLPModel:
 
 @dataclass
 class AdamState:
-    """Adam optimizer state for one training run; never saved with the model.
+    """Adam's state and the training workspace for one run; never saved with the model.
 
-    m and v hold one moment array per parameter: all weights, then all biases.
+    adam_state allocates the workspace once: flat holds the parameters, the
+    gradients, m and v as four flat float64 rows, each laid out as all
+    weights, then all biases, plus two scratch rows. params (the model's
+    weights and biases), grad_w, grad_b, m and v are per-parameter views of
+    those rows, so gradients(..., out=(grad_w, grad_b)) and adam_step write
+    in place and a training step allocates no parameter-sized array.
     """
 
     learning_rate: float
     beta1: float
     beta2: float
     eps: float
+    flat: np.ndarray  # 6 x P: parameters, gradients, m, v, two scratch rows
+    params: list[np.ndarray]
+    grad_w: list[np.ndarray]
+    grad_b: list[np.ndarray]
     m: list[np.ndarray]
     v: list[np.ndarray]
     step_count: int = 0
 
 
+def _views(row: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of a flat row, reshaped to shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(row[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 def adam_state(model: MLPModel, cfg: TrainConfig) -> AdamState:
-    """Zero moments shaped like the model, hyperparameters from cfg."""
+    """Zero moments shaped like the model, hyperparameters from cfg.
+
+    The model's weights and biases move into the workspace: afterwards
+    they are views of opt.flat's first row, holding the same values.
+    """
     params = model.weights + model.biases
+    shapes = [np.shape(p) for p in params]
+    flat = np.zeros((6, sum(map(math.prod, shapes))))
+    views, grads, m, v = (_views(row, shapes) for row in flat[:4])
+    for view, p in zip(views, params):
+        view[...] = p
+    layers = len(model.weights)
+    model.weights, model.biases = views[:layers], views[layers:]
     return AdamState(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-                     m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+                     flat=flat, params=views, grad_w=grads[:layers],
+                     grad_b=grads[layers:], m=m, v=v)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The logistic function of z, in place, with e = exp(-|z|) in scratch:
+    1 / (1 + e) where z >= 0 and e / (1 + e) below, so exp never overflows.
+    -|z| is -z on one side and z on the other, so each element gets the bits
+    of the branch that covers it."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    np.abs(z, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.add(scratch, 1.0, out=z)
+    np.copyto(scratch, 1.0, where=pos)
+    np.divide(scratch, z, out=z)
+    return z
 
 
-def _forward_acts(model: MLPModel, x: np.ndarray) -> list[np.ndarray]:
-    # activations per layer; ReLU hidden, sigmoid output
-    acts = [x]
-    a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-        acts.append(a)
-    acts.append(_sigmoid(a @ model.weights[-1] + model.biases[-1]))
-    return acts
+def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
+           scratch: np.ndarray | None = None) -> np.ndarray:
+    """z = a @ w + b, then ReLU in place; the output sigmoid when given scratch."""
+    np.matmul(a, w, out=z)
+    z += b
+    return np.maximum(z, 0.0, out=z) if scratch is None else _sigmoid(z, scratch)
 
 
-def forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Output probabilities; accepts one vector or a batch (rows)."""
+def forward_workspace(model: MLPModel, rows: int) -> np.ndarray:
+    """The two ping-pong buffers forward needs for up to rows rows."""
+    return np.empty((2, rows * max(w.shape[1] for w in model.weights)))
+
+
+def forward(model: MLPModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Output probabilities; accepts one vector or a batch (rows).
+
+    Layer k writes its rows x width activations into buffer k % 2 of out, a
+    forward_workspace for at least x's rows, reading layer k - 1's from the
+    other buffer. With out given the pass allocates no float array (only the
+    sigmoid's sign mask), and the result is a view of out that the next pass
+    through it overwrites; without it, the buffers are allocated for this pass.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    acts = _forward_acts(model, np.atleast_2d(x))
-    return acts[-1][0] if single else acts[-1]
+    a = np.atleast_2d(x)
+    rows = a.shape[0]
+    if out is None:
+        out = forward_workspace(model, rows)
+    elif out.shape[1] < rows * max(w.shape[1] for w in model.weights):
+        raise ValueError(f"workspace {out.shape} is too small for {rows} rows")
+    last = len(model.weights) - 1
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        size = rows * w.shape[1]
+        z = out[k % 2, :size].reshape(rows, w.shape[1])
+        # the other buffer holds at most this layer's input, which the matmul has read
+        scratch = out[1 - k % 2, :size].reshape(z.shape) if k == last else None
+        a = _layer(a, w, b, z, scratch)
+    return a[0] if single else a
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -247,35 +310,69 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def gradients(model: MLPModel, x: np.ndarray, labels: np.ndarray,
+              out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradient of cross_entropy(forward(x), labels) w.r.t. every parameter."""
+    """Exact gradient of cross_entropy(forward(x), labels) w.r.t. every parameter.
+
+    Returns (grad_w, grad_b), written into out's arrays when out is given
+    (an AdamState's grad_w and grad_b), else into fresh ones.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(labels, dtype=np.float64))
-    acts = _forward_acts(model, x)
+    if out is None:
+        out = ([np.empty(np.shape(w)) for w in model.weights],
+               [np.empty(np.shape(b)) for b in model.biases])
+    grad_w, grad_b = out
+    last = len(model.weights) - 1
+    acts = [x]  # every layer's activations, kept for the backward pass
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.empty((len(x), w.shape[1]))
+        acts.append(_layer(acts[-1], w, b, z, np.empty_like(z) if k == last else None))
     # sigmoid + BCE collapse: dL/dz = (p - y) / N for the mean over all N components
     delta = (acts[-1] - y) / y.size
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+    for layer in range(last, -1, -1):
+        np.matmul(acts[layer].T, delta, out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+            delta = delta @ model.weights[layer].T
+            delta *= acts[layer] > 0.0
     return grad_w, grad_b
 
 
 def adam_step(model: MLPModel, opt: AdamState, grad_w: list[np.ndarray],
               grad_b: list[np.ndarray]) -> MLPModel:
-    """One bias-corrected Adam update of model and opt, in place; step_count bumps first."""
+    """One bias-corrected Adam update of model and opt, in place; step_count bumps first.
+
+    model is the one opt was built for. Gradients other than opt.grad_w and
+    opt.grad_b are copied into them. Each elementwise step is one pass over
+    the flat rows: m = m*b1 + (1-b1)*g, v = v*b2 + (1-b2)*(g*g), then
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps).
+    """
+    params, given, views = model.weights + model.biases, grad_w + grad_b, opt.grad_w + opt.grad_b
+    if len(params) != len(opt.params) or any(p is not q for p, q in zip(params, opt.params)):
+        raise ValueError("adam_step needs the model that adam_state was built for")
+    if len(given) != len(views):
+        raise ValueError(f"expected {len(views)} gradient arrays, got {len(given)}")
+    for g, view in zip(given, views):
+        if g is not view:
+            view[...] = g
+    p, g, m, v, s, t = opt.flat
     opt.step_count += 1
     c1 = 1.0 - opt.beta1 ** opt.step_count
     c2 = 1.0 - opt.beta2 ** opt.step_count
-    for p, g, m, v in zip(model.weights + model.biases, grad_w + grad_b, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        p -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    m *= opt.beta1
+    m += np.multiply(g, 1.0 - opt.beta1, out=s)
+    v *= opt.beta2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - opt.beta2
+    v += s
+    np.divide(m, c1, out=s)
+    s *= opt.learning_rate
+    np.divide(v, c2, out=t)
+    np.sqrt(t, out=t)
+    t += opt.eps
+    s /= t
+    p -= s
     return model
 
 

@@ -11,12 +11,14 @@ from hypothesis import settings
 
 from satedge.caching import CacheState, apply_caching_action, request_probability
 from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
-from satedge.config import ScenarioConfig, default_config, orbit_params, scenario_hash
+from satedge.config import (ScenarioConfig, TrainConfig, default_config, orbit_params,
+                            scenario_hash)
+from satedge.dil import TrainResult, split_indices
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
                                Tables, score)
 from satedge.geometry import coverage_time, earth_central_angle
 from satedge.neural import (LAYOUT_VERSION, FeatureScaler, MLPModel, cross_entropy,
-                            feature_dim, forward, gradients)
+                            feature_dim, forward, gradients, init_model)
 from satedge.oracle import Demonstration, Demonstrations
 from satedge.policies import baseline_cache
 from satedge.scenario import episode_blocks, library_capacity, make_library, prices_from
@@ -586,3 +588,94 @@ def gradient_check(model: MLPModel, x: np.ndarray, labels: np.ndarray,
                 denom = max(abs(gflat[i]) + abs(numeric), 1e-8)
                 worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the training loop as it ran before its workspace: every pass and step
+# allocates its arrays afresh; dil.train_policy must match it bit for bit
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_acts(model: MLPModel, x: np.ndarray) -> list[np.ndarray]:
+    acts = [x]
+    a = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+        acts.append(a)
+    acts.append(_reference_sigmoid(a @ model.weights[-1] + model.biases[-1]))
+    return acts
+
+
+def reference_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return _reference_acts(model, np.atleast_2d(x))[-1]
+
+
+def reference_gradients(model: MLPModel, x: np.ndarray, labels: np.ndarray,
+                        ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(labels, dtype=np.float64))
+    acts = _reference_acts(model, x)
+    delta = (acts[-1] - y) / y.size
+    grad_w = [np.empty(0)] * len(model.weights)
+    grad_b = [np.empty(0)] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grad_w[layer] = acts[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+    return grad_w, grad_b
+
+
+def reference_train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainResult:
+    """dil.train_policy with per-array Adam moments and allocating passes."""
+    x, y = demos.features, demos.labels.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx, test_idx = split_indices(len(demos), cfg.train_frac, cfg.val_frac, rng)
+    dims = (x.shape[1],) + (cfg.hidden_width,) * cfg.hidden_layers + (y.shape[1],)
+    model = init_model(dims, seed)
+    params = model.weights + model.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, step = cfg.adam_beta1, cfg.adam_beta2, 0
+    x_tr, y_tr, x_va, y_va = x[train_idx], y[train_idx], x[val_idx], y[val_idx]
+
+    def losses() -> tuple[float, float]:
+        return (cross_entropy(reference_forward(model, x_tr), y_tr),
+                cross_entropy(reference_forward(model, x_va), y_va))
+
+    def snapshot() -> MLPModel:
+        return replace(model, weights=[w.copy() for w in model.weights],
+                       biases=[b.copy() for b in model.biases])
+
+    tl, best_val = losses()
+    best, best_epoch, curve = snapshot(), 0, [(0, tl, best_val)]
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(len(train_idx))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            grad_w, grad_b = reference_gradients(model, x_tr[batch], y_tr[batch])
+            step += 1
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for p, g, mp, vp in zip(params, grad_w + grad_b, m, v):
+                mp *= b1
+                mp += (1.0 - b1) * g
+                vp *= b2
+                vp += (1.0 - b2) * (g * g)
+                p -= cfg.learning_rate * (mp / c1) / (np.sqrt(vp / c2) + cfg.adam_eps)
+        tl, vl = losses()
+        curve.append((epoch, tl, vl))
+        if vl < best_val:
+            best_val, best, best_epoch = vl, snapshot(), epoch
+        elif epoch - best_epoch >= cfg.patience:
+            break
+    return TrainResult(model=best, curve=curve, best_epoch=best_epoch,
+                       train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)

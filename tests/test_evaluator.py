@@ -130,6 +130,16 @@ def test_a_drawn_state_holds_no_memo():
         object.__setattr__(state, "tables", None)
 
 
+def test_assigning_any_name_to_a_state_raises_frozen_instance_error():
+    # with slots=True, CPython 3.10 to 3.13 raise TypeError for a name that
+    # is not a field
+    state = stream_blocks(default_config().scenario, 4, 1)[0].states[0]
+    for name in ("tables", "cache"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(state, name, None)
+    assert not hasattr(state, "__dict__")
+
+
 def test_replaced_cache_rederives_hits_and_times():
     st_ = download(160e3, rank=4)
     state = make_state([st_], cache=make_cache(placed=(4,)))
