@@ -3,7 +3,11 @@
 The policy is trained to reproduce the oracle's action bits from the
 encoded episode state. Splits, shuffles, and initialization all hang off
 one seed, so a fixed (dataset, config, seed) triple reproduces the loss
-curve exactly.
+curve exactly. Training is pipelined one epoch deep: a worker thread
+computes each epoch's losses on a copy of its weights while the next epoch
+trains, so a run that stops early trains one epoch it then discards, and
+the worker is joined before train_policy returns or raises. The bits are
+those of the serial loop.
 
 Scoring runs on whole streams, passed as the Tables blocks that
 scenario.episode_blocks draws: each scheme's actions are one N x V array
@@ -57,7 +61,20 @@ def train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainRes
     The curve starts at epoch 0 (losses before any update) and the
     returned model is the best-validation snapshot, so its validation
     loss never exceeds the epoch-0 value.
+
+    The run is pipelined one epoch deep. At each epoch's end the weights
+    are copied, and one worker thread computes that copy's validation and
+    training losses while this thread trains the next epoch; the copy
+    becomes the best snapshot if its loss wins. This thread then collects
+    the losses and applies the rules in order: the non-finite check, the
+    curve point, the best snapshot, then patience. So a run that patience
+    stops at epoch e has trained epoch e + 1 too, and discards it; a run
+    that max_epochs ends trains nothing extra. The losses, the snapshots
+    and the order of rng draws are those of the serial loop, so are the
+    bits. The worker is joined before this returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not len(demos):
         raise ValueError("empty demonstration set")
     x, y = demos.features, demos.labels.astype(np.float64)
@@ -67,47 +84,55 @@ def train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainRes
     dims = ((x.shape[1],) + (cfg.hidden_width,) * cfg.hidden_layers + (y.shape[1],))
     model = init_model(dims, seed)
     # the run's workspace, dropped when training ends: parameters, gradients
-    # and moments in opt, both loss passes' activations in acts
+    # and moments in opt, the loss passes' activations in acts, which only
+    # the worker touches
     opt = adam_state(model, cfg)
     grads = (opt.grad_w, opt.grad_b)
 
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_va, y_va = x[val_idx], y[val_idx]
     acts = forward_workspace(model, max(len(x_tr), len(x_va)))
+    # forward leaves its probabilities in buffer (layers - 1) % 2; the loss
+    # keeps its temporaries in the other one
+    scratch = acts[len(model.weights) % 2]
 
-    def train_loss() -> float:
-        return cross_entropy(forward(model, x_tr, out=acts), y_tr)
-
-    def val_loss() -> float:
-        return cross_entropy(forward(model, x_va, out=acts), y_va)
+    def losses(params: MLPModel) -> tuple[float, float]:
+        vl = cross_entropy(forward(params, x_va, out=acts), y_va, scratch)
+        tl = cross_entropy(forward(params, x_tr, out=acts), y_tr, scratch)
+        return vl, tl
 
     def snapshot() -> MLPModel:
         return replace(model, weights=[w.copy() for w in model.weights],
                        biases=[b.copy() for b in model.biases])
 
-    best_val = val_loss()
-    best = snapshot()
-    best_epoch = 0
-    curve = [(0, train_loss(), best_val)]
-    for epoch in range(1, cfg.max_epochs + 1):
+    def train_epoch() -> None:
         order = rng.permutation(len(train_idx))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             grad_w, grad_b = gradients(model, x_tr[batch], y_tr[batch], out=grads)
             adam_step(model, opt, grad_w, grad_b)
-        vl = val_loss()
-        tl = train_loss()
-        if not (np.isfinite(vl) and np.isfinite(tl)):
-            raise ValueError(
-                f"non-finite loss at epoch {epoch} (train {tl}, val {vl}); "
-                "check feature scaling and learning rate")
-        curve.append((epoch, tl, vl))
-        if vl < best_val:
-            best_val = vl
-            best = snapshot()
-            best_epoch = epoch
-        elif epoch - best_epoch >= cfg.patience:
-            break
+
+    curve: list[tuple[int, float, float]] = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        snap = snapshot()
+        pending = worker.submit(losses, snap)
+        for epoch in range(cfg.max_epochs + 1):
+            last = epoch == cfg.max_epochs
+            if not last:
+                train_epoch()  # epoch + 1, while the worker scores epoch
+            vl, tl = pending.result()
+            if epoch and not (np.isfinite(vl) and np.isfinite(tl)):
+                raise ValueError(
+                    f"non-finite loss at epoch {epoch} (train {tl}, val {vl}); "
+                    "check feature scaling and learning rate")
+            curve.append((epoch, tl, vl))
+            if epoch == 0 or vl < best_val:
+                best_val, best, best_epoch = vl, snap, epoch
+            elif epoch - best_epoch >= cfg.patience:
+                break
+            if not last:
+                snap = snapshot()
+                pending = worker.submit(losses, snap)
     return TrainResult(model=best, curve=curve, best_epoch=best_epoch,
                        train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
 

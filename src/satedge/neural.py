@@ -19,8 +19,9 @@ scaler, never optimizer state. The AdamState is also the run's training
 workspace, allocated once: the parameters, gradients and moments are
 views into flat float64 rows that gradients(..., out=) and adam_step
 write in place, and forward(..., out=) runs a loss pass in two ping-pong
-buffers from forward_workspace. Without out, each function runs the same
-arithmetic on buffers it allocates, so both give the same bits.
+buffers from forward_workspace, whose other buffer holds cross_entropy's
+scratch. Without out or scratch, each function runs the same arithmetic on
+buffers it allocates, so both give the same bits.
 save_model writes checkpoint v3: a text header, and each weight block as
 the base64 of its little-endian float64 bytes, so load_model gives back
 the saved bits without parsing a decimal.
@@ -266,8 +267,13 @@ def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, z: np.ndarray,
 
 
 def forward_workspace(model: MLPModel, rows: int) -> np.ndarray:
-    """The two ping-pong buffers forward needs for up to rows rows."""
-    return np.empty((2, rows * max(w.shape[1] for w in model.weights)))
+    """The two ping-pong buffers forward needs for up to rows rows.
+
+    Each buffer also holds cross_entropy's scratch for rows rows of output,
+    so the buffer a pass's probabilities are not in can serve as it.
+    """
+    width = max(max(w.shape[1] for w in model.weights), 3 * model.weights[-1].shape[1])
+    return np.empty((2, rows * width))
 
 
 def forward(model: MLPModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -297,16 +303,37 @@ def forward(model: MLPModel, x: np.ndarray, out: np.ndarray | None = None) -> np
     return a[0] if single else a
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray,
+                  scratch: np.ndarray | None = None) -> float:
     """Mean binary cross-entropy over every output component.
 
-    Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs.
+    Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs. The
+    temporaries live in three probability-sized slices of scratch, a flat
+    float64 array of at least 3 * probs.size values that does not overlap
+    probs or labels (forward_workspace's buffer that forward's result is not
+    in), so the call allocates no probability-sized array; without scratch
+    they are allocated for the call. The operations and their order are those
+    of -(y * log(p) + (1 - y) * log(1 - p)), so both give the same bits.
     """
-    p = np.clip(np.asarray(probs, dtype=np.float64), CLIP_EPS, 1.0 - CLIP_EPS)
+    probs = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"probs {p.shape} and labels {y.shape} must match")
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    if probs.shape != y.shape:
+        raise ValueError(f"probs {probs.shape} and labels {y.shape} must match")
+    n = probs.size
+    if scratch is None:
+        scratch = np.empty(3 * n)
+    elif scratch.shape[0] < 3 * n:
+        raise ValueError(f"scratch {scratch.shape} is too small for 3 x {n} values")
+    p, log_p, log_q = scratch[:3 * n].reshape(3, *probs.shape)
+    np.clip(probs, CLIP_EPS, 1.0 - CLIP_EPS, out=p)
+    np.log(p, out=log_p)
+    log_p *= y  # y * log(p)
+    np.subtract(1.0, p, out=log_q)
+    np.log(log_q, out=log_q)
+    np.subtract(1.0, y, out=p)  # p is read for the last time above
+    p *= log_q  # (1 - y) * log(1 - p)
+    log_p += p
+    return float(np.mean(np.negative(log_p, out=log_p)))
 
 
 def gradients(model: MLPModel, x: np.ndarray, labels: np.ndarray,

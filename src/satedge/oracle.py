@@ -246,14 +246,16 @@ def read_dataset(path: str | Path) -> tuple[dict[str, str], Demonstrations]:
                 raise ValueError("negative episode id")
             records.append((np.intp(episode),
                             array("d", map(float, parts[1:-2])),  # 8 bytes a value
-                            list(map(int, parts[-2])), float(parts[-1])))
+                            parts[-2], float(parts[-1])))
         except (ValueError, OverflowError) as exc:  # OverflowError: an id past np.intp
             fault = k, parts[0], str(exc)
             break
     del lines  # the records hold what is left to check; free the text first
     ids, features, bits, opt = zip(*records) if records else ((),) * 4
+    # every checked label field of 0s and 1s, converted in one step
+    labels = np.frombuffer("".join(bits).encode("ascii"), np.uint8) - ord("0")
     demos = Demonstrations(np.array(ids, np.intp), np.array(features).reshape(-1, n_features),
-                           np.array(bits, np.intp).reshape(-1, n_bits), np.array(opt))
+                           labels.astype(np.intp).reshape(-1, n_bits), np.array(opt))
     finite = np.isfinite(demos.features).all(axis=1) & np.isfinite(demos.opt_reward)
     if not finite.all():  # canonical_int made each id's str() its field as written
         fault = int(finite.argmin()), str(ids[finite.argmin()]), "non-finite value"

@@ -17,8 +17,8 @@ from satedge.dil import TrainResult, split_indices
 from satedge.evaluator import (FEASIBLE, PAIRS, ActionMatrix, EpisodeState, PriceVector,
                                Tables, score)
 from satedge.geometry import coverage_time, earth_central_angle
-from satedge.neural import (LAYOUT_VERSION, FeatureScaler, MLPModel, cross_entropy,
-                            feature_dim, forward, gradients, init_model)
+from satedge.neural import (CLIP_EPS, LAYOUT_VERSION, FeatureScaler, MLPModel,
+                            cross_entropy, feature_dim, forward, gradients, init_model)
 from satedge.oracle import Demonstration, Demonstrations
 from satedge.policies import baseline_cache
 from satedge.scenario import episode_blocks, library_capacity, make_library, prices_from
@@ -591,8 +591,9 @@ def gradient_check(model: MLPModel, x: np.ndarray, labels: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the training loop as it ran before its workspace: every pass and step
-# allocates its arrays afresh; dil.train_policy must match it bit for bit
+# the training loop as it ran before its workspace and its pipeline: one
+# thread, every pass, loss and step allocating its arrays afresh;
+# dil.train_policy must match it bit for bit
 
 
 def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -612,6 +613,14 @@ def _reference_acts(model: MLPModel, x: np.ndarray) -> list[np.ndarray]:
         acts.append(a)
     acts.append(_reference_sigmoid(a @ model.weights[-1] + model.biases[-1]))
     return acts
+
+
+def reference_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    p = np.clip(np.asarray(probs, dtype=np.float64), CLIP_EPS, 1.0 - CLIP_EPS)
+    y = np.asarray(labels, dtype=np.float64)
+    if p.shape != y.shape:
+        raise ValueError(f"probs {p.shape} and labels {y.shape} must match")
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
 def reference_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -636,7 +645,8 @@ def reference_gradients(model: MLPModel, x: np.ndarray, labels: np.ndarray,
 
 
 def reference_train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -> TrainResult:
-    """dil.train_policy with per-array Adam moments and allocating passes."""
+    """dil.train_policy run serially, one epoch after another, with per-array
+    Adam moments and allocating passes."""
     x, y = demos.features, demos.labels.astype(np.float64)
     rng = np.random.default_rng(seed)
     train_idx, val_idx, test_idx = split_indices(len(demos), cfg.train_frac, cfg.val_frac, rng)
@@ -649,8 +659,8 @@ def reference_train_policy(demos: Demonstrations, cfg: TrainConfig, seed: int) -
     x_tr, y_tr, x_va, y_va = x[train_idx], y[train_idx], x[val_idx], y[val_idx]
 
     def losses() -> tuple[float, float]:
-        return (cross_entropy(reference_forward(model, x_tr), y_tr),
-                cross_entropy(reference_forward(model, x_va), y_va))
+        return (reference_cross_entropy(reference_forward(model, x_tr), y_tr),
+                reference_cross_entropy(reference_forward(model, x_va), y_va))
 
     def snapshot() -> MLPModel:
         return replace(model, weights=[w.copy() for w in model.weights],

@@ -1,18 +1,23 @@
-"""The training workspace: train_policy, forward, gradients and adam_step write
-into buffers allocated once per run, and give the allocating loop's bits."""
+"""The training workspace and pipeline: train_policy, forward, gradients,
+adam_step and cross_entropy write into buffers allocated once per run, the
+loss passes run on a worker thread one epoch behind the training, and the
+run gives the serial allocating loop's bits."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import reference_forward, reference_gradients, reference_train_policy
+from conftest import (reference_cross_entropy, reference_forward, reference_gradients,
+                      reference_train_policy)
+from satedge import dil
 from satedge.config import default_config
 from satedge.dil import train_policy
 from satedge.neural import (adam_state, adam_step, cross_entropy, forward, forward_workspace,
                             gradients, init_model)
-from satedge.oracle import build_dataset
+from satedge.oracle import Demonstrations, build_dataset
 
 DEFAULT_DIMS = (54, 128, 128, 128, 12)
 
@@ -58,12 +63,68 @@ def test_one_subtask_matches_the_allocating_loop():
     _assert_same_run(build_dataset(scen, 300, 3), cfg)
 
 
-def test_a_run_stopped_on_patience_matches_the_allocating_loop(demos_300):
+def _counting_forward(monkeypatch) -> list[threading.Thread]:
+    """Rebind dil.forward to record the thread of each call."""
+    threads, inner = [], dil.forward
+
+    def counted(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dil, "forward", counted)
+    return threads
+
+
+def test_a_run_stopped_on_patience_matches_the_allocating_loop(demos_300, monkeypatch):
     cfg = dataclasses.replace(default_config().train, hidden_width=32, learning_rate=0.05,
                               max_epochs=60, patience=2)
+    threads = _counting_forward(monkeypatch)
     result = _assert_same_run(demos_300, cfg)
     assert result.curve[-1][0] < cfg.max_epochs
     assert result.curve[-1][0] - result.best_epoch == cfg.patience
+    # the speculative epoch after the stop is trained and discarded, never scored
+    assert len(threads) == 2 * len(result.curve)
+
+
+def test_the_loss_passes_run_on_one_worker_thread_joined_on_return(demos_300, monkeypatch):
+    cfg = dataclasses.replace(default_config().train, hidden_width=32, max_epochs=5)
+    threads = _counting_forward(monkeypatch)
+    before = threading.enumerate()
+    result = train_policy(demos_300, cfg, seed=5)
+    assert threading.enumerate() == before
+    assert [epoch for epoch, _, _ in result.curve] == list(range(cfg.max_epochs + 1))
+    assert len(threads) == 2 * len(result.curve)
+    assert len(set(threads)) == 1 and threads[0] is not threading.current_thread()
+
+
+def test_no_thread_outlives_a_run_stopped_on_a_non_finite_loss():
+    bad = Demonstrations(episode_id=np.arange(12), features=np.full((12, 8), np.nan),
+                         labels=np.tile([0, 1], (12, 1)), opt_reward=np.ones(12))
+    cfg = dataclasses.replace(default_config().train, hidden_layers=1, hidden_width=4,
+                              max_epochs=5, patience=5, train_frac=0.5, val_frac=0.25)
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="non-finite loss at epoch 1 "):
+        train_policy(bad, cfg, seed=0)
+    assert threading.enumerate() == before
+
+
+def test_no_thread_outlives_a_run_whose_training_step_raises(demos_300, monkeypatch):
+    cfg = dataclasses.replace(default_config().train, hidden_width=32, max_epochs=5)
+    calls, inner = [], dil.gradients
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:  # in epoch 2, while the worker scores epoch 1
+            raise RuntimeError("injected")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dil, "gradients", failing)
+    threads = _counting_forward(monkeypatch)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="injected"):
+        train_policy(demos_300, cfg, seed=5)
+    assert threading.enumerate() == before
+    assert len(threads) == 4  # epochs 0 and 1 were scored, the second before the join
 
 
 def test_one_batch_larger_than_the_training_split_matches_the_allocating_loop(demos_300):
@@ -160,3 +221,36 @@ def test_a_loss_pass_through_a_workspace_allocates_nothing_row_sized():
     # iteration buffer; the loss adds its rows x 12 arrays
     assert _peak_bytes(lambda: forward(model, x, out=ws)) < hidden / 8
     assert _peak_bytes(lambda: cross_entropy(forward(model, x, out=ws), y)) < hidden
+    # the loss's temporaries in the buffer forward's output is not in: the
+    # whole pass stays under forward's own bound, the loss under a byte per value
+    scratch = ws[len(model.weights) % 2]
+    assert _peak_bytes(lambda: cross_entropy(forward(model, x, out=ws), y, scratch)) < hidden / 8
+    probs = forward(model, x, out=ws)
+    assert _peak_bytes(lambda: cross_entropy(probs, y, scratch)) < probs.size
+
+
+EDGE_PROBS = (0.0, 1.0, 1e-12, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 800])
+def test_cross_entropy_in_scratch_gives_the_allocating_bits(rows):
+    width = DEFAULT_DIMS[-1]
+    rng = np.random.default_rng(rows)
+    probs = rng.uniform(size=(rows, width))
+    # the clip's edges and the values beside them, in every column
+    probs.flat[::3] = np.resize(EDGE_PROBS, probs.flat[::3].shape)
+    y = rng.integers(0, 2, size=(rows, width)).astype(float)
+    want = reference_cross_entropy(probs, y)
+    # at an offset of one value, so no slice starts where a fresh array would
+    scratch = np.full(3 * probs.size + 1, np.nan)[1:]
+    got = cross_entropy(probs, y, scratch)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert np.float64(cross_entropy(probs, y)).tobytes() == np.float64(want).tobytes()
+    assert probs.flat[:12:3].tolist() == list(EDGE_PROBS)  # the input is left alone
+
+
+def test_cross_entropy_refuses_scratch_too_small():
+    probs, y = np.full((4, 3), 0.5), np.ones((4, 3))
+    with pytest.raises(ValueError, match="too small"):
+        cross_entropy(probs, y, np.empty(3 * probs.size - 1))
+    assert cross_entropy(probs, y, np.empty(3 * probs.size)) == cross_entropy(probs, y)
