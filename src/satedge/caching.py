@@ -10,12 +10,11 @@ left_sum is every float sum that feeds an artifact byte (the Zipf norm,
 the held bytes, the library's total, the report's sums over episodes):
 the builtin sum() compensates its float sums from CPython 3.12 on, and
 so rounds otherwise than 3.10 and 3.11, whose bytes the fold keeps.
-policies.baseline_cache replays a whole block of offers on arrays under
-the same rules; the per-state offers here are its reference and the
-persistent rollout's.
-The offered state is built without rerunning CacheState's checks: each
-of its fields is copied from the checked input or has the input's
-length, so they hold by construction. An offer of the size already
+offer is that loop on the lists themselves: evict_mrc and evict_mpc call
+it through _insert_evicting, and the persistent rollout calls it on the
+lists it carries from episode to episode. policies.baseline_cache
+replays a whole block of offers on arrays under the same rules; the
+per-state offers here are its reference. An offer of the size already
 stored keeps the input's sizes tuple, as every offer of a library-sized
 output does.
 """
@@ -25,11 +24,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable
-
-from .workload import TaskGraph
+from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +45,7 @@ class CacheState:
         return len(self.sizes)
 
     def __post_init__(self):
-        # O(1), never scanning sizes; offers skip it (_offered), since they
-        # copy a checked state's fields
+        # O(1), never scanning sizes
         n = len(self.sizes)
         if len(self.placement) != n or len(self.recency) != n:
             raise ValueError("placement and recency must match sizes in length")
@@ -94,9 +90,37 @@ def request_probability(rank: int, delta: float, num_ranks: int) -> float:
     return zipf_pmf(delta, num_ranks)[rank - 1]
 
 
+@lru_cache(maxsize=32)
+def mpc_keys(delta: float, num_ranks: int) -> tuple[tuple[float, int], ...]:
+    """evict_mpc's eviction key of ranks 1..num_ranks, in rank order: the
+    request probability, then -rank, so ties go toward the larger rank."""
+    return tuple((p, -r) for r, p in enumerate(zipf_pmf(delta, num_ranks), 1))
+
+
+def offer(sizes: Sequence[float], placement: list[int], recency: list[int], clock: int,
+          capacity: float, offers: Iterable[tuple[int, float]],
+          keys: Sequence | None = None) -> int:
+    """Offer each (rank, bytes) in order to lists indexed by rank - 1, edited
+    in place, and return the next clock. An offer larger than capacity is
+    refused and leaves the clock; any other holds its rank, stamped with the
+    clock, which then advances, and the held rank of least key goes until
+    the left_sum of the held sizes fits: keys[rank - 1], or, without keys,
+    its recency stamp (mrc). sizes must hold each offer's bytes already."""
+    keys = recency if keys is None else keys
+    for rank, nbytes in offers:
+        if nbytes <= capacity:
+            placement[rank - 1] = 1
+            recency[rank - 1] = clock
+            clock += 1
+            while left_sum(itertools.compress(sizes, placement)) > capacity:
+                held = itertools.compress(range(len(sizes)), placement)
+                placement[min(held, key=keys.__getitem__)] = 0  # the first on ties
+    return clock
+
+
 def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
-                     key: Callable[[list[int], int], object]) -> CacheState:
-    """Insert rank, then drop the held rank r of least key(recency, r) until it fits.
+                     keys: Sequence | None = None) -> CacheState:
+    """Insert rank, then evict by keys until it fits (offer).
 
     Anything larger than the whole cache is rejected outright and the
     state comes back unchanged (non-fatal).
@@ -116,28 +140,10 @@ def _insert_evicting(cache: CacheState, rank: int, nbytes: float,
             and math.copysign(1.0, stored) == math.copysign(1.0, size)):
         sizes = sizes[:rank - 1] + (size,) + sizes[rank:]
     placement, recency = list(cache.placement), list(cache.recency)
-    placement[rank - 1] = 1
-    recency[rank - 1] = cache.clock
-    while left_sum(itertools.compress(sizes, placement)) > cache.capacity_bytes:
-        victim = min((r for r in range(1, len(sizes) + 1) if placement[r - 1]),
-                     key=lambda r: key(recency, r))
-        placement[victim - 1] = 0
-    return _offered(cache, sizes, tuple(placement), tuple(recency))
-
-
-def _offered(cache: CacheState, sizes: tuple[float, ...], placement: tuple[int, ...],
-             recency: tuple[int, ...]) -> CacheState:
-    """cache after one accepted offer, its instance dict filled directly.
-
-    Skips the frozen dataclass's __init__ and __post_init__: capacity and
-    delta are copied from cache, which passed them, and sizes, placement
-    and recency keep cache's length.
-    """
-    offered = object.__new__(CacheState)
-    vars(offered).update(sizes=sizes, placement=placement,
-                         capacity_bytes=cache.capacity_bytes, delta=cache.delta,
-                         recency=recency, clock=cache.clock + 1)
-    return offered
+    clock = offer(sizes, placement, recency, cache.clock, cache.capacity_bytes,
+                  [(rank, size)], keys)
+    return replace(cache, sizes=sizes, placement=tuple(placement), recency=tuple(recency),
+                   clock=clock)
 
 
 def evict_mrc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
@@ -147,7 +153,7 @@ def evict_mrc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
     incoming item carries the freshest stamp, so it only leaves when it
     cannot fit at all, and then it is rejected unchanged.
     """
-    return _insert_evicting(cache, rank, nbytes, lambda recency, r: recency[r - 1])
+    return _insert_evicting(cache, rank, nbytes)
 
 
 def evict_mpc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
@@ -158,20 +164,4 @@ def evict_mpc(cache: CacheState, rank: int, nbytes: float) -> CacheState:
     so an unpopular incoming item can be the first thing dropped.
     Oversized items are rejected unchanged, as in evict_mrc.
     """
-    pmf = zipf_pmf(cache.delta, cache.num_ranks)
-    return _insert_evicting(cache, rank, nbytes, lambda recency, r: (pmf[r - 1], -r))
-
-
-def apply_caching_action(cache: CacheState, task: TaskGraph, a_ch: tuple[int, ...],
-                         policy: str) -> CacheState:
-    """Replay a task's caching bits through an eviction policy, in chain order."""
-    # looked up on each call, so a rebound evict_mrc or evict_mpc takes effect
-    evict = {"mrc": evict_mrc, "mpc": evict_mpc}.get(policy)
-    if evict is None:
-        raise ValueError(f"unknown eviction policy {policy!r}")
-    if len(a_ch) != len(task):
-        raise ValueError("caching bit-vector length must match the task")
-    for st, bit in zip(task, a_ch):
-        if bit and st.d_out > 0.0:
-            cache = evict(cache, st.out_rank, st.d_out)
-    return cache
+    return _insert_evicting(cache, rank, nbytes, mpc_keys(cache.delta, cache.num_ranks))

@@ -17,15 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .caching import apply_caching_action
+from .caching import mpc_keys, offer
 from .config import (ConfigError, SimConfig, dump_config, load_config, orbit_params,
                      scenario_hash)
-from .dil import action_report, docs_actions, scheme_actions, train_policy
-from .evaluator import PAIR_CACHE, InfeasibleActionError, Tables
+from .dil import action_report, docs_actions, oracle_actions, scheme_actions, train_policy
+from .evaluator import NEAR, InfeasibleActionError, Tables
 from .geometry import (CoverageDomainError, coverage_time, earth_central_angle,
                        relative_angular_velocity)
-from .neural import (CheckpointError, FeatureScaler, MLPModel, check_policy,
-                     cross_entropy, forward, load_model, save_model)
+from .neural import (HIT_FEATURES, CheckpointError, FeatureScaler, MLPModel, check_policy,
+                     cross_entropy, forward, load_model, raw_features, save_model)
 from .oracle import (Demonstrations, build_dataset, label_states, read_dataset,
                      write_dataset)
 from .policies import BASELINE_PAIRS, baseline_name
@@ -136,37 +136,58 @@ def _persistent_rollout(cfg: SimConfig, seed: int, n: int, scheme: str,
                         ) -> tuple[list[Tables], Demonstrations, np.ndarray]:
     """Carry the cache across episodes; episode 0 keeps its drawn placement.
 
-    The draws do not depend on the cache, so each carried state reads its
-    draw's block (Tables.carrying). Each state is acted on as a block of
-    one, since its action sets the next cache. oracle and docs read the
-    demonstrations, so they label each state before acting on it, and the
-    blocks of one stack in episode order; a baseline reads the state alone,
-    and its carried blocks, one per drawn block, are labelled in one
-    label_states call at the end.
+    Row by row, the carried placement, recency and clock are written into
+    the drawn block's cache arrays, the row is acted on at its hits with
+    plain lists, and its cached outputs are offered to the carried cache
+    (caching.offer; a drawn output has its rank's library size, so no offer
+    changes a size). A baseline replays its retention on a copy of the
+    carried cache; go reads the block's one cost table; docs runs a one-row
+    forward pass; oracle caches what its feasible pattern forces (2 and 4),
+    since a cache bit changes no time, costs price_cache * d_out >= 0 and
+    ties prefer not caching. One label_states call labels the carried blocks.
     """
     prices = prices_from(cfg.scenario)
-    per_state = scheme in ("oracle", "docs")  # labels each state before acting on it
-    carried: list[Tables] = []
-    labelled: list[Demonstrations] = []  # blocks of one, under oracle and docs
-    actions: list[np.ndarray] = []
-    cache = None
-    for drawn in _stream(cfg, seed, n):
-        states = []
-        for row, state in enumerate(drawn.states):
-            if cache is not None:
-                state = replace(state, cache=cache)
-            block = drawn.carrying([state], slice(row, row + 1))
-            demos = label_states([block], prices, scaler) if per_state else None
-            action = scheme_actions(scheme, model, demos, [block], prices)
-            states.append(state)
-            labelled.append(demos)
-            actions.append(action)
-            cache = apply_caching_action(state.cache, state.task,
-                                         tuple(PAIR_CACHE[action[0]].tolist()), eviction)
-        carried.append(drawn.carrying(states, slice(0, len(drawn))))
-    demos = Demonstrations.stack(labelled) if per_state else label_states(carried, prices,
-                                                                          scaler)
-    return carried, demos, np.concatenate(actions)
+    blocks = _stream(cfg, seed, n)
+    first = blocks[0]
+    sizes, capacity = first.sizes[0].tolist(), first.capacity[0].item()
+    placement, recency = first.placement[0, 1:].tolist(), first.recency[0].tolist()
+    clock = first.clock[0].item()
+    # offer evicts by recency (mrc) when given no keys
+    keys = {"mrc": None, "mpc": mpc_keys(first.delta[0].item(), len(sizes))}
+    offload_kind, _, retention = scheme.partition("-")
+    near, actions = NEAR.tolist(), []
+    for block in blocks:
+        if offload_kind == "go":  # [row][v][hit]: the offload bit of the cheapest pair
+            cheapest = (block.costs(prices).argmin(axis=3) >> 1).tolist()
+        elif scheme == "docs":
+            raw = raw_features(block, False, np.empty((len(block), scaler.lo.shape[0])))
+        for row, (ranks, outs, patterns) in enumerate(zip(
+                block.rank.tolist(), block.d_out.tolist(), block.pattern.tolist())):
+            held = [0, *placement]  # column r for rank r, as Tables holds it
+            block.placement[row], block.recency[row], block.clock[row] = held, recency, clock
+            hits = [held[r] for r in ranks]
+            if scheme == "oracle":
+                cached = [p in (2, 4) for p in patterns]
+            else:
+                if scheme == "docs":
+                    raw[row, HIT_FEATURES] = hits
+                    bits = (forward(model, scaler.transform(raw[row])) > 0.5).tolist()
+                    pairs = zip(bits[:len(ranks)], bits[len(ranks):])
+                else:
+                    kept = placement[:]
+                    offer(sizes, kept, recency[:], clock, capacity,
+                          [(r, b) for r, b in zip(ranks, outs) if b > 0.0], keys[retention])
+                    offload = ([c[h] for c, h in zip(cheapest[row], hits)]
+                               if offload_kind == "go" else [offload_kind == "to"] * len(ranks))
+                    pairs = zip(offload, [b > 0.0 and kept[r - 1] for r, b in zip(ranks, outs)])
+                actions.append([near[p][2 * of + ch] for p, (of, ch) in zip(patterns, pairs)])
+                cached = [pick & 1 for pick in actions[-1]]
+            clock = offer(sizes, placement, recency, clock, capacity,
+                          [(r, b) for r, b, c in zip(ranks, outs, cached) if c and b > 0.0],
+                          keys[eviction])
+    demos = label_states(blocks, prices, scaler)
+    return blocks, demos, (oracle_actions(demos) if scheme == "oracle"
+                           else np.array(actions, dtype=np.intp))
 
 
 def run_eval(cfg: SimConfig, seed: int, policy: str, model_path: Path | None,

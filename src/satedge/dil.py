@@ -14,8 +14,8 @@ scenario.episode_blocks draws: each scheme's actions are one N x V array
 of PAIRS indices (the labels, the batched forward pass decoded in one
 projection, or a baseline built block by block), and action_report
 scores them through evaluator.score. A baseline's retention replay runs
-on each block's cache arrays too; only a persistent rollout acts on
-blocks of one state.
+on each block's cache arrays too. A persistent rollout (cli) acts on one
+row at a time, on lists, since each action sets the next row's cache.
 """
 
 from __future__ import annotations

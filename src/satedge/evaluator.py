@@ -12,15 +12,15 @@ Times, feasible sets and costs come from Tables, which computes them for
 a block of states, and holds them, with whole-array numpy from its own
 columns: the arrays the draw (scenario.episode_blocks) produced, whose
 states are built only if read, or, for any other block, such as a lone
-state's, ones gathered from the objects.
+state's, ones gathered from the objects. A drawn block's cache arrays
+may be rewritten row by row until its hits are first read: the
+persistent rollout carries its cache into them.
 Every stage takes a sequence of blocks. score checks an N x V array of
 pair indices against each block's feasible patterns and gathers each
 state's cost and seconds at its own hits and pairs, folded over the
 chain one N-vector add per sub-task; reward and completion_time are its
 one-state forms. Labels hold pairs as N x 2V bits, all offload bits then
-all cache bits, split and joined by label_picks and label_bits only. A
-persistent rollout's carried states differ from their draw only in the
-cache, so Tables.carrying gives them the draw's rows and prices.
+all cache bits, split and joined by label_picks and label_bits only.
 
 Cache hits are judged against the episode's starting placement, and a
 hit consumes no compute or offload budget: only its return legs and any
@@ -195,7 +195,6 @@ class Tables:
     fronthaul rate (symmetric fronthaul).
     """
 
-    COLUMNS = ("code", "d_in", "d_out", "rho", "zeta", "rank", "links")  # carrying slices each
     CACHES = ("placement", "delta", "recency", "clock", "sizes", "capacity")
 
     def __init__(self, states: Sequence[EpisodeState]):
@@ -214,7 +213,8 @@ class Tables:
         rho and rank columns, then links, and caches, the arrays CACHES
         names in its order, as the class holds them. states() builds the N
         states; it runs on the first read of .states, and never if nothing
-        reads them."""
+        reads them. The cache arrays are held, not copied, so a row written
+        into them before hits and states are first read is the row they read."""
         if not len(links):
             raise ValueError("a Tables block needs at least one state, got none")
         block = object.__new__(cls)
@@ -260,7 +260,6 @@ class Tables:
         self.seconds = np.stack((miss, np.broadcast_to(hit, miss.shape)), axis=2)
         self.pattern = (2 * code + (back < t_c))[:, :, 0]
         self._costs: dict[PriceVector, np.ndarray] = {}
-        self._drawn: tuple[Tables, slice] | None = None  # a carried block's draw, rows
         self.retained: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -270,24 +269,6 @@ class Tables:
     def states(self) -> tuple[EpisodeState, ...]:
         """The block's states; a drawn block builds them here, once."""
         return tuple(self._build_states())
-
-    def carrying(self, states: Sequence[EpisodeState], rows: slice) -> Tables:
-        """The block of states, rows `rows` of this block with their caches
-        swapped. Only hits read a cache, so its columns, times and patterns
-        are views of those rows and its costs are this block's, priced once
-        per price vector; its placement, delta, hits and retention bits are
-        its own states', as are its caches' other arrays."""
-        carried = object.__new__(Tables)
-        carried.states = tuple(states)
-        for name in Tables.COLUMNS:
-            setattr(carried, name, getattr(self, name)[rows])
-        carried.seconds, carried.pattern = self.seconds[rows], self.pattern[rows]
-        if len(carried.pattern) != len(carried.states):
-            raise ValueError(f"{len(carried.states)} states carried on "
-                             f"{len(carried.pattern)} rows")
-        carried._drawn = (self, rows)
-        carried.retained = {}
-        return carried
 
     @cached_property
     def placement(self) -> np.ndarray:
@@ -357,9 +338,6 @@ class Tables:
     def costs(self, prices: PriceVector) -> np.ndarray:
         """N x V x 2 x 4 cost of every pair at prices, laid out like seconds,
         +inf where infeasible. Built once per price vector; do not mutate."""
-        if self._drawn is not None:
-            block, rows = self._drawn
-            return block.costs(prices)[rows]
         cost = self._costs.get(prices)
         if cost is None:
             cost = self._costs[prices] = _pair_cost(

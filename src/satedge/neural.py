@@ -5,10 +5,10 @@ training path carries no framework dependency and stays reproducible
 down to the bit. The output layer is 2*|V| sigmoids in the blocked
 label layout: all offload bits first, then all cache bits.
 
-encode_states is the one feature encoder: it fills features column by
-column from each Tables block's columns and scales them in one call; the
-hit and popularity features come from the block's placement and delta,
-each state's own cache's.
+encode_states is the one feature encoder: raw_features fills each Tables
+block's rows column by column from its columns, and encode_states scales
+them in one call; the hit and popularity features come from the block's
+hits and delta, each state's own cache's.
 encode_state, decode_actions and infer are the one-state forms, each on
 its state's block of one.
 
@@ -50,6 +50,7 @@ log = logging.getLogger(__name__)
 LAYOUT_VERSION = 1
 GLOBAL_FEATURES = 6  # t_c, r_fh, r_bh, d_vs, d_sg, f_m
 SUBTASK_FEATURES = 8  # zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity
+HIT_FEATURES = slice(GLOBAL_FEATURES + 6, None, SUBTASK_FEATURES)  # each sub-task's hit
 
 CLIP_EPS = 1e-12  # probability clip inside the loss
 
@@ -134,32 +135,37 @@ def _popularity(block: Tables) -> np.ndarray:
     return pmf[which[:, None], block.rank]
 
 
-def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray:
-    """Fixed-layout feature rows of the blocks' states, min-max scaled in one call.
+def raw_features(block: Tables, hits, out: np.ndarray) -> np.ndarray:
+    """out, N x F, filled with the block's unscaled feature rows at the
+    N x V hits given; HIT_FEATURES picks a row's hit features.
 
     Layout v1: [t_c, r_fh, r_bh, d_vs, d_sg, f_m] then per sub-task
     [zeta, d_in, d_out, rho, is_compute, is_download, hit, popularity].
     Upload encodes as (0, 0) on the category bits; popularity is the
     Zipf request probability of the output rank, 0 when there is none.
     Every value but the hit and popularity is a copy of a column of the
-    block; those two come from the block's placement and delta, so no
-    state is read.
+    block; popularity comes from its delta, so no state is read.
     """
+    out[:, :GLOBAL_FEATURES] = block.links
+    # a view of the rows' sub-task features; a width that does not fit V
+    # sub-tasks raises ValueError here
+    sub = out[:, GLOBAL_FEATURES:].reshape(*block.code.shape, SUBTASK_FEATURES)
+    for k, column in enumerate((block.zeta, block.d_in, block.d_out, block.rho)):
+        sub[..., k] = column
+    sub[..., 4] = block.code == 2
+    sub[..., 5] = block.code == 1
+    sub[..., 6] = hits
+    sub[..., 7] = _popularity(block)
+    return out
+
+
+def encode_states(blocks: Sequence[Tables], scaler: FeatureScaler) -> np.ndarray:
+    """raw_features of the blocks' states at their own hits, min-max scaled in one call."""
     raw = np.empty((sum(map(len, blocks)), scaler.lo.shape[0]))
     start = 0
     for block in blocks:
-        span = slice(start, start + len(block))
-        raw[span, :GLOBAL_FEATURES] = block.links
-        # a view of the rows' sub-task features; a width that does not fit
-        # V sub-tasks raises ValueError here
-        sub = raw[span, GLOBAL_FEATURES:].reshape(*block.code.shape, SUBTASK_FEATURES)
-        for k, column in enumerate((block.zeta, block.d_in, block.d_out, block.rho)):
-            sub[..., k] = column
-        sub[..., 4] = block.code == 2
-        sub[..., 5] = block.code == 1
-        sub[..., 6] = block.hits
-        sub[..., 7] = _popularity(block)
-        start = span.stop
+        raw_features(block, block.hits, raw[start:start + len(block)])
+        start += len(block)
     return scaler.transform(raw)
 
 

@@ -11,10 +11,8 @@ lexicographically smallest pick (prefer local, prefer not caching).
 
 block_argmin applies that rule to every state of a Tables block at
 once, and label_states labels a sequence of blocks through it: a stream
-as scenario.episode_blocks draws it, and so the carried blocks of a
-baseline's persistent rollout; under oracle and docs, whose next state
-depends on an action read from this one's labels, a rollout labels in
-blocks of one. solve_optimal is block_argmin on a block of one.
+as scenario.episode_blocks draws it, fresh, or with the caches a
+persistent rollout carried into it. solve_optimal is the one-state form.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .caching import zipf_pmf
+from .caching import mpc_keys
 from .evaluator import (NEAR, ActionMatrix, EpisodeState, PriceVector, Tables, at_hits,
                         pair_index)
 
@@ -41,12 +41,11 @@ def baseline_name(offload_kind: str, cache_kind: str) -> str:
 
 def _mpc_keys(delta: np.ndarray, ranks: int) -> np.ndarray:
     """N x R mpc eviction keys: each rank's place in its row's order of
-    (zipf_pmf, -rank), least popular first, so the held rank of least key
+    caching.mpc_keys, least popular first, so the held rank of least key
     is evict_mpc's victim. A drawn block's rows share one skew."""
     keys = np.empty((len(delta), ranks), dtype=np.intp)
     for skew in np.unique(delta).tolist():
-        pmf = zipf_pmf(skew, ranks)
-        order = sorted(range(ranks), key=lambda r: (pmf[r], -r))
+        order = sorted(range(ranks), key=mpc_keys(skew, ranks).__getitem__)
         keys[delta == skew] = np.argsort(order)
     return keys
 

@@ -20,9 +20,10 @@ jitters, orbit offsets and placement fills are decoded from raw output
 the same way; each placement's permutation is one Generator shuffle per
 episode, and the greedy packing runs on N-vectors. The SNR, rate and
 coverage formulas run per episode on Python floats. A drawn block builds
-its EpisodeState objects only when they are first read, from its arrays:
-labelling and the baselines' retention replay read none. The same draw, one numpy call at a time from
-numpy-seeded generators, is tests/conftest.py's reference_episode_state.
+its EpisodeState objects only when first read, from its arrays and any
+cache a persistent rollout carried into them; no CLI stage reads them.
+The same draw, one numpy call at a time from numpy-seeded generators,
+is tests/conftest.py's reference_episode_state.
 
 The content library (bytes per popularity rank) is drawn once per run,
 from numpy's own SeedSequence, and shared by all episodes, which keeps

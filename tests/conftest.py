@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from satedge.caching import CacheState, apply_caching_action, request_probability
+from satedge import caching
+from satedge.caching import CacheState, request_probability
 from satedge.channel import LinkState, link_rate, snr_from_db, transmit_time
 from satedge.config import (ScenarioConfig, TrainConfig, default_config, orbit_params,
                             scenario_hash)
@@ -334,6 +335,23 @@ def reference_reward_and_time(state: EpisodeState, action: ActionMatrix,
         cost += reference_subtask_cost(st, of, ch, hit, t, prices)
         seconds += t
     return cost, seconds
+
+
+def apply_caching_action(cache: CacheState, task: TaskGraph, a_ch: tuple[int, ...],
+                         policy: str) -> CacheState:
+    """Replay a task's caching bits through an eviction policy, in chain
+    order, one CacheState per offer: the reference for the persistent
+    rollout's carry."""
+    # looked up on each call, so a rebound evict_mrc or evict_mpc takes effect
+    evict = {"mrc": caching.evict_mrc, "mpc": caching.evict_mpc}.get(policy)
+    if evict is None:
+        raise ValueError(f"unknown eviction policy {policy!r}")
+    if len(a_ch) != len(task):
+        raise ValueError("caching bit-vector length must match the task")
+    for st, bit in zip(task, a_ch):
+        if bit and st.d_out > 0.0:
+            cache = evict(cache, st.out_rank, st.d_out)
+    return cache
 
 
 def reference_baseline_cache(kind: str, state: EpisodeState) -> tuple[int, ...]:

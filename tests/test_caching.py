@@ -4,13 +4,14 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.caching import (CacheState, apply_caching_action, evict_mpc, evict_mrc,
-                             left_sum, request_probability, zipf_pmf)
+from satedge.caching import (CacheState, evict_mpc, evict_mrc, left_sum, request_probability,
+                             zipf_pmf)
 from satedge.config import default_config
 from satedge.scenario import library_capacity
 from satedge.workload import Category, SubTask
 
-from conftest import cached_bytes, empty_cache, is_hit, reference_evict
+from conftest import (apply_caching_action, cached_bytes, empty_cache, is_hit,
+                      reference_evict)
 
 H_30 = 3.9949871309203906  # 30th harmonic number, summed by hand script
 
@@ -252,8 +253,8 @@ def test_eviction_matches_naive_reference(ops, capacity, delta):
        st.sampled_from([0.6, 1.0, 2.0]),
        st.sampled_from([0.0, 1.0]))
 def test_offered_state_is_the_state_its_fields_construct(ops, sizes, capacity, delta):
-    # an offer builds its state without CacheState's __init__; it must still
-    # be the CacheState those fields make, down to repr and hash
+    # an offer's state must be the CacheState its fields make, down to repr
+    # and hash
     cache = expected = empty_cache(tuple(sizes), capacity, delta)
     for policy, rank, nbytes in ops:
         cache = (evict_mrc if policy == "mrc" else evict_mpc)(cache, rank, nbytes)

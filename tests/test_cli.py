@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from satedge import evaluator, neural, oracle
-from satedge.caching import CacheState, apply_caching_action
+from satedge.caching import CacheState
 from satedge.channel import LinkState
 from satedge.cli import (EVAL_SEED, _persistent_rollout, main, run_compare, run_eval,
                          run_gen_dataset)
@@ -27,7 +27,7 @@ from satedge.policies import BASELINE_PAIRS
 from satedge.scenario import episode_blocks, make_library, prices_from
 from satedge.workload import SubTask
 
-from conftest import (feasible_of, picks_of, reference_baseline_policy,
+from conftest import (apply_caching_action, feasible_of, picks_of, reference_baseline_policy,
                       reference_decode_actions, reference_label_states, states_of,
                       stream_blocks)
 
@@ -186,12 +186,33 @@ def test_eval_persistent_cache_mode(tmp_path, tiny_cfg):
     assert row["cache_mode"] == "persistent"
 
 
-@pytest.mark.parametrize("offload_kind, cache_kind", BASELINE_PAIRS)
-def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, cache_kind):
-    # a cache of 5 % of the library evicts on carried offers, and the stream
-    # spans two draw blocks, which the rollout labels once it has acted
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _rollout_config(name):
+    """The persistent differential tests' inputs. A cache of 5 % of the
+    library evicts on carried offers; a 0.16 s window forces most outputs
+    into the cache, and parity_orbit's short passes force some, so oracle's
+    carried cache changes in most rows of the one and in some of the other."""
     cfg = default_config()
-    cfg = replace(cfg, scenario=replace(cfg.scenario, capacity_fraction=0.05))
+    if name == "parity_orbit":
+        return load_config(SCRIPTS / "parity_orbit.txt")
+    fields = {"capacity_0.05": {"capacity_fraction": 0.05}, "coverage_0.16": {"coverage_s": 0.16}}
+    return replace(cfg, scenario=replace(cfg.scenario, **fields[name]))
+
+
+def _rollout_inputs(schemes):
+    """Each scheme under each input; at capacity 0.05, under the scheme's id alone."""
+    return [pytest.param(*scheme, name, id="-".join(
+        scheme + ((name,) if name != "capacity_0.05" else ())))
+        for name in ("capacity_0.05", "coverage_0.16", "parity_orbit") for scheme in schemes]
+
+
+@pytest.mark.parametrize("offload_kind, cache_kind, name", _rollout_inputs(BASELINE_PAIRS))
+def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, cache_kind,
+                                                                 name):
+    # the stream spans two draw blocks, which the rollout labels once it has acted
+    cfg = _rollout_config(name)
     scen, n, seed = cfg.scenario, BLOCK_STATES + 4, 5
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
     blocks, demos, actions = _persistent_rollout(
@@ -215,12 +236,11 @@ def test_persistent_baseline_rollout_matches_per_state_labelling(offload_kind, c
     assert evicted > 0
 
 
-@pytest.mark.parametrize("scheme", ["oracle", "docs"])
-def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
-    # oracle and docs act on each carried state's own labels or features, so
-    # the rollout labels it as a block of one and stacks the blocks in order
-    cfg = default_config()
-    cfg = replace(cfg, scenario=replace(cfg.scenario, capacity_fraction=0.05))
+@pytest.mark.parametrize("scheme, name", _rollout_inputs([("oracle",), ("docs",)]))
+def test_persistent_labelled_rollout_matches_per_state_labelling(scheme, name):
+    # oracle acts on each carried state's labels and docs on its features;
+    # the reference labels each state alone before it acts and carries
+    cfg = _rollout_config(name)
     scen, n, seed, v = cfg.scenario, BLOCK_STATES + 4, 5, cfg.scenario.num_subtasks
     prices, scaler = prices_from(scen), FeatureScaler.from_scenario(scen)
     eviction = cfg.train.persistent_eviction
@@ -230,7 +250,7 @@ def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
                                                  eviction)
     states = states_of(blocks)
     assert len(demos) == len(actions) == n
-    cache = None
+    cache, changed = None, 0
     for i, (drawn, demo) in enumerate(zip(states_of(stream_blocks(scen, seed, n)), demos)):
         state = drawn if cache is None else replace(drawn, cache=cache)
         ref, = reference_label_states([state], prices, scaler)
@@ -242,6 +262,9 @@ def test_persistent_labelled_rollout_matches_per_state_labelling(scheme):
         assert demo.features.tobytes() == ref.features.tobytes()
         assert actions[i].tolist() == picks_of(action)
         cache = apply_caching_action(state.cache, state.task, action.cache, eviction)
+        changed += cache.placement != state.cache.placement
+    # at capacity 0.05 and the default window, oracle caches no output
+    assert changed > 0 or (scheme, name) == ("oracle", "capacity_0.05")
 
 
 def test_compare_ranks_all_schemes(tmp_path, tiny_cfg, capsys):
@@ -383,9 +406,6 @@ def test_gen_dataset_matches_benchmark_reference(tmp_path, workload, episodes,
     path = run_gen_dataset(cfg, 42, episodes, tmp_path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == _benchmark_references()[workload]
-
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_parity_listing_matches_the_committed_one(tmp_path, capsys):
@@ -616,13 +636,13 @@ def _count_tables(monkeypatch):
     ["eval", "--policy", "docs", "--cache-mode", "persistent"],
     ["compare"],
     ["eval", "--policy", "go-mrc", "--cache-mode", "persistent"],
+    ["eval", "--policy", "le-mpc", "--cache-mode", "persistent"],
 ])
 def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, argv):
-    # fresh streams are labelled in blocks; a persistent oracle or docs
-    # rollout labels each state as a block of one, since its action, read
-    # from the labels, sets the next state's cache; a baseline acts on the
-    # states alone, so its rollout labels them in one block at the end
-    per_state = "persistent" in argv and argv[2] in ("oracle", "docs")
+    # every stream is labelled once per drawn block: a persistent rollout
+    # labels a block once it has carried the cache through it, since no
+    # scheme's carry needs the labels first (oracle's cache bits are the
+    # ones its feasible patterns force)
     model = _untrained_model(tmp_path / "model.txt", 6)
     if "oracle" not in argv:
         argv = argv + ["--model", str(model)]
@@ -634,7 +654,7 @@ def test_scoring_solves_and_encodes_each_episode_once(tmp_path, monkeypatch, arg
     solved_in_blocks = [len(costs) for costs, in block_solves]
     encoded_in_blocks = [sum(map(len, blocks)) for blocks, _ in block_encodes]
     assert (len(solves), len(encodes)) == (0, 0)
-    assert solved_in_blocks == encoded_in_blocks == ([1] * 7 if per_state else [7])
+    assert solved_in_blocks == encoded_in_blocks == [7]
 
 
 def test_compare_prints_model_load_and_solver_timings(tmp_path, capsys):
@@ -697,14 +717,24 @@ def test_gen_dataset_builds_no_episode_object(tmp_path, monkeypatch):
     assert built == dict.fromkeys(built, 0)
 
 
-def test_compare_builds_no_episode_object(tmp_path, monkeypatch):
-    # 300 episodes, two blocks: six baselines replay two cache kinds on the
-    # blocks' cache arrays, and every scheme is scored from the blocks
+@pytest.mark.parametrize("scheme", [None, "oracle", "docs"] + [
+    f"{of}-{ch}" for of, ch in BASELINE_PAIRS], ids=lambda scheme: (
+        "compare" if scheme is None else f"eval-persistent-{scheme}"))
+def test_compare_builds_no_episode_object(tmp_path, monkeypatch, scheme):
+    # 300 episodes, two blocks: compare's six baselines replay two cache
+    # kinds on the blocks' cache arrays, and a persistent rollout carries its
+    # cache through them row by row on lists; every scheme is scored from
+    # the blocks, each labelled in one call
     model = _untrained_model(tmp_path / "model.txt", 6)
     built = _count_objects(monkeypatch)
     tables = _count_tables(monkeypatch)
-    run_compare(default_config(), EVAL_SEED, model, 300, tmp_path)
-    assert tables == [BLOCK_STATES, 300 - BLOCK_STATES]
+    solves = _count_calls(monkeypatch, oracle.block_argmin)
+    if scheme is None:
+        run_compare(default_config(), EVAL_SEED, model, 300, tmp_path)
+    else:
+        run_eval(default_config(), EVAL_SEED, scheme, model if scheme == "docs" else None,
+                 300, "persistent", tmp_path)
+    assert tables == [len(costs) for costs, in solves] == [BLOCK_STATES, 300 - BLOCK_STATES]
     assert built == dict.fromkeys(built, 0)
 
 

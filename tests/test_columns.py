@@ -96,9 +96,9 @@ def test_carried_states_read_hits_from_their_own_cache(name):
     carried[::3] = drawn.states[::3]  # carried and drawn states interleaved in one block
     # popularity follows each state's own cache too, even a differently skewed one
     carried[2::3] = [replace(s, cache=replace(s.cache, delta=2.5)) for s in drawn.states[2::3]]
-    block = drawn.carrying(carried, slice(0, 40))
+    block = Tables(carried)
     _assert_block_matches_objects([block], scen)
-    assert np.shares_memory(block.seconds, drawn.seconds)
+    assert np.array_equal(block.seconds, drawn.seconds)
 
 
 @pytest.mark.parametrize("name", ["fixed", "orbit-V9-R1"])

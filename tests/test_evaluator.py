@@ -173,13 +173,13 @@ def test_hits_follow_each_states_cache_and_are_read_only():
         hits[0, 0] = not hits[0, 0]
     # every placement bit flipped: each output rank's hit flips, and the
     # carried states keep their rows
-    carried = block.carrying(
+    carried = Tables(
         [replace(s, cache=replace(s.cache, placement=tuple(1 - b for b in s.cache.placement)))
-         for s in block.states], slice(0, len(block)))
+         for s in block.states])
     fresh = carried.hits
     assert fresh.tolist() == [list(reference_hits(s)) for s in carried.states]
     assert (fresh != hits).any()
-    assert block.carrying(block.states[1:2], slice(1, 2)).hits.tolist() == \
+    assert Tables(block.states[1:2]).hits.tolist() == \
         [list(reference_hits(block.states[1]))]
 
 

@@ -1,15 +1,17 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satedge.config import default_config
-from satedge.evaluator import (ActionMatrix, PriceVector, completion_time, feasible_actions,
-                               reward, score)
-from satedge.oracle import (block_argmin, build_dataset, read_dataset, solve_optimal,
-                            write_dataset)
+from satedge.config import default_config, load_config
+from satedge.evaluator import (FEASIBLE, ActionMatrix, PriceVector, completion_time,
+                               feasible_actions, reward, score)
+from satedge.neural import FeatureScaler
+from satedge.oracle import (block_argmin, build_dataset, label_states, read_dataset,
+                            solve_optimal, write_dataset)
 from satedge.policies import BASELINE_PAIRS, baseline_actions
 from satedge.scenario import prices_from
 
@@ -144,6 +146,36 @@ def test_oracle_dominates_baselines(prices):
     for of_kind, ch_kind in BASELINE_PAIRS:
         rewards, _ = score(blocks, baseline_actions(of_kind, ch_kind, blocks, prices), prices)
         assert all(opt <= value for opt, value in zip(optima, rewards, strict=True))
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _shortcut_config(name):
+    scen = default_config().scenario
+    if name.startswith("parity_"):
+        return load_config(SCRIPTS / f"{name}.txt").scenario
+    if name == "coverage_0.16":
+        return replace(scen, coverage_s=0.16)
+    if name == "price_cache_0":  # caching is free, so every free cache bit ties
+        return replace(scen, price_cache=0.0)
+    return scen
+
+
+@pytest.mark.parametrize("name", ["defaults", "parity_tiny", "parity_evict", "parity_orbit",
+                                  "coverage_0.16", "price_cache_0"])
+def test_oracle_caches_exactly_what_its_pattern_forces(name):
+    # a cache bit changes no time and costs price_cache * d_out >= 0, and
+    # ties prefer not caching, so the labels cache an output only where
+    # FEASIBLE holds no pair that does not (patterns 2 and 4), whatever the
+    # cache holds: the persistent rollout carries oracle's cache on that
+    assert [p for p, feas in enumerate(FEASIBLE) if {ch for _, ch in feas} == {1}] == [2, 4]
+    scen = _shortcut_config(name)
+    blocks = stream_blocks(scen, 5, 300)
+    demos = label_states(blocks, prices_from(scen), FeatureScaler.from_scenario(scen))
+    forced = np.isin(np.concatenate([block.pattern for block in blocks]), (2, 4))
+    assert np.array_equal(demos.labels[:, scen.num_subtasks:], forced)
+    assert forced.any() == (name in ("parity_orbit", "coverage_0.16"))
 
 
 def test_demonstrations_replay_to_their_reward(prices):

@@ -188,7 +188,7 @@ def test_replaced_cache_rederives_costs_and_retention(prices):
     block = Tables([state])
     rows = costs_of((block, 0), prices)
     retained = {kind: baseline_cache(kind, block)[0].tolist() for kind in ("mrc", "mpc")}
-    carried = block.carrying([replace(state, cache=make_cache(capacity=100e3))], slice(0, 1))
+    carried = Tables([replace(state, cache=make_cache(capacity=100e3))])
     assert (hits_of((block, 0)), hits_of((carried, 0))) == ((True,), (False,))
     assert hits_of((carried, 0)) == reference_hits(carried.states[0])
     carried_rows = costs_of((carried, 0), prices)
